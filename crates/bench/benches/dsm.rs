@@ -8,8 +8,7 @@
 //!   `Bench::record`. Virtual time is machine-independent, so CI gates on
 //!   the `release/` family against a committed baseline
 //!   (`scripts/bench_baseline/BENCH_dsm.json`, enforced by the
-//!   `bench_gate` binary). Batched and unbatched variants are emitted side
-//!   by side so the win is visible in one file.
+//!   `bench_gate` binary).
 //! * `tasks/...` — **deterministic simulated metrics** of the distributed
 //!   work-stealing task scheduler (spawn-sync latency, per-task steal and
 //!   n-body phase costs at 4–64 nodes), driven single-threaded round-robin
@@ -92,13 +91,12 @@ fn run_nodes_counted<R: Send + 'static>(
     (results, total_msgs)
 }
 
-fn release_cfg(pages: usize, batched: bool) -> DsmConfig {
+fn release_cfg(pages: usize) -> DsmConfig {
     DsmConfig {
         pool_bytes: (pages + 8) * PAGE_SIZE,
         // Fixed homes keep every page on node 0, so node 1's release has a
         // single destination — the pure batching scenario.
         home_policy: HomePolicy::Fixed,
-        batch_diffs: batched,
         ..DsmConfig::default()
     }
 }
@@ -119,10 +117,10 @@ struct ReleaseMetrics {
 
 /// One 2-node release with `pages` dirty pages homed on the peer; fully
 /// deterministic (single blocking request stream, virtual clocks).
-fn release_metrics(pages: usize, batched: bool) -> ReleaseMetrics {
+fn release_metrics(pages: usize) -> ReleaseMetrics {
     let out = run_nodes(
         2,
-        release_cfg(pages, batched),
+        release_cfg(pages),
         NetProfile::clan_via(),
         move |d, clk| {
             let r = d.alloc_region(pages * PAGE_SIZE).unwrap();
@@ -185,34 +183,31 @@ fn barrier_vtime_ns(nodes: usize, pages_per_node: usize) -> u64 {
 
 fn record_release_family(b: &mut Bench) {
     for &pages in &[1usize, 8, 32] {
-        for &batched in &[true, false] {
-            let tag = if batched { "batched" } else { "unbatched" };
-            let m = release_metrics(pages, batched);
-            b.record(
-                &format!("release/flush_vtime_ns_{pages}p_{tag}"),
-                m.flush_vtime_ns as f64,
-            );
-            b.record(
-                &format!("release/flush_vtime_ns_per_page_{pages}p_{tag}"),
-                m.flush_vtime_ns as f64 / pages as f64,
-            );
-            b.record(
-                &format!("release/flush_msgs_{pages}p_{tag}"),
-                m.flush_msgs as f64,
-            );
-            b.record(
-                &format!("release/flush_acks_{pages}p_{tag}"),
-                m.flush_acks as f64,
-            );
-            b.record(
-                &format!("release/diff_wire_bytes_{pages}p_{tag}"),
-                m.diff_wire_bytes as f64,
-            );
-            b.record(
-                &format!("release/diff_payload_bytes_{pages}p_{tag}"),
-                m.diff_payload_bytes as f64,
-            );
-        }
+        let m = release_metrics(pages);
+        b.record(
+            &format!("release/flush_vtime_ns_{pages}p_batched"),
+            m.flush_vtime_ns as f64,
+        );
+        b.record(
+            &format!("release/flush_vtime_ns_per_page_{pages}p_batched"),
+            m.flush_vtime_ns as f64 / pages as f64,
+        );
+        b.record(
+            &format!("release/flush_msgs_{pages}p_batched"),
+            m.flush_msgs as f64,
+        );
+        b.record(
+            &format!("release/flush_acks_{pages}p_batched"),
+            m.flush_acks as f64,
+        );
+        b.record(
+            &format!("release/diff_wire_bytes_{pages}p_batched"),
+            m.diff_wire_bytes as f64,
+        );
+        b.record(
+            &format!("release/diff_payload_bytes_{pages}p_batched"),
+            m.diff_payload_bytes as f64,
+        );
     }
 }
 
@@ -229,10 +224,9 @@ fn record_barrier_family(b: &mut Bench) {
 /// protocol traffic in flight) at `nodes` nodes. Fully deterministic: tree
 /// contributions are charged in a sorted fold, so real-time service order
 /// cannot leak into the metric.
-fn dsm_barrier_steady_vtime_ns(nodes: usize, hierarchical: bool) -> u64 {
+fn dsm_barrier_steady_vtime_ns(nodes: usize) -> u64 {
     let cfg = DsmConfig {
         pool_bytes: 16 * PAGE_SIZE,
-        hierarchical_barrier: hierarchical,
         ..DsmConfig::default()
     };
     const ITERS: u64 = 4;
@@ -284,13 +278,12 @@ fn mpi_coll_vtime_ns(ranks: usize, op: &'static str) -> u64 {
 
 /// The `coll/` scaling families: gated by `bench_gate` against the
 /// committed baseline *and* against the ⌈log₂N⌉ shape rule (successive
-/// node-count doublings must cost < 1.7x). `flat/` twins are informational
-/// — they document what the hierarchy buys.
+/// node-count doublings must cost < 1.7x).
 fn record_coll_family(b: &mut Bench) {
     for &n in coll_sizes() {
         b.record(
             &format!("coll/dsm_barrier_vtime_ns_{n}n"),
-            dsm_barrier_steady_vtime_ns(n, true) as f64,
+            dsm_barrier_steady_vtime_ns(n) as f64,
         );
         for op in ["barrier", "bcast", "allreduce"] {
             b.record(
@@ -298,12 +291,6 @@ fn record_coll_family(b: &mut Bench) {
                 mpi_coll_vtime_ns(n, op) as f64,
             );
         }
-    }
-    for &n in &[16usize, 64] {
-        b.record(
-            &format!("flat/dsm_barrier_vtime_ns_{n}n"),
-            dsm_barrier_steady_vtime_ns(n, false) as f64,
-        );
     }
 }
 
@@ -431,7 +418,6 @@ fn sweep_metrics(pages: usize, prefetch: bool) -> SweepMetrics {
     let cfg = DsmConfig {
         pool_bytes: (pages + 8) * PAGE_SIZE,
         home_policy: HomePolicy::Fixed,
-        hierarchical_barrier: true,
         stride_prefetch: prefetch,
         ..DsmConfig::default()
     };
@@ -521,7 +507,6 @@ fn adapt_run(select: ProtoSelect, migratory: bool, intervals: usize) -> (u64, u6
     let cfg = DsmConfig {
         pool_bytes: (PAGES + 8) * PAGE_SIZE,
         home_policy: HomePolicy::Fixed,
-        hierarchical_barrier: true,
         stride_prefetch: false,
         proto_select: select,
         ..DsmConfig::default()
@@ -616,12 +601,9 @@ fn record_adapt_family(b: &mut Bench) {
 }
 
 fn bench_wall_flush(b: &mut Bench) {
-    for &batched in &[true, false] {
-        let tag = if batched { "batched" } else { "unbatched" };
-        b.bench(&format!("wall/release_32p_{tag}"), move || {
-            std::hint::black_box(release_metrics(32, batched));
-        });
-    }
+    b.bench("wall/release_32p_batched", || {
+        std::hint::black_box(release_metrics(32));
+    });
 }
 
 fn main() {

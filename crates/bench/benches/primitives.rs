@@ -74,7 +74,6 @@ fn bench_shared_access(b: &mut Bench) {
         .threads_per_node(1)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(4 << 20)
         .build()
         .unwrap();
     b.bench("dsm/fast_path_read_1M", move || {

@@ -20,7 +20,7 @@ fn main() {
             time: parade_net::TimeSource::ThreadCpu { scale: 1.0 },
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::from_config(cfg);
+        let cluster = Cluster::from_config(cfg).expect("cluster config");
         let (_, report) = helmholtz_parade(&cluster, p);
         let stats = StatsReport::from_run(format!("helmholtz-{nodes}n-{}", exec.label()), &report);
         println!("{}", stats.render());

@@ -110,50 +110,23 @@ fn main() {
         "home" => vec![ablation_home(&opts)],
         "fabric" => vec![ablation_fabric(&opts)],
         "schedules" => vec![ablation_schedules(&opts)],
-        "trace" => match trace_breakdown(&opts) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("figures trace: {e}");
-                std::process::exit(1);
-            }
-        },
-        "chaos-smoke" | "chaos_smoke" => match chaos_smoke(&opts) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("figures chaos-smoke: {e}");
-                std::process::exit(1);
-            }
-        },
-        "task-smoke" | "task_smoke" => match task_smoke(&opts) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("figures task-smoke: {e}");
-                std::process::exit(1);
-            }
-        },
-        "steal-soak" | "steal_soak" => match steal_soak(&opts) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("figures steal-soak: {e}");
-                std::process::exit(1);
-            }
-        },
-        "serve-soak" | "serve_soak" => match serve_soak(&opts) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("figures serve-soak: {e}");
-                std::process::exit(1);
-            }
-        },
-        "adapt-smoke" | "adapt_smoke" => match adapt_smoke(&opts) {
-            Ok(ts) => ts,
-            Err(e) => {
-                eprintln!("figures adapt-smoke: {e}");
-                std::process::exit(1);
-            }
-        },
         "all" => all_figures(&opts),
-        _ => usage(),
+        // The smoke and soak runs fail closed: any divergence exits 1.
+        smoke => {
+            let run: fn(&FigureOpts) -> Result<Vec<Table>, String> = match smoke {
+                "trace" => trace_breakdown,
+                "chaos-smoke" | "chaos_smoke" => chaos_smoke,
+                "task-smoke" | "task_smoke" => task_smoke,
+                "steal-soak" | "steal_soak" => steal_soak,
+                "serve-soak" | "serve_soak" => serve_soak,
+                "adapt-smoke" | "adapt_smoke" => adapt_smoke,
+                _ => usage(),
+            };
+            run(&opts).unwrap_or_else(|e| {
+                eprintln!("figures {what}: {e}");
+                std::process::exit(1);
+            })
+        }
     };
 
     for t in &tables {

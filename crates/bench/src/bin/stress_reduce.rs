@@ -11,7 +11,6 @@ fn main() {
             .protocol(ProtocolMode::SdsmOnly)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(16 << 20)
             .build()
             .unwrap();
         let bad = c.run(move |g| {

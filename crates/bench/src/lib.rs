@@ -8,12 +8,17 @@
 
 use parade_cluster::{ClusterConfig, ExecConfig, ProtocolMode};
 use parade_core::{Cluster, NetProfile, TimeSource};
-use parade_dsm::UpdateStrategy;
+use parade_dsm::{DsmConfig, UpdateStrategy};
 use parade_kernels::cg::{cg_mpi, cg_parade, CgClass};
 use parade_kernels::ep::{ep_parade, EpClass};
 use parade_kernels::helmholtz::{helmholtz_parade, HelmholtzParams};
 use parade_kernels::md::{md_parade, MdParams, MdResult};
 use parade_kernels::syncbench::{measure, Directive};
+
+/// The figures' configurations are literals: an invalid one is a bug here.
+fn cluster(cfg: ClusterConfig) -> Cluster {
+    Cluster::from_config(cfg).expect("figure cluster config")
+}
 
 /// A printable result table.
 #[derive(Debug, Clone)]
@@ -207,7 +212,6 @@ impl FigureOpts {
             protocol: mode,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 4 << 20,
             ..ClusterConfig::default()
         }
     }
@@ -264,7 +268,7 @@ where
         let mut row = vec![n.to_string()];
         for e in ExecConfig::PAPER_CONFIGS {
             let cfg = opts.base_cfg(n, e, ProtocolMode::Parade);
-            let secs = run(&Cluster::from_config(cfg));
+            let secs = run(&cluster(cfg));
             row.push(format!("{secs:.3}"));
         }
         t.row(row);
@@ -377,13 +381,15 @@ pub fn update_methods(opts: &FigureOpts) -> Table {
         let cfg = ClusterConfig {
             nodes: 2,
             exec: ExecConfig::OneThreadTwoCpu,
-            update_strategy: strat,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: (pages + 64) * parade_dsm::PAGE_SIZE,
+            dsm: DsmConfig {
+                update_strategy: strat,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::from_config(cfg);
+        let cluster = cluster(cfg);
         let (_, report) = cluster.run_with_report(move |g| {
             let words = pages * parade_dsm::PAGE_SIZE / 8;
             let v = g.alloc_f64(words);
@@ -435,11 +441,11 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
     );
     for &n in opts.nodes.iter().filter(|&&n| n > 1) {
         let mut cfg = opts.base_cfg(n, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
-        cfg.home_policy = Some(parade_dsm::HomePolicy::Migratory);
-        let (r1, rep1) = cg_parade(&Cluster::from_config(cfg.clone()), class);
+        cfg.dsm.home_policy = parade_dsm::HomePolicy::Migratory;
+        let (r1, rep1) = cg_parade(&cluster(cfg.clone()), class);
         assert!(r1.verify(class));
-        cfg.home_policy = Some(parade_dsm::HomePolicy::Fixed);
-        let (r2, rep2) = cg_parade(&Cluster::from_config(cfg), class);
+        cfg.dsm.home_policy = parade_dsm::HomePolicy::Fixed;
+        let (r2, rep2) = cg_parade(&cluster(cfg), class);
         assert!(r2.verify(class));
         t.row(vec![
             n.to_string(),
@@ -500,11 +506,10 @@ pub fn ablation_schedules(opts: &FigureOpts) -> Table {
                 exec: ExecConfig::TwoThreadTwoCpu,
                 net: NetProfile::clan_via(),
                 time: TimeSource::ThreadCpu { scale: 1.0 },
-                pool_bytes: 4 << 20,
                 ..ClusterConfig::default()
             };
             let sched = sched.to_string();
-            let (_, report) = Cluster::from_config(cfg).run_with_report(move |g| {
+            let (_, report) = cluster(cfg).run_with_report(move |g| {
                 g.parallel(move |tc| {
                     // Triangular work: iteration i costs ~i units of real
                     // spinning.
@@ -554,7 +559,7 @@ pub fn trace_breakdown(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     let cfg = opts.base_cfg(nodes, ExecConfig::TwoThreadTwoCpu, ProtocolMode::Parade);
     let mut p = HelmholtzParams::sized(100, 100, 20);
     p.tol = 1e-30;
-    let (_, report) = helmholtz_parade(&Cluster::from_config(cfg), p);
+    let (_, report) = helmholtz_parade(&cluster(cfg), p);
 
     let body = std::fs::read_to_string(&path)
         .map_err(|e| format!("trace file {path} not written: {e}"))?;
@@ -564,6 +569,9 @@ pub fn trace_breakdown(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         .ok_or_else(|| "run produced no trace report".to_string())?;
     if tr.is_empty() {
         return Err("trace aggregation report is empty".to_string());
+    }
+    if !tr.spans.iter().any(|r| r.kind.name() == "omp.barrier") {
+        return Err("traced Helmholtz run shows no omp.barrier span".to_string());
     }
     let max_node = report
         .node_times
@@ -645,8 +653,8 @@ pub fn chaos_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         chaos,
         ..ClusterConfig::default()
     };
-    let (clean, _) = cg_parade(&Cluster::from_config(cfg(ChaosProfile::off())), CgClass::S);
-    let (chaotic, report) = cg_parade(&Cluster::from_config(cfg(chaos.clone())), CgClass::S);
+    let (clean, _) = cg_parade(&cluster(cfg(ChaosProfile::off())), CgClass::S);
+    let (chaotic, report) = cg_parade(&cluster(cfg(chaos.clone())), CgClass::S);
 
     if let Some(err) = &report.cluster.fabric_error {
         return Err(format!("chaos-smoke: link died during soak: {err}"));
@@ -718,8 +726,11 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         nodes,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
-        proto_select: select,
-        stride_prefetch: prefetch,
+        dsm: DsmConfig {
+            proto_select: select,
+            stride_prefetch: prefetch,
+            ..DsmConfig::default()
+        },
         ..ClusterConfig::default()
     };
     let runs = [
@@ -746,7 +757,7 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     // extreme on this workload.
     let mut proto_msgs: Vec<(&str, u64)> = Vec::new();
     for (label, select, prefetch) in runs {
-        let (res, report) = cg_parade(&Cluster::from_config(cfg(select, prefetch)), CgClass::S);
+        let (res, report) = cg_parade(&cluster(cfg(select, prefetch)), CgClass::S);
         if let Some(err) = &report.cluster.fabric_error {
             return Err(format!("adapt-smoke: link died under {label}: {err}"));
         }
@@ -834,7 +845,6 @@ pub fn task_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         exec: ExecConfig::TwoThreadTwoCpu,
         net: NetProfile::zero(),
         time: TimeSource::Manual,
-        pool_bytes: 4 << 20,
         task_scheduler: sched,
         ..ClusterConfig::default()
     };
@@ -864,7 +874,7 @@ pub fn task_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         ),
     ];
     for (label, sched) in schedules {
-        let (res, report) = nbody_task_parade(&Cluster::from_config(cfg(sched)), p, blocks);
+        let (res, report) = nbody_task_parade(&cluster(cfg(sched)), p, blocks);
         if let Some(err) = &report.cluster.fabric_error {
             return Err(format!("task-smoke: link died under {label}: {err}"));
         }
@@ -927,12 +937,11 @@ pub fn steal_soak(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         exec: ExecConfig::TwoThreadTwoCpu,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
-        pool_bytes: 4 << 20,
         chaos: chaos.clone(),
         ..ClusterConfig::default()
     };
     let seq = nbody_task_sequential(p, blocks);
-    let (res, report) = nbody_task_parade(&Cluster::from_config(cfg), p, blocks);
+    let (res, report) = nbody_task_parade(&cluster(cfg), p, blocks);
     if let Some(err) = &report.cluster.fabric_error {
         return Err(format!("steal-soak: link died during soak: {err}"));
     }

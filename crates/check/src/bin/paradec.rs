@@ -1,26 +1,23 @@
 //! `paradec` — the ParADE OpenMP translator CLI.
 //!
 //! ```text
-//! paradec check <file.c> [--json] [--ast-check] [--trace FILE]
+//! paradec check <file.c> [--json] [--trace FILE]
 //! paradec translate <file.c> [--mode parade|sdsm] [--threshold N] [--no-check]
 //! paradec run <file.c> [--nodes N] [--threads T] [--mode parade|sdsm]
 //!                      [--trace FILE] [--oracle] [--no-check]
 //! ```
 //!
 //! `check` runs the static analyzer and prints its diagnostics; any
-//! `error[PCnnn]` makes it exit non-zero. The default analyzer lowers to
-//! MIR and runs the dataflow-based lints (PC001–PC010); `--ast-check`
-//! selects the lexical AST analyzer (PC001–PC008) instead, and `--json`
-//! prints one JSON object per diagnostic on stdout — the JSON carries no
-//! backend-identifying field, so the two analyzers' outputs are directly
-//! diffable. `translate` prints the translated C source (Figures 2/3
-//! style) and `run` interprets the program on a simulated cluster — both
-//! run the analyzer first and refuse programs with errors unless
-//! `--no-check` is given. `run --oracle` additionally enables the
-//! happens-before race oracle inside the interpreter and reports any data
-//! races the execution actually exhibited.
+//! `error[PCnnn]` makes it exit non-zero. The analyzer lowers to MIR and
+//! runs the dataflow-based lints (PC001–PC010); `--json` prints one JSON
+//! object per diagnostic on stdout. `translate` prints the translated C
+//! source (Figures 2/3 style) and `run` interprets the program on a
+//! simulated cluster — both run the analyzer first and refuse programs
+//! with errors unless `--no-check` is given. `run --oracle` additionally
+//! enables the happens-before race oracle inside the interpreter and
+//! reports any data races the execution actually exhibited.
 
-use parade_check::{check_program, check_program_ast, has_errors, Severity};
+use parade_check::{check_program, has_errors, Severity};
 use parade_core::{Cluster, NetProfile, ProtocolMode, TimeSource};
 use parade_translator::emit::{translate, EmitMode};
 use parade_translator::interp::Interp;
@@ -28,12 +25,10 @@ use parade_translator::parser::parse;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  paradec check <file.c> [--json] [--ast-check] [--trace FILE]\n  \
+        "usage:\n  paradec check <file.c> [--json] [--trace FILE]\n  \
          paradec translate <file.c> [--mode parade|sdsm] [--threshold N] [--no-check]\n  \
          paradec run <file.c> [--nodes N] [--threads T] [--mode parade|sdsm] [--trace FILE] [--oracle] [--no-check]\n\
   --json:       print one JSON object per diagnostic on stdout\n\
-  --ast-check:  use the lexical AST analyzer (PC001-PC008) instead of the\n\
-                MIR dataflow analyzer (PC001-PC010)\n\
   --trace FILE: record the run (or `check` analysis) and write a Chrome\n\
                 trace_event file (open in chrome://tracing or Perfetto);\n\
                 for `run`, same as PARADE_TRACE=FILE\n\
@@ -58,7 +53,6 @@ fn main() {
     let mut oracle = false;
     let mut no_check = false;
     let mut json = false;
-    let mut ast_check = false;
     let mut i = 2;
     while i < args.len() {
         match args[i].as_str() {
@@ -97,7 +91,6 @@ fn main() {
             "--oracle" => oracle = true,
             "--no-check" => no_check = true,
             "--json" => json = true,
-            "--ast-check" => ast_check = true,
             _ => usage(),
         }
         i += 1;
@@ -127,11 +120,7 @@ fn main() {
         } else {
             None
         };
-        let diags = if ast_check {
-            check_program_ast(&prog)
-        } else {
-            check_program(&prog)
-        };
+        let diags = check_program(&prog);
         if let Some(session) = session {
             let path = trace_path.as_ref().expect("trace path");
             let data = session.finish();

@@ -1,6 +1,6 @@
 //! # parade-check — static OpenMP race & conformance analyzer
 //!
-//! A lint pass over the translator AST that runs before the program ever
+//! A lint pass over the translator's lowered MIR that runs before the program ever
 //! touches the simulated cluster (`paradec check`, and automatically ahead
 //! of `paradec run`/`translate`). The ParADE paper's translator decides
 //! *how* to lower each directive (collective vs lock, §4.2/§5.2.1); this
@@ -9,7 +9,7 @@
 //! loop-carried dependences under `omp for`, misused reductions, divergent
 //! barriers, and structural misuse the runtime would reject.
 //!
-//! Every diagnostic carries a stable lint id (`PC001`–`PC008`), a severity,
+//! Every diagnostic carries a stable lint id (`PC001`–`PC010`), a severity,
 //! and the source span of the offending construct:
 //!
 //! ```text
@@ -34,20 +34,14 @@ use parade_translator::analysis::Symbols;
 use parade_translator::ast::*;
 use parade_translator::{parse, ParseError};
 
-/// Parse and check with the MIR analyzer; parse errors are returned, not
-/// converted to lints.
+/// Parse and check; parse errors are returned, not converted to lints.
 pub fn check_source(src: &str) -> Result<Vec<Diag>, ParseError> {
     Ok(check_program(&parse(src)?))
 }
 
-/// Parse and check with the lexical AST analyzer (`--ast-check`).
-pub fn check_source_ast(src: &str) -> Result<Vec<Diag>, ParseError> {
-    Ok(check_program_ast(&parse(src)?))
-}
-
-/// The default analyzer: lower to MIR and replay the detectors from the
-/// marker stream, plus the flow-sensitive PC009/PC010. Diagnostics come
-/// back sorted by source position, duplicates removed.
+/// The analyzer: lower to MIR and replay the detectors from the marker
+/// stream, plus the flow-sensitive PC009/PC010. Diagnostics come back
+/// sorted by source position, duplicates removed.
 pub fn check_program(prog: &Program) -> Vec<Diag> {
     parade_trace::begin_arg(EventKind::CheckAnalyze, span_arg::LOWER, vt_now());
     let funcs = lower_program(prog);
@@ -58,82 +52,6 @@ pub fn check_program(prog: &Program) -> Vec<Diag> {
     }
     sort_diags(&mut diags);
     diags
-}
-
-/// The lexical AST analyzer (PC001–PC008 only). Kept as the parity oracle
-/// for the MIR path: on any program, its diagnostics must equal the MIR
-/// analyzer's minus PC009/PC010 (asserted by the corpus parity test and
-/// the CI parity gate).
-pub fn check_program_ast(prog: &Program) -> Vec<Diag> {
-    let mut diags = Vec::new();
-    for item in &prog.items {
-        if let Item::Func(f) = item {
-            let syms = Symbols::collect(prog, f);
-            walk_outer(&syms, &f.body, &mut diags);
-        }
-    }
-    sort_diags(&mut diags);
-    diags
-}
-
-/// The walk outside any parallel region: dispatch regions to the detectors
-/// in [`region`], flag orphaned constructs (the interpreter rejects them at
-/// runtime — PC007 makes that a compile-time verdict).
-fn walk_outer(syms: &Symbols, s: &Stmt, diags: &mut Vec<Diag>) {
-    match s {
-        Stmt::Omp(d, body) => {
-            check_clause_vars(d, syms, diags);
-            match d.kind {
-                DirKind::Parallel | DirKind::ParallelFor => match body {
-                    Some(b) => region::check_parallel_region(d, b, syms, diags),
-                    None => diags.push(Diag::new(
-                        LintId::DirectiveStructure,
-                        d.span,
-                        format!(
-                            "`{}` directive has no statement to apply to",
-                            kind_name(&d.kind)
-                        ),
-                    )),
-                },
-                // Tasking constructs are legal at serial scope: a team of
-                // one executes them undeferred, so there is no concurrency
-                // to misuse (mirrors the interpreter).
-                DirKind::Task | DirKind::Target | DirKind::Taskwait => {
-                    if let Some(b) = body {
-                        walk_outer(syms, b, diags);
-                    }
-                }
-                _ => {
-                    diags.push(Diag::new(
-                        LintId::DirectiveStructure,
-                        d.span,
-                        format!(
-                            "`{}` directive outside a parallel region; the runtime \
-                             rejects orphaned constructs",
-                            kind_name(&d.kind)
-                        ),
-                    ));
-                    if let Some(b) = body {
-                        walk_outer(syms, b, diags);
-                    }
-                }
-            }
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                walk_outer(syms, s, diags);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            walk_outer(syms, a, diags);
-            if let Some(b) = b {
-                walk_outer(syms, b, diags);
-            }
-        }
-        Stmt::While(_, b) => walk_outer(syms, b, diags),
-        Stmt::For { body, .. } => walk_outer(syms, body, diags),
-        _ => {}
-    }
 }
 
 pub(crate) fn kind_name(k: &DirKind) -> &'static str {
@@ -658,7 +576,7 @@ int main() {
     #[test]
     fn pc009_barrier_after_divergent_break() {
         // Lexically the barrier is under no thread-dependent condition
-        // (the divergent `if` closed at the `break`), so the AST analyzer
+        // (the divergent `if` closed at the `break`), so the lexical PC004
         // stays silent — only the CFG divergence analysis sees that
         // threads disagree on how many iterations reach the barrier.
         let src = r#"
@@ -677,7 +595,6 @@ int main() {
 }
 "#;
         assert_eq!(codes(src), vec!["PC009"]);
-        assert!(check_source_ast(src).unwrap().is_empty());
     }
 
     #[test]
@@ -745,7 +662,6 @@ int main() {
         assert_eq!(ds[0].lint, LintId::TaskDependCycle);
         // Anchored at the lexically-first task on the cycle.
         assert_eq!((ds[0].span.line, ds[0].span.col), (8, 9));
-        assert!(check_source_ast(src).unwrap().is_empty());
     }
 
     #[test]
@@ -771,49 +687,6 @@ int main() {
 }
 "#;
         assert!(codes(src).is_empty(), "{:?}", check_source(src).unwrap());
-    }
-
-    #[test]
-    fn mir_and_ast_verdicts_agree() {
-        // The MIR analyzer minus its flow-sensitive lints must equal the
-        // AST analyzer exactly — spans, messages, order.
-        let srcs = [
-            r#"
-int main() {
-    int i; double t; double s; double a[64];
-    #pragma omp parallel for reduction(* : s)
-    for (i = 0; i < 64; i++) { t = a[i]; s += t; a[i] = a[i - 1]; }
-    return 0;
-}
-"#,
-            r#"
-int main() {
-    int i; double x; double a[8];
-    #pragma omp parallel private(x)
-    {
-        #pragma omp single
-        {
-            #pragma omp for
-            for (i = 0; i < 8; i++) a[i] = x;
-        }
-        #pragma omp atomic
-        x = a[0];
-        #pragma omp task
-        { a[1] = 1.0; }
-    }
-    return 0;
-}
-"#,
-        ];
-        for src in srcs {
-            let mir: Vec<Diag> = check_source(src)
-                .unwrap()
-                .into_iter()
-                .filter(|d| !matches!(d.lint, LintId::BarrierDivergence | LintId::TaskDependCycle))
-                .collect();
-            let ast = check_source_ast(src).unwrap();
-            assert_eq!(mir, ast, "backend drift on:\n{src}");
-        }
     }
 
     #[test]

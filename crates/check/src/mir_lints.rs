@@ -1,5 +1,5 @@
-//! The MIR-driven analyzer: replays the lexical PC001–PC008 detectors
-//! from the marker stream of a lowered [`MirFunc`], then layers the
+//! The analyzer's driver: runs the lexical PC001–PC008 detectors over
+//! the marker stream of a lowered [`MirFunc`], then layers the
 //! flow-sensitive lints on top of the CFG dataflow results:
 //!
 //! - **PC009** barrier-divergence-deadlock — a barrier (or a construct
@@ -11,9 +11,9 @@
 //!
 //! MIR blocks are created in lexical order and every construct leaves
 //! paired enter/exit markers, so a linear walk over the flattened
-//! statement list — with pair-indexed skips where the AST analyzer
-//! declines to enter a construct — reproduces the AST walk verdict for
-//! verdict. The shared state machine lives in [`RegionCx`]
+//! statement list — with pair-indexed skips over constructs a
+//! conformance error makes meaningless — visits the program in source
+//! order. The detector state machine lives in [`RegionCx`]
 //! (`crate::region`); this module only drives it.
 
 use std::collections::HashMap;

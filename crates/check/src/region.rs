@@ -1,18 +1,11 @@
 //! Per-region detectors: everything that needs a `RegionClassification`.
 //!
-//! [`RegionCx`] is the shared semantic core — the access-event state
-//! machine (scopes, protection stack, divergence depth, task frames,
-//! work-shared loop frames) plus every diagnostic the detectors emit.
-//! Two drivers feed it:
-//!
-//! - the lexical AST walk in this module ([`check_parallel_region`]),
-//! - the marker-driven MIR walk in [`crate::mir_lints`], which replays
-//!   the same events from `parade_mir`'s lowered form (and adds the
-//!   flow-sensitive PC009/PC010 on top).
-//!
-//! Keeping the event methods and message strings here is what makes the
-//! two analyzers' PC001–PC008 verdicts byte-identical (asserted by the
-//! corpus parity test and the CI parity gate).
+//! [`RegionCx`] is the semantic core — the access-event state machine
+//! (scopes, protection stack, divergence depth, task frames, work-shared
+//! loop frames) plus every diagnostic the detectors emit. The
+//! marker-driven walk in [`crate::mir_lints`] feeds it the events of
+//! `parade_mir`'s lowered form and adds the flow-sensitive PC009/PC010 on
+//! top.
 //!
 //! The detectors:
 //!
@@ -28,7 +21,7 @@
 //! - **PC006** private-read-before-write — `private` variables read while
 //!   still uninitialized (should likely be `firstprivate`);
 //! - **PC007** directive-structure — bad nesting and malformed constructs
-//!   *inside* the region (orphans are the outer walk's job);
+//!   *inside* the region (orphans are the serial walk's job);
 //! - **PC008** task-unordered-shared-write — shared data written inside a
 //!   `task`/`target` body with no `depend` edge on the variable and no
 //!   enclosing synchronization: the whole team reaches the spawn point, so
@@ -36,28 +29,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use parade_translator::analysis::{
-    as_minmax_update, as_scalar_update, classify_region, flatten_single, loop_of,
-    RegionClassification, Symbols, VarScope,
-};
+use parade_translator::analysis::{RegionClassification, Symbols, VarScope};
 use parade_translator::ast::*;
 
 use crate::diag::{Diag, LintId};
-
-/// Entry point: check one `parallel` / `parallel for` region (AST walk).
-pub(crate) fn check_parallel_region(
-    dir: &Directive,
-    body: &Stmt,
-    syms: &Symbols,
-    diags: &mut Vec<Diag>,
-) {
-    let class = classify_region(dir, body, syms);
-    let mut cx = RegionCx::new(class, syms, diags, dir.span);
-    match dir.kind {
-        DirKind::ParallelFor => cx.enter_ws(dir, body),
-        _ => cx.walk(body),
-    }
-}
 
 /// Affine shape of one subscript expression relative to a loop variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,7 +345,7 @@ impl<'a> RegionCx<'a> {
         log.entry(n.to_string()).or_default().push(offs);
     }
 
-    // ---- shared diagnostics (single-sourced for both analyzers) -----------
+    // ---- diagnostics -------------------------------------------------------
 
     /// What a combining update to `target` with operator `op` means here;
     /// emits the wrong-operator PC003 itself.
@@ -483,7 +458,7 @@ impl<'a> RegionCx<'a> {
     }
 
     /// The lexical PC004 cascade for an explicit barrier. True if any rule
-    /// fired (the MIR walker uses this to gate PC009).
+    /// fired (which gates PC009).
     pub(crate) fn barrier_checks(&mut self) -> bool {
         if let Some(ctx) = self.protect.last().copied() {
             self.diag(
@@ -515,7 +490,7 @@ impl<'a> RegionCx<'a> {
         }
     }
 
-    /// PC009 (MIR-only): `what` sits in a block the divergence analysis
+    /// PC009: `what` sits in a block the divergence analysis
     /// proved thread-divergent.
     pub(crate) fn diag_barrier_divergence(&mut self, what: &str) {
         self.diag(
@@ -528,7 +503,7 @@ impl<'a> RegionCx<'a> {
         );
     }
 
-    /// PC010 (MIR-only): the region's task `depend` clauses form a cycle.
+    /// PC010: the region's task `depend` clauses form a cycle.
     pub(crate) fn diag_task_cycle(&mut self, span: Span, vars: &str, lines: &str) {
         self.diag_at(
             LintId::TaskDependCycle,
@@ -559,306 +534,12 @@ impl<'a> RegionCx<'a> {
         self.report_dependences(frame);
     }
 
-    // ---- expressions (AST driver) -----------------------------------------
-
-    /// A statement-level expression: reduction-update recognition first,
-    /// generic access scan otherwise.
-    fn check_expr_stmt(&mut self, e: &Expr) {
-        if let Some(u) = as_scalar_update(e).or_else(|| as_minmax_update(e)) {
-            match self.update_verdict(&u.target, u.op) {
-                UpdateVerdict::Sanctioned => {
-                    // The sanctioned combining update: only the operand's
-                    // reads are visible to the other detectors.
-                    self.expr(&u.operand);
-                    self.mark_written(&u.target);
-                    return;
-                }
-                UpdateVerdict::WrongOp => return,
-                UpdateVerdict::NotReduction => {}
-            }
-        }
-        self.expr(e);
-    }
-
-    /// Generic expression scan: evaluation-ordered reads and writes.
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Assign(op, lhs, rhs) => {
-                self.expr(rhs);
-                match lhs.as_ref() {
-                    Expr::Ident(n) => {
-                        if op.is_some() {
-                            self.read_var(n);
-                        }
-                        self.write_var(n);
-                    }
-                    Expr::Index(n, idxs) => {
-                        for ix in idxs {
-                            self.expr(ix);
-                        }
-                        if op.is_some() && matches!(self.scope(n), VarScope::Shared) {
-                            self.log_access(n, idxs, false);
-                        }
-                        self.write_indexed(n, idxs);
-                    }
-                    other => self.expr(other),
-                }
-            }
-            Expr::Ident(n) => self.read_var(n),
-            Expr::Index(n, idxs) => {
-                for ix in idxs {
-                    self.expr(ix);
-                }
-                self.read_indexed(n, idxs);
-            }
-            Expr::Call(_, args) => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Unary(_, a) => self.expr(a),
-            Expr::Binary(_, a, b) => {
-                self.expr(a);
-                self.expr(b);
-            }
-            Expr::Cond(c, a, b) => {
-                self.expr(c);
-                self.expr(a);
-                self.expr(b);
-            }
-            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) => {}
-        }
-    }
-
-    /// A condition is thread-dependent if it calls omp_get_thread_num()
-    /// or reads any non-shared (per-thread) variable.
-    fn cond_thread_dep(&self, e: &Expr) -> bool {
-        if calls_thread_num(e) {
-            return true;
-        }
-        let mut vars = Vec::new();
-        e.vars(&mut vars);
-        vars.iter()
-            .any(|v| !matches!(self.scope(v), VarScope::Shared))
-    }
-
-    // ---- statements (AST driver) ------------------------------------------
-
-    fn walk(&mut self, s: &Stmt) {
-        match s {
-            Stmt::Decl(d) => {
-                self.cur_span = d.span;
-                if let Some(init) = &d.init {
-                    self.expr(init);
-                }
-                self.mark_written(&d.name);
-            }
-            Stmt::Expr(e, sp) => {
-                self.cur_span = *sp;
-                self.check_expr_stmt(e);
-            }
-            Stmt::If(c, a, b) => {
-                self.expr(c);
-                let div = self.cond_thread_dep(c);
-                self.divergent += div as usize;
-                self.walk(a);
-                if let Some(b) = b {
-                    self.walk(b);
-                }
-                self.divergent -= div as usize;
-            }
-            Stmt::While(c, b) => {
-                self.expr(c);
-                let div = self.cond_thread_dep(c);
-                self.divergent += div as usize;
-                self.walk(b);
-                self.divergent -= div as usize;
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                // A sequential loop inside the region. Its trip count is
-                // uniform across threads only if it is canonical with
-                // thread-uniform bounds.
-                let uniform = loop_of(s).is_some_and(|l| {
-                    let mut vars = Vec::new();
-                    l.lo.vars(&mut vars);
-                    l.hi.vars(&mut vars);
-                    vars.iter()
-                        .all(|v| matches!(self.scope(v), VarScope::Shared))
-                });
-                for e in [init, cond, step].into_iter().flatten() {
-                    self.expr(e);
-                }
-                let div = !uniform;
-                self.divergent += div as usize;
-                self.walk(body);
-                self.divergent -= div as usize;
-            }
-            Stmt::Block(ss) => self.walk_block(ss),
-            Stmt::Return(Some(e)) => self.expr(e),
-            Stmt::Omp(d, b) => self.directive(d, b.as_deref()),
-            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Empty => {}
-        }
-    }
-
-    /// Statement lists carry the PC005 state: variables written by a
-    /// preceding `nowait` loop that no barrier has joined yet.
-    fn walk_block(&mut self, ss: &[Stmt]) {
-        let mut pending: HashMap<String, Span> = HashMap::new();
-        for s in ss {
-            if let Stmt::Omp(d, _) = s {
-                if matches!(d.kind, DirKind::Barrier) {
-                    pending.clear();
-                    self.walk(s);
-                    continue;
-                }
-            }
-            if !pending.is_empty() {
-                let mut used = Vec::new();
-                stmt_uses(s, &mut used);
-                let mut hit = Vec::new();
-                for v in used {
-                    if let Some(loop_span) = pending.remove(&v) {
-                        hit.push((v, loop_span));
-                    }
-                }
-                for (v, loop_span) in hit {
-                    let at = stmt_span(s).unwrap_or(self.cur_span);
-                    self.diag_nowait(&v, loop_span, at);
-                }
-            }
-            if let Stmt::Omp(d, Some(b)) = s {
-                if matches!(d.kind, DirKind::For | DirKind::Single) {
-                    if d.nowait() {
-                        let mut w = Vec::new();
-                        stmt_write_targets(b, &mut w);
-                        // The loop's own induction variable is implicitly
-                        // private — it never escapes the construct.
-                        let loop_var = loop_of(b).map(|l| l.var);
-                        for v in w {
-                            if Some(&v) != loop_var.as_ref()
-                                && matches!(self.scope(&v), VarScope::Shared)
-                            {
-                                pending.insert(v, d.span);
-                            }
-                        }
-                    } else {
-                        // The implicit barrier at construct exit joins the
-                        // whole team.
-                        pending.clear();
-                    }
-                }
-            }
-            self.walk(s);
-        }
-    }
-
-    fn directive(&mut self, d: &Directive, body: Option<&Stmt>) {
-        self.cur_span = d.span;
-        crate::check_clause_vars(d, self.syms, self.diags);
-        // Mirror the interpreter's closely-nested conformance rule: team
-        // constructs make no sense inside a task body, whose executor may
-        // be any single thread on any node.
-        if self.team_in_task(&d.kind) {
-            return;
-        }
-        match &d.kind {
-            DirKind::Parallel | DirKind::ParallelFor => {
-                self.diag_nested_parallel();
-            }
-            DirKind::For => {
-                if self.check_ws_nesting("work-sharing `for`") {
-                    return;
-                }
-                if let Some(b) = body {
-                    self.enter_ws(d, b);
-                }
-            }
-            DirKind::Single => {
-                if self.check_ws_nesting("`single`") {
-                    return;
-                }
-                self.protect.push("single");
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-                self.protect.pop();
-            }
-            DirKind::Master => {
-                if self.check_master_nesting() {
-                    return;
-                }
-                self.protect.push("master");
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-                self.protect.pop();
-            }
-            DirKind::Critical(_) => {
-                self.protect.push("critical");
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-                self.protect.pop();
-            }
-            DirKind::Atomic => {
-                let stmt = body.map(flatten_single);
-                let ok = matches!(
-                    stmt,
-                    Some(Stmt::Expr(e, _))
-                        if as_scalar_update(e).is_some() || as_minmax_update(e).is_some()
-                );
-                if !ok {
-                    self.diag_malformed_atomic();
-                }
-                self.protect.push("atomic");
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-                self.protect.pop();
-            }
-            DirKind::Barrier => {
-                self.barrier_checks();
-            }
-            DirKind::Task | DirKind::Target => {
-                let deps: HashSet<String> = d.depends().into_iter().map(|(_, v)| v).collect();
-                self.task.push(deps);
-                if let Some(b) = body {
-                    self.walk(b);
-                }
-                self.task.pop();
-            }
-            DirKind::Taskwait => {
-                // Joins the current task's children — creates no ordering
-                // the lexical detectors track, and carries no body.
-            }
-        }
-    }
-
     /// Context that makes a nested work-sharing construct illegal.
     fn bad_ws_nesting(&self) -> Option<String> {
         if !self.ws.is_empty() {
             return Some("another work-sharing construct".into());
         }
         self.protect.last().map(|c| format!("`{c}`"))
-    }
-
-    /// Enter a work-shared loop (`for` / the loop of `parallel for`).
-    fn enter_ws(&mut self, dir: &Directive, body: &Stmt) {
-        let Some(l) = loop_of(body) else {
-            self.diag_non_canonical_ws();
-            return;
-        };
-        self.expr(&l.lo);
-        self.expr(&l.hi);
-        self.mark_written(&l.var);
-        self.ws_push(l.var, dir.span);
-        self.walk(&l.body);
-        self.ws_pop_report();
     }
 
     /// PC002: cross-iteration conflicts recorded while walking a

@@ -1,7 +1,8 @@
-//! Cluster configuration: the paper's execution configurations (§6.2) and
-//! all protocol knobs in one place.
+//! Cluster configuration: the paper's execution configurations (§6.2),
+//! the cluster-level knobs, and the embedded per-node DSM configuration,
+//! with one validation point.
 
-use parade_dsm::{CommCosts, DsmConfig, HomePolicy, LockKind, ProtoSelect, UpdateStrategy};
+use parade_dsm::{CommCosts, DsmConfig, HomePolicy, PAGE_SIZE};
 use parade_net::{ChaosProfile, NetProfile, TimeSource};
 use parade_tasks::SchedConfig;
 
@@ -72,6 +73,26 @@ pub enum ProtocolMode {
     SdsmOnly,
 }
 
+/// A [`ClusterConfig`] that [`ClusterConfig::validate`] rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// Path of the offending field, e.g. `"dsm.pool_bytes"`.
+    pub field: &'static str,
+    pub reason: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid cluster config: `{}` {}",
+            self.field, self.reason
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Full configuration of a simulated cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -85,61 +106,28 @@ pub struct ClusterConfig {
     /// (a modern superscalar/SIMD core is roughly 60x one on numeric
     /// kernels).
     pub time: TimeSource,
-    /// Optional per-node CPU scale multipliers (the paper's cluster mixes
-    /// 550 and 600 MHz nodes). Multiplied on top of `time`'s scale.
+    /// Optional per-node CPU scale multipliers, one per node (the paper's
+    /// cluster mixes 550 and 600 MHz nodes). Multiplied on top of `time`'s
+    /// scale.
     pub node_speed: Option<Vec<f64>>,
-    /// Shared pool bytes per node.
-    pub pool_bytes: usize,
-    /// Small-data threshold for the message-passing update protocol.
-    pub small_threshold: usize,
-    pub update_strategy: UpdateStrategy,
-    pub lock_kind: LockKind,
-    /// Home policy override; `None` derives it from `protocol`
-    /// (Parade → Migratory, SdsmOnly → Fixed).
-    pub home_policy: Option<HomePolicy>,
-    /// Ship one `DiffBatch` per destination home at each release instead of
-    /// one `Diff` message + ack per dirty page.
-    pub batch_diffs: bool,
-    /// Upper bound on contiguous pages coalesced into one fetch; `<= 1`
-    /// disables coalescing.
-    pub max_fetch_range: usize,
     /// Fault injection for the fabric. The default honours the
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
     /// can be soaked under chaos without code changes.
     pub chaos: ChaosProfile,
-    /// Two-level SMP-aware collectives (default on): the DSM barrier
-    /// aggregates arrivals up a binomial tree of communication threads
-    /// instead of all nodes messaging node 0, and MPI collectives combine
-    /// co-located ranks through shared memory with only per-chassis
-    /// leaders crossing the fabric. Off reverts both to the flat
-    /// algorithms (the measurable pre-hierarchy baseline).
-    pub hierarchical_collectives: bool,
-    /// Fabric nodes per physical SMP chassis, for collective-topology
-    /// purposes: consecutive runs of `smp_width` nodes are treated as
-    /// co-located. 1 (the default) makes every node its own chassis, so
-    /// MPI collectives stay flat even when `hierarchical_collectives` is
-    /// on (the DSM tree barrier is node-level and unaffected).
+    /// Fabric nodes per physical SMP chassis: consecutive runs of
+    /// `smp_width` nodes are co-located, and MPI collectives combine them
+    /// through shared memory with only per-chassis leaders crossing the
+    /// fabric. 1 (the default) makes every node its own chassis. The DSM
+    /// tree barrier is node-level and unaffected.
     pub smp_width: usize,
     /// Task scheduler knobs (steal strategy, victim fanout, batch grain,
     /// victim-selection seed) for `parade-tasks` phases.
     pub task_scheduler: SchedConfig,
-    /// Lock shards for per-node page bookkeeping and home-side page state
-    /// (rounded up to a power of two; `<= 1` restores one global lock).
-    pub page_shards: usize,
-    /// Per-thread stride prefetcher: predict the next pages of a strided
-    /// access pattern and fetch them ahead of the demand miss.
-    pub stride_prefetch: bool,
-    /// Pages fetched ahead per confirmed stride (clamped to
-    /// `max_fetch_range`).
-    pub prefetch_depth: usize,
-    /// Consecutive stride breaks tolerated before a thread's predictor is
-    /// permanently disabled for the run.
-    pub prefetch_mispredict_budget: u32,
-    /// Per-page invalidate-vs-update protocol selection (see
-    /// `ProtoSelect`). `Adaptive` picks per page from barrier-time
-    /// sharer/writer history; the static modes force one protocol
-    /// everywhere.
-    pub proto_select: ProtoSelect,
+    /// Per-node DSM knobs, passed through to every node except for the two
+    /// the cluster level decides (see [`ClusterConfig::dsm_config`]):
+    /// `comm` always comes from `exec`, and `home_policy` is the ParADE
+    /// protocol's policy — `SdsmOnly` is the fixed-home baseline.
+    pub dsm: DsmConfig,
 }
 
 impl Default for ClusterConfig {
@@ -151,22 +139,10 @@ impl Default for ClusterConfig {
             net: NetProfile::clan_via(),
             time: TimeSource::ThreadCpu { scale: 60.0 },
             node_speed: None,
-            pool_bytes: 64 << 20,
-            small_threshold: 256,
-            update_strategy: UpdateStrategy::MmapFile,
-            lock_kind: LockKind::Queued,
-            home_policy: None,
-            batch_diffs: true,
-            max_fetch_range: 16,
             chaos: ChaosProfile::from_env(),
-            hierarchical_collectives: true,
             smp_width: 1,
             task_scheduler: SchedConfig::default(),
-            page_shards: 16,
-            stride_prefetch: true,
-            prefetch_depth: 4,
-            prefetch_mispredict_budget: 4,
-            proto_select: ProtoSelect::Adaptive,
+            dsm: DsmConfig::default(),
         }
     }
 }
@@ -181,44 +157,70 @@ impl ClusterConfig {
         self.nodes * self.threads_per_node()
     }
 
-    pub fn effective_home_policy(&self) -> HomePolicy {
-        self.home_policy.unwrap_or(match self.protocol {
-            ProtocolMode::Parade => HomePolicy::Migratory,
-            ProtocolMode::SdsmOnly => HomePolicy::Fixed,
-        })
-    }
-
-    /// The per-node DSM configuration this cluster config implies.
+    /// The per-node DSM configuration this cluster config implies: `dsm`
+    /// with the communication-thread costs of `exec` (§6.2) and, for the
+    /// `SdsmOnly` baseline, fixed homes (§6.1).
     pub fn dsm_config(&self) -> DsmConfig {
         DsmConfig {
-            pool_bytes: self.pool_bytes,
-            home_policy: self.effective_home_policy(),
-            lock_kind: self.lock_kind,
-            update_strategy: self.update_strategy,
             comm: self.exec.comm_costs(),
-            small_threshold: self.small_threshold,
-            batch_diffs: self.batch_diffs,
-            max_fetch_range: self.max_fetch_range,
-            hierarchical_barrier: self.hierarchical_collectives,
-            page_shards: self.page_shards,
-            stride_prefetch: self.stride_prefetch,
-            prefetch_depth: self.prefetch_depth,
-            prefetch_mispredict_budget: self.prefetch_mispredict_budget,
-            proto_select: self.proto_select,
+            home_policy: match self.protocol {
+                ProtocolMode::Parade => self.dsm.home_policy,
+                ProtocolMode::SdsmOnly => HomePolicy::Fixed,
+            },
+            ..self.dsm
         }
+    }
+
+    /// The single checking point for a configuration: every way of
+    /// building a cluster goes through here before anything is launched.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let reject = |field, reason: String| Err(ConfigError { field, reason });
+        if self.nodes == 0 {
+            return reject("nodes", "must be at least 1".into());
+        }
+        if self.threads_per_node() == 0 {
+            return reject("exec", "must give at least 1 thread per node".into());
+        }
+        if self.smp_width == 0 {
+            return reject("smp_width", "must be at least 1 node per chassis".into());
+        }
+        if let Some(speeds) = &self.node_speed {
+            if speeds.len() != self.nodes {
+                return reject(
+                    "node_speed",
+                    format!("has {} entries for {} nodes", speeds.len(), self.nodes),
+                );
+            }
+        }
+        if self.dsm.pool_bytes < PAGE_SIZE {
+            return reject(
+                "dsm.pool_bytes",
+                format!(
+                    "{} is less than one {PAGE_SIZE}-byte page",
+                    self.dsm.pool_bytes
+                ),
+            );
+        }
+        if self.dsm.comm != DsmConfig::default().comm && self.dsm.comm != self.exec.comm_costs() {
+            return reject(
+                "dsm.comm",
+                "is decided by `exec`; use ExecConfig::Custom to set it".into(),
+            );
+        }
+        Ok(())
     }
 
     /// SMP placement of the cluster's MPI ranks: consecutive blocks of
     /// `smp_width` fabric nodes per chassis.
     pub fn collective_topology(&self) -> parade_mpi::CollectiveTopology {
-        parade_mpi::CollectiveTopology::uniform(self.nodes, self.smp_width.max(1))
+        parade_mpi::CollectiveTopology::uniform(self.nodes, self.smp_width)
     }
 
     /// Time source for an application thread on `node`.
     pub fn time_source(&self, node: usize) -> TimeSource {
         match (self.time, &self.node_speed) {
             (TimeSource::ThreadCpu { scale }, Some(speeds)) => TimeSource::ThreadCpu {
-                scale: scale * speeds.get(node).copied().unwrap_or(1.0),
+                scale: scale * speeds[node],
             },
             (t, _) => t,
         }
@@ -249,13 +251,78 @@ mod tests {
     }
 
     #[test]
-    fn protocol_mode_drives_home_policy() {
+    fn cluster_level_decides_home_policy_and_comm_costs() {
         let mut c = ClusterConfig::default();
-        assert_eq!(c.effective_home_policy(), HomePolicy::Migratory);
+        assert_eq!(c.dsm_config().home_policy, HomePolicy::Migratory);
+        c.dsm.home_policy = HomePolicy::Fixed;
+        assert_eq!(c.dsm_config().home_policy, HomePolicy::Fixed);
+        c.dsm.home_policy = HomePolicy::Migratory;
         c.protocol = ProtocolMode::SdsmOnly;
-        assert_eq!(c.effective_home_policy(), HomePolicy::Fixed);
-        c.home_policy = Some(HomePolicy::Migratory);
-        assert_eq!(c.effective_home_policy(), HomePolicy::Migratory);
+        assert_eq!(c.dsm_config().home_policy, HomePolicy::Fixed);
+        for exec in ExecConfig::PAPER_CONFIGS {
+            c.exec = exec;
+            assert_eq!(c.dsm_config().comm, exec.comm_costs());
+        }
+        // Everything else passes through untouched.
+        c.dsm.max_fetch_range = 3;
+        c.dsm.stride_prefetch = false;
+        let d = c.dsm_config();
+        assert_eq!((d.max_fetch_range, d.stride_prefetch), (3, false));
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let field = |c: ClusterConfig| c.validate().expect_err("must be rejected").field;
+        let ok = ClusterConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        assert_eq!(
+            field(ClusterConfig {
+                nodes: 0,
+                ..ok.clone()
+            }),
+            "nodes"
+        );
+        let no_threads = ExecConfig::Custom {
+            threads_per_node: 0,
+            comm: CommCosts::dedicated_cpu(),
+        };
+        assert_eq!(
+            field(ClusterConfig {
+                exec: no_threads,
+                ..ok.clone()
+            }),
+            "exec"
+        );
+        assert_eq!(
+            field(ClusterConfig {
+                smp_width: 0,
+                ..ok.clone()
+            }),
+            "smp_width"
+        );
+        for speeds in [vec![1.0], vec![1.0; 3]] {
+            assert_eq!(
+                field(ClusterConfig {
+                    node_speed: Some(speeds),
+                    ..ok.clone()
+                }),
+                "node_speed"
+            );
+        }
+        let mut c = ok.clone();
+        c.dsm.pool_bytes = PAGE_SIZE - 1;
+        let e = c.validate().unwrap_err();
+        assert_eq!(e.field, "dsm.pool_bytes");
+        assert!(e.to_string().contains("`dsm.pool_bytes`"), "{e}");
+        c.dsm.pool_bytes = PAGE_SIZE;
+        assert_eq!(c.validate(), Ok(()));
+        // A comm cost set on the embedded config would be overridden by
+        // `exec`: reject it instead of ignoring it.
+        let mut c = ok.clone();
+        c.dsm.comm = CommCosts::shared_cpu_busy();
+        assert_eq!(field(c.clone()), "dsm.comm");
+        c.exec = ExecConfig::OneThreadOneCpu;
+        assert_eq!(c.validate(), Ok(()), "consistent with exec is fine");
     }
 
     #[test]

@@ -144,11 +144,9 @@ where
     R: Send + 'static,
     F: Fn(NodeEnv) -> R + Send + Sync + 'static,
 {
-    assert!(cfg.nodes > 0, "cluster needs at least one node");
-    assert!(
-        cfg.threads_per_node() > 0,
-        "cluster needs at least one compute thread per node"
-    );
+    if let Err(e) = cfg.validate() {
+        panic!("{e}");
+    }
     let fabric = Fabric::with_chaos(cfg.nodes, cfg.net, cfg.chaos.clone());
     if fabric.chaos().is_active() {
         // Surface reliable-channel activity in traces: one `net.retransmit`
@@ -161,11 +159,8 @@ where
         .map(|i| Arc::new(Dsm::new(fabric.endpoint(i), cfg.dsm_config())))
         .collect();
     // One topology instance for the whole world: it owns the per-chassis
-    // shared-memory combine state, so every rank's communicator must share
-    // it. An all-singleton topology keeps the flat algorithms.
-    let topo = cfg
-        .hierarchical_collectives
-        .then(|| Arc::new(cfg.collective_topology()));
+    // shared-memory combine state, so every rank's communicator shares it.
+    let topo = Arc::new(cfg.collective_topology());
     let comm_threads: Vec<_> = dsms
         .iter()
         .map(|d| spawn_comm_thread(Arc::clone(d)))
@@ -177,10 +172,10 @@ where
                 node: i,
                 nnodes: cfg.nodes,
                 dsm: Arc::clone(&dsms[i]),
-                comm: Arc::new(match &topo {
-                    Some(t) => Communicator::with_topology(fabric.endpoint(i), Arc::clone(t)),
-                    None => Communicator::new(fabric.endpoint(i)),
-                }),
+                comm: Arc::new(Communicator::with_topology(
+                    fabric.endpoint(i),
+                    Arc::clone(&topo),
+                )),
                 cfg: cfg.clone(),
                 fabric: Arc::clone(&fabric),
             };
@@ -249,7 +244,10 @@ mod tests {
     fn tiny(nodes: usize) -> ClusterConfig {
         ClusterConfig {
             nodes,
-            pool_bytes: 64 * parade_dsm::PAGE_SIZE,
+            dsm: parade_dsm::DsmConfig {
+                pool_bytes: 64 * parade_dsm::PAGE_SIZE,
+                ..Default::default()
+            },
             net: NetProfile::zero(),
             time: parade_net::TimeSource::Manual,
             ..ClusterConfig::default()

@@ -10,5 +10,5 @@
 mod config;
 mod launch;
 
-pub use config::{ClusterConfig, ExecConfig, ProtocolMode};
+pub use config::{ClusterConfig, ConfigError, ExecConfig, ProtocolMode};
 pub use launch::{launch, launch_result, ClusterReport, LaunchFailure, NodeEnv, NodePanic};

@@ -630,7 +630,10 @@ impl ThreadCtx {
                     c.sample_compute();
                     c.sync_to(sl.release_at);
                 });
-                if sl.done_gen != gen {
+                // Generations only grow, so a slot stamped past `gen` means a
+                // node-mate lapped this thread by a multiple of SLOTS: this
+                // generation was broadcast long ago and must not run again.
+                if sl.done_gen < gen {
                     let mut buf = vec![0.0f64; scalars.len()];
                     if self.rt.node == 0 {
                         let vals = f(self);
@@ -664,10 +667,10 @@ impl ThreadCtx {
                         c.sample_compute();
                         c.sync_to(sl.release_at);
                     });
-                    if sl.done_gen != gen {
+                    if sl.done_gen < gen {
                         self.with_clock(|c| self.rt.dsm.lock_acquire(lock_id, c));
                         let flag: u64 = self.with_clock(|c| self.rt.dsm.read(flags, slot * 8, c));
-                        if flag != gen {
+                        if flag < gen {
                             let vals = f(self);
                             assert_eq!(vals.len(), scalars.len(), "single value arity");
                             self.with_clock(|c| {
@@ -719,7 +722,7 @@ impl ThreadCtx {
         let gen = construct_gen(self.region_no, seq);
         let slot = (gen as usize) % SLOTS;
         let mut sl = self.rt.singles[slot].lock();
-        if sl.done_gen != gen {
+        if sl.done_gen < gen {
             f(self);
             sl.done_gen = gen;
         }

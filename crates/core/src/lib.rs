@@ -49,8 +49,8 @@ pub use team::{Cluster, ClusterBuilder, FailedRun, MasterCtx, RunReport};
 pub use parade_net::VBarrier;
 
 // Re-exports so downstream code needs only this crate for common use.
-pub use parade_cluster::{ClusterConfig, ExecConfig, NodePanic, ProtocolMode};
-pub use parade_dsm::ProtoSelect;
+pub use parade_cluster::{ClusterConfig, ConfigError, ExecConfig, NodePanic, ProtocolMode};
+pub use parade_dsm::{DsmConfig, ProtoSelect};
 pub use parade_mpi::ReduceOp;
 pub use parade_net::{FabricError, NetProfile, NodeTraffic, TimeSource, VTime};
 pub use parade_tasks::{SchedConfig, StealStrategy, TaskCtx, TaskDesc};

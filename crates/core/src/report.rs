@@ -300,7 +300,6 @@ mod tests {
             .threads_per_node(1)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
             .build()
             .unwrap();
         let (_, report) = c.run_with_report(|g| {

@@ -21,8 +21,9 @@ use parade_net::VBarrier;
 pub(crate) type RegionFn = dyn Fn(&ThreadCtx) + Send + Sync;
 
 /// Number of reusable construct slots (singles, reductions, dynamic loops).
-/// Generation stamps make reuse safe; the slot count only bounds how many
-/// instances may be in flight, which hierarchical barriers already cap.
+/// Generation stamps make reuse safe: generations only grow, so a thread
+/// that finds its slot stamped past its own generation was lapped (a
+/// barrier-less `single` loop has no cap on how far) and skips.
 pub(crate) const SLOTS: usize = 4096;
 
 /// Lock-id namespace for runtime-internal DSM locks (user locks live below).

@@ -212,7 +212,6 @@ mod tests {
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
             .task_scheduler(sched)
             .build()
             .unwrap()

@@ -14,7 +14,8 @@ use parade_net::sync::Mutex;
 use parade_net::Bytes;
 
 use parade_cluster::{
-    launch_result, ClusterConfig, ClusterReport, ExecConfig, NodeEnv, NodePanic, ProtocolMode,
+    launch_result, ClusterConfig, ClusterReport, ConfigError, ExecConfig, NodeEnv, NodePanic,
+    ProtocolMode,
 };
 use parade_mpi::datatype::{Reader, Writer};
 use parade_net::{NetProfile, TimeSource, VClock, VTime};
@@ -181,8 +182,11 @@ impl Cluster {
         }
     }
 
-    pub fn from_config(cfg: ClusterConfig) -> Self {
-        Cluster { cfg }
+    /// A cluster over `cfg`, or the field [`ClusterConfig::validate`]
+    /// rejects.
+    pub fn from_config(cfg: ClusterConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        Ok(Cluster { cfg })
     }
 
     pub fn config(&self) -> &ClusterConfig {
@@ -361,21 +365,9 @@ impl ClusterBuilder {
         self
     }
 
-    pub fn pool_bytes(mut self, b: usize) -> Self {
-        self.cfg.pool_bytes = b;
-        self
-    }
-
     /// Inject faults into the fabric (see `parade_net::ChaosProfile`).
     pub fn chaos(mut self, c: parade_net::ChaosProfile) -> Self {
         self.cfg.chaos = c;
-        self
-    }
-
-    /// Toggle the two-level SMP-aware collectives (tree barrier + leader
-    /// election); on by default, off reverts to the flat algorithms.
-    pub fn hierarchical_collectives(mut self, on: bool) -> Self {
-        self.cfg.hierarchical_collectives = on;
         self
     }
 
@@ -391,43 +383,15 @@ impl ClusterBuilder {
         self
     }
 
-    /// Lock shards for page bookkeeping (`<= 1` restores one global lock).
-    pub fn page_shards(mut self, n: usize) -> Self {
-        self.cfg.page_shards = n;
-        self
-    }
-
-    /// Toggle the per-thread stride prefetcher (on by default).
-    pub fn stride_prefetch(mut self, on: bool) -> Self {
-        self.cfg.stride_prefetch = on;
-        self
-    }
-
-    /// Pages fetched ahead per confirmed stride.
-    pub fn prefetch_depth(mut self, d: usize) -> Self {
-        self.cfg.prefetch_depth = d;
-        self
-    }
-
-    /// Invalidate-vs-update protocol selection (adaptive or forced).
-    pub fn proto_select(mut self, p: parade_dsm::ProtoSelect) -> Self {
-        self.cfg.proto_select = p;
-        self
-    }
-
+    /// Replace the whole configuration (the way to set the embedded
+    /// per-node `dsm` knobs); later setters refine it.
     pub fn config(mut self, cfg: ClusterConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    pub fn build(self) -> Result<Cluster, String> {
-        if self.cfg.nodes == 0 {
-            return Err("cluster needs at least one node".into());
-        }
-        if self.cfg.threads_per_node() == 0 {
-            return Err("cluster needs at least one thread per node".into());
-        }
-        Ok(Cluster { cfg: self.cfg })
+    pub fn build(self) -> Result<Cluster, ConfigError> {
+        Cluster::from_config(self.cfg)
     }
 }
 
@@ -633,7 +597,6 @@ mod tests {
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
             .build()
             .unwrap()
     }
@@ -727,7 +690,6 @@ mod tests {
                 .protocol(mode)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(256 * parade_dsm::PAGE_SIZE)
                 .build()
                 .unwrap();
             let got = c.run(|g| {
@@ -753,7 +715,6 @@ mod tests {
                 .protocol(mode)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(256 * parade_dsm::PAGE_SIZE)
                 .build()
                 .unwrap();
             let got = c.run(move |g| {
@@ -778,7 +739,6 @@ mod tests {
                 .protocol(mode)
                 .net(NetProfile::zero())
                 .time(TimeSource::Manual)
-                .pool_bytes(256 * parade_dsm::PAGE_SIZE)
                 .build()
                 .unwrap();
             let execs = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));

@@ -177,38 +177,17 @@ pub struct DsmConfig {
     /// update protocol instead of HLRC (§5.2.1; 256 bytes on the paper's
     /// cluster).
     pub small_threshold: usize,
-    /// Group the diffs of a release by home and ship one `DiffBatch` per
-    /// destination with a single ack (the HLRC few-messages argument,
-    /// §5.2). Off reverts to one `Diff` message + ack per dirty page —
-    /// kept as a measurable baseline for the release-path benchmarks.
-    pub batch_diffs: bool,
     /// Upper bound on pages coalesced into one `ReqPageRange` fetch when a
     /// bulk access faults a run of contiguous pages with a common home
     /// (Helmholtz/CG fault storms). `<= 1` disables coalescing; range
     /// fetches also require a safe [`UpdateStrategy`].
     pub max_fetch_range: usize,
-    /// Aggregate barrier arrivals up a binomial tree of communication
-    /// threads (root = node 0) instead of every node messaging the master
-    /// directly. The critical path shrinks from N serial services at node 0
-    /// to ⌈log₂N⌉ hops; departures still fan out from the root so the
-    /// master-last release ordering is preserved. Off reverts to the flat
-    /// all-to-master barrier (kept as a measurable baseline).
-    pub hierarchical_barrier: bool,
-    /// Number of lock shards the per-node page bookkeeping (dirty set,
-    /// interval write/read notices) is split into, keyed by page id.
-    /// Rounded up to a power of two; `1` reverts to the single-lock path.
-    pub page_shards: usize,
     /// Feed read-fault addresses to a per-thread stride predictor and
     /// speculatively fetch ahead of the fault stream (bounded by
-    /// `max_fetch_range` and `prefetch_mispredict_budget`). Requires a
-    /// safe [`UpdateStrategy`], like range coalescing.
+    /// `max_fetch_range`; depth and accuracy guard are constants in
+    /// `prefetch`). Requires a safe [`UpdateStrategy`], like range
+    /// coalescing.
     pub stride_prefetch: bool,
-    /// Pages fetched ahead per confirmed prediction (further capped by
-    /// `max_fetch_range`).
-    pub prefetch_depth: usize,
-    /// Consecutive-fault mispredictions tolerated before a thread's
-    /// predictor is disabled for the rest of its life (accuracy guard).
-    pub prefetch_mispredict_budget: u32,
     /// Per-page invalidate/update protocol selection (see [`ProtoSelect`]).
     pub proto_select: ProtoSelect,
 }
@@ -222,13 +201,8 @@ impl Default for DsmConfig {
             update_strategy: UpdateStrategy::MmapFile,
             comm: CommCosts::dedicated_cpu(),
             small_threshold: 256,
-            batch_diffs: true,
             max_fetch_range: 16,
-            hierarchical_barrier: true,
-            page_shards: 16,
             stride_prefetch: true,
-            prefetch_depth: 4,
-            prefetch_mispredict_budget: 4,
             proto_select: ProtoSelect::Adaptive,
         }
     }

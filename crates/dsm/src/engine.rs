@@ -153,7 +153,7 @@ impl Dsm {
             ep,
             stats: DsmStats::default(),
             reply_tag: AtomicU64::new(REPLY_TAG_BASE),
-            shards: PageShards::new(cfg.page_shards),
+            shards: PageShards::new(),
             instance: NEXT_DSM_INSTANCE.fetch_add(1, Ordering::Relaxed),
             lock_seen: Mutex::new(HashMap::new()),
             barrier_seq: AtomicU64::new(0),
@@ -472,10 +472,7 @@ impl Dsm {
                 _ => {
                     *slot = Some(ThreadPrefetch {
                         dsm: self.instance,
-                        pred: StridePredictor::new(
-                            self.cfg.prefetch_depth,
-                            self.cfg.prefetch_mispredict_budget,
-                        ),
+                        pred: StridePredictor::new(),
                         outstanding: HashSet::new(),
                     });
                     slot.as_mut().expect("just installed")
@@ -893,8 +890,7 @@ impl Dsm {
     }
 
     /// Ship grouped diffs: one `DiffBatch` message (answered by one ack)
-    /// per destination home, or the per-page `Diff` protocol when batching
-    /// is disabled. Returns the reply tags to wait on.
+    /// per destination home. Returns the reply tags to wait on.
     ///
     /// Counters are bumped only after the fabric accepts a message, so a
     /// fail-stopped link cannot over-count `diffs_sent`.
@@ -906,58 +902,30 @@ impl Dsm {
         let mut pending = Vec::new();
         for (home, (pages, diffs)) in by_home {
             let payload: u64 = diffs.iter().map(|d| d.payload_bytes() as u64).sum();
-            if self.cfg.batch_diffs {
-                let tag = self.next_reply_tag();
-                let npages = pages.len() as u64;
-                for d in &diffs {
-                    trace::instant(EventKind::DsmDiff, d.payload_bytes() as u64, clock.now());
-                }
-                let msg = DsmMsg::DiffBatch {
-                    requester: self.node,
-                    reply_tag: tag,
-                    pages,
-                    diffs,
-                };
-                let wire = msg.encode();
-                let wire_len = wire.len() as u64;
-                if let Err(e) = self.ep.send_checked(home, MsgClass::Dsm, 0, wire, clock) {
-                    panic!("{e}");
-                }
-                self.stats.diffs_sent.fetch_add(npages, Ordering::Relaxed);
-                self.stats.diff_batches.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .batched_pages
-                    .fetch_add(npages, Ordering::Relaxed);
-                self.stats.diff_bytes.fetch_add(wire_len, Ordering::Relaxed);
-                self.stats
-                    .diff_payload_bytes
-                    .fetch_add(payload, Ordering::Relaxed);
-                trace::instant(EventKind::DsmDiffBatch, npages, clock.now());
-                pending.push(tag);
-            } else {
-                for (page, diff) in pages.into_iter().zip(diffs) {
-                    let tag = self.next_reply_tag();
-                    let dp = diff.payload_bytes() as u64;
-                    let msg = DsmMsg::Diff {
-                        page,
-                        requester: self.node,
-                        reply_tag: tag,
-                        diff,
-                    };
-                    let wire = msg.encode();
-                    let wire_len = wire.len() as u64;
-                    if let Err(e) = self.ep.send_checked(home, MsgClass::Dsm, 0, wire, clock) {
-                        panic!("{e}");
-                    }
-                    self.stats.diffs_sent.fetch_add(1, Ordering::Relaxed);
-                    self.stats.diff_bytes.fetch_add(wire_len, Ordering::Relaxed);
-                    self.stats
-                        .diff_payload_bytes
-                        .fetch_add(dp, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmDiff, dp, clock.now());
-                    pending.push(tag);
-                }
+            let tag = self.next_reply_tag();
+            let npages = pages.len() as u64;
+            for d in &diffs {
+                trace::instant(EventKind::DsmDiff, d.payload_bytes() as u64, clock.now());
             }
+            let msg = DsmMsg::DiffBatch {
+                requester: self.node,
+                reply_tag: tag,
+                pages,
+                diffs,
+            };
+            let wire = msg.encode();
+            let wire_len = wire.len() as u64;
+            if let Err(e) = self.ep.send_checked(home, MsgClass::Dsm, 0, wire, clock) {
+                panic!("{e}");
+            }
+            self.stats.diffs_sent.fetch_add(npages, Ordering::Relaxed);
+            self.stats.diff_batches.fetch_add(1, Ordering::Relaxed);
+            self.stats.diff_bytes.fetch_add(wire_len, Ordering::Relaxed);
+            self.stats
+                .diff_payload_bytes
+                .fetch_add(payload, Ordering::Relaxed);
+            trace::instant(EventKind::DsmDiffBatch, npages, clock.now());
+            pending.push(tag);
         }
         pending
     }
@@ -993,16 +961,10 @@ impl Dsm {
             notices,
             reads,
         };
-        // Hierarchical mode hands the arrival to our own communication
-        // thread, which aggregates its subtree and sends one `BarrierUp`
-        // toward the root; flat mode messages the master directly.
-        let master = if self.cfg.hierarchical_barrier {
-            self.node
-        } else {
-            0
-        };
+        // The arrival goes to our own communication thread, which
+        // aggregates its subtree and sends one `BarrierUp` toward the root.
         self.ep
-            .send(master, MsgClass::Dsm, 0, arrive.encode(), clock);
+            .send(self.node, MsgClass::Dsm, 0, arrive.encode(), clock);
         let pkt = self
             .ep
             .recv(MsgClass::Ctl, Match::tagged(tag), clock)

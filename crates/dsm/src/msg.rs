@@ -22,7 +22,6 @@ use crate::page::{PageId, PAGE_SIZE};
 pub const REPLY_TAG_BASE: u64 = 1 << 32;
 
 const K_REQ_PAGE: u8 = 1;
-const K_DIFF: u8 = 2;
 const K_PAGE_PUSH: u8 = 3;
 const K_BARRIER_ARRIVE: u8 = 4;
 const K_LOCK_ACQ: u8 = 5;
@@ -49,13 +48,6 @@ pub enum DsmMsg {
         count: u32,
         requester: usize,
         reply_tag: u64,
-    },
-    /// Merge a diff into the home copy of `page`.
-    Diff {
-        page: PageId,
-        requester: usize,
-        reply_tag: u64,
-        diff: Diff,
     },
     /// Merge diffs for several pages homed here, acknowledged as one unit
     /// (`pages[i]` pairs with `diffs[i]`; one ack per batch, not per page).
@@ -197,18 +189,6 @@ impl DsmMsg {
                     .u32(*requester as u32)
                     .u64(*reply_tag);
             }
-            DsmMsg::Diff {
-                page,
-                requester,
-                reply_tag,
-                diff,
-            } => {
-                w.u8(K_DIFF)
-                    .u64(*page as u64)
-                    .u32(*requester as u32)
-                    .u64(*reply_tag);
-                diff.encode(&mut w);
-            }
             DsmMsg::DiffBatch {
                 requester,
                 reply_tag,
@@ -344,15 +324,6 @@ impl DsmMsg {
                     reply_tag: r.u64(),
                 })
             }
-            K_DIFF => {
-                need(&r, 20, "Diff header")?;
-                Ok(DsmMsg::Diff {
-                    page: r.u64() as PageId,
-                    requester: r.u32() as usize,
-                    reply_tag: r.u64(),
-                    diff: Diff::decode(&mut r)?,
-                })
-            }
             K_DIFF_BATCH => {
                 need(&r, 16, "DiffBatch header")?;
                 let requester = r.u32() as usize;
@@ -464,7 +435,6 @@ impl DsmMsg {
 }
 
 const R_PAGE_DATA: u8 = 1;
-const R_DIFF_ACK: u8 = 2;
 const R_BARRIER_DEPART: u8 = 3;
 const R_LOCK_GRANT: u8 = 4;
 const R_LOCK_BUSY: u8 = 5;
@@ -518,9 +488,6 @@ pub enum DsmReply {
         first: PageId,
         data: Bytes,
     },
-    DiffAck {
-        page: PageId,
-    },
     /// Acknowledges a whole [`DsmMsg::DiffBatch`] — the one-ack-per-home
     /// invariant of the batched release path.
     DiffBatchAck {
@@ -549,9 +516,6 @@ impl DsmReply {
             DsmReply::PageRangeData { first, data } => {
                 debug_assert_eq!(data.len() % PAGE_SIZE, 0);
                 w.u8(R_PAGE_RANGE_DATA).u64(*first as u64).lp_bytes(data);
-            }
-            DsmReply::DiffAck { page } => {
-                w.u8(R_DIFF_ACK).u64(*page as u64);
             }
             DsmReply::DiffBatchAck { pages } => {
                 w.u8(R_DIFF_BATCH_ACK).u32(*pages);
@@ -593,9 +557,6 @@ impl DsmReply {
             R_PAGE_RANGE_DATA => DsmReply::PageRangeData {
                 first: r.u64() as PageId,
                 data: Bytes::copy_from_slice(r.lp_bytes()),
-            },
-            R_DIFF_ACK => DsmReply::DiffAck {
-                page: r.u64() as PageId,
             },
             R_DIFF_BATCH_ACK => DsmReply::DiffBatchAck { pages: r.u32() },
             R_BARRIER_DEPART => {
@@ -659,12 +620,6 @@ mod tests {
                 count: 6,
                 requester: 2,
                 reply_tag: REPLY_TAG_BASE + 9,
-            },
-            DsmMsg::Diff {
-                page: 9,
-                requester: 1,
-                reply_tag: REPLY_TAG_BASE,
-                diff: page_diff(&[8]),
             },
             DsmMsg::DiffBatch {
                 requester: 2,
@@ -795,7 +750,6 @@ mod tests {
                 first: 12,
                 data: Bytes::from(vec![9u8; 2 * PAGE_SIZE]),
             },
-            DsmReply::DiffAck { page: 8 },
             DsmReply::DiffBatchAck { pages: 17 },
             DsmReply::BarrierDepart {
                 seq: 3,

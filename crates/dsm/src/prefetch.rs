@@ -7,19 +7,19 @@
 //! because the next one has not happened yet. The predictor watches the
 //! per-thread sequence of faulting page ids, and once the same non-zero
 //! delta repeats ([`CONFIRM`] times) it asks the engine to fetch the next
-//! `depth` predicted pages speculatively, ahead of the fault.
+//! [`DEPTH`] predicted pages speculatively, ahead of the fault.
 //!
 //! The state machine is deliberately tiny and exactly unit-testable:
 //!
 //! * **Cold** — no confirmed stride. Each fault's delta is compared with
 //!   the previous delta; a repeat confirms the stride.
 //! * **Confirmed** — faults landing a whole number of strides ahead (up to
-//!   `depth + 1`, i.e. within or just past the prefetched window) continue
+//!   `DEPTH + 1`, i.e. within or just past the prefetched window) continue
 //!   the stream and re-arm prefetch; anything else is a *mispredict*,
-//!   which drops back to cold and burns one unit of the mispredict
-//!   budget. Exhausting the budget disables the predictor for the rest of
-//!   the thread's life — a thread with genuinely random accesses must stop
-//!   paying speculative round trips.
+//!   which drops back to cold and burns one unit of [`MISPREDICT_BUDGET`].
+//!   Exhausting it disables the predictor for the rest of the thread's
+//!   life — a thread with genuinely random accesses must stop paying
+//!   speculative round trips.
 //!
 //! Everything here is pure bookkeeping over page ids: no clocks, no
 //! randomness, so decisions replay identically on any host.
@@ -28,6 +28,14 @@ use crate::page::PageId;
 
 /// Identical consecutive deltas required to confirm a stride.
 pub const CONFIRM: u32 = 2;
+
+/// Pages fetched ahead per confirmed prediction (further capped by
+/// `DsmConfig::max_fetch_range`).
+pub const DEPTH: usize = 4;
+
+/// Consecutive-fault mispredictions tolerated before a thread's predictor
+/// is disabled for the rest of its life (accuracy guard).
+pub const MISPREDICT_BUDGET: u32 = 4;
 
 /// What the engine should do after recording one read fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +49,7 @@ pub enum Prediction {
 }
 
 /// Per-thread fault-stream predictor (see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StridePredictor {
     /// Last faulting page observed.
     last: Option<PageId>,
@@ -51,24 +59,12 @@ pub struct StridePredictor {
     streak: u32,
     /// Mispredictions of a confirmed stride so far.
     mispredicts: u32,
-    /// Budget from `DsmConfig::prefetch_mispredict_budget`.
-    budget: u32,
-    /// Pages to fetch ahead per prediction.
-    depth: usize,
     disabled: bool,
 }
 
 impl StridePredictor {
-    pub fn new(depth: usize, budget: u32) -> StridePredictor {
-        StridePredictor {
-            last: None,
-            stride: 0,
-            streak: 0,
-            mispredicts: 0,
-            budget,
-            depth: depth.max(1),
-            disabled: depth == 0 || budget == 0,
-        }
+    pub fn new() -> StridePredictor {
+        StridePredictor::default()
     }
 
     pub fn is_disabled(&self) -> bool {
@@ -106,18 +102,18 @@ impl StridePredictor {
             } else {
                 -1
             };
-            if (1..=self.depth as isize + 1).contains(&jump) {
+            if (1..=DEPTH as isize + 1).contains(&jump) {
                 // Continuation: the fault landed inside (or one past) the
                 // prefetched window.
                 return Prediction::Prefetch {
                     stride: self.stride,
-                    count: self.depth,
+                    count: DEPTH,
                 };
             }
             // A confirmed stride broke: burn budget, go cold with the new
             // delta as the next candidate.
             self.mispredicts += 1;
-            if self.mispredicts >= self.budget {
+            if self.mispredicts >= MISPREDICT_BUDGET {
                 self.disabled = true;
                 return Prediction::None;
             }
@@ -134,7 +130,7 @@ impl StridePredictor {
         if self.confirmed() {
             Prediction::Prefetch {
                 stride: self.stride,
-                count: self.depth,
+                count: DEPTH,
             }
         } else {
             Prediction::None
@@ -148,14 +144,17 @@ mod tests {
 
     const NONE: Prediction = Prediction::None;
 
-    fn pre(stride: isize, count: usize) -> Prediction {
-        Prediction::Prefetch { stride, count }
+    fn pre(stride: isize) -> Prediction {
+        Prediction::Prefetch {
+            stride,
+            count: DEPTH,
+        }
     }
 
     /// Drive a fault trace through a fresh predictor; return the decision
     /// per fault.
-    fn decisions(depth: usize, budget: u32, trace: &[usize]) -> Vec<Prediction> {
-        let mut p = StridePredictor::new(depth, budget);
+    fn decisions(trace: &[usize]) -> Vec<Prediction> {
+        let mut p = StridePredictor::new();
         trace.iter().map(|&f| p.record_fault(f)).collect()
     }
 
@@ -164,8 +163,8 @@ mod tests {
         // Faults 10, 11, 12, 13: deltas 1, 1, 1. The second identical
         // delta (fault 12) confirms; every continuation re-arms.
         assert_eq!(
-            decisions(4, 4, &[10, 11, 12, 13]),
-            vec![NONE, NONE, pre(1, 4), pre(1, 4)]
+            decisions(&[10, 11, 12, 13]),
+            vec![NONE, NONE, pre(1), pre(1)]
         );
     }
 
@@ -173,26 +172,26 @@ mod tests {
     fn strided_and_reverse_traces_confirm() {
         // Stride 3 forward.
         assert_eq!(
-            decisions(2, 4, &[0, 3, 6, 9, 12]),
-            vec![NONE, NONE, pre(3, 2), pre(3, 2), pre(3, 2)]
+            decisions(&[0, 3, 6, 9, 12]),
+            vec![NONE, NONE, pre(3), pre(3), pre(3)]
         );
         // Stride -2 (reverse sweep).
         assert_eq!(
-            decisions(4, 4, &[40, 38, 36, 34]),
-            vec![NONE, NONE, pre(-2, 4), pre(-2, 4)]
+            decisions(&[40, 38, 36, 34]),
+            vec![NONE, NONE, pre(-2), pre(-2)]
         );
     }
 
     #[test]
     fn jump_over_prefetched_pages_is_a_continuation() {
-        // depth 4, stride 1 confirmed at fault 12. The stream then lands
-        // on 17 (jump 5 = depth + 1, just past the prefetched window):
-        // still a continuation, not a mispredict. Jump 6 breaks.
-        let mut p = StridePredictor::new(4, 4);
+        // Stride 1 confirmed at fault 12. The stream then lands on 17
+        // (jump 5 = DEPTH + 1, just past the prefetched window): still a
+        // continuation, not a mispredict. Jump 7 breaks.
+        let mut p = StridePredictor::new();
         for f in [10usize, 11, 12] {
             p.record_fault(f);
         }
-        assert_eq!(p.record_fault(17), pre(1, 4));
+        assert_eq!(p.record_fault(17), pre(1));
         assert_eq!(p.mispredicts(), 0);
         assert_eq!(p.record_fault(24), NONE, "jump 7 breaks the stride");
         assert_eq!(p.mispredicts(), 1);
@@ -202,23 +201,23 @@ mod tests {
     fn random_trace_never_issues_and_eventually_disables() {
         // No delta ever repeats: the predictor must never confirm, so a
         // purely random thread costs zero speculative fetches.
-        let got = decisions(4, 4, &[5, 90, 2, 61, 33, 7, 44, 18]);
+        let got = decisions(&[5, 90, 2, 61, 33, 7, 44, 18]);
         assert!(got.iter().all(|d| *d == NONE), "{got:?}");
         // And with an adversarial confirm-then-break trace the budget
-        // disables the predictor for good.
-        let mut p = StridePredictor::new(2, 2);
-        let mut breaks = 0;
-        for f in [0usize, 1, 2, 100, 101, 102, 200, 201, 202, 300] {
-            p.record_fault(f);
-            if p.is_disabled() {
-                breaks += 1;
+        // disables the predictor for good: each hundred confirms stride 1,
+        // the jump to the next hundred breaks it.
+        let mut p = StridePredictor::new();
+        for phase in 0..MISPREDICT_BUDGET as usize {
+            assert!(!p.is_disabled(), "phase {phase}: budget not yet spent");
+            for f in [0usize, 1, 2] {
+                p.record_fault(phase * 100 + f);
             }
         }
-        assert!(p.is_disabled(), "budget 2 must disable after two breaks");
-        assert!(breaks > 0);
-        assert_eq!(p.mispredicts(), 2);
+        p.record_fault(MISPREDICT_BUDGET as usize * 100);
+        assert!(p.is_disabled(), "the last break spends the budget");
+        assert_eq!(p.mispredicts(), MISPREDICT_BUDGET);
         // Disabled is sticky: even a perfect stride stays silent.
-        for f in [400usize, 401, 402, 403] {
+        for f in [900usize, 901, 902, 903] {
             assert_eq!(p.record_fault(f), NONE);
         }
     }
@@ -227,37 +226,28 @@ mod tests {
     fn phase_change_reconfirms_at_full_price() {
         // Phase 1: stride 1. Phase change (one mispredict). Phase 2:
         // stride 4 must re-confirm with CONFIRM repeats before issuing.
-        let mut p = StridePredictor::new(4, 8);
+        let mut p = StridePredictor::new();
         assert_eq!(
             [10, 11, 12].map(|f| p.record_fault(f)),
-            [NONE, NONE, pre(1, 4)]
+            [NONE, NONE, pre(1)]
         );
         assert_eq!(p.record_fault(100), NONE, "phase change is a mispredict");
         assert_eq!(p.mispredicts(), 1);
         assert_eq!(
             [104, 108, 112].map(|f| p.record_fault(f)),
-            [NONE, pre(4, 4), pre(4, 4)]
+            [NONE, pre(4), pre(4)]
         );
     }
 
     #[test]
     fn refault_on_same_page_is_neutral() {
         // Invalidation refetches (delta 0) must neither confirm nor break.
-        let mut p = StridePredictor::new(4, 4);
+        let mut p = StridePredictor::new();
         for f in [10usize, 11, 12] {
             p.record_fault(f);
         }
         assert_eq!(p.record_fault(12), NONE);
         assert_eq!(p.mispredicts(), 0);
-        assert_eq!(p.record_fault(13), pre(1, 4), "stride survives a refault");
-    }
-
-    #[test]
-    fn zero_depth_or_budget_disables_from_birth() {
-        let mut p = StridePredictor::new(0, 4);
-        assert!(p.is_disabled());
-        assert_eq!(p.record_fault(1), NONE);
-        let q = StridePredictor::new(4, 0);
-        assert!(q.is_disabled());
+        assert_eq!(p.record_fault(13), pre(1), "stride survives a refault");
     }
 }

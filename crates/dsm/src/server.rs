@@ -58,13 +58,6 @@ impl CommServer {
     }
 }
 
-struct Arrival {
-    node: usize,
-    reply_tag: u64,
-    notices: Vec<PageId>,
-    reads: Vec<PageId>,
-}
-
 /// Aggregation state of one hierarchical-barrier sequence at this node:
 /// everything collected from the local arrival and the subtrees rooted at
 /// this node's tree children, awaiting the last contribution.
@@ -138,7 +131,6 @@ struct DeferredFetch {
 #[derive(Default)]
 pub struct ServerState {
     deferred: Vec<DeferredFetch>,
-    arrivals: HashMap<u64, Vec<Arrival>>,
     tree: HashMap<u64, TreeBarrier>,
     locks: HashMap<u64, LockState>,
     /// Per-page protocol-selection history (only consulted at the barrier
@@ -168,9 +160,7 @@ impl Dsm {
             self.retry_deferred(srv);
             return;
         }
-        if self.config().hierarchical_barrier
-            && matches!(msg, DsmMsg::BarrierArrive { .. } | DsmMsg::BarrierUp { .. })
-        {
+        if matches!(msg, DsmMsg::BarrierArrive { .. } | DsmMsg::BarrierUp { .. }) {
             // Tree contributions are only *collected* here; their service
             // cost is charged in one sorted burst when the subtree
             // completes, so the barrier's virtual time does not depend on
@@ -218,16 +208,6 @@ impl Dsm {
                         reply_tag,
                     });
                 }
-            }
-            DsmMsg::Diff {
-                page,
-                requester,
-                reply_tag,
-                diff,
-            } => {
-                srv.charge_copy(diff.payload_bytes());
-                self.merge_diff(page, &diff, srv);
-                self.reply(requester, reply_tag, DsmReply::DiffAck { page }, srv);
             }
             DsmMsg::DiffBatch {
                 requester,
@@ -330,35 +310,6 @@ impl Dsm {
                 self.stats.pushes_sent.fetch_add(1, Ordering::Relaxed);
                 trace::instant(EventKind::DsmPush, page as u64, srv.clock.now());
             }
-            DsmMsg::BarrierArrive {
-                seq,
-                node,
-                reply_tag,
-                notices,
-                reads,
-            } => {
-                assert_eq!(self.node(), 0, "barrier master must be node 0");
-                let complete = {
-                    let mut st = self.server.lock();
-                    let arr = st.arrivals.entry(seq).or_default();
-                    arr.push(Arrival {
-                        node,
-                        reply_tag,
-                        notices,
-                        reads,
-                    });
-                    arr.len() == self.nnodes()
-                };
-                if complete {
-                    let arrivals = self
-                        .server
-                        .lock()
-                        .arrivals
-                        .remove(&seq)
-                        .expect("just completed");
-                    self.compute_depart(seq, arrivals, srv);
-                }
-            }
             DsmMsg::LockAcq {
                 lock,
                 node,
@@ -408,9 +359,8 @@ impl Dsm {
                     self.reply(n, t, g, srv);
                 }
             }
-            DsmMsg::Nudge => unreachable!("handled above"),
-            DsmMsg::BarrierUp { .. } => {
-                unreachable!("BarrierUp only exists in hierarchical mode, handled above")
+            DsmMsg::Nudge | DsmMsg::BarrierArrive { .. } | DsmMsg::BarrierUp { .. } => {
+                unreachable!("handled above")
             }
         }
         trace::end(EventKind::CommService, srv.clock.now());
@@ -650,29 +600,11 @@ impl Dsm {
         trace::end(EventKind::CommService, srv.clock.now());
     }
 
-    /// Barrier master: combine all nodes' write notices, decide home
-    /// migrations (§5.2.2), and send the departure to every node.
-    fn compute_depart(&self, seq: u64, arrivals: Vec<Arrival>, srv: &mut CommServer) {
-        let mut writers: HashMap<PageId, Vec<usize>> = HashMap::new();
-        let mut readers: HashMap<PageId, Vec<usize>> = HashMap::new();
-        for a in &arrivals {
-            for &p in &a.notices {
-                writers.entry(p).or_default().push(a.node);
-            }
-            for &p in &a.reads {
-                readers.entry(p).or_default().push(a.node);
-            }
-        }
-        let members = arrivals.iter().map(|a| (a.node, a.reply_tag)).collect();
-        let entries = self.decide_entries(writers, readers);
-        self.send_depart(seq, entries, members, srv);
-    }
-
     /// Decide home migrations (§5.2.2) and per-page protocols from the
     /// merged page → writers / page → readers maps. Lists are sorted and
     /// pages visited in id order at decision time, so the entries (and the
-    /// protocol table they evolve) are identical whether the maps were
-    /// built flat or merged up a tree.
+    /// protocol table they evolve) do not depend on the order the tree
+    /// merged them in.
     fn decide_entries(
         &self,
         writers: HashMap<PageId, Vec<usize>>,

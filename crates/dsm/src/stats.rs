@@ -50,7 +50,7 @@ counters! {
     fetch_bytes,
     /// Twins created on first write to a non-home page.
     twins_created,
-    /// Diffs shipped to homes (one per dirty page, batched or not).
+    /// Diffs shipped to homes (one per dirty page, inside `DiffBatch`es).
     diffs_sent,
     /// Wire bytes of diff messages shipped (encoded message payloads —
     /// what the fabric actually carries, for overhead attribution).
@@ -60,8 +60,6 @@ counters! {
     diff_payload_bytes,
     /// DiffBatch messages sent (one per destination home per release).
     diff_batches,
-    /// Pages whose diffs rode inside a DiffBatch.
-    batched_pages,
     /// ReqPageRange round trips (coalesced contiguous-page fetches).
     range_fetches,
     /// Pages fetched via ReqPageRange (also counted in `page_fetches`).
@@ -93,7 +91,7 @@ counters! {
     /// without faulting.
     prefetch_hits,
     /// Confirmed-stride predictions broken by the next fault; reaching
-    /// `prefetch_mispredict_budget` disables that thread's predictor.
+    /// `prefetch::MISPREDICT_BUDGET` disables that thread's predictor.
     prefetch_mispredicts,
     /// Merged pages pushed to sharers under the update protocol (also
     /// counted in `pushes_sent`).
@@ -122,10 +120,9 @@ impl DsmStats {
 
 /// Per-shard event counters (one slot per lock shard of the page store).
 ///
-/// Kept separate from the flat [`DsmStats`] counters because the shard
-/// count is a runtime knob (`DsmConfig::page_shards`), not a compile-time
-/// field list. The sum over slots equals the matching flat counter
-/// (`shard_merges`).
+/// Kept separate from the flat [`DsmStats`] counters because it is one
+/// slot per shard of the store (`store::SHARDS`), not a named field list.
+/// The sum over slots equals the matching flat counter (`shard_merges`).
 #[derive(Debug)]
 pub struct ShardStats {
     counts: Box<[AtomicU64]>,

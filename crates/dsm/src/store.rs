@@ -206,14 +206,13 @@ impl RegionAllocator {
 /// current interval's write/read notice sets, split into power-of-two lock
 /// shards keyed by page id.
 ///
-/// Before sharding these were two node-global `Mutex<HashSet<PageId>>`s —
-/// every write fault on every application thread, and every diff-batch
-/// merge bookkeeping step, serialized on the same two locks. A page maps
-/// to shard `page & (shards - 1)`, so concurrent faults on different pages
-/// almost always hit different shards. Draining (release/barrier time) is
-/// done shard by shard and then sorted, so drain order — and therefore
-/// everything downstream: diff batch layout, write notices, departure
-/// entries — is byte-identical to the single-lock path.
+/// One node-global lock here would serialize every write fault on every
+/// application thread and every diff-batch merge bookkeeping step. A page
+/// maps to shard `page & (SHARDS - 1)`, so concurrent faults on different
+/// pages almost always hit different shards. Draining (release/barrier
+/// time) is done shard by shard and then sorted, so drain order — and
+/// therefore everything downstream: diff batch layout, write notices,
+/// departure entries — does not depend on the shard count.
 pub struct PageShards {
     shards: Box<[parade_net::sync::Mutex<ShardSets>]>,
     mask: usize,
@@ -233,10 +232,22 @@ struct ShardSets {
     reads: std::collections::HashSet<PageId>,
 }
 
+/// Lock shards per node (a power of two: the shard index is a mask).
+pub const SHARDS: usize = 16;
+
+impl Default for PageShards {
+    fn default() -> Self {
+        PageShards::new()
+    }
+}
+
 impl PageShards {
-    /// `shards` is rounded up to a power of two (min 1).
-    pub fn new(shards: usize) -> PageShards {
-        let n = shards.max(1).next_power_of_two();
+    pub fn new() -> PageShards {
+        Self::with_shards(SHARDS)
+    }
+
+    fn with_shards(n: usize) -> PageShards {
+        assert!(n.is_power_of_two(), "shard index is a mask");
         PageShards {
             shards: (0..n)
                 .map(|_| parade_net::sync::Mutex::new(ShardSets::default()))
@@ -329,7 +340,7 @@ impl std::fmt::Display for AllocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shared pool exhausted: requested {} bytes, {} available (raise ClusterConfig::pool_bytes)",
+            "shared pool exhausted: requested {} bytes, {} available (raise DsmConfig::pool_bytes)",
             self.requested, self.available
         )
     }
@@ -396,21 +407,21 @@ mod tests {
     }
 
     #[test]
-    fn page_shards_round_up_and_distribute() {
-        let s = PageShards::new(6);
-        assert_eq!(s.len(), 8, "shard count rounds up to a power of two");
-        for p in 0..32 {
-            assert_eq!(s.shard_of(p), p % 8);
+    fn shards_distribute_by_low_page_bits() {
+        let s = PageShards::new();
+        assert_eq!(s.len(), SHARDS);
+        for p in 0..64 {
+            assert_eq!(s.shard_of(p), p % SHARDS);
         }
-        let single = PageShards::new(1);
+        let single = PageShards::with_shards(1);
         assert_eq!(single.len(), 1);
         assert_eq!(single.shard_of(12345), 0);
     }
 
     #[test]
-    fn page_shards_drain_sorted_regardless_of_insertion_order() {
-        for nshards in [1usize, 4, 16] {
-            let s = PageShards::new(nshards);
+    fn shards_drain_sorted_regardless_of_insertion_order() {
+        for nshards in [1usize, 4, SHARDS] {
+            let s = PageShards::with_shards(nshards);
             for &p in &[31usize, 2, 17, 4, 9, 0, 25] {
                 s.mark_written(p);
                 s.mark_read(p + 1);
@@ -426,8 +437,8 @@ mod tests {
     }
 
     #[test]
-    fn page_shards_unmark_and_merge_counters() {
-        let s = PageShards::new(4);
+    fn shards_unmark_and_merge_counters() {
+        let s = PageShards::with_shards(4);
         s.mark_written(5);
         assert!(s.unmark_dirty(5));
         assert!(!s.unmark_dirty(5));
@@ -437,6 +448,52 @@ mod tests {
         assert_eq!(s.record_merge(10), 2);
         assert_eq!(s.record_merge(3), 3);
         assert_eq!(s.merges.snapshot(), vec![0, 0, 2, 1]);
+    }
+
+    /// Shard-count independence: sibling threads hammering overlapping and
+    /// distinct pages concurrently (marks, out-of-band unmarks, home-side
+    /// merges) leave a store whose drains and merge total are the same
+    /// over one lock as over `SHARDS` — everything the release path
+    /// derives from the store is therefore layout-independent.
+    #[test]
+    fn concurrent_marks_drain_identically_over_one_lock_and_many() {
+        const THREADS: usize = 4;
+        const PAGES: usize = 96;
+        let run = |nshards: usize| {
+            let s = PageShards::with_shards(nshards);
+            let marked = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (s, marked) = (&s, &marked);
+                    scope.spawn(move || {
+                        for round in 0..50 {
+                            for p in (0..PAGES).filter(|p| (p + round) % THREADS == t) {
+                                s.mark_written(p);
+                                s.mark_read(PAGES + p);
+                                s.record_merge(p);
+                            }
+                        }
+                        marked.wait();
+                        // Each thread flushes its own residue class out of
+                        // band: the dirty bit goes, the notice stays.
+                        for p in (0..PAGES).filter(|p| p % (2 * THREADS) == t) {
+                            s.unmark_dirty(p);
+                        }
+                    });
+                }
+            });
+            let merges: u64 = s.merges.snapshot().iter().sum();
+            (s.drain_dirty(), s.drain_notices(), s.drain_reads(), merges)
+        };
+        let single = run(1);
+        assert_eq!(run(SHARDS), single);
+        let kept: Vec<PageId> = (0..PAGES)
+            .filter(|p| p % (2 * THREADS) >= THREADS)
+            .collect();
+        assert_eq!(single.0, kept, "unmarked classes leave the dirty set");
+        assert_eq!(single.1, (0..PAGES).collect::<Vec<_>>());
+        assert_eq!(single.2, (PAGES..2 * PAGES).collect::<Vec<_>>());
+        assert_eq!(single.3, (50 * PAGES) as u64);
     }
 
     #[test]

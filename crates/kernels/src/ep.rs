@@ -185,7 +185,6 @@ mod tests {
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(64 * parade_dsm::PAGE_SIZE)
             .build()
             .unwrap()
     }

@@ -267,7 +267,6 @@ mod tests {
             .threads_per_node(2)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
             .build()
             .unwrap();
         let (par, _) = md_parade(&c, p);

@@ -139,7 +139,6 @@ mod tests {
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
             .task_scheduler(sched)
             .build()
             .unwrap()
@@ -204,7 +203,6 @@ mod tests {
             .threads_per_node(1)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(256 * parade_dsm::PAGE_SIZE)
             .chaos(parade_net::ChaosProfile::lossy(7))
             .build()
             .unwrap();

@@ -120,7 +120,6 @@ mod tests {
             .threads_per_node(1)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(64 * parade_dsm::PAGE_SIZE)
             .task_scheduler(sched)
             .build()
             .unwrap()
@@ -185,7 +184,6 @@ mod tests {
             .threads_per_node(1)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .pool_bytes(64 * parade_dsm::PAGE_SIZE)
             .chaos(parade_net::ChaosProfile::lossy(11))
             .build()
             .unwrap();

@@ -68,7 +68,7 @@ fn run_reps(d: Option<Directive>, tc: &ThreadCtx, s: &SharedScalar<f64>, reps: u
 }
 
 fn region_time_us(cfg: &ClusterConfig, d: Option<Directive>, reps: usize) -> f64 {
-    let cluster = Cluster::from_config(cfg.clone());
+    let cluster = Cluster::from_config(cfg.clone()).expect("cluster config");
     let (_, report) = cluster.run_with_report(move |g| {
         let s = g.alloc_scalar_f64();
         g.parallel(move |tc| {
@@ -112,7 +112,6 @@ mod tests {
             protocol: mode,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 256 * parade_dsm::PAGE_SIZE,
             ..ClusterConfig::default()
         }
     }

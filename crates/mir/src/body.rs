@@ -4,7 +4,7 @@
 //! The MIR serves two consumers at once:
 //!
 //! - **Linear**: blocks are created in lexical order, so iterating blocks
-//!   by id and statements in order replays the AST walk exactly. The
+//!   by id and statements in order visits the source in lexical order. The
 //!   marker stream (`ParallelEnter`, `WsEnter`, `Sibling`, …) carries the
 //!   structure the PC001–PC008 detectors need.
 //! - **CFG**: terminators give explicit branch/loop edges for the

@@ -6,8 +6,8 @@
 //! 1. [`lower::lower_program`] turns each function into a [`body::MirFunc`]
 //!    — basic blocks in lexical creation order, explicit branch/loop
 //!    edges, linearized access events, and structural markers
-//!    (`ParallelEnter`, `WsEnter`, `Sibling`, …) so the lexical lint walk
-//!    can replay the AST analyzer exactly.
+//!    (`ParallelEnter`, `WsEnter`, `Sibling`, …) so the lexical lints run
+//!    as one linear walk.
 //! 2. [`dataflow`] is the generic worklist-fixpoint framework
 //!    (forward/backward, scope-restricted).
 //! 3. [`analyses`] instantiates it: reaching definitions, live variables,

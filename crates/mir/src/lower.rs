@@ -1,17 +1,17 @@
 //! AST → MIR lowering.
 //!
-//! Two invariants make the MIR a drop-in substrate for the lexical
-//! analyzer while still carrying a real CFG:
+//! Two invariants make the MIR a substrate for the lexical lints while
+//! still carrying a real CFG (the frozen `tests/corpus` diagnostics pin
+//! both):
 //!
 //! 1. **Linear order = lexical order.** Blocks are created in source
-//!    order (for a `for` loop: init, header/cond, step, body, exit — the
-//!    AST analyzer evaluates all three loop expressions before walking
-//!    the body), so iterating blocks by id and statements in order
-//!    replays the AST walk statement-for-statement.
-//! 2. **Access events mirror the analyzer's evaluation order** (rhs
-//!    before lhs, subscripts before the element access, the compound
-//!    read before the write), so a marker-driven walk reproduces the
-//!    lexical lint verdicts byte-for-byte.
+//!    order (for a `for` loop: init, header/cond, step, body, exit — all
+//!    three loop expressions are evaluated before the body), so iterating
+//!    blocks by id and statements in order walks the source
+//!    statement-for-statement.
+//! 2. **Access events follow evaluation order** (rhs before lhs,
+//!    subscripts before the element access, the compound read before the
+//!    write), which fixes the order diagnostics are emitted in.
 //!
 //! Work-shared loops are lowered *straight-line* (no backedge): their
 //! iterations are divided among threads, so the loop structure carries
@@ -336,8 +336,8 @@ impl Lowerer<'_> {
         };
         self.marker(Marker::CondEnter(CondInfo::ForBounds(bounds)));
         // The step block is created (and its expression evaluated) before
-        // the body, matching the AST analyzer's init/cond/step-then-body
-        // order; CFG edges still run header → body → step → header.
+        // the body — the lexical lints' init/cond/step-then-body order;
+        // CFG edges still run header → body → step → header.
         let step_bb = self.start_block();
         if let Some(e) = step {
             self.push_expr_eval(e, None);

@@ -52,20 +52,55 @@ const PH_REDUCE: u8 = 1;
 const PH_ALLRED_BCAST: u8 = 2;
 const PH_GATHER: u8 = 3;
 
+/// The ranks a fabric phase runs over, addressed by position, and this
+/// rank's position among them: every rank of the communicator, or the
+/// group leaders of an SMP topology.
+#[derive(Clone, Copy)]
+struct Ranks<'a> {
+    /// `None`: every rank, at its own position.
+    leaders: Option<&'a [usize]>,
+    n: usize,
+    pos: usize,
+}
+
+impl<'a> Ranks<'a> {
+    fn all(c: &Communicator) -> Self {
+        Ranks {
+            leaders: None,
+            n: c.size(),
+            pos: c.rank(),
+        }
+    }
+
+    /// Only leaders take part: `rank` must lead its group.
+    fn leaders(t: &'a CollectiveTopology, rank: usize) -> Self {
+        Ranks {
+            leaders: Some(t.leaders()),
+            n: t.leaders().len(),
+            pos: t.leader_position(rank),
+        }
+    }
+
+    fn at(self, pos: usize) -> usize {
+        self.leaders.map_or(pos, |l| l[pos])
+    }
+}
+
 impl Communicator {
     /// The topology to run two-level algorithms over, when one is attached
-    /// and actually groups ranks (an all-singleton topology degenerates to
-    /// the flat algorithms exactly, so it takes the flat path directly).
+    /// and actually groups ranks. With every rank its own chassis there is
+    /// nothing to combine through shared memory, so the fabric phase runs
+    /// over all ranks directly.
     fn hier(&self) -> Option<&CollectiveTopology> {
         self.topo.as_deref().filter(|t| !t.is_flat())
     }
 
-    /// Barrier. Flat: dissemination over all ranks — ⌈log₂ P⌉ rounds,
-    /// every node sends and receives one small message per round. With an
-    /// SMP topology attached: ranks arrive through their group's
-    /// shared-memory barrier, the elected leaders run the dissemination
-    /// rounds among themselves (`O(L log L)` fabric messages for `L`
-    /// leaders), and the release fans back out through shared memory.
+    /// Barrier: dissemination over the fabric — ⌈log₂ P⌉ rounds, every
+    /// participant sends and receives one small message per round. With an
+    /// SMP topology: ranks arrive through their group's shared-memory
+    /// barrier, only the elected leaders run the dissemination rounds
+    /// (`O(L log L)` fabric messages for `L` leaders), and the release
+    /// fans back out through shared memory.
     pub fn barrier(&self, clock: &mut VClock) {
         let mut st = self.coll_guard.lock();
         let seq = st.seq;
@@ -79,30 +114,19 @@ impl Communicator {
         if let Some(t) = self.hier() {
             t.deposit_and_sync(rank, seq, None, clock);
             if t.is_leader(rank) {
-                self.leaders_barrier(t, seq, clock);
+                self.dissemination_barrier(Ranks::leaders(t, rank), seq, clock);
                 t.publish(rank, seq, Bytes::new(), clock);
             } else {
                 let _ = t.collect(rank, seq, clock);
             }
-            trace::end(EventKind::MpiBarrier, clock.now());
-            return;
-        }
-        let mut round: u8 = 0;
-        let mut dist = 1usize;
-        while dist < size {
-            let dst = (rank + dist) % size;
-            let src = (rank + size - dist) % size;
-            self.coll_send(dst, seq, PH_BARRIER_BASE + round, Bytes::new(), clock);
-            let _ = self.coll_recv(src, seq, PH_BARRIER_BASE + round, clock);
-            trace::instant(EventKind::CollRound, round as u64, clock.now());
-            dist <<= 1;
-            round += 1;
+        } else {
+            self.dissemination_barrier(Ranks::all(self), seq, clock);
         }
         trace::end(EventKind::MpiBarrier, clock.now());
     }
 
-    /// Broadcast of raw bytes from `root`: binomial tree over all ranks,
-    /// or — with an SMP topology — binomial tree over the group leaders
+    /// Broadcast of raw bytes from `root`: binomial tree over the fabric
+    /// participants — all ranks, or with an SMP topology the group leaders,
     /// with shared-memory distribution inside each group. Non-root
     /// callers' `buf` is replaced with the received payload.
     pub fn bcast_bytes(&self, root: usize, buf: &mut Bytes, clock: &mut VClock) {
@@ -113,7 +137,7 @@ impl Communicator {
         if let Some(t) = self.hier() {
             self.hier_bcast(t, root, buf, seq, clock);
         } else {
-            self.bcast_inner(root, buf, seq, PH_BCAST, clock);
+            self.tree_bcast(Ranks::all(self), root, buf, seq, PH_BCAST, clock);
         }
         trace::end(EventKind::MpiBcast, clock.now());
     }
@@ -138,38 +162,17 @@ impl Communicator {
                 Bytes::new()
             };
             let root_pos = t.leader_position(t.leader_of(root));
-            self.leaders_bcast(t, root_pos, &mut b, seq, PH_BCAST, clock);
+            self.tree_bcast(
+                Ranks::leaders(t, rank),
+                root_pos,
+                &mut b,
+                seq,
+                PH_BCAST,
+                clock,
+            );
             *buf = t.publish(rank, seq, b, clock);
         } else {
             *buf = t.collect(rank, seq, clock);
-        }
-    }
-
-    fn bcast_inner(&self, root: usize, buf: &mut Bytes, seq: u64, phase: u8, clock: &mut VClock) {
-        let size = self.size();
-        if size == 1 {
-            return;
-        }
-        let rank = self.rank();
-        let relrank = (rank + size - root) % size;
-        let mut mask = 1usize;
-        while mask < size {
-            if relrank & mask != 0 {
-                let src = (relrank - mask + root) % size;
-                *buf = self.coll_recv(src, seq, phase, clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relrank + mask < size {
-                let dst = (relrank + mask + root) % size;
-                self.coll_send(dst, seq, phase, buf.clone(), clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-            }
-            mask >>= 1;
         }
     }
 
@@ -202,42 +205,8 @@ impl Communicator {
         let seq = st.seq;
         st.seq += 1;
         trace::begin(EventKind::MpiReduce, clock.now());
-        self.reduce_inner(root, buf, combine, seq, clock);
+        self.tree_reduce(Ranks::all(self), root, buf, combine, seq, clock);
         trace::end(EventKind::MpiReduce, clock.now());
-    }
-
-    fn reduce_inner(
-        &self,
-        root: usize,
-        buf: &mut Vec<u8>,
-        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
-        seq: u64,
-        clock: &mut VClock,
-    ) {
-        let size = self.size();
-        if size == 1 {
-            return;
-        }
-        let rank = self.rank();
-        let relrank = (rank + size - root) % size;
-        let mut mask = 1usize;
-        while mask < size {
-            if relrank & mask == 0 {
-                let peer = relrank | mask;
-                if peer < size {
-                    let src = (peer + root) % size;
-                    let contrib = self.coll_recv(src, seq, PH_REDUCE, clock);
-                    combine(buf, &contrib);
-                    trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                }
-            } else {
-                let dst = ((relrank & !mask) + root) % size;
-                self.coll_send(dst, seq, PH_REDUCE, Bytes::copy_from_slice(buf), clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                break;
-            }
-            mask <<= 1;
-        }
     }
 
     /// Allreduce with a user combiner: binomial reduce to rank 0 followed by
@@ -259,14 +228,14 @@ impl Communicator {
         trace::begin(EventKind::MpiAllreduce, clock.now());
         if let Some(t) = self.hier() {
             self.hier_allreduce(t, buf, combine, seq, clock);
-            trace::end(EventKind::MpiAllreduce, clock.now());
-            return;
+        } else {
+            let all = Ranks::all(self);
+            self.tree_reduce(all, 0, buf, combine, seq, clock);
+            let mut b = Bytes::copy_from_slice(buf);
+            self.tree_bcast(all, 0, &mut b, seq, PH_ALLRED_BCAST, clock);
+            buf.clear();
+            buf.extend_from_slice(&b);
         }
-        self.reduce_inner(0, buf, combine, seq, clock);
-        let mut b = Bytes::copy_from_slice(buf);
-        self.bcast_inner(0, &mut b, seq, PH_ALLRED_BCAST, clock);
-        buf.clear();
-        buf.extend_from_slice(&b);
         trace::end(EventKind::MpiAllreduce, clock.now());
     }
 
@@ -292,9 +261,10 @@ impl Communicator {
             for c in contribs {
                 combine(&mut acc, &c.expect("every member deposits"));
             }
-            self.leaders_reduce(t, &mut acc, combine, seq, clock);
+            let leaders = Ranks::leaders(t, rank);
+            self.tree_reduce(leaders, 0, &mut acc, combine, seq, clock);
             let mut b = Bytes::from(acc);
-            self.leaders_bcast(t, 0, &mut b, seq, PH_ALLRED_BCAST, clock);
+            self.tree_bcast(leaders, 0, &mut b, seq, PH_ALLRED_BCAST, clock);
             t.publish(rank, seq, b, clock)
         } else {
             t.collect(rank, seq, clock)
@@ -302,23 +272,19 @@ impl Communicator {
         buf.extend_from_slice(&result);
     }
 
-    // ---- leader-phase algorithms ---------------------------------------
+    // ---- fabric-phase algorithms ---------------------------------------
     //
-    // The inter-node halves of the two-level collectives: the same
-    // dissemination/binomial schemes as the flat algorithms, but run over
-    // the topology's leader ranks, addressed by *position* in the sorted
-    // leader list. Only leaders ever call these.
+    // The message-passing halves of the collectives, run over `ranks`.
+    // Only the listed ranks call these.
 
-    /// Dissemination barrier among the group leaders.
-    fn leaders_barrier(&self, t: &CollectiveTopology, seq: u64, clock: &mut VClock) {
-        let leaders = t.leaders();
-        let l = leaders.len();
-        let pos = t.leader_position(self.rank());
+    /// Dissemination barrier.
+    fn dissemination_barrier(&self, ranks: Ranks<'_>, seq: u64, clock: &mut VClock) {
+        let Ranks { n, pos, .. } = ranks;
         let mut round: u8 = 0;
         let mut dist = 1usize;
-        while dist < l {
-            let dst = leaders[(pos + dist) % l];
-            let src = leaders[(pos + l - dist) % l];
+        while dist < n {
+            let dst = ranks.at((pos + dist) % n);
+            let src = ranks.at((pos + n - dist) % n);
             self.coll_send(dst, seq, PH_BARRIER_BASE + round, Bytes::new(), clock);
             let _ = self.coll_recv(src, seq, PH_BARRIER_BASE + round, clock);
             trace::instant(EventKind::CollRound, round as u64, clock.now());
@@ -327,25 +293,22 @@ impl Communicator {
         }
     }
 
-    /// Binomial-tree broadcast among the group leaders from leader
-    /// position `root_pos`.
-    fn leaders_bcast(
+    /// Binomial-tree broadcast from position `root_pos`.
+    fn tree_bcast(
         &self,
-        t: &CollectiveTopology,
+        ranks: Ranks<'_>,
         root_pos: usize,
         buf: &mut Bytes,
         seq: u64,
         phase: u8,
         clock: &mut VClock,
     ) {
-        let leaders = t.leaders();
-        let l = leaders.len();
-        let pos = t.leader_position(self.rank());
-        let rel = (pos + l - root_pos) % l;
+        let Ranks { n, pos, .. } = ranks;
+        let rel = (pos + n - root_pos) % n;
         let mut mask = 1usize;
-        while mask < l {
+        while mask < n {
             if rel & mask != 0 {
-                let src = leaders[(rel - mask + root_pos) % l];
+                let src = ranks.at((rel - mask + root_pos) % n);
                 *buf = self.coll_recv(src, seq, phase, clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 break;
@@ -354,8 +317,8 @@ impl Communicator {
         }
         mask >>= 1;
         while mask > 0 {
-            if rel + mask < l {
-                let dst = leaders[(rel + mask + root_pos) % l];
+            if rel + mask < n {
+                let dst = ranks.at((rel + mask + root_pos) % n);
                 self.coll_send(dst, seq, phase, buf.clone(), clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
             }
@@ -363,30 +326,31 @@ impl Communicator {
         }
     }
 
-    /// Binomial-tree reduction among the group leaders to leader
-    /// position 0.
-    fn leaders_reduce(
+    /// Binomial-tree reduction to position `root_pos`; `combine` folds a
+    /// peer's encoded contribution into `buf`.
+    fn tree_reduce(
         &self,
-        t: &CollectiveTopology,
+        ranks: Ranks<'_>,
+        root_pos: usize,
         buf: &mut Vec<u8>,
         combine: &dyn Fn(&mut Vec<u8>, &[u8]),
         seq: u64,
         clock: &mut VClock,
     ) {
-        let leaders = t.leaders();
-        let l = leaders.len();
-        let pos = t.leader_position(self.rank());
+        let Ranks { n, pos, .. } = ranks;
+        let rel = (pos + n - root_pos) % n;
         let mut mask = 1usize;
-        while mask < l {
-            if pos & mask == 0 {
-                let peer = pos | mask;
-                if peer < l {
-                    let contrib = self.coll_recv(leaders[peer], seq, PH_REDUCE, clock);
+        while mask < n {
+            if rel & mask == 0 {
+                let peer = rel | mask;
+                if peer < n {
+                    let src = ranks.at((peer + root_pos) % n);
+                    let contrib = self.coll_recv(src, seq, PH_REDUCE, clock);
                     combine(buf, &contrib);
                     trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 }
             } else {
-                let dst = leaders[pos & !mask];
+                let dst = ranks.at(((rel & !mask) + root_pos) % n);
                 self.coll_send(dst, seq, PH_REDUCE, Bytes::copy_from_slice(buf), clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 break;
@@ -704,7 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_collectives_match_flat_results() {
+    fn two_level_collectives_match_single_level_results() {
         for (n, groups) in [
             (4, vec![vec![0, 1], vec![2, 3]]),
             (5, vec![vec![0, 1, 2], vec![3, 4]]),
@@ -721,10 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_barrier_sends_only_leader_messages() {
+    fn two_level_barrier_sends_only_leader_messages() {
         // 8 ranks in two groups of 4: exactly L·⌈log₂L⌉ = 2 fabric
-        // messages per barrier, all from the leaders; a fallback to the
-        // flat path would send 8·3 = 24.
+        // messages per barrier, all from the leaders; running the rounds
+        // over all ranks would send 8·3 = 24.
         let topo = Arc::new(CollectiveTopology::uniform(8, 4));
         let fabric = Fabric::new(8, NetProfile::clan_via());
         let stats = Arc::clone(&fabric);
@@ -742,8 +706,8 @@ mod tests {
     }
 
     #[test]
-    fn singleton_topology_degenerates_to_flat() {
-        // All-singleton groups: the communicator must take the flat path
+    fn singleton_topology_runs_over_all_ranks() {
+        // All-singleton groups: the fabric phase runs over every rank
         // (same messages, no shared-memory combine overhead).
         let topo = Arc::new(CollectiveTopology::flat(4));
         let fabric = Fabric::new(4, NetProfile::clan_via());
@@ -753,15 +717,15 @@ mod tests {
             c.allreduce_i64(c.rank() as i64, ReduceOp::Sum, clk)
         });
         assert!(out.iter().all(|&s| s == 6));
-        // Flat dissemination barrier: every rank sends ⌈log₂4⌉ = 2.
+        // Dissemination over all 4 ranks: every rank sends ⌈log₂4⌉ = 2.
         let total: u64 = (0..4)
             .map(|i| stats.stats().node(i).class_totals(MsgClass::Coll).msgs)
             .sum();
-        assert!(total >= 8, "flat barrier alone sends 8 messages: {total}");
+        assert!(total >= 8, "the barrier alone sends 8 messages: {total}");
     }
 
     #[test]
-    fn hierarchical_collectives_agree_on_closed_forms() {
+    fn two_level_collectives_agree_on_closed_forms() {
         // Non-power-of-two world, non-uniform groups; check against the
         // sequential formulas rather than another run.
         let topo = Arc::new(CollectiveTopology::from_groups(

@@ -25,7 +25,7 @@ pub struct Communicator {
     /// Serializes collective participation of this node's threads.
     pub(crate) coll_guard: Mutex<CollState>,
     /// SMP placement for two-level collectives; `None` (or an all-singleton
-    /// topology) keeps the flat algorithms.
+    /// topology) runs the fabric phase over every rank.
     pub(crate) topo: Option<Arc<CollectiveTopology>>,
 }
 

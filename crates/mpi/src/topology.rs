@@ -70,7 +70,7 @@ impl RoundState {
 }
 
 impl CollectiveTopology {
-    /// Every rank on its own node: no co-location, collectives stay flat.
+    /// Every rank on its own node: no co-location, no shared-memory phase.
     pub fn flat(size: usize) -> Self {
         CollectiveTopology::uniform(size, 1)
     }
@@ -154,9 +154,9 @@ impl CollectiveTopology {
         self.groups.len()
     }
 
-    /// True when every group is a singleton: the two-level algorithms would
-    /// degenerate to the flat ones plus a pointless self-election, so the
-    /// communicator keeps the flat path instead.
+    /// True when every group is a singleton: there is nothing to combine
+    /// through shared memory, so the communicator skips the group phase and
+    /// runs the fabric phase over every rank.
     pub fn is_flat(&self) -> bool {
         self.groups.len() == self.group_of.len()
     }

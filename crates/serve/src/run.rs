@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use parade_core::{Cluster, FailedRun, RunReport};
+use parade_core::{Cluster, ClusterConfig, DsmConfig, FailedRun, RunReport};
 use parade_net::{ChaosProfile, NetProfile, TimeSource};
 
 use crate::job::JobSpec;
@@ -61,11 +61,17 @@ pub fn run_attempt(
 ) -> Result<AttemptOutcome, Box<FailedRun>> {
     let kind = spec.kind;
     let cluster = Cluster::builder()
+        .config(ClusterConfig {
+            dsm: DsmConfig {
+                pool_bytes: 64 * parade_dsm::PAGE_SIZE,
+                ..DsmConfig::default()
+            },
+            ..ClusterConfig::default()
+        })
         .nodes(width)
         .threads_per_node(1)
         .net(NetProfile::clan_via())
         .time(TimeSource::Manual)
-        .pool_bytes(64 * parade_dsm::PAGE_SIZE)
         .chaos(chaos)
         .build()
         .expect("serve cluster config");

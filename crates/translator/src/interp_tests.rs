@@ -13,7 +13,6 @@ fn cluster(nodes: usize, tpn: usize, mode: ProtocolMode) -> Cluster {
         .protocol(mode)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(512 * parade_dsm::PAGE_SIZE)
         .build()
         .unwrap()
 }

@@ -37,7 +37,7 @@ fn main() {
             net: NetProfile::clan_via(),
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::from_config(cfg);
+        let cluster = Cluster::from_config(cfg).expect("cluster config");
         let (r, report) = helmholtz_parade(&cluster, p);
         assert!((r.error - seq.error).abs() <= 1e-9 * seq.error.max(1e-30));
         let d = report.cluster.dsm_totals();

@@ -13,11 +13,14 @@ use parade::prelude::*;
 fn run(policy: HomePolicy) -> (u64, u64, u64, VTime) {
     let cfg = ClusterConfig {
         nodes: 4,
-        home_policy: Some(policy),
+        dsm: DsmConfig {
+            home_policy: policy,
+            ..DsmConfig::default()
+        },
         net: NetProfile::clan_via(),
         ..ClusterConfig::default()
     };
-    let cluster = Cluster::from_config(cfg);
+    let cluster = Cluster::from_config(cfg).expect("cluster config");
     let rounds = 50usize;
     let n = 16 * 1024; // 32 pages of f64
     let (_, report) = cluster.run_with_report(move |g| {

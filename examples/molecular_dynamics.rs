@@ -35,7 +35,7 @@ fn main() {
             net: NetProfile::clan_via(),
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::from_config(cfg);
+        let cluster = Cluster::from_config(cfg).expect("cluster config");
         let (r, report) = md_parade(&cluster, p);
         assert!(
             (r.last.total() - seq.last.total()).abs() < 1e-9,

@@ -62,26 +62,6 @@ fi
 grep -q "error\[PC001\]" "$RACY_TMP/err"
 rm -rf "$RACY_TMP"
 
-echo "== analyzer parity gate (AST vs MIR over tests/corpus) =="
-# The MIR analyzer must reproduce the AST analyzer's PC001-PC008 verdicts
-# byte-for-byte on every corpus program; only the flow-sensitive PC009 and
-# PC010 lines may be MIR-exclusive. `--json` carries no backend field, so
-# the two outputs diff directly once those lines are filtered out.
-PARITY_TMP="$(mktemp -d)"
-for f in tests/corpus/*/*.c; do
-  cargo run -q --offline -p parade-check --bin paradec -- check "$f" --json \
-    > "$PARITY_TMP/mir.json" || true
-  cargo run -q --offline -p parade-check --bin paradec -- check "$f" --json --ast-check \
-    > "$PARITY_TMP/ast.json" || true
-  grep -v '"lint":"PC009"\|"lint":"PC010"' "$PARITY_TMP/mir.json" \
-    > "$PARITY_TMP/mir_filtered.json" || true
-  if ! diff -u "$PARITY_TMP/ast.json" "$PARITY_TMP/mir_filtered.json"; then
-    echo "analyzer parity drift on $f" >&2
-    exit 1
-  fi
-done
-rm -rf "$PARITY_TMP"
-
 # The flow-sensitive lints must also FAIL closed: the deadlocking corpus
 # programs exit non-zero with the expected code, and their clean twins pass.
 DEADLOCK_TMP="$(mktemp -d)"
@@ -103,78 +83,28 @@ cargo run -q --offline -p parade-check --bin paradec -- \
   check tests/corpus/clean/task_depend_diamond.c >/dev/null
 rm -rf "$DEADLOCK_TMP"
 
-echo "== traced smoke run (figures -- trace) =="
-TRACE_TMP="$(mktemp -d)"
-PARADE_TRACE="$TRACE_TMP/smoke_trace.json" \
-  cargo run -q --offline -p parade-bench --bin figures -- trace --quick \
-  > "$TRACE_TMP/breakdown.md"
-# trace_breakdown already validates the JSON and the report in-process and
-# exits nonzero on failure; double-check the artifacts are non-empty.
-test -s "$TRACE_TMP/smoke_trace.json"
-grep -q "omp.barrier" "$TRACE_TMP/breakdown.md"
-rm -rf "$TRACE_TMP"
-
-echo "== seeded chaos soak (figures -- chaos-smoke) =="
-# CG class S on 4 nodes over a lossy wire (PARADE_CHAOS or the pinned
-# schedule): the binary exits nonzero unless the result is bit-identical
-# to a chaos-free run AND at least one retransmission happened.
-SOAK_TMP="$(mktemp -d)"
-cargo run -q --offline -p parade-bench --bin figures -- chaos-smoke \
-  > "$SOAK_TMP/chaos.md"
-grep -q "Chaos smoke" "$SOAK_TMP/chaos.md"
-grep -q "retransmits" "$SOAK_TMP/chaos.md"
-rm -rf "$SOAK_TMP"
-
-echo "== task scheduler smoke (figures -- task-smoke) =="
-# Task-based n-body on 4 nodes: flat placement and two steal seeds must
-# merge bit-identically to the blockwise sequential reference — the
-# binary exits nonzero on any divergence.
-TASK_TMP="$(mktemp -d)"
-cargo run -q --offline -p parade-bench --bin figures -- task-smoke \
-  > "$TASK_TMP/task.md"
-grep -q "Task smoke" "$TASK_TMP/task.md"
-grep -q "flat placement" "$TASK_TMP/task.md"
-if grep -q "false" "$TASK_TMP/task.md"; then
-  echo "task-smoke reported a non-bit-identical schedule" >&2
-  exit 1
-fi
-rm -rf "$TASK_TMP"
-
-echo "== chaos steal-soak (figures -- steal-soak) =="
-# The same task phase under randomized stealing over a lossy wire
-# (PARADE_CHAOS or the pinned schedule): exactly-once scheduling,
-# bit-identical energies, and at least one retransmission.
-STEAL_TMP="$(mktemp -d)"
-cargo run -q --offline -p parade-bench --bin figures -- steal-soak \
-  > "$STEAL_TMP/steal.md"
-grep -q "Steal soak" "$STEAL_TMP/steal.md"
-grep -q "retransmits" "$STEAL_TMP/steal.md"
-rm -rf "$STEAL_TMP"
-
-echo "== adaptive-DSM smoke (figures -- adapt-smoke) =="
-# CG class S on 4 nodes under all-invalidate / all-update / adaptive
-# per-page protocol selection, plus adaptive with stride prefetch: the
-# binary exits nonzero unless every mode is NPB-verified, bit-identical
-# to the all-invalidate reference, and the bulk range-fetch path fired.
-ADAPT_TMP="$(mktemp -d)"
-cargo run -q --offline -p parade-bench --bin figures -- adapt-smoke \
-  > "$ADAPT_TMP/adapt.md"
-grep -q "Adaptive-DSM smoke" "$ADAPT_TMP/adapt.md"
-grep -q "all-update" "$ADAPT_TMP/adapt.md"
-rm -rf "$ADAPT_TMP"
-
-echo "== serving soak (figures -- serve-soak) =="
-# 1000 small jobs (CG-S/EP/n-body mix) gang-scheduled onto one 12-node
-# machine under a lossy wire (PARADE_CHAOS or the pinned schedule), one in
-# seven scheduled to lose a node mid-run. The binary exits nonzero unless
-# every job completes exactly once, bit-identical to its sequential
-# reference, and at least one job survived a death via checkpoint re-home.
-SERVE_TMP="$(mktemp -d)"
-cargo run -q --offline --release -p parade-bench --bin figures -- serve-soak \
-  > "$SERVE_TMP/serve.md"
-grep -q "Serve soak" "$SERVE_TMP/serve.md"
-grep -q "1000/1000" "$SERVE_TMP/serve.md"
-rm -rf "$SERVE_TMP"
+echo "== smoke and soak runs (figures -- <subcommand>) =="
+# Every subcommand verifies its own run in-process — bit-identity against
+# the clean or sequential reference, >=1 retransmission or re-home, a valid
+# trace with an omp.barrier span; `figures` without arguments spells out
+# each contract — and exits nonzero on any divergence, so the exit status
+# is the whole check. serve-soak pushes 1000 jobs through a 12-node machine
+# and is the only one run optimized.
+SMOKE_TMP="$(mktemp -d)"
+for smoke in "trace --quick" chaos-smoke task-smoke steal-soak adapt-smoke serve-soak; do
+  echo "-- figures -- $smoke"
+  profile=""
+  trace_to=""
+  case "$smoke" in
+    serve-soak) profile="--release" ;;
+    trace*) trace_to="$SMOKE_TMP/smoke_trace.json" ;;
+  esac
+  # $smoke and $profile are split on purpose ("trace --quick" is two words).
+  # shellcheck disable=SC2086
+  PARADE_TRACE="$trace_to" \
+    cargo run -q --offline $profile -p parade-bench --bin figures -- $smoke > /dev/null
+done
+rm -rf "$SMOKE_TMP"
 
 echo "== serving bench + regression gate (emits BENCH_serving.json) =="
 # serve/ metrics (virtual makespan, latency, completions) are gated at 20%
@@ -205,8 +135,8 @@ echo "== dsm release-path bench + regression gate (emits BENCH_dsm.json) =="
 # committed baseline. The coll/ and tasks/ scaling families (…_{N}n) are
 # additionally gated on
 # *shape*: each node-count doubling must cost < 1.7x the previous rung, so
-# a silent fallback from the hierarchical collectives to the flat O(N)
-# algorithms fails CI even if no single point drifts past the tolerance.
+# a collective that silently went O(N) fails CI even if no single point
+# drifts past the tolerance.
 DSM_BENCH_TMP="$(mktemp -d)"
 PARADE_BENCH_JSON="$DSM_BENCH_TMP" \
   cargo bench -q --offline -p parade-bench --bench dsm \

@@ -33,10 +33,9 @@
 //!   worklist-fixpoint dataflow (reaching definitions, liveness,
 //!   postdominators), and thread-divergence analysis.
 //! * [`check`] — static OpenMP race & conformance analyzer (`paradec
-//!   check`): lints PC001–PC010 with spans and stable ids; the default
-//!   backend runs flow-sensitively over [`mir`], with the lexical AST walk
-//!   kept as a parity oracle, both cross-checked against the interpreter's
-//!   happens-before race oracle.
+//!   check`): lints PC001–PC010 with spans and stable ids, run
+//!   flow-sensitively over [`mir`] and cross-checked against the
+//!   interpreter's happens-before race oracle.
 //! * [`kernels`] — NAS CG/EP, Helmholtz, MD, and syncbench workloads.
 //! * [`serve`] — multi-job serving layer: gang scheduling with FIFO +
 //!   backfill admission and elastic widths, per-job sub-fabric isolation,
@@ -87,9 +86,9 @@ pub use parade_translator as translator;
 
 /// Convenient re-exports for application code.
 pub mod prelude {
-    pub use parade_cluster::{ClusterConfig, ExecConfig, ProtocolMode};
+    pub use parade_cluster::{ClusterConfig, ConfigError, ExecConfig, ProtocolMode};
     pub use parade_core::{Cluster, MasterCtx, RunReport, ThreadCtx};
-    pub use parade_dsm::{LockKind, ProtoSelect, RegionHandle, SmallHandle};
+    pub use parade_dsm::{DsmConfig, LockKind, ProtoSelect, RegionHandle, SmallHandle};
     pub use parade_mpi::ReduceOp;
     pub use parade_net::{NetProfile, VTime};
 }

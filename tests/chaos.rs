@@ -328,10 +328,10 @@ fn cg_class_s_is_bit_identical_under_lossy_chaos() {
     });
 }
 
-/// CG class S with the full two-level stack explicitly on (DSM tree
-/// barrier + MPI leader collectives over 2-node chassis), on a lossy
-/// fabric, against the flat chaos-free baseline. The strongest cross-mode
-/// claim: hierarchy and fault recovery together must not flip one bit.
+/// CG class S with MPI leader collectives over 2-node chassis, on a lossy
+/// fabric, against the chaos-free one-node-per-chassis run and the NPB
+/// reference value. The strongest cross-mode claim: the two-level
+/// combine and fault recovery together must not flip one bit.
 #[test]
 fn cg_class_s_bit_identical_with_two_level_collectives_under_chaos() {
     run_with_timeout("cg-chaos-two-level", SOAK, || {
@@ -340,7 +340,7 @@ fn cg_class_s_bit_identical_with_two_level_collectives_under_chaos() {
             .threads_per_node(2)
             .net(NetProfile::clan_via())
             .time(TimeSource::Manual)
-            .hierarchical_collectives(false)
+            .smp_width(1)
             .build()
             .expect("cluster");
         let hier_lossy = Cluster::builder()
@@ -376,17 +376,23 @@ fn cg_class_s_bit_identical_with_two_level_collectives_under_chaos() {
 /// barrier-interval content, so even the per-page decisions stay aligned.
 #[test]
 fn protocol_modes_are_bit_identical_under_lossy_chaos() {
-    use parade::dsm::ProtoSelect;
+    use parade::dsm::{DsmConfig, ProtoSelect};
 
     run_with_timeout("proto-chaos", SOAK, || {
         let mk = |proto: ProtoSelect, chaos: ChaosProfile| {
             Cluster::builder()
+                .config(ClusterConfig {
+                    dsm: DsmConfig {
+                        proto_select: proto,
+                        ..DsmConfig::default()
+                    },
+                    ..ClusterConfig::default()
+                })
                 .nodes(4)
                 .threads_per_node(2)
                 .net(NetProfile::clan_via())
                 .time(TimeSource::Manual)
                 .chaos(chaos)
-                .proto_select(proto)
                 .build()
                 .expect("cluster")
         };

@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use parade::check::{check_source, check_source_ast, has_errors, LintId};
+use parade::check::{check_source, has_errors, LintId};
 use parade::core::Cluster;
 use parade::net::TimeSource;
 use parade::prelude::*;
@@ -54,7 +54,6 @@ fn cluster() -> Cluster {
         .protocol(ProtocolMode::Parade)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(8 << 20)
         .build()
         .expect("cluster config")
 }
@@ -152,26 +151,32 @@ fn conform_programs_flagged_statically() {
 }
 
 #[test]
-fn ast_and_mir_analyzers_agree_on_whole_corpus() {
-    // The MIR analyzer replays the same region state machine the AST walk
-    // drives, so for PC001-PC008 the two must produce byte-identical
-    // diagnostics — spans, messages, and order — on every corpus program.
-    // Only the flow-sensitive lints (PC009/PC010) are MIR-exclusive.
-    for bucket in ["racy", "clean", "conform"] {
+fn whole_corpus_diagnostics_match_the_frozen_golden() {
+    // `expected_diagnostics.jsonl` holds, per program (a `# <path>` line,
+    // buckets and files in sorted order), the exact `paradec check --json`
+    // lines — spans, messages and order — frozen at the commit where the
+    // MIR analyzer and the since-deleted lexical AST analyzer still agreed
+    // byte-for-byte on PC001-PC008 (PC009/PC010 are MIR's own).
+    let mut got = String::new();
+    for bucket in ["clean", "conform", "racy"] {
         for f in corpus_files(bucket) {
-            let name = f.file_name().unwrap().to_string_lossy().to_string();
+            let name = f.file_name().unwrap().to_string_lossy();
+            let path = format!("tests/corpus/{bucket}/{name}");
             let src = std::fs::read_to_string(&f).expect("read corpus file");
-            let mir: Vec<_> = check_source(&src)
-                .unwrap_or_else(|e| panic!("{name}: parse error: {e}"))
-                .into_iter()
-                .filter(|d| {
-                    d.lint != LintId::BarrierDivergence && d.lint != LintId::TaskDependCycle
-                })
-                .collect();
-            let ast = check_source_ast(&src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
-            assert_eq!(mir, ast, "{bucket}/{name}: analyzer parity drift");
+            got.push_str(&format!("# {path}\n"));
+            for d in check_source(&src).unwrap_or_else(|e| panic!("{path}: parse error: {e}")) {
+                got.push_str(&d.render_json(&path));
+                got.push('\n');
+            }
         }
     }
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/expected_diagnostics.jsonl");
+    let want = std::fs::read_to_string(golden).expect("read corpus golden");
+    assert_eq!(
+        got, want,
+        "corpus diagnostics drifted from the frozen golden"
+    );
 }
 
 #[test]

@@ -17,7 +17,6 @@ fn cluster(nodes: usize, tpn: usize, mode: ProtocolMode) -> Cluster {
         .protocol(mode)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(16 << 20)
         .build()
         .unwrap()
 }
@@ -52,7 +51,6 @@ fn cg_pure_mpi_baseline_verifies() {
         nodes: 4,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
-        pool_bytes: 4 << 20,
         ..ClusterConfig::default()
     };
     let (r, vt) = cg_mpi(cfg, CgClass::S);
@@ -69,11 +67,16 @@ fn cg_migratory_home_reduces_traffic() {
             exec: ExecConfig::OneThreadTwoCpu,
             net: NetProfile::zero(),
             time: TimeSource::Manual,
-            home_policy: Some(policy),
-            pool_bytes: 16 << 20,
+            dsm: DsmConfig {
+                home_policy: policy,
+                ..DsmConfig::default()
+            },
             ..ClusterConfig::default()
         };
-        let (r, report) = cg_parade(&Cluster::from_config(cfg), CgClass::S);
+        let (r, report) = cg_parade(
+            &Cluster::from_config(cfg).expect("cluster config"),
+            CgClass::S,
+        );
         assert!(r.verify(CgClass::S));
         report.cluster.dsm_totals()
     };
@@ -102,7 +105,10 @@ fn cg_bulk_fetch_counters_are_pinned() {
         time: TimeSource::Manual,
         ..ClusterConfig::default()
     };
-    let (r, report) = cg_parade(&Cluster::from_config(cfg), CgClass::S);
+    let (r, report) = cg_parade(
+        &Cluster::from_config(cfg).expect("cluster config"),
+        CgClass::S,
+    );
     assert!(r.verify(CgClass::S), "zeta {}", r.zeta);
     let d = report.cluster.dsm_totals();
     assert_eq!(
@@ -167,10 +173,9 @@ fn parade_beats_sdsm_on_synchronization_heavy_run() {
             protocol: mode,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 4 << 20,
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::from_config(cfg);
+        let cluster = Cluster::from_config(cfg).expect("cluster config");
         let (_, report) = cluster.run_with_report(|g| {
             let s = g.alloc_scalar_f64();
             g.parallel(move |tc| {
@@ -199,10 +204,9 @@ fn one_thread_one_cpu_is_slowest_on_communication_heavy_work() {
             exec,
             net: NetProfile::clan_via(),
             time: TimeSource::Manual,
-            pool_bytes: 8 << 20,
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::from_config(cfg);
+        let cluster = Cluster::from_config(cfg).expect("cluster config");
         let n = 64 * 512; // 64 pages
         let (_, report) = cluster.run_with_report(move |g| {
             let v = g.alloc_f64(n);
@@ -281,28 +285,25 @@ fn heterogeneous_node_speeds_are_supported() {
         nodes: 2,
         node_speed: Some(ClusterConfig::paper_node_speeds(2)),
         net: NetProfile::zero(),
-        pool_bytes: 4 << 20,
         ..ClusterConfig::default()
     };
-    let cluster = Cluster::from_config(cfg);
+    let cluster = Cluster::from_config(cfg).expect("cluster config");
     let sum = cluster.run(|g| g.parallel(|tc| tc.reduce_f64_sum(1.0)));
     assert_eq!(sum, cluster.config().total_threads() as f64);
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical collectives: pinned fabric message counts.
+// Tree barrier + collectives: pinned fabric message counts.
 // ---------------------------------------------------------------------------
 
 /// Total fabric messages for a fixed collective-only workload: 8 team
 /// barriers plus one reduction, no shared-page traffic.
-fn collective_message_count(nodes: usize, tpn: usize, hierarchical: bool) -> u64 {
+fn collective_message_count(nodes: usize, tpn: usize) -> u64 {
     let c = Cluster::builder()
         .nodes(nodes)
         .threads_per_node(tpn)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(4 << 20)
-        .hierarchical_collectives(hierarchical)
         .build()
         .unwrap();
     let (_, report) = c.run_with_report(|g| {
@@ -316,31 +317,23 @@ fn collective_message_count(nodes: usize, tpn: usize, hierarchical: bool) -> u64
     report.cluster.traffic.msgs
 }
 
-/// The exact wire cost of the two-level collectives is pinned: a silent
-/// fallback to the flat algorithms (or an extra per-arrival hop sneaking
-/// back in) changes these totals and must fail CI, not drift silently.
+/// The exact wire cost of the tree barrier and collectives is pinned: an
+/// extra per-arrival hop sneaking back in changes these totals and must
+/// fail CI, not drift silently.
 #[test]
-fn hierarchical_collective_message_counts_are_pinned() {
+fn collective_message_counts_are_pinned() {
     // Per barrier round at N nodes the tree costs 3N-1 messages (N local
     // arrivals handed to each node's own communication thread, N-1
-    // aggregated BarrierUps, N departures) vs the flat 2N; the workload
-    // executes 10 rounds in total (8 explicit barriers plus the team's
-    // entry/exit synchronization around the reduction).
-    let c44 = collective_message_count(4, 4, true);
-    assert_eq!(c44, 122, "4 nodes x 4 threads, hierarchical");
+    // aggregated BarrierUps, N departures); the workload executes 10
+    // rounds in total (8 explicit barriers plus the team's entry/exit
+    // synchronization around the reduction).
+    let c44 = collective_message_count(4, 4);
+    assert_eq!(c44, 122, "4 nodes x 4 threads");
+    assert_eq!(collective_message_count(8, 2), 258, "8 nodes x 2 threads");
     assert_eq!(
-        collective_message_count(8, 2, true),
-        258,
-        "8 nodes x 2 threads, hierarchical"
-    );
-    assert_eq!(
-        collective_message_count(4, 1, true),
+        collective_message_count(4, 1),
         c44,
         "compute threads funnel through the node barrier: fabric traffic \
          must not depend on threads-per-node"
     );
-    // The flat baseline has a different (smaller) wire footprint; if the
-    // hierarchical path silently fell back to it, the pins above would
-    // still pass only by coincidence — rule that out explicitly.
-    assert_eq!(collective_message_count(4, 4, false), 92, "flat baseline");
 }

@@ -298,7 +298,6 @@ prop!(cases = 64, fn interpreter_sums_match_rust((n, scale) in |r: &mut TestRng|
         .threads_per_node(2)
         .net(NetProfile::zero())
         .time(parade::net::TimeSource::Manual)
-        .pool_bytes(256 * PAGE_SIZE)
         .build()
         .unwrap();
     let out = parade::translator::Interp::new(prog).run(&cluster).unwrap();
@@ -428,7 +427,7 @@ fn random_groups(r: &mut TestRng, size: usize) -> Vec<Vec<usize>> {
     groups
 }
 
-prop!(cases = 10, fn hierarchical_collectives_match_flat_and_reference(
+prop!(cases = 10, fn two_level_collectives_match_single_level_and_reference(
     (size, groups, rounds) in |r: &mut TestRng| {
         let size = r.range_usize(2, 10);
         let groups = random_groups(r, size);
@@ -446,10 +445,10 @@ prop!(cases = 10, fn hierarchical_collectives_match_flat_and_reference(
             "rank {rank} over groups {groups:?} diverged from the sequential reference"
         );
     }
-    assert_eq!(hier, flat, "two-level must be bit-identical to flat ({groups:?})");
+    assert_eq!(hier, flat, "two-level must be bit-identical to single-level ({groups:?})");
 });
 
-prop!(cases = 6, fn cluster_collectives_match_with_hierarchy_on_and_off(
+prop!(cases = 6, fn cluster_collectives_match_across_chassis_widths(
     (nodes, tpn, width) in |r: &mut TestRng| {
         (r.range_usize(2, 6), r.range_usize(1, 3), r.range_usize(1, 5))
     }) {
@@ -457,16 +456,15 @@ prop!(cases = 6, fn cluster_collectives_match_with_hierarchy_on_and_off(
         return; // shrunk out of the generator's precondition
     }
     // The whole runtime stack — DSM tree barrier underneath, MPI two-level
-    // collectives above — must produce the same bits as the flat baseline
-    // on arbitrary (nodes, threads, smp_width) shapes.
-    let run = |hierarchical: bool| {
+    // collectives above — must produce the same bits as one node per
+    // chassis, and the closed form, on arbitrary (nodes, threads,
+    // smp_width) shapes.
+    let run = |width: usize| {
         let cluster = parade::core::Cluster::builder()
             .nodes(nodes)
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(parade::net::TimeSource::Manual)
-            .pool_bytes(256 * PAGE_SIZE)
-            .hierarchical_collectives(hierarchical)
             .smp_width(width)
             .build()
             .unwrap();
@@ -486,9 +484,11 @@ prop!(cases = 6, fn cluster_collectives_match_with_hierarchy_on_and_off(
             })
         })
     };
-    let hier = run(true);
-    let flat = run(false);
-    assert_eq!(hier.to_bits(), flat.to_bits(), "shape ({nodes}x{tpn}, width {width})");
+    let hier = run(width);
+    assert_eq!(hier.to_bits(), run(1).to_bits(), "shape ({nodes}x{tpn}, width {width})");
+    // Every thread sums all 64 slots; the reduction adds one copy per thread.
+    let per_thread: usize = (0..64).map(|i| i * 3 + 1).sum();
+    assert_eq!(hier, (per_thread * nodes * tpn) as f64);
 });
 
 // ---- adaptive protocol equivalence --------------------------------------------
@@ -498,7 +498,8 @@ prop!(cases = 6, fn cluster_collectives_match_with_hierarchy_on_and_off(
 // a push installs the same merged page an invalidate+refetch would. These
 // properties pin that claim over random page traces and the real kernels.
 
-use parade::dsm::ProtoSelect;
+use parade::core::ClusterConfig;
+use parade::dsm::{DsmConfig, ProtoSelect};
 
 /// splitmix64: the trace's only source of randomness, so every protocol
 /// mode replays the identical write/read schedule.
@@ -516,13 +517,18 @@ fn proto_cluster(
     prefetch: bool,
 ) -> parade::core::Cluster {
     parade::core::Cluster::builder()
+        .config(ClusterConfig {
+            dsm: DsmConfig {
+                proto_select: proto,
+                stride_prefetch: prefetch,
+                ..DsmConfig::default()
+            },
+            ..ClusterConfig::default()
+        })
         .nodes(nodes)
         .threads_per_node(tpn)
         .net(NetProfile::zero())
         .time(parade::net::TimeSource::Manual)
-        .pool_bytes(256 * PAGE_SIZE)
-        .proto_select(proto)
-        .stride_prefetch(prefetch)
         .build()
         .unwrap()
 }
@@ -636,16 +642,7 @@ fn kernels_are_bit_identical_across_protocol_modes() {
         .map(|&m| {
             // A fresh cluster per kernel: regions are never freed, so one
             // shared pool would just measure allocator pressure.
-            let mk = || {
-                parade::core::Cluster::builder()
-                    .nodes(4)
-                    .threads_per_node(2)
-                    .net(NetProfile::zero())
-                    .time(parade::net::TimeSource::Manual)
-                    .proto_select(m)
-                    .build()
-                    .unwrap()
-            };
+            let mk = || proto_cluster(4, 2, m, true);
             let (cg, _) = cg_parade(&mk(), CgClass::S);
             assert!(
                 (cg.zeta - 8.5971775078648).abs() <= 1e-10,
@@ -691,7 +688,6 @@ prop!(cases = 12, fn hierarchical_reduce_equals_flat_fold((nodes, tpn, vals) in 
         .threads_per_node(tpn)
         .net(NetProfile::zero())
         .time(parade::net::TimeSource::Manual)
-        .pool_bytes(256 * PAGE_SIZE)
         .build()
         .unwrap();
     let vals2 = vals.clone();

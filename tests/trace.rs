@@ -198,7 +198,6 @@ fn traced_run_emits_valid_chrome_json_and_report() {
         .threads_per_node(2)
         .net(NetProfile::zero())
         .time(TimeSource::Manual)
-        .pool_bytes(256 * parade::dsm::PAGE_SIZE)
         .build()
         .unwrap();
     let (_, run) = cluster.run_with_report(|g| {
