@@ -17,9 +17,6 @@
 //! real-time message schedules, and the equivalence suite can assert
 //! adaptive ≡ all-invalidate ≡ all-update on results.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
-
 use crate::config::ProtoSelect;
 use crate::page::PageId;
 
@@ -32,17 +29,44 @@ pub const PROBATION: u32 = 4;
 /// Minimum observed sharers (excluding the home) for an update flip.
 pub const MIN_SHARERS: usize = 2;
 
-/// Per-page history at the barrier root.
+/// Per-page history at the barrier root. Both lists stay sorted by node
+/// and are at most a cluster's worth of entries long — in practice one to
+/// four — so a sorted `Vec` beats any tree.
 #[derive(Debug, Default, Clone)]
 struct PageHist {
-    /// Cumulative barrier intervals in which each node wrote the page.
-    writes: BTreeMap<usize, u64>,
+    /// Cumulative barrier intervals in which each node wrote the page, as
+    /// `(node, count)`.
+    writes: Vec<(usize, u64)>,
     /// Nodes observed reading the page since the last invalidate decision.
-    sharers: BTreeSet<usize>,
+    sharers: Vec<usize>,
     /// Update decisions since the last probation invalidate.
     update_streak: u32,
     /// Previous decision for this page (for flip counting).
     last_update: bool,
+}
+
+impl PageHist {
+    /// Count one more written interval for `node`; returns its new total.
+    fn bump_writes(&mut self, node: usize) -> u64 {
+        match self.writes.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => {
+                self.writes[i].1 += 1;
+                self.writes[i].1
+            }
+            Err(i) => {
+                self.writes.insert(i, (node, 1));
+                1
+            }
+        }
+    }
+
+    fn add_sharers(&mut self, readers: &[usize]) {
+        for &n in readers {
+            if let Err(i) = self.sharers.binary_search(&n) {
+                self.sharers.insert(i, n);
+            }
+        }
+    }
 }
 
 /// What the departure should prescribe for one written page.
@@ -67,10 +91,12 @@ impl ProtoDecision {
     }
 }
 
-/// Root-side history table driving [`ProtoSelect`] (see module docs).
+/// Root-side history table driving [`ProtoSelect`] (see module docs):
+/// indexed by page id and grown to the highest page the barriers have
+/// named so far.
 #[derive(Debug, Default)]
 pub struct ProtocolTable {
-    pages: BTreeMap<PageId, PageHist>,
+    pages: Vec<PageHist>,
 }
 
 impl ProtocolTable {
@@ -78,16 +104,19 @@ impl ProtocolTable {
         ProtocolTable::default()
     }
 
+    fn hist(&mut self, page: PageId) -> &mut PageHist {
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, PageHist::default);
+        }
+        &mut self.pages[page]
+    }
+
     /// Fold one interval's readers of `page` into its sharer history.
     /// Called for *every* page with readers, written or not — a page read
     /// in this interval and written in the next must already know its
     /// audience when the write decision is made.
     pub fn note_readers(&mut self, page: PageId, readers: &[usize]) {
-        if readers.is_empty() {
-            return;
-        }
-        let hist = self.pages.entry(page).or_default();
-        hist.sharers.extend(readers.iter().copied());
+        self.hist(page).add_sharers(readers);
     }
 
     /// Migratory home placement for a written page. `writers` must be the
@@ -101,10 +130,7 @@ impl ProtocolTable {
     /// migration pin decides exactly as before.
     pub fn pick_home(&mut self, page: PageId, writers: &[usize], old_home: usize) -> usize {
         debug_assert!(writers.windows(2).all(|w| w[0] < w[1]));
-        let hist = self.pages.entry(page).or_default();
-        for &w in writers {
-            *hist.writes.entry(w).or_insert(0) += 1;
-        }
+        let hist = self.hist(page);
         let legacy = if writers.len() == 1 {
             writers[0]
         } else if writers.contains(&old_home) {
@@ -112,14 +138,11 @@ impl ProtocolTable {
         } else {
             writers[0]
         };
-        if writers.len() <= 1 {
-            return legacy;
-        }
         let mut best = writers[0];
-        let mut best_count = hist.writes[&writers[0]];
+        let mut best_count = hist.bump_writes(best);
         let mut strict = true;
         for &w in &writers[1..] {
-            let c = hist.writes[&w];
+            let c = hist.bump_writes(w);
             match c.cmp(&best_count) {
                 std::cmp::Ordering::Greater => {
                     best = w;
@@ -130,6 +153,7 @@ impl ProtocolTable {
                 std::cmp::Ordering::Less => {}
             }
         }
+        // A single writer is its own (strict) best and its own legacy pick.
         if strict {
             best
         } else {
@@ -141,9 +165,9 @@ impl ProtocolTable {
     /// home policy (where [`Self::pick_home`] never runs) so protocol
     /// decisions still see writer history.
     pub fn note_writes(&mut self, page: PageId, writers: &[usize]) {
-        let hist = self.pages.entry(page).or_default();
+        let hist = self.hist(page);
         for &w in writers {
-            *hist.writes.entry(w).or_insert(0) += 1;
+            hist.bump_writes(w);
         }
     }
 
@@ -160,8 +184,8 @@ impl ProtocolTable {
         old_home: usize,
         new_home: usize,
     ) -> ProtoDecision {
-        let hist = self.pages.entry(page).or_default();
-        hist.sharers.extend(readers.iter().copied());
+        let hist = self.hist(page);
+        hist.add_sharers(readers);
         let migrated = new_home != old_home;
         let want_update = match mode {
             ProtoSelect::AllInvalidate => false,
@@ -177,7 +201,7 @@ impl ProtocolTable {
         };
         let probation =
             mode == ProtoSelect::Adaptive && want_update && hist.update_streak + 1 >= PROBATION;
-        let decision = if want_update && !probation {
+        if want_update && !probation {
             hist.update_streak += 1;
             let flipped = !hist.last_update;
             hist.last_update = true;
@@ -203,13 +227,7 @@ impl ProtocolTable {
             let flipped = hist.last_update;
             hist.last_update = false;
             ProtoDecision::invalidate(flipped)
-        };
-        if let Entry::Occupied(e) = self.pages.entry(page) {
-            if e.get().writes.is_empty() && e.get().sharers.is_empty() {
-                e.remove();
-            }
         }
-        decision
     }
 }
 

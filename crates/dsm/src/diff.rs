@@ -79,6 +79,18 @@ pub(crate) fn need(r: &Reader<'_>, n: usize, what: &'static str) -> Result<(), D
     Ok(())
 }
 
+/// A wire count of `count` items of at least `each` bytes apiece must be
+/// backed by the bytes actually left: it is about to size an allocation.
+pub(crate) fn need_count(r: &Reader<'_>, count: usize, each: usize) -> Result<(), DecodeError> {
+    if count.saturating_mul(each) > r.remaining() {
+        return Err(DecodeError::RunCount {
+            count: count as u32,
+            have: r.remaining(),
+        });
+    }
+    Ok(())
+}
+
 /// One run of modified bytes within a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRun {
@@ -188,12 +200,7 @@ impl Diff {
         need(r, 4, "diff run count")?;
         let n = r.u32();
         // Every run occupies at least 8 header bytes on the wire.
-        if (n as usize).saturating_mul(8) > r.remaining() {
-            return Err(DecodeError::RunCount {
-                count: n,
-                have: r.remaining(),
-            });
-        }
+        need_count(r, n as usize, 8)?;
         let mut runs = Vec::with_capacity(n as usize);
         for _ in 0..n {
             need(r, 8, "diff run header")?;

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
-use parade_net::sync::{Condvar, Mutex};
+use parade_net::sync::{Condvar, Mutex, MutexGuard};
 
 use parade_net::{Endpoint, Match, MsgClass, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
@@ -21,7 +21,7 @@ use crate::page::{PageId, PageState, PAGE_SIZE};
 use crate::prefetch::{Prediction, StridePredictor};
 use crate::smalldata::SmallRegistry;
 use crate::stats::DsmStats;
-use crate::store::{AllocError, PageShards, RawPool, RegionAllocator, RegionHandle};
+use crate::store::{AllocError, PageSets, RawPool, RegionAllocator, RegionHandle};
 
 /// Distinguishes `Dsm` instances so a thread's cached predictor never
 /// carries over between clusters sharing an OS thread (tests spawn many).
@@ -109,15 +109,12 @@ pub struct Dsm {
     pub(crate) ep: Endpoint,
     pub stats: DsmStats,
     reply_tag: AtomicU64,
-    /// Sharded interval bookkeeping, keyed by page id: the DIRTY set
-    /// (pending diffs at the next release), the barrier write notices
-    /// (superset of dirty — also pages already flushed at lock releases),
-    /// and the interval's read observations (pages fetched from remote
-    /// homes — the sharer evidence shipped with barrier arrivals). Split
-    /// into lock shards so concurrent faulting threads stop serializing
-    /// on one mutex; also carries the per-shard merge counters the home
-    /// side bumps.
-    pub(crate) shards: PageShards,
+    /// Interval bookkeeping, one bit per page: the DIRTY set (pending
+    /// diffs at the next release), the barrier write notices (superset of
+    /// dirty — also pages already flushed at lock releases), and the
+    /// interval's read observations (pages fetched from remote homes — the
+    /// sharer evidence shipped with barrier arrivals).
+    pub(crate) sets: PageSets,
     /// Monotonic instance id (thread-local predictor cache key).
     instance: u64,
     /// Per-lock: last notice sequence this node has seen.
@@ -153,7 +150,7 @@ impl Dsm {
             ep,
             stats: DsmStats::default(),
             reply_tag: AtomicU64::new(REPLY_TAG_BASE),
-            shards: PageShards::new(),
+            sets: PageSets::new(npages),
             instance: NEXT_DSM_INSTANCE.fetch_add(1, Ordering::Relaxed),
             lock_seen: Mutex::new(HashMap::new()),
             barrier_seq: AtomicU64::new(0),
@@ -261,17 +258,22 @@ impl Dsm {
         self.check_bounds::<T>(h, byte_off);
         let off = h.offset + byte_off;
         let page = off / PAGE_SIZE;
-        loop {
-            {
-                let inner = self.pages[page].inner.lock();
-                if inner.state == PageState::Dirty {
-                    // SAFETY: the page is writable per the page table (held
-                    // locked); bounds checked.
-                    unsafe { self.pool.write(off, v) }
-                    return;
-                }
-            }
-            self.write_fault(page, clock);
+        let _held = self.lock_writable(page, clock);
+        // SAFETY: the page is writable per the page table (held locked);
+        // bounds checked.
+        unsafe { self.pool.write(off, v) }
+    }
+
+    /// Lock `page`'s table entry with the page DIRTY, faulting for write
+    /// first if it is not: one acquisition covers the probe, the fault and
+    /// the caller's store.
+    #[inline]
+    fn lock_writable(&self, page: PageId, clock: &mut VClock) -> MutexGuard<'_, PageInner> {
+        let inner = self.pages[page].inner.lock();
+        if inner.state == PageState::Dirty {
+            inner
+        } else {
+            self.write_fault(page, inner, clock)
         }
     }
 
@@ -303,7 +305,7 @@ impl Dsm {
     }
 
     /// Bulk-write elements starting at element `first`. Applies the same
-    /// store-revalidation as [`Dsm::write`], page by page.
+    /// flush-vs-store exclusion as [`Dsm::write`], page by page.
     pub fn write_slice<T: Copy>(
         &self,
         h: RegionHandle,
@@ -331,16 +333,9 @@ impl Dsm {
             let page = off / PAGE_SIZE;
             let page_end = (page + 1) * PAGE_SIZE;
             let chunk = (page_end - off).min(len - rel);
-            loop {
-                {
-                    let inner = self.pages[page].inner.lock();
-                    if inner.state == PageState::Dirty {
-                        unsafe { self.pool.write_bytes(off, &bytes[rel..rel + chunk]) };
-                        break;
-                    }
-                }
-                self.write_fault(page, clock);
-            }
+            let held = self.lock_writable(page, clock);
+            unsafe { self.pool.write_bytes(off, &bytes[rel..rel + chunk]) };
+            drop(held);
             off += chunk;
             rel += chunk;
         }
@@ -613,7 +608,7 @@ impl Dsm {
     pub fn ensure_writable(&self, start: usize, len: usize, clock: &mut VClock) {
         for page in crate::page::pages_covering(start, len) {
             if self.pages[page].fast.load(Ordering::Acquire) != PageState::Dirty as u8 {
-                self.write_fault(page, clock);
+                drop(self.lock_writable(page, clock));
             }
         }
     }
@@ -667,15 +662,22 @@ impl Dsm {
 
     /// The write-fault path: ensures a valid page, makes a twin (unless we
     /// are the home — homes merge diffs directly into their copy and need
-    /// no twin), and marks the page DIRTY with a write notice.
-    fn write_fault(&self, page: PageId, clock: &mut VClock) {
+    /// no twin), and marks the page DIRTY with a write notice. Takes the
+    /// caller's hold on the page entry and hands it back with the page
+    /// DIRTY, so the faulting store cannot lose a race with a sibling's
+    /// flush between the fault and the store.
+    fn write_fault<'a>(
+        &'a self,
+        page: PageId,
+        mut inner: MutexGuard<'a, PageInner>,
+        clock: &mut VClock,
+    ) -> MutexGuard<'a, PageInner> {
         self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
         trace::instant(EventKind::DsmWriteFault, page as u64, clock.now());
         let meta = &self.pages[page];
-        let mut inner = meta.inner.lock();
         loop {
             match inner.state {
-                PageState::Dirty => return,
+                PageState::Dirty => return inner,
                 PageState::ReadOnly => {
                     if self.home_of(page) != self.node {
                         let mut twin = PageBuf::take();
@@ -688,8 +690,8 @@ impl Dsm {
                         trace::instant(EventKind::DsmTwin, page as u64, clock.now());
                     }
                     meta.set_state(&mut inner, PageState::Dirty);
-                    self.shards.mark_written(page);
-                    return;
+                    self.sets.mark_written(page);
+                    return inner;
                 }
                 PageState::Transient => {
                     self.check_live();
@@ -764,7 +766,7 @@ impl Dsm {
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         // A fetched copy makes this node a sharer of the page; the read
         // set rides the next barrier arrival into the protocol table.
-        self.shards.mark_read(page);
+        self.sets.mark_read(page);
         clock.charge_comm(self.cfg.update_strategy.per_update_overhead());
         if self.cfg.update_strategy.is_safe() {
             // SAFETY: we hold the TRANSIENT transition for this page.
@@ -827,7 +829,7 @@ impl Dsm {
             .fetch_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         for p in first..first + count {
-            self.shards.mark_read(p);
+            self.sets.mark_read(p);
         }
         let per_page = self.cfg.update_strategy.per_update_overhead();
         clock.charge_comm(VTime::from_nanos(per_page.as_nanos() * count as u64));
@@ -851,9 +853,9 @@ impl Dsm {
     /// pages (the release's write notices).
     pub fn flush(&self, clock: &mut VClock) -> Vec<PageId> {
         trace::begin(EventKind::DsmFlush, clock.now());
-        // The sharded drain returns pages sorted, so fabric-level send
-        // order is independent of shard layout and hash iteration.
-        let dirty: Vec<PageId> = self.shards.drain_dirty();
+        // The drain returns pages ascending, so diff batch layout and
+        // fabric-level send order are deterministic.
+        let dirty: Vec<PageId> = self.sets.drain_dirty();
         let mut by_home: BTreeMap<usize, (Vec<PageId>, Vec<Diff>)> = BTreeMap::new();
         for &page in &dirty {
             let meta = &self.pages[page];
@@ -951,8 +953,8 @@ impl Dsm {
         trace::begin(EventKind::DsmBarrier, clock.now());
         let seq = self.barrier_seq.fetch_add(1, Ordering::SeqCst);
         self.flush(clock);
-        let notices = self.shards.drain_notices();
-        let reads = self.shards.drain_reads();
+        let notices = self.sets.drain_notices();
+        let reads = self.sets.drain_reads();
         let tag = self.next_reply_tag();
         let arrive = DsmMsg::BarrierArrive {
             seq,
@@ -1245,7 +1247,7 @@ impl Dsm {
                     // SAFETY: page is valid; we hold the page lock.
                     unsafe { self.pool.copy_page_out(page, &mut cur) };
                     let diff = Diff::create(&twin, &cur);
-                    self.shards.unmark_dirty(page);
+                    self.sets.unmark_dirty(page);
                     meta.set_state(&mut inner, PageState::Invalid);
                     self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
                     trace::instant(EventKind::DsmInvalidate, page as u64, clock.now());

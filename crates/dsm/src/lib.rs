@@ -43,8 +43,10 @@ pub use page::{page_of, page_start, pages_covering, PageId, PageState, PAGE_SIZE
 pub use prefetch::{Prediction, StridePredictor};
 pub use server::{spawn_comm_thread, CommServer, ServerState};
 pub use smalldata::{SmallHandle, SmallRegistry};
-pub use stats::{DsmStats, DsmStatsSnapshot, ShardStats};
-pub use store::{AllocError, PageShards, RawPool, RegionAllocator, RegionHandle};
+pub use stats::{DsmStats, DsmStatsSnapshot};
+pub use store::{AllocError, PageSets, RawPool, RegionAllocator, RegionHandle};
 
 #[cfg(test)]
 mod cluster_tests;
+#[cfg(test)]
+mod depart_golden;

@@ -15,7 +15,7 @@ use parade_net::Bytes;
 
 use parade_mpi::datatype::{Reader, Writer};
 
-use crate::diff::{need, DecodeError, Diff};
+use crate::diff::{need, need_count, DecodeError, Diff};
 use crate::page::{PageId, PAGE_SIZE};
 
 /// Reply tags live above this base; cluster control uses tags below it.
@@ -86,13 +86,15 @@ pub enum DsmMsg {
     /// Hierarchical barrier: a subtree's aggregated arrivals, sent by a
     /// communication thread to its parent in the binomial tree. `members`
     /// lists every (node, reply tag) in the subtree awaiting the departure;
-    /// `writers` carries the merged write notices as (page, writer nodes)
-    /// and `readers` the merged read observations in the same shape.
+    /// `writers` carries the merged write notices as flat (page, writer
+    /// node) pairs and `readers` the merged read observations in the same
+    /// shape. On the wire each run of pairs sharing a page travels as one
+    /// (page, nodes) group.
     BarrierUp {
         seq: u64,
         members: Vec<(usize, u64)>,
-        writers: Vec<(PageId, Vec<usize>)>,
-        readers: Vec<(PageId, Vec<usize>)>,
+        writers: Vec<(PageId, usize)>,
+        readers: Vec<(PageId, usize)>,
     },
     /// Acquire a distributed lock (baseline SDSM path). `polling` requests
     /// an immediate grant-or-busy answer instead of queueing.
@@ -117,48 +119,35 @@ pub enum DsmMsg {
 fn decode_notices(r: &mut Reader<'_>) -> Result<Vec<PageId>, DecodeError> {
     need(r, 4, "notice count")?;
     let n = r.u32() as usize;
-    if n.saturating_mul(8) > r.remaining() {
-        return Err(DecodeError::RunCount {
-            count: n as u32,
-            have: r.remaining(),
-        });
-    }
+    need_count(r, n, 8)?;
     Ok((0..n).map(|_| r.u64() as PageId).collect())
 }
 
-/// Encode a `(page, nodes)` list — the shared shape of `BarrierUp`
-/// writers and readers.
-fn encode_page_nodes(w: &mut Writer, list: &[(PageId, Vec<usize>)]) {
-    w.u32(list.len() as u32);
-    for (page, nodes) in list {
-        w.u64(*page as u64).u32(nodes.len() as u32);
-        for n in nodes {
-            w.u32(*n as u32);
+/// Encode a `(page, node)` pair list — the shared shape of `BarrierUp`
+/// writers and readers — as (page, node count, nodes) groups, one per run
+/// of consecutive pairs naming the same page.
+fn encode_page_nodes(w: &mut Writer, pairs: &[(PageId, usize)]) {
+    let groups = pairs.chunk_by(|a, b| a.0 == b.0);
+    w.u32(groups.clone().count() as u32);
+    for group in groups {
+        w.u64(group[0].0 as u64).u32(group.len() as u32);
+        for &(_, node) in group {
+            w.u32(node as u32);
         }
     }
 }
 
-fn decode_page_nodes(r: &mut Reader<'_>) -> Result<Vec<(PageId, Vec<usize>)>, DecodeError> {
+fn decode_page_nodes(r: &mut Reader<'_>) -> Result<Vec<(PageId, usize)>, DecodeError> {
     need(r, 4, "page-nodes count")?;
     let n = r.u32() as usize;
-    if n.saturating_mul(12) > r.remaining() {
-        return Err(DecodeError::RunCount {
-            count: n as u32,
-            have: r.remaining(),
-        });
-    }
+    need_count(r, n, 12)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         need(r, 12, "page-nodes entry")?;
         let page = r.u64() as PageId;
         let count = r.u32() as usize;
-        if count.saturating_mul(4) > r.remaining() {
-            return Err(DecodeError::RunCount {
-                count: count as u32,
-                have: r.remaining(),
-            });
-        }
-        out.push((page, (0..count).map(|_| r.u32() as usize).collect()));
+        need_count(r, count, 4)?;
+        out.extend((0..count).map(|_| (page, r.u32() as usize)));
     }
     Ok(out)
 }
@@ -330,12 +319,7 @@ impl DsmMsg {
                 let reply_tag = r.u64();
                 let n = r.u32() as usize;
                 // Each entry is at least a page id plus an empty diff.
-                if n.saturating_mul(12) > r.remaining() {
-                    return Err(DecodeError::RunCount {
-                        count: n as u32,
-                        have: r.remaining(),
-                    });
-                }
+                need_count(&r, n, 12)?;
                 let mut pages = Vec::with_capacity(n);
                 let mut diffs = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -381,12 +365,7 @@ impl DsmMsg {
                 need(&r, 12, "BarrierUp header")?;
                 let seq = r.u64();
                 let nm = r.u32() as usize;
-                if nm.saturating_mul(12) > r.remaining() {
-                    return Err(DecodeError::RunCount {
-                        count: nm as u32,
-                        have: r.remaining(),
-                    });
-                }
+                need_count(&r, nm, 12)?;
                 let members = (0..nm)
                     .map(|_| need(&r, 12, "BarrierUp member").map(|_| (r.u32() as usize, r.u64())))
                     .collect::<Result<Vec<_>, _>>()?;
@@ -547,48 +526,72 @@ impl DsmReply {
         w.finish()
     }
 
+    /// Decode a trusted (in-process) payload; panics with the structured
+    /// error on corruption, like [`DsmMsg::decode`].
     pub fn decode(b: &[u8]) -> DsmReply {
+        match DsmReply::try_decode(b) {
+            Ok(r) => r,
+            Err(e) => panic!("bad dsm reply: {e}"),
+        }
+    }
+
+    /// Decode an untrusted payload: every length and count is checked
+    /// against the bytes actually present before it is indexed or sizes an
+    /// allocation, as in [`DsmMsg::try_decode`].
+    pub fn try_decode(b: &[u8]) -> Result<DsmReply, DecodeError> {
         let mut r = Reader::new(b);
+        need(&r, 1, "reply kind")?;
         match r.u8() {
-            R_PAGE_DATA => DsmReply::PageData {
-                page: r.u64() as PageId,
-                data: Bytes::copy_from_slice(r.lp_bytes()),
-            },
-            R_PAGE_RANGE_DATA => DsmReply::PageRangeData {
-                first: r.u64() as PageId,
-                data: Bytes::copy_from_slice(r.lp_bytes()),
-            },
-            R_DIFF_BATCH_ACK => DsmReply::DiffBatchAck { pages: r.u32() },
+            kind @ (R_PAGE_DATA | R_PAGE_RANGE_DATA) => {
+                need(&r, 12, "page data header")?;
+                let page = r.u64() as PageId;
+                let len = r.u32() as usize;
+                need(&r, len, "page data")?;
+                let data = Bytes::copy_from_slice(r.bytes(len));
+                Ok(if kind == R_PAGE_DATA {
+                    DsmReply::PageData { page, data }
+                } else {
+                    DsmReply::PageRangeData { first: page, data }
+                })
+            }
+            R_DIFF_BATCH_ACK => {
+                need(&r, 4, "DiffBatchAck body")?;
+                Ok(DsmReply::DiffBatchAck { pages: r.u32() })
+            }
             R_BARRIER_DEPART => {
+                need(&r, 12, "BarrierDepart header")?;
                 let seq = r.u64();
                 let n = r.u32() as usize;
-                let entries = (0..n)
-                    .map(|_| {
-                        let page = r.u64() as PageId;
-                        let old_home = r.u32() as usize;
-                        let new_home = r.u32() as usize;
-                        let flags = r.u8();
-                        let ns = r.u32() as usize;
-                        DepartEntry {
-                            page,
-                            old_home,
-                            new_home,
-                            multi_writer: flags & 1 != 0,
-                            update: flags & 2 != 0,
-                            sharers: (0..ns).map(|_| r.u32() as usize).collect(),
-                        }
-                    })
-                    .collect();
-                DsmReply::BarrierDepart { seq, entries }
+                // Each entry is at least page + homes + flags + count.
+                need_count(&r, n, 21)?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    need(&r, 21, "BarrierDepart entry")?;
+                    let page = r.u64() as PageId;
+                    let old_home = r.u32() as usize;
+                    let new_home = r.u32() as usize;
+                    let flags = r.u8();
+                    let ns = r.u32() as usize;
+                    need_count(&r, ns, 4)?;
+                    entries.push(DepartEntry {
+                        page,
+                        old_home,
+                        new_home,
+                        multi_writer: flags & 1 != 0,
+                        update: flags & 2 != 0,
+                        sharers: (0..ns).map(|_| r.u32() as usize).collect(),
+                    });
+                }
+                Ok(DsmReply::BarrierDepart { seq, entries })
             }
             R_LOCK_GRANT => {
+                need(&r, 8, "LockGrant header")?;
                 let cur_seq = r.u64();
-                let n = r.u32() as usize;
-                let notices = (0..n).map(|_| r.u64() as PageId).collect();
-                DsmReply::LockGrant { cur_seq, notices }
+                let notices = decode_notices(&mut r)?;
+                Ok(DsmReply::LockGrant { cur_seq, notices })
             }
-            R_LOCK_BUSY => DsmReply::LockBusy,
-            k => unreachable!("bad dsm reply kind {k}"),
+            R_LOCK_BUSY => Ok(DsmReply::LockBusy),
+            k => Err(DecodeError::BadKind(k)),
         }
     }
 }
@@ -642,8 +645,8 @@ mod tests {
             DsmMsg::BarrierUp {
                 seq: 9,
                 members: vec![(2, REPLY_TAG_BASE + 4), (3, REPLY_TAG_BASE + 5)],
-                writers: vec![(7, vec![2]), (8, vec![2, 3])],
-                readers: vec![(7, vec![3])],
+                writers: vec![(7, 2), (8, 2), (8, 3)],
+                readers: vec![(7, 3)],
             },
             DsmMsg::BarrierUp {
                 seq: 10,
@@ -719,8 +722,8 @@ mod tests {
         let full = DsmMsg::BarrierUp {
             seq: 2,
             members: vec![(0, REPLY_TAG_BASE), (1, REPLY_TAG_BASE + 1)],
-            writers: vec![(4, vec![0, 1]), (6, vec![1])],
-            readers: vec![(5, vec![0])],
+            writers: vec![(4, 0), (4, 1), (6, 1)],
+            readers: vec![(5, 0)],
         }
         .encode();
         for cut in 0..full.len() {
@@ -739,9 +742,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn reply_roundtrips() {
-        let replies = vec![
+    fn sample_replies() -> Vec<DsmReply> {
+        vec![
             DsmReply::PageData {
                 page: 1,
                 data: Bytes::from(vec![1u8, 2, 3]),
@@ -771,9 +773,80 @@ mod tests {
                 notices: vec![4, 5],
             },
             DsmReply::LockBusy,
-        ];
-        for r in replies {
+        ]
+    }
+
+    #[test]
+    fn reply_roundtrips() {
+        for r in sample_replies() {
             assert_eq!(DsmReply::decode(&r.encode()), r);
+        }
+    }
+
+    #[test]
+    fn reply_try_decode_rejects_every_truncation_and_a_bad_kind() {
+        assert_eq!(
+            DsmReply::try_decode(&[0xEE]),
+            Err(DecodeError::BadKind(0xEE))
+        );
+        for r in sample_replies() {
+            let full = r.encode();
+            assert_eq!(DsmReply::try_decode(&full), Ok(r));
+            // Every field of every reply is pinned by a length or a count
+            // ahead of it, so no proper prefix is itself a valid reply.
+            for cut in 0..full.len() {
+                assert!(
+                    matches!(
+                        DsmReply::try_decode(&full[..cut]),
+                        Err(DecodeError::Truncated { .. } | DecodeError::RunCount { .. })
+                    ),
+                    "prefix {cut}/{} of {:?} decoded",
+                    full.len(),
+                    full[0]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reply_try_decode_rejects_unbacked_counts() {
+        // Each count below would size a multi-gigabyte allocation if it
+        // were trusted; none is backed by bytes.
+        let unbacked: [Bytes; 4] = [
+            // PageData length.
+            {
+                let mut w = Writer::new();
+                w.u8(R_PAGE_DATA).u64(1).u32(u32::MAX);
+                w.finish()
+            },
+            // BarrierDepart entry count.
+            {
+                let mut w = Writer::new();
+                w.u8(R_BARRIER_DEPART).u64(3).u32(u32::MAX);
+                w.finish()
+            },
+            // BarrierDepart sharer count of the one entry.
+            {
+                let mut w = Writer::new();
+                w.u8(R_BARRIER_DEPART).u64(3).u32(1);
+                w.u64(9).u32(0).u32(0).u8(2).u32(u32::MAX);
+                w.finish()
+            },
+            // LockGrant notice count.
+            {
+                let mut w = Writer::new();
+                w.u8(R_LOCK_GRANT).u64(5).u32(u32::MAX);
+                w.finish()
+            },
+        ];
+        for b in unbacked {
+            assert!(
+                matches!(
+                    DsmReply::try_decode(&b),
+                    Err(DecodeError::Truncated { .. } | DecodeError::RunCount { .. })
+                ),
+                "unbacked count accepted: {b:?}"
+            );
         }
     }
 }

@@ -65,11 +65,13 @@ impl CommServer {
 struct TreeBarrier {
     /// (node, reply tag) of every member in the subtree seen so far.
     members: Vec<(usize, u64)>,
-    /// Merged write notices: page → writer nodes.
-    writers: HashMap<PageId, Vec<usize>>,
-    /// Merged read observations: page → reader nodes (sharer evidence for
+    /// Merged write notices as flat `(page, writer node)` pairs:
+    /// contributions are appended as they come and sorted once, when the
+    /// subtree completes.
+    writers: Vec<(PageId, usize)>,
+    /// Merged read observations in the same shape (sharer evidence for
     /// the root's protocol table).
-    readers: HashMap<PageId, Vec<usize>>,
+    readers: Vec<(PageId, usize)>,
     /// Virtual arrival time of each contribution. Service cost is charged
     /// in one deterministic burst at completion (sorted fold), so the
     /// barrier's virtual time is independent of the real-time order in
@@ -219,7 +221,7 @@ impl Dsm {
                 let payload: usize = diffs.iter().map(|d| d.payload_bytes()).sum();
                 srv.charge_copy(payload);
                 for (&page, diff) in pages.iter().zip(&diffs) {
-                    self.merge_diff(page, diff, srv);
+                    self.merge_diff(page, diff);
                 }
                 self.reply(
                     requester,
@@ -374,15 +376,13 @@ impl Dsm {
     /// Merge one page's diff into the home copy (word runs under the page
     /// lock). Disjoint writers' diffs for the same page merge run by run,
     /// whether they arrive in one batch or across batches.
-    fn merge_diff(&self, page: PageId, diff: &crate::diff::Diff, srv: &CommServer) {
+    fn merge_diff(&self, page: PageId, diff: &crate::diff::Diff) {
         debug_assert_eq!(
             self.home_of(page),
             self.node(),
             "diff for page {page} routed to non-home"
         );
-        let shard = self.shards.record_merge(page);
-        self.stats.shard_merges.fetch_add(1, Ordering::Relaxed);
-        trace::instant(EventKind::DsmShard, shard as u64, srv.clock.now());
+        self.stats.diff_merges.fetch_add(1, Ordering::Relaxed);
         let meta = &self.pages[page];
         let _inner = meta.inner.lock();
         // We are the page's home: its copy is never absent or
@@ -499,7 +499,7 @@ impl Dsm {
     /// forward one `BarrierUp` to the tree parent or (at the root) decide
     /// the departure and fan it out to every member.
     fn tree_barrier_step(&self, msg: DsmMsg, arrive_at: VTime, srv: &mut CommServer) {
-        let (seq, members, writer_lists, reader_lists) = match msg {
+        let (seq, members, writers, readers) = match msg {
             DsmMsg::BarrierArrive {
                 seq,
                 node,
@@ -512,8 +512,8 @@ impl Dsm {
                     self.node(),
                     "hierarchical arrivals go to the arriving node's own comm thread"
                 );
-                let writers = notices.into_iter().map(|p| (p, vec![node])).collect();
-                let readers = reads.into_iter().map(|p| (p, vec![node])).collect();
+                let writers = notices.into_iter().map(|p| (p, node)).collect();
+                let readers = reads.into_iter().map(|p| (p, node)).collect();
                 (seq, vec![(node, reply_tag)], writers, readers)
             }
             DsmMsg::BarrierUp {
@@ -529,24 +529,31 @@ impl Dsm {
             let mut st = self.server.lock();
             let tb = st.tree.entry(seq).or_default();
             tb.members.extend(members);
-            for (page, nodes) in writer_lists {
-                tb.writers.entry(page).or_default().extend(nodes);
-            }
-            for (page, nodes) in reader_lists {
-                tb.readers.entry(page).or_default().extend(nodes);
-            }
+            tb.writers.extend(writers);
+            tb.readers.extend(readers);
             tb.arrivals_at.push(arrive_at);
             tb.arrivals_at.len() == expected
         };
         if !complete {
             return;
         }
-        let tb = self
+        let mut tb = self
             .server
             .lock()
             .tree
             .remove(&seq)
             .expect("just completed");
+        // Every contribution is sorted by (page, node) on its own; their
+        // concatenation is sorted only when the subtrees' pages happen not
+        // to interleave (always, for a leaf or a single node). Sorting
+        // here makes the payload — wire bytes, their cost, the decisions —
+        // independent of contribution order. Pairs are unique (a node
+        // notes a page once per interval), so an unstable sort is exact.
+        for list in [&mut tb.writers, &mut tb.readers] {
+            if !list.is_sorted() {
+                list.sort_unstable();
+            }
+        }
         // Deterministic service fold: charge the whole burst in arrival-time
         // order, regardless of the order the packets were actually handled.
         let mut arrivals_at = tb.arrivals_at;
@@ -563,29 +570,16 @@ impl Dsm {
             .serviced_requests
             .fetch_add(arrivals_at.len() as u64, Ordering::Relaxed);
         if self.node() == 0 {
-            let entries = self.decide_entries(tb.writers, tb.readers);
+            let entries = self.decide_entries(&tb.writers, &tb.readers);
             self.send_depart(seq, entries, tb.members, srv);
         } else {
-            // Sort the payload so the wire bytes (and their cost) are
-            // independent of contribution order.
             let mut members = tb.members;
             members.sort_unstable_by_key(|&(node, _)| node);
-            let sort_lists = |map: HashMap<PageId, Vec<usize>>| {
-                let mut lists: Vec<(PageId, Vec<usize>)> = map
-                    .into_iter()
-                    .map(|(p, mut w)| {
-                        w.sort_unstable();
-                        (p, w)
-                    })
-                    .collect();
-                lists.sort_unstable_by_key(|&(p, _)| p);
-                lists
-            };
             let up = DsmMsg::BarrierUp {
                 seq,
                 members,
-                writers: sort_lists(tb.writers),
-                readers: sort_lists(tb.readers),
+                writers: tb.writers,
+                readers: tb.readers,
             };
             let wire = up.encode();
             srv.charge_copy(wire.len());
@@ -601,69 +595,65 @@ impl Dsm {
     }
 
     /// Decide home migrations (§5.2.2) and per-page protocols from the
-    /// merged page → writers / page → readers maps. Lists are sorted and
-    /// pages visited in id order at decision time, so the entries (and the
-    /// protocol table they evolve) do not depend on the order the tree
-    /// merged them in.
+    /// merged, sorted `(page, writer)` / `(page, reader)` lists: one
+    /// merge-join over pages in id order, so the entries (and the protocol
+    /// table they evolve) do not depend on the order the tree merged them
+    /// in.
     fn decide_entries(
         &self,
-        writers: HashMap<PageId, Vec<usize>>,
-        readers: HashMap<PageId, Vec<usize>>,
+        writers: &[(PageId, usize)],
+        readers: &[(PageId, usize)],
     ) -> Vec<DepartEntry> {
+        /// Move the run of `page`'s nodes at the head of `list` into `out`.
+        fn take_page(list: &mut &[(PageId, usize)], page: PageId, out: &mut Vec<usize>) {
+            out.clear();
+            let run = list.iter().take_while(|&&(p, _)| p == page).count();
+            out.extend(list[..run].iter().map(|&(_, node)| node));
+            *list = &list[run..];
+        }
         let mode = self.config().proto_select;
         let fixed_homes = self.config().home_policy == HomePolicy::Fixed;
-        let mut written: Vec<(PageId, Vec<usize>)> = writers
-            .into_iter()
-            .map(|(p, mut w)| {
-                w.sort_unstable();
-                (p, w)
-            })
-            .collect();
-        written.sort_unstable_by_key(|&(p, _)| p);
-        let mut readers = readers;
-        let mut st = self.server.lock();
-        // Sharer evidence for pages *not* written this interval still
-        // accumulates: a read-mostly interval followed by a write interval
-        // must already know the page's audience.
-        let mut unwritten: Vec<PageId> = readers
-            .keys()
-            .copied()
-            .filter(|p| written.binary_search_by_key(p, |&(q, _)| q).is_err())
-            .collect();
-        unwritten.sort_unstable();
-        for page in unwritten {
-            st.proto.note_readers(page, &readers[&page]);
-        }
+        let (mut writers, mut readers) = (writers, readers);
+        let (mut w, mut rd) = (Vec::new(), Vec::new());
+        let mut entries = Vec::new();
         let mut flips = 0u64;
-        let entries: Vec<DepartEntry> = written
-            .into_iter()
-            .map(|(page, w)| {
-                let old_home = self.home_of(page);
-                let multi_writer = w.len() > 1;
-                let new_home = if fixed_homes {
-                    st.proto.note_writes(page, &w);
-                    old_home
-                } else {
-                    // §5.2.2 priorities, plus dominant-writer re-homing
-                    // once one writer's history strictly outweighs the
-                    // rest (see `ProtocolTable::pick_home`).
-                    st.proto.pick_home(page, &w, old_home)
-                };
-                let rd = readers.remove(&page).unwrap_or_default();
-                let d = st.proto.decide(mode, page, &w, &rd, old_home, new_home);
-                if d.flipped {
-                    flips += 1;
-                }
-                DepartEntry {
-                    page,
-                    old_home,
-                    new_home,
-                    multi_writer,
-                    update: d.update,
-                    sharers: d.sharers,
-                }
-            })
-            .collect();
+        let mut st = self.server.lock();
+        loop {
+            let page = match (writers.first(), readers.first()) {
+                (Some(&(p, _)), Some(&(q, _))) => p.min(q),
+                (Some(&(p, _)), None) | (None, Some(&(p, _))) => p,
+                (None, None) => break,
+            };
+            take_page(&mut writers, page, &mut w);
+            take_page(&mut readers, page, &mut rd);
+            if w.is_empty() {
+                // Sharer evidence for pages *not* written this interval
+                // still accumulates: a read-mostly interval followed by a
+                // write interval must already know the page's audience.
+                st.proto.note_readers(page, &rd);
+                continue;
+            }
+            let old_home = self.home_of(page);
+            let new_home = if fixed_homes {
+                st.proto.note_writes(page, &w);
+                old_home
+            } else {
+                // §5.2.2 priorities, plus dominant-writer re-homing once
+                // one writer's history strictly outweighs the rest (see
+                // `ProtocolTable::pick_home`).
+                st.proto.pick_home(page, &w, old_home)
+            };
+            let d = st.proto.decide(mode, page, &w, &rd, old_home, new_home);
+            flips += d.flipped as u64;
+            entries.push(DepartEntry {
+                page,
+                old_home,
+                new_home,
+                multi_writer: w.len() > 1,
+                update: d.update,
+                sharers: d.sharers,
+            });
+        }
         drop(st);
         if flips > 0 {
             self.stats.proto_flips.fetch_add(flips, Ordering::Relaxed);

@@ -99,9 +99,9 @@ counters! {
     /// Barrier-time protocol flips decided for pages (invalidate↔update;
     /// counted at the root making the decision).
     proto_flips,
-    /// Diff merges applied by this node's home shards (sum over shards;
-    /// the per-shard split lives in [`ShardStats`]).
-    shard_merges,
+    /// Diffs merged into this node's home copies (cluster-wide it equals
+    /// `diffs_sent`: every diff merges exactly once).
+    diff_merges,
     /// Region checkpoints taken (barrier-time snapshots for re-homing).
     checkpoints,
     /// Bytes captured into checkpoints.
@@ -115,44 +115,6 @@ counters! {
 impl DsmStats {
     pub fn bump(&self, c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Per-shard event counters (one slot per lock shard of the page store).
-///
-/// Kept separate from the flat [`DsmStats`] counters because it is one
-/// slot per shard of the store (`store::SHARDS`), not a named field list.
-/// The sum over slots equals the matching flat counter (`shard_merges`).
-#[derive(Debug)]
-pub struct ShardStats {
-    counts: Box<[AtomicU64]>,
-}
-
-impl ShardStats {
-    pub fn new(shards: usize) -> ShardStats {
-        ShardStats {
-            counts: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    pub fn bump(&self, shard: usize) {
-        self.counts[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Point-in-time copy, one count per shard.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
     }
 }
 

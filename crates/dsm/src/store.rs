@@ -6,6 +6,7 @@
 //! by the page table, not by the pool.
 
 use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::page::{PageId, PAGE_SIZE};
 
@@ -202,130 +203,112 @@ impl RegionAllocator {
     }
 }
 
-/// Sharded per-page protocol bookkeeping: the node's dirty set and the
-/// current interval's write/read notice sets, split into power-of-two lock
-/// shards keyed by page id.
-///
-/// One node-global lock here would serialize every write fault on every
-/// application thread and every diff-batch merge bookkeeping step. A page
-/// maps to shard `page & (SHARDS - 1)`, so concurrent faults on different
-/// pages almost always hit different shards. Draining (release/barrier
-/// time) is done shard by shard and then sorted, so drain order — and
-/// therefore everything downstream: diff batch layout, write notices,
-/// departure entries — does not depend on the shard count.
-pub struct PageShards {
-    shards: Box<[parade_net::sync::Mutex<ShardSets>]>,
-    mask: usize,
-    /// Per-shard diff-merge counts (home side), for the `dsm.shard` trace
-    /// event and shard-balance assertions in tests.
-    pub merges: crate::stats::ShardStats,
+/// One bit per pool page, packed into `AtomicU64` words.
+struct PageBitmap {
+    words: Box<[AtomicU64]>,
 }
 
-#[derive(Debug, Default)]
-struct ShardSets {
-    /// Pages this node holds dirty (twin taken, diff owed at release).
-    dirty: std::collections::HashSet<PageId>,
-    /// Pages written during the current interval (barrier write notices).
-    notices: std::collections::HashSet<PageId>,
-    /// Pages fetched during the current interval (barrier read notices —
-    /// the sharer evidence behind adaptive protocol selection).
-    reads: std::collections::HashSet<PageId>,
-}
-
-/// Lock shards per node (a power of two: the shard index is a mask).
-pub const SHARDS: usize = 16;
-
-impl Default for PageShards {
-    fn default() -> Self {
-        PageShards::new()
-    }
-}
-
-impl PageShards {
-    pub fn new() -> PageShards {
-        Self::with_shards(SHARDS)
-    }
-
-    fn with_shards(n: usize) -> PageShards {
-        assert!(n.is_power_of_two(), "shard index is a mask");
-        PageShards {
-            shards: (0..n)
-                .map(|_| parade_net::sync::Mutex::new(ShardSets::default()))
-                .collect(),
-            mask: n - 1,
-            merges: crate::stats::ShardStats::new(n),
+impl PageBitmap {
+    fn new(pages: usize) -> PageBitmap {
+        PageBitmap {
+            words: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     #[inline]
-    pub fn shard_of(&self, page: PageId) -> usize {
-        page & self.mask
+    fn set(&self, page: PageId) {
+        self.words[page / 64].fetch_or(1 << (page % 64), Ordering::AcqRel);
     }
 
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
+    /// Clear `page`'s bit; returns whether it was set.
     #[inline]
-    fn with<R>(&self, page: PageId, f: impl FnOnce(&mut ShardSets) -> R) -> R {
-        f(&mut self.shards[self.shard_of(page)].lock())
+    fn clear(&self, page: PageId) -> bool {
+        let bit = 1u64 << (page % 64);
+        self.words[page / 64].fetch_and(!bit, Ordering::AcqRel) & bit != 0
+    }
+
+    /// Take every set bit, word by word: ascending page order for free.
+    fn drain(&self) -> Vec<PageId> {
+        let mut out = Vec::new();
+        for (w, word) in self.words.iter().enumerate() {
+            // Empty words (almost all of them, at almost every release)
+            // cost one plain load, not a locked swap.
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::AcqRel);
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// Dense per-page interval bookkeeping: the node's dirty set and the
+/// current interval's write/read notice sets, one bitmap each, sized by
+/// the pool's page count.
+///
+/// A write fault marks with two `fetch_or`s and no lock, so concurrent
+/// faults on different pages never serialize (and faults on pages sharing
+/// a word only contend for a cache line). A drain swaps each non-empty
+/// word to zero: a concurrent mark lands either before the swap (drained
+/// now) or after it (drained at the next release) — the same two outcomes
+/// a locked set has — and the result comes out in ascending page order,
+/// which is what keeps diff batch layout, write notices and departure
+/// entries deterministic. (DESIGN.md §3e has the memory-ordering argument:
+/// marks happen under the page's table-entry lock, which carries it.)
+pub struct PageSets {
+    /// Pages this node holds dirty (twin taken, diff owed at release).
+    dirty: PageBitmap,
+    /// Pages written during the current interval (barrier write notices).
+    notices: PageBitmap,
+    /// Pages fetched during the current interval (barrier read notices —
+    /// the sharer evidence behind adaptive protocol selection).
+    reads: PageBitmap,
+}
+
+impl PageSets {
+    pub fn new(pages: usize) -> PageSets {
+        PageSets {
+            dirty: PageBitmap::new(pages),
+            notices: PageBitmap::new(pages),
+            reads: PageBitmap::new(pages),
+        }
     }
 
     /// Mark a page dirty and note the write for the current interval.
+    #[inline]
     pub fn mark_written(&self, page: PageId) {
-        self.with(page, |s| {
-            s.dirty.insert(page);
-            s.notices.insert(page);
-        });
+        self.dirty.set(page);
+        self.notices.set(page);
     }
 
     /// Drop a page from the dirty set (it is being flushed out of band);
     /// returns whether it was dirty.
     pub fn unmark_dirty(&self, page: PageId) -> bool {
-        self.with(page, |s| s.dirty.remove(&page))
+        self.dirty.clear(page)
     }
 
     /// Note a page fetch for the current interval's read notices.
     pub fn mark_read(&self, page: PageId) {
-        self.with(page, |s| {
-            s.reads.insert(page);
-        });
+        self.reads.set(page);
     }
 
-    fn drain_sorted(&self, pick: impl Fn(&mut ShardSets) -> Vec<PageId>) -> Vec<PageId> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            out.extend(pick(&mut shard.lock()));
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Take the dirty set (sorted — deterministic release order).
+    /// Take the dirty set (ascending — deterministic release order).
     pub fn drain_dirty(&self) -> Vec<PageId> {
-        self.drain_sorted(|s| s.dirty.drain().collect())
+        self.dirty.drain()
     }
 
-    /// Take the interval's write notices (sorted).
+    /// Take the interval's write notices (ascending).
     pub fn drain_notices(&self) -> Vec<PageId> {
-        self.drain_sorted(|s| s.notices.drain().collect())
+        self.notices.drain()
     }
 
-    /// Take the interval's read notices (sorted).
+    /// Take the interval's read notices (ascending).
     pub fn drain_reads(&self) -> Vec<PageId> {
-        self.drain_sorted(|s| s.reads.drain().collect())
-    }
-
-    /// Record a home-side diff merge into `page`'s shard; returns the
-    /// shard index (for tracing).
-    pub fn record_merge(&self, page: PageId) -> usize {
-        let shard = self.shard_of(page);
-        self.merges.bump(shard);
-        shard
+        self.reads.drain()
     }
 }
 
@@ -351,6 +334,7 @@ impl std::error::Error for AllocError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parade_testkit::prelude::*;
 
     #[test]
     fn pool_scalar_roundtrip() {
@@ -407,93 +391,127 @@ mod tests {
     }
 
     #[test]
-    fn shards_distribute_by_low_page_bits() {
-        let s = PageShards::new();
-        assert_eq!(s.len(), SHARDS);
-        for p in 0..64 {
-            assert_eq!(s.shard_of(p), p % SHARDS);
+    fn sets_drain_ascending_regardless_of_insertion_order() {
+        let s = PageSets::new(130);
+        for &p in &[65usize, 2, 128, 64, 9, 0, 63] {
+            s.mark_written(p);
+            s.mark_read(p + 1);
         }
-        let single = PageShards::with_shards(1);
-        assert_eq!(single.len(), 1);
-        assert_eq!(single.shard_of(12345), 0);
+        assert_eq!(s.drain_dirty(), vec![0, 2, 9, 63, 64, 65, 128]);
+        assert_eq!(s.drain_notices(), vec![0, 2, 9, 63, 64, 65, 128]);
+        assert_eq!(s.drain_reads(), vec![1, 3, 10, 64, 65, 66, 129]);
+        // Drains empty the sets.
+        assert!(s.drain_dirty().is_empty());
+        assert!(s.drain_notices().is_empty());
+        assert!(s.drain_reads().is_empty());
     }
 
     #[test]
-    fn shards_drain_sorted_regardless_of_insertion_order() {
-        for nshards in [1usize, 4, SHARDS] {
-            let s = PageShards::with_shards(nshards);
-            for &p in &[31usize, 2, 17, 4, 9, 0, 25] {
-                s.mark_written(p);
-                s.mark_read(p + 1);
-            }
-            assert_eq!(s.drain_dirty(), vec![0, 2, 4, 9, 17, 25, 31]);
-            assert_eq!(s.drain_notices(), vec![0, 2, 4, 9, 17, 25, 31]);
-            assert_eq!(s.drain_reads(), vec![1, 3, 5, 10, 18, 26, 32]);
-            // Drains empty the sets.
-            assert!(s.drain_dirty().is_empty());
-            assert!(s.drain_notices().is_empty());
-            assert!(s.drain_reads().is_empty());
-        }
-    }
-
-    #[test]
-    fn shards_unmark_and_merge_counters() {
-        let s = PageShards::with_shards(4);
+    fn unmark_keeps_the_write_notice() {
+        let s = PageSets::new(8);
         s.mark_written(5);
         assert!(s.unmark_dirty(5));
         assert!(!s.unmark_dirty(5));
         // The write notice survives an out-of-band flush.
         assert_eq!(s.drain_notices(), vec![5]);
-        assert_eq!(s.record_merge(6), 2);
-        assert_eq!(s.record_merge(10), 2);
-        assert_eq!(s.record_merge(3), 3);
-        assert_eq!(s.merges.snapshot(), vec![0, 0, 2, 1]);
+        assert!(s.drain_dirty().is_empty());
     }
 
-    /// Shard-count independence: sibling threads hammering overlapping and
-    /// distinct pages concurrently (marks, out-of-band unmarks, home-side
-    /// merges) leave a store whose drains and merge total are the same
-    /// over one lock as over `SHARDS` — everything the release path
-    /// derives from the store is therefore layout-independent.
+    /// One step of the model-based property: (operation, page).
+    type Op = (u8, usize);
+
+    /// Pool sizes straddling word boundaries, and op sequences biased
+    /// toward the pages where an off-by-one would live: 63/64/65 and the
+    /// pool's last page.
+    fn sets_script(r: &mut TestRng) -> (usize, Vec<Op>) {
+        let pages = *r.choose(&[66usize, 128, 129, 200]);
+        let edge = [0, 63, 64, 65, pages - 1];
+        let ops = (0..r.range_usize(0, 120))
+            .map(|_| {
+                let page = if r.below(3) == 0 {
+                    *r.choose(&edge)
+                } else {
+                    r.range_usize(0, pages - 1)
+                };
+                (r.below(6) as u8, page)
+            })
+            .collect();
+        (pages, ops)
+    }
+
+    prop!(fn sets_agree_with_a_btreeset_model((pages, ops) in sets_script) {
+        use std::collections::BTreeSet;
+        let take = |m: &mut BTreeSet<PageId>| std::mem::take(m).into_iter().collect::<Vec<_>>();
+        // Shrinking may take the pool to nothing and a page out of it;
+        // fold both back in.
+        let pages = pages.max(1);
+        let s = PageSets::new(pages);
+        let (mut dirty, mut notices, mut reads) = (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for (op, page) in ops {
+            let page = page % pages;
+            match op {
+                0 => {
+                    s.mark_written(page);
+                    dirty.insert(page);
+                    notices.insert(page);
+                }
+                1 => assert_eq!(s.unmark_dirty(page), dirty.remove(&page)),
+                2 => {
+                    s.mark_read(page);
+                    reads.insert(page);
+                }
+                3 => assert_eq!(s.drain_dirty(), take(&mut dirty)),
+                4 => assert_eq!(s.drain_notices(), take(&mut notices)),
+                _ => assert_eq!(s.drain_reads(), take(&mut reads)),
+            }
+        }
+        assert_eq!(s.drain_dirty(), take(&mut dirty));
+        assert_eq!(s.drain_notices(), take(&mut notices));
+        assert_eq!(s.drain_reads(), take(&mut reads));
+    });
+
+    /// Sibling threads hammering overlapping and distinct pages
+    /// concurrently (marks, out-of-band unmarks) — pages sharing a bitmap
+    /// word included, so the `fetch_or`/`fetch_and` pairs really contend —
+    /// leave exactly the sets a sequential run would: no mark is lost to a
+    /// neighbour's read-modify-write.
     #[test]
-    fn concurrent_marks_drain_identically_over_one_lock_and_many() {
+    fn concurrent_marks_lose_nothing() {
         const THREADS: usize = 4;
         const PAGES: usize = 96;
-        let run = |nshards: usize| {
-            let s = PageShards::with_shards(nshards);
-            let marked = std::sync::Barrier::new(THREADS);
-            std::thread::scope(|scope| {
-                for t in 0..THREADS {
-                    let (s, marked) = (&s, &marked);
-                    scope.spawn(move || {
-                        for round in 0..50 {
-                            for p in (0..PAGES).filter(|p| (p + round) % THREADS == t) {
-                                s.mark_written(p);
-                                s.mark_read(PAGES + p);
-                                s.record_merge(p);
-                            }
+        // Written pages 0..96 straddle the 63/64/65 word boundary; read
+        // pages 96..192 end on the pool's last page.
+        let s = PageSets::new(2 * PAGES);
+        let marked = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (s, marked) = (&s, &marked);
+                scope.spawn(move || {
+                    for round in 0..50 {
+                        for p in (0..PAGES).filter(|p| (p + round) % THREADS == t) {
+                            s.mark_written(p);
+                            s.mark_read(PAGES + p);
                         }
-                        marked.wait();
-                        // Each thread flushes its own residue class out of
-                        // band: the dirty bit goes, the notice stays.
-                        for p in (0..PAGES).filter(|p| p % (2 * THREADS) == t) {
-                            s.unmark_dirty(p);
-                        }
-                    });
-                }
-            });
-            let merges: u64 = s.merges.snapshot().iter().sum();
-            (s.drain_dirty(), s.drain_notices(), s.drain_reads(), merges)
-        };
-        let single = run(1);
-        assert_eq!(run(SHARDS), single);
+                    }
+                    marked.wait();
+                    // Each thread flushes its own residue class out of
+                    // band: the dirty bit goes, the notice stays.
+                    for p in (0..PAGES).filter(|p| p % (2 * THREADS) == t) {
+                        assert!(s.unmark_dirty(p));
+                    }
+                });
+            }
+        });
         let kept: Vec<PageId> = (0..PAGES)
             .filter(|p| p % (2 * THREADS) >= THREADS)
             .collect();
-        assert_eq!(single.0, kept, "unmarked classes leave the dirty set");
-        assert_eq!(single.1, (0..PAGES).collect::<Vec<_>>());
-        assert_eq!(single.2, (PAGES..2 * PAGES).collect::<Vec<_>>());
-        assert_eq!(single.3, (50 * PAGES) as u64);
+        assert_eq!(
+            s.drain_dirty(),
+            kept,
+            "unmarked classes leave the dirty set"
+        );
+        assert_eq!(s.drain_notices(), (0..PAGES).collect::<Vec<_>>());
+        assert_eq!(s.drain_reads(), (PAGES..2 * PAGES).collect::<Vec<_>>());
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub enum EventKind {
     DsmBarrier,
     /// Distributed lock acquire round-trip(s) (span; arg = lock id).
     DsmLock,
-    /// Diff batch merged under one page-store shard (instant; arg = shard).
-    DsmShard,
     /// One busy-wait poll round for a Polling lock (instant; arg = lock id).
     DsmLockPoll,
     // --- MPI-like message passing ---
@@ -87,7 +85,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in declaration order (stable for reports).
-    pub const ALL: [EventKind; 32] = [
+    pub const ALL: [EventKind; 31] = [
         EventKind::DsmReadFault,
         EventKind::DsmWriteFault,
         EventKind::DsmTwin,
@@ -101,7 +99,6 @@ impl EventKind {
         EventKind::DsmFlush,
         EventKind::DsmBarrier,
         EventKind::DsmLock,
-        EventKind::DsmShard,
         EventKind::DsmLockPoll,
         EventKind::MpiBarrier,
         EventKind::MpiBcast,
@@ -138,7 +135,6 @@ impl EventKind {
             EventKind::DsmFlush => "dsm.flush",
             EventKind::DsmBarrier => "dsm.barrier",
             EventKind::DsmLock => "dsm.lock",
-            EventKind::DsmShard => "dsm.shard",
             EventKind::DsmLockPoll => "dsm.lock_poll",
             EventKind::MpiBarrier => "mpi.barrier",
             EventKind::MpiBcast => "mpi.bcast",
@@ -176,7 +172,6 @@ impl EventKind {
             | EventKind::DsmFlush
             | EventKind::DsmBarrier
             | EventKind::DsmLock
-            | EventKind::DsmShard
             | EventKind::DsmLockPoll => "dsm",
             EventKind::MpiBarrier
             | EventKind::MpiBcast
@@ -266,7 +261,7 @@ mod tests {
 
     #[test]
     fn taxonomy_is_consistent() {
-        assert_eq!(EventKind::ALL.len(), 32);
+        assert_eq!(EventKind::ALL.len(), 31);
         let mut names = std::collections::HashSet::new();
         for k in EventKind::ALL {
             assert!(names.insert(k.name()), "duplicate name {}", k.name());

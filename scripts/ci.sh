@@ -29,6 +29,18 @@ cargo test -q --offline --workspace
 echo "== cargo build --offline --benches --bins (bench harness compiles) =="
 cargo build --offline --workspace --benches --bins
 
+echo "== benchmark package: build + unit tests + smoke run =="
+# benchmark/ is a package of its own (own [workspace], path dependencies on
+# crates/*), so the workspace commands above never compile it — and it is
+# what the pipeline judges every PR with. Its smoke run verifies every
+# workload's result in-process; the exit status is the whole check.
+BENCHMARK_TMP="$(mktemp -d)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --quick --out "$BENCHMARK_TMP/run.json" > /dev/null
+rm -rf "$BENCHMARK_TMP"
+
 echo "== cargo clippy --offline --workspace -- -D warnings =="
 if cargo clippy --version >/dev/null 2>&1; then
   cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -150,14 +150,14 @@ fn critical_counter_exact_under_false_sharing() {
     }
 }
 
-/// Race 4 (sharded page store): splitting the per-node bookkeeping and
-/// home-side page state across lock shards must be invisible — with
-/// sibling threads hammering distinct shards concurrently, every round's
+/// Race 4 (lock-free page store): the per-node dirty/notice bookkeeping
+/// is marked by sibling threads concurrently, with no lock — and, all 16
+/// pages here sharing one bitmap word, on one cache line. Every round's
 /// sum and the final bytes are the closed form of what was written, and
-/// every diff shipped is merged exactly once. (Shard-count independence
-/// itself is a `store.rs` unit property.)
+/// every diff shipped is merged exactly once. (That no concurrent mark is
+/// lost is itself a `store.rs` unit property.)
 #[test]
-fn sharded_page_store_merges_every_concurrent_write() {
+fn page_store_merges_every_concurrent_write() {
     const PAGES: usize = 16;
     const SLOTS: usize = PAGES * 512;
     const ROUNDS: usize = 6;
@@ -176,7 +176,7 @@ fn sharded_page_store_merges_every_concurrent_write() {
             let mut sums = Vec::new();
             for round in 0..ROUNDS {
                 // Every thread writes its own words of every page, so
-                // each release merges batches into many shards at once.
+                // each release ships every page from every node at once.
                 for p in 0..PAGES {
                     for k in 0..4 {
                         let s = p * 512 + t + k * nt;
@@ -211,14 +211,14 @@ fn sharded_page_store_merges_every_concurrent_write() {
     }
     assert_eq!(bits, want, "final bytes or a round's sum diverged");
     let d = report.cluster.dsm_totals();
-    assert!(d.shard_merges > 0, "the workload must actually merge diffs");
+    assert!(d.diff_merges > 0, "the workload must actually merge diffs");
     assert_eq!(
-        d.shard_merges, d.diffs_sent,
+        d.diff_merges, d.diffs_sent,
         "every diff merges exactly once"
     );
 }
 
-/// Race 5 (sharded store, cont.): a demand fetch racing a `DiffBatch`
+/// Race 5 (page store, cont.): a demand fetch racing a `DiffBatch`
 /// merge of the very same page. Node 1 ships batches to home 0 at every
 /// lock release while node 0's threads read the words being merged and
 /// node 2 refetches the page after each lock-grant invalidation. Whatever
@@ -337,13 +337,13 @@ fn tree_barrier_departure_is_independent_of_aggregation_order() {
     let up_from_1 = DsmMsg::BarrierUp {
         seq: 0,
         members: vec![(1, 70)],
-        writers: vec![(5, vec![1])],
+        writers: vec![(5, 1)],
         readers: vec![],
     };
     let up_from_2 = DsmMsg::BarrierUp {
         seq: 0,
         members: vec![(2, 71), (3, 72)],
-        writers: vec![(9, vec![2]), (5, vec![3])],
+        writers: vec![(9, 2), (5, 3)],
         readers: vec![],
     };
 
