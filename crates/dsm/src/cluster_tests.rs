@@ -386,10 +386,14 @@ fn polling_lock_also_correct_and_counts_polls() {
         ..small_cfg()
     };
     let n = 3;
+    // Enough rounds that the nodes overlap whatever the host scheduler does:
+    // with 5, one node now and then ran all of its rounds before the next
+    // was scheduled, and nobody polled (2 % of runs on a loaded machine).
+    let rounds = 50;
     let out = run_nodes(n, cfg, NetProfile::zero(), move |d, clk| {
         let r = alloc_on(&d, 64);
         d.barrier(clk);
-        for _ in 0..5 {
+        for _ in 0..rounds {
             d.lock_acquire(3, clk);
             let v = d.read::<i64>(r, 0, clk);
             d.write::<i64>(r, 0, v + 1, clk);
@@ -400,7 +404,7 @@ fn polling_lock_also_correct_and_counts_polls() {
     });
     let total_polls: u64 = out.iter().map(|(_, p)| p).sum();
     for (v, _) in &out {
-        assert_eq!(*v, 15);
+        assert_eq!(*v, (n * rounds) as i64);
     }
     // With three contending nodes there must be some busy-wait traffic.
     assert!(total_polls > 0, "expected poll retries under contention");
@@ -908,4 +912,56 @@ fn randomized_lock_protected_counters_are_exact() {
     for (node, counters) in out.iter().enumerate() {
         assert_eq!(counters, &expected, "node {node} observed wrong totals");
     }
+}
+
+#[test]
+fn teardown_releases_a_thread_parked_on_a_blocked_page() {
+    use parade_testkit::prelude::run_with_timeout;
+    use std::time::Duration;
+
+    // The default pool: 16 384 pages, of which the teardown scan must find
+    // the one page somebody sleeps on.
+    let cfg = DsmConfig::default();
+    assert_eq!(cfg.pool_bytes / PAGE_SIZE, 16_384);
+    run_with_timeout(
+        "teardown wakes page waiter",
+        Duration::from_secs(60),
+        move || {
+            let fabric = Fabric::new(2, NetProfile::zero());
+            let dsms: Vec<Arc<Dsm>> = (0..2)
+                .map(|i| Arc::new(Dsm::new(fabric.endpoint(i), cfg)))
+                .collect();
+            let comm: Vec<_> = dsms
+                .iter()
+                .map(|d| spawn_comm_thread(Arc::clone(d)))
+                .collect();
+            // Node 0 is the initial home of every page; node 1 holds none.
+            let d = Arc::clone(&dsms[1]);
+            let region = alloc_on(&d, PAGE_SIZE);
+            let page = region.first_page();
+            assert_eq!(d.page_state(page), PageState::Invalid);
+            // A fetch that will never complete holds the page TRANSIENT.
+            let meta = &d.pages[page];
+            meta.set_state(&mut meta.inner.lock(), PageState::Transient);
+            let reader = {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    let mut clock = VClock::manual();
+                    d.read::<f64>(region, 0, &mut clock)
+                })
+            };
+            // The reader marks the page BLOCKED under the page lock and gives
+            // the lock up only by sleeping, so once both are seen it is parked.
+            while d.page_state(page) != PageState::Blocked {
+                std::thread::yield_now();
+            }
+            drop(meta.inner.lock());
+            fabric.begin_shutdown();
+            for h in comm {
+                h.join().unwrap();
+            }
+            // Woken, it finds the fabric down and unwinds (fail-stop).
+            assert!(reader.join().is_err(), "the read cannot have completed");
+        },
+    );
 }

@@ -6,7 +6,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use parade_net::sync::{Condvar, Mutex, MutexGuard};
 
@@ -567,28 +567,47 @@ impl Dsm {
         claimed
     }
 
-    /// Publish a fetched page: the caller owned the TRANSIENT transition;
-    /// waiters that piled on (BLOCKED) are woken.
     /// Wake every thread parked on a page condvar. Called by the
     /// communication thread as it exits on fabric shutdown: a parked
     /// compute thread is waiting for a protocol step (atomic page update,
     /// re-home push) that can no longer arrive, and must be released to
-    /// observe the shutdown via [`Dsm::check_live`].
+    /// observe the shutdown.
+    ///
+    /// Every waiter parks with its page `BLOCKED` (see [`Dsm::park`]), so
+    /// only those pages are visited: a condvar notify is a system call
+    /// whether or not anyone waits, and the pool has 16 384 pages.
     pub fn wake_page_waiters(&self) {
+        // Pairs with the fence in `park`: a waiter this scan does not see
+        // as BLOCKED sees the shutdown this thread is exiting on.
+        fence(Ordering::SeqCst);
         for meta in self.pages.iter() {
-            let _g = meta.inner.lock();
-            meta.cv.notify_all();
+            if meta.fast.load(Ordering::Acquire) == PageState::Blocked as u8 {
+                let _g = meta.inner.lock();
+                meta.cv.notify_all();
+            }
         }
     }
 
-    /// Fail fast when the fabric has already shut down (fail-stop): any
-    /// page wait entered now can never be satisfied.
-    fn check_live(&self) {
+    /// Sleep on a `BLOCKED` page until its update completes.
+    ///
+    /// Fails fast when the fabric has already shut down (fail-stop): a page
+    /// wait entered then can never be satisfied. The state is published
+    /// before the shutdown flag is read, with a fence in between and its
+    /// twin in [`Dsm::wake_page_waiters`]: either that scan sees this page
+    /// `BLOCKED` and notifies it (it takes the page lock, which this thread
+    /// holds until it sleeps), or this thread sees the shutdown.
+    fn park(&self, meta: &PageMeta, inner: &mut MutexGuard<'_, PageInner>) {
+        debug_assert_eq!(inner.state, PageState::Blocked);
+        fence(Ordering::SeqCst);
         if self.ep.fabric().is_shutdown() {
             panic!("dsm page wait after shutdown");
         }
+        self.stats.update_waits.fetch_add(1, Ordering::Relaxed);
+        meta.cv.wait(inner);
     }
 
+    /// Publish a fetched page: the caller owned the TRANSIENT transition;
+    /// waiters that piled on (BLOCKED) are woken.
     fn complete_update(&self, page: PageId) {
         let meta = &self.pages[page];
         let mut inner = meta.inner.lock();
@@ -627,15 +646,11 @@ impl Dsm {
                 PageState::Transient => {
                     // Another thread is updating: mark that it has waiters
                     // and sleep — the §5.1 atomic-page-update machinery.
-                    self.check_live();
                     meta.set_state(&mut inner, PageState::Blocked);
-                    self.stats.update_waits.fetch_add(1, Ordering::Relaxed);
-                    meta.cv.wait(&mut inner);
+                    self.park(meta, &mut inner);
                 }
                 PageState::Blocked => {
-                    self.check_live();
-                    self.stats.update_waits.fetch_add(1, Ordering::Relaxed);
-                    meta.cv.wait(&mut inner);
+                    self.park(meta, &mut inner);
                 }
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);
@@ -694,15 +709,11 @@ impl Dsm {
                     return inner;
                 }
                 PageState::Transient => {
-                    self.check_live();
                     meta.set_state(&mut inner, PageState::Blocked);
-                    self.stats.update_waits.fetch_add(1, Ordering::Relaxed);
-                    meta.cv.wait(&mut inner);
+                    self.park(meta, &mut inner);
                 }
                 PageState::Blocked => {
-                    self.check_live();
-                    self.stats.update_waits.fetch_add(1, Ordering::Relaxed);
-                    meta.cv.wait(&mut inner);
+                    self.park(meta, &mut inner);
                 }
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);

@@ -385,8 +385,9 @@ impl Endpoint {
                 seq: 0,
             };
             let mb = &fabric.ports[dst].boxes[class.index()];
-            let mut q = mb.queue.lock();
-            q.queue.push_back(pkt);
+            mb.queue.lock().queue.push_back(pkt);
+            // Notify with the lock released: the packet is published, and a
+            // receiver woken under the lock would only block on it again.
             mb.cv.notify_all();
             return Ok(());
         };
@@ -471,6 +472,7 @@ impl Endpoint {
                 .stats
                 .record_rx_effect(dst, eff.dup_drops as u64, eff.holds as u64);
         }
+        drop(q);
         mb.cv.notify_all();
         Ok(())
     }

@@ -60,8 +60,10 @@ impl VBarrier {
             st.release_at = st.max_arrival + NODE_BARRIER_OVERHEAD;
             st.max_arrival = VTime::ZERO;
             let t = st.release_at;
-            self.cv.notify_all();
+            // The new generation is published; wake the others with the
+            // lock released, or they wake only to block on it.
             drop(st);
+            self.cv.notify_all();
             clock.sync_to(t);
             true
         } else {

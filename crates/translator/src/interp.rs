@@ -8,24 +8,27 @@
 //! collectives vs locks, work-sharing, barriers) without needing a C
 //! toolchain inside the simulation.
 //!
+//! [`Interp::new`] lowers the AST once to the resolved form of
+//! `resolve.rs`; a run walks that form with environments indexed by
+//! symbol, so nothing is hashed, cloned or re-analysed per statement.
+//!
 //! Supported subset: the mini-C of the parser; `double`/`int`/`long`
 //! scalars and fixed-size arrays; functions without OpenMP directives
 //! callable from anywhere; OpenMP 1.0 directives inside `main`.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parade_net::sync::Mutex;
 
-use parade_core::{Cluster, MasterCtx, ReduceOp, SharedScalar, SharedVec, ThreadCtx};
+use parade_core::{Cluster, MasterCtx, SharedScalar, SharedVec, ThreadCtx};
 
+use crate::analysis::DEFAULT_SMALL_THRESHOLD;
+use crate::ast::{BinOp, Program, Sched, Span, Type, UnOp};
 use crate::oracle::{Oracle, RaceReport};
-
-use crate::analysis::{
-    analyze_critical, analyze_single, classify_region, loop_of, CriticalLowering,
-    RegionClassification, SingleLowering, Symbols, VarScope, DEFAULT_SMALL_THRESHOLD,
+use crate::resolve::{
+    resolve, Code, DimsId, OmpFn, RAtomic, RBody, RDecl, RDirective, RExpr, RLock, RLoop, ROmp,
+    RPrivate, RStmt, RTask, RUpdate, RegionId, Shape, StorageKind, StrId, Sym,
 };
-use crate::ast::*;
 
 /// Interpreter failure.
 #[derive(Debug, Clone)]
@@ -49,62 +52,78 @@ fn rte<T>(msg: impl Into<String>) -> Result<T, RuntimeError> {
 
 type RtResult<T> = Result<T, RuntimeError>;
 
-/// Runtime value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Val {
+/// Runtime value. A string is only ever a `printf` argument; its text
+/// stays in the resolved program's table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Val {
     I(i64),
     D(f64),
-    S(String),
+    S(StrId),
 }
 
 impl Val {
-    pub fn as_f64(&self) -> f64 {
+    fn as_f64(self) -> f64 {
         match self {
-            Val::I(v) => *v as f64,
-            Val::D(v) => *v,
+            Val::I(v) => v as f64,
+            Val::D(v) => v,
             Val::S(_) => f64::NAN,
         }
     }
 
-    pub fn as_i64(&self) -> i64 {
+    fn as_i64(self) -> i64 {
         match self {
-            Val::I(v) => *v,
-            Val::D(v) => *v as i64,
+            Val::I(v) => v,
+            Val::D(v) => v as i64,
             Val::S(_) => 0,
         }
     }
 
-    fn truthy(&self) -> bool {
+    fn truthy(self) -> bool {
         match self {
-            Val::I(v) => *v != 0,
-            Val::D(v) => *v != 0.0,
-            Val::S(s) => !s.is_empty(),
+            Val::I(v) => v != 0,
+            Val::D(v) => v != 0.0,
+            Val::S(s) => s != StrId::EMPTY,
         }
     }
 }
 
-/// Shared storage assigned to a variable by the protocol-classification
-/// pre-pass (§3: "ParADE classifies data structures according to their
-/// size and applies different protocols").
-#[derive(Clone)]
+fn coerce(ty: &Type, v: Val) -> Val {
+    match ty {
+        Type::Double => Val::D(v.as_f64()),
+        Type::Int | Type::Long => Val::I(v.as_i64()),
+        Type::Void => v,
+    }
+}
+
+/// Shared storage of a variable, allocated from the resolver's storage plan.
 enum Shared {
-    /// Large data: paged DSM, HLRC invalidate protocol.
-    ArrF(SharedVec<f64>, Vec<usize>),
-    ArrI(SharedVec<i64>, Vec<usize>),
-    /// Small scalar, message-passing update protocol.
+    ArrF(SharedVec<f64>, DimsId),
+    ArrI(SharedVec<i64>, DimsId),
     ScalarUpd(SharedScalar<f64>, Type),
-    /// Scalar forced onto the paged DSM (written by plain stores or inside
-    /// lock-path criticals).
     ScalarHlrc(SharedVec<f64>, Type),
 }
 
 /// Private storage (master frame or a thread's frame).
-#[derive(Debug, Clone)]
 enum Local {
     Scalar(Type, Val),
-    ArrF(Vec<usize>, Vec<f64>),
-    ArrI(Vec<usize>, Vec<i64>),
+    ArrF(DimsId, Vec<f64>),
+    ArrI(DimsId, Vec<i64>),
 }
+
+impl Local {
+    fn zeroed(shape: &Shape) -> Local {
+        if !shape.is_array {
+            Local::Scalar(shape.ty.clone(), coerce(&shape.ty, Val::I(0)))
+        } else if shape.ty.is_float() {
+            Local::ArrF(shape.dims, vec![0.0; shape.elems])
+        } else {
+            Local::ArrI(shape.dims, vec![0; shape.elems])
+        }
+    }
+}
+
+/// A local and the call frame that owns it.
+type Binding = Option<(u32, Local)>;
 
 /// Flow control outcome of a statement.
 enum Flow {
@@ -130,7 +149,7 @@ enum Exec<'a> {
     Thread(&'a ThreadCtx),
 }
 
-impl<'a> Exec<'a> {
+impl Exec<'_> {
     fn vec_get_f(&mut self, v: &SharedVec<f64>, i: usize) -> f64 {
         match self {
             Exec::Master(g) => g.get(v, i),
@@ -180,6 +199,13 @@ impl<'a> Exec<'a> {
         }
     }
 
+    fn num_nodes(&self) -> usize {
+        match self {
+            Exec::Master(g) => g.nodes(),
+            Exec::Thread(tc) => tc.num_nodes(),
+        }
+    }
+
     fn wtime(&mut self) -> f64 {
         match self {
             Exec::Master(g) => g.now().as_secs_f64(),
@@ -190,22 +216,23 @@ impl<'a> Exec<'a> {
 
 /// The interpreter for one program.
 pub struct Interp {
-    prog: Arc<Program>,
-    threshold: usize,
+    prog: Program,
+    code: Arc<Code>,
     oracle: bool,
 }
 
 impl Interp {
     pub fn new(prog: Program) -> Self {
         Interp {
-            prog: Arc::new(prog),
-            threshold: DEFAULT_SMALL_THRESHOLD,
+            code: Arc::new(resolve(&prog, DEFAULT_SMALL_THRESHOLD)),
+            prog,
             oracle: false,
         }
     }
 
+    /// The threshold decides lowerings, so the program is resolved again.
     pub fn with_threshold(mut self, t: usize) -> Self {
-        self.threshold = t;
+        self.code = Arc::new(resolve(&self.prog, t));
         self
     }
 
@@ -220,27 +247,20 @@ impl Interp {
     /// Run `main` on the given cluster; returns the exit code and captured
     /// `printf` output.
     pub fn run(&self, cluster: &Cluster) -> RtResult<RunOutput> {
-        let prog = Arc::clone(&self.prog);
-        let threshold = self.threshold;
+        let code = Arc::clone(&self.code);
         let oracle_enabled = self.oracle;
         let result: RtResult<(i64, String, Vec<RaceReport>)> = cluster.run(move |g| {
-            let Some(main) = prog.func("main") else {
+            let Some(main) = code.main else {
                 return rte("program has no main()");
             };
-            let main = main.clone();
-            let io = Arc::new(Mutex::new(String::new()));
-            let syms = Symbols::collect(&prog, &main);
-            let storage = plan_storage(&prog, &main, &syms, threshold);
-            let shared = alloc_shared(g, &syms, &storage)?;
             let mut env = Env {
-                prog: Arc::clone(&prog),
-                syms: Arc::new(syms),
-                shared: Arc::new(shared),
-                io: Arc::clone(&io),
-                threshold,
-                scopes: vec![HashMap::new()],
-                in_region: false,
-                region_class: None,
+                code: &code,
+                shared: alloc_shared(g, &code),
+                io: Arc::new(Mutex::new(String::new())),
+                locals: unbound(&code),
+                undo: Vec::new(),
+                args: Vec::new(),
+                frame: 0,
                 single_dummy: None,
                 lp_scratch: None,
                 in_update_body: false,
@@ -251,19 +271,17 @@ impl Interp {
                 oracle_tid: 0,
                 races: Arc::new(Mutex::new(Vec::new())),
             };
-            // Initialize globals (into shared storage or master locals).
+            // Globals live in shared storage; run their initializers.
             let mut exec = Exec::Master(g);
-            for item in prog.items.iter() {
-                if let Item::Global(d) = item {
-                    env.declare(&mut exec, d)?;
-                }
+            for d in &code.globals {
+                env.declare(&mut exec, d)?;
             }
-            let flow = env.exec_region_aware(g, &main.body)?;
+            let flow = env.exec_stmt(&mut exec, &code.funcs[main.idx()].body)?;
             let exit = match flow {
                 Flow::Return(Some(v)) => v.as_i64(),
                 _ => 0,
             };
-            let out = io.lock().clone();
+            let out = env.io.lock().clone();
             let races = env.races.lock().clone();
             Ok((exit, out, races))
         });
@@ -276,249 +294,67 @@ impl Interp {
     }
 }
 
-/// Storage class decided by the pre-pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StorageKind {
-    #[allow(dead_code)] // the implicit default: absent from the map
-    MasterLocal,
-    SharedArr,
-    ScalarUpdate,
-    ScalarHlrc,
+fn alloc_shared(g: &mut MasterCtx, code: &Code) -> Arc<[Option<Shared>]> {
+    let mut out: Vec<Option<Shared>> = (0..code.nsyms()).map(|_| None).collect();
+    for s in &code.storage {
+        let shape = &s.shape;
+        out[s.sym.idx()] = Some(match s.kind {
+            StorageKind::SharedArr if shape.ty.is_float() => {
+                Shared::ArrF(g.alloc_f64(shape.elems), shape.dims)
+            }
+            StorageKind::SharedArr => Shared::ArrI(g.alloc_vec::<i64>(shape.elems), shape.dims),
+            StorageKind::ScalarUpdate => Shared::ScalarUpd(g.alloc_scalar_f64(), shape.ty.clone()),
+            StorageKind::ScalarHlrc => Shared::ScalarHlrc(g.alloc_f64(1), shape.ty.clone()),
+        });
+    }
+    out.into()
 }
 
-/// Decide the storage/protocol of every variable (globals + main locals):
-/// arrays shared by any region go to the paged DSM; shared scalars use the
-/// update protocol unless written by plain stores or lock-path constructs,
-/// which force HLRC.
-fn plan_storage(
-    prog: &Program,
-    main: &FuncDef,
-    syms: &Symbols,
-    threshold: usize,
-) -> HashMap<String, StorageKind> {
-    let mut kinds: HashMap<String, StorageKind> = HashMap::new();
-    // Globals are conservatively shared (callees may touch them from
-    // inside regions).
-    for item in &prog.items {
-        if let Item::Global(d) = item {
-            kinds.insert(
-                d.name.clone(),
-                if d.is_array() {
-                    StorageKind::SharedArr
-                } else {
-                    StorageKind::ScalarHlrc
-                },
-            );
-        }
-    }
-    // Walk main for parallel regions.
-    let mut regions = Vec::new();
-    collect_regions(&main.body, &mut regions);
-    for (dir, body) in &regions {
-        let class = classify_region(dir, body, syms);
-        for name in class.shared_vars() {
-            let Some(d) = syms.get(&name) else { continue };
-            let entry = kinds.entry(name.clone()).or_insert(if d.is_array() {
-                StorageKind::SharedArr
-            } else {
-                StorageKind::ScalarUpdate
-            });
-            if d.is_array() {
-                *entry = StorageKind::SharedArr;
-            }
-        }
-        // Plain writes (outside analyzable constructs) force HLRC.
-        let mut forced = Vec::new();
-        forced_hlrc_writes(body, &class, syms, threshold, &mut forced);
-        for name in forced {
-            if let Some(k) = kinds.get_mut(&name) {
-                if *k == StorageKind::ScalarUpdate {
-                    *k = StorageKind::ScalarHlrc;
-                }
-            }
-        }
-    }
-    kinds
+/// A frame with no local bound.
+fn unbound(code: &Code) -> Vec<Binding> {
+    (0..code.nsyms()).map(|_| None).collect()
 }
 
-fn collect_regions(s: &Stmt, out: &mut Vec<(Directive, Stmt)>) {
-    match s {
-        Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Parallel | DirKind::ParallelFor) => {
-            out.push((d.clone(), b.as_ref().clone()));
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_regions(s, out);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            collect_regions(a, out);
-            if let Some(b) = b {
-                collect_regions(b, out);
-            }
-        }
-        Stmt::While(_, b) => collect_regions(b, out),
-        Stmt::For { body, .. } => collect_regions(body, out),
-        _ => {}
-    }
+/// Subscripts of one element access, on the stack up to [`Subs::INLINE`].
+struct Subs {
+    len: usize,
+    inline: [i64; Subs::INLINE],
+    spill: Vec<i64>,
 }
 
-/// Scalar shared variables written by plain assignments or inside
-/// lock-lowered constructs within a region body.
-fn forced_hlrc_writes(
-    s: &Stmt,
-    class: &RegionClassification,
-    syms: &Symbols,
-    threshold: usize,
-    out: &mut Vec<String>,
-) {
-    match s {
-        Stmt::Expr(e, _) => expr_plain_writes(e, out),
-        Stmt::Decl(d) => {
-            if let Some(e) = &d.init {
-                expr_plain_writes(e, out);
-            }
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                forced_hlrc_writes(s, class, syms, threshold, out);
-            }
-        }
-        Stmt::If(c, a, b) => {
-            expr_plain_writes(c, out);
-            forced_hlrc_writes(a, class, syms, threshold, out);
-            if let Some(b) = b {
-                forced_hlrc_writes(b, class, syms, threshold, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            expr_plain_writes(c, out);
-            forced_hlrc_writes(b, class, syms, threshold, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            for e in [init, cond, step].into_iter().flatten() {
-                expr_plain_writes(e, out);
-            }
-            forced_hlrc_writes(body, class, syms, threshold, out);
-        }
-        Stmt::Omp(dir, Some(body)) => match &dir.kind {
-            DirKind::Critical(_) => {
-                if let CriticalLowering::Lock = analyze_critical(body, class, syms, threshold) {
-                    // Writes inside a lock-path critical go to the DSM.
-                    let mut w = Vec::new();
-                    all_scalar_writes(body, &mut w);
-                    out.extend(w);
-                }
-            }
-            DirKind::Atomic => { /* collective path, never forces */ }
-            DirKind::Single => {
-                if let SingleLowering::LockFlagBarrier =
-                    analyze_single(body, class, syms, threshold)
-                {
-                    let mut w = Vec::new();
-                    all_scalar_writes(body, &mut w);
-                    out.extend(w);
-                }
-            }
-            _ => forced_hlrc_writes(body, class, syms, threshold, out),
-        },
-        _ => {}
-    }
-}
+impl Subs {
+    const INLINE: usize = 4;
 
-fn expr_plain_writes(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Assign(_, lhs, rhs) => {
-            if let Expr::Ident(n) = lhs.as_ref() {
-                out.push(n.clone());
-            }
-            expr_plain_writes(rhs, out);
+    fn as_slice(&self) -> &[i64] {
+        if self.len <= Subs::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
         }
-        Expr::Binary(_, a, b) => {
-            expr_plain_writes(a, out);
-            expr_plain_writes(b, out);
-        }
-        Expr::Unary(_, a) => expr_plain_writes(a, out),
-        Expr::Cond(c, a, b) => {
-            expr_plain_writes(c, out);
-            expr_plain_writes(a, out);
-            expr_plain_writes(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_plain_writes(a, out);
-            }
-        }
-        _ => {}
     }
-}
-
-fn all_scalar_writes(s: &Stmt, out: &mut Vec<String>) {
-    match s {
-        Stmt::Expr(e, _) => expr_plain_writes(e, out),
-        Stmt::Block(ss) => {
-            for s in ss {
-                all_scalar_writes(s, out);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            all_scalar_writes(a, out);
-            if let Some(b) = b {
-                all_scalar_writes(b, out);
-            }
-        }
-        Stmt::While(_, b) => all_scalar_writes(b, out),
-        Stmt::For { body, .. } => all_scalar_writes(body, out),
-        Stmt::Omp(_, Some(b)) => all_scalar_writes(b, out),
-        _ => {}
-    }
-}
-
-fn alloc_shared(
-    g: &mut MasterCtx,
-    syms: &Symbols,
-    storage: &HashMap<String, StorageKind>,
-) -> RtResult<HashMap<String, Shared>> {
-    let mut out = HashMap::new();
-    // Deterministic allocation order.
-    let mut names: Vec<&String> = storage.keys().collect();
-    names.sort();
-    for name in names {
-        let kind = storage[name];
-        let Some(d) = syms.get(name) else { continue };
-        let slot = match kind {
-            StorageKind::MasterLocal => continue,
-            StorageKind::SharedArr => {
-                if d.ty.is_float() {
-                    Shared::ArrF(g.alloc_f64(d.total_elems()), d.dims.clone())
-                } else {
-                    Shared::ArrI(g.alloc_vec::<i64>(d.total_elems()), d.dims.clone())
-                }
-            }
-            StorageKind::ScalarUpdate => Shared::ScalarUpd(g.alloc_scalar_f64(), d.ty.clone()),
-            StorageKind::ScalarHlrc => Shared::ScalarHlrc(g.alloc_f64(1), d.ty.clone()),
-        };
-        out.insert(name.clone(), slot);
-    }
-    Ok(out)
 }
 
 /// One interpreter environment (master frame or a thread frame).
-struct Env {
-    prog: Arc<Program>,
-    syms: Arc<Symbols>,
-    shared: Arc<HashMap<String, Shared>>,
+///
+/// Names are resolved to [`Sym`]s, but which storage a `Sym` denotes is
+/// decided here, as the program runs: a local bound in the current call
+/// frame if there is one, else the shared storage of that name. Block
+/// scopes are an undo log over the dense `locals` table: entering a block
+/// remembers the log's length, a declaration logs the binding it replaces,
+/// and leaving the block unwinds to the mark.
+struct Env<'c> {
+    code: &'c Arc<Code>,
+    shared: Arc<[Option<Shared>]>,
     io: Arc<Mutex<String>>,
-    threshold: usize,
-    scopes: Vec<HashMap<String, Local>>,
-    in_region: bool,
-    /// Classification of the enclosing region (thread frames only).
-    region_class: Option<RegionClassification>,
+    /// Innermost binding of every symbol, by `Sym`.
+    locals: Vec<Binding>,
+    /// Bindings replaced since the enclosing scopes were entered.
+    undo: Vec<(Sym, Binding)>,
+    /// Evaluated call arguments awaiting their callee's frame.
+    args: Vec<Val>,
+    /// Depth of user-function calls. A callee sees the shared variables but
+    /// none of its caller's locals: those carry the caller's depth.
+    frame: u32,
     /// Coordination scalar for execute-once singles (thread frames only).
     single_dummy: Option<SharedScalar<f64>>,
     /// Scratch vector receiving lastprivate values (thread frames only).
@@ -542,39 +378,69 @@ struct Env {
     races: Arc<Mutex<Vec<RaceReport>>>,
 }
 
-impl Env {
-    fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+impl<'c> Env<'c> {
+    /// The program, borrowed for as long as it lives rather than from
+    /// `self`, so its nodes can be walked while `self` is mutated.
+    fn code(&self) -> &'c Code {
+        self.code
     }
 
-    /// Remember the source position of the statement about to execute.
-    fn at(&mut self, span: Span) {
-        self.cur_span = span;
+    fn name(&self, sym: Sym) -> &'c str {
+        self.code().name(sym)
     }
 
-    fn oracle_read(&self, name: &str, idx: usize, scalar: bool) {
-        if let Some(o) = &self.oracle {
-            o.read(self.oracle_tid, name, idx, scalar, self.cur_span);
+    // ---- scopes ------------------------------------------------------------
+
+    /// Bind `sym` in the current scope.
+    fn bind(&mut self, sym: Sym, local: Local) {
+        let old = self.locals[sym.idx()].replace((self.frame, local));
+        self.undo.push((sym, old));
+    }
+
+    /// Leave every scope entered since the undo log was `mark` long.
+    fn pop_scope(&mut self, mark: usize) {
+        while self.undo.len() > mark {
+            let (sym, old) = self.undo.pop().expect("longer than mark");
+            self.locals[sym.idx()] = old;
         }
     }
 
-    fn oracle_write(&self, name: &str, idx: usize, scalar: bool) {
-        if let Some(o) = &self.oracle {
-            o.write(self.oracle_tid, name, idx, scalar, self.cur_span);
+    fn local(&self, sym: Sym) -> Option<&Local> {
+        match &self.locals[sym.idx()] {
+            Some((frame, l)) if *frame == self.frame => Some(l),
+            _ => None,
         }
     }
 
-    /// Model an atomic read-modify-write of scalar `var`: both accesses
-    /// happen under a per-variable lock, mirroring the runtime's atomic
-    /// update protocol.
+    fn local_mut(&mut self, sym: Sym) -> Option<&mut Local> {
+        match &mut self.locals[sym.idx()] {
+            Some((frame, l)) if *frame == self.frame => Some(l),
+            _ => None,
+        }
+    }
+
+    // ---- oracle --------------------------------------------------------------
+
+    fn oracle_read(&self, sym: Sym, idx: usize, scalar: bool) {
+        if let Some(o) = &self.oracle {
+            o.read(self.oracle_tid, self.name(sym), idx, scalar, self.cur_span);
+        }
+    }
+
+    fn oracle_write(&self, sym: Sym, idx: usize, scalar: bool) {
+        if let Some(o) = &self.oracle {
+            o.write(self.oracle_tid, self.name(sym), idx, scalar, self.cur_span);
+        }
+    }
+
     /// Oracle bookkeeping for an `atomic` update. Must stay indivisible:
     /// the runtime atomic that follows serializes the data, not this
     /// bookkeeping, so issuing acquire/read/write/release as separate calls
     /// lets two threads interleave and yields false races (see
     /// [`Oracle::atomic_rmw`]).
-    fn oracle_rmw(&self, var: &str) {
+    fn oracle_rmw(&self, sym: Sym) {
         if let Some(o) = &self.oracle {
-            o.atomic_rmw(self.oracle_tid, var, self.cur_span);
+            o.atomic_rmw(self.oracle_tid, self.name(sym), self.cur_span);
         }
     }
 
@@ -590,130 +456,106 @@ impl Env {
         }
     }
 
-    fn pop_scope(&mut self) {
-        self.scopes.pop();
-    }
-
-    fn local_mut(&mut self, name: &str) -> Option<&mut Local> {
-        for sc in self.scopes.iter_mut().rev() {
-            if let Some(l) = sc.get_mut(name) {
-                return Some(l);
+    /// Run `body` holding the cluster lock `lock`, with the matching
+    /// acquire/release edges for the oracle.
+    fn locked<R>(
+        &mut self,
+        tc: &ThreadCtx,
+        lock: &RLock,
+        body: impl FnOnce(&mut Self, &ThreadCtx) -> R,
+    ) -> R {
+        tc.critical(lock.id, |tc2| {
+            if let Some(o) = &self.oracle {
+                o.lock_acquire(self.oracle_tid, &lock.key);
             }
-        }
-        None
-    }
-
-    fn has_local(&self, name: &str) -> bool {
-        self.scopes.iter().rev().any(|s| s.contains_key(name))
-    }
-
-    fn insert_local(&mut self, name: &str, l: Local) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack")
-            .insert(name.to_string(), l);
-    }
-
-    fn coerce(ty: &Type, v: Val) -> Val {
-        match ty {
-            Type::Double => Val::D(v.as_f64()),
-            Type::Int | Type::Long => Val::I(v.as_i64()),
-            Type::Void => v,
-        }
-    }
-
-    /// Declare a variable in the current scope (unless it lives in shared
-    /// storage, in which case only its initializer runs).
-    fn declare(&mut self, exec: &mut Exec<'_>, d: &Decl) -> RtResult<()> {
-        let is_shared = self.shared.contains_key(&d.name) && !self.in_region;
-        if is_shared || (self.in_region && self.shared.contains_key(&d.name)) {
-            // Shared storage already allocated; run the initializer.
-            if let Some(init) = &d.init {
-                let v = self.eval(exec, init)?;
-                self.write_var(exec, &d.name, v)?;
+            let r = body(self, tc2);
+            if let Some(o) = &self.oracle {
+                o.lock_release(self.oracle_tid, &lock.key);
             }
-            return Ok(());
-        }
-        let l = if d.is_array() {
-            if d.ty.is_float() {
-                Local::ArrF(d.dims.clone(), vec![0.0; d.total_elems()])
-            } else {
-                Local::ArrI(d.dims.clone(), vec![0; d.total_elems()])
-            }
-        } else {
-            let init = match &d.init {
-                Some(e) => Self::coerce(&d.ty, self.eval(exec, e)?),
-                None => Self::coerce(&d.ty, Val::I(0)),
-            };
-            Local::Scalar(d.ty.clone(), init)
-        };
-        self.insert_local(&d.name, l);
-        // Arrays with initializers are not in the subset.
-        Ok(())
+            r
+        })
     }
 
     // ---- variable access ---------------------------------------------------
 
-    fn read_var(&mut self, exec: &mut Exec<'_>, name: &str) -> RtResult<Val> {
-        if self.has_local(name) {
-            let l = self.local_mut(name).expect("just checked");
+    /// Declare a variable in the current scope (unless it lives in shared
+    /// storage, in which case only its initializer runs).
+    fn declare(&mut self, exec: &mut Exec<'_>, d: &RDecl) -> RtResult<()> {
+        if self.shared[d.sym.idx()].is_some() {
+            if let Some(init) = &d.init {
+                let v = self.eval(exec, init)?;
+                self.write_var(exec, d.sym, v)?;
+            }
+            return Ok(());
+        }
+        // Arrays with initializers are not in the subset.
+        let local = match &d.init {
+            Some(init) if !d.shape.is_array => Local::Scalar(
+                d.shape.ty.clone(),
+                coerce(&d.shape.ty, self.eval(exec, init)?),
+            ),
+            _ => Local::zeroed(&d.shape),
+        };
+        self.bind(d.sym, local);
+        Ok(())
+    }
+
+    fn read_var(&mut self, exec: &mut Exec<'_>, sym: Sym) -> RtResult<Val> {
+        if let Some(l) = self.local(sym) {
             return match l {
-                Local::Scalar(_, v) => Ok(v.clone()),
-                _ => rte(format!("array {name} used as a scalar")),
+                Local::Scalar(_, v) => Ok(*v),
+                _ => rte(format!("array {} used as a scalar", self.name(sym))),
             };
         }
-        match self.shared.get(name) {
+        match &self.shared[sym.idx()] {
             Some(Shared::ScalarUpd(s, ty)) => {
-                self.oracle_read(name, 0, true);
-                let v = exec.scalar_get(s);
-                Ok(Self::coerce(ty, Val::D(v)))
+                self.oracle_read(sym, 0, true);
+                Ok(coerce(ty, Val::D(exec.scalar_get(s))))
             }
             Some(Shared::ScalarHlrc(vec, ty)) => {
-                self.oracle_read(name, 0, true);
-                let v = exec.vec_get_f(vec, 0);
-                Ok(Self::coerce(ty, Val::D(v)))
+                self.oracle_read(sym, 0, true);
+                Ok(coerce(ty, Val::D(exec.vec_get_f(vec, 0))))
             }
-            Some(_) => rte(format!("array {name} used as a scalar")),
-            None => rte(format!("undefined variable {name}")),
+            Some(_) => rte(format!("array {} used as a scalar", self.name(sym))),
+            None => rte(format!("undefined variable {}", self.name(sym))),
         }
     }
 
-    fn write_var(&mut self, exec: &mut Exec<'_>, name: &str, v: Val) -> RtResult<()> {
-        if self.has_local(name) {
-            let l = self.local_mut(name).expect("just checked");
-            match l {
+    fn write_var(&mut self, exec: &mut Exec<'_>, sym: Sym, v: Val) -> RtResult<()> {
+        if let Some(l) = self.local_mut(sym) {
+            return match l {
                 Local::Scalar(ty, slot) => {
-                    *slot = Self::coerce(ty, v);
+                    *slot = coerce(ty, v);
                     Ok(())
                 }
-                _ => rte(format!("array {name} used as a scalar")),
+                _ => rte(format!("array {} used as a scalar", self.name(sym))),
+            };
+        }
+        match (&self.shared[sym.idx()], &mut *exec) {
+            (Some(Shared::ScalarUpd(s, _)), Exec::Master(g)) => {
+                g.scalar_set_f64(s, v.as_f64());
+                Ok(())
             }
-        } else {
-            match (self.shared.get(name).cloned(), &mut *exec) {
-                (Some(Shared::ScalarUpd(s, _)), Exec::Master(g)) => {
-                    g.scalar_set_f64(&s, v.as_f64());
+            (Some(Shared::ScalarUpd(s, _)), Exec::Thread(tc)) => {
+                if self.in_update_body {
+                    self.oracle_write(sym, 0, true);
+                    tc.scalar_set_in_construct(s, v.as_f64());
                     Ok(())
+                } else {
+                    rte(format!(
+                        "unsynchronized write to update-protocol variable {} inside a region \
+                         (the translator routes such writes through atomic/critical/single)",
+                        self.name(sym)
+                    ))
                 }
-                (Some(Shared::ScalarUpd(s, _)), Exec::Thread(tc)) => {
-                    if self.in_update_body {
-                        self.oracle_write(name, 0, true);
-                        tc.scalar_set_in_construct(&s, v.as_f64());
-                        Ok(())
-                    } else {
-                        rte(format!(
-                            "unsynchronized write to update-protocol variable {name} inside a region \
-                             (the translator routes such writes through atomic/critical/single)"
-                        ))
-                    }
-                }
-                (Some(Shared::ScalarHlrc(vec, _)), exec) => {
-                    self.oracle_write(name, 0, true);
-                    exec.vec_set_f(&vec, 0, v.as_f64());
-                    Ok(())
-                }
-                (Some(_), _) => rte(format!("array {name} used as a scalar")),
-                (None, _) => rte(format!("undefined variable {name}")),
             }
+            (Some(Shared::ScalarHlrc(vec, _)), exec) => {
+                self.oracle_write(sym, 0, true);
+                exec.vec_set_f(vec, 0, v.as_f64());
+                Ok(())
+            }
+            (Some(_), _) => rte(format!("array {} used as a scalar", self.name(sym))),
+            (None, _) => rte(format!("undefined variable {}", self.name(sym))),
         }
     }
 
@@ -735,143 +577,139 @@ impl Env {
         Ok(flat)
     }
 
-    fn read_elem(&mut self, exec: &mut Exec<'_>, name: &str, idx: &[i64]) -> RtResult<Val> {
-        if self.has_local(name) {
-            let l = self.local_mut(name).expect("just checked");
+    fn eval_subs(&mut self, exec: &mut Exec<'_>, subs: &[RExpr]) -> RtResult<Subs> {
+        let mut out = Subs {
+            len: subs.len(),
+            inline: [0; Subs::INLINE],
+            spill: Vec::new(),
+        };
+        for (k, e) in subs.iter().enumerate() {
+            let i = self.eval(exec, e)?.as_i64();
+            if subs.len() <= Subs::INLINE {
+                out.inline[k] = i;
+            } else {
+                out.spill.push(i);
+            }
+        }
+        Ok(out)
+    }
+
+    fn read_elem(&mut self, exec: &mut Exec<'_>, sym: Sym, idx: &[i64]) -> RtResult<Val> {
+        let code = self.code();
+        if let Some(l) = self.local(sym) {
             return match l {
                 Local::ArrF(dims, data) => {
-                    let i = Self::flat_index(dims, idx)?;
-                    Ok(Val::D(data[i]))
+                    Ok(Val::D(data[Self::flat_index(code.dims(*dims), idx)?]))
                 }
                 Local::ArrI(dims, data) => {
-                    let i = Self::flat_index(dims, idx)?;
-                    Ok(Val::I(data[i]))
+                    Ok(Val::I(data[Self::flat_index(code.dims(*dims), idx)?]))
                 }
-                _ => rte(format!("scalar {name} indexed")),
+                _ => rte(format!("scalar {} indexed", code.name(sym))),
             };
         }
-        match self.shared.get(name).cloned() {
+        match &self.shared[sym.idx()] {
             Some(Shared::ArrF(v, dims)) => {
-                let i = Self::flat_index(&dims, idx)?;
-                self.oracle_read(name, i, false);
-                Ok(Val::D(exec.vec_get_f(&v, i)))
+                let i = Self::flat_index(code.dims(*dims), idx)?;
+                self.oracle_read(sym, i, false);
+                Ok(Val::D(exec.vec_get_f(v, i)))
             }
             Some(Shared::ArrI(v, dims)) => {
-                let i = Self::flat_index(&dims, idx)?;
-                self.oracle_read(name, i, false);
-                Ok(Val::I(exec.vec_get_i(&v, i)))
+                let i = Self::flat_index(code.dims(*dims), idx)?;
+                self.oracle_read(sym, i, false);
+                Ok(Val::I(exec.vec_get_i(v, i)))
             }
-            Some(_) => rte(format!("scalar {name} indexed")),
-            None => rte(format!("undefined array {name}")),
+            Some(_) => rte(format!("scalar {} indexed", code.name(sym))),
+            None => rte(format!("undefined array {}", code.name(sym))),
         }
     }
 
-    fn write_elem(&mut self, exec: &mut Exec<'_>, name: &str, idx: &[i64], v: Val) -> RtResult<()> {
-        if self.has_local(name) {
-            let l = self.local_mut(name).expect("just checked");
+    fn write_elem(&mut self, exec: &mut Exec<'_>, sym: Sym, idx: &[i64], v: Val) -> RtResult<()> {
+        let code = self.code();
+        if let Some(l) = self.local_mut(sym) {
             return match l {
                 Local::ArrF(dims, data) => {
-                    let i = Self::flat_index(dims, idx)?;
-                    data[i] = v.as_f64();
+                    data[Self::flat_index(code.dims(*dims), idx)?] = v.as_f64();
                     Ok(())
                 }
                 Local::ArrI(dims, data) => {
-                    let i = Self::flat_index(dims, idx)?;
-                    data[i] = v.as_i64();
+                    data[Self::flat_index(code.dims(*dims), idx)?] = v.as_i64();
                     Ok(())
                 }
-                _ => rte(format!("scalar {name} indexed")),
+                _ => rte(format!("scalar {} indexed", code.name(sym))),
             };
         }
-        match self.shared.get(name).cloned() {
+        match &self.shared[sym.idx()] {
             Some(Shared::ArrF(vec, dims)) => {
-                let i = Self::flat_index(&dims, idx)?;
-                self.oracle_write(name, i, false);
-                exec.vec_set_f(&vec, i, v.as_f64());
+                let i = Self::flat_index(code.dims(*dims), idx)?;
+                self.oracle_write(sym, i, false);
+                exec.vec_set_f(vec, i, v.as_f64());
                 Ok(())
             }
             Some(Shared::ArrI(vec, dims)) => {
-                let i = Self::flat_index(&dims, idx)?;
-                self.oracle_write(name, i, false);
-                exec.vec_set_i(&vec, i, v.as_i64());
+                let i = Self::flat_index(code.dims(*dims), idx)?;
+                self.oracle_write(sym, i, false);
+                exec.vec_set_i(vec, i, v.as_i64());
                 Ok(())
             }
-            Some(_) => rte(format!("scalar {name} indexed")),
-            None => rte(format!("undefined array {name}")),
+            Some(_) => rte(format!("scalar {} indexed", code.name(sym))),
+            None => rte(format!("undefined array {}", code.name(sym))),
         }
     }
 
     // ---- expressions ---------------------------------------------------------
 
-    fn eval(&mut self, exec: &mut Exec<'_>, e: &Expr) -> RtResult<Val> {
+    fn eval(&mut self, exec: &mut Exec<'_>, e: &RExpr) -> RtResult<Val> {
         match e {
-            Expr::Int(v) => Ok(Val::I(*v)),
-            Expr::Float(v) => Ok(Val::D(*v)),
-            Expr::Str(s) => Ok(Val::S(s.clone())),
-            Expr::Ident(n) => self.read_var(exec, n),
-            Expr::Index(n, idx) => {
-                let mut flat = Vec::with_capacity(idx.len());
-                for i in idx {
-                    flat.push(self.eval(exec, i)?.as_i64());
-                }
-                self.read_elem(exec, n, &flat)
+            RExpr::Int(v) => Ok(Val::I(*v)),
+            RExpr::Float(v) => Ok(Val::D(*v)),
+            RExpr::Str(s) => Ok(Val::S(*s)),
+            RExpr::Var(sym) => self.read_var(exec, *sym),
+            RExpr::Index(sym, subs) => {
+                let idx = self.eval_subs(exec, subs)?;
+                self.read_elem(exec, *sym, idx.as_slice())
             }
-            Expr::Unary(op, a) => {
+            RExpr::Unary(op, a) => {
                 let v = self.eval(exec, a)?;
                 Ok(match op {
                     UnOp::Neg => match v {
-                        Val::I(x) => Val::I(-x),
+                        Val::I(x) => Val::I(x.wrapping_neg()),
                         Val::D(x) => Val::D(-x),
                         Val::S(_) => return rte("cannot negate a string"),
                     },
                     UnOp::Not => Val::I(i64::from(!v.truthy())),
                 })
             }
-            Expr::Binary(op, a, b) => {
-                // Short-circuit logicals.
-                match op {
-                    BinOp::And => {
-                        let av = self.eval(exec, a)?;
-                        if !av.truthy() {
-                            return Ok(Val::I(0));
-                        }
-                        let bv = self.eval(exec, b)?;
-                        return Ok(Val::I(i64::from(bv.truthy())));
-                    }
-                    BinOp::Or => {
-                        let av = self.eval(exec, a)?;
-                        if av.truthy() {
-                            return Ok(Val::I(1));
-                        }
-                        let bv = self.eval(exec, b)?;
-                        return Ok(Val::I(i64::from(bv.truthy())));
-                    }
-                    _ => {}
+            RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+                // Short-circuit logicals: `a` alone decides when it is the
+                // operator's absorbing value.
+                let absorbing = *op == BinOp::Or;
+                if self.eval(exec, a)?.truthy() == absorbing {
+                    return Ok(Val::I(i64::from(absorbing)));
                 }
+                Ok(Val::I(i64::from(self.eval(exec, b)?.truthy())))
+            }
+            RExpr::Binary(op, a, b) => {
                 let av = self.eval(exec, a)?;
                 let bv = self.eval(exec, b)?;
                 binop(*op, av, bv)
             }
-            Expr::Cond(c, a, b) => {
+            RExpr::Cond(c, a, b) => {
                 if self.eval(exec, c)?.truthy() {
                     self.eval(exec, a)
                 } else {
                     self.eval(exec, b)
                 }
             }
-            Expr::Assign(op, lhs, rhs) => {
+            RExpr::Assign(op, lhs, rhs) => {
                 let rv = self.eval(exec, rhs)?;
                 let newv = match op {
                     None => rv,
                     Some(o) => {
                         let old = match lhs.as_ref() {
-                            Expr::Ident(n) => self.read_var(exec, n)?,
-                            Expr::Index(n, idx) => {
-                                let mut flat = Vec::with_capacity(idx.len());
-                                for i in idx {
-                                    flat.push(self.eval(exec, i)?.as_i64());
-                                }
-                                self.read_elem(exec, n, &flat)?
+                            RExpr::Var(sym) => self.read_var(exec, *sym)?,
+                            RExpr::Index(sym, subs) => {
+                                let idx = self.eval_subs(exec, subs)?;
+                                self.read_elem(exec, *sym, idx.as_slice())?
                             }
                             _ => return rte("bad assignment target"),
                         };
@@ -879,225 +717,100 @@ impl Env {
                     }
                 };
                 match lhs.as_ref() {
-                    Expr::Ident(n) => self.write_var(exec, n, newv.clone())?,
-                    Expr::Index(n, idx) => {
-                        let mut flat = Vec::with_capacity(idx.len());
-                        for i in idx {
-                            flat.push(self.eval(exec, i)?.as_i64());
-                        }
-                        self.write_elem(exec, n, &flat, newv.clone())?;
+                    RExpr::Var(sym) => self.write_var(exec, *sym, newv)?,
+                    RExpr::Index(sym, subs) => {
+                        // Evaluated a second time after a compound read, as
+                        // the two accesses of `a[i] += x` always were.
+                        let idx = self.eval_subs(exec, subs)?;
+                        self.write_elem(exec, *sym, idx.as_slice(), newv)?;
                     }
                     _ => return rte("bad assignment target"),
                 }
                 Ok(newv)
             }
-            Expr::Call(name, args) => self.call(exec, name, args),
-        }
-    }
-
-    fn call(&mut self, exec: &mut Exec<'_>, name: &str, args: &[Expr]) -> RtResult<Val> {
-        // Builtins.
-        match name {
-            "printf" => return self.printf(exec, args),
-            "omp_get_thread_num" => return Ok(Val::I(exec.thread_num() as i64)),
-            "omp_get_num_threads" => return Ok(Val::I(exec.num_threads() as i64)),
-            "omp_get_wtime" => return Ok(Val::D(exec.wtime())),
-            _ => {}
-        }
-        if is_math_builtin(name) {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(self.eval(exec, a)?.as_f64());
+            RExpr::Omp(OmpFn::ThreadNum) => Ok(Val::I(exec.thread_num() as i64)),
+            RExpr::Omp(OmpFn::NumThreads) => Ok(Val::I(exec.num_threads() as i64)),
+            RExpr::Omp(OmpFn::Wtime) => Ok(Val::D(exec.wtime())),
+            RExpr::Math(f, args) => {
+                let mut xy = [0.0; 2];
+                for (k, a) in args.iter().enumerate() {
+                    let x = self.eval(exec, a)?.as_f64();
+                    if let Some(slot) = xy.get_mut(k) {
+                        *slot = x;
+                    }
+                }
+                if args.len() != f.arity() {
+                    return rte(format!("bad arity for builtin {}", f.name()));
+                }
+                Ok(Val::D(f.apply(xy[0], xy[1])))
             }
-            let v = match (name, vals.as_slice()) {
-                ("sqrt", [x]) => x.sqrt(),
-                ("fabs", [x]) => x.abs(),
-                ("sin", [x]) => x.sin(),
-                ("cos", [x]) => x.cos(),
-                ("tan", [x]) => x.tan(),
-                ("exp", [x]) => x.exp(),
-                ("log", [x]) => x.ln(),
-                ("floor", [x]) => x.floor(),
-                ("ceil", [x]) => x.ceil(),
-                ("pow", [x, y]) => x.powf(*y),
-                ("fmin", [x, y]) => x.min(*y),
-                ("fmax", [x, y]) => x.max(*y),
-                _ => return rte(format!("bad arity for builtin {name}")),
-            };
-            return Ok(Val::D(v));
+            RExpr::Printf(fmt, args) => {
+                let mut vals = Vec::with_capacity(args.len());
+                for a in args.iter() {
+                    vals.push(self.eval(exec, a)?);
+                }
+                let text = format_c(self.code(), self.code().string(*fmt), &vals)?;
+                self.io.lock().push_str(&text);
+                Ok(Val::I(text.len() as i64))
+            }
+            RExpr::Call(id, args) => {
+                let f = &self.code().funcs[id.idx()];
+                // The arguments run in the caller's frame, all of them
+                // before the first parameter is bound.
+                let base = self.args.len();
+                for a in args.iter() {
+                    let v = self.eval(exec, a)?;
+                    self.args.push(v);
+                }
+                self.frame += 1;
+                let mark = self.undo.len();
+                for (k, p) in f.params.iter().enumerate() {
+                    let v = coerce(&p.ty, self.args[base + k]);
+                    self.bind(p.sym, Local::Scalar(p.ty.clone(), v));
+                }
+                self.args.truncate(base);
+                let flow = self.exec_stmt(exec, &f.body)?;
+                self.pop_scope(mark);
+                self.frame -= 1;
+                match flow {
+                    Flow::Return(Some(v)) => Ok(coerce(&f.ret, v)),
+                    _ => Ok(Val::I(0)),
+                }
+            }
+            RExpr::Fail(msg) => rte(&**msg),
         }
-        // User function.
-        let Some(f) = self.prog.func(name) else {
-            return rte(format!("call to undefined function {name}"));
-        };
-        let f = f.clone();
-        if f.params.len() != args.len() {
-            return rte(format!(
-                "{name} expects {} arguments, got {}",
-                f.params.len(),
-                args.len()
-            ));
-        }
-        if contains_omp(&f.body) {
-            return rte(format!(
-                "function {name} contains OpenMP directives; only main may \
-                 (translator subset restriction)"
-            ));
-        }
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            vals.push(self.eval(exec, a)?);
-        }
-        // New frame: only globals remain visible.
-        let saved = std::mem::replace(&mut self.scopes, vec![HashMap::new()]);
-        for (p, v) in f.params.iter().zip(vals) {
-            self.insert_local(&p.name, Local::Scalar(p.ty.clone(), Self::coerce(&p.ty, v)));
-        }
-        let flow = self.exec_stmt(exec, &f.body)?;
-        self.scopes = saved;
-        match flow {
-            Flow::Return(Some(v)) => Ok(Self::coerce(&f.ret, v)),
-            _ => Ok(Val::I(0)),
-        }
-    }
-
-    fn printf(&mut self, exec: &mut Exec<'_>, args: &[Expr]) -> RtResult<Val> {
-        let Some(Expr::Str(fmt)) = args.first() else {
-            return rte("printf needs a literal format string");
-        };
-        let fmt = fmt.clone();
-        let mut vals = Vec::new();
-        for a in &args[1..] {
-            vals.push(self.eval(exec, a)?);
-        }
-        let text = format_c(&fmt, &vals)?;
-        self.io.lock().push_str(&text);
-        Ok(Val::I(text.len() as i64))
     }
 
     // ---- statements -----------------------------------------------------------
 
-    /// Execute serial code, dispatching parallel regions (master only).
-    fn exec_region_aware(&mut self, g: &mut MasterCtx, s: &Stmt) -> RtResult<Flow> {
+    fn exec_stmt(&mut self, exec: &mut Exec<'_>, s: &RStmt) -> RtResult<Flow> {
         match s {
-            Stmt::Omp(dir, body)
-                if matches!(dir.kind, DirKind::Parallel | DirKind::ParallelFor) =>
-            {
-                self.run_parallel(g, dir, body.as_deref().expect("region body"))?;
-                Ok(Flow::Normal)
-            }
-            Stmt::Block(ss) => {
-                self.push_scope();
-                for s in ss {
-                    match self.exec_region_aware(g, s)? {
-                        Flow::Normal => {}
-                        other => {
-                            self.pop_scope();
-                            return Ok(other);
-                        }
-                    }
-                }
-                self.pop_scope();
-                Ok(Flow::Normal)
-            }
-            Stmt::If(c, a, b) => {
-                let cond = {
-                    let mut exec = Exec::Master(g);
-                    self.eval(&mut exec, c)?
-                };
-                if cond.truthy() {
-                    self.exec_region_aware(g, a)
-                } else if let Some(b) = b {
-                    self.exec_region_aware(g, b)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            Stmt::While(c, b) => {
-                loop {
-                    let cond = {
-                        let mut exec = Exec::Master(g);
-                        self.eval(&mut exec, c)?
-                    };
-                    if !cond.truthy() {
-                        break;
-                    }
-                    match self.exec_region_aware(g, b)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        r @ Flow::Return(_) => return Ok(r),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(e) = init {
-                    let mut exec = Exec::Master(g);
-                    self.eval(&mut exec, e)?;
-                }
-                loop {
-                    if let Some(c) = cond {
-                        let v = {
-                            let mut exec = Exec::Master(g);
-                            self.eval(&mut exec, c)?
-                        };
-                        if !v.truthy() {
-                            break;
-                        }
-                    }
-                    match self.exec_region_aware(g, body)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        r @ Flow::Return(_) => return Ok(r),
-                    }
-                    if let Some(e) = step {
-                        let mut exec = Exec::Master(g);
-                        self.eval(&mut exec, e)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            other => {
-                let mut exec = Exec::Master(g);
-                self.exec_stmt(&mut exec, other)
-            }
-        }
-    }
-
-    /// Execute a statement in straight-line (non-region-spawning) context.
-    fn exec_stmt(&mut self, exec: &mut Exec<'_>, s: &Stmt) -> RtResult<Flow> {
-        match s {
-            Stmt::Empty => Ok(Flow::Normal),
-            Stmt::Decl(d) => {
-                self.at(d.span);
+            RStmt::Empty => Ok(Flow::Normal),
+            RStmt::Decl(d) => {
+                self.cur_span = d.span;
                 self.declare(exec, d)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Expr(e, span) => {
-                self.at(*span);
+            RStmt::Expr(e, span) => {
+                self.cur_span = *span;
                 self.eval(exec, e)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Block(ss) => {
-                self.push_scope();
-                for s in ss {
+            RStmt::Block(ss) => {
+                let mark = self.undo.len();
+                for s in ss.iter() {
                     match self.exec_stmt(exec, s)? {
                         Flow::Normal => {}
                         other => {
-                            self.pop_scope();
+                            self.pop_scope(mark);
                             return Ok(other);
                         }
                     }
                 }
-                self.pop_scope();
+                self.pop_scope(mark);
                 Ok(Flow::Normal)
             }
-            Stmt::If(c, a, b) => {
+            RStmt::If(c, a, b) => {
                 if self.eval(exec, c)?.truthy() {
                     self.exec_stmt(exec, a)
                 } else if let Some(b) = b {
@@ -1106,7 +819,7 @@ impl Env {
                     Ok(Flow::Normal)
                 }
             }
-            Stmt::While(c, b) => {
+            RStmt::While(c, b) => {
                 while self.eval(exec, c)?.truthy() {
                     match self.exec_stmt(exec, b)? {
                         Flow::Normal | Flow::Continue => {}
@@ -1116,7 +829,7 @@ impl Env {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::For {
+            RStmt::For {
                 init,
                 cond,
                 step,
@@ -1142,39 +855,46 @@ impl Env {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::Return(e) => {
+            RStmt::Return(e) => {
                 let v = match e {
                     Some(e) => Some(self.eval(exec, e)?),
                     None => None,
                 };
                 Ok(Flow::Return(v))
             }
-            Stmt::Break => Ok(Flow::Break),
-            Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Omp(dir, body) => self.exec_directive(exec, dir, body.as_deref()),
+            RStmt::Break => Ok(Flow::Break),
+            RStmt::Continue => Ok(Flow::Continue),
+            RStmt::Parallel(id) => match exec {
+                // A task body at serial scope is a team of one, not the
+                // master's region-spawning context.
+                Exec::Master(g) if !self.in_task_body => {
+                    self.run_parallel(g, *id)?;
+                    Ok(Flow::Normal)
+                }
+                Exec::Master(_) => rte(format!(
+                    "directive {} outside a parallel region",
+                    match self.code().regions[id.idx()].body {
+                        RBody::Loop(_) => "ParallelFor",
+                        RBody::Stmt(_) => "Parallel",
+                    }
+                )),
+                Exec::Thread(_) => rte("nested parallel regions are not supported"),
+            },
+            RStmt::Omp(dir) => self.exec_directive(exec, dir),
         }
     }
 
     // ---- directives inside regions ---------------------------------------------
 
-    fn exec_directive(
-        &mut self,
-        exec: &mut Exec<'_>,
-        dir: &Directive,
-        body: Option<&Stmt>,
-    ) -> RtResult<Flow> {
-        self.at(dir.span);
+    fn exec_directive(&mut self, exec: &mut Exec<'_>, dir: &RDirective) -> RtResult<Flow> {
+        self.cur_span = dir.span;
         // Tasking constructs are legal both at serial scope (a team of one)
         // and inside regions; handle them before requiring a thread frame.
-        match &dir.kind {
-            DirKind::Task | DirKind::Target => {
-                return self.exec_task(exec, dir, body.expect("task body"));
-            }
-            DirKind::Taskwait => {
-                // The interpreter executes tasks undeferred (a legal task
-                // schedule), so all children are already complete here.
-                return Ok(Flow::Normal);
-            }
+        match &dir.op {
+            ROmp::Task(task) => return self.exec_task(exec, task),
+            // The interpreter executes tasks undeferred (a legal task
+            // schedule), so all children are already complete here.
+            ROmp::Taskwait => return Ok(Flow::Normal),
             _ => {}
         }
         let Exec::Thread(tc) = exec else {
@@ -1186,8 +906,8 @@ impl Env {
         let tc: &ThreadCtx = tc;
         if self.in_task_body
             && matches!(
-                dir.kind,
-                DirKind::Barrier | DirKind::For | DirKind::Single | DirKind::Master
+                dir.op,
+                ROmp::Barrier | ROmp::For(_) | ROmp::Single { .. } | ROmp::Master(_)
             )
         {
             return rte(format!(
@@ -1195,183 +915,103 @@ impl Env {
                 dir.kind
             ));
         }
-        match &dir.kind {
-            DirKind::Parallel | DirKind::ParallelFor => {
-                rte("nested parallel regions are not supported")
-            }
-            DirKind::Task | DirKind::Taskwait | DirKind::Target => {
-                unreachable!("handled above")
-            }
-            DirKind::Barrier => {
-                self.sync_barrier(tc);
-                Ok(Flow::Normal)
-            }
-            DirKind::Master => {
+        match &dir.op {
+            ROmp::Task(_) | ROmp::Taskwait => unreachable!("handled above"),
+            ROmp::Barrier => self.sync_barrier(tc),
+            ROmp::Master(body) => {
                 if tc.thread_num() == 0 {
-                    let mut exec = Exec::Thread(tc);
-                    self.exec_stmt(&mut exec, body.expect("master body"))?;
-                }
-                Ok(Flow::Normal)
-            }
-            DirKind::For => {
-                let body = body.expect("loop body");
-                self.worksharing_loop(tc, dir, body)?;
-                Ok(Flow::Normal)
-            }
-            DirKind::Critical(cname) => {
-                let body = body.expect("critical body");
-                let class = self.current_class()?;
-                match analyze_critical(body, &class, &self.syms, self.threshold) {
-                    CriticalLowering::Collective(updates)
-                        if updates.iter().all(|u| {
-                            matches!(self.shared.get(&u.target), Some(Shared::ScalarUpd(..)))
-                        }) =>
-                    {
-                        for u in updates {
-                            let mut exec = Exec::Thread(tc);
-                            let operand = self.eval(&mut exec, &u.operand)?.as_f64();
-                            let Some(Shared::ScalarUpd(s, _)) = self.shared.get(&u.target) else {
-                                unreachable!("checked above");
-                            };
-                            self.oracle_rmw(&u.target);
-                            tc.atomic_f64(s, red_to_mpi(u.op), operand);
-                        }
-                        Ok(Flow::Normal)
-                    }
-                    _ => {
-                        // Lock fallback (hierarchical).
-                        let id = critical_lock_id(cname.as_deref());
-                        let key = format!("critical:{}", cname.as_deref().unwrap_or("<anonymous>"));
-                        tc.critical(id, |tc2| {
-                            if let Some(o) = &self.oracle {
-                                o.lock_acquire(self.oracle_tid, &key);
-                            }
-                            let mut exec = Exec::Thread(tc2);
-                            let r = self.exec_stmt(&mut exec, body);
-                            if let Some(o) = &self.oracle {
-                                o.lock_release(self.oracle_tid, &key);
-                            }
-                            r
-                        })
-                    }
+                    self.exec_stmt(&mut Exec::Thread(tc), body)?;
                 }
             }
-            DirKind::Atomic => {
-                let Some(Stmt::Expr(e, _)) = body else {
-                    return rte("atomic body must be an expression statement");
+            ROmp::For(lp) => self.worksharing_loop(tc, lp)?,
+            ROmp::Critical {
+                collective: Some(updates),
+                ..
+            } => self.collective_updates(tc, updates)?,
+            // Lock fallback (hierarchical).
+            ROmp::Critical { lock, body, .. } | ROmp::Atomic(RAtomic::Lock(lock, body)) => {
+                return self.locked(tc, lock, |env, tc2| {
+                    env.exec_stmt(&mut Exec::Thread(tc2), body)
+                });
+            }
+            ROmp::Atomic(RAtomic::Bad(why)) => return rte(*why),
+            ROmp::Atomic(RAtomic::Collective(u)) => {
+                self.collective_updates(tc, std::slice::from_ref(u))?
+            }
+            ROmp::Single { broadcast, body } => self.exec_single(tc, broadcast.as_deref(), body)?,
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// Each `target ⊕= operand` as one collective on an update-protocol
+    /// scalar.
+    fn collective_updates(&mut self, tc: &ThreadCtx, updates: &[RUpdate]) -> RtResult<()> {
+        for u in updates {
+            let operand = self.eval(&mut Exec::Thread(tc), &u.operand)?.as_f64();
+            let Some(Shared::ScalarUpd(s, _)) = &self.shared[u.target.idx()] else {
+                unreachable!("the resolver checked the storage plan");
+            };
+            self.oracle_rmw(u.target);
+            tc.atomic_f64(s, u.op, operand);
+        }
+        Ok(())
+    }
+
+    fn exec_single(
+        &mut self,
+        tc: &ThreadCtx,
+        broadcast: Option<&[Sym]>,
+        body: &RStmt,
+    ) -> RtResult<()> {
+        let mut err = None;
+        let mut run_body = |env: &mut Self, tc2: &ThreadCtx| {
+            env.in_update_body = true;
+            let r = env.exec_stmt(&mut Exec::Thread(tc2), body);
+            env.in_update_body = false;
+            if let Some(o) = &env.oracle {
+                o.single_done(env.oracle_tid);
+            }
+            err = r.err();
+            err.is_none()
+        };
+        match broadcast {
+            Some(targets) => {
+                // Broadcast path: the body runs on the earliest thread of
+                // node 0; targets propagate by bcast.
+                let scalars: Vec<SharedScalar<f64>> = targets
+                    .iter()
+                    .map(|t| match &self.shared[t.idx()] {
+                        Some(Shared::ScalarUpd(s, _)) => *s,
+                        _ => unreachable!("the resolver checked the storage plan"),
+                    })
+                    .collect();
+                tc.single_update(&scalars, |tc2| {
+                    if !run_body(self, tc2) {
+                        return vec![0.0; scalars.len()];
+                    }
+                    // Read back the values the body stored.
+                    scalars.iter().map(|s| tc2.scalar_get(s)).collect()
+                });
+                if let Some(o) = &self.oracle {
+                    o.single_join(self.oracle_tid);
+                }
+            }
+            None => {
+                // Execute-once + barrier (targets live on HLRC).
+                let Some(dummy) = self.single_dummy else {
+                    return rte("runtime scratch missing");
                 };
-                let Some(u) = crate::analysis::as_scalar_update(e) else {
-                    return rte("atomic body must be a scalar update");
-                };
-                match self.shared.get(&u.target).cloned() {
-                    Some(Shared::ScalarUpd(s, _)) => {
-                        let mut exec = Exec::Thread(tc);
-                        let operand = self.eval(&mut exec, &u.operand)?.as_f64();
-                        self.oracle_rmw(&u.target);
-                        tc.atomic_f64(&s, red_to_mpi(u.op), operand);
-                        Ok(Flow::Normal)
-                    }
-                    _ => {
-                        // HLRC-stored target: lock path.
-                        let id = critical_lock_id(Some(&u.target));
-                        let key = format!("atomic:{}", u.target);
-                        let body = body.expect("atomic body");
-                        tc.critical(id, |tc2| {
-                            if let Some(o) = &self.oracle {
-                                o.lock_acquire(self.oracle_tid, &key);
-                            }
-                            let mut exec = Exec::Thread(tc2);
-                            let r = self.exec_stmt(&mut exec, body);
-                            if let Some(o) = &self.oracle {
-                                o.lock_release(self.oracle_tid, &key);
-                            }
-                            r
-                        })
-                    }
+                tc.single_f64(&dummy, |tc2| {
+                    run_body(self, tc2);
+                    0.0
+                });
+                if let Some(o) = &self.oracle {
+                    o.single_join(self.oracle_tid);
                 }
-            }
-            DirKind::Single => {
-                let body = body.expect("single body");
-                let class = self.current_class()?;
-                let lowering = analyze_single(body, &class, &self.syms, self.threshold);
-                let upd_targets: Option<Vec<SharedScalar<f64>>> = match &lowering {
-                    SingleLowering::Broadcast(targets) => targets
-                        .iter()
-                        .map(|t| match self.shared.get(t) {
-                            Some(Shared::ScalarUpd(s, _)) => Some(*s),
-                            _ => None,
-                        })
-                        .collect(),
-                    SingleLowering::LockFlagBarrier => None,
-                };
-                match upd_targets {
-                    Some(scalars) => {
-                        // Broadcast path: the body runs on the earliest
-                        // thread of node 0; targets propagate by bcast.
-                        let targets: Vec<String> = match &lowering {
-                            SingleLowering::Broadcast(t) => t.clone(),
-                            _ => unreachable!(),
-                        };
-                        let shared = Arc::clone(&self.shared);
-                        let mut err = None;
-                        tc.single_update(&scalars, |tc2| {
-                            let mut exec = Exec::Thread(tc2);
-                            self.in_update_body = true;
-                            let r = self.exec_stmt(&mut exec, body);
-                            self.in_update_body = false;
-                            if let Some(o) = &self.oracle {
-                                o.single_done(self.oracle_tid);
-                            }
-                            if let Err(e) = r {
-                                err = Some(e);
-                                return vec![0.0; targets.len()];
-                            }
-                            // Read back the values the body stored.
-                            targets
-                                .iter()
-                                .map(|t| match shared.get(t) {
-                                    Some(Shared::ScalarUpd(s, _)) => tc2.scalar_get(s),
-                                    _ => 0.0,
-                                })
-                                .collect()
-                        });
-                        if let Some(o) = &self.oracle {
-                            o.single_join(self.oracle_tid);
-                        }
-                        if let Some(e) = err {
-                            return Err(e);
-                        }
-                        Ok(Flow::Normal)
-                    }
-                    None => {
-                        // Execute-once + barrier (targets live on HLRC).
-                        let dummy = self.single_dummy()?;
-                        let mut err = None;
-                        tc.single_f64(&dummy, |tc2| {
-                            let mut exec = Exec::Thread(tc2);
-                            self.in_update_body = true;
-                            let r = self.exec_stmt(&mut exec, body);
-                            self.in_update_body = false;
-                            if let Some(o) = &self.oracle {
-                                o.single_done(self.oracle_tid);
-                            }
-                            if let Err(e) = r {
-                                err = Some(e);
-                            }
-                            0.0
-                        });
-                        if let Some(o) = &self.oracle {
-                            o.single_join(self.oracle_tid);
-                        }
-                        self.sync_barrier(tc);
-                        if let Some(e) = err {
-                            return Err(e);
-                        }
-                        Ok(Flow::Normal)
-                    }
-                }
+                self.sync_barrier(tc);
             }
         }
+        err.map_or(Ok(()), Err)
     }
 
     /// Execute a `task` or `target` body.
@@ -1385,34 +1025,23 @@ impl Env {
     /// ordered, everything else runs concurrently. `map` clauses only
     /// validate that the named variables exist (data movement is the DSM's
     /// job); `device(n)` evaluates its expression and checks the range.
-    fn exec_task(&mut self, exec: &mut Exec<'_>, dir: &Directive, body: &Stmt) -> RtResult<Flow> {
-        for (_, var) in dir.maps() {
-            if !self.has_local(&var)
-                && !self.shared.contains_key(&var)
-                && self.syms.get(&var).is_none()
-            {
-                return rte(format!("map clause names undefined variable {var}"));
+    fn exec_task(&mut self, exec: &mut Exec<'_>, task: &RTask) -> RtResult<Flow> {
+        for var in task.unknown_maps.iter() {
+            if self.local(*var).is_none() && self.shared[var.idx()].is_none() {
+                return rte(format!(
+                    "map clause names undefined variable {}",
+                    self.name(*var)
+                ));
             }
         }
-        if dir.kind == DirKind::Target {
-            if let Some(e) = dir.device() {
-                let dev = self.eval(exec, e)?.as_i64();
-                let nn = match exec {
-                    Exec::Master(g) => g.nodes(),
-                    Exec::Thread(tc) => tc.num_nodes(),
-                };
-                if dev < 0 || dev as usize >= nn {
-                    return rte(format!("device({dev}) out of range for {nn} nodes"));
-                }
+        if let Some(e) = &task.device {
+            let dev = self.eval(exec, e)?.as_i64();
+            let nn = exec.num_nodes();
+            if dev < 0 || dev as usize >= nn {
+                return rte(format!("device({dev}) out of range for {nn} nodes"));
             }
         }
-        let mut deps = dir.depends();
-        // Canonical (sorted, deduped) acquisition order: nested per-variable
-        // locks can never deadlock between tasks naming overlapping sets.
-        deps.sort_by(|a, b| a.1.cmp(&b.1));
-        deps.dedup_by(|a, b| a.1 == b.1);
-        let vars: Vec<String> = deps.into_iter().map(|(_, v)| v).collect();
-        self.task_body_locked(exec, &vars, body)
+        self.task_body_locked(exec, &task.deps, &task.body)
     }
 
     /// Execute a task body holding one *real* interpreter lock per `depend`
@@ -1426,95 +1055,60 @@ impl Env {
     fn task_body_locked(
         &mut self,
         exec: &mut Exec<'_>,
-        vars: &[String],
-        body: &Stmt,
+        deps: &[RLock],
+        body: &RStmt,
     ) -> RtResult<Flow> {
-        let Some((var, rest)) = vars.split_first() else {
+        let Some((dep, rest)) = deps.split_first() else {
             let was = self.in_task_body;
             self.in_task_body = true;
-            self.push_scope();
+            let mark = self.undo.len();
             let r = self.exec_stmt(exec, body);
-            self.pop_scope();
+            self.pop_scope(mark);
             self.in_task_body = was;
             r?;
             return Ok(Flow::Normal);
         };
-        let key = format!("dep:{var}");
         match exec {
             Exec::Thread(tc) => {
                 let tc: &ThreadCtx = tc;
-                tc.critical(critical_lock_id(Some(&key)), |tc2| {
-                    if let Some(o) = &self.oracle {
-                        o.lock_acquire(self.oracle_tid, &key);
-                    }
-                    let mut exec2 = Exec::Thread(tc2);
-                    let r = self.task_body_locked(&mut exec2, rest, body);
-                    if let Some(o) = &self.oracle {
-                        o.lock_release(self.oracle_tid, &key);
-                    }
-                    r
+                self.locked(tc, dep, |env, tc2| {
+                    env.task_body_locked(&mut Exec::Thread(tc2), rest, body)
                 })
             }
             // Serial scope: a team of one, so the annotation alone is exact.
             Exec::Master(_) => {
                 if let Some(o) = &self.oracle {
-                    o.lock_acquire(self.oracle_tid, &key);
+                    o.lock_acquire(self.oracle_tid, &dep.key);
                 }
                 let r = self.task_body_locked(exec, rest, body);
                 if let Some(o) = &self.oracle {
-                    o.lock_release(self.oracle_tid, &key);
+                    o.lock_release(self.oracle_tid, &dep.key);
                 }
                 r
             }
         }
     }
 
-    fn current_class(&self) -> RtResult<RegionClassification> {
-        match &self.region_class {
-            Some(c) => Ok(c.clone()),
-            None => rte("directive outside a region context"),
-        }
-    }
-
-    fn single_dummy(&self) -> RtResult<SharedScalar<f64>> {
-        match &self.single_dummy {
-            Some(s) => Ok(*s),
-            None => rte("runtime scratch missing"),
-        }
-    }
-
     // ---- parallel region execution -------------------------------------------
 
-    fn run_parallel(&mut self, g: &mut MasterCtx, dir: &Directive, body: &Stmt) -> RtResult<()> {
-        let class = classify_region(dir, body, &self.syms);
+    fn run_parallel(&mut self, g: &mut MasterCtx, id: RegionId) -> RtResult<()> {
+        let region = &self.code().regions[id.idx()];
         // Firstprivate snapshots (captured by value at fork, §4.1).
-        let mut fp: HashMap<String, Val> = HashMap::new();
-        for name in dir.firstprivates() {
-            let mut exec = Exec::Master(g);
-            fp.insert(name.clone(), self.read_var(&mut exec, &name)?);
+        let mut fp = Vec::with_capacity(region.firstprivates.len());
+        for sym in region.firstprivates.iter() {
+            fp.push(self.read_var(&mut Exec::Master(g), *sym)?);
         }
-        // Reduction setup.
-        let reductions = dir.reductions();
         // Lastprivate scratch.
-        let lastprivates = dir.lastprivates();
-        let lp_scratch = if lastprivates.is_empty() {
+        let lp_scratch = if region.lastprivates.is_empty() {
             None
         } else {
-            Some(g.alloc_f64(lastprivates.len()))
+            Some(g.alloc_f64(region.lastprivates.len()))
         };
         let single_dummy = g.alloc_scalar_f64();
 
+        let code = Arc::clone(self.code);
         let shared = Arc::clone(&self.shared);
-        let syms = Arc::clone(&self.syms);
-        let prog = Arc::clone(&self.prog);
         let io = Arc::clone(&self.io);
-        let threshold = self.threshold;
-        let body = Arc::new(body.clone());
-        let dir = Arc::new(dir.clone());
-        let class_arc = Arc::new(class);
-        let fp = Arc::new(fp);
-        let reductions_arc = Arc::new(reductions.clone());
-        let lastprivates_arc = Arc::new(lastprivates.clone());
         // A fresh oracle per region: the fork provides happens-before from
         // all earlier serial code, so shadow state starts empty.
         let oracle = self.oracle_enabled.then(|| Arc::new(Oracle::new()));
@@ -1522,15 +1116,15 @@ impl Env {
         let races = Arc::clone(&self.races);
 
         let result: RtResult<Vec<f64>> = g.parallel(move |tc| {
+            let region = &code.regions[id.idx()];
             let mut env = Env {
-                prog: Arc::clone(&prog),
-                syms: Arc::clone(&syms),
+                code: &code,
                 shared: Arc::clone(&shared),
                 io: Arc::clone(&io),
-                threshold,
-                scopes: vec![HashMap::new()],
-                in_region: true,
-                region_class: Some((*class_arc).clone()),
+                locals: unbound(&code),
+                undo: Vec::new(),
+                args: Vec::new(),
+                frame: 0,
                 single_dummy: Some(single_dummy),
                 lp_scratch,
                 in_update_body: false,
@@ -1544,65 +1138,38 @@ impl Env {
             // Private variables: loop vars and clause-private names get
             // fresh locals; firstprivate get snapshots; reduction vars get
             // identity-initialized locals.
-            let mut names: Vec<(&String, &VarScope)> = class_arc.scopes.iter().collect();
-            names.sort_by_key(|(n, _)| (*n).clone());
-            for (name, scope) in names {
-                match scope {
-                    VarScope::Private | VarScope::LastPrivate => {
-                        if let Some(d) = syms.get(name) {
-                            let l = if d.is_array() {
-                                if d.ty.is_float() {
-                                    Local::ArrF(d.dims.clone(), vec![0.0; d.total_elems()])
-                                } else {
-                                    Local::ArrI(d.dims.clone(), vec![0; d.total_elems()])
-                                }
-                            } else {
-                                Local::Scalar(d.ty.clone(), Env::coerce(&d.ty, Val::I(0)))
-                            };
-                            env.insert_local(name, l);
-                        }
+            for (sym, how) in region.privates.iter() {
+                let local = match how {
+                    RPrivate::Zero(shape) => Local::zeroed(shape),
+                    RPrivate::First { slot, ty } => {
+                        Local::Scalar(ty.clone(), coerce(ty, fp[*slot]))
                     }
-                    VarScope::FirstPrivate => {
-                        let v = fp.get(name).cloned().unwrap_or(Val::I(0));
-                        let ty = syms.get(name).map(|d| d.ty.clone()).unwrap_or(Type::Double);
-                        env.insert_local(name, Local::Scalar(ty.clone(), Env::coerce(&ty, v)));
+                    RPrivate::Reduction { identity, ty } => {
+                        Local::Scalar(ty.clone(), Val::D(*identity))
                     }
-                    VarScope::Reduction(op) => {
-                        let ty = syms.get(name).map(|d| d.ty.clone()).unwrap_or(Type::Double);
-                        env.insert_local(name, Local::Scalar(ty, Val::D(op.identity_f64())));
-                    }
-                    VarScope::Shared => {}
-                }
+                };
+                env.bind(*sym, local);
             }
 
-            // Execute the region body.
-            let exec_result: RtResult<()> = (|| {
-                match dir.kind {
-                    DirKind::ParallelFor => {
-                        env.worksharing_loop(tc, &dir, &body)?;
-                    }
-                    _ => {
-                        let mut exec = Exec::Thread(tc);
-                        env.exec_stmt(&mut exec, &body)?;
-                    }
+            match &region.body {
+                RBody::Loop(lp) => env.worksharing_loop(tc, lp)?,
+                RBody::Stmt(body) => {
+                    env.exec_stmt(&mut Exec::Thread(tc), body)?;
                 }
-                Ok(())
-            })();
-            exec_result?;
+            }
 
             // Reduction epilogue: combine thread contributions; every
             // thread returns the totals (lead's return reaches the master).
-            let mut totals = Vec::new();
-            for (op, name) in reductions_arc.iter() {
-                let local = match env.local_mut(name) {
+            // Lastprivate needs nothing here: the owner of the final
+            // iteration stored into the scratch during the loop.
+            let mut totals = Vec::with_capacity(region.reductions.len());
+            for (op, sym) in region.reductions.iter() {
+                let local = match env.local(*sym) {
                     Some(Local::Scalar(_, v)) => v.as_f64(),
                     _ => 0.0,
                 };
-                totals.push(tc.reduce_f64(red_to_mpi(*op), local));
+                totals.push(tc.reduce_f64(*op, local));
             }
-            // Lastprivate: the owner of the final iteration stored into the
-            // scratch during the loop; nothing more to do here.
-            let _ = &lastprivates_arc;
             Ok(totals)
         });
         let totals = result?;
@@ -1613,26 +1180,24 @@ impl Env {
         }
 
         // Fold reduction totals into the master's variables.
-        for ((op, name), total) in reductions.iter().zip(totals) {
+        for ((op, sym), total) in region.reductions.iter().zip(totals) {
             let mut exec = Exec::Master(g);
-            let old = self.read_var(&mut exec, name)?.as_f64();
-            let new = red_to_mpi(*op).fold_f64(old, total);
-            self.write_var(&mut exec, name, Val::D(new))?;
+            let old = self.read_var(&mut exec, *sym)?.as_f64();
+            self.write_var(&mut exec, *sym, Val::D(op.fold_f64(old, total)))?;
         }
         // Lastprivate writeback.
         if let Some(scratch) = lp_scratch {
-            for (k, name) in lastprivates.iter().enumerate() {
+            for (k, sym) in region.lastprivates.iter().enumerate() {
                 let v = g.get(&scratch, k);
-                let mut exec = Exec::Master(g);
-                self.write_var(&mut exec, name, Val::D(v))?;
+                self.write_var(&mut Exec::Master(g), *sym, Val::D(v))?;
             }
         }
         Ok(())
     }
 
     /// Execute a work-shared canonical loop on this thread.
-    fn worksharing_loop(&mut self, tc: &ThreadCtx, dir: &Directive, body: &Stmt) -> RtResult<()> {
-        let Some(cl) = loop_of(body) else {
+    fn worksharing_loop(&mut self, tc: &ThreadCtx, lp: &RLoop) -> RtResult<()> {
+        let Some(cl) = &lp.canon else {
             return rte("work-shared loop is not in canonical form");
         };
         let (lo, hi) = {
@@ -1646,23 +1211,22 @@ impl Env {
         } else {
             0
         };
-        let lastprivates = dir.lastprivates();
         let last_iter_val = if count > 0 {
             Some(lo + ((count - 1) as i64) * cl.step)
         } else {
             None
         };
 
-        let run_iter = |env: &mut Env, k: usize| -> RtResult<()> {
+        let run_iter = |env: &mut Self, k: usize| -> RtResult<()> {
             let i = lo + (k as i64) * cl.step;
             let mut exec = Exec::Thread(tc);
-            env.write_var(&mut exec, &cl.var, Val::I(i))?;
+            env.write_var(&mut exec, cl.var, Val::I(i))?;
             env.exec_stmt(&mut exec, &cl.body)?;
-            if Some(i) == last_iter_val && !lastprivates.is_empty() {
+            if Some(i) == last_iter_val {
                 // Owner of the last iteration publishes lastprivate values.
                 if let Some(scratch) = env.lp_scratch {
-                    for (slot, name) in lastprivates.iter().enumerate() {
-                        let v = env.read_var(&mut exec, name)?.as_f64();
+                    for (slot, sym) in lp.lastprivates.iter().enumerate() {
+                        let v = env.read_var(&mut exec, *sym)?.as_f64();
                         tc.set(&scratch, slot, v);
                     }
                 }
@@ -1673,10 +1237,10 @@ impl Env {
         // OpenMP 1.0 §2.4.1: the control variable of a work-shared loop is
         // implicitly private to each thread, even when it is shared in the
         // enclosing region. Shadow it with a thread-local for the loop.
-        self.push_scope();
-        self.insert_local(&cl.var, Local::Scalar(Type::Long, Val::I(lo)));
-        let schedule = |env: &mut Env| -> RtResult<bool> {
-            match dir.schedule() {
+        let mark = self.undo.len();
+        self.bind(cl.var, Local::Scalar(Type::Long, Val::I(lo)));
+        let schedule = |env: &mut Self| -> RtResult<bool> {
+            match lp.sched {
                 Sched::Static => {
                     for k in tc.for_static(0..count) {
                         run_iter(env, k)?;
@@ -1727,7 +1291,7 @@ impl Env {
             Ok(false)
         };
         let guided = schedule(self);
-        self.pop_scope();
+        self.pop_scope(mark);
         if guided? {
             // The guided scheduler carries its own runtime barrier that
             // the oracle cannot bracket; add an oracle-visible barrier
@@ -1738,40 +1302,10 @@ impl Env {
             }
             return Ok(());
         }
-        if !dir.nowait() {
+        if !lp.nowait {
             self.sync_barrier(tc);
         }
         Ok(())
-    }
-}
-
-fn critical_lock_id(name: Option<&str>) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    name.unwrap_or("<anonymous>").hash(&mut h);
-    // Stay inside the user lock-id space.
-    h.finish() % (1 << 30)
-}
-
-fn red_to_mpi(op: RedOp) -> ReduceOp {
-    match op {
-        RedOp::Add => ReduceOp::Sum,
-        RedOp::Mul => ReduceOp::Prod,
-        RedOp::Min => ReduceOp::Min,
-        RedOp::Max => ReduceOp::Max,
-    }
-}
-
-fn contains_omp(s: &Stmt) -> bool {
-    match s {
-        Stmt::Omp(..) => true,
-        Stmt::Block(ss) => ss.iter().any(contains_omp),
-        Stmt::If(_, a, b) => {
-            contains_omp(a) || b.as_ref().map(|b| contains_omp(b)).unwrap_or(false)
-        }
-        Stmt::While(_, b) => contains_omp(b),
-        Stmt::For { body, .. } => contains_omp(body),
-        _ => false,
     }
 }
 
@@ -1799,7 +1333,9 @@ fn binop(op: BinOp, a: Val, b: Val) -> RtResult<Val> {
                         if y == 0 {
                             return rte("integer division by zero");
                         }
-                        x / y
+                        // `i64::MIN / -1` overflows; C leaves it undefined,
+                        // this interpreter wraps like its other operators.
+                        x.wrapping_div(y)
                     }
                     _ => unreachable!(),
                 })
@@ -1810,7 +1346,7 @@ fn binop(op: BinOp, a: Val, b: Val) -> RtResult<Val> {
             if y == 0 {
                 return rte("modulo by zero");
             }
-            Val::I(x % y)
+            Val::I(x.wrapping_rem(y))
         }
         Eq | Ne | Lt | Gt | Le | Ge => {
             let r = if float {
@@ -1844,7 +1380,7 @@ fn binop(op: BinOp, a: Val, b: Val) -> RtResult<Val> {
 
 /// A small C-style formatter supporting %d %ld %f %e %g %s %% with
 /// optional width/precision on the float forms.
-fn format_c(fmt: &str, args: &[Val]) -> RtResult<String> {
+fn format_c(code: &Code, fmt: &str, args: &[Val]) -> RtResult<String> {
     let mut out = String::new();
     let mut chars = fmt.chars().peekable();
     let mut next = 0usize;
@@ -1870,7 +1406,7 @@ fn format_c(fmt: &str, args: &[Val]) -> RtResult<String> {
         let Some(conv) = chars.next() else {
             return rte("dangling % in format string");
         };
-        let arg = args.get(next).cloned().unwrap_or(Val::I(0));
+        let arg = args.get(next).copied().unwrap_or(Val::I(0));
         next += 1;
         let prec: Option<usize> = spec.split('.').nth(1).and_then(|p| p.parse().ok());
         match conv {
@@ -1887,7 +1423,7 @@ fn format_c(fmt: &str, args: &[Val]) -> RtResult<String> {
                 out.push_str(&format!("{}", arg.as_f64()));
             }
             's' => match arg {
-                Val::S(s) => out.push_str(&s),
+                Val::S(s) => out.push_str(code.string(s)),
                 other => out.push_str(&format!("{other:?}")),
             },
             other => return rte(format!("unsupported conversion %{other}")),

@@ -34,6 +34,7 @@ pub mod emit;
 pub mod interp;
 pub mod oracle;
 pub mod parser;
+mod resolve;
 pub mod token;
 
 pub use analysis::DEFAULT_SMALL_THRESHOLD;
@@ -45,3 +46,5 @@ pub use token::{ParseError, Span};
 
 #[cfg(test)]
 mod interp_tests;
+#[cfg(test)]
+mod resolve_tests;

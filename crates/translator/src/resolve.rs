@@ -1,0 +1,1029 @@
+//! The resolved form of a program: what [`crate::interp::Interp::new`]
+//! lowers the AST to, once, and what the interpreter then executes.
+//!
+//! Resolved **statically**: every identifier is an interned [`Sym`], string
+//! literals live in a table ([`StrId`]), builtins are enum variants, user
+//! functions are indices, and everything a directive's lowering depends on
+//! — the region's variable classification, the canonical form of a
+//! work-shared loop, collective-vs-lock for `critical`/`atomic`,
+//! broadcast-vs-flag for `single`, the storage class of every shared
+//! variable — is decided here from `analysis.rs`, not at each execution.
+//! Calls that can only fail (undefined callee, wrong arity, a callee with
+//! directives) become [`RExpr::Fail`] nodes, so the error still surfaces
+//! only if the call is reached.
+//!
+//! Left **dynamic**: which storage a `Sym` denotes. The same name is a
+//! master local in serial code, a fresh private in one region and shared
+//! DSM storage in the next, depending on the region's clauses, and a callee
+//! sees the shared variables of `main` by name. So a `Sym` indexes dense
+//! per-frame tables (see `interp::Env`) instead of being a fixed slot.
+
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+
+use parade_core::ReduceOp;
+
+use crate::analysis::{
+    analyze_critical, analyze_single, as_scalar_update, classify_region, loop_of, CriticalLowering,
+    RegionClassification, SingleLowering, Symbols, VarScope,
+};
+use crate::ast::*;
+
+macro_rules! ids {
+    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {$(
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) struct $name(u32);
+
+        impl $name {
+            pub(crate) fn idx(self) -> usize {
+                self.0 as usize
+            }
+        }
+    )*};
+}
+
+ids! {
+    /// An interned identifier.
+    Sym,
+    /// A string literal in [`Code`]'s table.
+    StrId,
+    /// A user function.
+    FuncId,
+    /// A `parallel` / `parallel for` region.
+    RegionId,
+    /// An array shape in [`Code`]'s table (empty for scalars).
+    DimsId,
+}
+
+impl StrId {
+    /// The empty literal, so truthiness of a string value needs no table.
+    pub(crate) const EMPTY: StrId = StrId(0);
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MathFn {
+    Sqrt,
+    Fabs,
+    Sin,
+    Cos,
+    Tan,
+    Exp,
+    Log,
+    Floor,
+    Ceil,
+    Pow,
+    Fmin,
+    Fmax,
+}
+
+impl MathFn {
+    fn from_name(name: &str) -> Option<MathFn> {
+        Some(match name {
+            "sqrt" => MathFn::Sqrt,
+            "fabs" => MathFn::Fabs,
+            "sin" => MathFn::Sin,
+            "cos" => MathFn::Cos,
+            "tan" => MathFn::Tan,
+            "exp" => MathFn::Exp,
+            "log" => MathFn::Log,
+            "floor" => MathFn::Floor,
+            "ceil" => MathFn::Ceil,
+            "pow" => MathFn::Pow,
+            "fmin" => MathFn::Fmin,
+            "fmax" => MathFn::Fmax,
+            _ => return None,
+        })
+    }
+
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            MathFn::Sqrt => "sqrt",
+            MathFn::Fabs => "fabs",
+            MathFn::Sin => "sin",
+            MathFn::Cos => "cos",
+            MathFn::Tan => "tan",
+            MathFn::Exp => "exp",
+            MathFn::Log => "log",
+            MathFn::Floor => "floor",
+            MathFn::Ceil => "ceil",
+            MathFn::Pow => "pow",
+            MathFn::Fmin => "fmin",
+            MathFn::Fmax => "fmax",
+        }
+    }
+
+    pub(crate) fn arity(self) -> usize {
+        match self {
+            MathFn::Pow | MathFn::Fmin | MathFn::Fmax => 2,
+            _ => 1,
+        }
+    }
+
+    pub(crate) fn apply(self, x: f64, y: f64) -> f64 {
+        match self {
+            MathFn::Sqrt => x.sqrt(),
+            MathFn::Fabs => x.abs(),
+            MathFn::Sin => x.sin(),
+            MathFn::Cos => x.cos(),
+            MathFn::Tan => x.tan(),
+            MathFn::Exp => x.exp(),
+            MathFn::Log => x.ln(),
+            MathFn::Floor => x.floor(),
+            MathFn::Ceil => x.ceil(),
+            MathFn::Pow => x.powf(y),
+            MathFn::Fmin => x.min(y),
+            MathFn::Fmax => x.max(y),
+        }
+    }
+}
+
+/// The OpenMP query API.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OmpFn {
+    ThreadNum,
+    NumThreads,
+    Wtime,
+}
+
+pub(crate) enum RExpr {
+    Int(i64),
+    Float(f64),
+    Str(StrId),
+    Var(Sym),
+    Index(Sym, Box<[RExpr]>),
+    Unary(UnOp, Box<RExpr>),
+    Binary(BinOp, Box<RExpr>, Box<RExpr>),
+    Cond(Box<RExpr>, Box<RExpr>, Box<RExpr>),
+    /// The target is a `Var` or an `Index`; anything else fails when run.
+    Assign(Option<BinOp>, Box<RExpr>, Box<RExpr>),
+    Call(FuncId, Box<[RExpr]>),
+    /// Arity is checked after the arguments ran, as a C library call would.
+    Math(MathFn, Box<[RExpr]>),
+    Omp(OmpFn),
+    Printf(StrId, Box<[RExpr]>),
+    /// A call that fails before evaluating any argument.
+    Fail(Box<str>),
+}
+
+/// Type and extent of a declaration.
+pub(crate) struct Shape {
+    pub(crate) ty: Type,
+    pub(crate) dims: DimsId,
+    pub(crate) elems: usize,
+    pub(crate) is_array: bool,
+}
+
+pub(crate) struct RDecl {
+    pub(crate) sym: Sym,
+    pub(crate) shape: Shape,
+    pub(crate) init: Option<RExpr>,
+    pub(crate) span: Span,
+}
+
+pub(crate) enum RStmt {
+    Empty,
+    Decl(RDecl),
+    Expr(RExpr, Span),
+    If(RExpr, Box<RStmt>, Option<Box<RStmt>>),
+    While(RExpr, Box<RStmt>),
+    For {
+        init: Option<RExpr>,
+        cond: Option<RExpr>,
+        step: Option<RExpr>,
+        body: Box<RStmt>,
+    },
+    Block(Box<[RStmt]>),
+    Return(Option<RExpr>),
+    Break,
+    Continue,
+    Parallel(RegionId),
+    Omp(Box<RDirective>),
+}
+
+/// A directive other than `parallel` / `parallel for`.
+pub(crate) struct RDirective {
+    /// Kept for the wording of diagnostics.
+    pub(crate) kind: DirKind,
+    pub(crate) span: Span,
+    pub(crate) op: ROmp,
+}
+
+pub(crate) enum ROmp {
+    Barrier,
+    Taskwait,
+    Master(RStmt),
+    For(RLoop),
+    Critical {
+        /// The message-passing lowering, when the block is analyzable,
+        /// small, and every target lives on the update protocol.
+        collective: Option<Box<[RUpdate]>>,
+        lock: RLock,
+        body: RStmt,
+    },
+    Atomic(RAtomic),
+    Single {
+        /// Targets of the broadcast lowering (all on the update protocol);
+        /// `None` is the execute-once + barrier lowering.
+        broadcast: Option<Box<[Sym]>>,
+        body: RStmt,
+    },
+    Task(RTask),
+}
+
+/// `target ⊕= operand` as one collective.
+pub(crate) struct RUpdate {
+    pub(crate) target: Sym,
+    pub(crate) op: ReduceOp,
+    pub(crate) operand: RExpr,
+}
+
+/// A cluster lock and the name the oracle knows it by.
+pub(crate) struct RLock {
+    pub(crate) id: u64,
+    pub(crate) key: Box<str>,
+}
+
+pub(crate) enum RAtomic {
+    /// Not a scalar update statement.
+    Bad(&'static str),
+    Collective(RUpdate),
+    /// The target lives on the paged DSM.
+    Lock(RLock, RStmt),
+}
+
+pub(crate) struct RTask {
+    /// `map` names no declaration of `main` accounts for; they must be
+    /// bound when the task runs.
+    pub(crate) unknown_maps: Box<[Sym]>,
+    /// `device(expr)` of a `target`.
+    pub(crate) device: Option<RExpr>,
+    /// One lock per `depend` variable, in canonical (sorted, deduplicated)
+    /// order so overlapping sets cannot deadlock.
+    pub(crate) deps: Box<[RLock]>,
+    pub(crate) body: RStmt,
+}
+
+/// A work-shared loop: `for`, or the loop of a `parallel for`.
+pub(crate) struct RLoop {
+    /// `None` when the loop is not in canonical form.
+    pub(crate) canon: Option<RCanon>,
+    pub(crate) sched: Sched,
+    pub(crate) nowait: bool,
+    pub(crate) lastprivates: Box<[Sym]>,
+}
+
+pub(crate) struct RCanon {
+    pub(crate) var: Sym,
+    pub(crate) lo: RExpr,
+    /// Exclusive.
+    pub(crate) hi: RExpr,
+    pub(crate) step: i64,
+    pub(crate) body: RStmt,
+}
+
+/// How a thread's copy of a privatized variable starts out.
+pub(crate) enum RPrivate {
+    /// `private`, `lastprivate`, the work-shared loop variable.
+    Zero(Shape),
+    /// `firstprivate`: the `slot`-th value captured at the fork.
+    First { slot: usize, ty: Type },
+    /// `reduction`: the operator's identity.
+    Reduction { identity: f64, ty: Type },
+}
+
+pub(crate) enum RBody {
+    Stmt(RStmt),
+    Loop(RLoop),
+}
+
+pub(crate) struct RRegion {
+    /// Read on the master at the fork, in clause order.
+    pub(crate) firstprivates: Box<[Sym]>,
+    pub(crate) reductions: Box<[(ReduceOp, Sym)]>,
+    pub(crate) lastprivates: Box<[Sym]>,
+    /// What each thread binds before the body, by name.
+    pub(crate) privates: Box<[(Sym, RPrivate)]>,
+    pub(crate) body: RBody,
+}
+
+pub(crate) struct RParam {
+    pub(crate) sym: Sym,
+    pub(crate) ty: Type,
+}
+
+pub(crate) struct RFunc {
+    pub(crate) ret: Type,
+    pub(crate) params: Box<[RParam]>,
+    pub(crate) body: RStmt,
+}
+
+/// Storage class decided by the protocol-classification pre-pass (§3:
+/// "ParADE classifies data structures according to their size and applies
+/// different protocols"). A variable in no class is a master local.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StorageKind {
+    /// Large data: paged DSM, HLRC invalidate protocol.
+    SharedArr,
+    /// Small scalar, message-passing update protocol.
+    ScalarUpdate,
+    /// Scalar forced onto the paged DSM (written by plain stores or inside
+    /// lock-path constructs).
+    ScalarHlrc,
+}
+
+pub(crate) struct Stored {
+    pub(crate) sym: Sym,
+    pub(crate) kind: StorageKind,
+    pub(crate) shape: Shape,
+}
+
+/// A resolved program.
+pub(crate) struct Code {
+    names: Vec<Box<str>>,
+    strings: Vec<Box<str>>,
+    dims: Vec<Box<[usize]>>,
+    pub(crate) funcs: Vec<RFunc>,
+    pub(crate) main: Option<FuncId>,
+    pub(crate) globals: Vec<RDecl>,
+    pub(crate) regions: Vec<RRegion>,
+    /// Shared variables in allocation order (by name).
+    pub(crate) storage: Vec<Stored>,
+}
+
+impl Code {
+    pub(crate) fn nsyms(&self) -> usize {
+        self.names.len()
+    }
+
+    pub(crate) fn name(&self, s: Sym) -> &str {
+        &self.names[s.idx()]
+    }
+
+    pub(crate) fn string(&self, s: StrId) -> &str {
+        &self.strings[s.idx()]
+    }
+
+    pub(crate) fn dims(&self, d: DimsId) -> &[usize] {
+        &self.dims[d.idx()]
+    }
+}
+
+/// Lower `prog` for the small-data `threshold` (bytes).
+pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
+    let mut func_srcs: Vec<&FuncDef> = Vec::new();
+    let mut func_ids: HashMap<&str, FuncId> = HashMap::new();
+    for item in &prog.items {
+        if let Item::Func(f) = item {
+            // Like `Program::func`, the first definition of a name wins.
+            func_ids
+                .entry(f.name.as_str())
+                .or_insert(FuncId(func_srcs.len() as u32));
+            func_srcs.push(f);
+        }
+    }
+    let main = func_ids.get("main").copied();
+    let (symbols, storage) = match main {
+        Some(id) => {
+            let f = func_srcs[id.idx()];
+            let symbols = Symbols::collect(prog, f);
+            let storage = plan_storage(prog, f, &symbols, threshold);
+            (symbols, storage)
+        }
+        None => Default::default(),
+    };
+    let mut r = Resolver {
+        threshold,
+        symbols,
+        storage,
+        func_srcs,
+        func_ids,
+        sym_ids: HashMap::new(),
+        code: Code {
+            names: Vec::new(),
+            strings: vec!["".into()],
+            dims: Vec::new(),
+            funcs: Vec::new(),
+            main,
+            globals: Vec::new(),
+            regions: Vec::new(),
+            storage: Vec::new(),
+        },
+    };
+    for item in &prog.items {
+        if let Item::Global(d) = item {
+            let d = r.decl(d);
+            r.code.globals.push(d);
+        }
+    }
+    for (at, f) in r.func_srcs.clone().into_iter().enumerate() {
+        // Only `main` may hold directives; calls to any other function that
+        // does are `Fail` nodes, so its body is never needed.
+        let body = if Some(FuncId(at as u32)) == main || !contains_omp(&f.body) {
+            r.stmt(&f.body, None)
+        } else {
+            RStmt::Empty
+        };
+        let params = f
+            .params
+            .iter()
+            .map(|p| RParam {
+                sym: r.sym(&p.name),
+                ty: p.ty.clone(),
+            })
+            .collect();
+        r.code.funcs.push(RFunc {
+            ret: f.ret.clone(),
+            params,
+            body,
+        });
+    }
+    // Deterministic allocation order.
+    let mut names: Vec<String> = r.storage.keys().cloned().collect();
+    names.sort();
+    for name in names {
+        if let Some(d) = r.symbols.get(&name).cloned() {
+            let stored = Stored {
+                sym: r.sym(&name),
+                kind: r.storage[&name],
+                shape: r.shape(&d),
+            };
+            r.code.storage.push(stored);
+        }
+    }
+    r.code
+}
+
+struct Resolver<'p> {
+    threshold: usize,
+    /// Declarations of `main` (what the directive analyses consult).
+    symbols: Symbols,
+    storage: HashMap<String, StorageKind>,
+    func_srcs: Vec<&'p FuncDef>,
+    func_ids: HashMap<&'p str, FuncId>,
+    sym_ids: HashMap<String, Sym>,
+    code: Code,
+}
+
+impl Resolver<'_> {
+    fn sym(&mut self, name: &str) -> Sym {
+        if let Some(s) = self.sym_ids.get(name) {
+            return *s;
+        }
+        let s = Sym(self.code.names.len() as u32);
+        self.code.names.push(name.into());
+        self.sym_ids.insert(name.to_string(), s);
+        s
+    }
+
+    fn syms(&mut self, names: &[String]) -> Box<[Sym]> {
+        names.iter().map(|n| self.sym(n)).collect()
+    }
+
+    fn string(&mut self, s: &str) -> StrId {
+        if s.is_empty() {
+            return StrId::EMPTY;
+        }
+        self.code.strings.push(s.into());
+        StrId(self.code.strings.len() as u32 - 1)
+    }
+
+    fn shape(&mut self, d: &Decl) -> Shape {
+        self.code.dims.push(d.dims.as_slice().into());
+        Shape {
+            ty: d.ty.clone(),
+            dims: DimsId(self.code.dims.len() as u32 - 1),
+            elems: d.total_elems(),
+            is_array: d.is_array(),
+        }
+    }
+
+    fn decl(&mut self, d: &Decl) -> RDecl {
+        RDecl {
+            sym: self.sym(&d.name),
+            shape: self.shape(d),
+            init: d.init.as_ref().map(|e| self.expr(e)),
+            span: d.span,
+        }
+    }
+
+    /// Is `name` a shared scalar on the update protocol?
+    fn on_update_protocol(&self, name: &str) -> bool {
+        self.storage.get(name) == Some(&StorageKind::ScalarUpdate)
+    }
+
+    fn ty_of(&self, name: &str) -> Type {
+        self.symbols
+            .get(name)
+            .map(|d| d.ty.clone())
+            .unwrap_or(Type::Double)
+    }
+
+    // ---- expressions -------------------------------------------------------
+
+    fn boxed(&mut self, e: &Expr) -> Box<RExpr> {
+        Box::new(self.expr(e))
+    }
+
+    fn exprs(&mut self, es: &[Expr]) -> Box<[RExpr]> {
+        es.iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn expr(&mut self, e: &Expr) -> RExpr {
+        match e {
+            Expr::Int(v) => RExpr::Int(*v),
+            Expr::Float(v) => RExpr::Float(*v),
+            Expr::Str(s) => RExpr::Str(self.string(s)),
+            Expr::Ident(n) => RExpr::Var(self.sym(n)),
+            Expr::Index(n, idx) => RExpr::Index(self.sym(n), self.exprs(idx)),
+            Expr::Unary(op, a) => RExpr::Unary(*op, self.boxed(a)),
+            Expr::Binary(op, a, b) => RExpr::Binary(*op, self.boxed(a), self.boxed(b)),
+            Expr::Cond(c, a, b) => RExpr::Cond(self.boxed(c), self.boxed(a), self.boxed(b)),
+            Expr::Assign(op, l, r) => RExpr::Assign(*op, self.boxed(l), self.boxed(r)),
+            Expr::Call(name, args) => self.call(name, args),
+        }
+    }
+
+    fn call(&mut self, name: &str, args: &[Expr]) -> RExpr {
+        let fail = |msg: String| RExpr::Fail(msg.into());
+        match name {
+            "printf" => {
+                return match args.first() {
+                    Some(Expr::Str(fmt)) => RExpr::Printf(self.string(fmt), self.exprs(&args[1..])),
+                    _ => fail("printf needs a literal format string".into()),
+                }
+            }
+            "omp_get_thread_num" => return RExpr::Omp(OmpFn::ThreadNum),
+            "omp_get_num_threads" => return RExpr::Omp(OmpFn::NumThreads),
+            "omp_get_wtime" => return RExpr::Omp(OmpFn::Wtime),
+            _ => {}
+        }
+        if let Some(f) = MathFn::from_name(name) {
+            return RExpr::Math(f, self.exprs(args));
+        }
+        let Some(&id) = self.func_ids.get(name) else {
+            return fail(format!("call to undefined function {name}"));
+        };
+        let f = self.func_srcs[id.idx()];
+        if f.params.len() != args.len() {
+            return fail(format!(
+                "{name} expects {} arguments, got {}",
+                f.params.len(),
+                args.len()
+            ));
+        }
+        if contains_omp(&f.body) {
+            return fail(format!(
+                "function {name} contains OpenMP directives; only main may \
+                 (translator subset restriction)"
+            ));
+        }
+        RExpr::Call(id, self.exprs(args))
+    }
+
+    // ---- statements ----------------------------------------------------------
+
+    /// `class` is the classification of the lexically enclosing region.
+    /// Directives run only in `main` and regions do not nest, so it is also
+    /// the classification of the region executing whenever `s` runs.
+    fn stmt(&mut self, s: &Stmt, class: Option<&RegionClassification>) -> RStmt {
+        match s {
+            Stmt::Empty => RStmt::Empty,
+            Stmt::Decl(d) => RStmt::Decl(self.decl(d)),
+            Stmt::Expr(e, span) => RStmt::Expr(self.expr(e), *span),
+            Stmt::If(c, a, b) => RStmt::If(
+                self.expr(c),
+                Box::new(self.stmt(a, class)),
+                b.as_ref().map(|b| Box::new(self.stmt(b, class))),
+            ),
+            Stmt::While(c, b) => RStmt::While(self.expr(c), Box::new(self.stmt(b, class))),
+            Stmt::For {
+                init,
+                cond,
+                step,
+                body,
+            } => RStmt::For {
+                init: init.as_ref().map(|e| self.expr(e)),
+                cond: cond.as_ref().map(|e| self.expr(e)),
+                step: step.as_ref().map(|e| self.expr(e)),
+                body: Box::new(self.stmt(body, class)),
+            },
+            Stmt::Block(ss) => RStmt::Block(ss.iter().map(|s| self.stmt(s, class)).collect()),
+            Stmt::Return(e) => RStmt::Return(e.as_ref().map(|e| self.expr(e))),
+            Stmt::Break => RStmt::Break,
+            Stmt::Continue => RStmt::Continue,
+            Stmt::Omp(dir, body) => self.directive(dir, body.as_deref(), class),
+        }
+    }
+
+    fn directive(
+        &mut self,
+        dir: &Directive,
+        body: Option<&Stmt>,
+        class: Option<&RegionClassification>,
+    ) -> RStmt {
+        fn need(body: Option<&Stmt>) -> &Stmt {
+            body.expect("the parser attaches a body")
+        }
+        let op = match &dir.kind {
+            DirKind::Parallel | DirKind::ParallelFor => {
+                let region = self.region(dir, need(body));
+                self.code.regions.push(region);
+                return RStmt::Parallel(RegionId(self.code.regions.len() as u32 - 1));
+            }
+            DirKind::Barrier => ROmp::Barrier,
+            DirKind::Taskwait => ROmp::Taskwait,
+            DirKind::Master => ROmp::Master(self.stmt(need(body), class)),
+            DirKind::For => ROmp::For(self.wloop(dir, need(body), class)),
+            DirKind::Critical(name) => {
+                let body = need(body);
+                let name = name.as_deref().unwrap_or("<anonymous>");
+                let lowering =
+                    class.map(|c| analyze_critical(body, c, &self.symbols, self.threshold));
+                let collective = match lowering {
+                    Some(CriticalLowering::Collective(updates))
+                        if updates.iter().all(|u| self.on_update_protocol(&u.target)) =>
+                    {
+                        Some(updates.iter().map(|u| self.update(u)).collect())
+                    }
+                    _ => None,
+                };
+                ROmp::Critical {
+                    collective,
+                    lock: lock(format!("critical:{name}"), name),
+                    body: self.stmt(body, class),
+                }
+            }
+            DirKind::Atomic => ROmp::Atomic(match body {
+                Some(Stmt::Expr(e, _)) => match as_scalar_update(e) {
+                    Some(u) if self.on_update_protocol(&u.target) => {
+                        RAtomic::Collective(self.update(&u))
+                    }
+                    Some(u) => RAtomic::Lock(
+                        lock(format!("atomic:{}", u.target), &u.target),
+                        self.stmt(need(body), class),
+                    ),
+                    None => RAtomic::Bad("atomic body must be a scalar update"),
+                },
+                _ => RAtomic::Bad("atomic body must be an expression statement"),
+            }),
+            DirKind::Single => {
+                let body = need(body);
+                let lowering =
+                    class.map(|c| analyze_single(body, c, &self.symbols, self.threshold));
+                let broadcast = match lowering {
+                    Some(SingleLowering::Broadcast(targets))
+                        if targets.iter().all(|t| self.on_update_protocol(t)) =>
+                    {
+                        Some(self.syms(&targets))
+                    }
+                    _ => None,
+                };
+                ROmp::Single {
+                    broadcast,
+                    body: self.stmt(body, class),
+                }
+            }
+            DirKind::Task | DirKind::Target => {
+                let unknown: Vec<String> = dir
+                    .maps()
+                    .into_iter()
+                    .map(|(_, var)| var)
+                    .filter(|var| self.symbols.get(var).is_none())
+                    .collect();
+                let mut deps: Vec<String> = dir.depends().into_iter().map(|(_, v)| v).collect();
+                deps.sort();
+                deps.dedup();
+                ROmp::Task(RTask {
+                    unknown_maps: self.syms(&unknown),
+                    device: match (&dir.kind, dir.device()) {
+                        (DirKind::Target, Some(e)) => Some(self.expr(e)),
+                        _ => None,
+                    },
+                    deps: deps
+                        .iter()
+                        .map(|var| {
+                            let key = format!("dep:{var}");
+                            lock(key.clone(), &key)
+                        })
+                        .collect(),
+                    body: self.stmt(need(body), class),
+                })
+            }
+        };
+        RStmt::Omp(Box::new(RDirective {
+            kind: dir.kind.clone(),
+            span: dir.span,
+            op,
+        }))
+    }
+
+    fn update(&mut self, u: &crate::analysis::ScalarUpdate) -> RUpdate {
+        RUpdate {
+            target: self.sym(&u.target),
+            op: red_to_mpi(u.op),
+            operand: self.expr(&u.operand),
+        }
+    }
+
+    fn wloop(
+        &mut self,
+        dir: &Directive,
+        body: &Stmt,
+        class: Option<&RegionClassification>,
+    ) -> RLoop {
+        RLoop {
+            canon: loop_of(body).map(|cl| RCanon {
+                var: self.sym(&cl.var),
+                lo: self.expr(&cl.lo),
+                hi: self.expr(&cl.hi),
+                step: cl.step,
+                body: self.stmt(&cl.body, class),
+            }),
+            sched: dir.schedule(),
+            nowait: dir.nowait(),
+            lastprivates: self.syms(&dir.lastprivates()),
+        }
+    }
+
+    fn region(&mut self, dir: &Directive, body: &Stmt) -> RRegion {
+        let class = classify_region(dir, body, &self.symbols);
+        let firstprivates = dir.firstprivates();
+        let mut scopes: Vec<(&String, &VarScope)> = class.scopes.iter().collect();
+        scopes.sort_by_key(|(name, _)| *name);
+        let mut privates = Vec::new();
+        for (name, scope) in scopes {
+            let how = match scope {
+                VarScope::Shared => continue,
+                VarScope::Private | VarScope::LastPrivate => {
+                    let Some(d) = self.symbols.get(name).cloned() else {
+                        continue;
+                    };
+                    RPrivate::Zero(self.shape(&d))
+                }
+                VarScope::FirstPrivate => RPrivate::First {
+                    slot: firstprivates
+                        .iter()
+                        .position(|n| n == name)
+                        .expect("classified firstprivate by this clause"),
+                    ty: self.ty_of(name),
+                },
+                VarScope::Reduction(op) => RPrivate::Reduction {
+                    identity: op.identity_f64(),
+                    ty: self.ty_of(name),
+                },
+            };
+            privates.push((self.sym(name), how));
+        }
+        RRegion {
+            firstprivates: self.syms(&firstprivates),
+            reductions: dir
+                .reductions()
+                .iter()
+                .map(|(op, name)| (red_to_mpi(*op), self.sym(name)))
+                .collect(),
+            lastprivates: self.syms(&dir.lastprivates()),
+            privates: privates.into(),
+            body: match dir.kind {
+                DirKind::ParallelFor => RBody::Loop(self.wloop(dir, body, Some(&class))),
+                _ => RBody::Stmt(self.stmt(body, Some(&class))),
+            },
+        }
+    }
+}
+
+/// The cluster lock named `name`, known to the oracle as `key`.
+fn lock(key: String, name: &str) -> RLock {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    name.hash(&mut h);
+    RLock {
+        // Stay inside the user lock-id space.
+        id: h.finish() % (1 << 30),
+        key: key.into(),
+    }
+}
+
+fn red_to_mpi(op: RedOp) -> ReduceOp {
+    match op {
+        RedOp::Add => ReduceOp::Sum,
+        RedOp::Mul => ReduceOp::Prod,
+        RedOp::Min => ReduceOp::Min,
+        RedOp::Max => ReduceOp::Max,
+    }
+}
+
+fn contains_omp(s: &Stmt) -> bool {
+    match s {
+        Stmt::Omp(..) => true,
+        Stmt::Block(ss) => ss.iter().any(contains_omp),
+        Stmt::If(_, a, b) => contains_omp(a) || b.as_deref().is_some_and(contains_omp),
+        Stmt::While(_, b) => contains_omp(b),
+        Stmt::For { body, .. } => contains_omp(body),
+        _ => false,
+    }
+}
+
+// ---- storage planning --------------------------------------------------------
+
+/// Decide the storage/protocol of every variable (globals + main locals):
+/// arrays shared by any region go to the paged DSM; shared scalars use the
+/// update protocol unless written by plain stores or lock-path constructs,
+/// which force HLRC.
+fn plan_storage(
+    prog: &Program,
+    main: &FuncDef,
+    syms: &Symbols,
+    threshold: usize,
+) -> HashMap<String, StorageKind> {
+    let mut kinds: HashMap<String, StorageKind> = HashMap::new();
+    // Globals are conservatively shared (callees may touch them from
+    // inside regions).
+    for item in &prog.items {
+        if let Item::Global(d) = item {
+            kinds.insert(
+                d.name.clone(),
+                if d.is_array() {
+                    StorageKind::SharedArr
+                } else {
+                    StorageKind::ScalarHlrc
+                },
+            );
+        }
+    }
+    // Walk main for parallel regions.
+    let mut regions = Vec::new();
+    collect_regions(&main.body, &mut regions);
+    for (dir, body) in regions {
+        let class = classify_region(dir, body, syms);
+        for name in class.shared_vars() {
+            let Some(d) = syms.get(&name) else { continue };
+            let entry = kinds.entry(name.clone()).or_insert(if d.is_array() {
+                StorageKind::SharedArr
+            } else {
+                StorageKind::ScalarUpdate
+            });
+            if d.is_array() {
+                *entry = StorageKind::SharedArr;
+            }
+        }
+        // Plain writes (outside analyzable constructs) force HLRC.
+        let mut forced = Vec::new();
+        forced_hlrc_writes(body, &class, syms, threshold, &mut forced);
+        for name in forced {
+            if let Some(k) = kinds.get_mut(&name) {
+                if *k == StorageKind::ScalarUpdate {
+                    *k = StorageKind::ScalarHlrc;
+                }
+            }
+        }
+    }
+    kinds
+}
+
+fn collect_regions<'a>(s: &'a Stmt, out: &mut Vec<(&'a Directive, &'a Stmt)>) {
+    match s {
+        Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Parallel | DirKind::ParallelFor) => {
+            out.push((d, b));
+        }
+        Stmt::Block(ss) => {
+            for s in ss {
+                collect_regions(s, out);
+            }
+        }
+        Stmt::If(_, a, b) => {
+            collect_regions(a, out);
+            if let Some(b) = b {
+                collect_regions(b, out);
+            }
+        }
+        Stmt::While(_, b) => collect_regions(b, out),
+        Stmt::For { body, .. } => collect_regions(body, out),
+        _ => {}
+    }
+}
+
+/// Scalar shared variables written by plain assignments or inside
+/// lock-lowered constructs within a region body.
+fn forced_hlrc_writes(
+    s: &Stmt,
+    class: &RegionClassification,
+    syms: &Symbols,
+    threshold: usize,
+    out: &mut Vec<String>,
+) {
+    match s {
+        Stmt::Expr(e, _) => expr_plain_writes(e, out),
+        Stmt::Decl(d) => {
+            if let Some(e) = &d.init {
+                expr_plain_writes(e, out);
+            }
+        }
+        Stmt::Block(ss) => {
+            for s in ss {
+                forced_hlrc_writes(s, class, syms, threshold, out);
+            }
+        }
+        Stmt::If(c, a, b) => {
+            expr_plain_writes(c, out);
+            forced_hlrc_writes(a, class, syms, threshold, out);
+            if let Some(b) = b {
+                forced_hlrc_writes(b, class, syms, threshold, out);
+            }
+        }
+        Stmt::While(c, b) => {
+            expr_plain_writes(c, out);
+            forced_hlrc_writes(b, class, syms, threshold, out);
+        }
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
+            for e in [init, cond, step].into_iter().flatten() {
+                expr_plain_writes(e, out);
+            }
+            forced_hlrc_writes(body, class, syms, threshold, out);
+        }
+        Stmt::Omp(dir, Some(body)) => match &dir.kind {
+            DirKind::Critical(_) => {
+                if let CriticalLowering::Lock = analyze_critical(body, class, syms, threshold) {
+                    // Writes inside a lock-path critical go to the DSM.
+                    all_scalar_writes(body, out);
+                }
+            }
+            DirKind::Atomic => { /* collective path, never forces */ }
+            DirKind::Single => {
+                if let SingleLowering::LockFlagBarrier =
+                    analyze_single(body, class, syms, threshold)
+                {
+                    all_scalar_writes(body, out);
+                }
+            }
+            _ => forced_hlrc_writes(body, class, syms, threshold, out),
+        },
+        _ => {}
+    }
+}
+
+fn expr_plain_writes(e: &Expr, out: &mut Vec<String>) {
+    match e {
+        Expr::Assign(_, lhs, rhs) => {
+            if let Expr::Ident(n) = lhs.as_ref() {
+                out.push(n.clone());
+            }
+            expr_plain_writes(rhs, out);
+        }
+        Expr::Binary(_, a, b) => {
+            expr_plain_writes(a, out);
+            expr_plain_writes(b, out);
+        }
+        Expr::Unary(_, a) => expr_plain_writes(a, out),
+        Expr::Cond(c, a, b) => {
+            expr_plain_writes(c, out);
+            expr_plain_writes(a, out);
+            expr_plain_writes(b, out);
+        }
+        Expr::Call(_, args) => {
+            for a in args {
+                expr_plain_writes(a, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn all_scalar_writes(s: &Stmt, out: &mut Vec<String>) {
+    match s {
+        Stmt::Expr(e, _) => expr_plain_writes(e, out),
+        Stmt::Block(ss) => {
+            for s in ss {
+                all_scalar_writes(s, out);
+            }
+        }
+        Stmt::If(_, a, b) => {
+            all_scalar_writes(a, out);
+            if let Some(b) = b {
+                all_scalar_writes(b, out);
+            }
+        }
+        Stmt::While(_, b) => all_scalar_writes(b, out),
+        Stmt::For { body, .. } => all_scalar_writes(body, out),
+        Stmt::Omp(_, Some(b)) => all_scalar_writes(b, out),
+        _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_math_builtin_resolves_under_its_own_name() {
+        for name in MATH_BUILTINS {
+            let f = MathFn::from_name(name).unwrap_or_else(|| panic!("{name} not resolved"));
+            assert_eq!(f.name(), *name);
+        }
+        assert!(MathFn::from_name("printf").is_none());
+    }
+}

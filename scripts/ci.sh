@@ -48,9 +48,11 @@ else
   echo "(skipped: clippy not installed)"
 fi
 
-echo "== paradec check over examples/openmp (analyzer smoke) =="
+echo "== paradec check + run over examples/openmp (analyzer and interpreter smoke) =="
 for f in examples/openmp/*.c; do
   cargo run -q --offline -p parade-check --bin paradec -- check "$f"
+  cargo run -q --offline -p parade-check --bin paradec -- \
+    run "$f" --nodes 2 --threads 2 > /dev/null
 done
 # The analyzer gate must also FAIL closed: a racy program exits non-zero.
 RACY_TMP="$(mktemp -d)"

@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Turn the dumps of `sampler.c` into flat and inclusive top-N tables.
+
+usage: symbolize.py [--top N] DUMP...
+
+Each dump holds /proc/self/maps and one stack per line (hex program
+counters, innermost first). Addresses are mapped to their object file and
+resolved against `nm -C`; when several dumps are given (the benchmark parent
+and its child), the one with the most samples is reported.
+"""
+
+import bisect
+import re
+import subprocess
+import sys
+from collections import Counter
+
+RUST_HASH = re.compile(r"::h[0-9a-f]{16}$")
+
+
+def load(path):
+    maps, stacks, section = [], [], None
+    with open(path) as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if line in ("MAPS", "SAMPLES"):
+                section = line
+            elif section == "MAPS":
+                parts = line.split(None, 5)
+                if len(parts) == 6 and parts[5].startswith("/"):
+                    lo, hi = (int(x, 16) for x in parts[0].split("-"))
+                    maps.append((lo, hi, int(parts[2], 16), "x" in parts[1], parts[5]))
+            elif section == "SAMPLES" and line:
+                stacks.append([int(pc, 16) for pc in line.split()])
+    return maps, stacks
+
+
+class Objects:
+    """Symbol tables of the mapped object files, loaded on first use."""
+
+    def __init__(self, maps):
+        self.maps = sorted(maps)
+        # Where each file's offset 0 is mapped: its load bias.
+        self.bias = {}
+        for lo, _, off, _, path in self.maps:
+            if off == 0:
+                self.bias.setdefault(path, lo)
+        self.tables = {}
+        self.names = {}
+
+    def table(self, path):
+        if path not in self.tables:
+            syms = set()
+            # A stripped library (libc) keeps only its dynamic symbols.
+            for table in ([], ["-D"]):
+                out = subprocess.run(
+                    ["nm", "-C", "--defined-only", *table, path],
+                    capture_output=True, text=True, check=False,
+                ).stdout
+                for line in out.splitlines():
+                    parts = line.split(None, 2)
+                    if len(parts) == 3 and parts[1] in "TtWwi":
+                        name = RUST_HASH.sub("", parts[2]).split("@")[0]
+                        syms.add((int(parts[0], 16), name))
+            syms = sorted(syms)
+            with open(path, "rb") as f:
+                position_independent = f.read(18)[16:18] == b"\x03\x00"  # ET_DYN
+            self.tables[path] = ([a for a, _ in syms], [n for _, n in syms],
+                                 position_independent)
+        return self.tables[path]
+
+    def name(self, pc):
+        if pc not in self.names:
+            self.names[pc] = self.resolve(pc)
+        return self.names[pc]
+
+    def resolve(self, pc):
+        for lo, hi, _, executable, path in self.maps:
+            if lo <= pc < hi and executable:
+                addrs, names, position_independent = self.table(path)
+                vaddr = pc - self.bias.get(path, 0) if position_independent else pc
+                at = bisect.bisect_right(addrs, vaddr) - 1
+                short = path.rsplit("/", 1)[-1]
+                return names[at] if at >= 0 else f"[{short}]"
+        return "[unmapped]"
+
+
+def report(title, counts, total, top):
+    print(f"\n{title} (top {top} of {total} samples)")
+    for name, n in counts.most_common(top):
+        print(f"{100.0 * n / total:6.2f}%  {n:6d}  {name}")
+
+
+def main(argv):
+    top = 20
+    if argv[:1] == ["--top"]:
+        top, argv = int(argv[1]), argv[2:]
+    if not argv:
+        sys.exit(__doc__)
+    path, (maps, stacks) = max(((p, load(p)) for p in argv), key=lambda d: len(d[1][1]))
+    if not stacks:
+        sys.exit(f"{path}: no samples")
+    objects = Objects(maps)
+    # Return addresses point after the call; step back into it.
+    flat, inclusive = Counter(), Counter()
+    for stack in stacks:
+        names = [objects.name(pc if depth == 0 else pc - 1)
+                 for depth, pc in enumerate(stack)]
+        flat[names[0]] += 1
+        inclusive.update(set(names))
+    print(f"{path}: {len(stacks)} samples")
+    report("flat", flat, len(stacks), top)
+    report("inclusive", inclusive, len(stacks), top)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
