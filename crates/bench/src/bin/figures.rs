@@ -30,8 +30,8 @@ fn usage() -> ! {
          (PARADE_CHAOS or the pinned schedule) — exactly-once, bit-identical, \
          >=1 retransmission\n\
          adapt-smoke: CG class S under all-invalidate / all-update / adaptive \
-         protocol selection and stride prefetch — every mode must stay \
-         bit-identical and bulk reads must coalesce into range fetches\n\
+         protocol selection — every mode must stay bit-identical and bulk \
+         reads must coalesce into range fetches\n\
          serve-soak: the multi-job serving layer under scheduled node deaths \
          and a lossy wire (PARADE_CHAOS or the pinned schedule) — 1000 jobs \
          (120 with --quick) must complete exactly once, bit-identical to their \

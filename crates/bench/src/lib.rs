@@ -86,7 +86,7 @@ impl Table {
 
     /// Render as a JSON object (`title`, `headers`, `rows`).
     pub fn json(&self) -> String {
-        use parade_testkit::bench::json_string;
+        use parade_trace::json_string;
         let list = |xs: &[String]| -> String {
             let cells: Vec<String> = xs.iter().map(|c| json_string(c)).collect();
             format!("[{}]", cells.join(", "))
@@ -120,7 +120,7 @@ pub fn write_tables_json(suite: &str, tables: &[Table]) -> Option<String> {
     let body: Vec<String> = tables.iter().map(|t| format!("  {}", t.json())).collect();
     let doc = format!(
         "{{\n  \"suite\": {},\n  \"tables\": [\n{}\n  ]\n}}\n",
-        parade_testkit::bench::json_string(suite),
+        parade_trace::json_string(suite),
         body.join(",\n"),
     );
     match std::fs::write(&path, doc) {
@@ -703,16 +703,11 @@ pub fn chaos_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
 }
 
 /// Adaptive-DSM smoke (`figures -- adapt-smoke`): NPB CG class S under the
-/// three per-page protocol-selection modes, plus adaptive with stride
-/// prefetch enabled. Fails unless every mode is NPB-verified and
-/// bit-identical to the all-invalidate reference — the protocol-equivalence
-/// contract: invalidate + refetch and a home push install the same merged
-/// bytes, and prefetch only moves fetches earlier — and the bulk fetch
-/// path stayed live (CG's whole-vector reads must coalesce into
-/// `ReqPageRange` trips). CG reads each vector in one bulk call per
-/// iteration, so the *stride* predictor has no inter-fault stride to
-/// learn — its non-triviality is pinned by the `fault_storm/` bench
-/// family and the predictor unit corpus instead.
+/// three per-page protocol-selection modes. Fails unless every mode is
+/// NPB-verified and bit-identical to the all-invalidate reference — the
+/// protocol-equivalence contract: invalidate + refetch and a home push
+/// install the same merged bytes — and the bulk fetch path stayed live
+/// (CG's whole-vector reads must coalesce into `ReqPageRange` trips).
 pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     use parade_dsm::ProtoSelect;
     let nodes = opts
@@ -722,22 +717,20 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
         .filter(|&n| n >= 4)
         .max()
         .unwrap_or(8);
-    let cfg = |select: ProtoSelect, prefetch: bool| ClusterConfig {
+    let cfg = |select: ProtoSelect| ClusterConfig {
         nodes,
         net: NetProfile::clan_via(),
         time: TimeSource::Manual,
         dsm: DsmConfig {
             proto_select: select,
-            stride_prefetch: prefetch,
             ..DsmConfig::default()
         },
         ..ClusterConfig::default()
     };
     let runs = [
-        ("all-invalidate", ProtoSelect::AllInvalidate, false),
-        ("all-update", ProtoSelect::AllUpdate, false),
-        ("adaptive", ProtoSelect::Adaptive, false),
-        ("adaptive + prefetch", ProtoSelect::Adaptive, true),
+        ("all-invalidate", ProtoSelect::AllInvalidate),
+        ("all-update", ProtoSelect::AllUpdate),
+        ("adaptive", ProtoSelect::Adaptive),
     ];
     let mut t = Table::new(
         format!("Adaptive-DSM smoke — CG class S on {nodes} nodes, all modes bit-identical"),
@@ -746,7 +739,6 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
             "zeta",
             "fetches",
             "range fetches",
-            "prefetch hits",
             "update pushes",
             "invalidations",
         ],
@@ -756,8 +748,8 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     // to prove the adaptive policy never costs more than either static
     // extreme on this workload.
     let mut proto_msgs: Vec<(&str, u64)> = Vec::new();
-    for (label, select, prefetch) in runs {
-        let (res, report) = cg_parade(&cluster(cfg(select, prefetch)), CgClass::S);
+    for (label, select) in runs {
+        let (res, report) = cg_parade(&cluster(cfg(select)), CgClass::S);
         if let Some(err) = &report.cluster.fabric_error {
             return Err(format!("adapt-smoke: link died under {label}: {err}"));
         }
@@ -779,7 +771,7 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
             Some(_) => {}
         }
         let d = report.cluster.dsm_totals();
-        if prefetch && d.range_fetches == 0 {
+        if d.range_fetches == 0 {
             return Err(format!(
                 "adapt-smoke: {label} never coalesced a bulk read into a \
                  range fetch — bulk fetch path dead"
@@ -791,7 +783,6 @@ pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
             format!("{}", res.zeta),
             d.page_fetches.to_string(),
             d.range_fetches.to_string(),
-            d.prefetch_hits.to_string(),
             d.update_pushes.to_string(),
             d.invalidations.to_string(),
         ]);
@@ -1127,7 +1118,7 @@ mod tests {
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert!(t.title.contains("Adaptive-DSM smoke"));
-        assert_eq!(t.rows.len(), 4);
+        assert_eq!(t.rows.len(), 3);
         let zeta = &t.rows[0][1];
         assert!(t.rows.iter().all(|r| &r[1] == zeta), "{:?}", t.rows);
     }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use parade_trace::json_string;
 use parade_translator::Span;
 
 /// Diagnostic severity. `Error` diagnostics make `paradec check` exit
@@ -159,35 +160,15 @@ impl Diag {
     pub fn render_json(&self, file: &str) -> String {
         format!(
             r#"{{"file":{},"lint":"{}","name":"{}","severity":"{}","line":{},"col":{},"message":{}}}"#,
-            json_str(file),
+            json_string(file),
             self.lint.code(),
             self.lint.name(),
             self.severity,
             self.span.line,
             self.span.col,
-            json_str(&self.message)
+            json_string(&self.message)
         )
     }
-}
-
-/// Minimal JSON string escaping (the diagnostics only ever carry source
-/// identifiers and fixed text, but stay correct on anything).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Canonical diagnostic order: (line, col, lint id, message), then dedup.

@@ -265,9 +265,7 @@ mod tests {
         }
         // Everything else passes through untouched.
         c.dsm.max_fetch_range = 3;
-        c.dsm.stride_prefetch = false;
-        let d = c.dsm_config();
-        assert_eq!((d.max_fetch_range, d.stride_prefetch), (3, false));
+        assert_eq!(c.dsm_config().max_fetch_range, 3);
     }
 
     #[test]

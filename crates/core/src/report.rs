@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use parade_dsm::DsmStatsSnapshot;
 use parade_net::{FabricError, LinkHealth, NodeTraffic, VTime};
-use parade_trace::TraceReport;
+use parade_trace::{json_string, TraceReport};
 
 use crate::team::RunReport;
 
@@ -162,7 +162,7 @@ impl StatsReport {
     pub fn json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"label\": {},", jstr(&self.label));
+        let _ = writeln!(s, "  \"label\": {},", json_string(&self.label));
         let _ = writeln!(s, "  \"exec_ns\": {},", self.exec_time.as_nanos());
         s.push_str("  \"nodes\": [\n");
         for (i, t) in self.node_times.iter().enumerate() {
@@ -210,7 +210,7 @@ impl StatsReport {
         let _ = writeln!(s, "  \"link_health\": {{{}}},", health.join(", "));
         match &self.fabric_error {
             Some(err) => {
-                let _ = writeln!(s, "  \"fabric_error\": {},", jstr(&err.to_string()));
+                let _ = writeln!(s, "  \"fabric_error\": {},", json_string(&err.to_string()));
             }
             None => {
                 let _ = writeln!(s, "  \"fabric_error\": null,");
@@ -219,7 +219,7 @@ impl StatsReport {
         let errs: Vec<String> = self
             .fabric_errors
             .iter()
-            .map(|e| jstr(&e.to_string()))
+            .map(|e| json_string(&e.to_string()))
             .collect();
         let _ = writeln!(s, "  \"fabric_errors\": [{}],", errs.join(", "));
         match &self.trace {
@@ -268,24 +268,6 @@ impl StatsReport {
             }
         }
     }
-}
-
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

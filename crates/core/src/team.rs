@@ -17,6 +17,7 @@ use parade_cluster::{
     launch_result, ClusterConfig, ClusterReport, ConfigError, ExecConfig, NodeEnv, NodePanic,
     ProtocolMode,
 };
+use parade_dsm::{need, DecodeError};
 use parade_mpi::datatype::{Reader, Writer};
 use parade_net::{NetProfile, TimeSource, VClock, VTime};
 use parade_trace::{self as trace, TraceReport};
@@ -26,6 +27,7 @@ use crate::runtime::{run_region, spawn_pool, NodeRt, RegionFn};
 use crate::shared::{Pod, SharedScalar, SharedVec};
 
 /// Commands broadcast from the master to the worker command loops.
+#[derive(Debug, Clone, PartialEq)]
 enum Cmd {
     AllocRegion { len: usize },
     AllocScalar { len: usize },
@@ -57,25 +59,38 @@ impl Cmd {
         w.finish()
     }
 
-    fn decode(b: &[u8]) -> Cmd {
+    /// Every length is checked against the bytes present before it is
+    /// read: a malformed frame yields a [`DecodeError`], never a panic.
+    fn try_decode(b: &[u8]) -> Result<Cmd, DecodeError> {
+        fn operand(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+            need(r, 8, "command operand")?;
+            Ok(r.u64() as usize)
+        }
         let mut r = Reader::new(b);
-        match r.u8() {
+        need(&r, 1, "command kind")?;
+        Ok(match r.u8() {
             1 => Cmd::AllocRegion {
-                len: r.u64() as usize,
+                len: operand(&mut r)?,
             },
             2 => Cmd::AllocScalar {
-                len: r.u64() as usize,
+                len: operand(&mut r)?,
             },
-            3 => Cmd::ScalarSet {
-                small_id: r.u32(),
-                bytes: r.lp_bytes().to_vec(),
-            },
+            3 => {
+                need(&r, 8, "ScalarSet header")?;
+                let small_id = r.u32();
+                let len = r.u32() as usize;
+                need(&r, len, "ScalarSet bytes")?;
+                Cmd::ScalarSet {
+                    small_id,
+                    bytes: r.bytes(len).to_vec(),
+                }
+            }
             4 => Cmd::Fork {
-                region_idx: r.u64() as usize,
+                region_idx: operand(&mut r)?,
             },
             5 => Cmd::Shutdown,
-            k => unreachable!("bad command kind {k}"),
-        }
+            k => return Err(DecodeError::BadKind(k)),
+        })
     }
 }
 
@@ -399,7 +414,14 @@ fn worker_loop(rt: &Arc<NodeRt>, registry: &Registry, clock: &mut VClock) {
     loop {
         let mut b = Bytes::new();
         rt.comm.bcast_bytes(0, &mut b, clock);
-        match Cmd::decode(&b) {
+        // Fail-stop: the node program's panic is what `FailedRun` reports.
+        let cmd = Cmd::try_decode(&b).unwrap_or_else(|e| {
+            panic!(
+                "node {}: bad frame on the master's command broadcast: {e}",
+                rt.node
+            )
+        });
+        match cmd {
             Cmd::AllocRegion { len } => {
                 rt.dsm.alloc_region(len).expect("worker allocation failed");
             }
@@ -599,6 +621,74 @@ mod tests {
             .time(TimeSource::Manual)
             .build()
             .unwrap()
+    }
+
+    /// One command of every kind.
+    fn samples() -> Vec<Cmd> {
+        vec![
+            Cmd::AllocRegion { len: 1 << 20 },
+            Cmd::AllocScalar { len: 8 },
+            Cmd::ScalarSet {
+                small_id: 7,
+                bytes: vec![1, 2, 3, 4, 5, 6, 7, 8],
+            },
+            Cmd::Fork { region_idx: 3 },
+            Cmd::Shutdown,
+        ]
+    }
+
+    #[test]
+    fn cmd_roundtrip_is_exact_and_no_prefix_decodes() {
+        for cmd in samples() {
+            let bytes = cmd.encode();
+            assert_eq!(Cmd::try_decode(&bytes).as_ref(), Ok(&cmd));
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(
+                        Cmd::try_decode(&bytes[..cut]),
+                        Err(DecodeError::Truncated { .. })
+                    ),
+                    "prefix {cut}/{} of {cmd:?} decoded",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cmd_decode_survives_every_single_byte_mutation() {
+        for cmd in samples() {
+            let frame = cmd.encode().to_vec();
+            for (pos, flip) in (0..frame.len()).flat_map(|p| (1..=255u8).map(move |f| (p, f))) {
+                let mut bytes = frame.clone();
+                bytes[pos] ^= flip;
+                // A structured error or some command — never a panic, and a
+                // corrupted length never sizes an allocation past the frame.
+                if let Ok(Cmd::ScalarSet { bytes: b, .. }) = Cmd::try_decode(&bytes) {
+                    assert!(b.len() <= bytes.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_command_frame_fails_the_run_naming_node_and_byte() {
+        // Kind byte 0 is what the `single`-lapping bug hands the worker loop.
+        let failed = test_cluster(2, 1)
+            .try_run_with_report(|g| {
+                let mut frame = Bytes::from(vec![0u8]);
+                g.rt.comm.bcast_bytes(0, &mut frame, &mut g.clock);
+            })
+            .expect_err("a bad frame must fail the run");
+        let worker = failed
+            .panics
+            .iter()
+            .find(|p| p.node == 1)
+            .expect("node 1 reported");
+        assert_eq!(
+            worker.message,
+            "node 1: bad frame on the master's command broadcast: unknown message kind 0"
+        );
     }
 
     #[test]

@@ -182,12 +182,6 @@ pub struct DsmConfig {
     /// (Helmholtz/CG fault storms). `<= 1` disables coalescing; range
     /// fetches also require a safe [`UpdateStrategy`].
     pub max_fetch_range: usize,
-    /// Feed read-fault addresses to a per-thread stride predictor and
-    /// speculatively fetch ahead of the fault stream (bounded by
-    /// `max_fetch_range`; depth and accuracy guard are constants in
-    /// `prefetch`). Requires a safe [`UpdateStrategy`], like range
-    /// coalescing.
-    pub stride_prefetch: bool,
     /// Per-page invalidate/update protocol selection (see [`ProtoSelect`]).
     pub proto_select: ProtoSelect,
 }
@@ -202,7 +196,6 @@ impl Default for DsmConfig {
             comm: CommCosts::dedicated_cpu(),
             small_threshold: 256,
             max_fetch_range: 16,
-            stride_prefetch: true,
             proto_select: ProtoSelect::Adaptive,
         }
     }

@@ -68,7 +68,8 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-pub(crate) fn need(r: &Reader<'_>, n: usize, what: &'static str) -> Result<(), DecodeError> {
+/// `what` is about to read `n` bytes of `r`: they must be there.
+pub fn need(r: &Reader<'_>, n: usize, what: &'static str) -> Result<(), DecodeError> {
     if r.remaining() < n {
         return Err(DecodeError::Truncated {
             what,

@@ -4,8 +4,7 @@
 //! The communication-thread side (serving page requests, merging diffs,
 //! the barrier master, the lock manager) lives in [`crate::server`].
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use parade_net::sync::{Condvar, Mutex, MutexGuard};
@@ -18,26 +17,9 @@ use crate::config::{DsmConfig, LockKind};
 use crate::diff::Diff;
 use crate::msg::{DsmMsg, DsmReply, REPLY_TAG_BASE};
 use crate::page::{PageId, PageState, PAGE_SIZE};
-use crate::prefetch::{Prediction, StridePredictor};
 use crate::smalldata::SmallRegistry;
 use crate::stats::DsmStats;
 use crate::store::{AllocError, PageSets, RawPool, RegionAllocator, RegionHandle};
-
-/// Distinguishes `Dsm` instances so a thread's cached predictor never
-/// carries over between clusters sharing an OS thread (tests spawn many).
-static NEXT_DSM_INSTANCE: AtomicU64 = AtomicU64::new(1);
-
-/// Per-thread stride-prefetch state: the predictor plus the set of pages
-/// this thread fetched speculatively and has not consumed yet.
-struct ThreadPrefetch {
-    dsm: u64,
-    pred: StridePredictor,
-    outstanding: HashSet<PageId>,
-}
-
-thread_local! {
-    static PREFETCH: RefCell<Option<ThreadPrefetch>> = const { RefCell::new(None) };
-}
 
 pub(crate) struct PageMeta {
     pub(crate) inner: Mutex<PageInner>,
@@ -115,8 +97,6 @@ pub struct Dsm {
     /// interval's read observations (pages fetched from remote homes — the
     /// sharer evidence shipped with barrier arrivals).
     pub(crate) sets: PageSets,
-    /// Monotonic instance id (thread-local predictor cache key).
-    instance: u64,
     /// Per-lock: last notice sequence this node has seen.
     lock_seen: Mutex<HashMap<u64, u64>>,
     barrier_seq: AtomicU64,
@@ -151,7 +131,6 @@ impl Dsm {
             stats: DsmStats::default(),
             reply_tag: AtomicU64::new(REPLY_TAG_BASE),
             sets: PageSets::new(npages),
-            instance: NEXT_DSM_INSTANCE.fetch_add(1, Ordering::Relaxed),
             lock_seen: Mutex::new(HashMap::new()),
             barrier_seq: AtomicU64::new(0),
             server: Mutex::new(crate::server::ServerState::default()),
@@ -390,9 +369,6 @@ impl Dsm {
             return;
         }
         let pages: Vec<PageId> = crate::page::pages_covering(start, len).collect();
-        if self.cfg.stride_prefetch && !pages.is_empty() {
-            self.note_access(&pages, clock);
-        }
         let mut i = 0;
         while i < pages.len() {
             let first = pages[i];
@@ -451,120 +427,6 @@ impl Dsm {
                 }
             }
         }
-    }
-
-    /// Feed one bulk access into this thread's stride predictor: credit
-    /// prefetch hits, record the leading page, and on a confirmed stride
-    /// speculatively fetch the next predicted pages. Issued only on a
-    /// *miss* (the leading page was not itself prefetched), so a confirmed
-    /// unit-stride stream settles into one demand trip plus one range trip
-    /// per window instead of one round trip per page.
-    fn note_access(&self, pages: &[PageId], clock: &mut VClock) {
-        PREFETCH.with(|cell| {
-            let mut slot = cell.borrow_mut();
-            let st = match slot.as_mut() {
-                Some(st) if st.dsm == self.instance => st,
-                _ => {
-                    *slot = Some(ThreadPrefetch {
-                        dsm: self.instance,
-                        pred: StridePredictor::new(),
-                        outstanding: HashSet::new(),
-                    });
-                    slot.as_mut().expect("just installed")
-                }
-            };
-            let mut leading_hit = false;
-            for p in pages {
-                if st.outstanding.remove(p) {
-                    self.stats.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                    leading_hit |= *p == pages[0];
-                }
-            }
-            if st.pred.is_disabled() {
-                return;
-            }
-            let before = st.pred.mispredicts();
-            let decision = st.pred.record_fault(pages[0]);
-            let broke = st.pred.mispredicts() - before;
-            if broke > 0 {
-                self.stats
-                    .prefetch_mispredicts
-                    .fetch_add(broke as u64, Ordering::Relaxed);
-                st.outstanding.clear();
-            }
-            if let Prediction::Prefetch { stride, count } = decision {
-                if !leading_hit {
-                    let issued = self.issue_prefetch(pages[0], stride, count, clock);
-                    st.outstanding.extend(issued);
-                }
-            }
-        });
-    }
-
-    /// Speculatively fetch up to `count` pages at `access + k·stride`.
-    /// Pages that are out of pool, locally homed, or not INVALID are
-    /// skipped; the rest are claimed TRANSIENT and fetched in maximal
-    /// contiguous same-home runs. Returns the pages actually fetched.
-    fn issue_prefetch(
-        &self,
-        access: PageId,
-        stride: isize,
-        count: usize,
-        clock: &mut VClock,
-    ) -> Vec<PageId> {
-        let npages = self.pages.len();
-        let mut claimed: Vec<PageId> = Vec::new();
-        for k in 1..=count.min(self.cfg.max_fetch_range) as isize {
-            let p = access as isize + stride * k;
-            if p < 0 || p as usize >= npages {
-                break;
-            }
-            let p = p as usize;
-            if self.home_of(p) == self.node
-                || self.pages[p].fast.load(Ordering::Acquire) != PageState::Invalid as u8
-            {
-                continue;
-            }
-            let meta = &self.pages[p];
-            let mut inner = meta.inner.lock();
-            if inner.state != PageState::Invalid {
-                continue;
-            }
-            meta.set_state(&mut inner, PageState::Transient);
-            drop(inner);
-            claimed.push(p);
-        }
-        if claimed.is_empty() {
-            return claimed;
-        }
-        self.stats
-            .prefetch_pages
-            .fetch_add(claimed.len() as u64, Ordering::Relaxed);
-        claimed.sort_unstable();
-        let mut i = 0;
-        while i < claimed.len() {
-            let first = claimed[i];
-            let home = self.home_of(first);
-            let mut n = 1;
-            while i + n < claimed.len()
-                && claimed[i + n] == first + n
-                && self.home_of(claimed[i + n]) == home
-            {
-                n += 1;
-            }
-            self.stats.prefetch_issued.fetch_add(1, Ordering::Relaxed);
-            if n == 1 {
-                self.fetch_page(first, clock);
-                self.complete_update(first);
-            } else {
-                self.fetch_page_range(first, n, clock);
-                for p in first..first + n {
-                    self.complete_update(p);
-                }
-            }
-            i += n;
-        }
-        claimed
     }
 
     /// Wake every thread parked on a page condvar. Called by the

@@ -27,7 +27,6 @@ mod diff;
 mod engine;
 mod msg;
 mod page;
-mod prefetch;
 mod server;
 mod smalldata;
 mod stats;
@@ -36,11 +35,10 @@ mod store;
 pub use adapt::{ProtoDecision, ProtocolTable, MIN_SHARERS, PROBATION};
 pub use bufpool::PageBuf;
 pub use config::{CommCosts, DsmConfig, HomePolicy, LockKind, ProtoSelect, UpdateStrategy};
-pub use diff::{DecodeError, Diff, DiffRun};
+pub use diff::{need, DecodeError, Diff, DiffRun};
 pub use engine::Dsm;
 pub use msg::{DepartEntry, DsmMsg, DsmReply, REPLY_TAG_BASE};
 pub use page::{page_of, page_start, pages_covering, PageId, PageState, PAGE_SIZE};
-pub use prefetch::{Prediction, StridePredictor};
 pub use server::{spawn_comm_thread, CommServer, ServerState};
 pub use smalldata::{SmallHandle, SmallRegistry};
 pub use stats::{DsmStats, DsmStatsSnapshot};

@@ -81,18 +81,12 @@ counters! {
     /// Threads that blocked on an in-flight page update
     /// (TRANSIENT/BLOCKED waits — the §5.1 machinery at work).
     update_waits,
-    /// Speculative stride-prefetch requests issued (each covers one or
-    /// more predicted pages).
-    prefetch_issued,
-    /// Pages fetched speculatively by the stride predictor (also counted
-    /// in `page_fetches`).
+    /// Always 0 since the stride prefetcher was deleted; kept, with
+    /// `prefetch_hits`, only because `benchmark/src/sut.rs` names both. The
+    /// next `[benchmark]` PR drops them and the `dsm.prefetch_*` columns.
     prefetch_pages,
-    /// Prefetched pages later consumed by the predicted access stream
-    /// without faulting.
+    /// Always 0; see `prefetch_pages`.
     prefetch_hits,
-    /// Confirmed-stride predictions broken by the next fault; reaching
-    /// `prefetch::MISPREDICT_BUDGET` disables that thread's predictor.
-    prefetch_mispredicts,
     /// Merged pages pushed to sharers under the update protocol (also
     /// counted in `pushes_sent`).
     update_pushes,

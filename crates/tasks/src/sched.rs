@@ -431,7 +431,13 @@ impl NodeSched {
         ex: &mut E,
         clock: &mut VClock,
     ) {
-        let msg = SchedMsg::decode(bytes);
+        // Fail-stop: the node program's panic is what `FailedRun` reports.
+        let msg = SchedMsg::try_decode(bytes).unwrap_or_else(|e| {
+            panic!(
+                "node {}: bad scheduler frame from node {src} on tag {TAG_SCHED:#x}: {e}",
+                self.node
+            )
+        });
         if msg.counted() {
             self.balance -= 1;
             self.black = true;

@@ -136,63 +136,127 @@ impl Wr {
     }
 }
 
+/// A malformed scheduler frame (fail-stop instead of an indexing panic,
+/// like `parade_dsm::DecodeError`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The buffer ended before the announced field.
+    Truncated {
+        what: &'static str,
+        need: usize,
+        have: usize,
+    },
+    /// An element count cannot fit in the remaining bytes (OOM guard: the
+    /// count sizes a `Vec` allocation and must be backed by real bytes).
+    Count { count: u32, have: usize },
+    /// Unknown message kind byte.
+    BadKind(u8),
+    /// Bytes left over after a complete message.
+    Trailing(usize),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated { what, need, have } => {
+                write!(f, "truncated frame: {what} needs {need} bytes, {have} left")
+            }
+            DecodeError::Count { count, have } => {
+                write!(f, "element count {count} exceeds frame ({have} bytes left)")
+            }
+            DecodeError::BadKind(k) => write!(f, "unknown message kind byte {k:#04x}"),
+            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes after the message"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
 struct Rd<'a> {
     b: &'a [u8],
     p: usize,
 }
 
 impl<'a> Rd<'a> {
-    fn u8(&mut self) -> u8 {
-        let v = self.b[self.p];
-        self.p += 1;
-        v
+    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
+        let have = self.b.len() - self.p;
+        let Some(bytes) = self.b[self.p..].first_chunk::<N>() else {
+            return Err(DecodeError::Truncated {
+                what,
+                need: N,
+                have,
+            });
+        };
+        self.p += N;
+        Ok(*bytes)
     }
-    fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.b[self.p..self.p + 4].try_into().unwrap());
-        self.p += 4;
-        v
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take::<1>("u8")?[0])
     }
-    fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.b[self.p..self.p + 8].try_into().unwrap());
-        self.p += 8;
-        v
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.take("u32")?))
     }
-    fn u64s(&mut self) -> Vec<u64> {
-        let n = self.u32() as usize;
-        (0..n).map(|_| self.u64()).collect()
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.take("u64")?))
     }
-    fn f64s(&mut self) -> Vec<f64> {
-        let n = self.u32() as usize;
-        (0..n).map(|_| f64::from_bits(self.u64())).collect()
+    /// A `u32`-counted list. The count is checked against the bytes left
+    /// (every element takes at least `min_each`) before it sizes the `Vec`.
+    fn list<T>(
+        &mut self,
+        min_each: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let count = self.u32()?;
+        let have = self.b.len() - self.p;
+        if count as usize > have / min_each {
+            return Err(DecodeError::Count { count, have });
+        }
+        let mut out = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
-    fn desc(&mut self) -> TaskDesc {
-        let id = self.u64();
-        let parent = self.u64();
-        let home = self.u32();
-        let func = self.u32();
-        let pinned = if self.u8() == 1 {
-            Some(self.u32())
+    fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
+        self.list(8, Self::u64)
+    }
+    fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
+        self.list(8, |r| r.u64().map(f64::from_bits))
+    }
+    fn desc(&mut self) -> Result<TaskDesc, DecodeError> {
+        let id = self.u64()?;
+        let parent = self.u64()?;
+        let home = self.u32()?;
+        let func = self.u32()?;
+        let pinned = if self.u8()? == 1 {
+            Some(self.u32()?)
         } else {
             None
         };
-        let inject = self.u8() == 1;
-        TaskDesc {
+        let inject = self.u8()? == 1;
+        Ok(TaskDesc {
             id,
             parent,
             home,
             func,
             pinned,
             inject,
-            args: self.u64s(),
-            deps: self.u64s(),
-            notices: self.u64s(),
-        }
+            args: self.u64s()?,
+            deps: self.u64s()?,
+            notices: self.u64s()?,
+        })
     }
-    fn results(&mut self) -> Vec<(u64, Vec<f64>)> {
-        let n = self.u32() as usize;
-        (0..n).map(|_| (self.u64(), self.f64s())).collect()
+    fn descs(&mut self) -> Result<Vec<TaskDesc>, DecodeError> {
+        self.list(MIN_DESC_BYTES, Self::desc)
+    }
+    fn results(&mut self) -> Result<Vec<(u64, Vec<f64>)>, DecodeError> {
+        // At least an id and an empty list each.
+        self.list(8 + 4, |r| Ok((r.u64()?, r.f64s()?)))
     }
 }
+
+/// Encoded size of a [`TaskDesc`] with no pin and three empty lists.
+const MIN_DESC_BYTES: usize = 8 + 8 + 4 + 4 + 1 + 1 + 3 * 4;
 
 impl SchedMsg {
     /// True for messages the termination detector must count.
@@ -257,46 +321,45 @@ impl SchedMsg {
         Bytes::from(w.0)
     }
 
-    /// Decode a scheduler message. Panics on malformed input: scheduler
-    /// traffic only crosses the in-process fabric, whose reliable channel
-    /// already guarantees integrity — a short payload here is a bug, not a
-    /// wire fault.
-    pub fn decode(b: &[u8]) -> SchedMsg {
+    /// Decode a scheduler frame. Every length and count is checked against
+    /// the bytes actually present before it is indexed or sizes an
+    /// allocation; malformed bytes yield a [`DecodeError`], never a panic.
+    pub fn try_decode(b: &[u8]) -> Result<SchedMsg, DecodeError> {
         let mut r = Rd { b, p: 0 };
-        let msg = match r.u8() {
-            K_TASK => SchedMsg::Task(r.desc()),
+        let msg = match r.take::<1>("message kind")?[0] {
+            K_TASK => SchedMsg::Task(r.desc()?),
             K_STEAL_REQ => SchedMsg::StealReq,
-            K_STEAL_REPLY => {
-                let n = r.u32() as usize;
-                SchedMsg::StealReply((0..n).map(|_| r.desc()).collect())
-            }
+            K_STEAL_REPLY => SchedMsg::StealReply(r.descs()?),
             K_COMPLETE => SchedMsg::Complete {
-                id: r.u64(),
-                parent: r.u64(),
-                result: r.f64s(),
-                notices: r.u64s(),
+                id: r.u64()?,
+                parent: r.u64()?,
+                result: r.f64s()?,
+                notices: r.u64s()?,
             },
             K_TOKEN => SchedMsg::Token {
-                count: r.u64() as i64,
-                black: r.u8() == 1,
+                count: r.u64()? as i64,
+                black: r.u8()? == 1,
             },
             K_DONE => SchedMsg::Done,
             K_RESULT => SchedMsg::Result {
-                results: r.results(),
-                spawned: r.u64(),
-                executed: r.u64(),
+                results: r.results()?,
+                spawned: r.u64()?,
+                executed: r.u64()?,
             },
-            K_MERGED => SchedMsg::Merged(r.results()),
-            k => panic!("unknown scheduler message kind {k}"),
+            K_MERGED => SchedMsg::Merged(r.results()?),
+            k => return Err(DecodeError::BadKind(k)),
         };
-        assert_eq!(r.p, b.len(), "trailing bytes in scheduler message");
-        msg
+        if r.p != b.len() {
+            return Err(DecodeError::Trailing(b.len() - r.p));
+        }
+        Ok(msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parade_testkit::prelude::*;
 
     fn desc() -> TaskDesc {
         TaskDesc {
@@ -312,9 +375,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_all_kinds() {
-        let msgs = vec![
+    /// One message of every kind (two `StealReply`s: full and empty).
+    fn samples() -> Vec<SchedMsg> {
+        vec![
             SchedMsg::Task(desc()),
             SchedMsg::StealReq,
             SchedMsg::StealReply(vec![desc(), desc()]),
@@ -336,10 +399,84 @@ mod tests {
                 executed: 2,
             },
             SchedMsg::Merged(vec![(1, vec![0.25])]),
-        ];
-        for m in msgs {
-            let b = m.encode();
-            assert_eq!(SchedMsg::decode(&b), m);
+        ]
+    }
+
+    #[test]
+    fn roundtrip_is_exact_and_no_prefix_decodes() {
+        for m in samples() {
+            let bytes = m.encode();
+            assert_eq!(SchedMsg::try_decode(&bytes).as_ref(), Ok(&m));
+            // Every field is pinned by a kind, a length or a count ahead of
+            // it, so no proper prefix is itself a message.
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(
+                        SchedMsg::try_decode(&bytes[..cut]),
+                        Err(DecodeError::Truncated { .. } | DecodeError::Count { .. })
+                    ),
+                    "prefix {cut}/{} of {m:?} decoded",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    prop!(fn decode_survives_mutation((which, flips) in |r: &mut TestRng| {
+        let n = r.range_usize(1, 8);
+        let flips: Vec<(usize, u8)> = (0..n)
+            .map(|_| (r.range_usize(0, 1 << 16), r.next_byte()))
+            .collect();
+        (r.range_usize(0, 1 << 16), flips)
+    }) {
+        let samples = samples();
+        let mut bytes = samples[which % samples.len()].encode().to_vec();
+        for &(pos, v) in &flips {
+            let p = pos % bytes.len();
+            bytes[p] ^= v;
+        }
+        // A structured error or some message — never a panic, and whatever
+        // decodes survives its own round trip.
+        if let Ok(m) = SchedMsg::try_decode(&bytes) {
+            let again = m.encode();
+            assert_eq!(SchedMsg::try_decode(&again).map(|m| m.encode()), Ok(again));
+        }
+    });
+
+    #[test]
+    fn try_decode_names_the_offending_byte_and_rejects_unbacked_counts() {
+        assert_eq!(
+            SchedMsg::try_decode(&[0xEE]),
+            Err(DecodeError::BadKind(0xEE))
+        );
+        assert_eq!(
+            DecodeError::BadKind(0xEE).to_string(),
+            "unknown message kind byte 0xee"
+        );
+        assert!(matches!(
+            SchedMsg::try_decode(&[]),
+            Err(DecodeError::Truncated {
+                need: 1,
+                have: 0,
+                ..
+            })
+        ));
+        assert_eq!(
+            SchedMsg::try_decode(&[K_DONE, 0]),
+            Err(DecodeError::Trailing(1))
+        );
+        // Each count would size a multi-gigabyte allocation if trusted.
+        for kind in [K_STEAL_REPLY, K_RESULT, K_MERGED] {
+            let mut w = Wr(vec![kind]);
+            w.u32(u32::MAX);
+            assert_eq!(
+                SchedMsg::try_decode(&w.0),
+                Err(DecodeError::Count {
+                    count: u32::MAX,
+                    have: 0
+                }),
+                "kind {kind}"
+            );
         }
     }
 

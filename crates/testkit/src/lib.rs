@@ -1,10 +1,10 @@
 //! # parade-testkit — deterministic, dependency-free test harness
 //!
-//! In-repo replacement for the `proptest` + `rand` + `criterion` stack, so
+//! In-repo replacement for the `proptest` + `rand` stack, so
 //! the workspace builds and tests **offline with zero external crates**
 //! (the hermetic-build policy; see README.md).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`rng::TestRng`] — a seeded generator built on the NAS 46-bit LCG
 //!   (the same `a = 5^13` recurrence as `parade-kernels::nasrng`, which a
@@ -14,9 +14,6 @@
 //!   `PARADE_PROP_SEED=0x…` reproduction line, and inputs are greedily
 //!   shrunk via [`shrink::Shrink`] to a deterministic minimal
 //!   counterexample.
-//! * [`bench::Bench`] — a micro-benchmark harness (calibrated batches,
-//!   warmup, median-of-N) with optional `BENCH_<suite>.json` emission via
-//!   `PARADE_BENCH_JSON`.
 //!
 //! Plus [`watchdog::run_with_timeout`], a deadlock watchdog for tests that
 //! drive blocking runtimes (used by the chaos/fault-injection suite).
@@ -29,15 +26,13 @@
 //! });
 //! ```
 
-pub mod bench;
 pub mod rng;
 pub mod runner;
 pub mod shrink;
 pub mod watchdog;
 
-/// The names property tests and benches actually use.
+/// The names property tests actually use.
 pub mod prelude {
-    pub use crate::bench::{Bench, BenchOpts};
     pub use crate::prop;
     pub use crate::rng::TestRng;
     pub use crate::runner::Config;

@@ -8,24 +8,8 @@
 //! not host wall time.
 
 use crate::event::{Identity, Phase};
+use crate::jsonck::json_string;
 use crate::session::TraceData;
-
-/// Escape a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn pid(id: &Identity) -> u32 {
     // Perfetto groups tracks by pid; use the simulated node id, with the
@@ -63,8 +47,8 @@ pub fn chrome_json(data: &TraceData) -> String {
                 &mut s,
                 format!(
                     "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    escape(&pname)
+                     \"args\":{{\"name\":{}}}}}",
+                    json_string(&pname)
                 ),
             );
         }
@@ -72,8 +56,8 @@ pub fn chrome_json(data: &TraceData) -> String {
             &mut s,
             format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&t.identity.name)
+                 \"args\":{{\"name\":{}}}}}",
+                json_string(&t.identity.name)
             ),
         );
     }

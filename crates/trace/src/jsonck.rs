@@ -1,10 +1,31 @@
-//! A minimal JSON well-formedness checker (RFC 8259 syntax only).
+//! A minimal JSON well-formedness checker (RFC 8259 syntax only), and the
+//! string-literal writer every hand-encoded JSON document here goes through.
 //!
 //! The hermetic workspace has no serde, but the golden tests and the CI
 //! smoke run must prove that emitted Chrome traces parse. This is a
 //! ~150-line recursive-descent validator: it accepts exactly one JSON
 //! value (with surrounding whitespace) and rejects everything else with
 //! a byte offset. It validates syntax, not any schema.
+
+/// `s` as a JSON string literal, quotes included (escapes `"`, `\`, and
+/// control characters). The workspace's one JSON string writer.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// Validate that `s` is one well-formed JSON document.
 pub fn validate_json(s: &str) -> Result<(), String> {
@@ -203,6 +224,13 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_string_escapes_and_validates() {
+        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\r\t\u{1}"), "\"\\r\\t\\u0001\"");
+        validate_json(&json_string("\u{0}\u{1f} \"\\ é")).unwrap();
+    }
 
     #[test]
     fn accepts_valid_documents() {

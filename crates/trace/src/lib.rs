@@ -46,7 +46,7 @@ mod session;
 
 pub use chrome::chrome_json;
 pub use event::{EventKind, Identity, Phase, TraceEvent};
-pub use jsonck::validate_json;
+pub use jsonck::{json_string, validate_json};
 pub use report::{aggregate, InstantRow, SpanRow, TraceReport};
 pub use ring::{Ring, ThreadTrace};
 pub use session::{

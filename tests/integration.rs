@@ -91,9 +91,7 @@ fn cg_migratory_home_reduces_traffic() {
 }
 
 /// The bulk-fetch shape of a CG class-S sweep is pinned: whole-vector
-/// reads must coalesce their cold misses into `ReqPageRange` trips, and
-/// CG's one-bulk-call-per-vector pattern gives the stride predictor no
-/// inter-fault stride to learn, so speculative prefetch stays silent.
+/// reads must coalesce their cold misses into `ReqPageRange` trips.
 /// A drift in either counter means the adaptive hot path changed shape —
 /// rerun `figures -- adapt-smoke` and re-pin deliberately.
 #[test]
@@ -112,9 +110,9 @@ fn cg_bulk_fetch_counters_are_pinned() {
     assert!(r.verify(CgClass::S), "zeta {}", r.zeta);
     let d = report.cluster.dsm_totals();
     assert_eq!(
-        (d.range_fetches, d.range_fetch_pages, d.prefetch_hits),
-        (17, 181, 0),
-        "bulk-fetch shape drifted (range trips, pages, speculative hits)",
+        (d.range_fetches, d.range_fetch_pages),
+        (17, 181),
+        "bulk-fetch shape drifted (range trips, pages)",
     );
 }
 

@@ -26,6 +26,7 @@ use std::time::Duration;
 use parade::check::{check_source, has_errors};
 use parade::core::Cluster;
 use parade::net::TimeSource;
+use parade::trace::json_string;
 use parade::translator::{parse, Interp};
 use parade_testkit::prelude::run_with_timeout;
 
@@ -123,22 +124,6 @@ fn c_files(dir: &str) -> Vec<PathBuf> {
     files
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// One golden line: the program's exit code and stdout (or its runtime
 /// error) on `nodes` × `threads`.
 fn run_line(name: &str, src: &str, nodes: usize, threads: usize) -> String {
@@ -153,12 +138,16 @@ fn run_line(name: &str, src: &str, nodes: usize, threads: usize) -> String {
         Interp::new(prog).run(&cluster)
     });
     let outcome = match result {
-        Ok(out) => format!("\"exit\":{},\"stdout\":{}", out.exit, json_str(&out.stdout)),
-        Err(e) => format!("\"error\":{}", json_str(&e.message)),
+        Ok(out) => format!(
+            "\"exit\":{},\"stdout\":{}",
+            out.exit,
+            json_string(&out.stdout)
+        ),
+        Err(e) => format!("\"error\":{}", json_string(&e.message)),
     };
     format!(
         "{{\"program\":{},\"nodes\":{nodes},\"threads\":{threads},{outcome}}}\n",
-        json_str(name)
+        json_string(name)
     )
 }
 

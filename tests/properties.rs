@@ -493,10 +493,10 @@ prop!(cases = 6, fn cluster_collectives_match_across_chassis_widths(
 
 // ---- adaptive protocol equivalence --------------------------------------------
 //
-// The per-page invalidate-vs-update selection (and the stride prefetcher
-// riding below it) may only change *when* bytes move, never *which* bytes:
-// a push installs the same merged page an invalidate+refetch would. These
-// properties pin that claim over random page traces and the real kernels.
+// The per-page invalidate-vs-update selection may only change *when* bytes
+// move, never *which* bytes: a push installs the same merged page an
+// invalidate+refetch would. These properties pin that claim over random
+// page traces and the real kernels.
 
 use parade::core::ClusterConfig;
 use parade::dsm::{DsmConfig, ProtoSelect};
@@ -510,17 +510,11 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn proto_cluster(
-    nodes: usize,
-    tpn: usize,
-    proto: ProtoSelect,
-    prefetch: bool,
-) -> parade::core::Cluster {
+fn proto_cluster(nodes: usize, tpn: usize, proto: ProtoSelect) -> parade::core::Cluster {
     parade::core::Cluster::builder()
         .config(ClusterConfig {
             dsm: DsmConfig {
                 proto_select: proto,
-                stride_prefetch: prefetch,
                 ..DsmConfig::default()
             },
             ..ClusterConfig::default()
@@ -544,10 +538,9 @@ fn run_page_trace(
     intervals: usize,
     seed: u64,
     proto: ProtoSelect,
-    prefetch: bool,
 ) -> Vec<u64> {
     const SLOTS_PER_PAGE: usize = PAGE_SIZE / 8;
-    let c = proto_cluster(nodes, tpn, proto, prefetch);
+    let c = proto_cluster(nodes, tpn, proto);
     let slots = pages * SLOTS_PER_PAGE;
     c.run(move |g| {
         let v = g.alloc_f64(slots);
@@ -605,19 +598,15 @@ prop!(cases = 6, fn protocol_modes_are_bit_identical_on_random_page_traces(
     if nodes < 2 || tpn == 0 || pages == 0 || intervals == 0 {
         return; // shrunk out of the generator's precondition
     }
-    let run = |proto, prefetch| run_page_trace(nodes, tpn, pages, intervals, seed, proto, prefetch);
-    let adaptive = run(ProtoSelect::Adaptive, true);
+    let run = |proto| run_page_trace(nodes, tpn, pages, intervals, seed, proto);
+    let adaptive = run(ProtoSelect::Adaptive);
     let shape = format!("({nodes}x{tpn}, {pages}p, {intervals}iv, seed {seed:#x})");
     assert_eq!(
-        adaptive, run(ProtoSelect::Adaptive, false),
-        "prefetch must not change one bit {shape}"
-    );
-    assert_eq!(
-        adaptive, run(ProtoSelect::AllInvalidate, false),
+        adaptive, run(ProtoSelect::AllInvalidate),
         "adaptive must equal all-invalidate {shape}"
     );
     assert_eq!(
-        adaptive, run(ProtoSelect::AllUpdate, true),
+        adaptive, run(ProtoSelect::AllUpdate),
         "adaptive must equal all-update {shape}"
     );
 });
@@ -642,7 +631,7 @@ fn kernels_are_bit_identical_across_protocol_modes() {
         .map(|&m| {
             // A fresh cluster per kernel: regions are never freed, so one
             // shared pool would just measure allocator pressure.
-            let mk = || proto_cluster(4, 2, m, true);
+            let mk = || proto_cluster(4, 2, m);
             let (cg, _) = cg_parade(&mk(), CgClass::S);
             assert!(
                 (cg.zeta - 8.5971775078648).abs() <= 1e-10,
