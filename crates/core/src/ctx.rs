@@ -183,16 +183,13 @@ impl ThreadCtx {
 
     /// Hierarchical cluster-wide barrier: node-local barrier, then the
     /// inter-node HLRC barrier (flush + write notices + invalidations +
-    /// home migration) performed by one representative per node.
+    /// home migration) performed by one representative per node — the
+    /// last thread to reach the node barrier, from inside it.
     pub fn barrier(&self) {
         if trace::enabled() {
             trace::begin(EventKind::OmpBarrier, self.now());
         }
-        self.rt.barrier.wait(&mut self.clock.borrow_mut());
-        if self.local_tid == 0 {
-            self.with_clock(|c| self.rt.dsm.barrier(c));
-        }
-        self.rt.barrier.wait(&mut self.clock.borrow_mut());
+        self.node_combine(|c| self.rt.dsm.barrier(c));
         if trace::enabled() {
             trace::end(EventKind::OmpBarrier, self.now());
         }
@@ -201,6 +198,16 @@ impl ThreadCtx {
     /// Node-local barrier only (no DSM consistency action).
     pub fn node_barrier(&self) {
         self.rt.barrier.wait(&mut self.clock.borrow_mut());
+    }
+
+    /// The "combine inside the node, one thread talks to the other nodes"
+    /// step every hierarchical construct shares: a node barrier whose last
+    /// arriver runs `lead` on the clock it is handed (this thread's clock
+    /// is borrowed for the whole crossing) before anyone is released.
+    fn node_combine(&self, lead: impl FnOnce(&mut VClock)) {
+        self.rt
+            .barrier
+            .wait_leading(&mut self.clock.borrow_mut(), lead);
     }
 
     // ---- work sharing -------------------------------------------------------
@@ -445,15 +452,16 @@ impl ThreadCtx {
                     }
                     st.count += 1;
                 }
-                self.node_barrier();
-                if self.local_tid == 0 {
-                    let mut acc = self.rt.reduce.lock().acc_vec.clone();
-                    self.with_clock(|c| self.rt.comm.allreduce_f64s(&mut acc, op, c));
+                self.node_combine(|c| {
+                    // Every contribution is in and every thread parked:
+                    // reduce the accumulator in place, and let the previous
+                    // result's buffer be the next accumulator.
+                    let mut acc = std::mem::take(&mut self.rt.reduce.lock().acc_vec);
+                    self.rt.comm.allreduce_f64s(&mut acc, op, c);
                     let mut st = self.rt.reduce.lock();
-                    st.result_vec = acc;
+                    st.acc_vec = std::mem::replace(&mut st.result_vec, acc);
                     st.count = 0;
-                }
-                self.node_barrier();
+                });
                 let out = self.rt.reduce.lock().result_vec.clone();
                 if trace::enabled() {
                     trace::end(EventKind::OmpReduction, self.now());
@@ -468,8 +476,9 @@ impl ThreadCtx {
     }
 
     /// The hierarchical combine: node-local accumulate under the node lock,
-    /// node barrier, per-node representative allreduce, `leader_apply` run
-    /// once per node on the total, node barrier, everyone reads the result.
+    /// then one node barrier inside which its last arriver allreduces the
+    /// node's sum and runs `leader_apply` once per node on the total;
+    /// everyone reads the result on release.
     fn hier_f64(&self, op: ReduceOp, v: f64, leader_apply: impl FnOnce(f64) -> f64) -> f64 {
         if trace::enabled() {
             trace::begin(EventKind::OmpReduction, self.now());
@@ -483,16 +492,14 @@ impl ThreadCtx {
             }
             st.count += 1;
         }
-        self.node_barrier();
-        if self.local_tid == 0 {
+        self.node_combine(|c| {
             let acc = self.rt.reduce.lock().acc_f64;
-            let total = self.with_clock(|c| self.rt.comm.allreduce_f64(acc, op, c));
+            let total = self.rt.comm.allreduce_f64(acc, op, c);
             let final_v = leader_apply(total);
             let mut st = self.rt.reduce.lock();
             st.result_f64 = final_v;
             st.count = 0;
-        }
-        self.node_barrier();
+        });
         let out = self.rt.reduce.lock().result_f64;
         if trace::enabled() {
             trace::end(EventKind::OmpReduction, self.now());
@@ -513,16 +520,14 @@ impl ThreadCtx {
             }
             st.count += 1;
         }
-        self.node_barrier();
-        if self.local_tid == 0 {
+        self.node_combine(|c| {
             let acc = self.rt.reduce.lock().acc_i64;
-            let total = self.with_clock(|c| self.rt.comm.allreduce_i64(acc, op, c));
+            let total = self.rt.comm.allreduce_i64(acc, op, c);
             let final_v = leader_apply(total);
             let mut st = self.rt.reduce.lock();
             st.result_i64 = final_v;
             st.count = 0;
-        }
-        self.node_barrier();
+        });
         let out = self.rt.reduce.lock().result_i64;
         if trace::enabled() {
             trace::end(EventKind::OmpReduction, self.now());

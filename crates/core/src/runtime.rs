@@ -3,7 +3,7 @@
 //! `single`/`reduction` constructs.
 
 use std::sync::atomic::AtomicU64;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use parade_net::sync::Mutex;
 
@@ -66,6 +66,29 @@ pub(crate) struct DynSlot {
     pub end: usize,
 }
 
+/// [`SLOTS`] construct slots, built by the first construct that indexes
+/// them. Many programs run no `single`, most no dynamic loop, and the two
+/// tables together — 8 192 mutexes, 224 KB to allocate, initialise and
+/// free — were most of what building a node cost a short job.
+pub(crate) struct SlotTable<T>(OnceLock<Box<[Mutex<T>]>>);
+
+impl<T: Default> SlotTable<T> {
+    fn new() -> Self {
+        SlotTable(OnceLock::new())
+    }
+}
+
+impl<T: Default> std::ops::Index<usize> for SlotTable<T> {
+    type Output = Mutex<T>;
+
+    fn index(&self, slot: usize) -> &Mutex<T> {
+        let table = self
+            .0
+            .get_or_init(|| (0..SLOTS).map(|_| Mutex::new(T::default())).collect());
+        &table[slot]
+    }
+}
+
 pub(crate) struct Job {
     pub f: Arc<RegionFn>,
     pub start: VTime,
@@ -83,9 +106,9 @@ pub(crate) struct NodeRt {
     pub time: TimeSource,
     pub task_cfg: SchedConfig,
     pub barrier: VBarrier,
-    pub singles: Vec<Mutex<SingleSlot>>,
+    pub singles: SlotTable<SingleSlot>,
     pub reduce: Mutex<ReduceState>,
-    pub dyn_slots: Vec<Mutex<DynSlot>>,
+    pub dyn_slots: SlotTable<DynSlot>,
     /// Per-critical-name node mutex carrying the last release time.
     pub criticals: Mutex<std::collections::HashMap<u64, Arc<Mutex<VTime>>>>,
     pub region_counter: AtomicU64,
@@ -125,12 +148,10 @@ impl NodeRt {
             mode,
             time,
             task_cfg,
-            barrier: VBarrier::new(tpn),
-            singles: (0..SLOTS)
-                .map(|_| Mutex::new(SingleSlot::default()))
-                .collect(),
+            barrier: VBarrier::named(tpn, format!("node {node}")),
+            singles: SlotTable::new(),
             reduce: Mutex::new(ReduceState::default()),
-            dyn_slots: (0..SLOTS).map(|_| Mutex::new(DynSlot::default())).collect(),
+            dyn_slots: SlotTable::new(),
             criticals: Mutex::new(std::collections::HashMap::new()),
             region_counter: AtomicU64::new(0),
             scratch,
@@ -195,6 +216,9 @@ pub(crate) fn spawn_pool(rt: &Arc<NodeRt>) -> Vec<std::thread::JoinHandle<()>> {
             .name(format!("parade-n{}t{}", rt.node, local_tid))
             .spawn(move || {
                 trace::set_identity(rt2.node, &format!("worker-{local_tid}"));
+                // A pool thread that unwinds takes its node down with it
+                // (the node's main thread does the same in `team.rs`).
+                let _poison = rt2.barrier.poison_on_unwind();
                 while let Ok(job) = rx.recv() {
                     let mut clock = VClock::new(rt2.time);
                     clock.reset_to(job.start);
@@ -239,4 +263,19 @@ pub(crate) fn run_region<R>(
 
 fn take_clock(clock: &mut VClock) -> VClock {
     std::mem::replace(clock, VClock::manual())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slot_table_is_built_by_its_first_use() {
+        let table = SlotTable::<DynSlot>::new();
+        assert!(table.0.get().is_none(), "an unused table costs nothing");
+        table[5].lock().gen = 7;
+        assert_eq!(table[5].lock().gen, 7);
+        assert_eq!(table[SLOTS - 1].lock().gen, 0);
+        assert_eq!(table.0.get().map(|t| t.len()), Some(SLOTS));
+    }
 }

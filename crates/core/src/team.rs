@@ -235,10 +235,12 @@ impl Cluster {
     /// communication threads are torn down in every path. This is how the
     /// serving layer survives a job's node death and re-homes it.
     ///
-    /// Intended for single-thread-per-node jobs; with `threads_per_node >
-    /// 1` a failed run's surviving pool threads are detached rather than
-    /// joined (the unwind skips the pool join), so they linger until
-    /// process exit.
+    /// A thread that panics takes its whole node down — its node-mates
+    /// panic at the node barrier instead of waiting there for it — and a
+    /// failed run's pool threads are joined like a clean run's, whatever
+    /// `threads_per_node` is: nothing of the job is left running when this
+    /// returns. (The join waits for a pool thread that is still in user
+    /// code to make its next runtime call.)
     pub fn try_run_with_report<R, F>(&self, master: F) -> Result<(R, RunReport), Box<FailedRun>>
     where
         R: Send + 'static,
@@ -266,7 +268,11 @@ impl Cluster {
                 env.cfg.time_source(env.node),
                 env.cfg.task_scheduler,
             );
-            let pool_handles = spawn_pool(&rt);
+            let mut threads = NodeThreads {
+                rt: &rt,
+                fabric: &env.fabric,
+                pool: spawn_pool(&rt),
+            };
             let mut clock = env.new_clock();
             let result = if env.node == 0 {
                 let f = master_cell
@@ -287,7 +293,7 @@ impl Cluster {
                 None
             };
             rt.shutdown_pool();
-            for h in pool_handles {
+            for h in threads.pool.drain(..) {
                 h.join().expect("pool thread panicked");
             }
             (result, clock.now(), clock.compute_time(), clock.comm_time())
@@ -407,6 +413,35 @@ impl ClusterBuilder {
 
     pub fn build(self) -> Result<Cluster, ConfigError> {
         Cluster::from_config(self.cfg)
+    }
+}
+
+/// A node's pool threads, held by its main thread for the length of the
+/// node program. The success path drains `pool` itself; this is the other
+/// one.
+struct NodeThreads<'a> {
+    rt: &'a NodeRt,
+    fabric: &'a parade_net::Fabric,
+    pool: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for NodeThreads<'_> {
+    /// The node's main thread is unwinding: the run is dead (fail-stop),
+    /// so take the node's other threads down and join them rather than
+    /// leave them parked. Poisoning releases the ones at the node barrier
+    /// (as a dying pool thread does for this one), the fabric shutdown the
+    /// ones blocked on a message or a page, and the closed job queue the
+    /// idle ones.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.rt.barrier.poison();
+            self.fabric.begin_shutdown();
+            self.rt.shutdown_pool();
+            for h in self.pool.drain(..) {
+                // Its panic is part of the same failure, not a new one.
+                let _ = h.join();
+            }
+        }
     }
 }
 
@@ -688,6 +723,34 @@ mod tests {
         assert_eq!(
             worker.message,
             "node 1: bad frame on the master's command broadcast: unknown message kind 0"
+        );
+    }
+
+    #[test]
+    fn panicking_pool_thread_fails_the_run_instead_of_stranding_its_node() {
+        let failed = parade_testkit::watchdog::run_with_timeout(
+            "pool-thread-panic",
+            std::time::Duration::from_secs(60),
+            || {
+                test_cluster(2, 2)
+                    .try_run_with_report(|g| {
+                        g.parallel(|tc| {
+                            if tc.thread_num() == 3 {
+                                panic!("boom in node 1's pool thread");
+                            }
+                            tc.barrier();
+                        });
+                    })
+                    .expect_err("the run must fail")
+            },
+        );
+        // Node 1's main thread was parked at the node barrier, or reached
+        // it later: either way it found it poisoned.
+        let node1 = failed.panics.iter().find(|p| p.node == 1);
+        let message = &node1.expect("node 1 reported").message;
+        assert!(
+            message.contains("node barrier of node 1 is broken"),
+            "{message}"
         );
     }
 

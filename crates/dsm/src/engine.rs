@@ -436,8 +436,9 @@ impl Dsm {
     /// observe the shutdown.
     ///
     /// Every waiter parks with its page `BLOCKED` (see [`Dsm::park`]), so
-    /// only those pages are visited: a condvar notify is a system call
-    /// whether or not anyone waits, and the pool has 16 384 pages.
+    /// only those pages are visited: a notify nobody waits for is free (the
+    /// condvar counts its waiters) but must be made under the page lock,
+    /// and the pool has 16 384 of those.
     pub fn wake_page_waiters(&self) {
         // Pairs with the fence in `park`: a waiter this scan does not see
         // as BLOCKED sees the shutdown this thread is exiting on.
@@ -821,7 +822,8 @@ impl Dsm {
     /// invalidations and home migrations.
     ///
     /// Exactly one thread per node may call this at a time (the cluster
-    /// layer funnels through a node representative).
+    /// layer funnels through the node's elected representative: whichever
+    /// thread reaches the node barrier last calls it from inside it).
     pub fn barrier(&self, clock: &mut VClock) {
         trace::begin(EventKind::DsmBarrier, clock.now());
         let seq = self.barrier_seq.fetch_add(1, Ordering::SeqCst);

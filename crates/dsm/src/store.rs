@@ -5,7 +5,7 @@
 //! SDSM. Whether a given page's bytes are *meaningful* on a node is decided
 //! by the page table, not by the pool.
 
-use std::cell::UnsafeCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::page::{PageId, PAGE_SIZE};
@@ -31,14 +31,57 @@ pub struct RawPool {
     bytes: Box<[UnsafeCell<u8>]>,
 }
 
+/// Pools of at most this many bytes retire to the dropping thread's spare
+/// list; larger ones are lazily committed mappings and go back to the OS.
+const SPARE_MAX_LEN: usize = 1 << 20;
+/// Per-thread spare-list cap; beyond this, dropped pools are freed.
+const SPARE_CAP: usize = 16;
+
+thread_local! {
+    /// Small pools dropped by this thread, contents unspecified. A host that
+    /// launches clusters by the hundred (`parade-serve`: one 64-page pool
+    /// per node per job) otherwise sends each through `calloc` and `free`,
+    /// and whether glibc then trims and re-faults the heap under them or
+    /// only clears recycled memory is decided anew in every process by the
+    /// order of unrelated frees: 8 or 40 000 page faults per 400 jobs.
+    static SPARE: RefCell<Vec<Box<[UnsafeCell<u8>]>>> = const { RefCell::new(Vec::new()) };
+}
+
 // SAFETY: see the struct-level contract; synchronization is provided by the
 // page table above this layer.
 unsafe impl Sync for RawPool {}
 unsafe impl Send for RawPool {}
 
+impl Drop for RawPool {
+    fn drop(&mut self) {
+        if self.bytes.len() > SPARE_MAX_LEN {
+            return;
+        }
+        let bytes = std::mem::take(&mut self.bytes);
+        // `Err`: the thread is exiting and its list is gone; free the pool.
+        let _ = SPARE.try_with(move |s| {
+            let mut s = s.borrow_mut();
+            if s.len() < SPARE_CAP {
+                s.push(bytes);
+            }
+        });
+    }
+}
+
 impl RawPool {
     pub fn new(len: usize) -> Self {
         assert!(len.is_multiple_of(PAGE_SIZE), "pool must be page aligned");
+        let spare = SPARE.with(|s| {
+            let mut s = s.borrow_mut();
+            let found = s.iter().position(|b| b.len() == len);
+            found.map(|i| s.swap_remove(i))
+        });
+        if let Some(mut bytes) = spare {
+            // SAFETY: `bytes` is exclusively owned and `len` bytes long;
+            // `UnsafeCell<u8>` is `repr(transparent)` over `u8`.
+            unsafe { bytes.as_mut_ptr().cast::<u8>().write_bytes(0, len) };
+            return RawPool { bytes };
+        }
         // Allocate as zeroed `u8` (calloc path: the OS commits pages
         // lazily) and reinterpret as `UnsafeCell<u8>`, which is
         // `repr(transparent)` over `u8`.
@@ -345,6 +388,26 @@ mod tests {
             assert_eq!(pool.read::<f64>(16), 3.75);
             assert_eq!(pool.read::<i64>(4096), -42);
         }
+    }
+
+    #[test]
+    fn a_recycled_pool_comes_back_zeroed() {
+        // A length no other test of this thread uses.
+        let len = 3 * PAGE_SIZE;
+        let pool = RawPool::new(len);
+        unsafe { pool.write::<u64>(PAGE_SIZE + 8, u64::MAX) };
+        let first = pool.ptr(0);
+        drop(pool);
+        let again = RawPool::new(len);
+        assert_eq!(
+            again.ptr(0),
+            first,
+            "the spare pool is taken, not a new one"
+        );
+        assert_eq!(unsafe { again.read::<u64>(PAGE_SIZE + 8) }, 0);
+        // Pools too large to keep go back to the allocator.
+        drop(RawPool::new(SPARE_MAX_LEN + PAGE_SIZE));
+        SPARE.with(|s| assert!(s.borrow().iter().all(|b| b.len() <= SPARE_MAX_LEN)));
     }
 
     #[test]

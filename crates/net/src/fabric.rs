@@ -388,6 +388,8 @@ impl Endpoint {
             mb.queue.lock().queue.push_back(pkt);
             // Notify with the lock released: the packet is published, and a
             // receiver woken under the lock would only block on it again.
+            // With no receiver parked this is a load, not a system call
+            // (`sync::Condvar` counts its waiters).
             mb.cv.notify_all();
             return Ok(());
         };

@@ -15,6 +15,7 @@
 //!   briefly moving the inner std guard out, waiting, and moving it back.
 
 use std::sync;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A mutex whose `lock` never fails (poison is swallowed).
 #[derive(Debug, Default)]
@@ -72,28 +73,59 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A condition variable usable with [`MutexGuard`] held by `&mut`.
+/// A condition variable usable with [`MutexGuard`] held by `&mut`, which
+/// makes a system call only when a thread is parked on it.
+///
+/// std's futex condvar wakes unconditionally — a `futex_wake` per notify,
+/// whether or not anyone waits — and most notifies here find nobody: a
+/// send into a mailbox whose receiver is busy, a page published before
+/// anyone piled onto it. So waiters are counted, and a notify that reads
+/// zero returns.
+///
+/// That is sound under the rule every condvar use already follows: **the
+/// notifier changes the predicate while holding the mutex its waiters pass
+/// to [`Condvar::wait`]** (it may release the mutex before notifying). A
+/// waiter checks the predicate and registers itself under that mutex, so
+/// for any change either the waiter's critical section came first — then
+/// its registration is visible to the notifier, which acquired the mutex
+/// after it — or it came second and the waiter saw the new predicate and
+/// did not park.
 #[derive(Debug, Default)]
-pub struct Condvar(sync::Condvar);
+pub struct Condvar {
+    inner: sync::Condvar,
+    /// Threads between registering in [`Condvar::wait`] and waking from
+    /// it. Written only with the waiters' mutex held.
+    parked: AtomicUsize,
+}
 
 impl Condvar {
     pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
+        Condvar {
+            inner: sync::Condvar::new(),
+            parked: AtomicUsize::new(0),
+        }
     }
 
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.parked.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.parked.load(Ordering::SeqCst) != 0 {
+            self.inner.notify_all();
+        }
     }
 
     /// Atomically release the mutex and block until notified, reacquiring
     /// before returning (spurious wakeups possible, as with std).
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard moved during wait");
-        guard.inner = Some(self.0.wait(g).unwrap_or_else(|p| p.into_inner()));
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let g = self.inner.wait(g).unwrap_or_else(|p| p.into_inner());
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        guard.inner = Some(g);
     }
 }
 
@@ -167,6 +199,89 @@ mod tests {
         *m.lock() = true;
         cv.notify_all();
         assert!(t.join().unwrap());
+    }
+
+    #[test]
+    fn notify_with_nobody_parked_is_a_no_op() {
+        let cv = Condvar::new();
+        cv.notify_all();
+        cv.notify_one();
+        assert_eq!(cv.parked.load(Ordering::SeqCst), 0);
+    }
+
+    /// Two producers and two consumers hand a single slot back and forth:
+    /// every hand-off has a notifier that may find the other side not yet
+    /// parked, so one skipped wake-up that mattered hangs the run (the
+    /// watchdog's failure), and `taken == ROUNDS` means none was lost.
+    #[test]
+    fn counted_condvar_loses_no_wakeup_in_a_ping_pong() {
+        const ROUNDS: usize = 100_000;
+        struct Slot {
+            full: bool,
+            produced: usize,
+            taken: usize,
+        }
+        let taken = parade_testkit::watchdog::run_with_timeout(
+            "condvar-ping-pong",
+            std::time::Duration::from_secs(120),
+            || {
+                let shared = (
+                    Mutex::new(Slot {
+                        full: false,
+                        produced: 0,
+                        taken: 0,
+                    }),
+                    Condvar::new(),
+                    Condvar::new(),
+                );
+                let (slot, not_full, not_empty) = &shared;
+                std::thread::scope(|s| {
+                    for _ in 0..2 {
+                        s.spawn(|| loop {
+                            let mut g = slot.lock();
+                            while g.full && g.produced < ROUNDS {
+                                not_full.wait(&mut g);
+                            }
+                            if g.produced == ROUNDS {
+                                return;
+                            }
+                            g.full = true;
+                            g.produced += 1;
+                            let done = g.produced == ROUNDS;
+                            drop(g);
+                            not_empty.notify_one();
+                            if done {
+                                // The other producer may be parked on a full
+                                // slot that will never drain for it.
+                                not_full.notify_all();
+                            }
+                        });
+                        s.spawn(|| loop {
+                            let mut g = slot.lock();
+                            while !g.full && g.taken < ROUNDS {
+                                not_empty.wait(&mut g);
+                            }
+                            if !g.full {
+                                return;
+                            }
+                            g.full = false;
+                            g.taken += 1;
+                            let done = g.taken == ROUNDS;
+                            drop(g);
+                            not_full.notify_one();
+                            if done {
+                                not_empty.notify_all();
+                            }
+                        });
+                    }
+                });
+                assert_eq!(not_full.parked.load(Ordering::SeqCst), 0);
+                assert_eq!(not_empty.parked.load(Ordering::SeqCst), 0);
+                let g = slot.lock();
+                g.taken
+            },
+        );
+        assert_eq!(taken, ROUNDS);
     }
 
     #[test]

@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """Turn the dumps of `sampler.c` into flat and inclusive top-N tables.
 
-usage: symbolize.py [--top N] DUMP...
+usage: symbolize.py [--top N] [--leaf SYMBOL] DUMP...
 
 Each dump holds /proc/self/maps and one stack per line (hex program
 counters, innermost first). Addresses are mapped to their object file and
 resolved against `nm -C`; when several dumps are given (the benchmark parent
 and its child), the one with the most samples is reported.
+
+With `--leaf SYMBOL` (say `syscall`) the report is instead of the samples
+whose innermost frame is SYMBOL, grouped by the first `parade_*` frame above
+it: which product function each of those calls was made for. Frames of
+`parade_net::sync`, the lock and condvar wrappers every blocking call goes
+through, are passed over.
 """
 
 import bisect
@@ -92,9 +98,13 @@ def report(title, counts, total, top):
 
 
 def main(argv):
-    top = 20
-    if argv[:1] == ["--top"]:
-        top, argv = int(argv[1]), argv[2:]
+    top, leaf = 20, None
+    while argv[:1] in (["--top"], ["--leaf"]):
+        if argv[0] == "--top":
+            top = int(argv[1])
+        else:
+            leaf = argv[1]
+        argv = argv[2:]
     if not argv:
         sys.exit(__doc__)
     path, (maps, stacks) = max(((p, load(p)) for p in argv), key=lambda d: len(d[1][1]))
@@ -102,15 +112,23 @@ def main(argv):
         sys.exit(f"{path}: no samples")
     objects = Objects(maps)
     # Return addresses point after the call; step back into it.
-    flat, inclusive = Counter(), Counter()
+    flat, inclusive, callers = Counter(), Counter(), Counter()
     for stack in stacks:
         names = [objects.name(pc if depth == 0 else pc - 1)
                  for depth, pc in enumerate(stack)]
         flat[names[0]] += 1
         inclusive.update(set(names))
+        if names[0] == leaf:
+            product = (n for n in names if "parade_" in n and "parade_net::sync::" not in n)
+            callers[next(product, "[no parade_* frame]")] += 1
     print(f"{path}: {len(stacks)} samples")
-    report("flat", flat, len(stacks), top)
-    report("inclusive", inclusive, len(stacks), top)
+    if leaf is None:
+        report("flat", flat, len(stacks), top)
+        report("inclusive", inclusive, len(stacks), top)
+    elif not callers:
+        sys.exit(f"{path}: no sample has `{leaf}` as its innermost frame")
+    else:
+        report(f"first parade_* frame above `{leaf}`", callers, flat[leaf], top)
 
 
 if __name__ == "__main__":

@@ -630,3 +630,96 @@ fn two_links_dying_in_the_same_interval_are_both_named_in_the_report() {
         );
     });
 }
+
+// ---------------------------------------------------------------------------
+// A dead link under a multi-thread node: whichever thread meets it — the
+// thread leading a node barrier, or one faulting a page on its own — its
+// panic must fail the run, not strand its node-mates at the node barrier.
+// ---------------------------------------------------------------------------
+
+/// Watchdog budget for the dead-link runs below: each takes milliseconds,
+/// and the failure they guard against is a hang.
+const DEAD_LINK: Duration = Duration::from_secs(60);
+
+/// Message counts after which link 1→0 dies: from the launch traffic to a
+/// few dozen rounds in, so the death lands on different protocol steps.
+const DEATH_POINTS: [u64; 10] = [6, 8, 11, 14, 17, 19, 22, 25, 27, 30];
+
+fn two_by_two_with_link_1_to_0_dying_after(msgs: u64) -> Cluster {
+    Cluster::builder()
+        .nodes(2)
+        .threads_per_node(2)
+        .net(NetProfile::clan_via())
+        .time(TimeSource::Manual)
+        .chaos(ChaosProfile::off().with_link_death(1, 0, msgs))
+        .build()
+        .expect("cluster")
+}
+
+fn assert_failed_on_link_1_to_0<R>(
+    msgs: u64,
+    run: Result<(R, parade::core::RunReport), Box<parade::core::FailedRun>>,
+) {
+    let Err(failed) = run else {
+        panic!("link 1->0 died after {msgs} messages, yet the run completed");
+    };
+    assert!(failed.is_fabric_death(), "after {msgs}: {failed}");
+    assert!(
+        failed
+            .fabric_errors()
+            .iter()
+            .any(|e| (e.src, e.dst) == (1, 0)),
+        "after {msgs}: {failed}"
+    );
+}
+
+#[test]
+fn dead_link_fails_a_two_thread_node_whichever_thread_leads() {
+    run_with_timeout("dead-link-2x2-collectives", DEAD_LINK, || {
+        for msgs in DEATH_POINTS {
+            let run = two_by_two_with_link_1_to_0_dying_after(msgs).try_run_with_report(|g| {
+                g.parallel(|tc| {
+                    for _ in 0..200 {
+                        tc.reduce_f64_sum(1.0);
+                        tc.barrier();
+                    }
+                });
+            });
+            assert_failed_on_link_1_to_0(msgs, run);
+        }
+    });
+}
+
+/// At this PR's parent commit this test hangs (the watchdog fires at the
+/// first death point): the pool thread panics in its page fetch and its
+/// node's thread 0 waits for it at the next node barrier forever.
+#[test]
+fn dead_link_met_by_a_pool_thread_fails_the_run() {
+    run_with_timeout("dead-link-2x2-pool-fault", DEAD_LINK, || {
+        const PAGE_F64S: usize = parade::dsm::PAGE_SIZE / 8;
+        for msgs in DEATH_POINTS {
+            let run = two_by_two_with_link_1_to_0_dying_after(msgs).try_run_with_report(|g| {
+                let xs = g.alloc_f64(8 * PAGE_F64S);
+                g.parallel(move |tc| {
+                    // Node 0 rewrites one word of each page every round, so
+                    // node 1's copies are invalidated at every barrier and
+                    // its pool thread (nobody else touches the vector
+                    // there) fetches them again over the doomed link.
+                    for round in 0..200 {
+                        if tc.local_thread() == 1 {
+                            for page in 0..8 {
+                                if tc.node() == 0 {
+                                    tc.set(&xs, page * PAGE_F64S, round as f64);
+                                } else {
+                                    tc.get(&xs, page * PAGE_F64S);
+                                }
+                            }
+                        }
+                        tc.barrier();
+                    }
+                });
+            });
+            assert_failed_on_link_1_to_0(msgs, run);
+        }
+    });
+}

@@ -276,6 +276,97 @@ prop!(fn vtime_max_is_commutative_and_associative((a, b, c) in |r: &mut TestRng|
     assert_eq!(a.max(b).max(c), a.max(b.max(c)));
 });
 
+// ---- node barrier ------------------------------------------------------------------
+
+/// Per-thread record of one run of [`run_crossings`]: after every round,
+/// `(now, compute, comm, led)`.
+type CrossingLog = Vec<Vec<(VTime, VTime, VTime, bool)>>;
+
+/// `n` threads cross one barrier `arrive.len()` times. Before round `r`
+/// thread `t` computes for `arrive[r][t]` ns; `lead_cost[r]` ns of
+/// communication is charged by one thread per round — the last arriver
+/// inside the combining crossing, or thread 0 between two plain crossings
+/// (the pattern the combining crossing replaced). Also returns how many
+/// times each round's leader section ran.
+fn run_crossings(
+    n: usize,
+    arrive: &[Vec<u64>],
+    lead_cost: &[u64],
+    combining: bool,
+) -> (CrossingLog, Vec<usize>) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let barrier = parade::net::VBarrier::new(n);
+    let leads: Vec<AtomicUsize> = lead_cost.iter().map(|_| AtomicUsize::new(0)).collect();
+    let log = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..n)
+            .map(|t| {
+                let (barrier, leads) = (&barrier, &leads);
+                s.spawn(move || {
+                    let mut c = parade::net::VClock::manual();
+                    let mut log = Vec::new();
+                    for (r, costs) in arrive.iter().enumerate() {
+                        c.charge(VTime::from_nanos(costs[t]));
+                        let lead = |c: &mut parade::net::VClock| {
+                            leads[r].fetch_add(1, Ordering::SeqCst);
+                            c.charge_comm(VTime::from_nanos(lead_cost[r]));
+                        };
+                        let led = if combining {
+                            barrier.wait_leading(&mut c, lead)
+                        } else {
+                            barrier.wait(&mut c);
+                            if t == 0 {
+                                lead(&mut c);
+                            }
+                            barrier.wait(&mut c);
+                            t == 0
+                        };
+                        log.push((c.now(), c.compute_time(), c.comm_time(), led));
+                    }
+                    log
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|h| h.join().expect("crossing thread"))
+            .collect()
+    });
+    (
+        log,
+        leads.into_iter().map(AtomicUsize::into_inner).collect(),
+    )
+}
+
+prop!(cases = 24, fn combining_crossing_equals_wait_lead_wait((n, seed) in |r: &mut TestRng| {
+    (r.range_usize(1, 5), r.next_u64())
+}) {
+    if n == 0 {
+        return; // shrunk out of the generator's precondition
+    }
+    const ROUNDS: usize = 100;
+    let mut r = TestRng::new(seed);
+    let arrive: Vec<Vec<u64>> = (0..ROUNDS)
+        .map(|_| (0..n).map(|_| r.below(50_000)).collect())
+        .collect();
+    let lead_cost: Vec<u64> = (0..ROUNDS).map(|_| r.below(20_000)).collect();
+    run_with_timeout("combining-crossing", std::time::Duration::from_secs(120), move || {
+        let (combined, leads) = run_crossings(n, &arrive, &lead_cost, true);
+        let (reference, _) = run_crossings(n, &arrive, &lead_cost, false);
+        assert_eq!(leads, vec![1; ROUNDS], "lead runs exactly once per crossing");
+        for round in 0..ROUNDS {
+            let leaders = combined.iter().filter(|log| log[round].3).count();
+            assert_eq!(leaders, 1, "round {round}: exactly one thread leads");
+            for (t, (got, want)) in combined.iter().zip(&reference).enumerate() {
+                // Every clock, and its compute/comm split, is where
+                // wait(); leader-only lead; wait() leaves it.
+                assert_eq!(got[round].0, want[round].0, "round {round} thread {t}: now");
+                assert_eq!(got[round].1, want[round].1, "round {round} thread {t}: compute");
+                assert_eq!(got[round].2, want[round].2, "round {round} thread {t}: comm");
+            }
+        }
+    });
+});
+
 // ---- translator --------------------------------------------------------------------
 
 prop!(cases = 64, fn interpreter_sums_match_rust((n, scale) in |r: &mut TestRng| {
