@@ -10,28 +10,16 @@
 //! paper's plots; `--csv DIR` additionally writes CSV files.
 
 use parade_bench::{
-    ablation_fabric, ablation_home, ablation_schedules, adapt_smoke, all_figures, chaos_smoke,
-    fig10, fig11, fig6, fig7, fig8, fig9, serve_soak, steal_soak, task_smoke, trace_breakdown,
-    update_methods, write_tables_json, FigureOpts, Table,
+    ablation_fabric, ablation_home, ablation_schedules, all_figures, fig10, fig11, fig6, fig7,
+    fig8, fig9, serve_soak, trace_breakdown, update_methods, write_tables_json, FigureOpts, Table,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <fig6|fig7|fig8|fig9|fig10|fig11|update_methods|home|fabric|schedules|trace|chaos-smoke|task-smoke|steal-soak|adapt-smoke|serve-soak|all> \
+        "usage: figures <fig6|fig7|fig8|fig9|fig10|fig11|update_methods|home|fabric|schedules|trace|serve-soak|all> \
          [--class s|w|a] [--nodes 1,2,4,8] [--scale F] [--with-mpi] [--quick] [--csv DIR]\n\
          trace: traced smoke run — writes a Chrome trace (PARADE_TRACE, default \
          parade_trace.json), validates it, prints the breakdown\n\
-         chaos-smoke: seeded fault-injection soak — CG class S under a lossy \
-         wire (PARADE_CHAOS or the pinned lossy schedule) must stay \
-         bit-identical to a clean run with >=1 retransmission\n\
-         task-smoke: task-based n-body on 4 nodes — flat placement and two \
-         steal seeds must merge bit-identically to the sequential reference\n\
-         steal-soak: the same task phase under stealing on a lossy wire \
-         (PARADE_CHAOS or the pinned schedule) — exactly-once, bit-identical, \
-         >=1 retransmission\n\
-         adapt-smoke: CG class S under all-invalidate / all-update / adaptive \
-         protocol selection — every mode must stay bit-identical and bulk \
-         reads must coalesce into range fetches\n\
          serve-soak: the multi-job serving layer under scheduled node deaths \
          and a lossy wire (PARADE_CHAOS or the pinned schedule) — 1000 jobs \
          (120 with --quick) must complete exactly once, bit-identical to their \
@@ -111,15 +99,11 @@ fn main() {
         "fabric" => vec![ablation_fabric(&opts)],
         "schedules" => vec![ablation_schedules(&opts)],
         "all" => all_figures(&opts),
-        // The smoke and soak runs fail closed: any divergence exits 1.
+        // The traced run and the soak fail closed: any divergence exits 1.
         smoke => {
             let run: fn(&FigureOpts) -> Result<Vec<Table>, String> = match smoke {
                 "trace" => trace_breakdown,
-                "chaos-smoke" | "chaos_smoke" => chaos_smoke,
-                "task-smoke" | "task_smoke" => task_smoke,
-                "steal-soak" | "steal_soak" => steal_soak,
                 "serve-soak" | "serve_soak" => serve_soak,
-                "adapt-smoke" | "adapt_smoke" => adapt_smoke,
                 _ => usage(),
             };
             run(&opts).unwrap_or_else(|e| {

@@ -12,7 +12,7 @@ use parade_dsm::{DsmConfig, UpdateStrategy};
 use parade_kernels::cg::{cg_mpi, cg_parade, CgClass};
 use parade_kernels::ep::{ep_parade, EpClass};
 use parade_kernels::helmholtz::{helmholtz_parade, HelmholtzParams};
-use parade_kernels::md::{md_parade, MdParams, MdResult};
+use parade_kernels::md::{md_parade, MdParams};
 use parade_kernels::syncbench::{measure, Directive};
 
 /// The figures' configurations are literals: an invalid one is a bug here.
@@ -625,356 +625,6 @@ pub fn trace_breakdown(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     Ok(vec![per_node, spans])
 }
 
-/// Seeded chaos soak (`figures -- chaos-smoke`): run NPB CG class S under
-/// a lossy fault schedule and a chaos-free control, and fail unless the
-/// reliable channel made the run both *correct* — NPB-verified and
-/// bit-identical to the control — and *non-trivial* — at least one
-/// retransmission happened and no link died.
-///
-/// Honors `PARADE_CHAOS` (same mini-language as everywhere else); when the
-/// variable is unset or names no active fault, falls back to the pinned
-/// [`ChaosProfile::lossy`] schedule the soak tests use, so CI always
-/// exercises a hostile wire.
-pub fn chaos_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
-    use parade_net::ChaosProfile;
-    let chaos = {
-        let env = ChaosProfile::from_env();
-        if env.is_active() {
-            env
-        } else {
-            ChaosProfile::lossy(0xC6A0_5EED)
-        }
-    };
-    let nodes = opts.nodes.iter().copied().find(|&n| n >= 4).unwrap_or(4);
-    let cfg = |chaos: ChaosProfile| ClusterConfig {
-        nodes,
-        net: NetProfile::clan_via(),
-        time: TimeSource::Manual,
-        chaos,
-        ..ClusterConfig::default()
-    };
-    let (clean, _) = cg_parade(&cluster(cfg(ChaosProfile::off())), CgClass::S);
-    let (chaotic, report) = cg_parade(&cluster(cfg(chaos.clone())), CgClass::S);
-
-    if let Some(err) = &report.cluster.fabric_error {
-        return Err(format!("chaos-smoke: link died during soak: {err}"));
-    }
-    if !chaotic.verify(CgClass::S) {
-        return Err(format!(
-            "chaos-smoke: CG class S failed NPB verification under chaos: zeta={}",
-            chaotic.zeta
-        ));
-    }
-    if chaotic.zeta.to_bits() != clean.zeta.to_bits()
-        || chaotic.rnorm.to_bits() != clean.rnorm.to_bits()
-    {
-        return Err(format!(
-            "chaos-smoke: chaos perturbed the arithmetic: zeta {} vs {}, rnorm {} vs {}",
-            chaotic.zeta, clean.zeta, chaotic.rnorm, clean.rnorm
-        ));
-    }
-    let h = report.cluster.link_health_totals();
-    if h.retransmits == 0 {
-        return Err(format!(
-            "chaos-smoke: fault schedule injected no retransmission — soak proves nothing: {h:?}"
-        ));
-    }
-
-    let mut t = Table::new(
-        format!(
-            "Chaos smoke — CG class S on {nodes} nodes, seed {:#x} \
-             (drop {:.1}%, dup {:.1}%, reorder {:.1}%, delay {:.1}%)",
-            chaos.seed,
-            chaos.base.drop * 100.0,
-            chaos.base.duplicate * 100.0,
-            chaos.base.reorder * 100.0,
-            chaos.base.delay * 100.0,
-        ),
-        &["check", "value"],
-    );
-    t.row(vec![
-        "zeta (bit-identical to clean run)".into(),
-        format!("{}", chaotic.zeta),
-    ]);
-    for (k, v) in h.fields() {
-        t.row(vec![k.into(), v.to_string()]);
-    }
-    Ok(vec![t])
-}
-
-/// Adaptive-DSM smoke (`figures -- adapt-smoke`): NPB CG class S under the
-/// three per-page protocol-selection modes. Fails unless every mode is
-/// NPB-verified and bit-identical to the all-invalidate reference — the
-/// protocol-equivalence contract: invalidate + refetch and a home push
-/// install the same merged bytes — and the bulk fetch path stayed live
-/// (CG's whole-vector reads must coalesce into `ReqPageRange` trips).
-pub fn adapt_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
-    use parade_dsm::ProtoSelect;
-    let nodes = opts
-        .nodes
-        .iter()
-        .copied()
-        .filter(|&n| n >= 4)
-        .max()
-        .unwrap_or(8);
-    let cfg = |select: ProtoSelect| ClusterConfig {
-        nodes,
-        net: NetProfile::clan_via(),
-        time: TimeSource::Manual,
-        dsm: DsmConfig {
-            proto_select: select,
-            ..DsmConfig::default()
-        },
-        ..ClusterConfig::default()
-    };
-    let runs = [
-        ("all-invalidate", ProtoSelect::AllInvalidate),
-        ("all-update", ProtoSelect::AllUpdate),
-        ("adaptive", ProtoSelect::Adaptive),
-    ];
-    let mut t = Table::new(
-        format!("Adaptive-DSM smoke — CG class S on {nodes} nodes, all modes bit-identical"),
-        &[
-            "mode",
-            "zeta",
-            "fetches",
-            "range fetches",
-            "update pushes",
-            "invalidations",
-        ],
-    );
-    let mut reference: Option<(u64, u64)> = None;
-    // Page-protocol messages (demand fetches + update pushes) per mode,
-    // to prove the adaptive policy never costs more than either static
-    // extreme on this workload.
-    let mut proto_msgs: Vec<(&str, u64)> = Vec::new();
-    for (label, select) in runs {
-        let (res, report) = cg_parade(&cluster(cfg(select)), CgClass::S);
-        if let Some(err) = &report.cluster.fabric_error {
-            return Err(format!("adapt-smoke: link died under {label}: {err}"));
-        }
-        if !res.verify(CgClass::S) {
-            return Err(format!(
-                "adapt-smoke: CG failed NPB verification under {label}: zeta={}",
-                res.zeta
-            ));
-        }
-        let bits = (res.zeta.to_bits(), res.rnorm.to_bits());
-        match reference {
-            None => reference = Some(bits),
-            Some(r) if r != bits => {
-                return Err(format!(
-                    "adapt-smoke: {label} diverged from all-invalidate: zeta={}",
-                    res.zeta
-                ));
-            }
-            Some(_) => {}
-        }
-        let d = report.cluster.dsm_totals();
-        if d.range_fetches == 0 {
-            return Err(format!(
-                "adapt-smoke: {label} never coalesced a bulk read into a \
-                 range fetch — bulk fetch path dead"
-            ));
-        }
-        proto_msgs.push((label, d.page_fetches + d.update_pushes));
-        t.row(vec![
-            label.into(),
-            format!("{}", res.zeta),
-            d.page_fetches.to_string(),
-            d.range_fetches.to_string(),
-            d.update_pushes.to_string(),
-            d.invalidations.to_string(),
-        ]);
-    }
-    // CG-S is multi-writer on the shared vectors, so the adaptive policy
-    // should settle on invalidate (matching all-invalidate's cost) while
-    // all-update pays pushes on top of the fetches it does save — a
-    // silent fallback to always-update shows up as adaptive >= update.
-    let msgs = |want: &str| {
-        proto_msgs
-            .iter()
-            .find(|(l, _)| *l == want)
-            .map(|&(_, m)| m)
-            .expect("all runs recorded")
-    };
-    let (adapt, inval, update) = (msgs("adaptive"), msgs("all-invalidate"), msgs("all-update"));
-    if adapt > inval || adapt >= update {
-        return Err(format!(
-            "adapt-smoke: adaptive spent {adapt} page-protocol messages vs \
-             all-invalidate {inval} / all-update {update} — the adaptive \
-             policy must never cost more than either static extreme"
-        ));
-    }
-    Ok(vec![t])
-}
-
-fn energy_bits(r: &MdResult) -> [u64; 4] {
-    [
-        r.first.potential.to_bits(),
-        r.first.kinetic.to_bits(),
-        r.last.potential.to_bits(),
-        r.last.kinetic.to_bits(),
-    ]
-}
-
-/// Task-kernel smoke (`figures -- task-smoke`): the task-based n-body
-/// kernel must produce bit-identical energies under flat task placement,
-/// randomized work stealing (two different seeds), and the blockwise
-/// sequential reference — the determinism contract of the distributed
-/// task scheduler (results are merged in task-id order, and ids depend
-/// only on the spawn structure, never on who stole what).
-pub fn task_smoke(opts: &FigureOpts) -> Result<Vec<Table>, String> {
-    use parade_kernels::nbody_task::{nbody_task_parade, nbody_task_sequential};
-    use parade_tasks::{SchedConfig, StealStrategy};
-
-    let nodes = opts.nodes.iter().copied().find(|&n| n >= 4).unwrap_or(4);
-    let p = MdParams::sized(48, 3);
-    let blocks = 2 * nodes;
-    let cfg = |sched: SchedConfig| ClusterConfig {
-        nodes,
-        exec: ExecConfig::TwoThreadTwoCpu,
-        net: NetProfile::zero(),
-        time: TimeSource::Manual,
-        task_scheduler: sched,
-        ..ClusterConfig::default()
-    };
-    let mut runs: Vec<(&str, MdResult)> =
-        vec![("sequential reference", nbody_task_sequential(p, blocks))];
-    let schedules = [
-        (
-            "flat placement",
-            SchedConfig {
-                strategy: StealStrategy::Flat,
-                ..SchedConfig::default()
-            },
-        ),
-        (
-            "stealing, seed 0x5EED",
-            SchedConfig {
-                seed: 0x5EED,
-                ..SchedConfig::default()
-            },
-        ),
-        (
-            "stealing, seed 0xA11CE",
-            SchedConfig {
-                seed: 0xA11CE,
-                ..SchedConfig::default()
-            },
-        ),
-    ];
-    for (label, sched) in schedules {
-        let (res, report) = nbody_task_parade(&cluster(cfg(sched)), p, blocks);
-        if let Some(err) = &report.cluster.fabric_error {
-            return Err(format!("task-smoke: link died under {label}: {err}"));
-        }
-        runs.push((label, res));
-    }
-    let reference = energy_bits(&runs[0].1);
-    let mut t = Table::new(
-        format!(
-            "Task smoke — n-body {} particles, {blocks} blocks, {} steps on {nodes} nodes",
-            p.np, p.steps
-        ),
-        &[
-            "schedule",
-            "final potential",
-            "final kinetic",
-            "bit-identical",
-        ],
-    );
-    for (label, r) in &runs {
-        let same = energy_bits(r) == reference;
-        t.row(vec![
-            (*label).into(),
-            format!("{}", r.last.potential),
-            format!("{}", r.last.kinetic),
-            same.to_string(),
-        ]);
-        if !same {
-            return Err(format!(
-                "task-smoke: {label} diverged from the sequential reference"
-            ));
-        }
-    }
-    Ok(vec![t])
-}
-
-/// Chaos steal-soak (`figures -- steal-soak`): the n-body task phase under
-/// randomized work stealing on a lossy wire (`PARADE_CHAOS` or the pinned
-/// schedule). The reliable channel must make task scheduling exactly-once
-/// under drop/dup/reorder: the energies stay bit-identical to the
-/// sequential reference, at least one retransmission fired, and no link
-/// died. (The scheduler's merge additionally audits that every spawned
-/// task executed exactly once and fails the run otherwise.)
-pub fn steal_soak(opts: &FigureOpts) -> Result<Vec<Table>, String> {
-    use parade_kernels::nbody_task::{nbody_task_parade, nbody_task_sequential};
-    use parade_net::ChaosProfile;
-
-    let chaos = {
-        let env = ChaosProfile::from_env();
-        if env.is_active() {
-            env
-        } else {
-            ChaosProfile::lossy(0x7A5C_5EED)
-        }
-    };
-    let nodes = opts.nodes.iter().copied().find(|&n| n >= 4).unwrap_or(4);
-    let p = MdParams::sized(48, 2);
-    let blocks = 2 * nodes;
-    let cfg = ClusterConfig {
-        nodes,
-        exec: ExecConfig::TwoThreadTwoCpu,
-        net: NetProfile::clan_via(),
-        time: TimeSource::Manual,
-        chaos: chaos.clone(),
-        ..ClusterConfig::default()
-    };
-    let seq = nbody_task_sequential(p, blocks);
-    let (res, report) = nbody_task_parade(&cluster(cfg), p, blocks);
-    if let Some(err) = &report.cluster.fabric_error {
-        return Err(format!("steal-soak: link died during soak: {err}"));
-    }
-    if energy_bits(&res) != energy_bits(&seq) {
-        return Err(format!(
-            "steal-soak: chaos perturbed the task schedule's arithmetic: \
-             potential {} vs {}, kinetic {} vs {}",
-            res.last.potential, seq.last.potential, res.last.kinetic, seq.last.kinetic
-        ));
-    }
-    let h = report.cluster.link_health_totals();
-    if h.retransmits == 0 {
-        return Err(format!(
-            "steal-soak: fault schedule injected no retransmission — soak proves nothing: {h:?}"
-        ));
-    }
-    let mut t = Table::new(
-        format!(
-            "Steal soak — n-body tasks under stealing on {nodes} nodes, seed {:#x} \
-             (drop {:.1}%, dup {:.1}%, reorder {:.1}%, delay {:.1}%)",
-            chaos.seed,
-            chaos.base.drop * 100.0,
-            chaos.base.duplicate * 100.0,
-            chaos.base.reorder * 100.0,
-            chaos.base.delay * 100.0,
-        ),
-        &["check", "value"],
-    );
-    t.row(vec![
-        "final potential (bit-identical to sequential)".into(),
-        format!("{}", res.last.potential),
-    ]);
-    t.row(vec![
-        "tasks per step (merged exactly once)".into(),
-        blocks.to_string(),
-    ]);
-    for (k, v) in h.fields() {
-        t.row(vec![k.into(), v.to_string()]);
-    }
-    Ok(vec![t])
-}
-
 /// Serving soak (`figures -- serve-soak`): a large deterministic stream of
 /// small jobs through the multi-job serving layer, one in seven scheduled
 /// to lose a node mid-run. Honors `PARADE_CHAOS` as residual wire chaos on
@@ -1096,54 +746,6 @@ mod tests {
         assert!(md.contains("### T"));
         assert!(md.contains("| 1 "));
         assert_eq!(t.csv(), "a,bb\n1,2\n");
-    }
-
-    #[test]
-    fn chaos_smoke_passes_and_reports_retransmissions() {
-        let tables = chaos_smoke(&FigureOpts::quick()).expect("soak must pass");
-        assert_eq!(tables.len(), 1);
-        let t = &tables[0];
-        assert!(t.title.contains("Chaos smoke"));
-        let retx = t
-            .rows
-            .iter()
-            .find(|r| r[0] == "retransmits")
-            .expect("retransmit row");
-        assert!(retx[1].parse::<u64>().unwrap() >= 1);
-    }
-
-    #[test]
-    fn adapt_smoke_is_bit_identical_across_protocol_modes() {
-        let tables = adapt_smoke(&FigureOpts::quick()).expect("adapt smoke must pass");
-        assert_eq!(tables.len(), 1);
-        let t = &tables[0];
-        assert!(t.title.contains("Adaptive-DSM smoke"));
-        assert_eq!(t.rows.len(), 3);
-        let zeta = &t.rows[0][1];
-        assert!(t.rows.iter().all(|r| &r[1] == zeta), "{:?}", t.rows);
-    }
-
-    #[test]
-    fn task_smoke_is_bit_identical_across_schedules() {
-        let tables = task_smoke(&FigureOpts::quick()).expect("task smoke must pass");
-        assert_eq!(tables.len(), 1);
-        let t = &tables[0];
-        assert!(t.title.contains("Task smoke"));
-        assert_eq!(t.rows.len(), 4); // sequential + flat + 2 steal seeds
-        assert!(t.rows.iter().all(|r| r[3] == "true"), "{:?}", t.rows);
-    }
-
-    #[test]
-    fn steal_soak_survives_chaos_with_retransmissions() {
-        let tables = steal_soak(&FigureOpts::quick()).expect("steal soak must pass");
-        let t = &tables[0];
-        assert!(t.title.contains("Steal soak"));
-        let retx = t
-            .rows
-            .iter()
-            .find(|r| r[0] == "retransmits")
-            .expect("retransmit row");
-        assert!(retx[1].parse::<u64>().unwrap() >= 1);
     }
 
     #[test]

@@ -106,10 +106,6 @@ pub struct ClusterConfig {
     /// (a modern superscalar/SIMD core is roughly 60x one on numeric
     /// kernels).
     pub time: TimeSource,
-    /// Optional per-node CPU scale multipliers, one per node (the paper's
-    /// cluster mixes 550 and 600 MHz nodes). Multiplied on top of `time`'s
-    /// scale.
-    pub node_speed: Option<Vec<f64>>,
     /// Fault injection for the fabric. The default honours the
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
     /// can be soaked under chaos without code changes.
@@ -138,7 +134,6 @@ impl Default for ClusterConfig {
             protocol: ProtocolMode::Parade,
             net: NetProfile::clan_via(),
             time: TimeSource::ThreadCpu { scale: 60.0 },
-            node_speed: None,
             chaos: ChaosProfile::from_env(),
             smp_width: 1,
             task_scheduler: SchedConfig::default(),
@@ -184,14 +179,6 @@ impl ClusterConfig {
         if self.smp_width == 0 {
             return reject("smp_width", "must be at least 1 node per chassis".into());
         }
-        if let Some(speeds) = &self.node_speed {
-            if speeds.len() != self.nodes {
-                return reject(
-                    "node_speed",
-                    format!("has {} entries for {} nodes", speeds.len(), self.nodes),
-                );
-            }
-        }
         if self.dsm.pool_bytes < PAGE_SIZE {
             return reject(
                 "dsm.pool_bytes",
@@ -214,24 +201,6 @@ impl ClusterConfig {
     /// `smp_width` fabric nodes per chassis.
     pub fn collective_topology(&self) -> parade_mpi::CollectiveTopology {
         parade_mpi::CollectiveTopology::uniform(self.nodes, self.smp_width)
-    }
-
-    /// Time source for an application thread on `node`.
-    pub fn time_source(&self, node: usize) -> TimeSource {
-        match (self.time, &self.node_speed) {
-            (TimeSource::ThreadCpu { scale }, Some(speeds)) => TimeSource::ThreadCpu {
-                scale: scale * speeds[node],
-            },
-            (t, _) => t,
-        }
-    }
-
-    /// The paper's testbed speed mix: four 550 MHz then four 600 MHz nodes
-    /// (expressed as multipliers relative to the 550 MHz baseline).
-    pub fn paper_node_speeds(nodes: usize) -> Vec<f64> {
-        (0..nodes)
-            .map(|i| if i < 4 { 1.0 } else { 550.0 / 600.0 })
-            .collect()
     }
 }
 
@@ -298,15 +267,6 @@ mod tests {
             }),
             "smp_width"
         );
-        for speeds in [vec![1.0], vec![1.0; 3]] {
-            assert_eq!(
-                field(ClusterConfig {
-                    node_speed: Some(speeds),
-                    ..ok.clone()
-                }),
-                "node_speed"
-            );
-        }
         let mut c = ok.clone();
         c.dsm.pool_bytes = PAGE_SIZE - 1;
         let e = c.validate().unwrap_err();
@@ -324,32 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn node_speed_scales_time_source() {
-        let c = ClusterConfig {
-            time: TimeSource::ThreadCpu { scale: 10.0 },
-            node_speed: Some(vec![1.0, 0.5]),
-            ..ClusterConfig::default()
-        };
-        match c.time_source(1) {
-            TimeSource::ThreadCpu { scale } => assert_eq!(scale, 5.0),
-            _ => panic!("wrong source"),
-        }
-    }
-
-    #[test]
     fn chaos_defaults_to_env_or_off() {
         // The test environment does not set PARADE_CHAOS, so the default
         // config must leave the fabric clean.
         if std::env::var("PARADE_CHAOS").is_err() {
             assert!(!ClusterConfig::default().chaos.is_active());
         }
-    }
-
-    #[test]
-    fn paper_speed_mix() {
-        let s = ClusterConfig::paper_node_speeds(8);
-        assert_eq!(s[0], 1.0);
-        assert_eq!(s[3], 1.0);
-        assert!((s[4] - 550.0 / 600.0).abs() < 1e-12);
     }
 }

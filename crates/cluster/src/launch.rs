@@ -26,9 +26,9 @@ pub struct NodeEnv {
 
 impl NodeEnv {
     /// A fresh virtual clock for a thread on this node, honouring the
-    /// configured time source and per-node speed.
+    /// configured time source.
     pub fn new_clock(&self) -> VClock {
-        VClock::new(self.cfg.time_source(self.node))
+        VClock::new(self.cfg.time)
     }
 }
 

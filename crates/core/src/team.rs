@@ -17,8 +17,7 @@ use parade_cluster::{
     launch_result, ClusterConfig, ClusterReport, ConfigError, ExecConfig, NodeEnv, NodePanic,
     ProtocolMode,
 };
-use parade_dsm::{need, DecodeError};
-use parade_mpi::datatype::{Reader, Writer};
+use parade_mpi::datatype::{DecodeError, Reader, Writer};
 use parade_net::{NetProfile, TimeSource, VClock, VTime};
 use parade_trace::{self as trace, TraceReport};
 
@@ -59,38 +58,28 @@ impl Cmd {
         w.finish()
     }
 
-    /// Every length is checked against the bytes present before it is
-    /// read: a malformed frame yields a [`DecodeError`], never a panic.
+    /// A malformed frame yields a [`DecodeError`], never a panic.
     fn try_decode(b: &[u8]) -> Result<Cmd, DecodeError> {
-        fn operand(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
-            need(r, 8, "command operand")?;
-            Ok(r.u64() as usize)
-        }
         let mut r = Reader::new(b);
-        need(&r, 1, "command kind")?;
-        Ok(match r.u8() {
+        let cmd = match r.u8()? {
             1 => Cmd::AllocRegion {
-                len: operand(&mut r)?,
+                len: r.u64()? as usize,
             },
             2 => Cmd::AllocScalar {
-                len: operand(&mut r)?,
+                len: r.u64()? as usize,
             },
-            3 => {
-                need(&r, 8, "ScalarSet header")?;
-                let small_id = r.u32();
-                let len = r.u32() as usize;
-                need(&r, len, "ScalarSet bytes")?;
-                Cmd::ScalarSet {
-                    small_id,
-                    bytes: r.bytes(len).to_vec(),
-                }
-            }
+            3 => Cmd::ScalarSet {
+                small_id: r.u32()?,
+                bytes: r.lp_bytes()?.to_vec(),
+            },
             4 => Cmd::Fork {
-                region_idx: operand(&mut r)?,
+                region_idx: r.u64()? as usize,
             },
             5 => Cmd::Shutdown,
             k => return Err(DecodeError::BadKind(k)),
-        })
+        };
+        r.finish()?;
+        Ok(cmd)
     }
 }
 
@@ -265,7 +254,7 @@ impl Cluster {
                 env.nnodes,
                 env.cfg.threads_per_node(),
                 env.cfg.protocol,
-                env.cfg.time_source(env.node),
+                env.cfg.time,
                 env.cfg.task_scheduler,
             );
             let mut threads = NodeThreads {
@@ -281,7 +270,7 @@ impl Cluster {
                     .expect("master function already taken");
                 let mut mc = MasterCtx {
                     rt: Arc::clone(&rt),
-                    clock: VClock::new(env.cfg.time_source(0)),
+                    clock: VClock::new(env.cfg.time),
                     registry: Arc::clone(&reg2),
                 };
                 let r = f(&mut mc);
@@ -673,37 +662,26 @@ mod tests {
     }
 
     #[test]
-    fn cmd_roundtrip_is_exact_and_no_prefix_decodes() {
-        for cmd in samples() {
-            let bytes = cmd.encode();
-            assert_eq!(Cmd::try_decode(&bytes).as_ref(), Ok(&cmd));
-            for cut in 0..bytes.len() {
-                assert!(
-                    matches!(
-                        Cmd::try_decode(&bytes[..cut]),
-                        Err(DecodeError::Truncated { .. })
-                    ),
-                    "prefix {cut}/{} of {cmd:?} decoded",
-                    bytes.len()
-                );
-            }
-        }
+    fn cmd_codec_is_checked() {
+        parade_testkit::wire::assert_codec(&samples(), Cmd::encode, Cmd::try_decode);
     }
 
+    /// Captured at the parent of the commit that introduced the checked
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test.
     #[test]
-    fn cmd_decode_survives_every_single_byte_mutation() {
-        for cmd in samples() {
-            let frame = cmd.encode().to_vec();
-            for (pos, flip) in (0..frame.len()).flat_map(|p| (1..=255u8).map(move |f| (p, f))) {
-                let mut bytes = frame.clone();
-                bytes[pos] ^= flip;
-                // A structured error or some command — never a panic, and a
-                // corrupted length never sizes an allocation past the frame.
-                if let Ok(Cmd::ScalarSet { bytes: b, .. }) = Cmd::try_decode(&bytes) {
-                    assert!(b.len() <= bytes.len());
-                }
-            }
-        }
+    fn wire_bytes_are_pinned() {
+        let pinned = [
+            "010000100000000000",
+            "020800000000000000",
+            "0307000000080000000102030405060708",
+            "040300000000000000",
+            "05",
+        ];
+        let got: Vec<String> = samples()
+            .iter()
+            .map(|c| parade_testkit::wire::hex(&c.encode()))
+            .collect();
+        assert_eq!(got, pinned);
     }
 
     #[test]
@@ -722,7 +700,41 @@ mod tests {
             .expect("node 1 reported");
         assert_eq!(
             worker.message,
-            "node 1: bad frame on the master's command broadcast: unknown message kind 0"
+            "node 1: bad frame on the master's command broadcast: \
+             unknown message kind byte 0x00"
+        );
+    }
+
+    #[test]
+    fn bad_dsm_reply_fails_the_run_naming_receiver_sender_and_error() {
+        let failed = test_cluster(2, 1)
+            .try_run_with_report(|g| {
+                let xs = g.alloc_f64(8);
+                // Garbage under the tag node 1's first DSM request will
+                // listen on, in its mailbox before the region starts.
+                g.rt.dsm.endpoint().send(
+                    1,
+                    parade_net::MsgClass::Ctl,
+                    parade_dsm::REPLY_TAG_BASE,
+                    Bytes::from(vec![1u8, 2, 3]),
+                    &mut g.clock,
+                );
+                g.parallel(move |tc| {
+                    if tc.node() == 1 {
+                        tc.get(&xs, 0); // INVALID on node 1: a fetch
+                    }
+                });
+            })
+            .expect_err("a bad reply must fail the run");
+        let worker = failed
+            .panics
+            .iter()
+            .find(|p| p.node == 1)
+            .expect("node 1 reported");
+        assert_eq!(
+            worker.message,
+            "node 1: bad dsm frame from node 0 on tag 0x100000000: \
+             truncated frame: u64 needs 8 bytes, 2 left"
         );
     }
 

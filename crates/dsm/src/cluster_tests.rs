@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parade_net::{Fabric, NetProfile, VClock};
 
-use crate::config::{DsmConfig, HomePolicy, LockKind, UpdateStrategy};
+use crate::config::{DsmConfig, HomePolicy, UpdateStrategy};
 use crate::engine::Dsm;
 use crate::page::{PageState, PAGE_SIZE};
 use crate::server::spawn_comm_thread;
@@ -377,37 +377,56 @@ fn dsm_lock_protects_shared_counter() {
     }
 }
 
+/// What a caught panic said.
+fn panic_text(r: std::thread::Result<()>) -> String {
+    let payload = r.expect_err("must panic");
+    payload
+        .downcast_ref::<String>()
+        .expect("formatted panic")
+        .clone()
+}
+
 #[test]
-fn polling_lock_also_correct_and_counts_polls() {
-    let cfg = DsmConfig {
-        lock_kind: LockKind::Polling {
-            interval: parade_net::VTime::from_micros(50),
-        },
-        ..small_cfg()
-    };
-    let n = 3;
-    // Enough rounds that the nodes overlap whatever the host scheduler does:
-    // with 5, one node now and then ran all of its rounds before the next
-    // was scheduled, and nobody polled (2 % of runs on a loaded machine).
-    let rounds = 50;
-    let out = run_nodes(n, cfg, NetProfile::zero(), move |d, clk| {
-        let r = alloc_on(&d, 64);
-        d.barrier(clk);
-        for _ in 0..rounds {
-            d.lock_acquire(3, clk);
-            let v = d.read::<i64>(r, 0, clk);
-            d.write::<i64>(r, 0, v + 1, clk);
-            d.lock_release(3, clk);
-        }
-        d.barrier(clk);
-        (d.read::<i64>(r, 0, clk), d.stats.snapshot().lock_polls)
-    });
-    let total_polls: u64 = out.iter().map(|(_, p)| p).sum();
-    for (v, _) in &out {
-        assert_eq!(*v, (n * rounds) as i64);
-    }
-    // With three contending nodes there must be some busy-wait traffic.
-    assert!(total_polls > 0, "expected poll retries under contention");
+fn a_bad_frame_names_the_receiver_the_sender_and_the_error() {
+    use parade_net::{Bytes, MsgClass};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let fabric = Fabric::new(2, NetProfile::zero());
+    let dsms: Vec<Dsm> = (0..2)
+        .map(|i| Dsm::new(fabric.endpoint(i), small_cfg()))
+        .collect();
+    let mut clock = VClock::manual();
+
+    // A request the comm thread cannot parse: a `ReqPage` cut short.
+    dsms[1]
+        .endpoint()
+        .send(0, MsgClass::Dsm, 0, Bytes::from(vec![1u8, 42]), &mut clock);
+    let pkt = dsms[0].endpoint().try_recv(MsgClass::Dsm).expect("sent");
+    let mut srv = crate::server::CommServer::new(small_cfg().comm);
+    let said = panic_text(catch_unwind(AssertUnwindSafe(|| {
+        dsms[0].handle_packet(pkt, &mut srv)
+    })));
+    assert_eq!(
+        said,
+        "node 0: bad dsm frame from node 1 on tag 0x0: \
+         truncated frame: u64 needs 8 bytes, 1 left"
+    );
+
+    // A reply the faulting thread cannot parse, waiting under the tag node
+    // 1's first fetch will listen on.
+    let tag = crate::msg::REPLY_TAG_BASE;
+    dsms[0]
+        .endpoint()
+        .send(1, MsgClass::Ctl, tag, Bytes::from(vec![0xEEu8]), &mut clock);
+    let r = alloc_on(&dsms[1], 64);
+    let said = panic_text(catch_unwind(AssertUnwindSafe(|| {
+        dsms[1].read::<i64>(r, 0, &mut clock);
+    })));
+    assert_eq!(
+        said,
+        "node 1: bad dsm frame from node 0 on tag 0x100000000: \
+         unknown message kind byte 0xee"
+    );
 }
 
 #[test]

@@ -16,21 +16,6 @@ pub enum HomePolicy {
     Fixed,
 }
 
-/// Distributed lock implementation (baseline SDSM synchronization path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// Queueing lock at the manager: requests block at the manager and are
-    /// granted FIFO on release.
-    Queued,
-    /// Busy-wait polling lock: the requester re-polls the manager until
-    /// granted. Reproduces the pathological 2-node `single` result the
-    /// paper observed with KDSM (Figure 7: "busy waiting to get the lock").
-    Polling {
-        /// Virtual time between polls.
-        interval: VTime,
-    },
-}
-
 /// Strategy for solving the atomic page update problem (§5.1).
 ///
 /// In a multi-threaded SDSM, making a page writable in order to install a
@@ -86,7 +71,7 @@ impl UpdateStrategy {
 /// departure prescribes for a written page's cached copies.
 ///
 /// The paper fixes the update/invalidate split at a 256 B size threshold
-/// (`small_threshold`). `Adaptive` makes that split dynamic per page: the
+/// (the translator's `DEFAULT_SMALL_THRESHOLD`). `Adaptive` makes that split dynamic per page: the
 /// barrier root tracks each page's writer/reader history in virtual time
 /// and flips pages between the invalidate protocol (HLRC write notices)
 /// and an update protocol (the home broadcasts the merged page to its
@@ -170,13 +155,8 @@ pub struct DsmConfig {
     /// the OS).
     pub pool_bytes: usize,
     pub home_policy: HomePolicy,
-    pub lock_kind: LockKind,
     pub update_strategy: UpdateStrategy,
     pub comm: CommCosts,
-    /// Data structures at or below this size use the message-passing
-    /// update protocol instead of HLRC (§5.2.1; 256 bytes on the paper's
-    /// cluster).
-    pub small_threshold: usize,
     /// Upper bound on pages coalesced into one `ReqPageRange` fetch when a
     /// bulk access faults a run of contiguous pages with a common home
     /// (Helmholtz/CG fault storms). `<= 1` disables coalescing; range
@@ -191,10 +171,8 @@ impl Default for DsmConfig {
         DsmConfig {
             pool_bytes: 64 << 20,
             home_policy: HomePolicy::Migratory,
-            lock_kind: LockKind::Queued,
             update_strategy: UpdateStrategy::MmapFile,
             comm: CommCosts::dedicated_cpu(),
-            small_threshold: 256,
             max_fetch_range: 16,
             proto_select: ProtoSelect::Adaptive,
         }
@@ -208,7 +186,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = DsmConfig::default();
-        assert_eq!(c.small_threshold, 256);
         assert_eq!(c.home_policy, HomePolicy::Migratory);
         assert!(c.update_strategy.is_safe());
     }

@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use parade_net::{Fabric, Match, MsgClass, NetProfile, VClock};
+use parade_testkit::wire::hex;
 
 use crate::config::DsmConfig;
 use crate::engine::Dsm;
@@ -82,13 +83,6 @@ const HISTORY: [([usize; NODES], [Arrival; NODES]); 8] = [
     ),
 ];
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().fold(String::new(), |mut s, b| {
-        write!(s, "{b:02x}").unwrap();
-        s
-    })
-}
-
 /// Run the history; returns the recorded stream and the dsm instances (for
 /// end-state assertions).
 fn run_history() -> (String, Vec<Dsm>) {
@@ -124,7 +118,10 @@ fn run_history() -> (String, Vec<Dsm>) {
                 let mut handled = false;
                 for &n in order {
                     while let Some(pkt) = dsms[n].endpoint().try_recv(MsgClass::Dsm) {
-                        if matches!(DsmMsg::decode(&pkt.payload), DsmMsg::BarrierUp { .. }) {
+                        if matches!(
+                            DsmMsg::try_decode(&pkt.payload),
+                            Ok(DsmMsg::BarrierUp { .. })
+                        ) {
                             ups.push(format!("{} -> {n} {}", pkt.src, hex(&pkt.payload)));
                         }
                         dsms[n].handle_packet(pkt, &mut servers[n]);
@@ -155,7 +152,8 @@ fn run_history() -> (String, Vec<Dsm>) {
             "barrier {seq}: members received different departures"
         );
         writeln!(out, "depart {seq} {}", hex(&departs[0])).unwrap();
-        let DsmReply::BarrierDepart { seq: dseq, entries } = DsmReply::decode(&departs[0]) else {
+        let Ok(DsmReply::BarrierDepart { seq: dseq, entries }) = DsmReply::try_decode(&departs[0])
+        else {
             panic!("barrier {seq}: not a departure");
         };
         assert_eq!(dseq, seq);

@@ -7,90 +7,52 @@
 //! into the home copy (one of the paper's arguments for home-based LRC).
 //!
 //! Decoding treats the wire as untrusted: a corrupted run table yields a
-//! structured [`DecodeError`], never an out-of-bounds panic at the home,
+//! structured [`DiffError`], never an out-of-bounds panic at the home,
 //! and every run of a successfully decoded diff is guaranteed in-bounds
 //! and word-aligned, so [`Diff::apply`] cannot index outside the page.
 
-use parade_mpi::datatype::{Reader, Writer};
+use parade_mpi::datatype::{DecodeError, Reader, Writer};
 
 use crate::page::PAGE_SIZE;
 
 const WORD: usize = 8;
 
-/// A malformed protocol payload (fail-stop instead of an indexing panic,
-/// in the style of `parade_net::FabricError`).
+/// A frame the DSM refuses: one that does not parse, or a diff whose runs
+/// parse but could not be applied to a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The buffer ended before the announced field.
-    Truncated {
-        what: &'static str,
-        need: usize,
-        have: usize,
-    },
-    /// The run count cannot fit in the remaining bytes (OOM guard: the
-    /// count sizes a `Vec` allocation and must be backed by real bytes).
-    RunCount { count: u32, have: usize },
+pub enum DiffError {
+    /// The bytes are not a frame (truncated, unbacked count, unknown kind,
+    /// trailing bytes).
+    Frame(DecodeError),
     /// A run lands outside the page.
     RunOutOfBounds { offset: u32, len: u32 },
     /// A run is not aligned to the diff word granularity.
     Misaligned { offset: u32, len: u32 },
-    /// Unknown message kind byte.
-    BadKind(u8),
 }
 
-impl std::fmt::Display for DecodeError {
+impl From<DecodeError> for DiffError {
+    fn from(e: DecodeError) -> Self {
+        DiffError::Frame(e)
+    }
+}
+
+impl std::fmt::Display for DiffError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::Truncated { what, need, have } => {
-                write!(
-                    f,
-                    "truncated payload: {what} needs {need} bytes, {have} left"
-                )
-            }
-            DecodeError::RunCount { count, have } => {
-                write!(
-                    f,
-                    "diff run count {count} exceeds payload ({have} bytes left)"
-                )
-            }
-            DecodeError::RunOutOfBounds { offset, len } => write!(
+            DiffError::Frame(e) => e.fmt(f),
+            DiffError::RunOutOfBounds { offset, len } => write!(
                 f,
                 "diff run [{offset}, {offset}+{len}) outside page of {PAGE_SIZE} bytes"
             ),
-            DecodeError::Misaligned { offset, len } => write!(
+            DiffError::Misaligned { offset, len } => write!(
                 f,
                 "diff run offset {offset} len {len} not aligned to {WORD}-byte words"
             ),
-            DecodeError::BadKind(k) => write!(f, "unknown message kind {k}"),
         }
     }
 }
 
-impl std::error::Error for DecodeError {}
-
-/// `what` is about to read `n` bytes of `r`: they must be there.
-pub fn need(r: &Reader<'_>, n: usize, what: &'static str) -> Result<(), DecodeError> {
-    if r.remaining() < n {
-        return Err(DecodeError::Truncated {
-            what,
-            need: n,
-            have: r.remaining(),
-        });
-    }
-    Ok(())
-}
-
-/// A wire count of `count` items of at least `each` bytes apiece must be
-/// backed by the bytes actually left: it is about to size an allocation.
-pub(crate) fn need_count(r: &Reader<'_>, count: usize, each: usize) -> Result<(), DecodeError> {
-    if count.saturating_mul(each) > r.remaining() {
-        return Err(DecodeError::RunCount {
-            count: count as u32,
-            have: r.remaining(),
-        });
-    }
-    Ok(())
-}
+impl std::error::Error for DiffError {}
 
 /// One run of modified bytes within a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,30 +156,24 @@ impl Diff {
     }
 
     /// Decode a diff, validating every run against the page bounds and the
-    /// word granularity. The run count is checked against the bytes
-    /// actually present before it sizes an allocation, so a corrupted
-    /// count can neither OOM nor panic.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Diff, DecodeError> {
-        need(r, 4, "diff run count")?;
-        let n = r.u32();
+    /// word granularity.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Diff, DiffError> {
         // Every run occupies at least 8 header bytes on the wire.
-        need_count(r, n as usize, 8)?;
-        let mut runs = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            need(r, 8, "diff run header")?;
-            let offset = r.u32();
-            let len = r.u32();
-            need(r, len as usize, "diff run data")?;
-            let end = (offset as u64).saturating_add(len as u64);
-            if end > PAGE_SIZE as u64 {
-                return Err(DecodeError::RunOutOfBounds { offset, len });
+        let runs = r.list(8, |r| {
+            let offset = r.u32()?;
+            let data = r.lp_bytes()?;
+            let len = data.len() as u32;
+            if offset as u64 + data.len() as u64 > PAGE_SIZE as u64 {
+                return Err(DiffError::RunOutOfBounds { offset, len });
             }
-            if !(offset as usize).is_multiple_of(WORD) || !(len as usize).is_multiple_of(WORD) {
-                return Err(DecodeError::Misaligned { offset, len });
+            if !(offset as usize).is_multiple_of(WORD) || !data.len().is_multiple_of(WORD) {
+                return Err(DiffError::Misaligned { offset, len });
             }
-            let data = r.bytes(len as usize).to_vec();
-            runs.push(DiffRun { offset, data });
-        }
+            Ok(DiffRun {
+                offset,
+                data: data.to_vec(),
+            })
+        })?;
         Ok(Diff { runs })
     }
 }
@@ -225,6 +181,7 @@ impl Diff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parade_testkit::wire::{assert_codec, hex};
 
     fn page_with(vals: &[(usize, u8)]) -> Vec<u8> {
         let mut p = vec![0u8; PAGE_SIZE];
@@ -234,8 +191,25 @@ mod tests {
         p
     }
 
-    fn decode_bytes(b: &[u8]) -> Result<Diff, DecodeError> {
-        Diff::decode(&mut Reader::new(b))
+    /// A diff alone on the wire (in production it sits inside a
+    /// `DiffBatch`, whose decoder calls `finish`).
+    fn decode_bytes(b: &[u8]) -> Result<Diff, DiffError> {
+        let mut r = Reader::new(b);
+        let d = Diff::decode(&mut r)?;
+        r.finish()?;
+        Ok(d)
+    }
+
+    fn encode_bytes(d: &Diff) -> parade_net::Bytes {
+        let mut w = Writer::new();
+        d.encode(&mut w);
+        w.finish()
+    }
+
+    fn sample() -> Diff {
+        let twin = page_with(&[]);
+        let cur = page_with(&[(0, 1), (64, 2), (72, 3), (4088, 9)]);
+        Diff::create(&twin, &cur)
     }
 
     #[test]
@@ -287,16 +261,22 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let twin = page_with(&[]);
-        let cur = page_with(&[(0, 1), (64, 2), (72, 3), (4088, 9)]);
-        let d = Diff::create(&twin, &cur);
-        let mut w = Writer::new();
-        d.encode(&mut w);
-        let b = w.finish();
-        assert_eq!(b.len(), d.encoded_len());
-        let d2 = Diff::decode(&mut Reader::new(&b)).expect("valid wire diff");
-        assert_eq!(d, d2);
+    fn codec_is_checked_and_encoded_len_is_exact() {
+        let d = sample();
+        assert_eq!(d.runs.len(), 3);
+        assert_eq!(encode_bytes(&d).len(), d.encoded_len());
+        assert_codec(&[d, Diff::default()], encode_bytes, decode_bytes);
+    }
+
+    /// Captured at the parent of the commit that introduced the checked
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        assert_eq!(
+            hex(&encode_bytes(&sample())),
+            "0300000000000000080000000100000000000000400000001000000002000000\
+             000000000300000000000000f80f0000080000000900000000000000"
+        );
     }
 
     #[test]
@@ -308,7 +288,7 @@ mod tests {
         let b = w.finish();
         assert_eq!(
             decode_bytes(&b),
-            Err(DecodeError::RunOutOfBounds {
+            Err(DiffError::RunOutOfBounds {
                 offset: 4088,
                 len: 16
             })
@@ -322,7 +302,7 @@ mod tests {
         let b = w.finish();
         assert!(matches!(
             decode_bytes(&b),
-            Err(DecodeError::RunOutOfBounds { .. })
+            Err(DiffError::RunOutOfBounds { .. })
         ));
     }
 
@@ -333,26 +313,13 @@ mod tests {
         let mut w = Writer::new();
         w.u32(1 << 28).u32(0).u32(0);
         let b = w.finish();
-        assert!(matches!(
+        assert_eq!(
             decode_bytes(&b),
-            Err(DecodeError::RunCount { .. })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_truncation_at_every_length() {
-        let twin = page_with(&[]);
-        let cur = page_with(&[(0, 1), (64, 2), (4088, 9)]);
-        let d = Diff::create(&twin, &cur);
-        let mut w = Writer::new();
-        d.encode(&mut w);
-        let b = w.finish();
-        for cut in 0..b.len() {
-            // Either a shorter valid prefix decodes (possible when a whole
-            // run boundary is cut) or a structured error comes back; a
-            // panic is the only failure.
-            let _ = decode_bytes(&b[..cut]);
-        }
+            Err(DiffError::Frame(DecodeError::Count {
+                count: 1 << 28,
+                have: 8
+            }))
+        );
     }
 
     #[test]
@@ -362,7 +329,7 @@ mod tests {
         let b = w.finish();
         assert_eq!(
             decode_bytes(&b),
-            Err(DecodeError::Misaligned { offset: 13, len: 8 })
+            Err(DiffError::Misaligned { offset: 13, len: 8 })
         );
     }
 

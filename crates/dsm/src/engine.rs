@@ -9,11 +9,11 @@ use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use parade_net::sync::{Condvar, Mutex, MutexGuard};
 
-use parade_net::{Endpoint, Match, MsgClass, VClock, VTime};
+use parade_net::{Endpoint, Match, MsgClass, Packet, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
 use crate::bufpool::PageBuf;
-use crate::config::{DsmConfig, LockKind};
+use crate::config::DsmConfig;
 use crate::diff::Diff;
 use crate::msg::{DsmMsg, DsmReply, REPLY_TAG_BASE};
 use crate::page::{PageId, PageState, PAGE_SIZE};
@@ -168,6 +168,25 @@ impl Dsm {
 
     pub(crate) fn next_reply_tag(&self) -> u64 {
         self.reply_tag.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Fail-stop on a frame that does not decode: the panic names this
+    /// node, the sender and the error, and is what the failed run reports.
+    pub(crate) fn expect_frame<T, E: std::fmt::Display>(
+        &self,
+        pkt: &Packet,
+        decoded: Result<T, E>,
+    ) -> T {
+        decoded.unwrap_or_else(|e| {
+            panic!(
+                "node {}: bad dsm frame from node {} on tag {:#x}: {e}",
+                self.node, pkt.src, pkt.tag
+            )
+        })
+    }
+
+    fn decode_reply(&self, pkt: &Packet) -> DsmReply {
+        self.expect_frame(pkt, DsmReply::try_decode(&pkt.payload))
     }
 
     /// Current barrier sequence number (barriers completed so far).
@@ -630,7 +649,7 @@ impl Dsm {
             .ep
             .recv(MsgClass::Ctl, Match::tagged(tag), clock)
             .expect("fetch reply after shutdown");
-        let DsmReply::PageData { page: rp, data } = DsmReply::decode(&pkt.payload) else {
+        let DsmReply::PageData { page: rp, data } = self.decode_reply(&pkt) else {
             unreachable!("unexpected reply to page request");
         };
         assert_eq!(rp, page);
@@ -687,7 +706,7 @@ impl Dsm {
             .ep
             .recv(MsgClass::Ctl, Match::tagged(tag), clock)
             .expect("range fetch reply after shutdown");
-        let DsmReply::PageRangeData { first: rf, data } = DsmReply::decode(&pkt.payload) else {
+        let DsmReply::PageRangeData { first: rf, data } = self.decode_reply(&pkt) else {
             unreachable!("unexpected reply to page range request");
         };
         assert_eq!(rf, first);
@@ -846,7 +865,7 @@ impl Dsm {
             .ep
             .recv(MsgClass::Ctl, Match::tagged(tag), clock)
             .expect("barrier depart after shutdown");
-        let DsmReply::BarrierDepart { seq: dseq, entries } = DsmReply::decode(&pkt.payload) else {
+        let DsmReply::BarrierDepart { seq: dseq, entries } = self.decode_reply(&pkt) else {
             unreachable!("unexpected reply to barrier arrive");
         };
         assert_eq!(dseq, seq, "barrier sequence mismatch");
@@ -1036,38 +1055,23 @@ impl Dsm {
         trace::begin_arg(EventKind::DsmLock, lock, clock.now());
         let mgr = self.lock_manager(lock);
         let last_seen = self.lock_seen.lock().get(&lock).copied().unwrap_or(0);
-        let polling = matches!(self.cfg.lock_kind, LockKind::Polling { .. });
-        loop {
-            let tag = self.next_reply_tag();
-            let msg = DsmMsg::LockAcq {
-                lock,
-                node: self.node,
-                reply_tag: tag,
-                last_seen,
-                polling,
-            };
-            self.ep.send(mgr, MsgClass::Dsm, 0, msg.encode(), clock);
-            let pkt = self
-                .ep
-                .recv(MsgClass::Ctl, Match::tagged(tag), clock)
-                .expect("lock grant after shutdown");
-            match DsmReply::decode(&pkt.payload) {
-                DsmReply::LockGrant { cur_seq, notices } => {
-                    self.apply_lock_notices(lock, cur_seq, &notices, clock);
-                    trace::end(EventKind::DsmLock, clock.now());
-                    return;
-                }
-                DsmReply::LockBusy => {
-                    self.stats.lock_polls.fetch_add(1, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmLockPoll, lock, clock.now());
-                    if let LockKind::Polling { interval } = self.cfg.lock_kind {
-                        clock.charge_comm(interval);
-                    }
-                    // retry
-                }
-                other => unreachable!("unexpected lock reply {other:?}"),
-            }
-        }
+        let tag = self.next_reply_tag();
+        let msg = DsmMsg::LockAcq {
+            lock,
+            node: self.node,
+            reply_tag: tag,
+            last_seen,
+        };
+        self.ep.send(mgr, MsgClass::Dsm, 0, msg.encode(), clock);
+        let pkt = self
+            .ep
+            .recv(MsgClass::Ctl, Match::tagged(tag), clock)
+            .expect("lock grant after shutdown");
+        let DsmReply::LockGrant { cur_seq, notices } = self.decode_reply(&pkt) else {
+            unreachable!("unexpected reply to lock acquire");
+        };
+        self.apply_lock_notices(lock, cur_seq, &notices, clock);
+        trace::end(EventKind::DsmLock, clock.now());
     }
 
     /// Release a distributed lock: flush modified pages (diffs to homes)

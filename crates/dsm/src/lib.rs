@@ -11,7 +11,7 @@
 //! * write notices combined into a single message and piggybacked on
 //!   barrier arrivals; the master answers with departures that carry
 //!   invalidations and **migratory home** decisions (§5.2.2);
-//! * distributed queue/polling locks for the conventional SDSM
+//! * distributed queueing locks for the conventional SDSM
 //!   synchronization path (the KDSM-style baseline of §6.1);
 //! * a small-data object registry for the message-passing update protocol
 //!   (§5.2.1) — objects under the 256-byte threshold bypass HLRC entirely.
@@ -34,8 +34,8 @@ mod store;
 
 pub use adapt::{ProtoDecision, ProtocolTable, MIN_SHARERS, PROBATION};
 pub use bufpool::PageBuf;
-pub use config::{CommCosts, DsmConfig, HomePolicy, LockKind, ProtoSelect, UpdateStrategy};
-pub use diff::{need, DecodeError, Diff, DiffRun};
+pub use config::{CommCosts, DsmConfig, HomePolicy, ProtoSelect, UpdateStrategy};
+pub use diff::{Diff, DiffError, DiffRun};
 pub use engine::Dsm;
 pub use msg::{DepartEntry, DsmMsg, DsmReply, REPLY_TAG_BASE};
 pub use page::{page_of, page_start, pages_covering, PageId, PageState, PAGE_SIZE};

@@ -13,10 +13,10 @@
 
 use parade_net::Bytes;
 
-use parade_mpi::datatype::{Reader, Writer};
+use parade_mpi::datatype::{DecodeError, Reader, Writer};
 
-use crate::diff::{need, need_count, DecodeError, Diff};
-use crate::page::{PageId, PAGE_SIZE};
+use crate::diff::{Diff, DiffError};
+use crate::page::PageId;
 
 /// Reply tags live above this base; cluster control uses tags below it.
 pub const REPLY_TAG_BASE: u64 = 1 << 32;
@@ -96,14 +96,13 @@ pub enum DsmMsg {
         writers: Vec<(PageId, usize)>,
         readers: Vec<(PageId, usize)>,
     },
-    /// Acquire a distributed lock (baseline SDSM path). `polling` requests
-    /// an immediate grant-or-busy answer instead of queueing.
+    /// Acquire a distributed lock (baseline SDSM path); the manager queues
+    /// the request until the lock is free.
     LockAcq {
         lock: u64,
         node: usize,
         reply_tag: u64,
         last_seen: u64,
-        polling: bool,
     },
     /// Release a distributed lock, carrying write notices for the pages
     /// modified in the critical section.
@@ -116,11 +115,15 @@ pub enum DsmMsg {
     Nudge,
 }
 
-fn decode_notices(r: &mut Reader<'_>) -> Result<Vec<PageId>, DecodeError> {
-    need(r, 4, "notice count")?;
-    let n = r.u32() as usize;
-    need_count(r, n, 8)?;
-    Ok((0..n).map(|_| r.u64() as PageId).collect())
+fn encode_pages(w: &mut Writer, pages: &[PageId]) {
+    w.u32(pages.len() as u32);
+    for p in pages {
+        w.u64(*p as u64);
+    }
+}
+
+fn decode_pages(r: &mut Reader<'_>) -> Result<Vec<PageId>, DecodeError> {
+    r.list(8, |r| Ok(r.u64()? as PageId))
 }
 
 /// Encode a `(page, node)` pair list — the shared shape of `BarrierUp`
@@ -138,16 +141,14 @@ fn encode_page_nodes(w: &mut Writer, pairs: &[(PageId, usize)]) {
 }
 
 fn decode_page_nodes(r: &mut Reader<'_>) -> Result<Vec<(PageId, usize)>, DecodeError> {
-    need(r, 4, "page-nodes count")?;
-    let n = r.u32() as usize;
-    need_count(r, n, 12)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        need(r, 12, "page-nodes entry")?;
-        let page = r.u64() as PageId;
-        let count = r.u32() as usize;
-        need_count(r, count, 4)?;
-        out.extend((0..count).map(|_| (page, r.u32() as usize)));
+    // Each group is at least a page id and a node count.
+    let groups = r.count(12)?;
+    let mut out = Vec::with_capacity(groups);
+    for _ in 0..groups {
+        let page = r.u64()? as PageId;
+        for _ in 0..r.count(4)? {
+            out.push((page, r.u32()? as usize));
+        }
     }
     Ok(out)
 }
@@ -225,14 +226,8 @@ impl DsmMsg {
                     .u64(*seq)
                     .u32(*node as u32)
                     .u64(*reply_tag);
-                w.u32(notices.len() as u32);
-                for p in notices {
-                    w.u64(*p as u64);
-                }
-                w.u32(reads.len() as u32);
-                for p in reads {
-                    w.u64(*p as u64);
-                }
+                encode_pages(&mut w, notices);
+                encode_pages(&mut w, reads);
             }
             DsmMsg::BarrierUp {
                 seq,
@@ -252,14 +247,12 @@ impl DsmMsg {
                 node,
                 reply_tag,
                 last_seen,
-                polling,
             } => {
                 w.u8(K_LOCK_ACQ)
                     .u64(*lock)
                     .u32(*node as u32)
                     .u64(*reply_tag)
-                    .u64(*last_seen)
-                    .u8(*polling as u8);
+                    .u64(*last_seen);
             }
             DsmMsg::LockRel {
                 lock,
@@ -267,10 +260,7 @@ impl DsmMsg {
                 notices,
             } => {
                 w.u8(K_LOCK_REL).u64(*lock).u32(*node as u32);
-                w.u32(notices.len() as u32);
-                for p in notices {
-                    w.u64(*p as u64);
-                }
+                encode_pages(&mut w, notices);
             }
             DsmMsg::Nudge => {
                 w.u8(K_NUDGE);
@@ -279,144 +269,86 @@ impl DsmMsg {
         w.finish()
     }
 
-    /// Decode a trusted (in-process) payload; panics with the structured
-    /// error on corruption — the fabric delivers messages intact, so this
-    /// indicates a local protocol bug, not a remote peer's bytes.
-    pub fn decode(b: &[u8]) -> DsmMsg {
-        match DsmMsg::try_decode(b) {
-            Ok(m) => m,
-            Err(e) => panic!("bad dsm message: {e}"),
-        }
-    }
-
     /// Decode an untrusted payload. Every length, count, and run is
-    /// validated; malformed bytes yield a [`DecodeError`], never a panic
+    /// validated; malformed bytes yield a [`DiffError`], never a panic
     /// or an unbounded allocation.
-    pub fn try_decode(b: &[u8]) -> Result<DsmMsg, DecodeError> {
+    pub fn try_decode(b: &[u8]) -> Result<DsmMsg, DiffError> {
         let mut r = Reader::new(b);
-        need(&r, 1, "message kind")?;
-        match r.u8() {
-            K_REQ_PAGE => {
-                need(&r, 20, "ReqPage body")?;
-                Ok(DsmMsg::ReqPage {
-                    page: r.u64() as PageId,
-                    requester: r.u32() as usize,
-                    reply_tag: r.u64(),
-                })
-            }
-            K_REQ_PAGE_RANGE => {
-                need(&r, 24, "ReqPageRange body")?;
-                Ok(DsmMsg::ReqPageRange {
-                    first: r.u64() as PageId,
-                    count: r.u32(),
-                    requester: r.u32() as usize,
-                    reply_tag: r.u64(),
-                })
-            }
+        let msg = match r.u8()? {
+            K_REQ_PAGE => DsmMsg::ReqPage {
+                page: r.u64()? as PageId,
+                requester: r.u32()? as usize,
+                reply_tag: r.u64()?,
+            },
+            K_REQ_PAGE_RANGE => DsmMsg::ReqPageRange {
+                first: r.u64()? as PageId,
+                count: r.u32()?,
+                requester: r.u32()? as usize,
+                reply_tag: r.u64()?,
+            },
             K_DIFF_BATCH => {
-                need(&r, 16, "DiffBatch header")?;
-                let requester = r.u32() as usize;
-                let reply_tag = r.u64();
-                let n = r.u32() as usize;
+                let requester = r.u32()? as usize;
+                let reply_tag = r.u64()?;
                 // Each entry is at least a page id plus an empty diff.
-                need_count(&r, n, 12)?;
+                let n = r.count(12)?;
                 let mut pages = Vec::with_capacity(n);
                 let mut diffs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    need(&r, 8, "DiffBatch page id")?;
-                    pages.push(r.u64() as PageId);
+                    pages.push(r.u64()? as PageId);
                     diffs.push(Diff::decode(&mut r)?);
                 }
-                Ok(DsmMsg::DiffBatch {
+                DsmMsg::DiffBatch {
                     requester,
                     reply_tag,
                     pages,
                     diffs,
-                })
+                }
             }
-            K_PAGE_PUSH => {
-                need(&r, 20, "PagePush header")?;
-                let page = r.u64() as PageId;
-                let barrier_seq = r.u64();
-                let len = r.u32() as usize;
-                need(&r, len, "PagePush data")?;
-                Ok(DsmMsg::PagePush {
-                    page,
-                    barrier_seq,
-                    data: Bytes::copy_from_slice(r.bytes(len)),
-                })
-            }
-            K_BARRIER_ARRIVE => {
-                need(&r, 20, "BarrierArrive header")?;
-                let seq = r.u64();
-                let node = r.u32() as usize;
-                let reply_tag = r.u64();
-                let notices = decode_notices(&mut r)?;
-                let reads = decode_notices(&mut r)?;
-                Ok(DsmMsg::BarrierArrive {
-                    seq,
-                    node,
-                    reply_tag,
-                    notices,
-                    reads,
-                })
-            }
-            K_BARRIER_UP => {
-                need(&r, 12, "BarrierUp header")?;
-                let seq = r.u64();
-                let nm = r.u32() as usize;
-                need_count(&r, nm, 12)?;
-                let members = (0..nm)
-                    .map(|_| need(&r, 12, "BarrierUp member").map(|_| (r.u32() as usize, r.u64())))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let writers = decode_page_nodes(&mut r)?;
-                let readers = decode_page_nodes(&mut r)?;
-                Ok(DsmMsg::BarrierUp {
-                    seq,
-                    members,
-                    writers,
-                    readers,
-                })
-            }
-            K_LOCK_ACQ => {
-                need(&r, 29, "LockAcq body")?;
-                Ok(DsmMsg::LockAcq {
-                    lock: r.u64(),
-                    node: r.u32() as usize,
-                    reply_tag: r.u64(),
-                    last_seen: r.u64(),
-                    polling: r.u8() != 0,
-                })
-            }
-            K_LOCK_REL => {
-                need(&r, 12, "LockRel header")?;
-                let lock = r.u64();
-                let node = r.u32() as usize;
-                let notices = decode_notices(&mut r)?;
-                Ok(DsmMsg::LockRel {
-                    lock,
-                    node,
-                    notices,
-                })
-            }
-            K_PUSH_REQ => {
-                need(&r, 20, "PushReq body")?;
-                Ok(DsmMsg::PushReq {
-                    page: r.u64() as PageId,
-                    barrier_seq: r.u64(),
-                    requester: r.u32() as usize,
-                })
-            }
-            K_NUDGE => Ok(DsmMsg::Nudge),
-            k => Err(DecodeError::BadKind(k)),
-        }
+            K_PAGE_PUSH => DsmMsg::PagePush {
+                page: r.u64()? as PageId,
+                barrier_seq: r.u64()?,
+                data: Bytes::copy_from_slice(r.lp_bytes()?),
+            },
+            K_BARRIER_ARRIVE => DsmMsg::BarrierArrive {
+                seq: r.u64()?,
+                node: r.u32()? as usize,
+                reply_tag: r.u64()?,
+                notices: decode_pages(&mut r)?,
+                reads: decode_pages(&mut r)?,
+            },
+            K_BARRIER_UP => DsmMsg::BarrierUp {
+                seq: r.u64()?,
+                members: r.list(12, |r| Ok::<_, DecodeError>((r.u32()? as usize, r.u64()?)))?,
+                writers: decode_page_nodes(&mut r)?,
+                readers: decode_page_nodes(&mut r)?,
+            },
+            K_LOCK_ACQ => DsmMsg::LockAcq {
+                lock: r.u64()?,
+                node: r.u32()? as usize,
+                reply_tag: r.u64()?,
+                last_seen: r.u64()?,
+            },
+            K_LOCK_REL => DsmMsg::LockRel {
+                lock: r.u64()?,
+                node: r.u32()? as usize,
+                notices: decode_pages(&mut r)?,
+            },
+            K_PUSH_REQ => DsmMsg::PushReq {
+                page: r.u64()? as PageId,
+                barrier_seq: r.u64()?,
+                requester: r.u32()? as usize,
+            },
+            K_NUDGE => DsmMsg::Nudge,
+            k => return Err(DecodeError::BadKind(k).into()),
+        };
+        r.finish()?;
+        Ok(msg)
     }
 }
 
 const R_PAGE_DATA: u8 = 1;
 const R_BARRIER_DEPART: u8 = 3;
 const R_LOCK_GRANT: u8 = 4;
-const R_LOCK_BUSY: u8 = 5;
 const R_DIFF_BATCH_ACK: u8 = 6;
 const R_PAGE_RANGE_DATA: u8 = 7;
 
@@ -482,7 +414,6 @@ pub enum DsmReply {
         cur_seq: u64,
         notices: Vec<PageId>,
     },
-    LockBusy,
 }
 
 impl DsmReply {
@@ -493,7 +424,6 @@ impl DsmReply {
                 w.u8(R_PAGE_DATA).u64(*page as u64).lp_bytes(data);
             }
             DsmReply::PageRangeData { first, data } => {
-                debug_assert_eq!(data.len() % PAGE_SIZE, 0);
                 w.u8(R_PAGE_RANGE_DATA).u64(*first as u64).lp_bytes(data);
             }
             DsmReply::DiffBatchAck { pages } => {
@@ -514,85 +444,52 @@ impl DsmReply {
                 }
             }
             DsmReply::LockGrant { cur_seq, notices } => {
-                w.u8(R_LOCK_GRANT).u64(*cur_seq).u32(notices.len() as u32);
-                for p in notices {
-                    w.u64(*p as u64);
-                }
-            }
-            DsmReply::LockBusy => {
-                w.u8(R_LOCK_BUSY);
+                w.u8(R_LOCK_GRANT).u64(*cur_seq);
+                encode_pages(&mut w, notices);
             }
         }
         w.finish()
     }
 
-    /// Decode a trusted (in-process) payload; panics with the structured
-    /// error on corruption, like [`DsmMsg::decode`].
-    pub fn decode(b: &[u8]) -> DsmReply {
-        match DsmReply::try_decode(b) {
-            Ok(r) => r,
-            Err(e) => panic!("bad dsm reply: {e}"),
-        }
-    }
-
-    /// Decode an untrusted payload: every length and count is checked
-    /// against the bytes actually present before it is indexed or sizes an
-    /// allocation, as in [`DsmMsg::try_decode`].
+    /// Decode an untrusted payload, as [`DsmMsg::try_decode`] does.
     pub fn try_decode(b: &[u8]) -> Result<DsmReply, DecodeError> {
         let mut r = Reader::new(b);
-        need(&r, 1, "reply kind")?;
-        match r.u8() {
-            kind @ (R_PAGE_DATA | R_PAGE_RANGE_DATA) => {
-                need(&r, 12, "page data header")?;
-                let page = r.u64() as PageId;
-                let len = r.u32() as usize;
-                need(&r, len, "page data")?;
-                let data = Bytes::copy_from_slice(r.bytes(len));
-                Ok(if kind == R_PAGE_DATA {
-                    DsmReply::PageData { page, data }
-                } else {
-                    DsmReply::PageRangeData { first: page, data }
-                })
-            }
-            R_DIFF_BATCH_ACK => {
-                need(&r, 4, "DiffBatchAck body")?;
-                Ok(DsmReply::DiffBatchAck { pages: r.u32() })
-            }
-            R_BARRIER_DEPART => {
-                need(&r, 12, "BarrierDepart header")?;
-                let seq = r.u64();
-                let n = r.u32() as usize;
+        let reply = match r.u8()? {
+            R_PAGE_DATA => DsmReply::PageData {
+                page: r.u64()? as PageId,
+                data: Bytes::copy_from_slice(r.lp_bytes()?),
+            },
+            R_PAGE_RANGE_DATA => DsmReply::PageRangeData {
+                first: r.u64()? as PageId,
+                data: Bytes::copy_from_slice(r.lp_bytes()?),
+            },
+            R_DIFF_BATCH_ACK => DsmReply::DiffBatchAck { pages: r.u32()? },
+            R_BARRIER_DEPART => DsmReply::BarrierDepart {
+                seq: r.u64()?,
                 // Each entry is at least page + homes + flags + count.
-                need_count(&r, n, 21)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    need(&r, 21, "BarrierDepart entry")?;
-                    let page = r.u64() as PageId;
-                    let old_home = r.u32() as usize;
-                    let new_home = r.u32() as usize;
-                    let flags = r.u8();
-                    let ns = r.u32() as usize;
-                    need_count(&r, ns, 4)?;
-                    entries.push(DepartEntry {
+                entries: r.list(21, |r| {
+                    let page = r.u64()? as PageId;
+                    let old_home = r.u32()? as usize;
+                    let new_home = r.u32()? as usize;
+                    let flags = r.u8()?;
+                    Ok::<_, DecodeError>(DepartEntry {
                         page,
                         old_home,
                         new_home,
                         multi_writer: flags & 1 != 0,
                         update: flags & 2 != 0,
-                        sharers: (0..ns).map(|_| r.u32() as usize).collect(),
-                    });
-                }
-                Ok(DsmReply::BarrierDepart { seq, entries })
-            }
-            R_LOCK_GRANT => {
-                need(&r, 8, "LockGrant header")?;
-                let cur_seq = r.u64();
-                let notices = decode_notices(&mut r)?;
-                Ok(DsmReply::LockGrant { cur_seq, notices })
-            }
-            R_LOCK_BUSY => Ok(DsmReply::LockBusy),
-            k => Err(DecodeError::BadKind(k)),
-        }
+                        sharers: r.list(4, |r| Ok::<_, DecodeError>(r.u32()? as usize))?,
+                    })
+                })?,
+            },
+            R_LOCK_GRANT => DsmReply::LockGrant {
+                cur_seq: r.u64()?,
+                notices: decode_pages(&mut r)?,
+            },
+            k => return Err(DecodeError::BadKind(k)),
+        };
+        r.finish()?;
+        Ok(reply)
     }
 }
 
@@ -600,6 +497,7 @@ impl DsmReply {
 mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
+    use parade_testkit::wire::{assert_codec, hex};
 
     fn page_diff(touch: &[usize]) -> Diff {
         let twin = vec![0u8; PAGE_SIZE];
@@ -610,9 +508,10 @@ mod tests {
         Diff::create(&twin, &cur)
     }
 
-    #[test]
-    fn msg_roundtrips() {
-        let msgs = vec![
+    /// One request of every kind (two `BarrierUp`s: grouped pairs and
+    /// empty lists).
+    fn sample_msgs() -> Vec<DsmMsg> {
+        vec![
             DsmMsg::ReqPage {
                 page: 42,
                 requester: 3,
@@ -627,13 +526,18 @@ mod tests {
             DsmMsg::DiffBatch {
                 requester: 2,
                 reply_tag: REPLY_TAG_BASE + 3,
-                pages: vec![4, 9, 11],
-                diffs: vec![page_diff(&[8]), page_diff(&[0, 4088]), page_diff(&[16])],
+                pages: vec![4, 9],
+                diffs: vec![page_diff(&[8]), page_diff(&[0, 4088])],
             },
             DsmMsg::PagePush {
                 page: 5,
                 barrier_seq: 12,
-                data: Bytes::from(vec![7u8; PAGE_SIZE]),
+                data: Bytes::from(vec![7u8; 16]),
+            },
+            DsmMsg::PushReq {
+                page: 5,
+                barrier_seq: 12,
+                requester: 1,
             },
             DsmMsg::BarrierArrive {
                 seq: 4,
@@ -659,7 +563,6 @@ mod tests {
                 node: 0,
                 reply_tag: REPLY_TAG_BASE + 2,
                 last_seen: 11,
-                polling: true,
             },
             DsmMsg::LockRel {
                 lock: 6,
@@ -667,81 +570,10 @@ mod tests {
                 notices: vec![99],
             },
             DsmMsg::Nudge,
-        ];
-        for m in msgs {
-            assert_eq!(DsmMsg::decode(&m.encode()), m);
-        }
+        ]
     }
 
-    #[test]
-    fn try_decode_rejects_bad_kind_and_truncation() {
-        assert_eq!(DsmMsg::try_decode(&[0xEE]), Err(DecodeError::BadKind(0xEE)));
-        assert!(matches!(
-            DsmMsg::try_decode(&[]),
-            Err(DecodeError::Truncated { .. })
-        ));
-        let full = DsmMsg::DiffBatch {
-            requester: 1,
-            reply_tag: REPLY_TAG_BASE,
-            pages: vec![3, 7],
-            diffs: vec![page_diff(&[8]), page_diff(&[24, 32])],
-        }
-        .encode();
-        for cut in 0..full.len() {
-            // No prefix may panic; (decoding a shorter valid message is
-            // impossible here because the batch count is pinned early).
-            let _ = DsmMsg::try_decode(&full[..cut]);
-        }
-    }
-
-    #[test]
-    fn try_decode_rejects_oversized_barrier_up_counts() {
-        // Member count not backed by bytes.
-        let mut w = Writer::new();
-        w.u8(10).u64(3).u32(u32::MAX);
-        assert!(matches!(
-            DsmMsg::try_decode(&w.finish()),
-            Err(DecodeError::RunCount { .. })
-        ));
-        // Writer-node count not backed by bytes.
-        let mut w = Writer::new();
-        w.u8(10).u64(3).u32(0).u32(1).u64(5).u32(u32::MAX);
-        assert!(matches!(
-            DsmMsg::try_decode(&w.finish()),
-            Err(DecodeError::RunCount { .. })
-        ));
-        // Reader-list count not backed by bytes (after an empty writer
-        // list).
-        let mut w = Writer::new();
-        w.u8(10).u64(3).u32(0).u32(0).u32(u32::MAX);
-        assert!(matches!(
-            DsmMsg::try_decode(&w.finish()),
-            Err(DecodeError::RunCount { .. })
-        ));
-        // No truncation of a valid message may panic.
-        let full = DsmMsg::BarrierUp {
-            seq: 2,
-            members: vec![(0, REPLY_TAG_BASE), (1, REPLY_TAG_BASE + 1)],
-            writers: vec![(4, 0), (4, 1), (6, 1)],
-            readers: vec![(5, 0)],
-        }
-        .encode();
-        for cut in 0..full.len() {
-            let _ = DsmMsg::try_decode(&full[..cut]);
-        }
-    }
-
-    #[test]
-    fn try_decode_rejects_unbacked_batch_count() {
-        let mut w = Writer::new();
-        w.u8(8).u32(0).u64(REPLY_TAG_BASE).u32(u32::MAX);
-        let b = w.finish();
-        assert!(matches!(
-            DsmMsg::try_decode(&b),
-            Err(DecodeError::RunCount { .. })
-        ));
-    }
-
+    /// One reply of every kind.
     fn sample_replies() -> Vec<DsmReply> {
         vec![
             DsmReply::PageData {
@@ -750,7 +582,7 @@ mod tests {
             },
             DsmReply::PageRangeData {
                 first: 12,
-                data: Bytes::from(vec![9u8; 2 * PAGE_SIZE]),
+                data: Bytes::from(vec![9u8; 16]),
             },
             DsmReply::DiffBatchAck { pages: 17 },
             DsmReply::BarrierDepart {
@@ -772,81 +604,142 @@ mod tests {
                 cur_seq: 5,
                 notices: vec![4, 5],
             },
-            DsmReply::LockBusy,
         ]
     }
 
     #[test]
-    fn reply_roundtrips() {
-        for r in sample_replies() {
-            assert_eq!(DsmReply::decode(&r.encode()), r);
-        }
-    }
-
-    #[test]
-    fn reply_try_decode_rejects_every_truncation_and_a_bad_kind() {
+    fn request_and_reply_codecs_are_checked() {
+        assert_codec(&sample_msgs(), DsmMsg::encode, DsmMsg::try_decode);
+        assert_codec(&sample_replies(), DsmReply::encode, DsmReply::try_decode);
+        // Whole pages travel too (the samples above stay short for the pins).
+        let page = DsmReply::PageRangeData {
+            first: 12,
+            data: Bytes::from(vec![9u8; 2 * PAGE_SIZE]),
+        };
+        assert_eq!(DsmReply::try_decode(&page.encode()), Ok(page));
+        assert_eq!(
+            DsmMsg::try_decode(&[0xEE]),
+            Err(DecodeError::BadKind(0xEE).into())
+        );
         assert_eq!(
             DsmReply::try_decode(&[0xEE]),
             Err(DecodeError::BadKind(0xEE))
         );
-        for r in sample_replies() {
-            let full = r.encode();
-            assert_eq!(DsmReply::try_decode(&full), Ok(r));
-            // Every field of every reply is pinned by a length or a count
-            // ahead of it, so no proper prefix is itself a valid reply.
-            for cut in 0..full.len() {
-                assert!(
-                    matches!(
-                        DsmReply::try_decode(&full[..cut]),
-                        Err(DecodeError::Truncated { .. } | DecodeError::RunCount { .. })
-                    ),
-                    "prefix {cut}/{} of {:?} decoded",
-                    full.len(),
-                    full[0]
-                );
-            }
-        }
+    }
+
+    /// Captured at the parent of the commit that introduced the checked
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. The one
+    /// exception is `LockAcq`, one byte shorter than at the parent: the
+    /// trailing `polling` flag (`00`) went with `LockKind::Polling`.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let msgs = [
+            "012a00000000000000030000000700000001000000",
+            "09280000000000000006000000020000000900000001000000",
+            "0802000000030000000100000002000000040000000000000001000000080000\
+             0008000000030000000000000009000000000000000200000000000000080000\
+             000300000000000000f80f0000080000000300000000000000",
+            "0305000000000000000c00000000000000100000000707070707070707070707\
+             0707070707",
+            "0b05000000000000000c0000000000000001000000",
+            "0404000000000000000200000001000000010000000300000001000000000000\
+             0002000000000000001e00000000000000020000000500000000000000060000\
+             0000000000",
+            "0a09000000000000000200000002000000040000000100000003000000050000\
+             0001000000020000000700000000000000010000000200000008000000000000\
+             0002000000020000000300000001000000070000000000000001000000030000\
+             00",
+            "0a0a000000000000000100000001000000000000000100000000000000000000\
+             00",
+            "0506000000000000000000000002000000010000000b00000000000000",
+            "06060000000000000000000000010000006300000000000000",
+            "07",
+        ];
+        let replies = [
+            "01010000000000000003000000010203",
+            "070c000000000000001000000009090909090909090909090909090909",
+            "0611000000",
+            "030300000000000000030000000a000000000000000000000002000000000000\
+             00000b00000000000000010000000100000001000000000c0000000000000002\
+             000000020000000203000000000000000100000003000000",
+            "0405000000000000000200000004000000000000000500000000000000",
+        ];
+        let got: Vec<String> = sample_msgs().iter().map(|m| hex(&m.encode())).collect();
+        assert_eq!(got, msgs);
+        let got: Vec<String> = sample_replies().iter().map(|r| hex(&r.encode())).collect();
+        assert_eq!(got, replies);
     }
 
     #[test]
-    fn reply_try_decode_rejects_unbacked_counts() {
-        // Each count below would size a multi-gigabyte allocation if it
-        // were trusted; none is backed by bytes.
-        let unbacked: [Bytes; 4] = [
-            // PageData length.
-            {
-                let mut w = Writer::new();
-                w.u8(R_PAGE_DATA).u64(1).u32(u32::MAX);
-                w.finish()
-            },
-            // BarrierDepart entry count.
-            {
-                let mut w = Writer::new();
-                w.u8(R_BARRIER_DEPART).u64(3).u32(u32::MAX);
-                w.finish()
-            },
-            // BarrierDepart sharer count of the one entry.
-            {
-                let mut w = Writer::new();
-                w.u8(R_BARRIER_DEPART).u64(3).u32(1);
-                w.u64(9).u32(0).u32(0).u8(2).u32(u32::MAX);
-                w.finish()
-            },
-            // LockGrant notice count.
-            {
-                let mut w = Writer::new();
-                w.u8(R_LOCK_GRANT).u64(5).u32(u32::MAX);
-                w.finish()
-            },
+    fn try_decode_rejects_unbacked_counts() {
+        // Each count would size a multi-gigabyte allocation if trusted;
+        // none is backed by bytes.
+        let unbacked = |build: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            build(&mut w);
+            w.u32(u32::MAX);
+            w.finish()
+        };
+        let requests = [
+            // BarrierUp member count.
+            unbacked(&|w| {
+                w.u8(K_BARRIER_UP).u64(3);
+            }),
+            // BarrierUp writer-node count of the one group.
+            unbacked(&|w| {
+                w.u8(K_BARRIER_UP).u64(3).u32(0).u32(1).u64(5);
+            }),
+            // BarrierUp reader-group count (after an empty writer list).
+            unbacked(&|w| {
+                w.u8(K_BARRIER_UP).u64(3).u32(0).u32(0);
+            }),
+            // DiffBatch entry count.
+            unbacked(&|w| {
+                w.u8(K_DIFF_BATCH).u32(0).u64(REPLY_TAG_BASE);
+            }),
         ];
-        for b in unbacked {
-            assert!(
-                matches!(
-                    DsmReply::try_decode(&b),
-                    Err(DecodeError::Truncated { .. } | DecodeError::RunCount { .. })
-                ),
+        for b in requests {
+            assert_eq!(
+                DsmMsg::try_decode(&b),
+                Err(DiffError::Frame(DecodeError::Count {
+                    count: u32::MAX,
+                    have: 0
+                })),
                 "unbacked count accepted: {b:?}"
             );
         }
+        let replies = [
+            // BarrierDepart entry count.
+            unbacked(&|w| {
+                w.u8(R_BARRIER_DEPART).u64(3);
+            }),
+            // BarrierDepart sharer count of the one entry.
+            unbacked(&|w| {
+                w.u8(R_BARRIER_DEPART).u64(3).u32(1);
+                w.u64(9).u32(0).u32(0).u8(2);
+            }),
+            // LockGrant notice count.
+            unbacked(&|w| {
+                w.u8(R_LOCK_GRANT).u64(5);
+            }),
+        ];
+        for b in replies {
+            assert_eq!(
+                DsmReply::try_decode(&b),
+                Err(DecodeError::Count {
+                    count: u32::MAX,
+                    have: 0
+                }),
+                "unbacked count accepted: {b:?}"
+            );
+        }
+        // A byte-string length is not a count: it is simply not there.
+        let b = unbacked(&|w| {
+            w.u8(R_PAGE_DATA).u64(1);
+        });
+        assert!(matches!(
+            DsmReply::try_decode(&b),
+            Err(DecodeError::Truncated { have: 0, .. })
+        ));
     }
 }

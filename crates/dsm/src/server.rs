@@ -156,7 +156,7 @@ impl Dsm {
 
     /// Handle one protocol request (exposed for deterministic tests).
     pub fn handle_packet(&self, pkt: Packet, srv: &mut CommServer) {
-        let msg = DsmMsg::decode(&pkt.payload);
+        let msg = self.expect_frame(&pkt, DsmMsg::try_decode(&pkt.payload));
         if matches!(msg, DsmMsg::Nudge) {
             // Local bookkeeping wake-up, not a serviced request.
             self.retry_deferred(srv);
@@ -317,7 +317,6 @@ impl Dsm {
                 node,
                 reply_tag,
                 last_seen,
-                polling,
             } => {
                 let mut st = self.server.lock();
                 let ls = st.locks.entry(lock).or_default();
@@ -326,9 +325,6 @@ impl Dsm {
                     let grant = make_grant(ls, last_seen);
                     drop(st);
                     self.reply(node, reply_tag, grant, srv);
-                } else if polling {
-                    drop(st);
-                    self.reply(node, reply_tag, DsmReply::LockBusy, srv);
                 } else {
                     ls.queue.push_back(Waiter {
                         node,

@@ -72,8 +72,6 @@ counters! {
     barriers,
     /// Distributed lock acquisitions.
     lock_acquires,
-    /// Poll rounds spent busy-waiting for locks (Polling variant).
-    lock_polls,
     /// Requests serviced by this node's communication thread.
     serviced_requests,
     /// Full pages pushed to migrated homes.

@@ -196,18 +196,23 @@ mod tests {
 
     #[test]
     fn task_nbody_survives_chaos() {
-        let p = MdParams::sized(24, 2);
-        let seq = nbody_task_sequential(p, 4);
+        // Four nodes and the real link profile: enough steal traffic that
+        // the 2 % drop rate always bites, whoever ends up stealing what.
+        let p = MdParams::sized(48, 2);
+        let seq = nbody_task_sequential(p, 8);
         let c = Cluster::builder()
-            .nodes(2)
-            .threads_per_node(1)
-            .net(NetProfile::zero())
+            .nodes(4)
+            .threads_per_node(2)
+            .net(NetProfile::clan_via())
             .time(TimeSource::Manual)
-            .chaos(parade_net::ChaosProfile::lossy(7))
+            .chaos(parade_net::ChaosProfile::lossy(0x7A5C_5EED))
             .build()
             .unwrap();
-        let (par, _) = nbody_task_parade(&c, p, 4);
+        let (par, report) = nbody_task_parade(&c, p, 8);
         assert_eq!(bits(&seq), bits(&par), "chaos changed the trajectory");
+        assert!(report.cluster.fabric_error.is_none());
+        let h = report.cluster.link_health_totals();
+        assert!(h.retransmits >= 1, "the soak must retransmit: {h:?}");
     }
 
     #[test]

@@ -438,20 +438,12 @@ impl Communicator {
         let parts = self.gather_bytes(0, data, clock);
         let mut blob = Bytes::new();
         if self.rank() == 0 {
-            let parts = parts.expect("root gathers");
-            let mut w = crate::datatype::Writer::new();
-            w.u32(parts.len() as u32);
-            for p in &parts {
-                w.lp_bytes(p);
-            }
-            blob = w.finish();
+            blob = datatype::encode_parts(&parts.expect("root gathers"));
         }
         self.bcast_bytes(0, &mut blob, clock);
-        let mut r = crate::datatype::Reader::new(&blob);
-        let n = r.u32() as usize;
-        (0..n)
-            .map(|_| Bytes::copy_from_slice(r.lp_bytes()))
-            .collect()
+        // Fail-stop: the rank's panic is what the failed run reports.
+        datatype::decode_parts(&blob)
+            .unwrap_or_else(|e| panic!("rank {}: bad allgather blob from rank 0: {e}", self.rank()))
     }
 }
 

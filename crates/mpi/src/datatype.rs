@@ -1,7 +1,13 @@
-//! Wire encoding helpers.
+//! Wire encoding: the one module that knows how a frame is cut.
 //!
 //! Payloads are hand-encoded little-endian byte strings — the mini-MPI the
-//! paper's authors built on VIA moves raw buffers the same way.
+//! paper's authors built on VIA moves raw buffers the same way. Every
+//! protocol frame in the workspace (DSM requests and replies, diffs,
+//! scheduler messages, fork-join commands, the allgather blob) is composed
+//! with [`Writer`] and parsed with [`Reader`], whose every read checks the
+//! bytes left first: a decoder built on it cannot index past its buffer,
+//! and a malformed frame is a [`DecodeError`], never a panic. DESIGN.md
+//! "Wire format" lists the frames.
 
 use parade_net::Bytes;
 
@@ -124,6 +130,24 @@ impl Writer {
         self.bytes(v)
     }
 
+    /// `u32`-counted list of `u64`s, read back by [`Reader::u64s`].
+    pub fn u64s(&mut self, vs: &[u64]) -> &mut Self {
+        self.u32(vs.len() as u32);
+        for &v in vs {
+            self.u64(v);
+        }
+        self
+    }
+
+    /// `u32`-counted list of `f64`s, read back by [`Reader::f64s`].
+    pub fn f64s(&mut self, vs: &[f64]) -> &mut Self {
+        self.u32(vs.len() as u32);
+        for &v in vs {
+            self.f64(v);
+        }
+        self
+    }
+
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -137,65 +161,160 @@ impl Writer {
     }
 }
 
-/// A little-endian cursor for parsing protocol messages.
+/// A malformed frame: fail-stop with a structured error instead of an
+/// indexing panic or an allocation sized by a corrupted count (in the
+/// style of `parade_net::FabricError`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The buffer ended inside the field being read.
+    Truncated {
+        what: &'static str,
+        need: usize,
+        have: usize,
+    },
+    /// An element count cannot fit in the remaining bytes (OOM guard: the
+    /// count sizes a `Vec` allocation and must be backed by real bytes).
+    Count { count: u32, have: usize },
+    /// Unknown message kind byte.
+    BadKind(u8),
+    /// Bytes left over after a complete frame.
+    Trailing(usize),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated { what, need, have } => {
+                write!(f, "truncated frame: {what} needs {need} bytes, {have} left")
+            }
+            DecodeError::Count { count, have } => {
+                write!(f, "element count {count} exceeds frame ({have} bytes left)")
+            }
+            DecodeError::BadKind(k) => write!(f, "unknown message kind byte {k:#04x}"),
+            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes after the frame"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// A little-endian cursor for parsing protocol messages. Check and read
+/// are one step: the private `take` is the only place the buffer is indexed,
+/// and every other read goes through it.
 pub struct Reader<'a> {
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { buf }
     }
 
-    pub fn u8(&mut self) -> u8 {
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        v
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
+            return Err(DecodeError::Truncated {
+                what,
+                need: n,
+                have: self.buf.len(),
+            });
+        };
+        self.buf = rest;
+        Ok(head)
     }
 
-    pub fn u32(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().expect("u32"));
-        self.pos += 4;
-        v
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
+        let bytes = self.take(N, what)?;
+        Ok(bytes.try_into().expect("take returned N bytes"))
     }
 
-    pub fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("u64"));
-        self.pos += 8;
-        v
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>("u8")?[0])
     }
 
-    pub fn f64(&mut self) -> f64 {
-        let v = f64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().expect("f64"));
-        self.pos += 8;
-        v
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.array("u32")?))
     }
 
-    pub fn bytes(&mut self, n: usize) -> &'a [u8] {
-        let v = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        v
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.array("u64")?))
+    }
+
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_le_bytes(self.array("f64")?))
     }
 
     /// Length-prefixed byte string written by [`Writer::lp_bytes`].
-    pub fn lp_bytes(&mut self) -> &'a [u8] {
-        let n = self.u32() as usize;
-        self.bytes(n)
+    pub fn lp_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.u32()? as usize;
+        self.take(n, "byte string")
     }
 
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// A `u32` element count, checked against the bytes left (every
+    /// element takes at least `min_each`) so that it may size a `Vec`.
+    pub fn count(&mut self, min_each: usize) -> Result<usize, DecodeError> {
+        let count = self.u32()?;
+        let have = self.buf.len();
+        if count as usize > have / min_each {
+            return Err(DecodeError::Count { count, have });
+        }
+        Ok(count as usize)
     }
 
-    pub fn is_done(&self) -> bool {
-        self.remaining() == 0
+    /// A `u32`-counted list, pre-sized from the checked count. `E` lets a
+    /// caller's item decoder add its own semantic errors.
+    pub fn list<T, E: From<DecodeError>>(
+        &mut self,
+        min_each: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let count = self.count(min_each)?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
+
+    pub fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
+        self.list(8, Self::u64)
+    }
+
+    pub fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
+        self.list(8, Self::f64)
+    }
+
+    /// The frame is complete: anything still unread is an error.
+    pub fn finish(self) -> Result<(), DecodeError> {
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(DecodeError::Trailing(n)),
+        }
+    }
+}
+
+/// The allgather blob: every rank's byte string under one count, each with
+/// its length.
+pub fn encode_parts(parts: &[Bytes]) -> Bytes {
+    let mut w = Writer::new();
+    w.u32(parts.len() as u32);
+    for p in parts {
+        w.lp_bytes(p);
+    }
+    w.finish()
+}
+
+/// Decode a blob written by [`encode_parts`].
+pub fn decode_parts(blob: &[u8]) -> Result<Vec<Bytes>, DecodeError> {
+    let mut r = Reader::new(blob);
+    let parts = r.list(4, |r| r.lp_bytes().map(Bytes::copy_from_slice))?;
+    r.finish()?;
+    Ok(parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parade_testkit::wire::{assert_codec, hex};
 
     #[test]
     fn f64_roundtrip() {
@@ -222,14 +341,90 @@ mod tests {
     fn writer_reader_roundtrip() {
         let mut w = Writer::new();
         w.u8(7).u32(1234).u64(u64::MAX).f64(2.75).lp_bytes(b"hello");
+        w.u64s(&[3, 4]).f64s(&[-0.0]);
         let b = w.finish();
         let mut r = Reader::new(&b);
-        assert_eq!(r.u8(), 7);
-        assert_eq!(r.u32(), 1234);
-        assert_eq!(r.u64(), u64::MAX);
-        assert_eq!(r.f64(), 2.75);
-        assert_eq!(r.lp_bytes(), b"hello");
-        assert!(r.is_done());
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u32(), Ok(1234));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.f64(), Ok(2.75));
+        assert_eq!(r.lp_bytes(), Ok(&b"hello"[..]));
+        assert_eq!(r.u64s(), Ok(vec![3, 4]));
+        assert_eq!(r.f64s().map(|v| v[0].to_bits()), Ok((-0.0f64).to_bits()));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn short_reads_and_unbacked_counts_are_errors_that_consume_nothing() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(
+            r.u32(),
+            Err(DecodeError::Truncated {
+                what: "u32",
+                need: 4,
+                have: 3
+            })
+        );
+        // The failed read left the cursor put.
+        assert_eq!(r.finish(), Err(DecodeError::Trailing(3)));
+        // A count that would size a multi-gigabyte `Vec` if trusted.
+        let mut w = Writer::new();
+        w.u32(u32::MAX).u64(0);
+        let b = w.finish();
+        assert_eq!(
+            Reader::new(&b).u64s(),
+            Err(DecodeError::Count {
+                count: u32::MAX,
+                have: 8
+            })
+        );
+        assert_eq!(
+            Reader::new(&b).lp_bytes(),
+            Err(DecodeError::Truncated {
+                what: "byte string",
+                need: u32::MAX as usize,
+                have: 8
+            })
+        );
+        assert_eq!(
+            DecodeError::BadKind(0xEE).to_string(),
+            "unknown message kind byte 0xee"
+        );
+    }
+
+    fn parts() -> Vec<Vec<Bytes>> {
+        vec![
+            vec![
+                Bytes::new(),
+                Bytes::from(&b"ab"[..]),
+                Bytes::from(vec![1, 2, 3]),
+            ],
+            vec![],
+        ]
+    }
+
+    #[test]
+    fn allgather_blob_codec_is_checked() {
+        assert_codec(&parts(), |p| encode_parts(p), decode_parts);
+        let mut w = Writer::new();
+        w.u32(u32::MAX);
+        assert_eq!(
+            decode_parts(&w.finish()),
+            Err(DecodeError::Count {
+                count: u32::MAX,
+                have: 0
+            })
+        );
+    }
+
+    /// Captured at the parent of the commit that introduced the checked
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        assert_eq!(
+            hex(&encode_parts(&parts()[0])),
+            "030000000000000002000000616203000000010203"
+        );
     }
 
     #[test]

@@ -28,4 +28,4 @@ mod sched;
 mod wire;
 
 pub use sched::{run_to_merge, NodeSched, SchedConfig, StealStrategy, Step, TaskCtx, TaskExecutor};
-pub use wire::{DecodeError, SchedMsg, TaskDesc, TAG_SCHED};
+pub use wire::{SchedMsg, TaskDesc, TAG_SCHED};

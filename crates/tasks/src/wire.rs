@@ -3,9 +3,10 @@
 //! All scheduler traffic shares one reserved point-to-point tag
 //! ([`TAG_SCHED`]) with a message-kind byte in the payload; collectives are
 //! never concurrent with task-phase pumping, so the scheduler can share the
-//! node's communicator. The codec is the same hand-rolled little-endian
-//! style as the DSM message layer — no external serialization.
+//! node's communicator. Frames are cut with the workspace's one
+//! `Writer`/`Reader` pair (DESIGN.md "Wire format").
 
+use parade_mpi::datatype::{DecodeError, Reader, Writer};
 use parade_net::Bytes;
 
 /// Reserved point-to-point tag for all scheduler messages.
@@ -86,173 +87,46 @@ const K_DONE: u8 = 6;
 const K_RESULT: u8 = 7;
 const K_MERGED: u8 = 8;
 
-struct Wr(Vec<u8>);
+fn encode_desc(w: &mut Writer, d: &TaskDesc) {
+    w.u64(d.id).u64(d.parent).u32(d.home).u32(d.func);
+    match d.pinned {
+        Some(p) => w.u8(1).u32(p),
+        None => w.u8(0),
+    };
+    w.u8(d.inject as u8);
+    w.u64s(&d.args).u64s(&d.deps).u64s(&d.notices);
+}
 
-impl Wr {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64s(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v.to_bits());
-        }
-    }
-    fn desc(&mut self, d: &TaskDesc) {
-        self.u64(d.id);
-        self.u64(d.parent);
-        self.u32(d.home);
-        self.u32(d.func);
-        match d.pinned {
-            Some(p) => {
-                self.u8(1);
-                self.u32(p);
-            }
-            None => self.u8(0),
-        }
-        self.u8(d.inject as u8);
-        self.u64s(&d.args);
-        self.u64s(&d.deps);
-        self.u64s(&d.notices);
-    }
-    fn results(&mut self, rs: &[(u64, Vec<f64>)]) {
-        self.u32(rs.len() as u32);
-        for (id, vals) in rs {
-            self.u64(*id);
-            self.f64s(vals);
-        }
+fn decode_desc(r: &mut Reader<'_>) -> Result<TaskDesc, DecodeError> {
+    let id = r.u64()?;
+    let parent = r.u64()?;
+    let home = r.u32()?;
+    let func = r.u32()?;
+    let pinned = if r.u8()? == 1 { Some(r.u32()?) } else { None };
+    let inject = r.u8()? == 1;
+    Ok(TaskDesc {
+        id,
+        parent,
+        home,
+        func,
+        pinned,
+        inject,
+        args: r.u64s()?,
+        deps: r.u64s()?,
+        notices: r.u64s()?,
+    })
+}
+
+fn encode_results(w: &mut Writer, rs: &[(u64, Vec<f64>)]) {
+    w.u32(rs.len() as u32);
+    for (id, vals) in rs {
+        w.u64(*id).f64s(vals);
     }
 }
 
-/// A malformed scheduler frame (fail-stop instead of an indexing panic,
-/// like `parade_dsm::DecodeError`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The buffer ended before the announced field.
-    Truncated {
-        what: &'static str,
-        need: usize,
-        have: usize,
-    },
-    /// An element count cannot fit in the remaining bytes (OOM guard: the
-    /// count sizes a `Vec` allocation and must be backed by real bytes).
-    Count { count: u32, have: usize },
-    /// Unknown message kind byte.
-    BadKind(u8),
-    /// Bytes left over after a complete message.
-    Trailing(usize),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated { what, need, have } => {
-                write!(f, "truncated frame: {what} needs {need} bytes, {have} left")
-            }
-            DecodeError::Count { count, have } => {
-                write!(f, "element count {count} exceeds frame ({have} bytes left)")
-            }
-            DecodeError::BadKind(k) => write!(f, "unknown message kind byte {k:#04x}"),
-            DecodeError::Trailing(n) => write!(f, "{n} trailing bytes after the message"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-struct Rd<'a> {
-    b: &'a [u8],
-    p: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn take<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
-        let have = self.b.len() - self.p;
-        let Some(bytes) = self.b[self.p..].first_chunk::<N>() else {
-            return Err(DecodeError::Truncated {
-                what,
-                need: N,
-                have,
-            });
-        };
-        self.p += N;
-        Ok(*bytes)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take::<1>("u8")?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take("u32")?))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take("u64")?))
-    }
-    /// A `u32`-counted list. The count is checked against the bytes left
-    /// (every element takes at least `min_each`) before it sizes the `Vec`.
-    fn list<T>(
-        &mut self,
-        min_each: usize,
-        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Vec<T>, DecodeError> {
-        let count = self.u32()?;
-        let have = self.b.len() - self.p;
-        if count as usize > have / min_each {
-            return Err(DecodeError::Count { count, have });
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            out.push(item(self)?);
-        }
-        Ok(out)
-    }
-    fn u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
-        self.list(8, Self::u64)
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
-        self.list(8, |r| r.u64().map(f64::from_bits))
-    }
-    fn desc(&mut self) -> Result<TaskDesc, DecodeError> {
-        let id = self.u64()?;
-        let parent = self.u64()?;
-        let home = self.u32()?;
-        let func = self.u32()?;
-        let pinned = if self.u8()? == 1 {
-            Some(self.u32()?)
-        } else {
-            None
-        };
-        let inject = self.u8()? == 1;
-        Ok(TaskDesc {
-            id,
-            parent,
-            home,
-            func,
-            pinned,
-            inject,
-            args: self.u64s()?,
-            deps: self.u64s()?,
-            notices: self.u64s()?,
-        })
-    }
-    fn descs(&mut self) -> Result<Vec<TaskDesc>, DecodeError> {
-        self.list(MIN_DESC_BYTES, Self::desc)
-    }
-    fn results(&mut self) -> Result<Vec<(u64, Vec<f64>)>, DecodeError> {
-        // At least an id and an empty list each.
-        self.list(8 + 4, |r| Ok((r.u64()?, r.f64s()?)))
-    }
+fn decode_results(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<f64>)>, DecodeError> {
+    // At least an id and an empty list each.
+    r.list(8 + 4, |r| Ok((r.u64()?, r.f64s()?)))
 }
 
 /// Encoded size of a [`TaskDesc`] with no pin and three empty lists.
@@ -271,18 +145,19 @@ impl SchedMsg {
     }
 
     pub fn encode(&self) -> Bytes {
-        let mut w = Wr(Vec::with_capacity(32));
+        let mut w = Writer::with_capacity(32);
         match self {
             SchedMsg::Task(d) => {
                 w.u8(K_TASK);
-                w.desc(d);
+                encode_desc(&mut w, d);
             }
-            SchedMsg::StealReq => w.u8(K_STEAL_REQ),
+            SchedMsg::StealReq => {
+                w.u8(K_STEAL_REQ);
+            }
             SchedMsg::StealReply(ds) => {
-                w.u8(K_STEAL_REPLY);
-                w.u32(ds.len() as u32);
+                w.u8(K_STEAL_REPLY).u32(ds.len() as u32);
                 for d in ds {
-                    w.desc(d);
+                    encode_desc(&mut w, d);
                 }
             }
             SchedMsg::Complete {
@@ -291,45 +166,40 @@ impl SchedMsg {
                 result,
                 notices,
             } => {
-                w.u8(K_COMPLETE);
-                w.u64(*id);
-                w.u64(*parent);
-                w.f64s(result);
-                w.u64s(notices);
+                w.u8(K_COMPLETE).u64(*id).u64(*parent);
+                w.f64s(result).u64s(notices);
             }
             SchedMsg::Token { count, black } => {
-                w.u8(K_TOKEN);
-                w.u64(*count as u64);
-                w.u8(*black as u8);
+                w.u8(K_TOKEN).u64(*count as u64).u8(*black as u8);
             }
-            SchedMsg::Done => w.u8(K_DONE),
+            SchedMsg::Done => {
+                w.u8(K_DONE);
+            }
             SchedMsg::Result {
                 results,
                 spawned,
                 executed,
             } => {
                 w.u8(K_RESULT);
-                w.results(results);
-                w.u64(*spawned);
-                w.u64(*executed);
+                encode_results(&mut w, results);
+                w.u64(*spawned).u64(*executed);
             }
             SchedMsg::Merged(rs) => {
                 w.u8(K_MERGED);
-                w.results(rs);
+                encode_results(&mut w, rs);
             }
         }
-        Bytes::from(w.0)
+        w.finish()
     }
 
-    /// Decode a scheduler frame. Every length and count is checked against
-    /// the bytes actually present before it is indexed or sizes an
-    /// allocation; malformed bytes yield a [`DecodeError`], never a panic.
+    /// Decode a scheduler frame; malformed bytes yield a [`DecodeError`],
+    /// never a panic or an allocation the frame does not back.
     pub fn try_decode(b: &[u8]) -> Result<SchedMsg, DecodeError> {
-        let mut r = Rd { b, p: 0 };
-        let msg = match r.take::<1>("message kind")?[0] {
-            K_TASK => SchedMsg::Task(r.desc()?),
+        let mut r = Reader::new(b);
+        let msg = match r.u8()? {
+            K_TASK => SchedMsg::Task(decode_desc(&mut r)?),
             K_STEAL_REQ => SchedMsg::StealReq,
-            K_STEAL_REPLY => SchedMsg::StealReply(r.descs()?),
+            K_STEAL_REPLY => SchedMsg::StealReply(r.list(MIN_DESC_BYTES, decode_desc)?),
             K_COMPLETE => SchedMsg::Complete {
                 id: r.u64()?,
                 parent: r.u64()?,
@@ -342,16 +212,14 @@ impl SchedMsg {
             },
             K_DONE => SchedMsg::Done,
             K_RESULT => SchedMsg::Result {
-                results: r.results()?,
+                results: decode_results(&mut r)?,
                 spawned: r.u64()?,
                 executed: r.u64()?,
             },
-            K_MERGED => SchedMsg::Merged(r.results()?),
+            K_MERGED => SchedMsg::Merged(decode_results(&mut r)?),
             k => return Err(DecodeError::BadKind(k)),
         };
-        if r.p != b.len() {
-            return Err(DecodeError::Trailing(b.len() - r.p));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -359,7 +227,7 @@ impl SchedMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parade_testkit::prelude::*;
+    use parade_testkit::wire::{assert_codec, hex};
 
     fn desc() -> TaskDesc {
         TaskDesc {
@@ -403,74 +271,18 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_is_exact_and_no_prefix_decodes() {
-        for m in samples() {
-            let bytes = m.encode();
-            assert_eq!(SchedMsg::try_decode(&bytes).as_ref(), Ok(&m));
-            // Every field is pinned by a kind, a length or a count ahead of
-            // it, so no proper prefix is itself a message.
-            for cut in 0..bytes.len() {
-                assert!(
-                    matches!(
-                        SchedMsg::try_decode(&bytes[..cut]),
-                        Err(DecodeError::Truncated { .. } | DecodeError::Count { .. })
-                    ),
-                    "prefix {cut}/{} of {m:?} decoded",
-                    bytes.len()
-                );
-            }
-        }
-    }
-
-    prop!(fn decode_survives_mutation((which, flips) in |r: &mut TestRng| {
-        let n = r.range_usize(1, 8);
-        let flips: Vec<(usize, u8)> = (0..n)
-            .map(|_| (r.range_usize(0, 1 << 16), r.next_byte()))
-            .collect();
-        (r.range_usize(0, 1 << 16), flips)
-    }) {
-        let samples = samples();
-        let mut bytes = samples[which % samples.len()].encode().to_vec();
-        for &(pos, v) in &flips {
-            let p = pos % bytes.len();
-            bytes[p] ^= v;
-        }
-        // A structured error or some message — never a panic, and whatever
-        // decodes survives its own round trip.
-        if let Ok(m) = SchedMsg::try_decode(&bytes) {
-            let again = m.encode();
-            assert_eq!(SchedMsg::try_decode(&again).map(|m| m.encode()), Ok(again));
-        }
-    });
-
-    #[test]
-    fn try_decode_names_the_offending_byte_and_rejects_unbacked_counts() {
+    fn codec_is_checked() {
+        assert_codec(&samples(), SchedMsg::encode, SchedMsg::try_decode);
         assert_eq!(
             SchedMsg::try_decode(&[0xEE]),
             Err(DecodeError::BadKind(0xEE))
         );
-        assert_eq!(
-            DecodeError::BadKind(0xEE).to_string(),
-            "unknown message kind byte 0xee"
-        );
-        assert!(matches!(
-            SchedMsg::try_decode(&[]),
-            Err(DecodeError::Truncated {
-                need: 1,
-                have: 0,
-                ..
-            })
-        ));
-        assert_eq!(
-            SchedMsg::try_decode(&[K_DONE, 0]),
-            Err(DecodeError::Trailing(1))
-        );
         // Each count would size a multi-gigabyte allocation if trusted.
         for kind in [K_STEAL_REPLY, K_RESULT, K_MERGED] {
-            let mut w = Wr(vec![kind]);
-            w.u32(u32::MAX);
+            let mut w = Writer::new();
+            w.u8(kind).u32(u32::MAX);
             assert_eq!(
-                SchedMsg::try_decode(&w.0),
+                SchedMsg::try_decode(&w.finish()),
                 Err(DecodeError::Count {
                     count: u32::MAX,
                     have: 0
@@ -478,6 +290,35 @@ mod tests {
                 "kind {kind}"
             );
         }
+    }
+
+    /// Captured at the parent of the commit that introduced the checked
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let pinned = [
+            "0108070605040302010700000000000000030000000200000001050000000103\
+             0000000100000000000000ffffffffffffffff00000000000000000200000009\
+             000000000000000b00000000000000010000002a00000000000000",
+            "02",
+            "0302000000080706050403020107000000000000000300000002000000010500\
+             000001030000000100000000000000ffffffffffffffff000000000000000002\
+             00000009000000000000000b00000000000000010000002a0000000000000008\
+             0706050403020107000000000000000300000002000000010500000001030000\
+             000100000000000000ffffffffffffffff000000000000000002000000090000\
+             00000000000b00000000000000010000002a00000000000000",
+            "0300000000",
+            "040300000000000000010000000000000003000000000000000000f83f000000\
+             0000000080ffffffffffffef7f02000000080000000000000009000000000000\
+             00",
+            "05fdffffffffffffff01",
+            "06",
+            "0702000000010000000000000001000000000000000000004005000000000000\
+             000000000002000000000000000200000000000000",
+            "0801000000010000000000000001000000000000000000d03f",
+        ];
+        let got: Vec<String> = samples().iter().map(|m| hex(&m.encode())).collect();
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   counterexample.
 //!
 //! Plus [`watchdog::run_with_timeout`], a deadlock watchdog for tests that
-//! drive blocking runtimes (used by the chaos/fault-injection suite).
+//! drive blocking runtimes (used by the chaos/fault-injection suite), and
+//! [`wire::assert_codec`], the one contract every wire codec is held to.
 //!
 //! ```ignore
 //! use parade_testkit::prelude::*;
@@ -30,6 +31,7 @@ pub mod rng;
 pub mod runner;
 pub mod shrink;
 pub mod watchdog;
+pub mod wire;
 
 /// The names property tests actually use.
 pub mod prelude {

@@ -38,8 +38,6 @@ pub enum EventKind {
     DsmBarrier,
     /// Distributed lock acquire round-trip(s) (span; arg = lock id).
     DsmLock,
-    /// One busy-wait poll round for a Polling lock (instant; arg = lock id).
-    DsmLockPoll,
     // --- MPI-like message passing ---
     /// Dissemination barrier (span).
     MpiBarrier,
@@ -85,7 +83,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in declaration order (stable for reports).
-    pub const ALL: [EventKind; 31] = [
+    pub const ALL: [EventKind; 30] = [
         EventKind::DsmReadFault,
         EventKind::DsmWriteFault,
         EventKind::DsmTwin,
@@ -99,7 +97,6 @@ impl EventKind {
         EventKind::DsmFlush,
         EventKind::DsmBarrier,
         EventKind::DsmLock,
-        EventKind::DsmLockPoll,
         EventKind::MpiBarrier,
         EventKind::MpiBcast,
         EventKind::MpiReduce,
@@ -135,7 +132,6 @@ impl EventKind {
             EventKind::DsmFlush => "dsm.flush",
             EventKind::DsmBarrier => "dsm.barrier",
             EventKind::DsmLock => "dsm.lock",
-            EventKind::DsmLockPoll => "dsm.lock_poll",
             EventKind::MpiBarrier => "mpi.barrier",
             EventKind::MpiBcast => "mpi.bcast",
             EventKind::MpiReduce => "mpi.reduce",
@@ -171,8 +167,7 @@ impl EventKind {
             | EventKind::DsmPush
             | EventKind::DsmFlush
             | EventKind::DsmBarrier
-            | EventKind::DsmLock
-            | EventKind::DsmLockPoll => "dsm",
+            | EventKind::DsmLock => "dsm",
             EventKind::MpiBarrier
             | EventKind::MpiBcast
             | EventKind::MpiReduce
@@ -261,7 +256,7 @@ mod tests {
 
     #[test]
     fn taxonomy_is_consistent() {
-        assert_eq!(EventKind::ALL.len(), 31);
+        assert_eq!(EventKind::ALL.len(), 30);
         let mut names = std::collections::HashSet::new();
         for k in EventKind::ALL {
             assert!(names.insert(k.name()), "duplicate name {}", k.name());

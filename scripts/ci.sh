@@ -97,28 +97,20 @@ cargo run -q --offline -p parade-check --bin paradec -- \
   check tests/corpus/clean/task_depend_diamond.c >/dev/null
 rm -rf "$DEADLOCK_TMP"
 
-echo "== smoke and soak runs (figures -- <subcommand>) =="
-# Every subcommand verifies its own run in-process — bit-identity against
-# the clean or sequential reference, >=1 retransmission or re-home, a valid
-# trace with an omp.barrier span; `figures` without arguments spells out
-# each contract — and exits nonzero on any divergence, so the exit status
-# is the whole check. serve-soak pushes 1000 jobs through a 12-node machine
-# and is the only one run optimized.
+echo "== traced run and serving soak (figures -- <subcommand>) =="
+# Each verifies its own run in-process — a valid trace with an omp.barrier
+# span; 1000 jobs through a 12-node machine, bit-identical to their
+# references with >=1 re-home — and exits nonzero on any divergence, so the
+# exit status is the whole check. (The chaos, task and protocol-mode
+# bit-identity checks are `cargo test` cases: tests/chaos.rs and
+# crates/kernels/src/nbody_task.rs.) serve-soak is the one run optimized.
 SMOKE_TMP="$(mktemp -d)"
-for smoke in "trace --quick" chaos-smoke task-smoke steal-soak adapt-smoke serve-soak; do
-  echo "-- figures -- $smoke"
-  profile=""
-  trace_to=""
-  case "$smoke" in
-    serve-soak) profile="--release" ;;
-    trace*) trace_to="$SMOKE_TMP/smoke_trace.json" ;;
-  esac
-  # $smoke and $profile are split on purpose ("trace --quick" is two words).
-  # shellcheck disable=SC2086
-  PARADE_TRACE="$trace_to" \
-    cargo run -q --offline $profile -p parade-bench --bin figures -- $smoke > /dev/null
-done
+echo "-- figures -- trace --quick"
+PARADE_TRACE="$SMOKE_TMP/smoke_trace.json" \
+  cargo run -q --offline -p parade-bench --bin figures -- trace --quick > /dev/null
 rm -rf "$SMOKE_TMP"
+echo "-- figures -- serve-soak"
+cargo run -q --offline --release -p parade-bench --bin figures -- serve-soak > /dev/null
 
 echo "== virtual-time golden, optimized (the only place its 256-node rung runs) =="
 # tests/vtime_golden.rs compares release/, coll/, tasks/ and adapt/ with ==

@@ -88,7 +88,7 @@ pub use parade_translator as translator;
 pub mod prelude {
     pub use parade_cluster::{ClusterConfig, ConfigError, ExecConfig, ProtocolMode};
     pub use parade_core::{Cluster, MasterCtx, RunReport, ThreadCtx};
-    pub use parade_dsm::{DsmConfig, LockKind, ProtoSelect, RegionHandle, SmallHandle};
+    pub use parade_dsm::{DsmConfig, ProtoSelect, RegionHandle, SmallHandle};
     pub use parade_mpi::ReduceOp;
     pub use parade_net::{NetProfile, VTime};
 }

@@ -116,6 +116,43 @@ fn cg_bulk_fetch_counters_are_pinned() {
     );
 }
 
+/// CG class S is multi-writer on its shared vectors, so the adaptive
+/// policy must settle on invalidate — spending no more page-protocol
+/// messages (demand fetches + update pushes) than all-invalidate and
+/// strictly fewer than all-update, which pays pushes on top of the fetches
+/// it saves — and every mode must keep coalescing bulk reads.
+#[test]
+fn cg_adaptive_costs_no_more_page_messages_than_either_fixed_policy() {
+    use parade::dsm::{DsmConfig, ProtoSelect};
+    let page_msgs = |proto_select| {
+        let cfg = ClusterConfig {
+            nodes: 8,
+            net: NetProfile::clan_via(),
+            time: TimeSource::Manual,
+            dsm: DsmConfig {
+                proto_select,
+                ..DsmConfig::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let (r, report) = cg_parade(&Cluster::from_config(cfg).expect("cluster"), CgClass::S);
+        assert!(r.verify(CgClass::S), "{proto_select:?}: zeta {}", r.zeta);
+        let d = report.cluster.dsm_totals();
+        assert!(
+            d.range_fetches > 0,
+            "{proto_select:?}: bulk fetch path dead"
+        );
+        d.page_fetches + d.update_pushes
+    };
+    let adaptive = page_msgs(ProtoSelect::Adaptive);
+    let invalidate = page_msgs(ProtoSelect::AllInvalidate);
+    let update = page_msgs(ProtoSelect::AllUpdate);
+    assert!(
+        adaptive <= invalidate && adaptive < update,
+        "adaptive {adaptive} vs all-invalidate {invalidate} / all-update {update}"
+    );
+}
+
 #[test]
 fn ep_parallel_matches_sequential_and_scales_traffic_free() {
     let class = EpClass::Custom(19);
@@ -275,19 +312,6 @@ fn run_report_virtual_times_are_consistent() {
     for &t in &report.node_times {
         assert!(t > parade::net::VTime::ZERO);
     }
-}
-
-#[test]
-fn heterogeneous_node_speeds_are_supported() {
-    let cfg = ClusterConfig {
-        nodes: 2,
-        node_speed: Some(ClusterConfig::paper_node_speeds(2)),
-        net: NetProfile::zero(),
-        ..ClusterConfig::default()
-    };
-    let cluster = Cluster::from_config(cfg).expect("cluster config");
-    let sum = cluster.run(|g| g.parallel(|tc| tc.reduce_f64_sum(1.0)));
-    assert_eq!(sum, cluster.config().total_threads() as f64);
 }
 
 // ---------------------------------------------------------------------------
