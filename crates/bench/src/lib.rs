@@ -633,13 +633,47 @@ pub fn trace_breakdown(opts: &FigureOpts) -> Result<Vec<Table>, String> {
 ///
 /// * every job completed **exactly once** and **bit-identical** to its
 ///   sequential reference (node death and chaos reshuffle virtual time,
-///   never payloads), and
+///   never payloads),
 /// * at least one job actually lost a node and was re-homed from its
 ///   barrier-time checkpoint (a death schedule that never fires proves
-///   nothing).
+///   nothing), and
+/// * the process ends with no more host threads than the machine's width
+///   accounts for — a main and a comm thread per node, and four for the
+///   process's own: threads outlive the jobs they ran, parked for the
+///   next one, and must not grow with the job count. (Skipped where
+///   `/proc/self/status` is absent.)
 ///
 /// `--quick` serves 120 jobs; the full run serves 1000 (the CI soak).
 pub fn serve_soak(opts: &FigureOpts) -> Result<Vec<Table>, String> {
+    let mut tables = serve_soak_tables(opts)?;
+    let bound = 2 * SOAK_MACHINE_NODES + 4;
+    if let Some(n) = host_threads() {
+        if n > bound {
+            return Err(format!(
+                "serve-soak: {n} host threads are alive after the soak, over the {bound} a \
+                 {SOAK_MACHINE_NODES}-node machine accounts for — parked threads grow with the job count"
+            ));
+        }
+        tables[0].row(vec![
+            "host threads alive afterwards".into(),
+            format!("{n} (bound {bound})"),
+        ]);
+    }
+    Ok(tables)
+}
+
+const SOAK_MACHINE_NODES: usize = 12;
+
+/// `Threads:` of `/proc/self/status`; `None` where there is no such file.
+fn host_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+    line.trim().parse().ok()
+}
+
+/// The soak and its per-job checks, without the count of the process's
+/// threads.
+fn serve_soak_tables(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     use parade_net::ChaosProfile;
     use parade_serve::{soak, SoakConfig};
     let chaos = {
@@ -652,7 +686,7 @@ pub fn serve_soak(opts: &FigureOpts) -> Result<Vec<Table>, String> {
     };
     let cfg = SoakConfig {
         jobs: if opts.quick { 120 } else { 1000 },
-        machine_nodes: 12,
+        machine_nodes: SOAK_MACHINE_NODES,
         death_every: 7,
         chaos: chaos.clone(),
         ..SoakConfig::default()
@@ -750,7 +784,9 @@ mod tests {
 
     #[test]
     fn serve_soak_survives_scheduled_deaths_exactly_once() {
-        let tables = serve_soak(&FigureOpts::quick()).expect("serve soak must pass");
+        // Not `serve_soak`: its count of the process's threads would take
+        // in the other tests running beside this one.
+        let tables = serve_soak_tables(&FigureOpts::quick()).expect("serve soak must pass");
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert!(t.title.contains("Serve soak"));

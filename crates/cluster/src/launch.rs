@@ -5,10 +5,12 @@
 //! plain SPMD engine (node 0's program becomes the master; the others run
 //! a command loop).
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parade_dsm::{spawn_comm_thread, Dsm, DsmStatsSnapshot};
 use parade_mpi::Communicator;
+use parade_net::threads::spawn_named;
 use parade_net::{Fabric, FabricError, LinkHealth, NodeTraffic, Traffic, VClock, VTime};
 use parade_trace as trace;
 
@@ -70,7 +72,8 @@ impl ClusterReport {
     }
 }
 
-/// One node program's panic, carried out of [`launch_result`].
+/// One node's panic — its program's or its communication thread's —
+/// carried out of [`launch_result`].
 #[derive(Debug, Clone)]
 pub struct NodePanic {
     pub node: usize,
@@ -126,8 +129,14 @@ where
     }
 }
 
-/// Failure-tolerant launch: node-program panics are collected instead of
+/// Failure-tolerant launch: node-program panics — and a communication
+/// thread's, which takes its run down with it — are collected instead of
 /// propagated, and teardown is unconditional.
+///
+/// Node and communication threads come from [`parade_net::threads`]: when
+/// this returns every one of them has dropped what it held of the launch
+/// and is parked under its name for the next, except those that panicked,
+/// which are gone.
 ///
 /// The shutdown order is load-bearing. The fabric is shut down *before*
 /// the communication threads are joined, in every path — including the
@@ -181,28 +190,24 @@ where
             };
             let program = Arc::clone(&program);
             let fabric2 = Arc::clone(&fabric);
-            std::thread::Builder::new()
-                .name(format!("parade-node-{i}"))
-                .spawn(move || {
-                    trace::set_identity(i, "main");
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| program(env)));
-                    if r.is_err() {
-                        // Shut the fabric down *at panic time*, not at join
-                        // time: peers blocked in fabric receives waiting on
-                        // this node must unblock or the ordered join below
-                        // would deadlock on them. A fabric fail-stop has
-                        // already done this; a non-fabric panic has not.
-                        fabric2.begin_shutdown();
-                    }
-                    r
+            spawn_named(format!("parade-node-{i}"), move || {
+                trace::set_identity(i, "main");
+                catch_unwind(AssertUnwindSafe(|| program(env))).unwrap_or_else(|panic| {
+                    // Shut the fabric down *at panic time*, not at join
+                    // time: peers blocked in fabric receives waiting on
+                    // this node must unblock or the ordered join below
+                    // would deadlock on them. A fabric fail-stop has
+                    // already done this; a non-fabric panic has not.
+                    fabric2.begin_shutdown();
+                    resume_unwind(panic)
                 })
-                .expect("spawn node main thread")
+            })
         })
         .collect();
     let mut results: Vec<R> = Vec::with_capacity(cfg.nodes);
     let mut panics: Vec<NodePanic> = Vec::new();
     for (i, h) in handles.into_iter().enumerate() {
-        match h.join().expect("node thread itself cannot panic") {
+        match h.join() {
             Ok(r) => results.push(r),
             Err(payload) => panics.push(NodePanic {
                 node: i,
@@ -221,10 +226,22 @@ where
     // Wake comm threads parked on their mailboxes *before* joining them —
     // in every path, not just the clean one.
     fabric.begin_shutdown();
-    for h in comm_threads {
-        // A comm thread that hit the dead link itself panicked trying to
-        // reply; that panic is part of the same failure, not a new one.
-        let _ = h.join();
+    let comm_panics: Vec<NodePanic> = comm_threads
+        .into_iter()
+        .enumerate()
+        .filter_map(|(node, h)| {
+            let message = panic_message(h.join().err()?);
+            Some(NodePanic { node, message })
+        })
+        .collect();
+    // A comm thread waits on nobody — its one blocking call is the mailbox
+    // receive, which a shutdown ends cleanly — so its panic is never the
+    // consequence of another thread's: it is why the nodes that panicked
+    // did, and goes first. Unless a link died: then it hit the dead link
+    // itself, trying to reply, which is the failure `fabric_errors` already
+    // names and not a new one.
+    if report.fabric_errors.is_empty() {
+        panics.splice(0..0, comm_panics);
     }
     if panics.is_empty() {
         Ok((results, report))
@@ -258,6 +275,39 @@ mod tests {
     fn launch_runs_program_on_every_node() {
         let (out, _) = launch(tiny(4), |env| (env.node, env.nnodes));
         assert_eq!(out, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
+    }
+
+    /// The host threads nodes 4 and 5 of a six-node launch ran on: names
+    /// no other test of this binary uses, so nobody else parks or takes a
+    /// thread under them. With `hold` they stay in their programs between
+    /// its two barriers.
+    fn threads_of_nodes_4_and_5(
+        hold: Option<Arc<[std::sync::Barrier; 2]>>,
+    ) -> Vec<std::thread::ThreadId> {
+        let (ids, _) = launch(tiny(6), move |env| {
+            if let (Some(gates), 4..) = (&hold, env.node) {
+                gates[0].wait();
+                gates[1].wait();
+            }
+            std::thread::current().id()
+        });
+        ids[4..].to_vec()
+    }
+
+    #[test]
+    fn a_launch_runs_on_the_threads_the_last_one_parked_unless_they_are_busy() {
+        let first = threads_of_nodes_4_and_5(None);
+        assert_eq!(threads_of_nodes_4_and_5(None), first);
+        // A launch started while another is still running gets threads of
+        // its own, and both finish.
+        let gates = Arc::new([(); 2].map(|()| std::sync::Barrier::new(3)));
+        let gates2 = Arc::clone(&gates);
+        let held = std::thread::spawn(move || threads_of_nodes_4_and_5(Some(gates2)));
+        gates[0].wait();
+        let meanwhile = threads_of_nodes_4_and_5(None);
+        gates[1].wait();
+        assert_eq!(held.join().unwrap(), first);
+        assert!(meanwhile.iter().all(|id| !first.contains(id)));
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, OnceLock};
 
 use parade_net::sync::Mutex;
+use parade_net::threads::{spawn_named, Joiner};
 
 use parade_cluster::ProtocolMode;
 use parade_dsm::{Dsm, RegionHandle};
@@ -205,16 +206,16 @@ impl NodeRt {
 
 /// Spawn the node's pool threads (local tids `1..tpn`). Must be called
 /// exactly once, right after `NodeRt::new`.
-pub(crate) fn spawn_pool(rt: &Arc<NodeRt>) -> Vec<std::thread::JoinHandle<()>> {
+pub(crate) fn spawn_pool(rt: &Arc<NodeRt>) -> Vec<Joiner<()>> {
     let mut handles = Vec::new();
     let mut senders = Vec::new();
     for local_tid in 1..rt.tpn {
         let (tx, rx) = mpsc::channel::<Job>();
         senders.push(tx);
         let rt2 = Arc::clone(rt);
-        let h = std::thread::Builder::new()
-            .name(format!("parade-n{}t{}", rt.node, local_tid))
-            .spawn(move || {
+        handles.push(spawn_named(
+            format!("parade-n{}t{}", rt.node, local_tid),
+            move || {
                 trace::set_identity(rt2.node, &format!("worker-{local_tid}"));
                 // A pool thread that unwinds takes its node down with it
                 // (the node's main thread does the same in `team.rs`).
@@ -226,9 +227,8 @@ pub(crate) fn spawn_pool(rt: &Arc<NodeRt>) -> Vec<std::thread::JoinHandle<()>> {
                     (job.f)(&tc);
                     tc.region_end();
                 }
-            })
-            .expect("spawn pool thread");
-        handles.push(h);
+            },
+        ));
     }
     *rt.pool.lock() = senders;
     handles

@@ -173,7 +173,8 @@ impl std::fmt::Display for FailedRun {
 /// A simulated SMP cluster ready to run ParADE programs.
 ///
 /// Each [`Cluster::run`] call performs a full launch: fabric, DSM
-/// instances, communication threads, compute-thread pools.
+/// instances, communication threads, compute-thread pools. Only the host
+/// threads under them carry over from one run to the next.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -229,7 +230,10 @@ impl Cluster {
     /// failed run's pool threads are joined like a clean run's, whatever
     /// `threads_per_node` is: nothing of the job is left running when this
     /// returns. (The join waits for a pool thread that is still in user
-    /// code to make its next runtime call.)
+    /// code to make its next runtime call.) The host threads themselves are
+    /// not state of the job: those that did not panic have dropped all they
+    /// held of it and wait, parked under their names in
+    /// [`parade_net::threads`], for the next run to use them.
     pub fn try_run_with_report<R, F>(&self, master: F) -> Result<(R, RunReport), Box<FailedRun>>
     where
         R: Send + 'static,
@@ -411,7 +415,7 @@ impl ClusterBuilder {
 struct NodeThreads<'a> {
     rt: &'a NodeRt,
     fabric: &'a parade_net::Fabric,
-    pool: Vec<std::thread::JoinHandle<()>>,
+    pool: Vec<parade_net::threads::Joiner<()>>,
 }
 
 impl Drop for NodeThreads<'_> {
@@ -736,6 +740,43 @@ mod tests {
             "node 1: bad dsm frame from node 0 on tag 0x100000000: \
              truncated frame: u64 needs 8 bytes, 2 left"
         );
+    }
+
+    #[test]
+    fn bad_dsm_request_fails_the_run_instead_of_hanging_it() {
+        // A request that does not decode panics the communication thread
+        // that read it and nobody else: node 1's next barrier arrival goes
+        // to a thread that is gone. The run must end, and say why.
+        let failed = parade_testkit::watchdog::run_with_timeout(
+            "comm-thread-panic",
+            std::time::Duration::from_secs(60),
+            || {
+                test_cluster(2, 2)
+                    .try_run_with_report(|g| {
+                        let xs = g.alloc_f64(8);
+                        g.parallel(move |tc| tc.barrier());
+                        g.rt.dsm.endpoint().send(
+                            1,
+                            parade_net::MsgClass::Dsm,
+                            0,
+                            Bytes::from(vec![0xEEu8, 2, 3]),
+                            &mut g.clock,
+                        );
+                        g.parallel(move |tc| {
+                            if tc.node() == 1 {
+                                tc.get(&xs, 0);
+                            }
+                        });
+                    })
+                    .expect_err("a bad request must fail the run")
+            },
+        );
+        let text = failed.to_string();
+        assert!(
+            text.contains("(node 1: node 1: bad dsm frame from node 0 on tag 0x0: "),
+            "{text}"
+        );
+        assert!(text.contains("0xee"), "{text}");
     }
 
     #[test]

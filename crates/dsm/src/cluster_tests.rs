@@ -82,6 +82,30 @@ fn master_writes_propagate_after_barrier() {
 }
 
 #[test]
+fn a_second_run_on_recycled_pools_starts_from_zero() {
+    // Both runs build their `Dsm`s on this thread and drop them here, so
+    // the second gets the first one's pools back: cleared as far as the
+    // region went, which is all the first could have written.
+    let cfg = DsmConfig {
+        pool_bytes: 6 * PAGE_SIZE,
+        ..DsmConfig::default()
+    };
+    for round in 0..2 {
+        let out = run_nodes(2, cfg, NetProfile::zero(), |d, clk| {
+            let r = alloc_on(&d, PAGE_SIZE + 64);
+            let fresh = d.read::<u64>(r, PAGE_SIZE + 8, clk);
+            d.barrier(clk);
+            if d.node() == 1 {
+                d.write::<u64>(r, PAGE_SIZE + 8, u64::MAX, clk);
+            }
+            d.barrier(clk);
+            (fresh, d.read::<u64>(r, PAGE_SIZE + 8, clk))
+        });
+        assert_eq!(out, vec![(0, u64::MAX); 2], "round {round}");
+    }
+}
+
+#[test]
 fn checkpoint_round_trips_across_nodes() {
     // Node 1 writes an interval's worth of state; node 0 checkpoints at the
     // barrier, node 1 then scribbles over the region, and node 0's restore

@@ -104,6 +104,15 @@ pub struct Dsm {
     small: SmallRegistry,
 }
 
+impl Drop for Dsm {
+    fn drop(&mut self) {
+        // Shared data lives in regions, and the pages past the last one
+        // are never fetched into, pushed or written.
+        let allocated = self.alloc.get_mut().allocated_bytes();
+        self.pool.written_below(allocated);
+    }
+}
+
 impl Dsm {
     /// Create the DSM instance for `ep`'s node. Initially the master
     /// (node 0) is home of every page with `READ_ONLY` state; all other

@@ -9,12 +9,12 @@
 //! naturally.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parade_net::Bytes;
-
-use parade_net::{MsgClass, Packet, VClock, VTime};
+use parade_net::threads::{spawn_named, Joiner};
+use parade_net::{Bytes, MsgClass, Packet, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
 use crate::adapt::ProtocolTable;
@@ -685,20 +685,25 @@ impl Dsm {
     }
 }
 
-/// Spawn the communication thread for `dsm`. Joins when the fabric shuts
-/// down; returns the handle (the final service clock is reported through
-/// it for diagnostics).
-pub fn spawn_comm_thread(dsm: Arc<Dsm>) -> std::thread::JoinHandle<VTime> {
-    let costs = dsm.config().comm;
-    std::thread::Builder::new()
-        .name(format!("parade-comm-{}", dsm.node()))
-        .spawn(move || {
-            trace::set_identity(dsm.node(), "comm");
-            let mut srv = CommServer::new(costs);
-            dsm.serve_loop(&mut srv);
-            srv.clock.now()
-        })
-        .expect("spawn communication thread")
+/// Start the communication thread for `dsm`. It ends when the fabric shuts
+/// down; joining it yields the final service clock (for diagnostics).
+///
+/// If it unwinds — a request that does not decode, a protocol invariant
+/// broken — the run is dead: every thread waiting on a reply from this one
+/// would wait forever. So it takes the fabric down and wakes its node's
+/// page waiters, as a clean exit does, before the panic goes on to
+/// whoever joins it.
+pub fn spawn_comm_thread(dsm: Arc<Dsm>) -> Joiner<VTime> {
+    spawn_named(format!("parade-comm-{}", dsm.node()), move || {
+        trace::set_identity(dsm.node(), "comm");
+        let mut srv = CommServer::new(dsm.config().comm);
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| dsm.serve_loop(&mut srv))) {
+            dsm.ep.fabric().begin_shutdown();
+            dsm.wake_page_waiters();
+            resume_unwind(panic);
+        }
+        srv.clock.now()
+    })
 }
 
 fn make_grant(ls: &LockState, last_seen: u64) -> DsmReply {

@@ -29,6 +29,9 @@ use crate::page::{PageId, PAGE_SIZE};
 /// get miscompiled into anything worse than a stale/torn value.
 pub struct RawPool {
     bytes: Box<[UnsafeCell<u8>]>,
+    /// Every byte from this offset on is still zero, as allocated: all a
+    /// recycled pool has to clear again is what comes before it.
+    clean_from: usize,
 }
 
 /// Pools of at most this many bytes retire to the dropping thread's spare
@@ -37,14 +40,18 @@ const SPARE_MAX_LEN: usize = 1 << 20;
 /// Per-thread spare-list cap; beyond this, dropped pools are freed.
 const SPARE_CAP: usize = 16;
 
+/// A retired pool's bytes and the `clean_from` it retired with.
+type Spare = (Box<[UnsafeCell<u8>]>, usize);
+
 thread_local! {
-    /// Small pools dropped by this thread, contents unspecified. A host that
-    /// launches clusters by the hundred (`parade-serve`: one 64-page pool
-    /// per node per job) otherwise sends each through `calloc` and `free`,
-    /// and whether glibc then trims and re-faults the heap under them or
-    /// only clears recycled memory is decided anew in every process by the
-    /// order of unrelated frees: 8 or 40 000 page faults per 400 jobs.
-    static SPARE: RefCell<Vec<Box<[UnsafeCell<u8>]>>> = const { RefCell::new(Vec::new()) };
+    /// Small pools dropped by this thread, contents unspecified below each
+    /// one's `clean_from`. A host that launches clusters by the hundred
+    /// (`parade-serve`: one 64-page pool per node per job) otherwise sends
+    /// each through `calloc` and `free`, and whether glibc then trims and
+    /// re-faults the heap under them or only clears recycled memory is
+    /// decided anew in every process by the order of unrelated frees: 8 or
+    /// 40 000 page faults per 400 jobs.
+    static SPARE: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
 }
 
 // SAFETY: see the struct-level contract; synchronization is provided by the
@@ -57,12 +64,12 @@ impl Drop for RawPool {
         if self.bytes.len() > SPARE_MAX_LEN {
             return;
         }
-        let bytes = std::mem::take(&mut self.bytes);
+        let spare = (std::mem::take(&mut self.bytes), self.clean_from);
         // `Err`: the thread is exiting and its list is gone; free the pool.
         let _ = SPARE.try_with(move |s| {
             let mut s = s.borrow_mut();
             if s.len() < SPARE_CAP {
-                s.push(bytes);
+                s.push(spare);
             }
         });
     }
@@ -73,14 +80,24 @@ impl RawPool {
         assert!(len.is_multiple_of(PAGE_SIZE), "pool must be page aligned");
         let spare = SPARE.with(|s| {
             let mut s = s.borrow_mut();
-            let found = s.iter().position(|b| b.len() == len);
+            let found = s.iter().position(|(b, _)| b.len() == len);
             found.map(|i| s.swap_remove(i))
         });
-        if let Some(mut bytes) = spare {
-            // SAFETY: `bytes` is exclusively owned and `len` bytes long;
-            // `UnsafeCell<u8>` is `repr(transparent)` over `u8`.
-            unsafe { bytes.as_mut_ptr().cast::<u8>().write_bytes(0, len) };
-            return RawPool { bytes };
+        if let Some((mut bytes, written)) = spare {
+            // A serve job allocates a few pages of its 64: clearing them
+            // all would keep every spare pool wholly resident.
+            // SAFETY: `bytes` is exclusively owned and `len >= written`
+            // bytes long; `UnsafeCell<u8>` is `repr(transparent)` over `u8`.
+            unsafe { bytes.as_mut_ptr().cast::<u8>().write_bytes(0, written) };
+            debug_assert!(
+                // SAFETY: exclusively owned, as above.
+                bytes[written..].iter().all(|b| unsafe { *b.get() } == 0),
+                "a pool was written past where its owner said it stopped"
+            );
+            return RawPool {
+                bytes,
+                clean_from: len,
+            };
         }
         // Allocate as zeroed `u8` (calloc path: the OS commits pages
         // lazily) and reinterpret as `UnsafeCell<u8>`, which is
@@ -89,7 +106,18 @@ impl RawPool {
         // SAFETY: UnsafeCell<u8> has the same in-memory representation as
         // u8 (documented guarantee), and we transfer ownership exactly once.
         let bytes = unsafe { Box::from_raw(raw as *mut [UnsafeCell<u8>]) };
-        RawPool { bytes }
+        RawPool {
+            bytes,
+            clean_from: len,
+        }
+    }
+
+    /// The owner's word, given as it lets the pool go, that it wrote
+    /// nothing at or past byte `offset`. Unless this is called the whole
+    /// pool counts as written.
+    pub(crate) fn written_below(&mut self, offset: usize) {
+        assert!(offset <= self.bytes.len());
+        self.clean_from = offset;
     }
 
     pub fn len(&self) -> usize {
@@ -407,7 +435,35 @@ mod tests {
         assert_eq!(unsafe { again.read::<u64>(PAGE_SIZE + 8) }, 0);
         // Pools too large to keep go back to the allocator.
         drop(RawPool::new(SPARE_MAX_LEN + PAGE_SIZE));
-        SPARE.with(|s| assert!(s.borrow().iter().all(|b| b.len() <= SPARE_MAX_LEN)));
+        SPARE.with(|s| assert!(s.borrow().iter().all(|(b, _)| b.len() <= SPARE_MAX_LEN)));
+    }
+
+    #[test]
+    fn a_recycled_pool_is_cleared_only_as_far_as_its_owner_wrote() {
+        let len = 5 * PAGE_SIZE;
+        let mut alloc = RegionAllocator::new();
+        let mut pool = RawPool::new(len);
+        let region = alloc.alloc(PAGE_SIZE + 100, len).unwrap();
+        let ones = vec![0xffu8; region.len];
+        unsafe { pool.write_bytes(region.offset, &ones) };
+        let first = pool.ptr(0);
+        pool.written_below(alloc.allocated_bytes());
+        drop(pool);
+        let mut again = RawPool::new(len);
+        assert_eq!(again.ptr(0), first);
+        let mut all = vec![1u8; len];
+        unsafe { again.read_bytes(0, &mut all) };
+        assert!(all.iter().all(|&b| b == 0), "every byte reads 0");
+        // Nothing past the old allocation was touched: a byte planted there
+        // behind the owner's back (in a release build; a debug build checks
+        // the tail and says so) is still there on the next reuse.
+        if !cfg!(debug_assertions) {
+            unsafe { again.write::<u8>(alloc.allocated_bytes(), 7) };
+            again.written_below(alloc.allocated_bytes());
+            drop(again);
+            let third = RawPool::new(len);
+            assert_eq!(unsafe { third.read::<u8>(alloc.allocated_bytes()) }, 7);
+        }
     }
 
     #[test]

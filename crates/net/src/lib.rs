@@ -20,6 +20,9 @@
 //!   receive-side dedup/resequencing) so every receiver still observes
 //!   exactly-once, in-order delivery — or a structured [`FabricError`]
 //!   naming the dead link when the retry budget runs out.
+//! * Host threads are named after the node and role they simulate and are
+//!   kept across launches ([`threads`]): the crate every layer already
+//!   depends on is where node, communication and pool threads come from.
 
 mod buffer;
 mod chaos;
@@ -29,6 +32,7 @@ mod profile;
 pub mod reliable;
 mod stats;
 pub mod sync;
+pub mod threads;
 mod vbarrier;
 mod vtime;
 

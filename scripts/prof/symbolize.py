@@ -16,12 +16,14 @@ through, are passed over.
 """
 
 import bisect
+import os
 import re
 import subprocess
 import sys
 from collections import Counter
 
 RUST_HASH = re.compile(r"::h[0-9a-f]{16}$")
+NM_LINE = re.compile(r"(?P<addr>[0-9a-f]+) (?:(?P<size>[0-9a-f]+) )?(?P<type>[A-Za-z]) (?P<name>.*)")
 
 
 def load(path):
@@ -56,23 +58,25 @@ class Objects:
 
     def table(self, path):
         if path not in self.tables:
-            syms = set()
+            syms = {}
             # A stripped library (libc) keeps only its dynamic symbols.
             for table in ([], ["-D"]):
                 out = subprocess.run(
-                    ["nm", "-C", "--defined-only", *table, path],
+                    ["nm", "-C", "-S", "--defined-only", *table, path],
                     capture_output=True, text=True, check=False,
                 ).stdout
                 for line in out.splitlines():
-                    parts = line.split(None, 2)
-                    if len(parts) == 3 and parts[1] in "TtWwi":
-                        name = RUST_HASH.sub("", parts[2]).split("@")[0]
-                        syms.add((int(parts[0], 16), name))
-            syms = sorted(syms)
+                    # address [size] type name
+                    m = NM_LINE.match(line)
+                    if m and m["type"] in "TtWwi":
+                        name = RUST_HASH.sub("", m["name"]).split("@")[0]
+                        size = int(m["size"], 16) if m["size"] else 0
+                        key = (int(m["addr"], 16), name)
+                        syms[key] = max(size, syms.get(key, 0))
+            syms = sorted((addr, size, name) for (addr, name), size in syms.items())
             with open(path, "rb") as f:
                 position_independent = f.read(18)[16:18] == b"\x03\x00"  # ET_DYN
-            self.tables[path] = ([a for a, _ in syms], [n for _, n in syms],
-                                 position_independent)
+            self.tables[path] = ([a for a, _, _ in syms], syms, position_independent)
         return self.tables[path]
 
     def name(self, pc):
@@ -83,11 +87,19 @@ class Objects:
     def resolve(self, pc):
         for lo, hi, _, executable, path in self.maps:
             if lo <= pc < hi and executable:
-                addrs, names, position_independent = self.table(path)
+                addrs, syms, position_independent = self.table(path)
                 vaddr = pc - self.bias.get(path, 0) if position_independent else pc
                 at = bisect.bisect_right(addrs, vaddr) - 1
                 short = path.rsplit("/", 1)[-1]
-                return names[at] if at >= 0 else f"[{short}]"
+                if at < 0:
+                    return f"[{short}]"
+                addr, size, name = syms[at]
+                # Past the end of the nearest symbol below: the code of a
+                # local function whose name was stripped (most of libc), not
+                # of that symbol. A size of 0 is a symbol that declares none.
+                if size and vaddr >= addr + size:
+                    return f"{short}+{vaddr:#x}"
+                return name
         return "[unmapped]"
 
 
@@ -132,4 +144,10 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `symbolize.py ... | head`: the reader has what it wanted. Point
+        # stdout away so the interpreter's exit flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

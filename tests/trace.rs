@@ -191,8 +191,6 @@ prop!(fn arbitrary_sequences_never_panic(raw in arbitrary_events) {
 
 #[test]
 fn traced_run_emits_valid_chrome_json_and_report() {
-    let session = parade::trace::start(TraceConfig::default())
-        .expect("no other session active in this test binary");
     let cluster = Cluster::builder()
         .nodes(2)
         .threads_per_node(2)
@@ -200,18 +198,38 @@ fn traced_run_emits_valid_chrome_json_and_report() {
         .time(TimeSource::Manual)
         .build()
         .unwrap();
-    let (_, run) = cluster.run_with_report(|g| {
-        let xs = g.alloc_f64(512);
-        g.parallel(move |tc| {
-            tc.par_for(0..512, |i| tc.set(&xs, i, 2.0));
-            let mut s = 0.0;
-            for i in tc.for_static(0..512) {
-                s += tc.get(&xs, i);
-            }
-            tc.reduce_f64_sum(s)
-        });
-    });
+    let run_once = || {
+        cluster
+            .run_with_report(|g| {
+                let xs = g.alloc_f64(512);
+                g.parallel(move |tc| {
+                    tc.par_for(0..512, |i| tc.set(&xs, i, 2.0));
+                    let mut s = 0.0;
+                    for i in tc.for_static(0..512) {
+                        s += tc.get(&xs, i);
+                    }
+                    tc.reduce_f64_sum(s)
+                });
+            })
+            .1
+    };
+    // Host threads outlive a run, so the traced run below is on threads an
+    // untraced one used first, and the one after it on threads that hold a
+    // finished session's ring: each session must hear from every thread of
+    // its run. (How many events each records depends on the schedule.)
+    run_once();
+    let session = parade::trace::start(TraceConfig::default())
+        .expect("no other session active in this test binary");
+    let run = run_once();
     let data = session.finish();
+    let session = parade::trace::start(TraceConfig::default()).expect("the first has finished");
+    run_once();
+    let again = session.finish();
+    let who = |d: &parade::trace::TraceData| -> Vec<Identity> {
+        d.threads.iter().map(|t| t.identity.clone()).collect()
+    };
+    assert_eq!(who(&again), who(&data));
+    assert_eq!(data.threads.len(), 6, "main, comm and a worker per node");
 
     // Chrome trace output passes the in-repo RFC 8259 validator.
     let json = data.chrome_json();
