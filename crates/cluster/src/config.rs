@@ -110,12 +110,6 @@ pub struct ClusterConfig {
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
     /// can be soaked under chaos without code changes.
     pub chaos: ChaosProfile,
-    /// Fabric nodes per physical SMP chassis: consecutive runs of
-    /// `smp_width` nodes are co-located, and MPI collectives combine them
-    /// through shared memory with only per-chassis leaders crossing the
-    /// fabric. 1 (the default) makes every node its own chassis. The DSM
-    /// tree barrier is node-level and unaffected.
-    pub smp_width: usize,
     /// Task scheduler knobs (steal strategy, victim fanout, batch grain,
     /// victim-selection seed) for `parade-tasks` phases.
     pub task_scheduler: SchedConfig,
@@ -135,7 +129,6 @@ impl Default for ClusterConfig {
             net: NetProfile::clan_via(),
             time: TimeSource::ThreadCpu { scale: 60.0 },
             chaos: ChaosProfile::from_env(),
-            smp_width: 1,
             task_scheduler: SchedConfig::default(),
             dsm: DsmConfig::default(),
         }
@@ -176,9 +169,6 @@ impl ClusterConfig {
         if self.threads_per_node() == 0 {
             return reject("exec", "must give at least 1 thread per node".into());
         }
-        if self.smp_width == 0 {
-            return reject("smp_width", "must be at least 1 node per chassis".into());
-        }
         if self.dsm.pool_bytes < PAGE_SIZE {
             return reject(
                 "dsm.pool_bytes",
@@ -195,12 +185,6 @@ impl ClusterConfig {
             );
         }
         Ok(())
-    }
-
-    /// SMP placement of the cluster's MPI ranks: consecutive blocks of
-    /// `smp_width` fabric nodes per chassis.
-    pub fn collective_topology(&self) -> parade_mpi::CollectiveTopology {
-        parade_mpi::CollectiveTopology::uniform(self.nodes, self.smp_width)
     }
 }
 
@@ -233,8 +217,11 @@ mod tests {
             assert_eq!(c.dsm_config().comm, exec.comm_costs());
         }
         // Everything else passes through untouched.
-        c.dsm.max_fetch_range = 3;
-        assert_eq!(c.dsm_config().max_fetch_range, 3);
+        c.dsm.proto_select = parade_dsm::ProtoSelect::AllUpdate;
+        assert_eq!(
+            c.dsm_config().proto_select,
+            parade_dsm::ProtoSelect::AllUpdate
+        );
     }
 
     #[test]
@@ -259,13 +246,6 @@ mod tests {
                 ..ok.clone()
             }),
             "exec"
-        );
-        assert_eq!(
-            field(ClusterConfig {
-                smp_width: 0,
-                ..ok.clone()
-            }),
-            "smp_width"
         );
         let mut c = ok.clone();
         c.dsm.pool_bytes = PAGE_SIZE - 1;

@@ -167,9 +167,6 @@ where
     let dsms: Vec<Arc<Dsm>> = (0..cfg.nodes)
         .map(|i| Arc::new(Dsm::new(fabric.endpoint(i), cfg.dsm_config())))
         .collect();
-    // One topology instance for the whole world: it owns the per-chassis
-    // shared-memory combine state, so every rank's communicator shares it.
-    let topo = Arc::new(cfg.collective_topology());
     let comm_threads: Vec<_> = dsms
         .iter()
         .map(|d| spawn_comm_thread(Arc::clone(d)))
@@ -181,10 +178,7 @@ where
                 node: i,
                 nnodes: cfg.nodes,
                 dsm: Arc::clone(&dsms[i]),
-                comm: Arc::new(Communicator::with_topology(
-                    fabric.endpoint(i),
-                    Arc::clone(&topo),
-                )),
+                comm: Arc::new(Communicator::new(fabric.endpoint(i))),
                 cfg: cfg.clone(),
                 fabric: Arc::clone(&fabric),
             };

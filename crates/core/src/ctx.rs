@@ -19,7 +19,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use parade_cluster::ProtocolMode;
-use parade_mpi::ReduceOp;
+use parade_mpi::{Communicator, ReduceOp};
 use parade_net::{VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
@@ -33,6 +33,45 @@ const DYN_CHUNK_OVERHEAD: VTime = VTime(1_000);
 const LOCK_SPACE_REDUCE: u64 = INTERNAL_LOCK_BASE;
 const LOCK_SPACE_SINGLE: u64 = INTERNAL_LOCK_BASE + (1 << 20);
 const LOCK_SPACE_ATOMIC: u64 = INTERNAL_LOCK_BASE + (2 << 20);
+
+/// A scalar reduction operand: 8 bytes the node combine parks as raw bits
+/// and the DSM scratch slot stores as is.
+trait Reducible: Pod {
+    fn fold(op: ReduceOp, a: Self, b: Self) -> Self;
+    fn allreduce(comm: &Communicator, v: Self, op: ReduceOp, clock: &mut VClock) -> Self;
+    fn to_bits(self) -> u64;
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl Reducible for f64 {
+    fn fold(op: ReduceOp, a: f64, b: f64) -> f64 {
+        op.fold_f64(a, b)
+    }
+    fn allreduce(comm: &Communicator, v: f64, op: ReduceOp, clock: &mut VClock) -> f64 {
+        comm.allreduce_f64(v, op, clock)
+    }
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
+    }
+    fn from_bits(bits: u64) -> f64 {
+        f64::from_bits(bits)
+    }
+}
+
+impl Reducible for i64 {
+    fn fold(op: ReduceOp, a: i64, b: i64) -> i64 {
+        op.fold_i64(a, b)
+    }
+    fn allreduce(comm: &Communicator, v: i64, op: ReduceOp, clock: &mut VClock) -> i64 {
+        comm.allreduce_i64(v, op, clock)
+    }
+    fn to_bits(self) -> u64 {
+        self as u64
+    }
+    fn from_bits(bits: u64) -> i64 {
+        bits as i64
+    }
+}
 
 /// Per-thread context inside a parallel region.
 pub struct ThreadCtx {
@@ -374,7 +413,7 @@ impl ThreadCtx {
             ProtocolMode::Parade => {
                 let rt = Arc::clone(&self.rt);
                 let small = s.small;
-                self.hier_f64(op, operand, move |total| {
+                self.hier(op, operand, move |total| {
                     let cur = rt.small().read_f64(small, 0);
                     let new = op.fold_f64(cur, total);
                     rt.small().write_f64(small, 0, new);
@@ -406,8 +445,8 @@ impl ThreadCtx {
     /// then barrier.
     pub fn reduce_f64(&self, op: ReduceOp, v: f64) -> f64 {
         match self.rt.mode {
-            ProtocolMode::Parade => self.hier_f64(op, v, |total| total),
-            ProtocolMode::SdsmOnly => self.sdsm_reduce_f64(op, v),
+            ProtocolMode::Parade => self.hier(op, v, |total| total),
+            ProtocolMode::SdsmOnly => self.sdsm_reduce(op, v),
         }
     }
 
@@ -422,8 +461,8 @@ impl ThreadCtx {
     /// Integer reduction.
     pub fn reduce_i64(&self, op: ReduceOp, v: i64) -> i64 {
         match self.rt.mode {
-            ProtocolMode::Parade => self.hier_i64(op, v, |total| total),
-            ProtocolMode::SdsmOnly => self.sdsm_reduce_i64(op, v),
+            ProtocolMode::Parade => self.hier(op, v, |total| total),
+            ProtocolMode::SdsmOnly => self.sdsm_reduce(op, v),
         }
     }
 
@@ -468,10 +507,7 @@ impl ThreadCtx {
                 }
                 out
             }
-            ProtocolMode::SdsmOnly => locals
-                .iter()
-                .map(|&v| self.sdsm_reduce_f64(op, v))
-                .collect(),
+            ProtocolMode::SdsmOnly => locals.iter().map(|&v| self.sdsm_reduce(op, v)).collect(),
         }
     }
 
@@ -479,56 +515,28 @@ impl ThreadCtx {
     /// then one node barrier inside which its last arriver allreduces the
     /// node's sum and runs `leader_apply` once per node on the total;
     /// everyone reads the result on release.
-    fn hier_f64(&self, op: ReduceOp, v: f64, leader_apply: impl FnOnce(f64) -> f64) -> f64 {
+    fn hier<T: Reducible>(&self, op: ReduceOp, v: T, leader_apply: impl FnOnce(T) -> T) -> T {
         if trace::enabled() {
             trace::begin(EventKind::OmpReduction, self.now());
         }
         {
             let mut st = self.rt.reduce.lock();
-            if st.count == 0 {
-                st.acc_f64 = v;
-            } else {
-                st.acc_f64 = op.fold_f64(st.acc_f64, v);
-            }
+            let acc = match st.count {
+                0 => v,
+                _ => T::fold(op, T::from_bits(st.acc), v),
+            };
+            st.acc = acc.to_bits();
             st.count += 1;
         }
         self.node_combine(|c| {
-            let acc = self.rt.reduce.lock().acc_f64;
-            let total = self.rt.comm.allreduce_f64(acc, op, c);
+            let acc = T::from_bits(self.rt.reduce.lock().acc);
+            let total = T::allreduce(&self.rt.comm, acc, op, c);
             let final_v = leader_apply(total);
             let mut st = self.rt.reduce.lock();
-            st.result_f64 = final_v;
+            st.result = final_v.to_bits();
             st.count = 0;
         });
-        let out = self.rt.reduce.lock().result_f64;
-        if trace::enabled() {
-            trace::end(EventKind::OmpReduction, self.now());
-        }
-        out
-    }
-
-    fn hier_i64(&self, op: ReduceOp, v: i64, leader_apply: impl FnOnce(i64) -> i64) -> i64 {
-        if trace::enabled() {
-            trace::begin(EventKind::OmpReduction, self.now());
-        }
-        {
-            let mut st = self.rt.reduce.lock();
-            if st.count == 0 {
-                st.acc_i64 = v;
-            } else {
-                st.acc_i64 = op.fold_i64(st.acc_i64, v);
-            }
-            st.count += 1;
-        }
-        self.node_combine(|c| {
-            let acc = self.rt.reduce.lock().acc_i64;
-            let total = self.rt.comm.allreduce_i64(acc, op, c);
-            let final_v = leader_apply(total);
-            let mut st = self.rt.reduce.lock();
-            st.result_i64 = final_v;
-            st.count = 0;
-        });
-        let out = self.rt.reduce.lock().result_i64;
+        let out = T::from_bits(self.rt.reduce.lock().result);
         if trace::enabled() {
             trace::end(EventKind::OmpReduction, self.now());
         }
@@ -538,7 +546,7 @@ impl ThreadCtx {
     /// Baseline reduction: every thread locks the distributed lock and
     /// accumulates into a DSM scratch slot (twins/diffs and page transfers
     /// included), then a full barrier publishes the result (Figure 2 left).
-    fn sdsm_reduce_f64(&self, op: ReduceOp, v: f64) -> f64 {
+    fn sdsm_reduce<T: Reducible>(&self, op: ReduceOp, v: T) -> T {
         if trace::enabled() {
             trace::begin(EventKind::OmpReduction, self.now());
         }
@@ -554,45 +562,10 @@ impl ThreadCtx {
                     tc.rt.dsm.write(scratch, slot * 16, gen, c);
                     tc.rt.dsm.write(scratch, slot * 16 + 8, v, c);
                 } else {
-                    let cur: f64 = tc.rt.dsm.read(scratch, slot * 16 + 8, c);
+                    let cur: T = tc.rt.dsm.read(scratch, slot * 16 + 8, c);
                     tc.rt
                         .dsm
-                        .write(scratch, slot * 16 + 8, op.fold_f64(cur, v), c);
-                }
-            })
-        });
-        self.barrier();
-        let out = self.with_clock(|c| self.rt.dsm.read(scratch, slot * 16 + 8, c));
-        if trace::enabled() {
-            trace::end(EventKind::OmpReduction, self.now());
-        }
-        out
-    }
-
-    fn sdsm_reduce_i64(&self, op: ReduceOp, v: i64) -> i64 {
-        self.sdsm_reduce_f64_bits(op, v)
-    }
-
-    fn sdsm_reduce_f64_bits(&self, op: ReduceOp, v: i64) -> i64 {
-        if trace::enabled() {
-            trace::begin(EventKind::OmpReduction, self.now());
-        }
-        let seq = self.reduce_seq.replace(self.reduce_seq.get() + 1);
-        let gen = construct_gen(self.region_no, seq);
-        let slot = (gen as usize) % SLOTS;
-        let lock_id = LOCK_SPACE_REDUCE + slot as u64;
-        let scratch = self.rt.scratch;
-        self.critical_raw(lock_id, |tc| {
-            tc.with_clock(|c| {
-                let g: u64 = tc.rt.dsm.read(scratch, slot * 16, c);
-                if g != gen {
-                    tc.rt.dsm.write(scratch, slot * 16, gen, c);
-                    tc.rt.dsm.write(scratch, slot * 16 + 8, v, c);
-                } else {
-                    let cur: i64 = tc.rt.dsm.read(scratch, slot * 16 + 8, c);
-                    tc.rt
-                        .dsm
-                        .write(scratch, slot * 16 + 8, op.fold_i64(cur, v), c);
+                        .write(scratch, slot * 16 + 8, T::fold(op, cur, v), c);
                 }
             })
         });

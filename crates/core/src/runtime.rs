@@ -51,10 +51,10 @@ pub(crate) struct SingleSlot {
 #[derive(Default)]
 pub(crate) struct ReduceState {
     pub count: usize,
-    pub acc_f64: f64,
-    pub acc_i64: i64,
-    pub result_f64: f64,
-    pub result_i64: i64,
+    /// Raw bits of the scalar accumulator and of the last result (`f64` or
+    /// `i64`: every thread of one reduction agrees on the type).
+    pub acc: u64,
+    pub result: u64,
     pub acc_vec: Vec<f64>,
     pub result_vec: Vec<f64>,
 }

@@ -385,12 +385,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Fabric nodes per physical SMP chassis for the collective topology.
-    pub fn smp_width(mut self, w: usize) -> Self {
-        self.cfg.smp_width = w;
-        self
-    }
-
     /// Task-scheduler knobs (steal strategy, victim fanout, grain, seed).
     pub fn task_scheduler(mut self, s: parade_tasks::SchedConfig) -> Self {
         self.cfg.task_scheduler = s;

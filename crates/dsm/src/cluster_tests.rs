@@ -781,34 +781,6 @@ fn contiguous_fetches_coalesce_into_one_range_request() {
 }
 
 #[test]
-fn range_fetch_disabled_falls_back_to_per_page() {
-    const N: usize = 5;
-    let cfg = DsmConfig {
-        home_policy: HomePolicy::Fixed,
-        max_fetch_range: 1,
-        ..small_cfg()
-    };
-    let out = run_nodes(2, cfg, NetProfile::zero(), |d, clk| {
-        let r = alloc_on(&d, N * PAGE_SIZE);
-        if d.node() == 0 {
-            let data: Vec<f64> = (0..N * PAGE_SIZE / 8).map(|_| 1.0).collect();
-            d.write_slice(r, 0, &data, clk);
-        }
-        d.barrier(clk);
-        if d.node() == 1 {
-            let mut buf = vec![0.0f64; N * PAGE_SIZE / 8];
-            d.read_slice(r, 0, &mut buf, clk);
-            assert_eq!(buf.iter().sum::<f64>(), (N * PAGE_SIZE / 8) as f64);
-        }
-        d.barrier(clk);
-        d.stats.snapshot()
-    });
-    let s1 = &out[1];
-    assert_eq!(s1.range_fetches, 0);
-    assert_eq!(s1.page_fetches, N as u64);
-}
-
-#[test]
 fn range_fetch_splits_at_home_boundaries() {
     // Pages 0..4 migrate to node 0, pages 4..8 to node 1; node 2's sweep
     // over all eight pages must issue one range request per home.

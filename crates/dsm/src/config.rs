@@ -157,11 +157,6 @@ pub struct DsmConfig {
     pub home_policy: HomePolicy,
     pub update_strategy: UpdateStrategy,
     pub comm: CommCosts,
-    /// Upper bound on pages coalesced into one `ReqPageRange` fetch when a
-    /// bulk access faults a run of contiguous pages with a common home
-    /// (Helmholtz/CG fault storms). `<= 1` disables coalescing; range
-    /// fetches also require a safe [`UpdateStrategy`].
-    pub max_fetch_range: usize,
     /// Per-page invalidate/update protocol selection (see [`ProtoSelect`]).
     pub proto_select: ProtoSelect,
 }
@@ -173,7 +168,6 @@ impl Default for DsmConfig {
             home_policy: HomePolicy::Migratory,
             update_strategy: UpdateStrategy::MmapFile,
             comm: CommCosts::dedicated_cpu(),
-            max_fetch_range: 16,
             proto_select: ProtoSelect::Adaptive,
         }
     }

@@ -21,6 +21,10 @@ use crate::smalldata::SmallRegistry;
 use crate::stats::DsmStats;
 use crate::store::{AllocError, PageSets, RawPool, RegionAllocator, RegionHandle};
 
+/// Upper bound on pages coalesced into one `ReqPageRange` fetch when a bulk
+/// access faults a run of contiguous pages with a common home.
+const MAX_FETCH_RANGE: usize = 16;
+
 pub(crate) struct PageMeta {
     pub(crate) inner: Mutex<PageInner>,
     pub(crate) cv: Condvar,
@@ -381,14 +385,14 @@ impl Dsm {
 
     /// Fault in every page covering `start .. start+len` for reading.
     ///
-    /// With `max_fetch_range > 1` (and a safe update strategy), runs of
+    /// With a safe update strategy, runs of up to [`MAX_FETCH_RANGE`]
     /// contiguous INVALID pages sharing a home are claimed together and
     /// fetched in one `ReqPageRange` round trip instead of one per page —
     /// the bulk-access fault storm a Helmholtz/CG sweep would otherwise
     /// pay per page.
     pub fn ensure_readable(&self, start: usize, len: usize, clock: &mut VClock) {
-        let max_range = self.cfg.max_fetch_range;
-        if max_range <= 1 || !self.cfg.update_strategy.is_safe() {
+        if !self.cfg.update_strategy.is_safe() {
+            // The torn-page model of `NaiveUnsafe` is strictly per page.
             for page in crate::page::pages_covering(start, len) {
                 if self.pages[page].fast.load(Ordering::Acquire) < PageState::ReadOnly as u8 {
                     self.read_fault(page, clock);
@@ -416,7 +420,7 @@ impl Dsm {
             // Claiming marks each TRANSIENT (we own its update); a page
             // that is not INVALID at lock time ends the run.
             let mut claimed = 0usize;
-            while i < pages.len() && claimed < max_range {
+            while i < pages.len() && claimed < MAX_FETCH_RANGE {
                 let p = pages[i];
                 if p != first + claimed || self.home_of(p) != home {
                     break;
@@ -431,28 +435,24 @@ impl Dsm {
                 claimed += 1;
                 i += 1;
             }
-            match claimed {
-                0 => {
-                    // Readable already, or mid-update by a sibling thread:
-                    // read_fault waits it out.
-                    self.read_fault(first, clock);
-                    i += 1;
-                }
-                1 => {
-                    self.stats.read_faults.fetch_add(1, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmReadFault, first as u64, clock.now());
-                    self.fetch_page(first, clock);
-                    self.complete_update(first);
-                }
-                n => {
-                    self.stats
-                        .read_faults
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    self.fetch_page_range(first, n, clock);
-                    for p in first..first + n {
-                        self.complete_update(p);
-                    }
-                }
+            if claimed == 0 {
+                // Readable already, or mid-update by a sibling thread:
+                // read_fault waits it out.
+                self.read_fault(first, clock);
+                i += 1;
+                continue;
+            }
+            self.stats
+                .read_faults
+                .fetch_add(claimed as u64, Ordering::Relaxed);
+            // A run is traced by its `DsmRangeFetch` instant, a lone page
+            // like any other read fault.
+            if claimed == 1 {
+                trace::instant(EventKind::DsmReadFault, first as u64, clock.now());
+            }
+            self.fetch_pages(first, claimed, clock);
+            for p in first..first + claimed {
+                drop(self.complete_update(p));
             }
         }
     }
@@ -498,8 +498,10 @@ impl Dsm {
     }
 
     /// Publish a fetched page: the caller owned the TRANSIENT transition;
-    /// waiters that piled on (BLOCKED) are woken.
-    fn complete_update(&self, page: PageId) {
+    /// waiters that piled on (BLOCKED) are woken. Only the fetch holder
+    /// may complete the update; other threads can at most pile on
+    /// (TRANSIENT -> BLOCKED). Hands back the page entry, READ_ONLY.
+    fn complete_update(&self, page: PageId) -> MutexGuard<'_, PageInner> {
         let meta = &self.pages[page];
         let mut inner = meta.inner.lock();
         debug_assert!(
@@ -512,6 +514,7 @@ impl Dsm {
         if had_waiters {
             meta.cv.notify_all();
         }
+        inner
     }
 
     /// Fault in every page covering `start .. start+len` for writing.
@@ -546,20 +549,8 @@ impl Dsm {
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);
                     drop(inner);
-                    self.fetch_page(page, clock);
-                    inner = meta.inner.lock();
-                    // Only the fetch holder may complete the update; other
-                    // threads can at most pile on (TRANSIENT -> BLOCKED).
-                    debug_assert!(
-                        matches!(inner.state, PageState::Transient | PageState::Blocked),
-                        "fetch holder lost page {page}: {:?}",
-                        inner.state
-                    );
-                    let had_waiters = inner.state == PageState::Blocked;
-                    meta.set_state(&mut inner, PageState::ReadOnly);
-                    if had_waiters {
-                        meta.cv.notify_all();
-                    }
+                    self.fetch_pages(page, 1, clock);
+                    drop(self.complete_update(page));
                     return;
                 }
             }
@@ -609,70 +600,90 @@ impl Dsm {
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);
                     drop(inner);
-                    self.fetch_page(page, clock);
-                    inner = meta.inner.lock();
-                    debug_assert!(
-                        matches!(inner.state, PageState::Transient | PageState::Blocked),
-                        "fetch holder lost page {page}: {:?}",
-                        inner.state
-                    );
-                    let had_waiters = inner.state == PageState::Blocked;
-                    meta.set_state(&mut inner, PageState::ReadOnly);
-                    if had_waiters {
-                        meta.cv.notify_all();
-                    }
+                    self.fetch_pages(page, 1, clock);
+                    inner = self.complete_update(page);
                     // Loop continues: the ReadOnly arm upgrades to Dirty.
                 }
             }
         }
     }
 
-    /// Fetch the up-to-date page from its home and install it through the
-    /// "system path" while application threads are held off by the
-    /// TRANSIENT state. Caller owns the TRANSIENT transition.
-    fn fetch_page(&self, page: PageId, clock: &mut VClock) {
-        trace::begin_arg(EventKind::DsmFetch, page as u64, clock.now());
-        // Caller holds the TRANSIENT transition; concurrent faulters may
-        // have piled on (BLOCKED) but cannot advance the page further.
+    /// Fetch `count` contiguous pages homed on one node in a single round
+    /// trip and install them through the "system path" while application
+    /// threads are held off by the TRANSIENT state. Caller owns the
+    /// TRANSIENT transition of every page in the range. One page travels
+    /// as `ReqPage`/`PageData`, more as `ReqPageRange`/`PageRangeData`.
+    fn fetch_pages(&self, first: PageId, count: usize, clock: &mut VClock) {
+        trace::begin_arg(EventKind::DsmFetch, first as u64, clock.now());
+        // Concurrent faulters may have piled on (BLOCKED) but cannot
+        // advance a page further.
         debug_assert!(
-            matches!(
-                PageState::from_u8(self.pages[page].fast.load(Ordering::Acquire)),
+            (first..first + count).all(|p| matches!(
+                self.page_state(p),
                 PageState::Transient | PageState::Blocked
-            ),
-            "fetch without owning the update for page {page}"
+            )),
+            "fetch without owning the update for pages {first}..+{count}"
         );
-        let home = self.home_of(page);
+        let home = self.home_of(first);
         assert_ne!(
             home, self.node,
-            "page {page} INVALID on its own home node {}",
+            "page {first} INVALID on its own home node {}",
             self.node
         );
         let tag = self.next_reply_tag();
-        let req = DsmMsg::ReqPage {
-            page,
-            requester: self.node,
-            reply_tag: tag,
+        let req = if count == 1 {
+            DsmMsg::ReqPage {
+                page: first,
+                requester: self.node,
+                reply_tag: tag,
+            }
+        } else {
+            trace::instant(EventKind::DsmRangeFetch, count as u64, clock.now());
+            DsmMsg::ReqPageRange {
+                first,
+                count: count as u32,
+                requester: self.node,
+                reply_tag: tag,
+            }
         };
         self.ep.send(home, MsgClass::Dsm, 0, req.encode(), clock);
         let pkt = self
             .ep
             .recv(MsgClass::Ctl, Match::tagged(tag), clock)
             .expect("fetch reply after shutdown");
-        let DsmReply::PageData { page: rp, data } = self.decode_reply(&pkt) else {
-            unreachable!("unexpected reply to page request");
+        let (replied, data) = match self.decode_reply(&pkt) {
+            DsmReply::PageData { page, data } if count == 1 => (page, data),
+            DsmReply::PageRangeData { first, data } if count > 1 => (first, data),
+            _ => unreachable!("unexpected reply to page request"),
         };
-        assert_eq!(rp, page);
-        self.stats.page_fetches.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(replied, first);
+        assert_eq!(data.len(), count * PAGE_SIZE, "short page reply");
+        self.stats
+            .page_fetches
+            .fetch_add(count as u64, Ordering::Relaxed);
+        if count > 1 {
+            self.stats.range_fetches.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .range_fetch_pages
+                .fetch_add(count as u64, Ordering::Relaxed);
+        }
         self.stats
             .fetch_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         // A fetched copy makes this node a sharer of the page; the read
         // set rides the next barrier arrival into the protocol table.
-        self.sets.mark_read(page);
-        clock.charge_comm(self.cfg.update_strategy.per_update_overhead());
+        for p in first..first + count {
+            self.sets.mark_read(p);
+        }
+        let per_page = self.cfg.update_strategy.per_update_overhead();
+        clock.charge_comm(VTime::from_nanos(per_page.as_nanos() * count as u64));
         if self.cfg.update_strategy.is_safe() {
-            // SAFETY: we hold the TRANSIENT transition for this page.
-            unsafe { self.pool.copy_page_in(page, &data) };
+            for (k, page) in data.chunks_exact(PAGE_SIZE).enumerate() {
+                // SAFETY: we hold the TRANSIENT transition for every page
+                // in the range, so the system path installs the copy
+                // before any reader gets through.
+                unsafe { self.pool.copy_page_in(first + k, page) };
+            }
         } else {
             // NaiveUnsafe: simulate a conventional single-threaded SDSM
             // that makes the page accessible *before* the copy finishes —
@@ -681,68 +692,16 @@ impl Dsm {
             // `can_transition` discipline): publishing READ_ONLY out of
             // the fast flag while `inner.state` is still TRANSIENT *is*
             // the modelled bug.
-            self.pages[page]
+            debug_assert_eq!(count, 1, "the torn-page model is per page");
+            self.pages[first]
                 .fast
                 .store(PageState::ReadOnly as u8, Ordering::Release);
-            let start = page * PAGE_SIZE;
+            let start = first * PAGE_SIZE;
             for (i, chunk) in data.chunks(256).enumerate() {
                 // SAFETY: bounds are within the page.
                 unsafe { self.pool.write_bytes(start + i * 256, chunk) };
                 std::thread::yield_now();
             }
-        }
-        trace::end(EventKind::DsmFetch, clock.now());
-    }
-
-    /// Fetch `count` contiguous pages homed on one node in a single round
-    /// trip. Caller owns the TRANSIENT transition of every page in the
-    /// range. Only used with safe update strategies (the torn-page model
-    /// of `NaiveUnsafe` stays a strictly per-page affair).
-    fn fetch_page_range(&self, first: PageId, count: usize, clock: &mut VClock) {
-        trace::begin_arg(EventKind::DsmFetch, first as u64, clock.now());
-        trace::instant(EventKind::DsmRangeFetch, count as u64, clock.now());
-        let home = self.home_of(first);
-        debug_assert_ne!(home, self.node);
-        let tag = self.next_reply_tag();
-        let req = DsmMsg::ReqPageRange {
-            first,
-            count: count as u32,
-            requester: self.node,
-            reply_tag: tag,
-        };
-        self.ep.send(home, MsgClass::Dsm, 0, req.encode(), clock);
-        let pkt = self
-            .ep
-            .recv(MsgClass::Ctl, Match::tagged(tag), clock)
-            .expect("range fetch reply after shutdown");
-        let DsmReply::PageRangeData { first: rf, data } = self.decode_reply(&pkt) else {
-            unreachable!("unexpected reply to page range request");
-        };
-        assert_eq!(rf, first);
-        assert_eq!(data.len(), count * PAGE_SIZE, "short page range reply");
-        self.stats
-            .page_fetches
-            .fetch_add(count as u64, Ordering::Relaxed);
-        self.stats.range_fetches.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .range_fetch_pages
-            .fetch_add(count as u64, Ordering::Relaxed);
-        self.stats
-            .fetch_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        for p in first..first + count {
-            self.sets.mark_read(p);
-        }
-        let per_page = self.cfg.update_strategy.per_update_overhead();
-        clock.charge_comm(VTime::from_nanos(per_page.as_nanos() * count as u64));
-        for k in 0..count {
-            // SAFETY: we hold the TRANSIENT transition for every page in
-            // the range; the strategy is safe, so the system path installs
-            // the copy before any reader gets through.
-            unsafe {
-                self.pool
-                    .copy_page_in(first + k, &data[k * PAGE_SIZE..(k + 1) * PAGE_SIZE])
-            };
         }
         trace::end(EventKind::DsmFetch, clock.now());
     }

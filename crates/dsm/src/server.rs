@@ -119,9 +119,9 @@ struct Waiter {
     last_seen: u64,
 }
 
-/// A page request (single page or a contiguous range) waiting for this
-/// node to become home / the copy to become readable.
-struct DeferredFetch {
+/// A page request (single page or a contiguous range); deferred while it
+/// waits for this node to become home / the copy to become readable.
+struct FetchReq {
     first: PageId,
     count: u32,
     requester: usize,
@@ -132,7 +132,7 @@ struct DeferredFetch {
 /// server mutex so tests can drive handling manually).
 #[derive(Default)]
 pub struct ServerState {
-    deferred: Vec<DeferredFetch>,
+    deferred: Vec<FetchReq>,
     tree: HashMap<u64, TreeBarrier>,
     locks: HashMap<u64, LockState>,
     /// Per-page protocol-selection history (only consulted at the barrier
@@ -186,31 +186,29 @@ impl Dsm {
                 page,
                 requester,
                 reply_tag,
-            } => {
-                if !self.try_serve_page(page, requester, reply_tag, srv) {
-                    self.server.lock().deferred.push(DeferredFetch {
-                        first: page,
-                        count: 1,
-                        requester,
-                        reply_tag,
-                    });
-                }
-            }
+            } => self.serve_or_defer(
+                FetchReq {
+                    first: page,
+                    count: 1,
+                    requester,
+                    reply_tag,
+                },
+                srv,
+            ),
             DsmMsg::ReqPageRange {
                 first,
                 count,
                 requester,
                 reply_tag,
-            } => {
-                if !self.try_serve_page_range(first, count, requester, reply_tag, srv) {
-                    self.server.lock().deferred.push(DeferredFetch {
-                        first,
-                        count,
-                        requester,
-                        reply_tag,
-                    });
-                }
-            }
+            } => self.serve_or_defer(
+                FetchReq {
+                    first,
+                    count,
+                    requester,
+                    reply_tag,
+                },
+                srv,
+            ),
             DsmMsg::DiffBatch {
                 requester,
                 reply_tag,
@@ -292,7 +290,7 @@ impl Dsm {
                 // sharing). We are the old home and still hold the merged
                 // interval bytes — no node can write the page until this
                 // push lands, because the new home defers all fetches while
-                // parked. Note `try_serve_page` would refuse: we are no
+                // parked. Note `try_serve_pages` would refuse: we are no
                 // longer `home_of(page)`.
                 let mut buf = vec![0u8; PAGE_SIZE];
                 {
@@ -382,7 +380,7 @@ impl Dsm {
         let meta = &self.pages[page];
         let _inner = meta.inner.lock();
         // We are the page's home: its copy is never absent or
-        // mid-fetch here (fetch_page targets remote homes only).
+        // mid-fetch here (fetch_pages targets remote homes only).
         debug_assert!(
             !matches!(_inner.state, PageState::Invalid | PageState::Transient),
             "diff shipped to a non-resident home copy of page {page}: {:?}",
@@ -399,53 +397,13 @@ impl Dsm {
         }
     }
 
-    /// Serve a page request if we are its current home and the page is
-    /// readable; returns false when the request must be deferred (we are
-    /// not yet home, or the page awaits a migration push).
-    fn try_serve_page(
-        &self,
-        page: PageId,
-        requester: usize,
-        reply_tag: u64,
-        srv: &mut CommServer,
-    ) -> bool {
-        if self.home_of(page) != self.node() {
-            return false;
-        }
-        let state = self.page_state(page);
-        if !state.readable() {
-            return false;
-        }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        // SAFETY: home copy is valid; concurrent word-level writes by local
-        // application threads are application races, as on real SDSM.
-        unsafe { self.pool.copy_page_out(page, &mut buf) };
-        srv.charge_copy(PAGE_SIZE);
-        self.reply(
-            requester,
-            reply_tag,
-            DsmReply::PageData {
-                page,
-                data: Bytes::from(buf),
-            },
-            srv,
-        );
-        true
-    }
-
-    /// Serve a coalesced contiguous-page fetch if every page in the range
-    /// is homed here and readable; otherwise the whole range is deferred
-    /// (homes only move in lockstep at barriers, so a mixed range means a
-    /// migration push is still in flight).
-    fn try_serve_page_range(
-        &self,
-        first: PageId,
-        count: u32,
-        requester: usize,
-        reply_tag: u64,
-        srv: &mut CommServer,
-    ) -> bool {
-        let count = count as usize;
+    /// Serve a page request if every page of it is homed here and readable;
+    /// returns false when it must be deferred (we are not yet home, or a
+    /// page awaits a migration push — homes only move in lockstep at
+    /// barriers, so a mixed range means a push is still in flight). One
+    /// page is answered with `PageData`, more with `PageRangeData`.
+    fn try_serve_pages(&self, req: &FetchReq, srv: &mut CommServer) -> bool {
+        let (first, count) = (req.first, req.count as usize);
         for page in first..first + count {
             if self.home_of(page) != self.node() || !self.page_state(page).readable() {
                 return false;
@@ -459,33 +417,27 @@ impl Dsm {
             unsafe { self.pool.copy_page_out(first + k, chunk) };
         }
         srv.charge_copy(count * PAGE_SIZE);
-        self.reply(
-            requester,
-            reply_tag,
-            DsmReply::PageRangeData {
-                first,
-                data: Bytes::from(buf),
-            },
-            srv,
-        );
+        let data = Bytes::from(buf);
+        let reply = if count == 1 {
+            DsmReply::PageData { page: first, data }
+        } else {
+            DsmReply::PageRangeData { first, data }
+        };
+        self.reply(req.requester, req.reply_tag, reply, srv);
         true
+    }
+
+    fn serve_or_defer(&self, req: FetchReq, srv: &mut CommServer) {
+        if !self.try_serve_pages(&req, srv) {
+            self.server.lock().deferred.push(req);
+        }
     }
 
     /// Re-examine deferred page requests (after home migrations or pushes).
     fn retry_deferred(&self, srv: &mut CommServer) {
-        let pending: Vec<DeferredFetch> = {
-            let mut st = self.server.lock();
-            std::mem::take(&mut st.deferred)
-        };
-        for d in pending {
-            let served = if d.count == 1 {
-                self.try_serve_page(d.first, d.requester, d.reply_tag, srv)
-            } else {
-                self.try_serve_page_range(d.first, d.count, d.requester, d.reply_tag, srv)
-            };
-            if !served {
-                self.server.lock().deferred.push(d);
-            }
+        let pending = std::mem::take(&mut self.server.lock().deferred);
+        for req in pending {
+            self.serve_or_defer(req, srv);
         }
     }
 

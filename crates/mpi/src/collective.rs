@@ -14,7 +14,6 @@ use parade_trace::{self as trace, EventKind};
 
 use crate::comm::Communicator;
 use crate::datatype;
-use crate::topology::CollectiveTopology;
 
 /// Reduction operators for typed allreduce/reduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,55 +51,9 @@ const PH_REDUCE: u8 = 1;
 const PH_ALLRED_BCAST: u8 = 2;
 const PH_GATHER: u8 = 3;
 
-/// The ranks a fabric phase runs over, addressed by position, and this
-/// rank's position among them: every rank of the communicator, or the
-/// group leaders of an SMP topology.
-#[derive(Clone, Copy)]
-struct Ranks<'a> {
-    /// `None`: every rank, at its own position.
-    leaders: Option<&'a [usize]>,
-    n: usize,
-    pos: usize,
-}
-
-impl<'a> Ranks<'a> {
-    fn all(c: &Communicator) -> Self {
-        Ranks {
-            leaders: None,
-            n: c.size(),
-            pos: c.rank(),
-        }
-    }
-
-    /// Only leaders take part: `rank` must lead its group.
-    fn leaders(t: &'a CollectiveTopology, rank: usize) -> Self {
-        Ranks {
-            leaders: Some(t.leaders()),
-            n: t.leaders().len(),
-            pos: t.leader_position(rank),
-        }
-    }
-
-    fn at(self, pos: usize) -> usize {
-        self.leaders.map_or(pos, |l| l[pos])
-    }
-}
-
 impl Communicator {
-    /// The topology to run two-level algorithms over, when one is attached
-    /// and actually groups ranks. With every rank its own chassis there is
-    /// nothing to combine through shared memory, so the fabric phase runs
-    /// over all ranks directly.
-    fn hier(&self) -> Option<&CollectiveTopology> {
-        self.topo.as_deref().filter(|t| !t.is_flat())
-    }
-
-    /// Barrier: dissemination over the fabric — ⌈log₂ P⌉ rounds, every
-    /// participant sends and receives one small message per round. With an
-    /// SMP topology: ranks arrive through their group's shared-memory
-    /// barrier, only the elected leaders run the dissemination rounds
-    /// (`O(L log L)` fabric messages for `L` leaders), and the release
-    /// fans back out through shared memory.
+    /// Barrier: dissemination over the fabric — ⌈log₂ P⌉ rounds, every rank
+    /// sends and receives one small message per round.
     pub fn barrier(&self, clock: &mut VClock) {
         let mut st = self.coll_guard.lock();
         let seq = st.seq;
@@ -111,69 +64,29 @@ impl Communicator {
         }
         let rank = self.rank();
         trace::begin(EventKind::MpiBarrier, clock.now());
-        if let Some(t) = self.hier() {
-            t.deposit_and_sync(rank, seq, None, clock);
-            if t.is_leader(rank) {
-                self.dissemination_barrier(Ranks::leaders(t, rank), seq, clock);
-                t.publish(rank, seq, Bytes::new(), clock);
-            } else {
-                let _ = t.collect(rank, seq, clock);
-            }
-        } else {
-            self.dissemination_barrier(Ranks::all(self), seq, clock);
+        let mut round: u8 = 0;
+        let mut dist = 1usize;
+        while dist < size {
+            let dst = (rank + dist) % size;
+            let src = (rank + size - dist) % size;
+            self.coll_send(dst, seq, PH_BARRIER_BASE + round, Bytes::new(), clock);
+            let _ = self.coll_recv(src, seq, PH_BARRIER_BASE + round, clock);
+            trace::instant(EventKind::CollRound, round as u64, clock.now());
+            dist <<= 1;
+            round += 1;
         }
         trace::end(EventKind::MpiBarrier, clock.now());
     }
 
-    /// Broadcast of raw bytes from `root`: binomial tree over the fabric
-    /// participants — all ranks, or with an SMP topology the group leaders,
-    /// with shared-memory distribution inside each group. Non-root
-    /// callers' `buf` is replaced with the received payload.
+    /// Broadcast of raw bytes from `root`: binomial tree over the ranks.
+    /// Non-root callers' `buf` is replaced with the received payload.
     pub fn bcast_bytes(&self, root: usize, buf: &mut Bytes, clock: &mut VClock) {
         let mut st = self.coll_guard.lock();
         let seq = st.seq;
         st.seq += 1;
         trace::begin_arg(EventKind::MpiBcast, buf.len() as u64, clock.now());
-        if let Some(t) = self.hier() {
-            self.hier_bcast(t, root, buf, seq, clock);
-        } else {
-            self.tree_bcast(Ranks::all(self), root, buf, seq, PH_BCAST, clock);
-        }
+        self.tree_bcast(root, buf, seq, PH_BCAST, clock);
         trace::end(EventKind::MpiBcast, clock.now());
-    }
-
-    fn hier_bcast(
-        &self,
-        t: &CollectiveTopology,
-        root: usize,
-        buf: &mut Bytes,
-        seq: u64,
-        clock: &mut VClock,
-    ) {
-        let rank = self.rank();
-        // Only the root deposits data; everyone joins the group barrier.
-        let contrib = (rank == root).then(|| buf.to_vec());
-        let folded = t.deposit_and_sync(rank, seq, contrib, clock);
-        if t.is_leader(rank) {
-            let mut folded = folded.expect("leader sees group contributions");
-            let mut b = if t.group_of(rank) == t.group_of(root) {
-                Bytes::from(folded[t.member_index(root)].take().expect("root deposited"))
-            } else {
-                Bytes::new()
-            };
-            let root_pos = t.leader_position(t.leader_of(root));
-            self.tree_bcast(
-                Ranks::leaders(t, rank),
-                root_pos,
-                &mut b,
-                seq,
-                PH_BCAST,
-                clock,
-            );
-            *buf = t.publish(rank, seq, b, clock);
-        } else {
-            *buf = t.collect(rank, seq, clock);
-        }
     }
 
     /// Broadcast a `f64` slice in place.
@@ -205,7 +118,7 @@ impl Communicator {
         let seq = st.seq;
         st.seq += 1;
         trace::begin(EventKind::MpiReduce, clock.now());
-        self.tree_reduce(Ranks::all(self), root, buf, combine, seq, clock);
+        self.tree_reduce(root, buf, combine, seq, clock);
         trace::end(EventKind::MpiReduce, clock.now());
     }
 
@@ -226,89 +139,22 @@ impl Communicator {
             return;
         }
         trace::begin(EventKind::MpiAllreduce, clock.now());
-        if let Some(t) = self.hier() {
-            self.hier_allreduce(t, buf, combine, seq, clock);
-        } else {
-            let all = Ranks::all(self);
-            self.tree_reduce(all, 0, buf, combine, seq, clock);
-            let mut b = Bytes::copy_from_slice(buf);
-            self.tree_bcast(all, 0, &mut b, seq, PH_ALLRED_BCAST, clock);
-            buf.clear();
-            buf.extend_from_slice(&b);
-        }
+        self.tree_reduce(0, buf, combine, seq, clock);
+        let mut b = Bytes::copy_from_slice(buf);
+        self.tree_bcast(0, &mut b, seq, PH_ALLRED_BCAST, clock);
+        buf.clear();
+        buf.extend_from_slice(&b);
         trace::end(EventKind::MpiAllreduce, clock.now());
     }
 
-    fn hier_allreduce(
-        &self,
-        t: &CollectiveTopology,
-        buf: &mut Vec<u8>,
-        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
-        seq: u64,
-        clock: &mut VClock,
-    ) {
-        let rank = self.rank();
-        let folded = t.deposit_and_sync(rank, seq, Some(std::mem::take(buf)), clock);
-        let result = if t.is_leader(rank) {
-            // Fold the group's contributions in member order (the leader is
-            // member 0), reduce across leaders to leader position 0, then
-            // broadcast the total back over the leader tree.
-            let mut contribs = folded.expect("leader sees group contributions").into_iter();
-            let mut acc = contribs
-                .next()
-                .expect("group is non-empty")
-                .expect("every member deposits");
-            for c in contribs {
-                combine(&mut acc, &c.expect("every member deposits"));
-            }
-            let leaders = Ranks::leaders(t, rank);
-            self.tree_reduce(leaders, 0, &mut acc, combine, seq, clock);
-            let mut b = Bytes::from(acc);
-            self.tree_bcast(leaders, 0, &mut b, seq, PH_ALLRED_BCAST, clock);
-            t.publish(rank, seq, b, clock)
-        } else {
-            t.collect(rank, seq, clock)
-        };
-        buf.extend_from_slice(&result);
-    }
-
-    // ---- fabric-phase algorithms ---------------------------------------
-    //
-    // The message-passing halves of the collectives, run over `ranks`.
-    // Only the listed ranks call these.
-
-    /// Dissemination barrier.
-    fn dissemination_barrier(&self, ranks: Ranks<'_>, seq: u64, clock: &mut VClock) {
-        let Ranks { n, pos, .. } = ranks;
-        let mut round: u8 = 0;
-        let mut dist = 1usize;
-        while dist < n {
-            let dst = ranks.at((pos + dist) % n);
-            let src = ranks.at((pos + n - dist) % n);
-            self.coll_send(dst, seq, PH_BARRIER_BASE + round, Bytes::new(), clock);
-            let _ = self.coll_recv(src, seq, PH_BARRIER_BASE + round, clock);
-            trace::instant(EventKind::CollRound, round as u64, clock.now());
-            dist <<= 1;
-            round += 1;
-        }
-    }
-
-    /// Binomial-tree broadcast from position `root_pos`.
-    fn tree_bcast(
-        &self,
-        ranks: Ranks<'_>,
-        root_pos: usize,
-        buf: &mut Bytes,
-        seq: u64,
-        phase: u8,
-        clock: &mut VClock,
-    ) {
-        let Ranks { n, pos, .. } = ranks;
-        let rel = (pos + n - root_pos) % n;
+    /// Binomial-tree broadcast from `root`.
+    fn tree_bcast(&self, root: usize, buf: &mut Bytes, seq: u64, phase: u8, clock: &mut VClock) {
+        let size = self.size();
+        let rel = (self.rank() + size - root) % size;
         let mut mask = 1usize;
-        while mask < n {
+        while mask < size {
             if rel & mask != 0 {
-                let src = ranks.at((rel - mask + root_pos) % n);
+                let src = (rel - mask + root) % size;
                 *buf = self.coll_recv(src, seq, phase, clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 break;
@@ -317,8 +163,8 @@ impl Communicator {
         }
         mask >>= 1;
         while mask > 0 {
-            if rel + mask < n {
-                let dst = ranks.at((rel + mask + root_pos) % n);
+            if rel + mask < size {
+                let dst = (rel + mask + root) % size;
                 self.coll_send(dst, seq, phase, buf.clone(), clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
             }
@@ -326,31 +172,30 @@ impl Communicator {
         }
     }
 
-    /// Binomial-tree reduction to position `root_pos`; `combine` folds a
-    /// peer's encoded contribution into `buf`.
+    /// Binomial-tree reduction to `root`; `combine` folds a peer's encoded
+    /// contribution into `buf`.
     fn tree_reduce(
         &self,
-        ranks: Ranks<'_>,
-        root_pos: usize,
+        root: usize,
         buf: &mut Vec<u8>,
         combine: &dyn Fn(&mut Vec<u8>, &[u8]),
         seq: u64,
         clock: &mut VClock,
     ) {
-        let Ranks { n, pos, .. } = ranks;
-        let rel = (pos + n - root_pos) % n;
+        let size = self.size();
+        let rel = (self.rank() + size - root) % size;
         let mut mask = 1usize;
-        while mask < n {
+        while mask < size {
             if rel & mask == 0 {
                 let peer = rel | mask;
-                if peer < n {
-                    let src = ranks.at((peer + root_pos) % n);
+                if peer < size {
+                    let src = (peer + root) % size;
                     let contrib = self.coll_recv(src, seq, PH_REDUCE, clock);
                     combine(buf, &contrib);
                     trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 }
             } else {
-                let dst = ranks.at(((rel & !mask) + root_pos) % n);
+                let dst = ((rel & !mask) + root) % size;
                 self.coll_send(dst, seq, PH_REDUCE, Bytes::copy_from_slice(buf), clock);
                 trace::instant(EventKind::CollRound, mask as u64, clock.now());
                 break;
@@ -457,21 +302,17 @@ mod tests {
         n: usize,
         f: impl Fn(Arc<Communicator>, &mut VClock) -> R + Send + Sync + 'static,
     ) -> Vec<R> {
-        run_on(Fabric::new(n, NetProfile::clan_via()), None, f)
+        run_on(Fabric::new(n, NetProfile::clan_via()), f)
     }
 
     fn run_on<R: Send + 'static>(
         fabric: Arc<Fabric>,
-        topo: Option<Arc<CollectiveTopology>>,
         f: impl Fn(Arc<Communicator>, &mut VClock) -> R + Send + Sync + 'static,
     ) -> Vec<R> {
         let f = Arc::new(f);
         let handles: Vec<_> = (0..fabric.nodes())
             .map(|i| {
-                let comm = Arc::new(match &topo {
-                    Some(t) => Communicator::with_topology(fabric.endpoint(i), Arc::clone(t)),
-                    None => Communicator::new(fabric.endpoint(i)),
-                });
+                let comm = Arc::new(Communicator::new(fabric.endpoint(i)));
                 let f = Arc::clone(&f);
                 std::thread::spawn(move || {
                     let mut clk = VClock::manual();
@@ -636,111 +477,74 @@ mod tests {
         assert!(m8 > m2, "8-node barrier {m8} should exceed 2-node {m2}");
     }
 
-    /// One deterministic workload of mixed collectives; values are exact in
-    /// f64 so any fold order yields bit-identical results.
-    fn mixed_workload(c: &Communicator, clk: &mut VClock) -> Vec<u64> {
-        let p = c.size();
-        let mut seen = Vec::new();
-        for round in 0..3 {
-            c.barrier(clk);
-            let s = c.allreduce_f64((c.rank() * 2 + round) as f64, ReduceOp::Sum, clk);
-            seen.push(s.to_bits());
-            let root = (round * 3) % p;
-            let mut xs: Vec<f64> = if c.rank() == root {
-                (0..p).map(|i| (round * 31 + i) as f64 * 0.5).collect()
-            } else {
-                vec![0.0; p]
-            };
-            c.bcast_f64s(root, &mut xs, clk);
-            seen.extend(xs.iter().map(|x| x.to_bits()));
-            let hi = c.allreduce_i64((c.rank() as i64) - round as i64, ReduceOp::Max, clk);
-            seen.push(hi as u64);
-        }
-        seen
-    }
-
-    #[test]
-    fn two_level_collectives_match_single_level_results() {
-        for (n, groups) in [
-            (4, vec![vec![0, 1], vec![2, 3]]),
-            (5, vec![vec![0, 1, 2], vec![3, 4]]),
-            (6, vec![vec![0, 3], vec![1, 4, 5], vec![2]]),
-            (7, vec![vec![0, 1, 2, 3, 4, 5, 6]]),
-            (8, vec![vec![0, 1], vec![2], vec![3, 4, 5], vec![6, 7]]),
-        ] {
-            let flat = run_all(n, |c, clk| mixed_workload(&c, clk));
-            let topo = Arc::new(CollectiveTopology::from_groups(n, groups.clone()));
-            let fabric = Fabric::new(n, NetProfile::clan_via());
-            let hier = run_on(fabric, Some(topo), |c, clk| mixed_workload(&c, clk));
-            assert_eq!(hier, flat, "n={n} groups={groups:?}");
-        }
-    }
-
-    #[test]
-    fn two_level_barrier_sends_only_leader_messages() {
-        // 8 ranks in two groups of 4: exactly L·⌈log₂L⌉ = 2 fabric
-        // messages per barrier, all from the leaders; running the rounds
-        // over all ranks would send 8·3 = 24.
-        let topo = Arc::new(CollectiveTopology::uniform(8, 4));
-        let fabric = Fabric::new(8, NetProfile::clan_via());
-        let stats = Arc::clone(&fabric);
-        run_on(fabric, Some(topo), |c, clk| {
-            for _ in 0..5 {
-                c.barrier(clk);
-            }
-        });
-        let coll = |i: usize| stats.stats().node(i).class_totals(MsgClass::Coll).msgs;
-        assert_eq!(coll(0), 5, "leader 0 sends one message per barrier");
-        assert_eq!(coll(4), 5, "leader 4 sends one message per barrier");
-        for i in [1, 2, 3, 5, 6, 7] {
-            assert_eq!(coll(i), 0, "non-leader {i} must stay off the fabric");
-        }
-    }
-
-    #[test]
-    fn singleton_topology_runs_over_all_ranks() {
-        // All-singleton groups: the fabric phase runs over every rank
-        // (same messages, no shared-memory combine overhead).
-        let topo = Arc::new(CollectiveTopology::flat(4));
-        let fabric = Fabric::new(4, NetProfile::clan_via());
-        let stats = Arc::clone(&fabric);
-        let out = run_on(fabric, Some(topo), |c, clk| {
-            c.barrier(clk);
-            c.allreduce_i64(c.rank() as i64, ReduceOp::Sum, clk)
-        });
-        assert!(out.iter().all(|&s| s == 6));
-        // Dissemination over all 4 ranks: every rank sends ⌈log₂4⌉ = 2.
-        let total: u64 = (0..4)
-            .map(|i| stats.stats().node(i).class_totals(MsgClass::Coll).msgs)
+    /// `Coll` messages sent by all ranks while `f` runs once on each.
+    fn coll_msgs<R: Send + 'static>(
+        p: usize,
+        f: impl Fn(Arc<Communicator>, &mut VClock) -> R + Send + Sync + 'static,
+    ) -> (Vec<R>, u64) {
+        let fabric = Fabric::new(p, NetProfile::clan_via());
+        let out = run_on(Arc::clone(&fabric), f);
+        let stats = fabric.stats();
+        let msgs = (0..p)
+            .map(|i| stats.node(i).class_totals(MsgClass::Coll).msgs)
             .sum();
-        assert!(total >= 8, "the barrier alone sends 8 messages: {total}");
+        (out, msgs)
     }
 
     #[test]
-    fn two_level_collectives_agree_on_closed_forms() {
-        // Non-power-of-two world, non-uniform groups; check against the
-        // sequential formulas rather than another run.
-        let topo = Arc::new(CollectiveTopology::from_groups(
-            6,
-            vec![vec![0, 1, 2, 3], vec![4, 5]],
-        ));
-        let fabric = Fabric::new(6, NetProfile::clan_via());
-        let out = run_on(fabric, Some(topo), |c, clk| {
-            let sum = c.allreduce_f64(c.rank() as f64, ReduceOp::Sum, clk);
-            let min = c.allreduce_i64(10 - c.rank() as i64, ReduceOp::Min, clk);
-            let mut xs = if c.rank() == 5 {
-                vec![2.5, -1.0]
-            } else {
-                vec![0.0; 2]
-            };
-            c.bcast_f64s(5, &mut xs, clk);
-            c.barrier(clk);
-            (sum, min, xs)
-        });
-        for (sum, min, xs) in out {
-            assert_eq!(sum, 15.0);
-            assert_eq!(min, 5);
-            assert_eq!(xs, vec![2.5, -1.0]);
+    fn message_counts_and_results_equal_the_closed_forms() {
+        // Powers of two and not: the dissemination barrier sends one message
+        // per rank per round, the binomial trees one per non-root rank.
+        for p in 2..=9usize {
+            let rounds = p.next_power_of_two().trailing_zeros() as u64;
+            let p64 = p as u64;
+
+            let (_, msgs) = coll_msgs(p, |c, clk| c.barrier(clk));
+            assert_eq!(msgs, p64 * rounds, "barrier, P={p}");
+
+            let root = 2 % p;
+            let (out, msgs) = coll_msgs(p, move |c, clk| {
+                let mut xs = [0.0; 3];
+                if c.rank() == root {
+                    xs = [0.1, -2.5, 1e300];
+                }
+                c.bcast_f64s(root, &mut xs, clk);
+                xs.map(f64::to_bits)
+            });
+            assert_eq!(msgs, p64 - 1, "bcast, P={p}");
+            assert!(
+                out.iter()
+                    .all(|xs| *xs == [0.1, -2.5, 1e300].map(f64::to_bits)),
+                "bcast, P={p}"
+            );
+
+            // Multiples of 0.25: every partial sum is exact, so the tree's
+            // fold order and the sequential one agree to the bit.
+            let mine = |r: usize| (r * r) as f64 * 0.25 - 3.0;
+            let (out, msgs) = coll_msgs(p, move |c, clk| {
+                c.allreduce_f64(mine(c.rank()), ReduceOp::Sum, clk)
+                    .to_bits()
+            });
+            assert_eq!(msgs, 2 * (p64 - 1), "allreduce, P={p}");
+            let seq = (1..p).fold(mine(0), |acc, r| ReduceOp::Sum.fold_f64(acc, mine(r)));
+            assert!(
+                out.iter().all(|&bits| bits == seq.to_bits()),
+                "allreduce, P={p}"
+            );
+
+            let (out, msgs) = coll_msgs(p, |c, clk| {
+                let r = c.rank() as i64;
+                (
+                    c.allreduce_i64(7 - 3 * r, ReduceOp::Min, clk),
+                    c.allreduce_i64(r * r, ReduceOp::Max, clk),
+                )
+            });
+            assert_eq!(msgs, 4 * (p64 - 1), "two allreduces, P={p}");
+            let top = p as i64 - 1;
+            assert!(
+                out.iter().all(|&mm| mm == (7 - 3 * top, top * top)),
+                "min/max, P={p}"
+            );
         }
     }
 

@@ -1,14 +1,11 @@
 //! Communicators and point-to-point messaging.
 
-use std::sync::Arc;
-
 use parade_net::sync::Mutex;
 use parade_net::Bytes;
 
 use parade_net::{Endpoint, Match, MsgClass, VClock};
 
 use crate::datatype;
-use crate::topology::CollectiveTopology;
 
 /// A communicator: one MPI-style rank per cluster node.
 ///
@@ -24,9 +21,6 @@ pub struct Communicator {
     size: usize,
     /// Serializes collective participation of this node's threads.
     pub(crate) coll_guard: Mutex<CollState>,
-    /// SMP placement for two-level collectives; `None` (or an all-singleton
-    /// topology) runs the fabric phase over every rank.
-    pub(crate) topo: Option<Arc<CollectiveTopology>>,
 }
 
 pub(crate) struct CollState {
@@ -44,28 +38,7 @@ impl Communicator {
             rank,
             size,
             coll_guard: Mutex::new(CollState { seq: 0 }),
-            topo: None,
         }
-    }
-
-    /// A communicator whose collectives use the two-level SMP-aware
-    /// algorithms over `topo`. The same topology instance (it owns the
-    /// groups' shared-memory combine state) must be passed to every rank's
-    /// communicator of this world.
-    pub fn with_topology(ep: Endpoint, topo: Arc<CollectiveTopology>) -> Self {
-        assert_eq!(
-            topo.size(),
-            ep.nodes(),
-            "topology must cover exactly the fabric's ranks"
-        );
-        let mut c = Communicator::new(ep);
-        c.topo = Some(topo);
-        c
-    }
-
-    /// The collective topology, when two-level algorithms are enabled.
-    pub fn topology(&self) -> Option<&Arc<CollectiveTopology>> {
-        self.topo.as_ref()
     }
 
     pub fn rank(&self) -> usize {

@@ -10,16 +10,11 @@
 //! * `barrier` (dissemination), `bcast` (binomial tree),
 //! * `allreduce`/`reduce` (binomial reduce + broadcast) with built-in and
 //!   user-defined combiners, `gather`/`allgather`,
-//! * two-level SMP-aware collective algorithms over a
-//!   [`CollectiveTopology`]: ranks co-located on an SMP node combine
-//!   through shared memory and only elected group leaders cross the wire,
 //! * little-endian wire-format helpers shared with the SDSM protocol.
 
 mod collective;
 mod comm;
 pub mod datatype;
-mod topology;
 
 pub use collective::ReduceOp;
 pub use comm::Communicator;
-pub use topology::CollectiveTopology;

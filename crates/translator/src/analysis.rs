@@ -15,13 +15,18 @@ use crate::ast::*;
 /// Linux cluster).
 pub const DEFAULT_SMALL_THRESHOLD: usize = 256;
 
-/// How a variable is stored/kept consistent.
+/// Storage class decided by the protocol-classification pre-pass (§3:
+/// "ParADE classifies data structures according to their size and applies
+/// different protocols"). A variable in no class is a master local.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Small data: plain per-node storage, eagerly updated by collectives.
-    Update,
-    /// Paged DSM under HLRC (invalidate protocol).
-    Hlrc,
+pub enum StorageKind {
+    /// Large data: paged DSM, HLRC invalidate protocol.
+    SharedArr,
+    /// Small scalar, message-passing update protocol.
+    ScalarUpdate,
+    /// Scalar forced onto the paged DSM (written by plain stores or inside
+    /// lock-path constructs).
+    ScalarHlrc,
 }
 
 /// Scope of a variable with respect to a parallel region.
@@ -399,7 +404,7 @@ pub enum CriticalLowering {
 /// lexically analyzable (no non-builtin calls), every statement a scalar
 /// accumulation on a shared scalar, and the touched shared data under the
 /// threshold.
-pub fn analyze_critical(
+fn analyze_critical(
     body: &Stmt,
     class: &RegionClassification,
     syms: &Symbols,
@@ -453,7 +458,7 @@ pub enum SingleLowering {
 
 /// Decide the lowering of a single block: analyzable and writing only
 /// small shared scalars → broadcast path.
-pub fn analyze_single(
+fn analyze_single(
     body: &Stmt,
     class: &RegionClassification,
     syms: &Symbols,
@@ -532,6 +537,279 @@ fn expr_writes(e: &Expr, out: &mut Vec<String>) -> Result<(), ()> {
             Ok(())
         }
         _ => Ok(()),
+    }
+}
+
+/// How an `atomic` is lowered.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AtomicLowering {
+    /// One collective update of a small scalar.
+    Collective(ScalarUpdate),
+    /// Distributed lock around the update (its target lives on HLRC).
+    Lock(ScalarUpdate),
+}
+
+/// The final lowering of every `critical`, `atomic` and `single` of one
+/// function: the lexical analyses above, demoted to the lock / flag +
+/// barrier path when a target is not on the update protocol (a scalar also
+/// written by a plain store or a lock-path construct lives on a DSM page,
+/// where a collective update would never be seen). The emitter and the
+/// executor's resolver both decide through here.
+#[derive(Debug, Default)]
+pub struct Lowering {
+    symbols: Symbols,
+    storage: HashMap<String, StorageKind>,
+    threshold: usize,
+}
+
+impl Lowering {
+    /// Plan `f` of `prog` for the small-data `threshold` (bytes).
+    pub fn plan(prog: &Program, f: &FuncDef, threshold: usize) -> Lowering {
+        let symbols = Symbols::collect(prog, f);
+        let storage = plan_storage(prog, f, &symbols, threshold);
+        Lowering {
+            symbols,
+            storage,
+            threshold,
+        }
+    }
+
+    /// Declarations visible in the function.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
+    /// Storage class of every shared variable.
+    pub fn storage(&self) -> &HashMap<String, StorageKind> {
+        &self.storage
+    }
+
+    /// Is `name` a shared scalar on the update protocol?
+    fn on_update_protocol(&self, name: &str) -> bool {
+        self.storage.get(name) == Some(&StorageKind::ScalarUpdate)
+    }
+
+    pub fn critical(&self, body: &Stmt, class: &RegionClassification) -> CriticalLowering {
+        match analyze_critical(body, class, &self.symbols, self.threshold) {
+            CriticalLowering::Collective(updates)
+                if updates.iter().all(|u| self.on_update_protocol(&u.target)) =>
+            {
+                CriticalLowering::Collective(updates)
+            }
+            _ => CriticalLowering::Lock,
+        }
+    }
+
+    /// `Err` names what is wrong with a body that is no scalar update.
+    pub fn atomic(&self, body: Option<&Stmt>) -> Result<AtomicLowering, &'static str> {
+        let Some(Stmt::Expr(e, _)) = body else {
+            return Err("atomic body must be an expression statement");
+        };
+        let u = as_scalar_update(e).ok_or("atomic body must be a scalar update")?;
+        Ok(if self.on_update_protocol(&u.target) {
+            AtomicLowering::Collective(u)
+        } else {
+            AtomicLowering::Lock(u)
+        })
+    }
+
+    pub fn single(&self, body: &Stmt, class: &RegionClassification) -> SingleLowering {
+        match analyze_single(body, class, &self.symbols, self.threshold) {
+            SingleLowering::Broadcast(targets)
+                if targets.iter().all(|t| self.on_update_protocol(t)) =>
+            {
+                SingleLowering::Broadcast(targets)
+            }
+            _ => SingleLowering::LockFlagBarrier,
+        }
+    }
+}
+
+/// Decide the storage/protocol of every variable (globals + `f`'s locals):
+/// arrays shared by any region go to the paged DSM; shared scalars use the
+/// update protocol unless written by plain stores or lock-path constructs,
+/// which force HLRC.
+fn plan_storage(
+    prog: &Program,
+    f: &FuncDef,
+    syms: &Symbols,
+    threshold: usize,
+) -> HashMap<String, StorageKind> {
+    let mut kinds: HashMap<String, StorageKind> = HashMap::new();
+    // Globals are conservatively shared (callees may touch them from
+    // inside regions).
+    for item in &prog.items {
+        if let Item::Global(d) = item {
+            kinds.insert(
+                d.name.clone(),
+                if d.is_array() {
+                    StorageKind::SharedArr
+                } else {
+                    StorageKind::ScalarHlrc
+                },
+            );
+        }
+    }
+    let mut regions = Vec::new();
+    collect_regions(&f.body, &mut regions);
+    for (dir, body) in regions {
+        let class = classify_region(dir, body, syms);
+        for name in class.shared_vars() {
+            let Some(d) = syms.get(&name) else { continue };
+            let entry = kinds.entry(name.clone()).or_insert(if d.is_array() {
+                StorageKind::SharedArr
+            } else {
+                StorageKind::ScalarUpdate
+            });
+            if d.is_array() {
+                *entry = StorageKind::SharedArr;
+            }
+        }
+        // Plain writes (outside analyzable constructs) force HLRC.
+        let mut forced = Vec::new();
+        forced_hlrc_writes(body, &class, syms, threshold, &mut forced);
+        for name in forced {
+            if let Some(k) = kinds.get_mut(&name) {
+                if *k == StorageKind::ScalarUpdate {
+                    *k = StorageKind::ScalarHlrc;
+                }
+            }
+        }
+    }
+    kinds
+}
+
+fn collect_regions<'a>(s: &'a Stmt, out: &mut Vec<(&'a Directive, &'a Stmt)>) {
+    match s {
+        Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Parallel | DirKind::ParallelFor) => {
+            out.push((d, b));
+        }
+        Stmt::Block(ss) => {
+            for s in ss {
+                collect_regions(s, out);
+            }
+        }
+        Stmt::If(_, a, b) => {
+            collect_regions(a, out);
+            if let Some(b) = b {
+                collect_regions(b, out);
+            }
+        }
+        Stmt::While(_, b) => collect_regions(b, out),
+        Stmt::For { body, .. } => collect_regions(body, out),
+        _ => {}
+    }
+}
+
+/// Scalar shared variables written by plain assignments or inside
+/// lock-lowered constructs within a region body.
+fn forced_hlrc_writes(
+    s: &Stmt,
+    class: &RegionClassification,
+    syms: &Symbols,
+    threshold: usize,
+    out: &mut Vec<String>,
+) {
+    match s {
+        Stmt::Expr(e, _) => expr_plain_writes(e, out),
+        Stmt::Decl(d) => {
+            if let Some(e) = &d.init {
+                expr_plain_writes(e, out);
+            }
+        }
+        Stmt::Block(ss) => {
+            for s in ss {
+                forced_hlrc_writes(s, class, syms, threshold, out);
+            }
+        }
+        Stmt::If(c, a, b) => {
+            expr_plain_writes(c, out);
+            forced_hlrc_writes(a, class, syms, threshold, out);
+            if let Some(b) = b {
+                forced_hlrc_writes(b, class, syms, threshold, out);
+            }
+        }
+        Stmt::While(c, b) => {
+            expr_plain_writes(c, out);
+            forced_hlrc_writes(b, class, syms, threshold, out);
+        }
+        Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+        } => {
+            for e in [init, cond, step].into_iter().flatten() {
+                expr_plain_writes(e, out);
+            }
+            forced_hlrc_writes(body, class, syms, threshold, out);
+        }
+        Stmt::Omp(dir, Some(body)) => match &dir.kind {
+            DirKind::Critical(_) => {
+                if let CriticalLowering::Lock = analyze_critical(body, class, syms, threshold) {
+                    // Writes inside a lock-path critical go to the DSM.
+                    all_scalar_writes(body, out);
+                }
+            }
+            DirKind::Atomic => { /* collective path, never forces */ }
+            DirKind::Single => {
+                if let SingleLowering::LockFlagBarrier =
+                    analyze_single(body, class, syms, threshold)
+                {
+                    all_scalar_writes(body, out);
+                }
+            }
+            _ => forced_hlrc_writes(body, class, syms, threshold, out),
+        },
+        _ => {}
+    }
+}
+
+fn expr_plain_writes(e: &Expr, out: &mut Vec<String>) {
+    match e {
+        Expr::Assign(_, lhs, rhs) => {
+            if let Expr::Ident(n) = lhs.as_ref() {
+                out.push(n.clone());
+            }
+            expr_plain_writes(rhs, out);
+        }
+        Expr::Binary(_, a, b) => {
+            expr_plain_writes(a, out);
+            expr_plain_writes(b, out);
+        }
+        Expr::Unary(_, a) => expr_plain_writes(a, out),
+        Expr::Cond(c, a, b) => {
+            expr_plain_writes(c, out);
+            expr_plain_writes(a, out);
+            expr_plain_writes(b, out);
+        }
+        Expr::Call(_, args) => {
+            for a in args {
+                expr_plain_writes(a, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn all_scalar_writes(s: &Stmt, out: &mut Vec<String>) {
+    match s {
+        Stmt::Expr(e, _) => expr_plain_writes(e, out),
+        Stmt::Block(ss) => {
+            for s in ss {
+                all_scalar_writes(s, out);
+            }
+        }
+        Stmt::If(_, a, b) => {
+            all_scalar_writes(a, out);
+            if let Some(b) = b {
+                all_scalar_writes(b, out);
+            }
+        }
+        Stmt::While(_, b) => all_scalar_writes(b, out),
+        Stmt::For { body, .. } => all_scalar_writes(body, out),
+        Stmt::Omp(_, Some(b)) => all_scalar_writes(b, out),
+        _ => {}
     }
 }
 

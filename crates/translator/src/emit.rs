@@ -10,8 +10,8 @@
 use std::fmt::Write as _;
 
 use crate::analysis::{
-    analyze_critical, analyze_single, classify_region, loop_of, CriticalLowering,
-    RegionClassification, SingleLowering, Symbols, VarScope, DEFAULT_SMALL_THRESHOLD,
+    classify_region, loop_of, AtomicLowering, CriticalLowering, Lowering, RegionClassification,
+    SingleLowering, VarScope, DEFAULT_SMALL_THRESHOLD,
 };
 use crate::ast::*;
 use crate::token::ParseError;
@@ -126,8 +126,8 @@ impl<'p> Emitter<'p> {
                 .join(", ")
         };
         self.line(&format!("{} {}({})", type_text(&f.ret), f.name, params));
-        let syms = Symbols::collect(self.prog, f);
-        self.stmt(&f.body, &syms, None)?;
+        let plan = Lowering::plan(self.prog, f, self.threshold);
+        self.stmt(&f.body, &plan, None)?;
         self.line("");
         Ok(())
     }
@@ -135,7 +135,7 @@ impl<'p> Emitter<'p> {
     fn stmt(
         &mut self,
         s: &Stmt,
-        syms: &Symbols,
+        plan: &Lowering,
         region: Option<&RegionClassification>,
     ) -> Result<(), ParseError> {
         match s {
@@ -143,7 +143,7 @@ impl<'p> Emitter<'p> {
                 self.line("{");
                 self.indent += 1;
                 for s in ss {
-                    self.stmt(s, syms, region)?;
+                    self.stmt(s, plan, region)?;
                 }
                 self.indent -= 1;
                 self.line("}");
@@ -158,16 +158,16 @@ impl<'p> Emitter<'p> {
             Stmt::If(c, a, b) => {
                 let cond = self.expr(c, region);
                 self.line(&format!("if ({cond})"));
-                self.stmt(a, syms, region)?;
+                self.stmt(a, plan, region)?;
                 if let Some(b) = b {
                     self.line("else");
-                    self.stmt(b, syms, region)?;
+                    self.stmt(b, plan, region)?;
                 }
             }
             Stmt::While(c, b) => {
                 let cond = self.expr(c, region);
                 self.line(&format!("while ({cond})"));
-                self.stmt(b, syms, region)?;
+                self.stmt(b, plan, region)?;
             }
             Stmt::For {
                 init,
@@ -188,7 +188,7 @@ impl<'p> Emitter<'p> {
                     .map(|e| self.expr(e, region))
                     .unwrap_or_default();
                 self.line(&format!("for ({i}; {c}; {st})"));
-                self.stmt(body, syms, region)?;
+                self.stmt(body, plan, region)?;
             }
             Stmt::Return(e) => {
                 let text = e
@@ -200,7 +200,7 @@ impl<'p> Emitter<'p> {
             Stmt::Break => self.line("break;"),
             Stmt::Continue => self.line("continue;"),
             Stmt::Empty => self.line(";"),
-            Stmt::Omp(dir, body) => self.directive(dir, body.as_deref(), syms, region)?,
+            Stmt::Omp(dir, body) => self.directive(dir, body.as_deref(), plan, region)?,
         }
         Ok(())
     }
@@ -209,12 +209,12 @@ impl<'p> Emitter<'p> {
         &mut self,
         dir: &Directive,
         body: Option<&Stmt>,
-        syms: &Symbols,
+        plan: &Lowering,
         region: Option<&RegionClassification>,
     ) -> Result<(), ParseError> {
         match (&dir.kind, region) {
             (DirKind::Parallel | DirKind::ParallelFor, _) => {
-                self.parallel_region(dir, body.expect("region body"), syms)
+                self.parallel_region(dir, body.expect("region body"), plan)
             }
             (DirKind::Barrier, _) => {
                 self.line(self.mode.barrier());
@@ -222,24 +222,24 @@ impl<'p> Emitter<'p> {
             }
             (DirKind::Master, Some(_)) => {
                 self.line("if (parade_thread_num() == 0)");
-                self.stmt(body.expect("master body"), syms, region)?;
+                self.stmt(body.expect("master body"), plan, region)?;
                 Ok(())
             }
             (DirKind::For, Some(class)) => {
                 let class = class.clone();
-                self.worksharing_for(dir, body.expect("loop"), syms, &class)
+                self.worksharing_for(dir, body.expect("loop"), plan, &class)
             }
             (DirKind::Critical(_), Some(class)) => {
                 let class = class.clone();
-                self.critical(dir, body.expect("critical body"), syms, &class)
+                self.critical(dir, body.expect("critical body"), plan, &class)
             }
             (DirKind::Atomic, Some(class)) => {
                 let class = class.clone();
-                self.atomic(body.expect("atomic body"), syms, &class, dir.line())
+                self.atomic(body.expect("atomic body"), plan, &class, dir.line())
             }
             (DirKind::Single, Some(class)) => {
                 let class = class.clone();
-                self.single(body.expect("single body"), syms, &class)
+                self.single(body.expect("single body"), plan, &class)
             }
             // Tasking constructs are emitted with serial elision: an
             // undeferred task executed inline is a legal task schedule, and
@@ -260,7 +260,7 @@ impl<'p> Emitter<'p> {
                         "/* task depend({list}): program order subsumes the edges */"
                     ));
                 }
-                self.stmt(body.expect("task body"), syms, region)
+                self.stmt(body.expect("task body"), plan, region)
             }
             (DirKind::Taskwait, _) => {
                 self.line("/* taskwait: no-op under serial elision */");
@@ -287,7 +287,7 @@ impl<'p> Emitter<'p> {
                     "/* target{dev}{map_text}: host fallback (the runtime \
                      offloads via pinned tasks + DSM notices) */"
                 ));
-                self.stmt(body.expect("target body"), syms, region)
+                self.stmt(body.expect("target body"), plan, region)
             }
             (kind, None) => Err(ParseError {
                 line: dir.line(),
@@ -302,11 +302,11 @@ impl<'p> Emitter<'p> {
         &mut self,
         dir: &Directive,
         body: &Stmt,
-        syms: &Symbols,
+        plan: &Lowering,
     ) -> Result<(), ParseError> {
         let id = self.region_count;
         self.region_count += 1;
-        let class = classify_region(dir, body, syms);
+        let class = classify_region(dir, body, plan.symbols());
 
         // Captured variables: everything shared / firstprivate /
         // lastprivate / reduction that is declared outside.
@@ -318,7 +318,7 @@ impl<'p> Emitter<'p> {
             if matches!(scope, VarScope::Private) {
                 continue;
             }
-            if let Some(d) = syms.get(name) {
+            if let Some(d) = plan.symbols().get(name) {
                 captured.push((name.clone(), scope, d.clone()));
             }
         }
@@ -380,7 +380,7 @@ impl<'p> Emitter<'p> {
             .collect();
         privs.sort();
         for name in privs {
-            if let Some(d) = syms.get(name) {
+            if let Some(d) = plan.symbols().get(name) {
                 inner.line(&format!("{};  /* private */", decl_text(d)));
             }
         }
@@ -408,9 +408,9 @@ impl<'p> Emitter<'p> {
         // For `parallel for`, the body is the loop itself.
         match dir.kind {
             DirKind::ParallelFor => {
-                inner.worksharing_for(dir, body, syms, &class)?;
+                inner.worksharing_for(dir, body, plan, &class)?;
             }
-            _ => inner.stmt(body, syms, Some(&class))?,
+            _ => inner.stmt(body, plan, Some(&class))?,
         }
 
         // Reduction epilogue.
@@ -451,7 +451,7 @@ impl<'p> Emitter<'p> {
         &mut self,
         dir: &Directive,
         body: &Stmt,
-        syms: &Symbols,
+        plan: &Lowering,
         class: &RegionClassification,
     ) -> Result<(), ParseError> {
         let Some(cl) = loop_of(body) else {
@@ -484,7 +484,7 @@ impl<'p> Emitter<'p> {
                     "for ({var} = __lo; {var} < __hi; {var} += {})",
                     cl.step
                 ));
-                self.stmt(&cl.body, syms, Some(class))?;
+                self.stmt(&cl.body, plan, Some(class))?;
                 self.indent -= 1;
                 self.line("}");
             }
@@ -493,7 +493,7 @@ impl<'p> Emitter<'p> {
                     "for ({var} = __lo; {var} < __hi; {var} += {})",
                     cl.step
                 ));
-                self.stmt(&cl.body, syms, Some(class))?;
+                self.stmt(&cl.body, plan, Some(class))?;
             }
         }
         self.indent -= 1;
@@ -513,11 +513,10 @@ impl<'p> Emitter<'p> {
         &mut self,
         _dir: &Directive,
         body: &Stmt,
-        syms: &Symbols,
+        plan: &Lowering,
         class: &RegionClassification,
     ) -> Result<(), ParseError> {
-        let lowering = analyze_critical(body, class, syms, self.threshold);
-        match (self.mode, lowering) {
+        match (self.mode, plan.critical(body, class)) {
             (EmitMode::Parade, CriticalLowering::Collective(updates)) => {
                 self.line("/* critical: lexically analyzable, small data ->");
                 self.line("   hierarchical pthread lock + collective update (Fig. 2) */");
@@ -540,23 +539,18 @@ impl<'p> Emitter<'p> {
                 }
                 Ok(())
             }
-            (EmitMode::Parade, CriticalLowering::Lock) => {
-                let lk = self.lock_count;
-                self.lock_count += 1;
-                self.line("/* critical: not analyzable -> hierarchical lock fallback */");
-                self.line("pthread_mutex_lock(&__parade_node_mutex);");
-                self.line(&format!("parade_lock({lk});"));
-                self.stmt(body, syms, Some(class))?;
-                self.line(&format!("parade_unlock({lk});"));
-                self.line("pthread_mutex_unlock(&__parade_node_mutex);");
-                Ok(())
-            }
+            (EmitMode::Parade, CriticalLowering::Lock) => self.parade_lock_fallback(
+                "/* critical: not analyzable, or a target on HLRC -> hierarchical lock fallback */",
+                body,
+                plan,
+                class,
+            ),
             (EmitMode::Sdsm, _) => {
                 let lk = self.lock_count;
                 self.lock_count += 1;
                 self.line("/* critical: conventional SDSM lock (Fig. 2 left) */");
                 self.line(&format!("sdsm_lock({lk});"));
-                self.stmt(body, syms, Some(class))?;
+                self.stmt(body, plan, Some(class))?;
                 self.line(&format!("sdsm_unlock({lk});"));
                 Ok(())
             }
@@ -566,39 +560,57 @@ impl<'p> Emitter<'p> {
     fn atomic(
         &mut self,
         body: &Stmt,
-        syms: &Symbols,
+        plan: &Lowering,
         class: &RegionClassification,
         line: usize,
     ) -> Result<(), ParseError> {
-        let Stmt::Expr(e, _) = body else {
-            return Err(ParseError {
-                line,
-                message: "atomic body must be an expression statement".into(),
-            });
-        };
-        let Some(u) = crate::analysis::as_scalar_update(e) else {
-            return Err(ParseError {
-                line,
-                message: "atomic body must be a scalar update x op= expr".into(),
-            });
-        };
-        match self.mode {
-            EmitMode::Parade => {
+        let lowering = plan.atomic(Some(body)).map_err(|why| ParseError {
+            line,
+            message: why.into(),
+        })?;
+        match (self.mode, lowering) {
+            (EmitMode::Parade, AtomicLowering::Collective(u)) => {
                 let operand = self.expr(&u.operand, Some(class));
                 self.line(&format!(
                     "parade_atomic_double(&{t}, PARADE_{op}, {operand});  /* atomic -> collective */",
                     t = u.target,
                     op = red_tag(u.op)
                 ));
+                Ok(())
             }
-            EmitMode::Sdsm => {
+            (EmitMode::Parade, AtomicLowering::Lock(_)) => self.parade_lock_fallback(
+                "/* atomic: target on HLRC -> hierarchical lock fallback */",
+                body,
+                plan,
+                class,
+            ),
+            (EmitMode::Sdsm, _) => {
                 let lk = self.lock_count;
                 self.lock_count += 1;
                 self.line(&format!("sdsm_lock({lk});"));
-                self.stmt(body, syms, Some(class))?;
+                self.stmt(body, plan, Some(class))?;
                 self.line(&format!("sdsm_unlock({lk});"));
+                Ok(())
             }
         }
+    }
+
+    /// `body` under the node mutex and a fresh distributed lock.
+    fn parade_lock_fallback(
+        &mut self,
+        comment: &str,
+        body: &Stmt,
+        plan: &Lowering,
+        class: &RegionClassification,
+    ) -> Result<(), ParseError> {
+        let lk = self.lock_count;
+        self.lock_count += 1;
+        self.line(comment);
+        self.line("pthread_mutex_lock(&__parade_node_mutex);");
+        self.line(&format!("parade_lock({lk});"));
+        self.stmt(body, plan, Some(class))?;
+        self.line(&format!("parade_unlock({lk});"));
+        self.line("pthread_mutex_unlock(&__parade_node_mutex);");
         Ok(())
     }
 
@@ -607,12 +619,12 @@ impl<'p> Emitter<'p> {
     fn single(
         &mut self,
         body: &Stmt,
-        syms: &Symbols,
+        plan: &Lowering,
         class: &RegionClassification,
     ) -> Result<(), ParseError> {
         let sid = self.single_count;
         self.single_count += 1;
-        match (self.mode, analyze_single(body, class, syms, self.threshold)) {
+        match (self.mode, plan.single(body, class)) {
             (EmitMode::Parade, SingleLowering::Broadcast(targets)) => {
                 self.line("/* single: small shared data -> pthread lock +");
                 self.line("   broadcast, no barrier (Fig. 3) */");
@@ -620,7 +632,7 @@ impl<'p> Emitter<'p> {
                 self.line(&format!("if (parade_single_begin({sid})) {{"));
                 self.indent += 1;
                 self.line("if (parade_node() == 0)");
-                self.stmt(body, syms, Some(class))?;
+                self.stmt(body, plan, Some(class))?;
                 for t in &targets {
                     self.line(&format!("parade_bcast(&{t}, sizeof({t}), 0);"));
                 }
@@ -631,10 +643,10 @@ impl<'p> Emitter<'p> {
                 Ok(())
             }
             (EmitMode::Parade, SingleLowering::LockFlagBarrier) => {
-                self.line("/* single: large data -> execute-once + barrier */");
+                self.line("/* single: large or HLRC data -> execute-once + barrier */");
                 self.line(&format!("if (parade_single_begin({sid})) {{"));
                 self.indent += 1;
-                self.stmt(body, syms, Some(class))?;
+                self.stmt(body, plan, Some(class))?;
                 self.line(&format!("parade_single_end({sid});"));
                 self.indent -= 1;
                 self.line("}");
@@ -649,7 +661,7 @@ impl<'p> Emitter<'p> {
                 self.line(&format!("sdsm_lock({lk});"));
                 self.line(&format!("if (!sdsm_flag_test_and_set({sid})) {{"));
                 self.indent += 1;
-                self.stmt(body, syms, Some(class))?;
+                self.stmt(body, plan, Some(class))?;
                 self.indent -= 1;
                 self.line("}");
                 self.line(&format!("sdsm_unlock({lk});"));

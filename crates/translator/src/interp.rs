@@ -22,12 +22,12 @@ use parade_net::sync::Mutex;
 
 use parade_core::{Cluster, MasterCtx, SharedScalar, SharedVec, ThreadCtx};
 
-use crate::analysis::DEFAULT_SMALL_THRESHOLD;
+use crate::analysis::{StorageKind, DEFAULT_SMALL_THRESHOLD};
 use crate::ast::{BinOp, Program, Sched, Span, Type, UnOp};
 use crate::oracle::{Oracle, RaceReport};
 use crate::resolve::{
     resolve, Code, DimsId, OmpFn, RAtomic, RBody, RDecl, RDirective, RExpr, RLock, RLoop, ROmp,
-    RPrivate, RStmt, RTask, RUpdate, RegionId, Shape, StorageKind, StrId, Sym,
+    RPrivate, RStmt, RTask, RUpdate, RegionId, Shape, StrId, Sym,
 };
 
 /// Interpreter failure.

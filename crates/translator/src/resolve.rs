@@ -24,8 +24,8 @@ use std::hash::{Hash, Hasher};
 use parade_core::ReduceOp;
 
 use crate::analysis::{
-    analyze_critical, analyze_single, as_scalar_update, classify_region, loop_of, CriticalLowering,
-    RegionClassification, SingleLowering, Symbols, VarScope,
+    classify_region, loop_of, AtomicLowering, CriticalLowering, Lowering, RegionClassification,
+    SingleLowering, StorageKind, VarScope,
 };
 use crate::ast::*;
 
@@ -318,20 +318,6 @@ pub(crate) struct RFunc {
     pub(crate) body: RStmt,
 }
 
-/// Storage class decided by the protocol-classification pre-pass (§3:
-/// "ParADE classifies data structures according to their size and applies
-/// different protocols"). A variable in no class is a master local.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StorageKind {
-    /// Large data: paged DSM, HLRC invalidate protocol.
-    SharedArr,
-    /// Small scalar, message-passing update protocol.
-    ScalarUpdate,
-    /// Scalar forced onto the paged DSM (written by plain stores or inside
-    /// lock-path constructs).
-    ScalarHlrc,
-}
-
 pub(crate) struct Stored {
     pub(crate) sym: Sym,
     pub(crate) kind: StorageKind,
@@ -383,19 +369,12 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
         }
     }
     let main = func_ids.get("main").copied();
-    let (symbols, storage) = match main {
-        Some(id) => {
-            let f = func_srcs[id.idx()];
-            let symbols = Symbols::collect(prog, f);
-            let storage = plan_storage(prog, f, &symbols, threshold);
-            (symbols, storage)
-        }
-        None => Default::default(),
+    let plan = match main {
+        Some(id) => Lowering::plan(prog, func_srcs[id.idx()], threshold),
+        None => Lowering::default(),
     };
     let mut r = Resolver {
-        threshold,
-        symbols,
-        storage,
+        plan,
         func_srcs,
         func_ids,
         sym_ids: HashMap::new(),
@@ -439,13 +418,13 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
         });
     }
     // Deterministic allocation order.
-    let mut names: Vec<String> = r.storage.keys().cloned().collect();
+    let mut names: Vec<String> = r.plan.storage().keys().cloned().collect();
     names.sort();
     for name in names {
-        if let Some(d) = r.symbols.get(&name).cloned() {
+        if let Some(d) = r.plan.symbols().get(&name).cloned() {
             let stored = Stored {
                 sym: r.sym(&name),
-                kind: r.storage[&name],
+                kind: r.plan.storage()[&name],
                 shape: r.shape(&d),
             };
             r.code.storage.push(stored);
@@ -455,10 +434,8 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
 }
 
 struct Resolver<'p> {
-    threshold: usize,
-    /// Declarations of `main` (what the directive analyses consult).
-    symbols: Symbols,
-    storage: HashMap<String, StorageKind>,
+    /// Declarations, storage classes and directive lowerings of `main`.
+    plan: Lowering,
     func_srcs: Vec<&'p FuncDef>,
     func_ids: HashMap<&'p str, FuncId>,
     sym_ids: HashMap<String, Sym>,
@@ -507,13 +484,9 @@ impl Resolver<'_> {
         }
     }
 
-    /// Is `name` a shared scalar on the update protocol?
-    fn on_update_protocol(&self, name: &str) -> bool {
-        self.storage.get(name) == Some(&StorageKind::ScalarUpdate)
-    }
-
     fn ty_of(&self, name: &str) -> Type {
-        self.symbols
+        self.plan
+            .symbols()
             .get(name)
             .map(|d| d.ty.clone())
             .unwrap_or(Type::Double)
@@ -638,12 +611,8 @@ impl Resolver<'_> {
             DirKind::Critical(name) => {
                 let body = need(body);
                 let name = name.as_deref().unwrap_or("<anonymous>");
-                let lowering =
-                    class.map(|c| analyze_critical(body, c, &self.symbols, self.threshold));
-                let collective = match lowering {
-                    Some(CriticalLowering::Collective(updates))
-                        if updates.iter().all(|u| self.on_update_protocol(&u.target)) =>
-                    {
+                let collective = match class.map(|c| self.plan.critical(body, c)) {
+                    Some(CriticalLowering::Collective(updates)) => {
                         Some(updates.iter().map(|u| self.update(u)).collect())
                     }
                     _ => None,
@@ -654,29 +623,18 @@ impl Resolver<'_> {
                     body: self.stmt(body, class),
                 }
             }
-            DirKind::Atomic => ROmp::Atomic(match body {
-                Some(Stmt::Expr(e, _)) => match as_scalar_update(e) {
-                    Some(u) if self.on_update_protocol(&u.target) => {
-                        RAtomic::Collective(self.update(&u))
-                    }
-                    Some(u) => RAtomic::Lock(
-                        lock(format!("atomic:{}", u.target), &u.target),
-                        self.stmt(need(body), class),
-                    ),
-                    None => RAtomic::Bad("atomic body must be a scalar update"),
-                },
-                _ => RAtomic::Bad("atomic body must be an expression statement"),
+            DirKind::Atomic => ROmp::Atomic(match self.plan.atomic(body) {
+                Ok(AtomicLowering::Collective(u)) => RAtomic::Collective(self.update(&u)),
+                Ok(AtomicLowering::Lock(u)) => RAtomic::Lock(
+                    lock(format!("atomic:{}", u.target), &u.target),
+                    self.stmt(need(body), class),
+                ),
+                Err(why) => RAtomic::Bad(why),
             }),
             DirKind::Single => {
                 let body = need(body);
-                let lowering =
-                    class.map(|c| analyze_single(body, c, &self.symbols, self.threshold));
-                let broadcast = match lowering {
-                    Some(SingleLowering::Broadcast(targets))
-                        if targets.iter().all(|t| self.on_update_protocol(t)) =>
-                    {
-                        Some(self.syms(&targets))
-                    }
+                let broadcast = match class.map(|c| self.plan.single(body, c)) {
+                    Some(SingleLowering::Broadcast(targets)) => Some(self.syms(&targets)),
                     _ => None,
                 };
                 ROmp::Single {
@@ -689,7 +647,7 @@ impl Resolver<'_> {
                     .maps()
                     .into_iter()
                     .map(|(_, var)| var)
-                    .filter(|var| self.symbols.get(var).is_none())
+                    .filter(|var| self.plan.symbols().get(var).is_none())
                     .collect();
                 let mut deps: Vec<String> = dir.depends().into_iter().map(|(_, v)| v).collect();
                 deps.sort();
@@ -747,7 +705,7 @@ impl Resolver<'_> {
     }
 
     fn region(&mut self, dir: &Directive, body: &Stmt) -> RRegion {
-        let class = classify_region(dir, body, &self.symbols);
+        let class = classify_region(dir, body, self.plan.symbols());
         let firstprivates = dir.firstprivates();
         let mut scopes: Vec<(&String, &VarScope)> = class.scopes.iter().collect();
         scopes.sort_by_key(|(name, _)| *name);
@@ -756,7 +714,7 @@ impl Resolver<'_> {
             let how = match scope {
                 VarScope::Shared => continue,
                 VarScope::Private | VarScope::LastPrivate => {
-                    let Some(d) = self.symbols.get(name).cloned() else {
+                    let Some(d) = self.plan.symbols().get(name).cloned() else {
                         continue;
                     };
                     RPrivate::Zero(self.shape(&d))
@@ -823,200 +781,12 @@ fn contains_omp(s: &Stmt) -> bool {
     }
 }
 
-// ---- storage planning --------------------------------------------------------
-
-/// Decide the storage/protocol of every variable (globals + main locals):
-/// arrays shared by any region go to the paged DSM; shared scalars use the
-/// update protocol unless written by plain stores or lock-path constructs,
-/// which force HLRC.
-fn plan_storage(
-    prog: &Program,
-    main: &FuncDef,
-    syms: &Symbols,
-    threshold: usize,
-) -> HashMap<String, StorageKind> {
-    let mut kinds: HashMap<String, StorageKind> = HashMap::new();
-    // Globals are conservatively shared (callees may touch them from
-    // inside regions).
-    for item in &prog.items {
-        if let Item::Global(d) = item {
-            kinds.insert(
-                d.name.clone(),
-                if d.is_array() {
-                    StorageKind::SharedArr
-                } else {
-                    StorageKind::ScalarHlrc
-                },
-            );
-        }
-    }
-    // Walk main for parallel regions.
-    let mut regions = Vec::new();
-    collect_regions(&main.body, &mut regions);
-    for (dir, body) in regions {
-        let class = classify_region(dir, body, syms);
-        for name in class.shared_vars() {
-            let Some(d) = syms.get(&name) else { continue };
-            let entry = kinds.entry(name.clone()).or_insert(if d.is_array() {
-                StorageKind::SharedArr
-            } else {
-                StorageKind::ScalarUpdate
-            });
-            if d.is_array() {
-                *entry = StorageKind::SharedArr;
-            }
-        }
-        // Plain writes (outside analyzable constructs) force HLRC.
-        let mut forced = Vec::new();
-        forced_hlrc_writes(body, &class, syms, threshold, &mut forced);
-        for name in forced {
-            if let Some(k) = kinds.get_mut(&name) {
-                if *k == StorageKind::ScalarUpdate {
-                    *k = StorageKind::ScalarHlrc;
-                }
-            }
-        }
-    }
-    kinds
-}
-
-fn collect_regions<'a>(s: &'a Stmt, out: &mut Vec<(&'a Directive, &'a Stmt)>) {
-    match s {
-        Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Parallel | DirKind::ParallelFor) => {
-            out.push((d, b));
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_regions(s, out);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            collect_regions(a, out);
-            if let Some(b) = b {
-                collect_regions(b, out);
-            }
-        }
-        Stmt::While(_, b) => collect_regions(b, out),
-        Stmt::For { body, .. } => collect_regions(body, out),
-        _ => {}
-    }
-}
-
-/// Scalar shared variables written by plain assignments or inside
-/// lock-lowered constructs within a region body.
-fn forced_hlrc_writes(
-    s: &Stmt,
-    class: &RegionClassification,
-    syms: &Symbols,
-    threshold: usize,
-    out: &mut Vec<String>,
-) {
-    match s {
-        Stmt::Expr(e, _) => expr_plain_writes(e, out),
-        Stmt::Decl(d) => {
-            if let Some(e) = &d.init {
-                expr_plain_writes(e, out);
-            }
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                forced_hlrc_writes(s, class, syms, threshold, out);
-            }
-        }
-        Stmt::If(c, a, b) => {
-            expr_plain_writes(c, out);
-            forced_hlrc_writes(a, class, syms, threshold, out);
-            if let Some(b) = b {
-                forced_hlrc_writes(b, class, syms, threshold, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            expr_plain_writes(c, out);
-            forced_hlrc_writes(b, class, syms, threshold, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            for e in [init, cond, step].into_iter().flatten() {
-                expr_plain_writes(e, out);
-            }
-            forced_hlrc_writes(body, class, syms, threshold, out);
-        }
-        Stmt::Omp(dir, Some(body)) => match &dir.kind {
-            DirKind::Critical(_) => {
-                if let CriticalLowering::Lock = analyze_critical(body, class, syms, threshold) {
-                    // Writes inside a lock-path critical go to the DSM.
-                    all_scalar_writes(body, out);
-                }
-            }
-            DirKind::Atomic => { /* collective path, never forces */ }
-            DirKind::Single => {
-                if let SingleLowering::LockFlagBarrier =
-                    analyze_single(body, class, syms, threshold)
-                {
-                    all_scalar_writes(body, out);
-                }
-            }
-            _ => forced_hlrc_writes(body, class, syms, threshold, out),
-        },
-        _ => {}
-    }
-}
-
-fn expr_plain_writes(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Assign(_, lhs, rhs) => {
-            if let Expr::Ident(n) = lhs.as_ref() {
-                out.push(n.clone());
-            }
-            expr_plain_writes(rhs, out);
-        }
-        Expr::Binary(_, a, b) => {
-            expr_plain_writes(a, out);
-            expr_plain_writes(b, out);
-        }
-        Expr::Unary(_, a) => expr_plain_writes(a, out),
-        Expr::Cond(c, a, b) => {
-            expr_plain_writes(c, out);
-            expr_plain_writes(a, out);
-            expr_plain_writes(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_plain_writes(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn all_scalar_writes(s: &Stmt, out: &mut Vec<String>) {
-    match s {
-        Stmt::Expr(e, _) => expr_plain_writes(e, out),
-        Stmt::Block(ss) => {
-            for s in ss {
-                all_scalar_writes(s, out);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            all_scalar_writes(a, out);
-            if let Some(b) = b {
-                all_scalar_writes(b, out);
-            }
-        }
-        Stmt::While(_, b) => all_scalar_writes(b, out),
-        Stmt::For { body, .. } => all_scalar_writes(body, out),
-        Stmt::Omp(_, Some(b)) => all_scalar_writes(b, out),
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::DEFAULT_SMALL_THRESHOLD;
+    use crate::emit::{translate_default, EmitMode};
+    use crate::parser::parse;
 
     #[test]
     fn every_math_builtin_resolves_under_its_own_name() {
@@ -1025,5 +795,137 @@ mod tests {
             assert_eq!(f.name(), *name);
         }
         assert!(MathFn::from_name("printf").is_none());
+    }
+
+    /// Collective-lowered `[critical, atomic, single]` sites under `s`.
+    fn count_sites(s: &RStmt, n: &mut [usize; 3]) {
+        match s {
+            RStmt::If(_, a, b) => {
+                count_sites(a, n);
+                if let Some(b) = b {
+                    count_sites(b, n);
+                }
+            }
+            RStmt::While(_, body) | RStmt::For { body, .. } => count_sites(body, n),
+            RStmt::Block(ss) => ss.iter().for_each(|s| count_sites(s, n)),
+            RStmt::Omp(d) => match &d.op {
+                ROmp::Master(body) => count_sites(body, n),
+                ROmp::For(l) => count_loop_sites(l, n),
+                ROmp::Critical {
+                    collective, body, ..
+                } => {
+                    n[0] += usize::from(collective.is_some());
+                    count_sites(body, n);
+                }
+                ROmp::Atomic(a) => n[1] += usize::from(matches!(a, RAtomic::Collective(_))),
+                ROmp::Single { broadcast, body } => {
+                    n[2] += usize::from(broadcast.is_some());
+                    count_sites(body, n);
+                }
+                ROmp::Task(t) => count_sites(&t.body, n),
+                ROmp::Barrier | ROmp::Taskwait => {}
+            },
+            _ => {}
+        }
+    }
+
+    fn count_loop_sites(l: &RLoop, n: &mut [usize; 3]) {
+        if let Some(c) = &l.canon {
+            count_sites(&c.body, n);
+        }
+    }
+
+    fn resolved_sites(prog: &Program) -> [usize; 3] {
+        let code = resolve(prog, DEFAULT_SMALL_THRESHOLD);
+        let mut n = [0; 3];
+        for f in &code.funcs {
+            count_sites(&f.body, &mut n);
+        }
+        for r in &code.regions {
+            match &r.body {
+                RBody::Stmt(s) => count_sites(s, &mut n),
+                RBody::Loop(l) => count_loop_sites(l, &mut n),
+            }
+        }
+        n
+    }
+
+    /// The same three counts, from the comment the emitter opens each
+    /// collective lowering with.
+    fn emitted_sites(text: &str) -> [usize; 3] {
+        [
+            "/* critical: lexically analyzable",
+            "/* atomic -> collective */",
+            "/* single: small shared data",
+        ]
+        .map(|marker| text.matches(marker).count())
+    }
+
+    /// `single` writes an array, so it takes the flag + barrier path and its
+    /// plain store forces `s` onto HLRC; the `critical` on `s` is lexically
+    /// a collective update but must then take the lock, in the emitted
+    /// text as in the executor.
+    #[test]
+    fn emitted_translation_demotes_a_critical_whose_target_is_on_hlrc() {
+        let prog = parse(
+            r#"int main() {
+    double a[64];
+    double s = 0.0;
+    #pragma omp parallel
+    {
+        #pragma omp single
+        { a[0] = 1.0; s = 2.0; }
+        #pragma omp critical
+        { s += 1.0; }
+    }
+    return 0;
+}
+"#,
+        )
+        .unwrap();
+        assert_eq!(resolved_sites(&prog), [0, 0, 0]);
+        let out = translate_default(&prog, EmitMode::Parade).unwrap();
+        assert_eq!(emitted_sites(&out), [0, 0, 0], "{out}");
+        assert!(out.contains("parade_lock(0);"), "{out}");
+        assert!(!out.contains("parade_allreduce_double(&s"), "{out}");
+    }
+
+    #[test]
+    fn emitter_and_executor_lower_the_same_sites_collectively() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut compared = 0;
+        let mut total = [0; 3];
+        for dir in [
+            "tests/corpus/clean",
+            "tests/corpus/conform",
+            "tests/corpus/racy",
+            "examples/openmp",
+        ] {
+            for entry in std::fs::read_dir(format!("{root}/{dir}")).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_none_or(|e| e != "c") {
+                    continue;
+                }
+                // Programs the parser or the emitter rejects (the `conform`
+                // corpus) have no translation to compare.
+                let Ok(prog) = parse(&std::fs::read_to_string(&path).unwrap()) else {
+                    continue;
+                };
+                let Ok(out) = translate_default(&prog, EmitMode::Parade) else {
+                    continue;
+                };
+                let resolved = resolved_sites(&prog);
+                assert_eq!(emitted_sites(&out), resolved, "{}\n{out}", path.display());
+                compared += 1;
+                for (t, r) in total.iter_mut().zip(resolved) {
+                    *t += r;
+                }
+            }
+        }
+        assert!(compared >= 30, "only {compared} programs compared");
+        assert!(
+            total.iter().all(|&t| t > 0),
+            "a construct is never lowered collectively: {total:?}"
+        );
     }
 }

@@ -48,11 +48,15 @@ else
   echo "(skipped: clippy not installed)"
 fi
 
-echo "== paradec check + run over examples/openmp (analyzer and interpreter smoke) =="
+echo "== paradec check + run + translate over examples/openmp (analyzer, interpreter and emitter smoke) =="
 for f in examples/openmp/*.c; do
   cargo run -q --offline -p parade-check --bin paradec -- check "$f"
   cargo run -q --offline -p parade-check --bin paradec -- \
     run "$f" --nodes 2 --threads 2 > /dev/null
+  for mode in parade sdsm; do
+    cargo run -q --offline -p parade-check --bin paradec -- \
+      translate "$f" --mode "$mode" > /dev/null
+  done
 done
 # The analyzer gate must also FAIL closed: a racy program exits non-zero.
 RACY_TMP="$(mktemp -d)"

@@ -424,29 +424,18 @@ prop!(fn lexer_handles_arbitrary_pragmas(body in |r: &mut TestRng| {
 // ---- hierarchical collectives vs flat vs sequential reference -----------------
 
 /// Run `rounds` of barrier → allreduce(Sum, i64+f64) → allreduce(Max) →
-/// bcast on `size` MPI ranks, either flat (`groups = None`) or over an
-/// explicit SMP placement. Every observed value is returned as raw bits,
-/// so equality below means *bit-identical*. All f64 operands are exact
-/// small integers: every fold order yields the same bits, which is what
-/// lets a two-level combine be compared against a flat one at all.
-fn run_mpi_collectives_shaped(
-    size: usize,
-    groups: Option<Vec<Vec<usize>>>,
-    rounds: usize,
-) -> Vec<Vec<u64>> {
-    use std::sync::Arc;
-
-    use parade::mpi::{CollectiveTopology, Communicator, ReduceOp};
+/// bcast on `size` MPI ranks. Every observed value is returned as raw
+/// bits, so equality below means *bit-identical*. All f64 operands are
+/// exact small integers: the tree's fold order and the sequential one
+/// yield the same bits.
+fn run_mpi_collectives(size: usize, rounds: usize) -> Vec<Vec<u64>> {
+    use parade::mpi::{Communicator, ReduceOp};
     use parade::net::{Fabric, VClock};
 
     let fabric = Fabric::new(size, NetProfile::clan_via());
-    let topo = groups.map(|g| Arc::new(CollectiveTopology::from_groups(size, g)));
     let handles: Vec<_> = (0..size)
         .map(|rank| {
-            let comm = match &topo {
-                Some(t) => Communicator::with_topology(fabric.endpoint(rank), Arc::clone(t)),
-                None => Communicator::new(fabric.endpoint(rank)),
-            };
+            let comm = Communicator::new(fabric.endpoint(rank));
             std::thread::spawn(move || {
                 let mut clk = VClock::manual();
                 let mut seen = Vec::new();
@@ -481,7 +470,7 @@ fn run_mpi_collectives_shaped(
     out
 }
 
-/// The sequential reference for [`run_mpi_collectives_shaped`]: what one
+/// The sequential reference for [`run_mpi_collectives`]: what one
 /// rank's log must contain, computed with plain loops and no fabric.
 fn sequential_collectives_reference(size: usize, rounds: usize) -> Vec<u64> {
     let mut seen = Vec::new();
@@ -499,87 +488,50 @@ fn sequential_collectives_reference(size: usize, rounds: usize) -> Vec<u64> {
     seen
 }
 
-/// A random partition of `0..size` into non-empty groups — deliberately
-/// *not* restricted to consecutive blocks, so leader election is exercised
-/// on arbitrary placements (leader = lowest rank of each group, which may
-/// sit anywhere in `0..size`).
-fn random_groups(r: &mut TestRng, size: usize) -> Vec<Vec<usize>> {
-    let mut ranks: Vec<usize> = (0..size).collect();
-    for i in (1..ranks.len()).rev() {
-        ranks.swap(i, r.below(i as u64 + 1) as usize);
-    }
-    let mut groups = Vec::new();
-    let mut rest = &ranks[..];
-    while !rest.is_empty() {
-        let take = r.range_usize(1, 4.min(rest.len() + 1)).max(1);
-        groups.push(rest[..take].to_vec());
-        rest = &rest[take..];
-    }
-    groups
-}
-
-prop!(cases = 10, fn two_level_collectives_match_single_level_and_reference(
-    (size, groups, rounds) in |r: &mut TestRng| {
-        let size = r.range_usize(2, 10);
-        let groups = random_groups(r, size);
-        (size, groups, r.range_usize(2, 5).max(1))
-    }) {
-    if size < 2 || groups.iter().map(Vec::len).sum::<usize>() != size {
+prop!(cases = 10, fn mpi_collectives_match_the_sequential_reference(
+    (size, rounds) in |r: &mut TestRng| (r.range_usize(2, 10), r.range_usize(2, 5))) {
+    if size < 2 {
         return; // shrunk out of the generator's precondition
     }
-    let hier = run_mpi_collectives_shaped(size, Some(groups.clone()), rounds);
-    let flat = run_mpi_collectives_shaped(size, None, rounds);
     let reference = sequential_collectives_reference(size, rounds);
-    for (rank, log) in hier.iter().enumerate() {
-        assert_eq!(
-            log, &reference,
-            "rank {rank} over groups {groups:?} diverged from the sequential reference"
-        );
+    for (rank, log) in run_mpi_collectives(size, rounds).iter().enumerate() {
+        assert_eq!(log, &reference, "rank {rank} of {size} diverged from the sequential reference");
     }
-    assert_eq!(hier, flat, "two-level must be bit-identical to single-level ({groups:?})");
 });
 
-prop!(cases = 6, fn cluster_collectives_match_across_chassis_widths(
-    (nodes, tpn, width) in |r: &mut TestRng| {
-        (r.range_usize(2, 6), r.range_usize(1, 3), r.range_usize(1, 5))
-    }) {
-    if nodes < 2 || tpn == 0 || width == 0 {
+prop!(cases = 6, fn cluster_collectives_match_the_closed_form(
+    (nodes, tpn) in |r: &mut TestRng| (r.range_usize(2, 6), r.range_usize(1, 3))) {
+    if nodes < 2 || tpn == 0 {
         return; // shrunk out of the generator's precondition
     }
-    // The whole runtime stack — DSM tree barrier underneath, MPI two-level
-    // collectives above — must produce the same bits as one node per
-    // chassis, and the closed form, on arbitrary (nodes, threads,
-    // smp_width) shapes.
-    let run = |width: usize| {
-        let cluster = parade::core::Cluster::builder()
-            .nodes(nodes)
-            .threads_per_node(tpn)
-            .net(NetProfile::zero())
-            .time(parade::net::TimeSource::Manual)
-            .smp_width(width)
-            .build()
-            .unwrap();
-        cluster.run(move |g| {
-            let v = g.alloc_f64(64);
-            g.parallel(move |tc| {
-                let mine = parade::core::partition(0..64, tc.num_threads(), tc.thread_num());
-                for i in mine {
-                    tc.set(&v, i, (i * 3 + 1) as f64);
-                }
-                tc.barrier();
-                let mut acc = 0.0;
-                for i in 0..64 {
-                    acc += tc.get(&v, i);
-                }
-                tc.reduce_f64_sum(acc)
-            })
+    // The whole runtime stack — DSM tree barrier underneath, the node
+    // combine and MPI collectives above — must produce the closed form on
+    // arbitrary (nodes, threads) shapes.
+    let cluster = parade::core::Cluster::builder()
+        .nodes(nodes)
+        .threads_per_node(tpn)
+        .net(NetProfile::zero())
+        .time(parade::net::TimeSource::Manual)
+        .build()
+        .unwrap();
+    let total = cluster.run(move |g| {
+        let v = g.alloc_f64(64);
+        g.parallel(move |tc| {
+            let mine = parade::core::partition(0..64, tc.num_threads(), tc.thread_num());
+            for i in mine {
+                tc.set(&v, i, (i * 3 + 1) as f64);
+            }
+            tc.barrier();
+            let mut acc = 0.0;
+            for i in 0..64 {
+                acc += tc.get(&v, i);
+            }
+            tc.reduce_f64_sum(acc)
         })
-    };
-    let hier = run(width);
-    assert_eq!(hier.to_bits(), run(1).to_bits(), "shape ({nodes}x{tpn}, width {width})");
+    });
     // Every thread sums all 64 slots; the reduction adds one copy per thread.
     let per_thread: usize = (0..64).map(|i| i * 3 + 1).sum();
-    assert_eq!(hier, (per_thread * nodes * tpn) as f64);
+    assert_eq!(total, (per_thread * nodes * tpn) as f64, "shape {nodes}x{tpn}");
 });
 
 // ---- adaptive protocol equivalence --------------------------------------------
