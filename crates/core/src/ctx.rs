@@ -73,12 +73,36 @@ impl Reducible for i64 {
     }
 }
 
+/// The vector an open [`ThreadCtx::view`] borrows, for the panic that
+/// names it.
+#[derive(Clone, Copy)]
+struct ViewedVec {
+    region: u32,
+    len: usize,
+    elem: &'static str,
+}
+
+/// Marks a view open for as long as it lives; nested views stack through
+/// the mark each one displaced.
+struct OpenView<'t> {
+    slot: &'t Cell<Option<ViewedVec>>,
+    outer: Option<ViewedVec>,
+}
+
+impl Drop for OpenView<'_> {
+    fn drop(&mut self) {
+        self.slot.set(self.outer);
+    }
+}
+
 /// Per-thread context inside a parallel region.
 pub struct ThreadCtx {
     rt: Arc<NodeRt>,
     local_tid: usize,
     region_no: u64,
     clock: RefCell<VClock>,
+    /// The innermost open [`ThreadCtx::view`], if any.
+    viewed: Cell<Option<ViewedVec>>,
     single_seq: Cell<u64>,
     reduce_seq: Cell<u64>,
     loop_seq: Cell<u64>,
@@ -91,6 +115,7 @@ impl ThreadCtx {
             local_tid,
             region_no,
             clock: RefCell::new(clock),
+            viewed: Cell::new(None),
             single_seq: Cell::new(0),
             reduce_seq: Cell::new(0),
             loop_seq: Cell::new(0),
@@ -209,6 +234,47 @@ impl ThreadCtx {
         self.with_clock(|c| self.rt.dsm.write_slice(v.region, first, src, c))
     }
 
+    /// Run `f` on elements `range` of `v` where they live — the node's own
+    /// copy of the pages, faulted in exactly as [`ThreadCtx::read_into`]
+    /// would, with no copy made. `f` may read and write other shared data
+    /// (`get`, `write_from`, nested views, reductions that lower to
+    /// collectives), but a view is good for one interval: reaching a
+    /// barrier or taking a DSM lock inside `f` — where write notices are
+    /// applied and the pages under the slice may be invalidated — panics,
+    /// naming `v`. Nor may `f` store into the range it is viewing.
+    pub fn view<T: Pod, R>(
+        &self,
+        v: &SharedVec<T>,
+        range: Range<usize>,
+        f: impl FnOnce(&[T]) -> R,
+    ) -> R {
+        // The clock is released before `f` runs: `f` charges it too.
+        let elems = self.with_clock(|c| self.rt.dsm.view(v.region, range.start, range.len(), c));
+        let _open = OpenView {
+            slot: &self.viewed,
+            outer: self.viewed.replace(Some(ViewedVec {
+                region: v.region.id,
+                len: v.len,
+                elem: std::any::type_name::<T>(),
+            })),
+        };
+        f(elems)
+    }
+
+    /// Fail-stop where write notices are about to be applied under a view.
+    /// (The baseline `single` takes its DSM lock unchecked: the barrier it
+    /// ends with is reached by every thread and refuses.)
+    #[inline]
+    pub(crate) fn end_of_interval(&self, what: &str) {
+        if let Some(v) = self.viewed.get() {
+            panic!(
+                "{what} inside a view of SharedVec<{}> #{} ({} elements): a view is good for \
+                 one interval, the pages under it may be invalidated here",
+                v.elem, v.region, v.len
+            );
+        }
+    }
+
     /// Read a shared scalar (update-protocol local copy in Parade mode,
     /// DSM page in the baseline).
     pub fn scalar_get<T: Pod + ScalarPrim>(&self, s: &SharedScalar<T>) -> T {
@@ -225,6 +291,7 @@ impl ThreadCtx {
     /// home migration) performed by one representative per node — the
     /// last thread to reach the node barrier, from inside it.
     pub fn barrier(&self) {
+        self.end_of_interval("barrier()");
         if trace::enabled() {
             trace::begin(EventKind::OmpBarrier, self.now());
         }
@@ -372,6 +439,7 @@ impl ThreadCtx {
     }
 
     fn critical_raw<R>(&self, lock_id: u64, f: impl FnOnce(&ThreadCtx) -> R) -> R {
+        self.end_of_interval("a DSM lock acquire");
         if trace::enabled() {
             trace::begin_arg(EventKind::OmpCritical, lock_id, self.now());
         }
@@ -780,6 +848,11 @@ impl<'t, T: Pod> BoundVec<'t, T> {
 
     pub fn write_from(&self, first: usize, src: &[T]) {
         self.tc.write_from(&self.v, first, src)
+    }
+
+    /// Elements `range` in place, see [`ThreadCtx::view`].
+    pub fn view<R>(&self, range: Range<usize>, f: impl FnOnce(&[T]) -> R) -> R {
+        self.tc.view(&self.v, range, f)
     }
 }
 

@@ -140,6 +140,7 @@ impl TaskScope<'_> {
     /// completion notices (the `map(from)` acquire), so mapped results are
     /// fetched fresh on the next read.
     pub fn target_sync(&mut self, id: u64) {
+        self.tc.end_of_interval("target_sync()");
         let mut clock = self.tc.take_clock();
         let mut ex = CoreExecutor {
             tc: self.tc,
@@ -152,6 +153,7 @@ impl TaskScope<'_> {
     /// `#pragma omp taskwait`: block until every root task spawned by this
     /// node has completed, executing locally queued tasks meanwhile.
     pub fn taskwait(&mut self) {
+        self.tc.end_of_interval("taskwait()");
         let mut clock = self.tc.take_clock();
         let mut ex = CoreExecutor {
             tc: self.tc,

@@ -571,6 +571,21 @@ impl MasterCtx {
             .write_slice(v.region, first, src, &mut self.clock)
     }
 
+    /// Run `f` on elements `range` of `v` in place, see
+    /// [`ThreadCtx::view`]. The serial context is borrowed for as long as
+    /// the slice lives, so nothing can end the interval under it.
+    pub fn view<T: Pod, R>(
+        &mut self,
+        v: &SharedVec<T>,
+        range: std::ops::Range<usize>,
+        f: impl FnOnce(&[T]) -> R,
+    ) -> R {
+        f(self
+            .rt
+            .dsm
+            .view(v.region, range.start, range.len(), &mut self.clock))
+    }
+
     /// Barrier-time checkpoint: snapshot a shared vector's bytes through
     /// the coherent read path. Taken between parallel regions, the
     /// snapshot is a consistent cut a re-homed job can be restored from.

@@ -288,8 +288,51 @@ impl Dsm {
         }
     }
 
+    /// `len` elements of `T` starting at element `first`, read where they
+    /// live: every covered page is faulted in exactly as a bulk read of the
+    /// range would (same fetches, trace events and virtual-time charges),
+    /// then the pool's own bytes are handed out — no copy.
+    ///
+    /// A view is good for one interval. The pages under it stay readable
+    /// until this node next applies write notices (a barrier departure, a
+    /// lock grant, a task-dependency notice), which may invalidate them and
+    /// let a later fetch overwrite the bytes: nothing here checks that, the
+    /// caller must let go of the slice first (`parade-core`'s `view`
+    /// closures turn a barrier or lock inside one into a panic). Nor may
+    /// the caller store into the range it is viewing.
+    ///
+    /// There is no mutable counterpart: a store holds its page's entry lock
+    /// against a sibling's release-time flush (see [`Dsm::write`]), and a
+    /// `&mut [T]` over hundreds of pages would hold hundreds of them for as
+    /// long as it lived — against the communication thread, and so against
+    /// a remote fetch this very thread may be waiting on.
+    pub fn view<'a, T: Copy>(
+        &'a self,
+        h: RegionHandle,
+        first: usize,
+        len: usize,
+        clock: &mut VClock,
+    ) -> &'a [T] {
+        let esz = std::mem::size_of::<T>();
+        assert!(
+            first
+                .checked_add(len)
+                .and_then(|end| end.checked_mul(esz))
+                .is_some_and(|end| end <= h.len),
+            "shared view out of bounds: elements {first}..+{len} of {esz} bytes in a region of {}",
+            h.len
+        );
+        if len == 0 {
+            return &[];
+        }
+        let start = h.offset + first * esz;
+        self.ensure_readable(start, len * esz, clock);
+        // SAFETY: all covered pages are readable; bounds checked above.
+        unsafe { self.pool.slice(start, len) }
+    }
+
     /// Bulk-read `out.len()` elements starting at element `first` (of size
-    /// `size_of::<T>()`).
+    /// `size_of::<T>()`): a copy out of [`Dsm::view`].
     pub fn read_slice<T: Copy>(
         &self,
         h: RegionHandle,
@@ -297,22 +340,7 @@ impl Dsm {
         out: &mut [T],
         clock: &mut VClock,
     ) {
-        if out.is_empty() {
-            return;
-        }
-        let esz = std::mem::size_of::<T>();
-        let start = h.offset + first * esz;
-        let len = std::mem::size_of_val(out);
-        assert!(
-            first * esz + len <= h.len,
-            "shared slice read out of bounds"
-        );
-        self.ensure_readable(start, len, clock);
-        // SAFETY: all covered pages are readable; bounds checked above.
-        unsafe {
-            let bytes = std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut u8, len);
-            self.pool.read_bytes(start, bytes);
-        }
+        out.copy_from_slice(self.view(h, first, out.len(), clock));
     }
 
     /// Bulk-write elements starting at element `first`. Applies the same
@@ -400,12 +428,12 @@ impl Dsm {
             }
             return;
         }
-        let pages: Vec<PageId> = crate::page::pages_covering(start, len).collect();
-        let mut i = 0;
-        while i < pages.len() {
-            let first = pages[i];
+        let pages = crate::page::pages_covering(start, len);
+        let (mut page, last) = (*pages.start(), *pages.end());
+        while page <= last {
+            let first = page;
             if self.pages[first].fast.load(Ordering::Acquire) >= PageState::ReadOnly as u8 {
-                i += 1;
+                page += 1;
                 continue;
             }
             let home = self.home_of(first);
@@ -413,19 +441,18 @@ impl Dsm {
                 // A home copy is never INVALID; the fast flag must have
                 // been racing with a migration. Take the ordinary path.
                 self.read_fault(first, clock);
-                i += 1;
+                page += 1;
                 continue;
             }
             // Claim a run of contiguous INVALID pages with the same home.
             // Claiming marks each TRANSIENT (we own its update); a page
             // that is not INVALID at lock time ends the run.
             let mut claimed = 0usize;
-            while i < pages.len() && claimed < MAX_FETCH_RANGE {
-                let p = pages[i];
-                if p != first + claimed || self.home_of(p) != home {
+            while page <= last && claimed < MAX_FETCH_RANGE {
+                if self.home_of(page) != home {
                     break;
                 }
-                let meta = &self.pages[p];
+                let meta = &self.pages[page];
                 let mut inner = meta.inner.lock();
                 if inner.state != PageState::Invalid {
                     break;
@@ -433,13 +460,13 @@ impl Dsm {
                 meta.set_state(&mut inner, PageState::Transient);
                 drop(inner);
                 claimed += 1;
-                i += 1;
+                page += 1;
             }
             if claimed == 0 {
                 // Readable already, or mid-update by a sibling thread:
                 // read_fault waits it out.
                 self.read_fault(first, clock);
-                i += 1;
+                page += 1;
                 continue;
             }
             self.stats

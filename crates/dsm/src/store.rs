@@ -27,8 +27,19 @@ use crate::page::{PageId, PAGE_SIZE};
 /// Reads/writes use raw-pointer `read_volatile`/`write_volatile` on small
 /// scalars so racing accesses (which the simulated platform permits) do not
 /// get miscompiled into anything worse than a stale/torn value.
+///
+/// # Alignment
+///
+/// The pool is a slice of `u64` words, so its base is 8-aligned because of
+/// what it is made of, on any allocator. Regions start on page boundaries
+/// ([`RegionAllocator`]), so element `i` of a region of `T` sits at a
+/// multiple of `align_of::<T>()` for every `T` up to 8 bytes of alignment:
+/// what [`RawPool::slice`] hands out as `&[T]`. (Asking the allocator for
+/// the alignment instead — a `Layout` aligned above its minimum — makes
+/// std's `alloc_zeroed` a `posix_memalign` plus a `memset`, which commits
+/// every page of a pool that `calloc` maps lazily: 64 MB per node.)
 pub struct RawPool {
-    bytes: Box<[UnsafeCell<u8>]>,
+    words: Box<[UnsafeCell<u64>]>,
     /// Every byte from this offset on is still zero, as allocated: all a
     /// recycled pool has to clear again is what comes before it.
     clean_from: usize,
@@ -40,8 +51,11 @@ const SPARE_MAX_LEN: usize = 1 << 20;
 /// Per-thread spare-list cap; beyond this, dropped pools are freed.
 const SPARE_CAP: usize = 16;
 
-/// A retired pool's bytes and the `clean_from` it retired with.
-type Spare = (Box<[UnsafeCell<u8>]>, usize);
+/// Bytes per word of the pool's backing store.
+const WORD: usize = std::mem::size_of::<u64>();
+
+/// A retired pool's words and the `clean_from` it retired with.
+type Spare = (Box<[UnsafeCell<u64>]>, usize);
 
 thread_local! {
     /// Small pools dropped by this thread, contents unspecified below each
@@ -61,10 +75,10 @@ unsafe impl Send for RawPool {}
 
 impl Drop for RawPool {
     fn drop(&mut self) {
-        if self.bytes.len() > SPARE_MAX_LEN {
+        if self.len() > SPARE_MAX_LEN {
             return;
         }
-        let spare = (std::mem::take(&mut self.bytes), self.clean_from);
+        let spare = (std::mem::take(&mut self.words), self.clean_from);
         // `Err`: the thread is exiting and its list is gone; free the pool.
         let _ = SPARE.try_with(move |s| {
             let mut s = s.borrow_mut();
@@ -80,34 +94,36 @@ impl RawPool {
         assert!(len.is_multiple_of(PAGE_SIZE), "pool must be page aligned");
         let spare = SPARE.with(|s| {
             let mut s = s.borrow_mut();
-            let found = s.iter().position(|(b, _)| b.len() == len);
+            let found = s.iter().position(|(w, _)| w.len() * WORD == len);
             found.map(|i| s.swap_remove(i))
         });
-        if let Some((mut bytes, written)) = spare {
+        if let Some((mut words, written)) = spare {
             // A serve job allocates a few pages of its 64: clearing them
             // all would keep every spare pool wholly resident.
-            // SAFETY: `bytes` is exclusively owned and `len >= written`
-            // bytes long; `UnsafeCell<u8>` is `repr(transparent)` over `u8`.
-            unsafe { bytes.as_mut_ptr().cast::<u8>().write_bytes(0, written) };
+            // SAFETY: `words` is exclusively owned and `len >= written`
+            // bytes long; `UnsafeCell<u64>` is `repr(transparent)` over `u64`.
+            unsafe { words.as_mut_ptr().cast::<u8>().write_bytes(0, written) };
             debug_assert!(
                 // SAFETY: exclusively owned, as above.
-                bytes[written..].iter().all(|b| unsafe { *b.get() } == 0),
+                words[written / WORD..]
+                    .iter()
+                    .all(|w| unsafe { *w.get() } == 0),
                 "a pool was written past where its owner said it stopped"
             );
             return RawPool {
-                bytes,
+                words,
                 clean_from: len,
             };
         }
-        // Allocate as zeroed `u8` (calloc path: the OS commits pages
-        // lazily) and reinterpret as `UnsafeCell<u8>`, which is
-        // `repr(transparent)` over `u8`.
-        let raw = Box::into_raw(vec![0u8; len].into_boxed_slice());
-        // SAFETY: UnsafeCell<u8> has the same in-memory representation as
-        // u8 (documented guarantee), and we transfer ownership exactly once.
-        let bytes = unsafe { Box::from_raw(raw as *mut [UnsafeCell<u8>]) };
+        // Allocate as zeroed `u64` (calloc path: the OS commits pages
+        // lazily) and reinterpret as `UnsafeCell<u64>`, which is
+        // `repr(transparent)` over `u64`.
+        let raw = Box::into_raw(vec![0u64; len / WORD].into_boxed_slice());
+        // SAFETY: UnsafeCell<u64> has the same in-memory representation as
+        // u64 (documented guarantee), and we transfer ownership exactly once.
+        let words = unsafe { Box::from_raw(raw as *mut [UnsafeCell<u64>]) };
         RawPool {
-            bytes,
+            words,
             clean_from: len,
         }
     }
@@ -116,25 +132,51 @@ impl RawPool {
     /// nothing at or past byte `offset`. Unless this is called the whole
     /// pool counts as written.
     pub(crate) fn written_below(&mut self, offset: usize) {
-        assert!(offset <= self.bytes.len());
+        assert!(offset <= self.len());
         self.clean_from = offset;
     }
 
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.words.len() * WORD
     }
 
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.words.is_empty()
     }
 
     pub fn pages(&self) -> usize {
-        self.bytes.len() / PAGE_SIZE
+        self.len() / PAGE_SIZE
     }
 
     fn ptr(&self, offset: usize) -> *mut u8 {
-        debug_assert!(offset < self.bytes.len());
-        self.bytes[offset].get()
+        debug_assert!(offset <= self.len());
+        // SAFETY: `offset` is within (or one past) the allocation: every
+        // caller is an `unsafe fn` whose contract says so, and `Dsm` has
+        // indexed its page table with `offset / PAGE_SIZE` by then.
+        unsafe {
+            UnsafeCell::raw_get(self.words.as_ptr())
+                .cast::<u8>()
+                .add(offset)
+        }
+    }
+
+    /// `len` elements of `T` starting at byte `offset`, in place.
+    ///
+    /// # Safety
+    /// Caller must hold read rights on all covered pages, and nothing may
+    /// store into the range while the slice is alive (the DSM layers above
+    /// bound that to one interval, see `Dsm::view`).
+    pub unsafe fn slice<T: Copy>(&self, offset: usize, len: usize) -> &[T] {
+        assert!(len
+            .checked_mul(std::mem::size_of::<T>())
+            .and_then(|bytes| bytes.checked_add(offset))
+            .is_some_and(|end| end <= self.len()));
+        assert!(
+            std::mem::align_of::<T>() <= WORD && offset.is_multiple_of(std::mem::align_of::<T>()),
+            "pool offset {offset} is not aligned for {}",
+            std::any::type_name::<T>()
+        );
+        std::slice::from_raw_parts(self.ptr(offset).cast::<T>(), len)
     }
 
     /// Read a `Copy` scalar at `offset`.
@@ -143,7 +185,7 @@ impl RawPool {
     /// `offset + size_of::<T>()` must be within the pool, and the caller
     /// (the DSM protocol) must hold read rights per the page table.
     pub unsafe fn read<T: Copy>(&self, offset: usize) -> T {
-        debug_assert!(offset + std::mem::size_of::<T>() <= self.bytes.len());
+        debug_assert!(offset + std::mem::size_of::<T>() <= self.len());
         (self.ptr(offset) as *const T).read_unaligned()
     }
 
@@ -152,7 +194,7 @@ impl RawPool {
     /// # Safety
     /// As [`RawPool::read`], with write rights.
     pub unsafe fn write<T: Copy>(&self, offset: usize, v: T) {
-        debug_assert!(offset + std::mem::size_of::<T>() <= self.bytes.len());
+        debug_assert!(offset + std::mem::size_of::<T>() <= self.len());
         (self.ptr(offset) as *mut T).write_unaligned(v);
     }
 
@@ -176,21 +218,12 @@ impl RawPool {
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr(page * PAGE_SIZE), PAGE_SIZE);
     }
 
-    /// Copy an arbitrary byte range out.
-    ///
-    /// # Safety
-    /// Caller must hold read rights on all covered pages.
-    pub unsafe fn read_bytes(&self, offset: usize, out: &mut [u8]) {
-        assert!(offset + out.len() <= self.bytes.len());
-        std::ptr::copy_nonoverlapping(self.ptr(offset), out.as_mut_ptr(), out.len());
-    }
-
     /// Copy an arbitrary byte range in.
     ///
     /// # Safety
     /// Caller must hold write rights on all covered pages.
     pub unsafe fn write_bytes(&self, offset: usize, src: &[u8]) {
-        assert!(offset + src.len() <= self.bytes.len());
+        assert!(offset + src.len() <= self.len());
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr(offset), src.len());
     }
 }
@@ -435,7 +468,10 @@ mod tests {
         assert_eq!(unsafe { again.read::<u64>(PAGE_SIZE + 8) }, 0);
         // Pools too large to keep go back to the allocator.
         drop(RawPool::new(SPARE_MAX_LEN + PAGE_SIZE));
-        SPARE.with(|s| assert!(s.borrow().iter().all(|(b, _)| b.len() <= SPARE_MAX_LEN)));
+        SPARE.with(|s| {
+            let s = s.borrow();
+            assert!(s.iter().all(|(w, _)| w.len() * WORD <= SPARE_MAX_LEN))
+        });
     }
 
     #[test]
@@ -451,8 +487,7 @@ mod tests {
         drop(pool);
         let mut again = RawPool::new(len);
         assert_eq!(again.ptr(0), first);
-        let mut all = vec![1u8; len];
-        unsafe { again.read_bytes(0, &mut all) };
+        let all = unsafe { again.slice::<u8>(0, len) };
         assert!(all.iter().all(|&b| b == 0), "every byte reads 0");
         // Nothing past the old allocation was touched: a byte planted there
         // behind the owner's back (in a release build; a debug build checks
@@ -464,6 +499,73 @@ mod tests {
             let third = RawPool::new(len);
             assert_eq!(unsafe { third.read::<u8>(alloc.allocated_bytes()) }, 7);
         }
+    }
+
+    /// Alignment is what the pool is made of, not what the allocator
+    /// happened to return: base and every region offset, fresh or recycled.
+    #[test]
+    fn pool_base_and_region_offsets_are_word_aligned() {
+        // A length no other test of this thread uses, small enough to retire
+        // to the spare list.
+        let len = 7 * PAGE_SIZE;
+        let mut first_base = None;
+        for round in ["fresh", "recycled"] {
+            let pool = RawPool::new(len);
+            let base = pool.ptr(0);
+            assert_eq!(base as usize % WORD, 0, "{round} pool base {base:p}");
+            if let Some(first) = first_base.replace(base) {
+                assert_eq!(base, first, "the second pool is the first one, recycled");
+            }
+            let mut alloc = RegionAllocator::new();
+            for region_len in [1, 8, PAGE_SIZE - 1, PAGE_SIZE + 1, 0, 3] {
+                let r = alloc.alloc(region_len, len).unwrap();
+                assert_eq!(r.offset % WORD, 0, "{round}: region {r:?}");
+                // A typed slice of the region is aligned for its type.
+                let words = unsafe { pool.slice::<u64>(r.offset, region_len / WORD) };
+                assert_eq!(words.as_ptr() as usize % std::mem::align_of::<u64>(), 0);
+                assert!(words.iter().all(|&w| w == 0));
+            }
+            unsafe { pool.write::<u64>(PAGE_SIZE, u64::MAX) };
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not aligned for f64")]
+    fn a_misaligned_typed_slice_is_refused() {
+        let pool = RawPool::new(PAGE_SIZE);
+        let _ = unsafe { pool.slice::<f64>(4, 1) };
+    }
+
+    /// Resident set of this process in bytes (`/proc/self/statm`, field 2,
+    /// in pages); `None` where there is no procfs.
+    fn resident_bytes() -> Option<usize> {
+        let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+        let pages: usize = statm.split_whitespace().nth(1)?.parse().ok()?;
+        Some(pages * 4096)
+    }
+
+    /// The default 64 MB pool is mapped, not committed: an allocation path
+    /// that clears it by hand (an over-aligned `alloc_zeroed` is one) costs
+    /// every node of every cluster 64 MB of resident memory.
+    #[test]
+    fn a_fresh_default_pool_commits_no_memory() {
+        const POOL: usize = 64 << 20;
+        const ALLOWED: usize = 1 << 20;
+        // Sibling tests allocate while this one measures; a memset shows in
+        // every attempt, their noise does not.
+        let attempts = (0..5).map(|_| {
+            let before = resident_bytes()?;
+            let pool = RawPool::new(POOL);
+            unsafe { pool.write::<u64>(POOL - 8, 1) }; // one page, at the far end
+            Some(resident_bytes()?.saturating_sub(before))
+        });
+        let Some(grew) = attempts.min().flatten() else {
+            return; // no procfs here
+        };
+        assert!(
+            grew < ALLOWED,
+            "a fresh {POOL}-byte pool raised the resident set by {grew} bytes"
+        );
     }
 
     #[test]

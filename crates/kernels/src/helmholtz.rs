@@ -165,33 +165,46 @@ pub fn helmholtz_parade(cluster: &Cluster, p: HelmholtzParams) -> (HelmholtzResu
 
             let mut error = 10.0 * p.tol;
             let mut iters = 0usize;
-            let mut urows = vec![0.0f64; rows.len() * m];
-            let mut halo = vec![0.0f64; (rows.len() + 2) * m];
+            let block = rows.start * m..rows.end * m;
+            // Owned rows plus the neighbour's row above and below.
+            let above = rows.start.saturating_sub(1);
+            let below = (rows.end + 1).min(n);
+            // The one row being computed; every other operand is read where
+            // the DSM keeps it.
+            let mut row = vec![0.0f64; m];
             while iters < p.max_iters && error > p.tol {
-                // uold = u (owned rows).
-                tc.read_into(&u, rows.start * m, &mut urows);
-                tc.write_from(&uold, rows.start * m, &urows);
+                // uold = u (owned rows), pool to pool.
+                tc.view(&u, block.clone(), |ub| {
+                    tc.write_from(&uold, block.start, ub)
+                });
                 tc.barrier();
-                // Read uold with one halo row above and below.
-                let hstart = rows.start.saturating_sub(1);
-                let hend = (rows.end + 1).min(n);
-                let hrows = hend - hstart;
-                tc.read_into(&uold, hstart * m, &mut halo[..hrows * m]);
-                let at = |i: usize, j: usize| halo[(i - hstart) * m + j];
-                let mut local_err = 0.0;
-                for i in lo..hi {
-                    let bi = i - rows.start;
-                    for j in 1..m - 1 {
-                        let resid = (ax * (at(i - 1, j) + at(i + 1, j))
-                            + ay * (at(i, j - 1) + at(i, j + 1))
-                            + b * at(i, j)
-                            - fl[bi * m + j])
-                            / b;
-                        urows[bi * m + j] = at(i, j) - p.omega * resid;
-                        local_err += resid * resid;
+                let local_err = tc.view(&uold, above * m..below * m, |old| {
+                    let old_row = |i: usize| &old[(i - above) * m..(i - above + 1) * m];
+                    let mut local_err = 0.0;
+                    for i in rows.clone() {
+                        if i < lo || i >= hi {
+                            // A boundary row keeps its values, and is stored
+                            // all the same: the owned block is written whole.
+                            tc.write_from(&u, i * m, old_row(i));
+                            continue;
+                        }
+                        let (up, mid, dn) = (old_row(i - 1), old_row(i), old_row(i + 1));
+                        let f = &fl[(i - rows.start) * m..(i - rows.start + 1) * m];
+                        row[0] = mid[0];
+                        row[m - 1] = mid[m - 1];
+                        for j in 1..m - 1 {
+                            let resid = (ax * (up[j] + dn[j])
+                                + ay * (mid[j - 1] + mid[j + 1])
+                                + b * mid[j]
+                                - f[j])
+                                / b;
+                            row[j] = mid[j] - p.omega * resid;
+                            local_err += resid * resid;
+                        }
+                        tc.write_from(&u, i * m, &row);
                     }
-                }
-                tc.write_from(&u, rows.start * m, &urows);
+                    local_err
+                });
                 // The competitively-updated threshold variable becomes one
                 // reduction collective per iteration (§6.2).
                 error = tc.reduce_f64_sum(local_err).sqrt() / (n * m) as f64;
@@ -202,13 +215,10 @@ pub fn helmholtz_parade(cluster: &Cluster, p: HelmholtzParams) -> (HelmholtzResu
         });
 
         // RMS error against the exact solution, computed serially.
-        let mut ufinal = vec![0.0f64; n * m];
-        g.read_into(&u, 0, &mut ufinal);
-        let _ = uold;
         HelmholtzResult {
             error,
             iters,
-            solution_error: rms_error(&p, &ufinal),
+            solution_error: g.view(&u, 0..n * m, |ufinal| rms_error(&p, ufinal)),
         }
     })
 }

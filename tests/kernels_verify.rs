@@ -2,7 +2,7 @@
 //! `cargo test` stays fast in debug builds; run them with
 //! `cargo test --release -- --ignored`.
 
-use parade::core::Cluster;
+use parade::core::{Cluster, ProtocolMode};
 use parade::kernels::cg::{cg_parade, cg_sequential, CgClass};
 use parade::kernels::ep::{ep_parade, ep_sequential, EpClass};
 use parade::kernels::helmholtz::{helmholtz_parade, helmholtz_sequential, HelmholtzParams};
@@ -122,6 +122,41 @@ fn helmholtz_tiny_parallel_smoke_matches_sequential() {
         par.solution_error,
         seq.solution_error
     );
+}
+
+/// The grid never sees the reduction: whatever the machine shape and the
+/// lowering, every point is computed from the same operands in the same
+/// order as the sequential sweep, so the solution is the same bits — on
+/// grids with no interior, threads with no rows, rows that straddle pages
+/// and blocks that share them.
+#[test]
+fn helmholtz_grid_is_bit_equal_to_sequential_on_every_shape() {
+    for (n, m) in [(3, 3), (2, 5), (5, 3), (7, 9), (37, 29), (40, 40)] {
+        let mut p = HelmholtzParams::sized(n, m, 6);
+        p.tol = 1e-30; // never converge early: the iteration counts agree
+        let seq = helmholtz_sequential(p);
+        for (nodes, tpn) in [(1, 1), (1, 2), (2, 2), (4, 2)] {
+            for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+                let cluster = Cluster::builder()
+                    .nodes(nodes)
+                    .threads_per_node(tpn)
+                    .protocol(mode)
+                    .time(TimeSource::Manual)
+                    .build()
+                    .unwrap();
+                let (par, _) = helmholtz_parade(&cluster, p);
+                let what = format!("{n} x {m} on {nodes} x {tpn}, {mode:?}");
+                assert_eq!(par.iters, seq.iters, "{what}: iterations");
+                assert_eq!(
+                    par.solution_error.to_bits(),
+                    seq.solution_error.to_bits(),
+                    "{what}: solution error {:e} vs sequential {:e}",
+                    par.solution_error,
+                    seq.solution_error
+                );
+            }
+        }
+    }
 }
 
 #[test]

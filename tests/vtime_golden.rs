@@ -4,8 +4,8 @@
 //! that is a pure function of the protocol — virtual nanoseconds, fabric
 //! message counts, wire byte counts: `release/` ([`release_metrics`]),
 //! `coll/` ([`dsm_barrier_steady_vtime_ns`], [`mpi_coll_vtime_ns`]),
-//! `tasks/` ([`tasks_rows`]) and `adapt/` ([`adapt_msgs`]). Every row is
-//! compared with `==`, and the `_{N}n` families are also held to the
+//! `tasks/` ([`tasks_rows`]), `adapt/` ([`adapt_msgs`]) and `kernel/`
+//! ([`helmholtz_rows`]). Every row is compared with `==`, and the `_{N}n` families are also held to the
 //! ⌈log₂N⌉ shape rule ([`SHAPE_RATIO`]), so a collective that silently
 //! went O(N) fails even in a re-pinned file.
 //!
@@ -16,9 +16,11 @@
 
 use std::sync::Arc;
 
+use parade::core::Cluster;
 use parade::dsm::{spawn_comm_thread, Dsm, DsmConfig, HomePolicy, ProtoSelect, PAGE_SIZE};
+use parade::kernels::helmholtz::{helmholtz_parade, HelmholtzParams};
 use parade::mpi::{Communicator, ReduceOp};
-use parade::net::{Fabric, NetProfile, VClock};
+use parade::net::{Fabric, NetProfile, TimeSource, VClock};
 use parade_tasks::{NodeSched, SchedConfig, StealStrategy, Step, TaskCtx, TaskDesc};
 
 const GOLDEN: &str = include_str!("golden/vtime.tsv");
@@ -348,6 +350,27 @@ fn adapt_msgs(select: ProtoSelect, migratory: bool) -> u64 {
     adapt_run_msgs(select, migratory, WARM + MEASURED) - adapt_run_msgs(select, migratory, WARM)
 }
 
+/// The paper's Helmholtz, 200 × 200 × 20 iterations on one node of two
+/// threads (the `stencil_local` shape in small): the master's virtual ns
+/// and the write faults of the run. No page is remote, so both are a pure
+/// function of which byte ranges the kernel reads and writes, in which
+/// order — recorded at PR 24's parent, before the kernel moved onto views.
+fn helmholtz_rows(rows: &mut Rows) {
+    let cluster = Cluster::builder()
+        .nodes(1)
+        .threads_per_node(2)
+        .time(TimeSource::Manual)
+        .build()
+        .unwrap();
+    let (_, report) = helmholtz_parade(&cluster, HelmholtzParams::sized(200, 200, 20));
+    let faults = report.cluster.dsm_totals().write_faults;
+    rows.push((
+        "kernel/helmholtz_1x2_vtime_ns".into(),
+        report.exec_time.as_nanos(),
+    ));
+    rows.push(("kernel/helmholtz_1x2_write_faults".into(), faults));
+}
+
 // ---- the table -------------------------------------------------------------
 
 type Rows = Vec<(String, u64)>;
@@ -383,6 +406,7 @@ fn fresh_rows() -> Rows {
     ] {
         rows.push((format!("adapt/{name}"), adapt_msgs(select, migratory)));
     }
+    helmholtz_rows(&mut rows);
     rows
 }
 
@@ -459,8 +483,8 @@ fn golden_file_parses_and_rejects_malformed_rows() {
     assert_eq!(render(&all), GOLDEN, "vtime.tsv is not in canonical form");
     let rows_of = |family: &str| all.iter().filter(|(n, _)| n.starts_with(family)).count();
     assert_eq!(
-        ["release/", "coll/", "tasks/", "adapt/"].map(rows_of),
-        [15, 20, 11, 4],
+        ["release/", "coll/", "tasks/", "adapt/", "kernel/"].map(rows_of),
+        [15, 20, 11, 4, 2],
         "a family lost or gained a row"
     );
     for bad in ["coll/x_16n 5\n", "coll/x_16n\t5.5\n", "a\t1\na\t2\n"] {
