@@ -361,10 +361,10 @@ mod tests {
         // node 0 and the comm threads so this returns instead of hanging.
         let out = launch_result(tiny(2), |env| {
             let mut clk = env.new_clock();
+            let r = env.dsm.alloc_region(64).unwrap();
             if env.node == 1 {
                 panic!("injected node failure");
             }
-            let r = env.dsm.alloc_region(64).unwrap();
             env.dsm.barrier(&mut clk);
             env.dsm.read::<i64>(r, 0, &mut clk)
         });

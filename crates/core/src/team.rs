@@ -789,6 +789,48 @@ mod tests {
     }
 
     #[test]
+    fn a_request_for_a_page_no_region_covers_fails_the_run_naming_the_page() {
+        // A well-formed fetch of a page inside the pool but past every
+        // allocated region, at node 0, the initial home of every page: its
+        // communication thread must find no page-table entry and fail the
+        // run, not read memory it never built.
+        let failed = parade_testkit::watchdog::run_with_timeout(
+            "page-past-extent",
+            std::time::Duration::from_secs(60),
+            || {
+                test_cluster(2, 2)
+                    .try_run_with_report(|g| {
+                        let xs = g.alloc_f64(8);
+                        g.parallel(move |tc| tc.barrier());
+                        let req = parade_dsm::DsmMsg::ReqPage {
+                            page: 9_999,
+                            requester: 1,
+                            reply_tag: parade_dsm::REPLY_TAG_BASE,
+                        };
+                        g.rt.dsm.endpoint().send(
+                            0,
+                            parade_net::MsgClass::Dsm,
+                            0,
+                            req.encode(),
+                            &mut g.clock,
+                        );
+                        g.parallel(move |tc| {
+                            if tc.node() == 1 {
+                                tc.get(&xs, 0);
+                            }
+                        });
+                    })
+                    .expect_err("a page past the extent must fail the run")
+            },
+        );
+        let text = failed.to_string();
+        assert!(
+            text.contains("(node 0: page 9999 is past the page table's extent of "),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn panicking_pool_thread_fails_the_run_instead_of_stranding_its_node() {
         let failed = parade_testkit::watchdog::run_with_timeout(
             "pool-thread-panic",

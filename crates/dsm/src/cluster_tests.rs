@@ -93,6 +93,9 @@ fn a_second_run_on_recycled_pools_starts_from_zero() {
     for round in 0..2 {
         let out = run_nodes(2, cfg, NetProfile::zero(), |d, clk| {
             let r = alloc_on(&d, PAGE_SIZE + 64);
+            // Node 1's read is a fetch from node 0, which must have
+            // allocated the region too.
+            d.barrier(clk);
             let fresh = d.read::<u64>(r, PAGE_SIZE + 8, clk);
             d.barrier(clk);
             if d.node() == 1 {
@@ -442,7 +445,8 @@ fn a_bad_frame_names_the_receiver_the_sender_and_the_error() {
     dsms[0]
         .endpoint()
         .send(1, MsgClass::Ctl, tag, Bytes::from(vec![0xEEu8]), &mut clock);
-    let r = alloc_on(&dsms[1], 64);
+    let r = alloc_on(&dsms[0], 64);
+    assert_eq!(alloc_on(&dsms[1], 64), r);
     let said = panic_text(catch_unwind(AssertUnwindSafe(|| {
         dsms[1].read::<i64>(r, 0, &mut clock);
     })));
@@ -934,8 +938,8 @@ fn teardown_releases_a_thread_parked_on_a_blocked_page() {
     use parade_testkit::prelude::run_with_timeout;
     use std::time::Duration;
 
-    // The default pool: 16 384 pages, of which the teardown scan must find
-    // the one page somebody sleeps on.
+    // The default pool: 16 384 pages, of which the page table builds the
+    // region's 40 and the teardown scan must find the one somebody sleeps on.
     let cfg = DsmConfig::default();
     assert_eq!(cfg.pool_bytes / PAGE_SIZE, 16_384);
     run_with_timeout(
@@ -951,9 +955,10 @@ fn teardown_releases_a_thread_parked_on_a_blocked_page() {
                 .map(|d| spawn_comm_thread(Arc::clone(d)))
                 .collect();
             // Node 0 is the initial home of every page; node 1 holds none.
+            let region = alloc_on(&dsms[0], 40 * PAGE_SIZE);
             let d = Arc::clone(&dsms[1]);
-            let region = alloc_on(&d, PAGE_SIZE);
-            let page = region.first_page();
+            assert_eq!(alloc_on(&d, 40 * PAGE_SIZE), region);
+            let page = region.last_page();
             assert_eq!(d.page_state(page), PageState::Invalid);
             // A fetch that will never complete holds the page TRANSIENT.
             let meta = &d.pages[page];
@@ -962,7 +967,7 @@ fn teardown_releases_a_thread_parked_on_a_blocked_page() {
                 let d = Arc::clone(&d);
                 std::thread::spawn(move || {
                     let mut clock = VClock::manual();
-                    d.read::<f64>(region, 0, &mut clock)
+                    d.read::<f64>(region, region.len - 8, &mut clock)
                 })
             };
             // The reader marks the page BLOCKED under the page lock and gives
@@ -979,4 +984,72 @@ fn teardown_releases_a_thread_parked_on_a_blocked_page() {
             assert!(reader.join().is_err(), "the read cannot have completed");
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// The page table is built as regions are allocated
+// ---------------------------------------------------------------------------
+
+/// A `Dsm` builds no page-table entry before a region needs it: two of the
+/// default 64 MB pool (16 384 pages each) raise the resident set by less
+/// than 256 KB, where building every entry up front cost about 1.3 MB a
+/// node.
+#[test]
+fn a_default_pool_dsm_builds_no_page_table_up_front() {
+    const ALLOWED: usize = 256 << 10;
+    let fabric = Fabric::new(2, NetProfile::zero());
+    // Sibling tests allocate while this one measures; building the table
+    // shows in every attempt, their noise does not.
+    let attempts = (0..5).map(|_| {
+        let before = crate::store::resident_bytes()?;
+        let dsms: Vec<Dsm> = (0..2)
+            .map(|i| Dsm::new(fabric.endpoint(i), DsmConfig::default()))
+            .collect();
+        let grew = crate::store::resident_bytes()?.saturating_sub(before);
+        drop(dsms);
+        Some(grew)
+    });
+    let Some(grew) = attempts.min().flatten() else {
+        return; // no procfs here
+    };
+    assert!(
+        grew < ALLOWED,
+        "two default-pool Dsms raised the resident set by {grew} bytes"
+    );
+}
+
+#[test]
+fn the_page_table_extent_is_the_allocated_pages_on_every_node() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let out = run_nodes(3, small_cfg(), NetProfile::zero(), |d, clk| {
+        assert_eq!(d.pages.extent(), 0, "a fresh table is empty");
+        // 1 page, 1, 2, none (an empty region), 3.
+        let extents: Vec<usize> = [1, PAGE_SIZE, PAGE_SIZE + 1, 0, 3 * PAGE_SIZE - 8]
+            .into_iter()
+            .map(|len| {
+                alloc_on(&d, len);
+                d.pages.extent()
+            })
+            .collect();
+        // Faults, fetches, diffs, write notices and barriers build nothing.
+        let r = d.region(4).expect("allocated");
+        d.barrier(clk);
+        d.write::<i64>(r, d.node() * 8, 1, clk);
+        d.barrier(clk);
+        let sum: i64 = (0..3).map(|n| d.read::<i64>(r, n * 8, clk)).sum();
+        assert_eq!(sum, 3);
+        assert_eq!(d.pages.extent(), 7);
+        // One past the extent is no page of this node.
+        let past = catch_unwind(AssertUnwindSafe(|| d.page_state(7)));
+        assert_eq!(
+            panic_text(past.map(drop)),
+            "page 7 is past the page table's extent of 7 pages \
+             (no region this node allocated covers it)"
+        );
+        extents
+    });
+    for extents in out {
+        assert_eq!(extents, vec![1, 2, 4, 4, 7]);
+    }
 }

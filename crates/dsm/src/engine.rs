@@ -4,8 +4,10 @@
 //! The communication-thread side (serving page requests, merging diffs,
 //! the barrier master, the lock manager) lives in [`crate::server`].
 
+use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::mem::MaybeUninit;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use parade_net::sync::{Condvar, Mutex, MutexGuard};
 
@@ -78,6 +80,112 @@ impl PageMeta {
     }
 }
 
+/// The page table: room for one entry per pool page, built only as far as
+/// regions have been allocated ([`Dsm::alloc_region`] extends it). A
+/// launch constructs, and a teardown drops, entries for the pages its
+/// regions cover, not for all 16 384 of a default pool; memory past the
+/// built extent is never touched, so the OS never commits it.
+///
+/// Indexing past the extent panics naming the page and the extent: a page
+/// no region of this node covers is a protocol bug (or a corrupt request),
+/// and it fails the run like any other.
+pub(crate) struct PageTable {
+    /// `..extent` initialised; the rest reserved, never read or written
+    /// except by [`PageTable::grow`].
+    slots: Box<[UnsafeCell<MaybeUninit<PageMeta>>]>,
+    /// Entries constructed so far. Stored with `Release` once they are, and
+    /// loaded with `Acquire` before one is handed out.
+    extent: AtomicUsize,
+    /// This node's initial state of every page.
+    init: PageState,
+}
+
+// SAFETY: entries below `extent` are only ever shared (`&PageMeta`, which is
+// `Sync`), and they were fully written before the `Release` store of `extent`
+// that the indexing side's `Acquire` load pairs with. Entries at or past
+// `extent` are touched by `grow` alone, whose caller guarantees it is the
+// only thread growing the table, and no reader can reach them.
+unsafe impl Sync for PageTable {}
+
+impl PageTable {
+    fn new(pages: usize, init: PageState) -> PageTable {
+        let raw = Box::into_raw(Box::<[PageMeta]>::new_uninit_slice(pages));
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
+        // slice has the same layout either way; ownership moves exactly once.
+        let slots = unsafe { Box::from_raw(raw as *mut [UnsafeCell<MaybeUninit<PageMeta>>]) };
+        PageTable {
+            slots,
+            extent: AtomicUsize::new(0),
+            init,
+        }
+    }
+
+    /// Number of entries built: every page of every region allocated.
+    #[inline]
+    pub(crate) fn extent(&self) -> usize {
+        self.extent.load(Ordering::Acquire)
+    }
+
+    /// Construct the entries up to page `to` (exclusive) and publish them.
+    ///
+    /// # Safety
+    /// No other thread may be growing the table concurrently (the caller
+    /// holds the region allocator's lock).
+    unsafe fn grow(&self, to: usize) {
+        let from = self.extent.load(Ordering::Relaxed);
+        for slot in &self.slots[from..to] {
+            // SAFETY: `slot` is at or past the extent, so no reader can
+            // reach it, and the caller is the only writer.
+            unsafe { (*slot.get()).write(PageMeta::new(self.init)) };
+        }
+        self.extent.store(to, Ordering::Release);
+    }
+
+    /// The built entries.
+    pub(crate) fn built(&self) -> &[PageMeta] {
+        let built = self.extent();
+        // SAFETY: the first `built` slots are in bounds, initialised and
+        // published (see `Sync` above), and `UnsafeCell<MaybeUninit<T>>` has
+        // the layout of `T`.
+        unsafe { std::slice::from_raw_parts(self.slots.as_ptr().cast::<PageMeta>(), built) }
+    }
+}
+
+impl std::ops::Index<PageId> for PageTable {
+    type Output = PageMeta;
+
+    #[inline]
+    fn index(&self, page: PageId) -> &PageMeta {
+        let built = self.extent();
+        if page >= built {
+            past_extent(page, built);
+        }
+        // SAFETY: below `built`, so in bounds (`grow` slices `slots` before
+        // it publishes an extent), initialised and published.
+        unsafe { (*self.slots.get_unchecked(page).get()).assume_init_ref() }
+    }
+}
+
+/// Out of line, so the access fast path inlines only a compare.
+#[cold]
+#[inline(never)]
+fn past_extent(page: PageId, built: usize) -> ! {
+    panic!(
+        "page {page} is past the page table's extent of {built} pages \
+         (no region this node allocated covers it)"
+    )
+}
+
+impl Drop for PageTable {
+    fn drop(&mut self) {
+        let built = *self.extent.get_mut();
+        for slot in &mut self.slots[..built] {
+            // SAFETY: initialised, and dropped exactly once, here.
+            unsafe { slot.get_mut().assume_init_drop() };
+        }
+    }
+}
+
 /// The software distributed shared memory of one node.
 ///
 /// One `Dsm` instance exists per simulated node; all of the node's compute
@@ -87,9 +195,11 @@ pub struct Dsm {
     nnodes: usize,
     cfg: DsmConfig,
     pub(crate) pool: RawPool,
-    pub(crate) pages: Box<[PageMeta]>,
+    pub(crate) pages: PageTable,
     /// Current home of every page (kept identical on all nodes; updated in
-    /// lockstep at barrier departures).
+    /// lockstep at barrier departures). Zero, node 0, is every page's
+    /// initial home, so the table is a zeroed allocation: for a large pool
+    /// a lazily committed mapping, like the pool itself.
     pub(crate) homes: Box<[AtomicU32]>,
     alloc: Mutex<RegionAllocator>,
     pub(crate) ep: Endpoint,
@@ -130,14 +240,16 @@ impl Dsm {
         } else {
             PageState::Invalid
         };
-        let pages: Box<[PageMeta]> = (0..npages).map(|_| PageMeta::new(init_state)).collect();
-        let homes: Box<[AtomicU32]> = (0..npages).map(|_| AtomicU32::new(0)).collect();
+        let homes = Box::into_raw(vec![0u32; npages].into_boxed_slice());
+        // SAFETY: `AtomicU32` has the size, alignment and bit validity of
+        // `u32`; ownership moves exactly once.
+        let homes = unsafe { Box::from_raw(homes as *mut [AtomicU32]) };
         Dsm {
             node,
             nnodes,
             cfg,
             pool: RawPool::new(npages * PAGE_SIZE),
-            pages,
+            pages: PageTable::new(npages, init_state),
             homes,
             alloc: Mutex::new(RegionAllocator::new()),
             ep,
@@ -209,11 +321,22 @@ impl Dsm {
 
     // ---- allocation ------------------------------------------------------
 
-    /// Allocate a shared region. Every node must perform the same sequence
-    /// of allocations (the cluster layer guarantees this by broadcasting
-    /// allocation commands from the master).
+    /// Allocate a shared region, building the page-table entries of the
+    /// pages it adds.
+    ///
+    /// Every node must perform the same sequence of allocations, and a node
+    /// only ever names — in an access, a request, a diff, a write notice or
+    /// a departure — pages of regions it has itself allocated: its page
+    /// table ends at the last of them, and an index past that end panics.
+    /// `parade-core`'s `MasterCtx` guarantees both by broadcasting every
+    /// allocation, in program order, before the master makes it itself and
+    /// before any parallel region that could use it.
     pub fn alloc_region(&self, len: usize) -> Result<RegionHandle, AllocError> {
-        self.alloc.lock().alloc(len, self.pool.len())
+        let mut alloc = self.alloc.lock();
+        let h = alloc.alloc(len, self.pool.len())?;
+        // SAFETY: growth happens only here, under the allocator lock.
+        unsafe { self.pages.grow(alloc.allocated_bytes() / PAGE_SIZE) };
+        Ok(h)
     }
 
     /// Allocate a small-data object (message-passing update protocol).
@@ -493,12 +616,13 @@ impl Dsm {
     /// Every waiter parks with its page `BLOCKED` (see [`Dsm::park`]), so
     /// only those pages are visited: a notify nobody waits for is free (the
     /// condvar counts its waiters) but must be made under the page lock,
-    /// and the pool has 16 384 of those.
+    /// and an allocated pool can have thousands of those. Pages past the
+    /// table's extent belong to no region, so nobody waits on them.
     pub fn wake_page_waiters(&self) {
         // Pairs with the fence in `park`: a waiter this scan does not see
         // as BLOCKED sees the shutdown this thread is exiting on.
         fence(Ordering::SeqCst);
-        for meta in self.pages.iter() {
+        for meta in self.pages.built() {
             if meta.fast.load(Ordering::Acquire) == PageState::Blocked as u8 {
                 let _g = meta.inner.lock();
                 meta.cv.notify_all();

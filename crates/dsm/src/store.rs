@@ -435,6 +435,15 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// Resident set of this process in bytes (`/proc/self/statm`, field 2, in
+/// pages); `None` where there is no procfs.
+#[cfg(test)]
+pub(crate) fn resident_bytes() -> Option<usize> {
+    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
+    let pages: usize = statm.split_whitespace().nth(1)?.parse().ok()?;
+    Some(pages * 4096)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,14 +543,6 @@ mod tests {
     fn a_misaligned_typed_slice_is_refused() {
         let pool = RawPool::new(PAGE_SIZE);
         let _ = unsafe { pool.slice::<f64>(4, 1) };
-    }
-
-    /// Resident set of this process in bytes (`/proc/self/statm`, field 2,
-    /// in pages); `None` where there is no procfs.
-    fn resident_bytes() -> Option<usize> {
-        let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-        let pages: usize = statm.split_whitespace().nth(1)?.parse().ok()?;
-        Some(pages * 4096)
     }
 
     /// The default 64 MB pool is mapped, not committed: an allocation path

@@ -44,13 +44,20 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-fn rte<T>(msg: impl Into<String>) -> Result<T, RuntimeError> {
-    Err(RuntimeError {
+#[cold]
+fn rte<T>(msg: impl Into<String>) -> RtResult<T> {
+    Err(Box::new(RuntimeError {
         message: msg.into(),
-    })
+    }))
 }
 
-type RtResult<T> = Result<T, RuntimeError>;
+/// What every evaluation step returns. The error is boxed so the `Ok`
+/// path does not pay for it: a `RuntimeError` holds a `String`, which
+/// makes `Result<Val, RuntimeError>` 24 bytes, returned through memory on
+/// every `eval`; boxed, `RtResult<Val>` and `RtResult<Flow>` are 16 bytes
+/// and come back in two registers, although no run that succeeds ever
+/// builds an error (`error_abi_stays_in_registers` pins the sizes).
+type RtResult<T> = Result<T, Box<RuntimeError>>;
 
 /// Runtime value. A string is only ever a `printf` argument; its text
 /// stays in the resolved program's table.
@@ -246,7 +253,7 @@ impl Interp {
 
     /// Run `main` on the given cluster; returns the exit code and captured
     /// `printf` output.
-    pub fn run(&self, cluster: &Cluster) -> RtResult<RunOutput> {
+    pub fn run(&self, cluster: &Cluster) -> Result<RunOutput, RuntimeError> {
         let code = Arc::clone(&self.code);
         let oracle_enabled = self.oracle;
         let result: RtResult<(i64, String, Vec<RaceReport>)> = cluster.run(move |g| {
@@ -285,7 +292,7 @@ impl Interp {
             let races = env.races.lock().clone();
             Ok((exit, out, races))
         });
-        let (exit, stdout, races) = result?;
+        let (exit, stdout, races) = result.map_err(|e| *e)?;
         Ok(RunOutput {
             exit,
             stdout,
@@ -521,26 +528,30 @@ impl<'c> Env<'c> {
         }
     }
 
-    fn write_var(&mut self, exec: &mut Exec<'_>, sym: Sym, v: Val) -> RtResult<()> {
+    /// Store `v` converted to the variable's type; returns the value stored,
+    /// which is what a C assignment expression evaluates to.
+    fn write_var(&mut self, exec: &mut Exec<'_>, sym: Sym, v: Val) -> RtResult<Val> {
         if let Some(l) = self.local_mut(sym) {
             return match l {
                 Local::Scalar(ty, slot) => {
                     *slot = coerce(ty, v);
-                    Ok(())
+                    Ok(*slot)
                 }
                 _ => rte(format!("array {} used as a scalar", self.name(sym))),
             };
         }
         match (&self.shared[sym.idx()], &mut *exec) {
-            (Some(Shared::ScalarUpd(s, _)), Exec::Master(g)) => {
+            (Some(Shared::ScalarUpd(s, ty)), Exec::Master(g)) => {
+                let v = coerce(ty, v);
                 g.scalar_set_f64(s, v.as_f64());
-                Ok(())
+                Ok(v)
             }
-            (Some(Shared::ScalarUpd(s, _)), Exec::Thread(tc)) => {
+            (Some(Shared::ScalarUpd(s, ty)), Exec::Thread(tc)) => {
                 if self.in_update_body {
+                    let v = coerce(ty, v);
                     self.oracle_write(sym, 0, true);
                     tc.scalar_set_in_construct(s, v.as_f64());
-                    Ok(())
+                    Ok(v)
                 } else {
                     rte(format!(
                         "unsynchronized write to update-protocol variable {} inside a region \
@@ -549,10 +560,11 @@ impl<'c> Env<'c> {
                     ))
                 }
             }
-            (Some(Shared::ScalarHlrc(vec, _)), exec) => {
+            (Some(Shared::ScalarHlrc(vec, ty)), exec) => {
+                let v = coerce(ty, v);
                 self.oracle_write(sym, 0, true);
                 exec.vec_set_f(vec, 0, v.as_f64());
-                Ok(())
+                Ok(v)
             }
             (Some(_), _) => rte(format!("array {} used as a scalar", self.name(sym))),
             (None, _) => rte(format!("undefined variable {}", self.name(sym))),
@@ -560,6 +572,12 @@ impl<'c> Env<'c> {
     }
 
     fn flat_index(dims: &[usize], idx: &[i64]) -> RtResult<usize> {
+        if let ([d], [i]) = (dims, idx) {
+            // A negative subscript wraps to far above any dimension.
+            if (*i as u64) < *d as u64 {
+                return Ok(*i as usize);
+            }
+        }
         if dims.len() != idx.len() {
             return rte(format!(
                 "array indexed with {} subscripts, has {} dims",
@@ -594,6 +612,23 @@ impl<'c> Env<'c> {
         Ok(out)
     }
 
+    /// Evaluate an element access's subscripts and hand them to `then`:
+    /// a single subscript straight to an `i64`, more through [`Subs`].
+    #[inline]
+    fn with_subs<R>(
+        &mut self,
+        exec: &mut Exec<'_>,
+        subs: &[RExpr],
+        then: impl FnOnce(&mut Self, &mut Exec<'_>, &[i64]) -> RtResult<R>,
+    ) -> RtResult<R> {
+        if let [sub] = subs {
+            let i = self.eval(exec, sub)?.as_i64();
+            return then(self, exec, std::slice::from_ref(&i));
+        }
+        let idx = self.eval_subs(exec, subs)?;
+        then(self, exec, idx.as_slice())
+    }
+
     fn read_elem(&mut self, exec: &mut Exec<'_>, sym: Sym, idx: &[i64]) -> RtResult<Val> {
         let code = self.code();
         if let Some(l) = self.local(sym) {
@@ -623,17 +658,20 @@ impl<'c> Env<'c> {
         }
     }
 
-    fn write_elem(&mut self, exec: &mut Exec<'_>, sym: Sym, idx: &[i64], v: Val) -> RtResult<()> {
+    /// Store `v` converted to the element type; returns the value stored.
+    fn write_elem(&mut self, exec: &mut Exec<'_>, sym: Sym, idx: &[i64], v: Val) -> RtResult<Val> {
         let code = self.code();
         if let Some(l) = self.local_mut(sym) {
             return match l {
                 Local::ArrF(dims, data) => {
-                    data[Self::flat_index(code.dims(*dims), idx)?] = v.as_f64();
-                    Ok(())
+                    let x = v.as_f64();
+                    data[Self::flat_index(code.dims(*dims), idx)?] = x;
+                    Ok(Val::D(x))
                 }
                 Local::ArrI(dims, data) => {
-                    data[Self::flat_index(code.dims(*dims), idx)?] = v.as_i64();
-                    Ok(())
+                    let x = v.as_i64();
+                    data[Self::flat_index(code.dims(*dims), idx)?] = x;
+                    Ok(Val::I(x))
                 }
                 _ => rte(format!("scalar {} indexed", code.name(sym))),
             };
@@ -641,15 +679,17 @@ impl<'c> Env<'c> {
         match &self.shared[sym.idx()] {
             Some(Shared::ArrF(vec, dims)) => {
                 let i = Self::flat_index(code.dims(*dims), idx)?;
+                let x = v.as_f64();
                 self.oracle_write(sym, i, false);
-                exec.vec_set_f(vec, i, v.as_f64());
-                Ok(())
+                exec.vec_set_f(vec, i, x);
+                Ok(Val::D(x))
             }
             Some(Shared::ArrI(vec, dims)) => {
                 let i = Self::flat_index(code.dims(*dims), idx)?;
+                let x = v.as_i64();
                 self.oracle_write(sym, i, false);
-                exec.vec_set_i(vec, i, v.as_i64());
-                Ok(())
+                exec.vec_set_i(vec, i, x);
+                Ok(Val::I(x))
             }
             Some(_) => rte(format!("scalar {} indexed", code.name(sym))),
             None => rte(format!("undefined array {}", code.name(sym))),
@@ -665,8 +705,7 @@ impl<'c> Env<'c> {
             RExpr::Str(s) => Ok(Val::S(*s)),
             RExpr::Var(sym) => self.read_var(exec, *sym),
             RExpr::Index(sym, subs) => {
-                let idx = self.eval_subs(exec, subs)?;
-                self.read_elem(exec, *sym, idx.as_slice())
+                self.with_subs(exec, subs, |env, exec, idx| env.read_elem(exec, *sym, idx))
             }
             RExpr::Unary(op, a) => {
                 let v = self.eval(exec, a)?;
@@ -708,8 +747,9 @@ impl<'c> Env<'c> {
                         let old = match lhs.as_ref() {
                             RExpr::Var(sym) => self.read_var(exec, *sym)?,
                             RExpr::Index(sym, subs) => {
-                                let idx = self.eval_subs(exec, subs)?;
-                                self.read_elem(exec, *sym, idx.as_slice())?
+                                self.with_subs(exec, subs, |env, exec, idx| {
+                                    env.read_elem(exec, *sym, idx)
+                                })?
                             }
                             _ => return rte("bad assignment target"),
                         };
@@ -717,16 +757,14 @@ impl<'c> Env<'c> {
                     }
                 };
                 match lhs.as_ref() {
-                    RExpr::Var(sym) => self.write_var(exec, *sym, newv)?,
-                    RExpr::Index(sym, subs) => {
-                        // Evaluated a second time after a compound read, as
-                        // the two accesses of `a[i] += x` always were.
-                        let idx = self.eval_subs(exec, subs)?;
-                        self.write_elem(exec, *sym, idx.as_slice(), newv)?;
-                    }
-                    _ => return rte("bad assignment target"),
+                    RExpr::Var(sym) => self.write_var(exec, *sym, newv),
+                    // Evaluated a second time after a compound read, as the
+                    // two accesses of `a[i] += x` always were.
+                    RExpr::Index(sym, subs) => self.with_subs(exec, subs, |env, exec, idx| {
+                        env.write_elem(exec, *sym, idx, newv)
+                    }),
+                    _ => rte("bad assignment target"),
                 }
-                Ok(newv)
             }
             RExpr::Omp(OmpFn::ThreadNum) => Ok(Val::I(exec.thread_num() as i64)),
             RExpr::Omp(OmpFn::NumThreads) => Ok(Val::I(exec.num_threads() as i64)),
@@ -1145,7 +1183,7 @@ impl<'c> Env<'c> {
                         Local::Scalar(ty.clone(), coerce(ty, fp[*slot]))
                     }
                     RPrivate::Reduction { identity, ty } => {
-                        Local::Scalar(ty.clone(), Val::D(*identity))
+                        Local::Scalar(ty.clone(), coerce(ty, Val::D(*identity)))
                     }
                 };
                 env.bind(*sym, local);
@@ -1311,6 +1349,15 @@ impl<'c> Env<'c> {
 
 fn binop(op: BinOp, a: Val, b: Val) -> RtResult<Val> {
     use BinOp::*;
+    if let (Val::D(x), Val::D(y)) = (a, b) {
+        match op {
+            Add => return Ok(Val::D(x + y)),
+            Sub => return Ok(Val::D(x - y)),
+            Mul => return Ok(Val::D(x * y)),
+            Div => return Ok(Val::D(x / y)),
+            _ => {}
+        }
+    }
     let float = matches!(a, Val::D(_)) || matches!(b, Val::D(_));
     Ok(match op {
         Add | Sub | Mul | Div => {
@@ -1430,4 +1477,18 @@ fn format_c(code: &Code, fmt: &str, args: &[Val]) -> RtResult<String> {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `eval` and `exec_stmt` return these on every step: two registers,
+    /// not a stack slot. An error type that grows them fails here.
+    #[test]
+    fn error_abi_stays_in_registers() {
+        assert_eq!(std::mem::size_of::<RtResult<Val>>(), 16);
+        assert_eq!(std::mem::size_of::<RtResult<Flow>>(), 16);
+        assert_eq!(std::mem::size_of::<RtResult<i64>>(), 16);
+    }
 }

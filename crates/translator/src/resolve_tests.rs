@@ -277,3 +277,46 @@ fn negating_the_most_negative_integer_wraps() {
     let src = format!("int main() {{ {MIN_AND_MINUS_ONE} printf(\"%d\\n\", -m); return 0; }}");
     assert_eq!(stdout(&src, 1, 1), "-9223372036854775808\n");
 }
+
+// ---- C's conversions: what an int holds, and what storing into one yields ---
+
+#[test]
+fn an_int_reduction_private_starts_as_an_int() {
+    // The private copy starts at the operator's identity *as an int*, so the
+    // division truncates from the first iteration on: 0 → 2 → 4 → 6 → 8 on
+    // one thread, 2 per iteration on any other team, as in C.
+    let region = r#"
+int main() {
+    int i;
+    int n;
+    n = 0;
+    #pragma omp parallel for reduction(+ : n)
+    for (i = 0; i < 4; i++) n = (n + 3) / 2 * 2;
+    printf("%d\n", n);
+    return 0;
+}
+"#;
+    for (nodes, tpn) in [(1, 1), (2, 2), (4, 2)] {
+        assert_eq!(stdout(region, nodes, tpn), "8\n", "{nodes} x {tpn}");
+    }
+    let elision = region.replace("#pragma omp parallel for reduction(+ : n)", "");
+    assert_eq!(stdout(&elision, 1, 1), "8\n", "serial elision");
+}
+
+#[test]
+fn an_assignment_evaluates_to_the_value_stored() {
+    for (what, decls, store) in [
+        ("int local", "int k; double y;", "k"),
+        ("int array element", "int a[3]; int k; double y;", "a[1]"),
+    ] {
+        let src = format!(
+            "int main() {{ {decls} y = ({store} = 2.5) * 2; k = {store}; \
+             printf(\"%d %f\\n\", k, y); return 0; }}"
+        );
+        assert_eq!(stdout(&src, 1, 1), "2 4.000000\n", "{what}");
+    }
+    // A global scalar lives on the paged DSM (HLRC).
+    let hlrc = "int k; double y; int main() { y = (k = 2.5) * 2; \
+                printf(\"%d %f\\n\", k, y); return 0; }";
+    assert_eq!(stdout(hlrc, 2, 2), "2 4.000000\n", "HLRC scalar");
+}

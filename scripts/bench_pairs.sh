@@ -12,7 +12,12 @@
 #
 # Prints every run, then per end-to-end metric the two medians, their
 # middle halves (quartile 1 .. quartile 3), the change of the median in
-# percent and in how many pairs the change was lower. The parent is
+# percent, in how many pairs the change was lower, and a verdict by the
+# small-sandbox rule: "met" when the change is better in at least 9 of
+# every 10 pairs and its median beats the parent's by more than the
+# parent's own quartile distance (Q3 - Q1), "worse" when the same holds
+# the other way round, "unresolved" otherwise. Ten pairs, on seeds not used
+# while the change was written, are what a claim needs. The parent is
 # `git archive`d into a temp dir (BENCH_PAIRS_TMP, default /tmp) and both
 # sides are built once, before the first run. Needs python3; not tier-1.
 set -euo pipefail
@@ -60,7 +65,7 @@ for workload in $workloads; do
   python3 - "$tmp" "$pairs" "$workload" "$rev" <<'EOF'
 import json, statistics, sys
 tmp, pairs, workload, rev = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
-names = [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
 
 def metrics(path):
     return {k: m["value"] for k, m in json.load(open(path))["metrics"].items()}
@@ -74,8 +79,24 @@ def middle(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
+def verdict(p, c, lower_is_better):
+    """Choosing-metrics §8: most pairs, and medians apart by more than the
+    parent's middle half."""
+    sign = 1 if lower_is_better else -1
+    better = sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c))
+    worse = sum(sign * (cv - pv) > 0 for pv, cv in zip(p, c))
+    p1, p3 = middle(p)
+    gain = sign * (statistics.median(p) - statistics.median(c))
+    apart = abs(gain) > p3 - p1
+    if 10 * better >= 9 * len(p) and apart and gain > 0:
+        return "met"
+    if 10 * worse >= 9 * len(p) and apart and gain < 0:
+        return "worse"
+    return "unresolved"
+
 print(f"{workload}: {pairs} alternating pairs, parent = {rev}")
-for name in names:
+for metric in end_to_end:
+    name = metric["name"]
     p = [r[name] for r in parent]
     c = [r[name] for r in change]
     print(f"\n{name}")
@@ -87,5 +108,6 @@ for name in names:
     wins = sum(cv < pv for pv, cv in zip(p, c))
     print(f"  median {mp:.6g} [{p1:.6g} .. {p3:.6g}] -> {mc:.6g} [{c1:.6g} .. {c3:.6g}]"
           f"  {delta}, lower in {wins}/{pairs}")
+    print(f"  verdict: {verdict(p, c, metric['better'] == 'lower')}")
 EOF
 done

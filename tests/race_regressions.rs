@@ -354,6 +354,8 @@ fn tree_barrier_departure_is_independent_of_aggregation_order() {
             ..DsmConfig::default()
         };
         let dsm = Arc::new(Dsm::new(fabric.endpoint(0), cfg));
+        // The region the simulated members wrote pages 5 and 9 of.
+        dsm.alloc_region(16 * PAGE_SIZE).unwrap();
         let comm = spawn_comm_thread(Arc::clone(&dsm));
         let up_at = VTime::from_micros(40);
         let (e1, e2) = (fabric.endpoint(1), fabric.endpoint(2));
