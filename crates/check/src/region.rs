@@ -76,12 +76,6 @@ fn is_scaled(e: &Expr, v: &str) -> bool {
     false
 }
 
-fn calls_thread_num(e: &Expr) -> bool {
-    let mut calls = Vec::new();
-    e.calls(&mut calls);
-    calls.iter().any(|c| c == "omp_get_thread_num")
-}
-
 /// One active work-shared loop: induction variable plus the access log the
 /// dependence test runs over at loop exit.
 struct WsFrame {
@@ -319,7 +313,7 @@ impl<'a> RegionCx<'a> {
     /// True if some subscript makes the element choice thread-disjoint.
     fn disjoint_subscript(&self, idxs: &[Expr]) -> bool {
         idxs.iter().any(|ix| {
-            if calls_thread_num(ix) {
+            if ix.calls_thread_num() {
                 return true;
             }
             match self.ws.last() {

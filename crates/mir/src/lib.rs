@@ -1,5 +1,5 @@
-//! `parade-mir`: a basic-block mid-level IR for the mini-C translator
-//! AST, plus the dataflow machinery the flow-sensitive lints build on.
+//! `parade-mir`: the dataflow machinery the flow-sensitive lints build on,
+//! over the translator's basic-block MIR.
 //!
 //! The pipeline:
 //!
@@ -7,7 +7,10 @@
 //!    — basic blocks in lexical creation order, explicit branch/loop
 //!    edges, linearized access events, and structural markers
 //!    (`ParallelEnter`, `WsEnter`, `Sibling`, …) so the lexical lints run
-//!    as one linear walk.
+//!    as one linear walk. The IR and its lowering live in
+//!    `parade_translator::mir`, because the translator plans its storage
+//!    and its directive lowerings from the same MIR; they are re-exported
+//!    here unchanged.
 //! 2. [`dataflow`] is the generic worklist-fixpoint framework
 //!    (forward/backward, scope-restricted).
 //! 3. [`analyses`] instantiates it: reaching definitions, live variables,
@@ -19,9 +22,9 @@
 //! alongside the runtime's own spans.
 
 pub mod analyses;
-pub mod body;
 pub mod dataflow;
-pub mod lower;
+
+pub use parade_translator::mir::{body, lower};
 
 pub use analyses::{divergent_blocks, postdominators, DefSite, LiveVars, ReachingDefs};
 pub use body::{

@@ -6,10 +6,15 @@
 //! block to be lexically analyzable and its shared data to fit under the
 //! small-data threshold) and the conventional SDSM path (distributed lock
 //! and/or barrier).
+//!
+//! The decisions are read from the function's MIR ([`crate::mir`]), the
+//! same IR `parade-check` lints, so the analyzer, the emitter and the
+//! executor cannot disagree on a construct's shape.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::*;
+use crate::mir::{AccessEvent, Eval, Marker, MirFunc, MirStmt, UpdateInfo};
 
 /// Default small-data threshold in bytes (§5.2.1: 256 B on the paper's
 /// Linux cluster).
@@ -137,12 +142,12 @@ pub fn classify_region(dir: &Directive, body: &Stmt, syms: &Symbols) -> RegionCl
     // The controlling variable of a work-shared loop defaults to private;
     // establish that before the shared-by-default pass.
     if matches!(dir.kind, DirKind::ParallelFor | DirKind::For) {
-        if let Some(var) = loop_of(body).and_then(|l| l.var()) {
-            c.scopes.insert(var, VarScope::Private);
+        if let Some(l) = loop_of(body) {
+            c.scopes.insert(l.var, VarScope::Private);
         }
     }
     let mut used = Vec::new();
-    stmt_vars(body, &mut used);
+    stmt_uses(body, &mut used);
     let mut locals = HashSet::new();
     region_local_decls(body, &mut locals);
     for v in used {
@@ -189,88 +194,6 @@ fn region_local_decls(s: &Stmt, out: &mut HashSet<String>) {
     }
 }
 
-fn stmt_vars(s: &Stmt, out: &mut Vec<String>) {
-    match s {
-        Stmt::Decl(d) => {
-            if let Some(e) = &d.init {
-                e.vars(out);
-            }
-        }
-        Stmt::Expr(e, _) => e.vars(out),
-        Stmt::If(c, a, b) => {
-            c.vars(out);
-            stmt_vars(a, out);
-            if let Some(b) = b {
-                stmt_vars(b, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            c.vars(out);
-            stmt_vars(b, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            for e in [init, cond, step].into_iter().flatten() {
-                e.vars(out);
-            }
-            stmt_vars(body, out);
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                stmt_vars(s, out);
-            }
-        }
-        Stmt::Return(Some(e)) => e.vars(out),
-        Stmt::Omp(_, Some(b)) => stmt_vars(b, out),
-        _ => {}
-    }
-}
-
-fn stmt_calls(s: &Stmt, out: &mut Vec<String>) {
-    match s {
-        Stmt::Decl(d) => {
-            if let Some(e) = &d.init {
-                e.calls(out);
-            }
-        }
-        Stmt::Expr(e, _) => e.calls(out),
-        Stmt::If(c, a, b) => {
-            c.calls(out);
-            stmt_calls(a, out);
-            if let Some(b) = b {
-                stmt_calls(b, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            c.calls(out);
-            stmt_calls(b, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            for e in [init, cond, step].into_iter().flatten() {
-                e.calls(out);
-            }
-            stmt_calls(body, out);
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                stmt_calls(s, out);
-            }
-        }
-        Stmt::Return(Some(e)) => e.calls(out),
-        Stmt::Omp(_, Some(b)) => stmt_calls(b, out),
-        _ => {}
-    }
-}
-
 /// A recognized scalar accumulation `x = x ⊕ e` / `x ⊕= e`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalarUpdate {
@@ -312,9 +235,6 @@ pub fn as_scalar_update(e: &Expr) -> Option<ScalarUpdate> {
             let op = red(*bop)?;
             let operand = if matches!(a.as_ref(), Expr::Ident(n) if n == name) {
                 b.as_ref()
-            } else if matches!(b.as_ref(), Expr::Ident(n) if n == name) && op != RedOp::Mul {
-                // commutative + only for safety with mul ordering
-                a.as_ref()
             } else if matches!(b.as_ref(), Expr::Ident(n) if n == name) {
                 a.as_ref()
             } else {
@@ -391,59 +311,13 @@ fn operand_independent(name: &str, e: &Expr) -> Option<()> {
     }
 }
 
-/// How a `critical` (or `atomic`) block is lowered.
+/// How a `critical` block is lowered.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CriticalLowering {
     /// Hierarchical pthread lock + collective update (Figure 2 right).
-    Collective(Vec<ScalarUpdate>),
+    Collective(Vec<UpdateInfo>),
     /// Conventional distributed lock (Figure 2 left / fallback).
     Lock,
-}
-
-/// Decide the lowering of a critical block (§4.2 + §5.2.1 + §7):
-/// lexically analyzable (no non-builtin calls), every statement a scalar
-/// accumulation on a shared scalar, and the touched shared data under the
-/// threshold.
-fn analyze_critical(
-    body: &Stmt,
-    class: &RegionClassification,
-    syms: &Symbols,
-    threshold: usize,
-) -> CriticalLowering {
-    let mut calls = Vec::new();
-    stmt_calls(body, &mut calls);
-    if calls.iter().any(|c| !is_math_builtin(c)) {
-        return CriticalLowering::Lock;
-    }
-    let stmts: Vec<&Stmt> = match body {
-        Stmt::Block(ss) => ss.iter().collect(),
-        other => vec![other],
-    };
-    let mut updates = Vec::new();
-    let mut touched = 0usize;
-    for s in stmts {
-        match s {
-            Stmt::Empty => {}
-            Stmt::Expr(e, _) => match as_scalar_update(e) {
-                Some(u) => {
-                    if !matches!(class.scope_of(&u.target), VarScope::Shared) {
-                        return CriticalLowering::Lock;
-                    }
-                    if syms.get(&u.target).map(|d| d.is_array()).unwrap_or(false) {
-                        return CriticalLowering::Lock;
-                    }
-                    touched += syms.byte_size(&u.target);
-                    updates.push(u);
-                }
-                None => return CriticalLowering::Lock,
-            },
-            _ => return CriticalLowering::Lock,
-        }
-    }
-    if updates.is_empty() || touched > threshold {
-        return CriticalLowering::Lock;
-    }
-    CriticalLowering::Collective(updates)
 }
 
 /// How a `single` block is lowered.
@@ -456,121 +330,171 @@ pub enum SingleLowering {
     LockFlagBarrier,
 }
 
-/// Decide the lowering of a single block: analyzable and writing only
-/// small shared scalars → broadcast path.
-fn analyze_single(
-    body: &Stmt,
-    class: &RegionClassification,
-    syms: &Symbols,
-    threshold: usize,
-) -> SingleLowering {
-    let mut calls = Vec::new();
-    stmt_calls(body, &mut calls);
-    if calls.iter().any(|c| !is_math_builtin(c)) {
-        return SingleLowering::LockFlagBarrier;
-    }
-    let mut writes = Vec::new();
-    if collect_scalar_writes(body, &mut writes).is_err() {
-        return SingleLowering::LockFlagBarrier;
-    }
-    let mut total = 0usize;
-    let mut targets = Vec::new();
-    for w in writes {
-        if !matches!(class.scope_of(&w), VarScope::Shared) {
-            // Private writes are fine but irrelevant for propagation.
-            continue;
-        }
-        if syms.get(&w).map(|d| d.is_array()).unwrap_or(false) {
-            return SingleLowering::LockFlagBarrier;
-        }
-        total += syms.byte_size(&w);
-        if !targets.contains(&w) {
-            targets.push(w);
-        }
-    }
-    if total > threshold {
-        return SingleLowering::LockFlagBarrier;
-    }
-    SingleLowering::Broadcast(targets)
-}
-
-/// Collect scalar assignment targets; `Err` on array writes or control
-/// flow that defeats lexical analysis.
-fn collect_scalar_writes(s: &Stmt, out: &mut Vec<String>) -> Result<(), ()> {
-    match s {
-        Stmt::Empty => Ok(()),
-        Stmt::Expr(e, _) => expr_writes(e, out),
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_scalar_writes(s, out)?;
-            }
-            Ok(())
-        }
-        _ => Err(()),
-    }
-}
-
-fn expr_writes(e: &Expr, out: &mut Vec<String>) -> Result<(), ()> {
-    match e {
-        Expr::Assign(_, lhs, rhs) => {
-            match lhs.as_ref() {
-                Expr::Ident(n) => out.push(n.clone()),
-                Expr::Index(..) => return Err(()),
-                _ => return Err(()),
-            }
-            expr_writes(rhs, out)
-        }
-        Expr::Binary(_, a, b) => {
-            expr_writes(a, out)?;
-            expr_writes(b, out)
-        }
-        Expr::Unary(_, a) => expr_writes(a, out),
-        Expr::Cond(c, a, b) => {
-            expr_writes(c, out)?;
-            expr_writes(a, out)?;
-            expr_writes(b, out)
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_writes(a, out)?;
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
 /// How an `atomic` is lowered.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AtomicLowering {
     /// One collective update of a small scalar.
-    Collective(ScalarUpdate),
+    Collective(UpdateInfo),
     /// Distributed lock around the update (its target lives on HLRC).
-    Lock(ScalarUpdate),
+    Lock(UpdateInfo),
 }
 
-/// The final lowering of every `critical`, `atomic` and `single` of one
-/// function: the lexical analyses above, demoted to the lock / flag +
-/// barrier path when a target is not on the update protocol (a scalar also
-/// written by a plain store or a lock-path construct lives on a DSM page,
-/// where a collective update would never be seen). The emitter and the
-/// executor's resolver both decide through here.
+/// The lexical verdict on one `critical`, `atomic` or `single`: `None`
+/// where the body does not have the shape its collective lowering needs.
+#[derive(Debug)]
+enum Site {
+    Critical(Option<Vec<UpdateInfo>>),
+    Atomic(Option<UpdateInfo>),
+    Single(Option<Vec<String>>),
+}
+
+impl Site {
+    fn is_collective(&self) -> bool {
+        match self {
+            Site::Critical(updates) => updates.is_some(),
+            // An `atomic` never forces its target onto a DSM page.
+            Site::Atomic(_) => true,
+            Site::Single(targets) => targets.is_some(),
+        }
+    }
+}
+
+/// The storage class of every shared variable of one function and the
+/// final lowering of its `critical`, `atomic` and `single` constructs,
+/// planned from the function's MIR. A construct whose body has the
+/// collective shape still takes the lock / flag + barrier path when a
+/// target is not on the update protocol: a scalar also written by a plain
+/// store or inside a lock-path construct lives on a DSM page, where a
+/// collective update would never be seen. The emitter and the executor's
+/// resolver both decide through here, looking constructs up by directive.
 #[derive(Debug, Default)]
 pub struct Lowering {
     symbols: Symbols,
     storage: HashMap<String, StorageKind>,
-    threshold: usize,
+    /// Classification of every `parallel` / `parallel for` with a body.
+    regions: HashMap<Span, RegionClassification>,
+    sites: HashMap<Span, Site>,
 }
 
 impl Lowering {
-    /// Plan `f` of `prog` for the small-data `threshold` (bytes).
-    pub fn plan(prog: &Program, f: &FuncDef, threshold: usize) -> Lowering {
-        let symbols = Symbols::collect(prog, f);
-        let storage = plan_storage(prog, f, &symbols, threshold);
-        Lowering {
-            symbols,
-            storage,
-            threshold,
+    /// Plan `func` (lowered from `prog`) for the small-data `threshold`
+    /// (bytes). One walk over the marker stream:
+    /// - arrays shared by a region go to the paged DSM, shared scalars to
+    ///   the update protocol, and globals start on HLRC (callees may touch
+    ///   them from inside regions);
+    /// - a scalar written inside a region (a `WriteVar` event, or the
+    ///   binding of a work-shared loop variable) is forced onto HLRC,
+    ///   unless the write sits in a construct with a collective shape.
+    pub fn plan(prog: &Program, func: MirFunc, threshold: usize) -> Lowering {
+        let mut plan = Lowering::default();
+        for item in &prog.items {
+            if let Item::Global(d) = item {
+                let kind = if d.is_array() {
+                    StorageKind::SharedArr
+                } else {
+                    StorageKind::ScalarHlrc
+                };
+                plan.storage.insert(d.name.clone(), kind);
+            }
+        }
+        let syms = &func.syms;
+        let stmts: Vec<(usize, &MirStmt)> = func
+            .blocks
+            .iter()
+            .enumerate()
+            .flat_map(|(b, blk)| blk.stmts.iter().map(move |s| (b, s)))
+            .collect();
+        // Enclosing regions, innermost last.
+        let mut classes: Vec<Option<&RegionClassification>> = Vec::new();
+        // Enclosing `critical`/`atomic`/`single` pairs and whether each has
+        // the collective shape. The outermost one decides whether the
+        // writes inside it force HLRC.
+        let mut protects: Vec<(u32, bool)> = Vec::new();
+        for (at, &(_, s)) in stmts.iter().enumerate() {
+            let forcing = !classes.is_empty() && protects.first().is_none_or(|p| !p.1);
+            match s {
+                MirStmt::Eval(e) if forcing => {
+                    for ev in &e.events {
+                        if let AccessEvent::WriteVar(n) = ev {
+                            plan.force_hlrc(n);
+                        }
+                    }
+                }
+                MirStmt::Eval(_) => {}
+                MirStmt::Marker(m) => match m {
+                    Marker::WsBody { var } if forcing => plan.force_hlrc(var),
+                    Marker::ParallelEnter { dir, class, .. } => {
+                        if let Some(class) = class {
+                            if classes.is_empty() {
+                                plan.add_shared(class, syms);
+                            }
+                            plan.regions.insert(dir.span, class.clone());
+                        }
+                        classes.push(class.as_ref());
+                    }
+                    Marker::ParallelExit { .. } => {
+                        classes.pop();
+                    }
+                    Marker::ProtectEnter {
+                        dir,
+                        atomic_ok,
+                        pair,
+                    } => {
+                        let end = at + stmts[at..]
+                            .iter()
+                            .position(|(_, s)| {
+                                matches!(s, MirStmt::Marker(m) if m.exit_pair() == Some(*pair))
+                            })
+                            .expect("every ProtectEnter has its ProtectExit");
+                        let body = &stmts[at..=end];
+                        let class = classes.last().copied().flatten();
+                        let site = match &dir.kind {
+                            DirKind::Critical(_) => Site::Critical(
+                                class.and_then(|c| critical_updates(body, c, syms, threshold)),
+                            ),
+                            DirKind::Single => Site::Single(
+                                class.and_then(|c| single_targets(body, c, syms, threshold)),
+                            ),
+                            DirKind::Atomic => Site::Atomic(
+                                atomic_ok
+                                    .then(|| evals(body).find_map(|e| e.update.clone()))
+                                    .flatten(),
+                            ),
+                            _ => continue,
+                        };
+                        protects.push((*pair, site.is_collective()));
+                        plan.sites.insert(dir.span, site);
+                    }
+                    Marker::ProtectExit { pair } if protects.last().map(|p| p.0) == Some(*pair) => {
+                        protects.pop();
+                    }
+                    _ => {}
+                },
+            }
+        }
+        plan.symbols = func.syms;
+        plan
+    }
+
+    fn add_shared(&mut self, class: &RegionClassification, syms: &Symbols) {
+        for name in class.shared_vars() {
+            let Some(d) = syms.get(&name) else { continue };
+            let entry = self.storage.entry(name).or_insert(if d.is_array() {
+                StorageKind::SharedArr
+            } else {
+                StorageKind::ScalarUpdate
+            });
+            if d.is_array() {
+                *entry = StorageKind::SharedArr;
+            }
+        }
+    }
+
+    fn force_hlrc(&mut self, name: &str) {
+        if let Some(k) = self.storage.get_mut(name) {
+            if *k == StorageKind::ScalarUpdate {
+                *k = StorageKind::ScalarHlrc;
+            }
         }
     }
 
@@ -584,233 +508,132 @@ impl Lowering {
         &self.storage
     }
 
+    /// Variable classification of the region `dir` opens.
+    pub fn region(&self, dir: &Directive) -> &RegionClassification {
+        self.regions
+            .get(&dir.span)
+            .expect("every region with a body is classified")
+    }
+
     /// Is `name` a shared scalar on the update protocol?
     fn on_update_protocol(&self, name: &str) -> bool {
         self.storage.get(name) == Some(&StorageKind::ScalarUpdate)
     }
 
-    pub fn critical(&self, body: &Stmt, class: &RegionClassification) -> CriticalLowering {
-        match analyze_critical(body, class, &self.symbols, self.threshold) {
-            CriticalLowering::Collective(updates)
+    pub fn critical(&self, dir: &Directive) -> CriticalLowering {
+        match self.sites.get(&dir.span) {
+            Some(Site::Critical(Some(updates)))
                 if updates.iter().all(|u| self.on_update_protocol(&u.target)) =>
             {
-                CriticalLowering::Collective(updates)
+                CriticalLowering::Collective(updates.clone())
             }
             _ => CriticalLowering::Lock,
         }
     }
 
-    /// `Err` names what is wrong with a body that is no scalar update.
-    pub fn atomic(&self, body: Option<&Stmt>) -> Result<AtomicLowering, &'static str> {
-        let Some(Stmt::Expr(e, _)) = body else {
-            return Err("atomic body must be an expression statement");
+    /// `Err` says what is wrong with a body that is no scalar update.
+    pub fn atomic(&self, dir: &Directive) -> Result<AtomicLowering, &'static str> {
+        let Some(Site::Atomic(Some(u))) = self.sites.get(&dir.span) else {
+            return Err("atomic body must be a single scalar update statement");
         };
-        let u = as_scalar_update(e).ok_or("atomic body must be a scalar update")?;
         Ok(if self.on_update_protocol(&u.target) {
-            AtomicLowering::Collective(u)
+            AtomicLowering::Collective(u.clone())
         } else {
-            AtomicLowering::Lock(u)
+            AtomicLowering::Lock(u.clone())
         })
     }
 
-    pub fn single(&self, body: &Stmt, class: &RegionClassification) -> SingleLowering {
-        match analyze_single(body, class, &self.symbols, self.threshold) {
-            SingleLowering::Broadcast(targets)
+    pub fn single(&self, dir: &Directive) -> SingleLowering {
+        match self.sites.get(&dir.span) {
+            Some(Site::Single(Some(targets)))
                 if targets.iter().all(|t| self.on_update_protocol(t)) =>
             {
-                SingleLowering::Broadcast(targets)
+                SingleLowering::Broadcast(targets.clone())
             }
             _ => SingleLowering::LockFlagBarrier,
         }
     }
 }
 
-/// Decide the storage/protocol of every variable (globals + `f`'s locals):
-/// arrays shared by any region go to the paged DSM; shared scalars use the
-/// update protocol unless written by plain stores or lock-path constructs,
-/// which force HLRC.
-fn plan_storage(
-    prog: &Program,
-    f: &FuncDef,
-    syms: &Symbols,
-    threshold: usize,
-) -> HashMap<String, StorageKind> {
-    let mut kinds: HashMap<String, StorageKind> = HashMap::new();
-    // Globals are conservatively shared (callees may touch them from
-    // inside regions).
-    for item in &prog.items {
-        if let Item::Global(d) = item {
-            kinds.insert(
-                d.name.clone(),
-                if d.is_array() {
-                    StorageKind::SharedArr
-                } else {
-                    StorageKind::ScalarHlrc
-                },
-            );
-        }
-    }
-    let mut regions = Vec::new();
-    collect_regions(&f.body, &mut regions);
-    for (dir, body) in regions {
-        let class = classify_region(dir, body, syms);
-        for name in class.shared_vars() {
-            let Some(d) = syms.get(&name) else { continue };
-            let entry = kinds.entry(name.clone()).or_insert(if d.is_array() {
-                StorageKind::SharedArr
-            } else {
-                StorageKind::ScalarUpdate
-            });
-            if d.is_array() {
-                *entry = StorageKind::SharedArr;
-            }
-        }
-        // Plain writes (outside analyzable constructs) force HLRC.
-        let mut forced = Vec::new();
-        forced_hlrc_writes(body, &class, syms, threshold, &mut forced);
-        for name in forced {
-            if let Some(k) = kinds.get_mut(&name) {
-                if *k == StorageKind::ScalarUpdate {
-                    *k = StorageKind::ScalarHlrc;
-                }
-            }
-        }
-    }
-    kinds
+/// The evaluations of a construct (`body` runs from its enter marker to
+/// its exit marker).
+fn evals<'a>(body: &'a [(usize, &'a MirStmt)]) -> impl Iterator<Item = &'a Eval> {
+    body.iter().filter_map(|(_, s)| match s {
+        MirStmt::Eval(e) => Some(e),
+        _ => None,
+    })
 }
 
-fn collect_regions<'a>(s: &'a Stmt, out: &mut Vec<(&'a Directive, &'a Stmt)>) {
-    match s {
-        Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Parallel | DirKind::ParallelFor) => {
-            out.push((d, b));
-        }
-        Stmt::Block(ss) => {
-            for s in ss {
-                collect_regions(s, out);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            collect_regions(a, out);
-            if let Some(b) = b {
-                collect_regions(b, out);
-            }
-        }
-        Stmt::While(_, b) => collect_regions(b, out),
-        Stmt::For { body, .. } => collect_regions(body, out),
-        _ => {}
-    }
+/// The evaluations of a lexically analyzable construct body (§4.2):
+/// straight-line statements, no nested construct or condition, and no
+/// call but to math builtins. `None` otherwise.
+fn analyzable<'a>(body: &'a [(usize, &'a MirStmt)]) -> Option<Vec<&'a Eval>> {
+    let (first, last) = (body[0].0, body[body.len() - 1].0);
+    let plain = body[1..body.len() - 1].iter().all(|(_, s)| {
+        matches!(
+            s,
+            MirStmt::Eval(_)
+                | MirStmt::Marker(Marker::BlockStart | Marker::BlockEnd | Marker::Sibling(_))
+        )
+    });
+    let evals: Vec<&Eval> = evals(body).collect();
+    let calls_only_math = evals
+        .iter()
+        .all(|e| e.calls.iter().all(|c| is_math_builtin(c)));
+    (first == last && plain && calls_only_math).then_some(evals)
 }
 
-/// Scalar shared variables written by plain assignments or inside
-/// lock-lowered constructs within a region body.
-fn forced_hlrc_writes(
-    s: &Stmt,
+/// `critical` (§4.2 + §5.2.1 + §7): every statement a scalar accumulation
+/// on a shared scalar, together under the threshold.
+fn critical_updates(
+    body: &[(usize, &MirStmt)],
     class: &RegionClassification,
     syms: &Symbols,
     threshold: usize,
-    out: &mut Vec<String>,
-) {
-    match s {
-        Stmt::Expr(e, _) => expr_plain_writes(e, out),
-        Stmt::Decl(d) => {
-            if let Some(e) = &d.init {
-                expr_plain_writes(e, out);
-            }
+) -> Option<Vec<UpdateInfo>> {
+    let mut updates = Vec::new();
+    let mut bytes = 0;
+    for e in analyzable(body)? {
+        let u = e.update.as_ref()?;
+        if !matches!(class.scope_of(&u.target), VarScope::Shared)
+            || syms.get(&u.target).is_some_and(|d| d.is_array())
+        {
+            return None;
         }
-        Stmt::Block(ss) => {
-            for s in ss {
-                forced_hlrc_writes(s, class, syms, threshold, out);
-            }
-        }
-        Stmt::If(c, a, b) => {
-            expr_plain_writes(c, out);
-            forced_hlrc_writes(a, class, syms, threshold, out);
-            if let Some(b) = b {
-                forced_hlrc_writes(b, class, syms, threshold, out);
-            }
-        }
-        Stmt::While(c, b) => {
-            expr_plain_writes(c, out);
-            forced_hlrc_writes(b, class, syms, threshold, out);
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            for e in [init, cond, step].into_iter().flatten() {
-                expr_plain_writes(e, out);
-            }
-            forced_hlrc_writes(body, class, syms, threshold, out);
-        }
-        Stmt::Omp(dir, Some(body)) => match &dir.kind {
-            DirKind::Critical(_) => {
-                if let CriticalLowering::Lock = analyze_critical(body, class, syms, threshold) {
-                    // Writes inside a lock-path critical go to the DSM.
-                    all_scalar_writes(body, out);
-                }
-            }
-            DirKind::Atomic => { /* collective path, never forces */ }
-            DirKind::Single => {
-                if let SingleLowering::LockFlagBarrier =
-                    analyze_single(body, class, syms, threshold)
-                {
-                    all_scalar_writes(body, out);
-                }
-            }
-            _ => forced_hlrc_writes(body, class, syms, threshold, out),
-        },
-        _ => {}
+        bytes += syms.byte_size(&u.target);
+        updates.push(u.clone());
     }
+    (!updates.is_empty() && bytes <= threshold).then_some(updates)
 }
 
-fn expr_plain_writes(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Assign(_, lhs, rhs) => {
-            if let Expr::Ident(n) = lhs.as_ref() {
-                out.push(n.clone());
+/// `single`: writes only scalars (the shared ones together under the
+/// threshold); returns the shared ones, to broadcast.
+fn single_targets(
+    body: &[(usize, &MirStmt)],
+    class: &RegionClassification,
+    syms: &Symbols,
+    threshold: usize,
+) -> Option<Vec<String>> {
+    let mut targets: Vec<String> = Vec::new();
+    let mut bytes = 0;
+    for e in analyzable(body)? {
+        for ev in &e.events {
+            match ev {
+                AccessEvent::WriteVar(n) if matches!(class.scope_of(n), VarScope::Shared) => {
+                    if syms.get(n).is_some_and(|d| d.is_array()) {
+                        return None;
+                    }
+                    bytes += syms.byte_size(n);
+                    if !targets.contains(n) {
+                        targets.push(n.clone());
+                    }
+                }
+                AccessEvent::WriteIndexed(..) | AccessEvent::MarkWritten(_) => return None,
+                _ => {}
             }
-            expr_plain_writes(rhs, out);
         }
-        Expr::Binary(_, a, b) => {
-            expr_plain_writes(a, out);
-            expr_plain_writes(b, out);
-        }
-        Expr::Unary(_, a) => expr_plain_writes(a, out),
-        Expr::Cond(c, a, b) => {
-            expr_plain_writes(c, out);
-            expr_plain_writes(a, out);
-            expr_plain_writes(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_plain_writes(a, out);
-            }
-        }
-        _ => {}
     }
-}
-
-fn all_scalar_writes(s: &Stmt, out: &mut Vec<String>) {
-    match s {
-        Stmt::Expr(e, _) => expr_plain_writes(e, out),
-        Stmt::Block(ss) => {
-            for s in ss {
-                all_scalar_writes(s, out);
-            }
-        }
-        Stmt::If(_, a, b) => {
-            all_scalar_writes(a, out);
-            if let Some(b) = b {
-                all_scalar_writes(b, out);
-            }
-        }
-        Stmt::While(_, b) => all_scalar_writes(b, out),
-        Stmt::For { body, .. } => all_scalar_writes(body, out),
-        Stmt::Omp(_, Some(b)) => all_scalar_writes(b, out),
-        _ => {}
-    }
+    (bytes <= threshold).then_some(targets)
 }
 
 /// A canonical `for` loop recognized by the work-sharing lowering.
@@ -823,12 +646,6 @@ pub struct CanonLoop {
     /// Positive stride.
     pub step: i64,
     pub body: Stmt,
-}
-
-impl CanonLoop {
-    pub fn var(&self) -> Option<String> {
-        Some(self.var.clone())
-    }
 }
 
 /// Find the `for` loop a work-sharing directive applies to.
@@ -898,6 +715,7 @@ pub fn loop_of(body: &Stmt) -> Option<CanonLoop> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mir::lower_func;
     use crate::parser::parse;
 
     fn region_of(src: &str) -> (Directive, Stmt, Symbols) {
@@ -977,9 +795,32 @@ mod tests {
             .unwrap()
     }
 
+    /// `main`'s plan, and its first `critical`/`atomic`/`single`/`master`
+    /// whose kind `pick` accepts.
+    fn plan_of(src: &str, pick: fn(&DirKind) -> bool) -> (Lowering, Directive) {
+        let prog = parse(src).unwrap();
+        let mir = lower_func(&prog, prog.func("main").unwrap());
+        let dir = mir
+            .blocks
+            .iter()
+            .flat_map(|b| &b.stmts)
+            .find_map(|s| match s {
+                MirStmt::Marker(Marker::ProtectEnter { dir, .. }) if pick(&dir.kind) => {
+                    Some(dir.clone())
+                }
+                _ => None,
+            })
+            .expect("construct found");
+        (Lowering::plan(&prog, mir, DEFAULT_SMALL_THRESHOLD), dir)
+    }
+
+    fn is_critical(k: &DirKind) -> bool {
+        matches!(k, DirKind::Critical(_))
+    }
+
     #[test]
     fn critical_small_scalar_becomes_collective() {
-        let (d, b, syms) = region_of(
+        let (plan, crit) = plan_of(
             r#"int main() { double sum; double local;
 #pragma omp parallel
 {
@@ -987,19 +828,9 @@ mod tests {
 { sum = sum + local; }
 }
 return 0; }"#,
+            is_critical,
         );
-        let c = classify_region(&d, &b, &syms);
-        // Find the critical inside the region body.
-        fn find_crit(s: &Stmt) -> Option<&Stmt> {
-            match s {
-                Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Critical(_)) => Some(b),
-                Stmt::Block(ss) => ss.iter().find_map(find_crit),
-                Stmt::Omp(_, Some(b)) => find_crit(b),
-                _ => None,
-            }
-        }
-        let crit = find_crit(&b).unwrap();
-        match analyze_critical(crit, &c, &syms, DEFAULT_SMALL_THRESHOLD) {
+        match plan.critical(&crit) {
             CriticalLowering::Collective(us) => {
                 assert_eq!(us.len(), 1);
                 assert_eq!(us[0].target, "sum");
@@ -1010,7 +841,7 @@ return 0; }"#,
 
     #[test]
     fn critical_with_call_falls_back_to_lock() {
-        let (d, b, syms) = region_of(
+        let (plan, crit) = plan_of(
             r#"int main() { double sum;
 #pragma omp parallel
 {
@@ -1019,26 +850,14 @@ return 0; }"#,
 }
 return 0; }
 double compute() { return 1.0; }"#,
+            is_critical,
         );
-        let c = classify_region(&d, &b, &syms);
-        fn find_crit(s: &Stmt) -> Option<&Stmt> {
-            match s {
-                Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Critical(_)) => Some(b),
-                Stmt::Block(ss) => ss.iter().find_map(find_crit),
-                Stmt::Omp(_, Some(b)) => find_crit(b),
-                _ => None,
-            }
-        }
-        let crit = find_crit(&b).unwrap();
-        assert_eq!(
-            analyze_critical(crit, &c, &syms, DEFAULT_SMALL_THRESHOLD),
-            CriticalLowering::Lock
-        );
+        assert_eq!(plan.critical(&crit), CriticalLowering::Lock);
     }
 
     #[test]
     fn critical_large_array_falls_back_to_lock() {
-        let (d, b, syms) = region_of(
+        let (plan, crit) = plan_of(
             r#"int main() { double big[1000]; double s;
 #pragma omp parallel
 {
@@ -1046,27 +865,14 @@ double compute() { return 1.0; }"#,
 { big[0] = big[0] + 1.0; }
 }
 return 0; }"#,
+            is_critical,
         );
-        let c = classify_region(&d, &b, &syms);
-        fn find_crit(s: &Stmt) -> Option<&Stmt> {
-            match s {
-                Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Critical(_)) => Some(b),
-                Stmt::Block(ss) => ss.iter().find_map(find_crit),
-                Stmt::Omp(_, Some(b)) => find_crit(b),
-                _ => None,
-            }
-        }
-        let crit = find_crit(&b).unwrap();
-        let _ = &syms;
-        assert_eq!(
-            analyze_critical(crit, &c, &syms, DEFAULT_SMALL_THRESHOLD),
-            CriticalLowering::Lock
-        );
+        assert_eq!(plan.critical(&crit), CriticalLowering::Lock);
     }
 
     #[test]
     fn single_small_write_broadcasts() {
-        let (d, b, syms) = region_of(
+        let (plan, single) = plan_of(
             r#"int main() { double tol;
 #pragma omp parallel
 {
@@ -1074,26 +880,17 @@ return 0; }"#,
 { tol = 1e-7; }
 }
 return 0; }"#,
+            |k| matches!(k, DirKind::Single),
         );
-        let c = classify_region(&d, &b, &syms);
-        fn find_single(s: &Stmt) -> Option<&Stmt> {
-            match s {
-                Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Single) => Some(b),
-                Stmt::Block(ss) => ss.iter().find_map(find_single),
-                Stmt::Omp(_, Some(b)) => find_single(b),
-                _ => None,
-            }
-        }
-        let single = find_single(&b).unwrap();
         assert_eq!(
-            analyze_single(single, &c, &syms, DEFAULT_SMALL_THRESHOLD),
+            plan.single(&single),
             SingleLowering::Broadcast(vec!["tol".to_string()])
         );
     }
 
     #[test]
     fn single_array_init_needs_barrier_path() {
-        let (d, b, syms) = region_of(
+        let (plan, single) = plan_of(
             r#"int main() { double a[100];
 #pragma omp parallel
 {
@@ -1101,21 +898,63 @@ return 0; }"#,
 { a[0] = 1.0; }
 }
 return 0; }"#,
+            |k| matches!(k, DirKind::Single),
         );
-        let c = classify_region(&d, &b, &syms);
-        fn find_single(s: &Stmt) -> Option<&Stmt> {
-            match s {
-                Stmt::Omp(d, Some(b)) if matches!(d.kind, DirKind::Single) => Some(b),
-                Stmt::Block(ss) => ss.iter().find_map(find_single),
-                Stmt::Omp(_, Some(b)) => find_single(b),
-                _ => None,
+        assert_eq!(plan.single(&single), SingleLowering::LockFlagBarrier);
+    }
+
+    /// The shape `check` accepts for `atomic` (PC007) is the shape the
+    /// lowering takes collectively: braced, and `fmin`/`fmax` updates too.
+    #[test]
+    fn atomic_takes_every_update_shape_check_accepts() {
+        for (body, op) in [
+            ("{ x += 2.0; }", RedOp::Add),
+            ("x = fmin(x, 2.0);", RedOp::Min),
+            ("{ x = fmax(3.0, x); }", RedOp::Max),
+        ] {
+            let src = format!(
+                "int main() {{ double x;\n#pragma omp parallel\n{{\n#pragma omp atomic\n{body}\n}}\nreturn 0; }}"
+            );
+            let (plan, atomic) = plan_of(&src, |k| matches!(k, DirKind::Atomic));
+            match plan.atomic(&atomic) {
+                Ok(AtomicLowering::Collective(u)) => {
+                    assert_eq!((u.target.as_str(), u.op), ("x", op))
+                }
+                other => panic!("{body}: {other:?}"),
             }
         }
-        let single = find_single(&b).unwrap();
-        assert_eq!(
-            analyze_single(single, &c, &syms, DEFAULT_SMALL_THRESHOLD),
-            SingleLowering::LockFlagBarrier
+        let (plan, atomic) = plan_of(
+            "int main() { double x; double y;\n#pragma omp parallel\n{\n#pragma omp atomic\nx = y;\n}\nreturn 0; }",
+            |k| matches!(k, DirKind::Atomic),
         );
+        assert!(plan.atomic(&atomic).is_err());
+    }
+
+    /// A plain store in a region, or any write inside a lock-path
+    /// construct, puts a shared scalar on a DSM page; writes inside a
+    /// collective-shaped construct do not.
+    #[test]
+    fn writes_outside_collective_constructs_force_hlrc() {
+        let (plan, crit) = plan_of(
+            r#"int main() { double s; double t; double u; double v; double a[8];
+#pragma omp parallel
+{
+t = 1.0;
+#pragma omp critical
+{ s += 1.0; a[0] = 2.0; }
+#pragma omp critical(sum)
+{ u += v; }
+}
+return 0; }"#,
+            is_critical,
+        );
+        assert_eq!(plan.critical(&crit), CriticalLowering::Lock);
+        let kind = |n: &str| plan.storage()[n];
+        assert_eq!(kind("a"), StorageKind::SharedArr);
+        assert_eq!(kind("s"), StorageKind::ScalarHlrc);
+        assert_eq!(kind("t"), StorageKind::ScalarHlrc);
+        assert_eq!(kind("u"), StorageKind::ScalarUpdate);
+        assert_eq!(kind("v"), StorageKind::ScalarUpdate);
     }
 
     #[test]

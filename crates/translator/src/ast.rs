@@ -127,6 +127,13 @@ impl Expr {
         }
     }
 
+    /// Does this expression call `omp_get_thread_num()` anywhere?
+    pub fn calls_thread_num(&self) -> bool {
+        let mut calls = Vec::new();
+        self.calls(&mut calls);
+        calls.iter().any(|c| c == "omp_get_thread_num")
+    }
+
     /// Function names called anywhere in this expression.
     pub fn calls(&self, out: &mut Vec<String>) {
         match self {
@@ -580,21 +587,90 @@ pub fn stmt_span(s: &Stmt) -> Option<Span> {
     }
 }
 
-/// Builtin functions the translator treats as side-effect-free math (they
-/// do not break lexical analyzability, §4.2) plus the OpenMP query API and
-/// `printf`.
-pub const MATH_BUILTINS: &[&str] = &[
-    "sqrt", "fabs", "sin", "cos", "tan", "exp", "log", "pow", "floor", "ceil", "fmin", "fmax",
-];
-
-pub const OMP_BUILTINS: &[&str] = &["omp_get_thread_num", "omp_get_num_threads", "omp_get_wtime"];
-
-pub fn is_math_builtin(name: &str) -> bool {
-    MATH_BUILTINS.contains(&name)
+/// The builtin functions the translator treats as side-effect-free math:
+/// calls to them do not break lexical analyzability (§4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MathFn {
+    Sqrt,
+    Fabs,
+    Sin,
+    Cos,
+    Tan,
+    Exp,
+    Log,
+    Floor,
+    Ceil,
+    Pow,
+    Fmin,
+    Fmax,
 }
 
-pub fn is_known_builtin(name: &str) -> bool {
-    is_math_builtin(name) || OMP_BUILTINS.contains(&name) || name == "printf"
+impl MathFn {
+    const ALL: [MathFn; 12] = [
+        MathFn::Sqrt,
+        MathFn::Fabs,
+        MathFn::Sin,
+        MathFn::Cos,
+        MathFn::Tan,
+        MathFn::Exp,
+        MathFn::Log,
+        MathFn::Floor,
+        MathFn::Ceil,
+        MathFn::Pow,
+        MathFn::Fmin,
+        MathFn::Fmax,
+    ];
+
+    pub fn from_name(name: &str) -> Option<MathFn> {
+        MathFn::ALL.into_iter().find(|f| f.name() == name)
+    }
+
+    /// The C name.
+    pub fn name(self) -> &'static str {
+        match self {
+            MathFn::Sqrt => "sqrt",
+            MathFn::Fabs => "fabs",
+            MathFn::Sin => "sin",
+            MathFn::Cos => "cos",
+            MathFn::Tan => "tan",
+            MathFn::Exp => "exp",
+            MathFn::Log => "log",
+            MathFn::Floor => "floor",
+            MathFn::Ceil => "ceil",
+            MathFn::Pow => "pow",
+            MathFn::Fmin => "fmin",
+            MathFn::Fmax => "fmax",
+        }
+    }
+
+    pub fn arity(self) -> usize {
+        match self {
+            MathFn::Pow | MathFn::Fmin | MathFn::Fmax => 2,
+            _ => 1,
+        }
+    }
+
+    /// The value for arguments `x` (and `y`, for the two-argument ones).
+    pub fn apply(self, x: f64, y: f64) -> f64 {
+        match self {
+            MathFn::Sqrt => x.sqrt(),
+            MathFn::Fabs => x.abs(),
+            MathFn::Sin => x.sin(),
+            MathFn::Cos => x.cos(),
+            MathFn::Tan => x.tan(),
+            MathFn::Exp => x.exp(),
+            MathFn::Log => x.ln(),
+            MathFn::Floor => x.floor(),
+            MathFn::Ceil => x.ceil(),
+            MathFn::Pow => x.powf(y),
+            MathFn::Fmin => x.min(y),
+            MathFn::Fmax => x.max(y),
+        }
+    }
+}
+
+pub fn is_math_builtin(name: &str) -> bool {
+    MathFn::from_name(name).is_some()
 }
 
 #[cfg(test)]
@@ -685,9 +761,11 @@ mod tests {
 
     #[test]
     fn builtins() {
+        for f in MathFn::ALL {
+            assert_eq!(MathFn::from_name(f.name()), Some(f));
+        }
         assert!(is_math_builtin("sqrt"));
         assert!(!is_math_builtin("compute"));
-        assert!(is_known_builtin("printf"));
-        assert!(is_known_builtin("omp_get_thread_num"));
+        assert!(!is_math_builtin("printf"));
     }
 }

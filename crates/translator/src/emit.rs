@@ -10,10 +10,11 @@
 use std::fmt::Write as _;
 
 use crate::analysis::{
-    classify_region, loop_of, AtomicLowering, CriticalLowering, Lowering, RegionClassification,
-    SingleLowering, VarScope, DEFAULT_SMALL_THRESHOLD,
+    loop_of, AtomicLowering, CriticalLowering, Lowering, RegionClassification, SingleLowering,
+    VarScope, DEFAULT_SMALL_THRESHOLD,
 };
 use crate::ast::*;
+use crate::mir::lower_func;
 use crate::token::ParseError;
 
 /// Which runtime dialect to emit.
@@ -126,7 +127,7 @@ impl<'p> Emitter<'p> {
                 .join(", ")
         };
         self.line(&format!("{} {}({})", type_text(&f.ret), f.name, params));
-        let plan = Lowering::plan(self.prog, f, self.threshold);
+        let plan = Lowering::plan(self.prog, lower_func(self.prog, f), self.threshold);
         self.stmt(&f.body, &plan, None)?;
         self.line("");
         Ok(())
@@ -226,20 +227,16 @@ impl<'p> Emitter<'p> {
                 Ok(())
             }
             (DirKind::For, Some(class)) => {
-                let class = class.clone();
-                self.worksharing_for(dir, body.expect("loop"), plan, &class)
+                self.worksharing_for(dir, body.expect("loop"), plan, class)
             }
             (DirKind::Critical(_), Some(class)) => {
-                let class = class.clone();
-                self.critical(dir, body.expect("critical body"), plan, &class)
+                self.critical(dir, body.expect("critical body"), plan, class)
             }
             (DirKind::Atomic, Some(class)) => {
-                let class = class.clone();
-                self.atomic(body.expect("atomic body"), plan, &class, dir.line())
+                self.atomic(dir, body.expect("atomic body"), plan, class)
             }
             (DirKind::Single, Some(class)) => {
-                let class = class.clone();
-                self.single(body.expect("single body"), plan, &class)
+                self.single(dir, body.expect("single body"), plan, class)
             }
             // Tasking constructs are emitted with serial elision: an
             // undeferred task executed inline is a legal task schedule, and
@@ -306,7 +303,7 @@ impl<'p> Emitter<'p> {
     ) -> Result<(), ParseError> {
         let id = self.region_count;
         self.region_count += 1;
-        let class = classify_region(dir, body, plan.symbols());
+        let class = plan.region(dir);
 
         // Captured variables: everything shared / firstprivate /
         // lastprivate / reduction that is declared outside.
@@ -408,9 +405,9 @@ impl<'p> Emitter<'p> {
         // For `parallel for`, the body is the loop itself.
         match dir.kind {
             DirKind::ParallelFor => {
-                inner.worksharing_for(dir, body, plan, &class)?;
+                inner.worksharing_for(dir, body, plan, class)?;
             }
-            _ => inner.stmt(body, plan, Some(&class))?,
+            _ => inner.stmt(body, plan, Some(class))?,
         }
 
         // Reduction epilogue.
@@ -511,12 +508,12 @@ impl<'p> Emitter<'p> {
 
     fn critical(
         &mut self,
-        _dir: &Directive,
+        dir: &Directive,
         body: &Stmt,
         plan: &Lowering,
         class: &RegionClassification,
     ) -> Result<(), ParseError> {
-        match (self.mode, plan.critical(body, class)) {
+        match (self.mode, plan.critical(dir)) {
             (EmitMode::Parade, CriticalLowering::Collective(updates)) => {
                 self.line("/* critical: lexically analyzable, small data ->");
                 self.line("   hierarchical pthread lock + collective update (Fig. 2) */");
@@ -559,13 +556,13 @@ impl<'p> Emitter<'p> {
 
     fn atomic(
         &mut self,
+        dir: &Directive,
         body: &Stmt,
         plan: &Lowering,
         class: &RegionClassification,
-        line: usize,
     ) -> Result<(), ParseError> {
-        let lowering = plan.atomic(Some(body)).map_err(|why| ParseError {
-            line,
+        let lowering = plan.atomic(dir).map_err(|why| ParseError {
+            line: dir.line(),
             message: why.into(),
         })?;
         match (self.mode, lowering) {
@@ -618,13 +615,14 @@ impl<'p> Emitter<'p> {
 
     fn single(
         &mut self,
+        dir: &Directive,
         body: &Stmt,
         plan: &Lowering,
         class: &RegionClassification,
     ) -> Result<(), ParseError> {
         let sid = self.single_count;
         self.single_count += 1;
-        match (self.mode, plan.single(body, class)) {
+        match (self.mode, plan.single(dir)) {
             (EmitMode::Parade, SingleLowering::Broadcast(targets)) => {
                 self.line("/* single: small shared data -> pthread lock +");
                 self.line("   broadcast, no barrier (Fig. 3) */");

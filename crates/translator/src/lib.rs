@@ -10,16 +10,21 @@
 //!    `atomic`, `single`, `master`, `barrier`; clauses `private`, `shared`,
 //!    `firstprivate`, `lastprivate`, `reduction`, `schedule`, `nowait`,
 //!    `num_threads`);
-//! 2. [`analysis`] — variable scope classification (default shared) and the
-//!    hybrid-protocol decisions: lexical analyzability and the 256-byte
-//!    small-data threshold decide collective vs lock lowering per directive
-//!    (§4.2, §5.2.1);
-//! 3. [`emit`] — source-to-source backend producing translated C against
+//! 2. [`mir`] — the one front-end IR: each function lowered to basic blocks
+//!    with linearized access events and paired construct markers. The
+//!    plan below and `parade-check`'s lints both read it;
+//! 3. [`analysis`] — variable scope classification (default shared) and the
+//!    hybrid-protocol plan read from the MIR: the storage class of every
+//!    shared variable, and collective vs lock lowering per directive by
+//!    lexical analyzability and the 256-byte small-data threshold (§4.2,
+//!    §5.2.1);
+//! 4. [`emit`] — source-to-source backend producing translated C against
 //!    the ParADE API or against a conventional SDSM API (the two sides of
 //!    Figures 2 and 3);
-//! 4. [`interp`] — an interpreter that executes the lowered program
-//!    directly on the `parade-core` runtime, so translated OpenMP programs
-//!    run end-to-end on the simulated cluster.
+//! 5. `resolve` + [`interp`] — the resolver turns the AST and the plan of
+//!    `main` into a symbol-resolved tree once, and the interpreter executes
+//!    it directly on the `parade-core` runtime, so translated OpenMP
+//!    programs run end-to-end on the simulated cluster.
 //!
 //! The `paradec` binary wraps all of this:
 //!
@@ -32,6 +37,7 @@ pub mod analysis;
 pub mod ast;
 pub mod emit;
 pub mod interp;
+pub mod mir;
 pub mod oracle;
 pub mod parser;
 mod resolve;

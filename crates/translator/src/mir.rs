@@ -1,0 +1,22 @@
+//! The MIR: the one front-end IR every directive decision is read from.
+//!
+//! [`lower::lower_func`] turns a function's AST into a [`MirFunc`] — basic
+//! blocks in lexical creation order, explicit branch/loop edges,
+//! linearized access events and paired construct markers. Two readers
+//! consume it:
+//!
+//! - [`crate::analysis::Lowering::plan`] decides the storage class of
+//!   every shared variable and the collective-vs-lock lowering of every
+//!   `critical`, `atomic` and `single` from it; the emitter and the
+//!   executor's resolver take those decisions from the plan;
+//! - `parade-check` replays its lints over the marker stream and runs
+//!   `parade-mir`'s dataflow analyses over the CFG.
+
+pub mod body;
+pub mod lower;
+
+pub use body::{
+    AccessEvent, Block, BlockId, CondInfo, Eval, Marker, MirFunc, MirStmt, SiblingInfo,
+    SiblingKind, Terminator, UpdateInfo, WsInfo,
+};
+pub use lower::{lower_func, lower_program};

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate, split into non-test and test.
 #
-#   scripts/loc.sh [dir]     # default: crates
+#   scripts/loc.sh                       # every crate under crates/, then the total
+#   scripts/loc.sh translator mir check  # those crates, then their subtotal
+#   scripts/loc.sh benchmark             # a directory: one row per subdirectory
 #
 # A file's lines up to its first `#[cfg(test)]` are non-test, that line and
 # everything after it are test. A file declared as `#[cfg(test)] mod name;`
@@ -10,13 +12,31 @@
 # comments count: this is `wc -l`, split.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ROOT="${1:-crates}"
+ROOT=crates
+if [ $# -eq 1 ] && [ -d "$1" ]; then
+  ROOT="$1"
+  shift
+fi
+label=total
+names=()
+if [ $# -gt 0 ]; then
+  label=subtotal
+  names=("$@")
+else
+  for crate in "$ROOT"/*/; do
+    names+=("$(basename "$crate")")
+  done
+fi
 
 printf '%-12s %9s %9s %9s\n' crate non-test test total
 total_code=0
 total_test=0
-for crate in "$ROOT"/*/; do
-  name="$(basename "$crate")"
+for name in "${names[@]}"; do
+  crate="$ROOT/$name"
+  if [ ! -d "$crate" ]; then
+    echo "loc.sh: no crate $crate" >&2
+    exit 1
+  fi
   code=0
   test=0
   while IFS= read -r f; do
@@ -36,4 +56,4 @@ for crate in "$ROOT"/*/; do
   total_code=$((total_code + code))
   total_test=$((total_test + test))
 done
-printf '%-12s %9d %9d %9d\n' total "$total_code" "$total_test" $((total_code + total_test))
+printf '%-12s %9d %9d %9d\n' "$label" "$total_code" "$total_test" $((total_code + total_test))
