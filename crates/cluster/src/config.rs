@@ -110,8 +110,8 @@ pub struct ClusterConfig {
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
     /// can be soaked under chaos without code changes.
     pub chaos: ChaosProfile,
-    /// Task scheduler knobs (steal strategy, victim fanout, batch grain,
-    /// victim-selection seed) for `parade-tasks` phases.
+    /// Task scheduler knobs (steal strategy, victim-selection seed) for
+    /// `parade-tasks` phases.
     pub task_scheduler: SchedConfig,
     /// Per-node DSM knobs, passed through to every node except for the two
     /// the cluster level decides (see [`ClusterConfig::dsm_config`]):

@@ -80,22 +80,43 @@ pub struct NodePanic {
     pub message: String,
 }
 
-/// A failed launch: which node programs panicked, plus the full report
-/// (whose `fabric_errors` names every dead link when the failure was a
-/// fabric fail-stop).
+/// A run that did not complete: which node programs panicked, plus the
+/// counters salvaged from it. A fabric fail-stop (retry-budget exhaustion
+/// on a dead link) surfaces here as the panics of every node caught
+/// blocked on that link; `cluster.fabric_errors` names each dead link.
+/// Produced by [`launch_result`], and handed on unchanged by
+/// `parade_core::Cluster::try_run_with_report`.
 #[derive(Debug)]
-pub struct LaunchFailure {
+pub struct FailedRun {
+    /// Which node programs panicked, with their messages.
     pub panics: Vec<NodePanic>,
-    pub report: ClusterReport,
+    /// Counters salvaged from the dead run.
+    pub cluster: ClusterReport,
 }
 
-impl std::fmt::Display for LaunchFailure {
+impl FailedRun {
+    /// Every retry-budget exhaustion recorded before the fail-stop.
+    pub fn fabric_errors(&self) -> &[FabricError] {
+        &self.cluster.fabric_errors
+    }
+
+    /// Was this a fabric fail-stop (as opposed to a plain program bug)?
+    pub fn is_fabric_death(&self) -> bool {
+        !self.cluster.fabric_errors.is_empty()
+    }
+}
+
+impl std::fmt::Display for FailedRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} node(s) panicked", self.panics.len())?;
+        write!(
+            f,
+            "cluster run failed: {} node(s) panicked",
+            self.panics.len()
+        )?;
         if let Some(p) = self.panics.first() {
             write!(f, " (node {}: {})", p.node, p.message)?;
         }
-        if let Some(e) = self.report.fabric_errors.first() {
+        if let Some(e) = self.cluster.fabric_errors.first() {
             write!(f, "; {e}")?;
         }
         Ok(())
@@ -148,7 +169,7 @@ where
 pub fn launch_result<R, F>(
     cfg: ClusterConfig,
     program: F,
-) -> Result<(Vec<R>, ClusterReport), Box<LaunchFailure>>
+) -> Result<(Vec<R>, ClusterReport), Box<FailedRun>>
 where
     R: Send + 'static,
     F: Fn(NodeEnv) -> R + Send + Sync + 'static,
@@ -242,7 +263,10 @@ where
     } else {
         // Boxed: the report inside makes the Err variant heavyweight, and
         // the Ok path must not pay for it.
-        Err(Box::new(LaunchFailure { panics, report }))
+        Err(Box::new(FailedRun {
+            panics,
+            cluster: report,
+        }))
     }
 }
 

@@ -11,4 +11,4 @@ mod config;
 mod launch;
 
 pub use config::{ClusterConfig, ConfigError, ExecConfig, ProtocolMode};
-pub use launch::{launch, launch_result, ClusterReport, LaunchFailure, NodeEnv, NodePanic};
+pub use launch::{launch, launch_result, ClusterReport, FailedRun, NodeEnv, NodePanic};

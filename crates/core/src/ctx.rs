@@ -301,11 +301,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Node-local barrier only (no DSM consistency action).
-    pub fn node_barrier(&self) {
-        self.rt.barrier.wait(&mut self.clock.borrow_mut());
-    }
-
     /// The "combine inside the node, one thread talks to the other nodes"
     /// step every hierarchical construct shares: a node barrier whose last
     /// arriver runs `lead` on the clock it is handed (this thread's clock
@@ -520,10 +515,6 @@ impl ThreadCtx {
 
     pub fn reduce_f64_sum(&self, v: f64) -> f64 {
         self.reduce_f64(ReduceOp::Sum, v)
-    }
-
-    pub fn reduce_f64_max(&self, v: f64) -> f64 {
-        self.reduce_f64(ReduceOp::Max, v)
     }
 
     /// Integer reduction.
@@ -755,22 +746,6 @@ impl ThreadCtx {
         match self.rt.mode {
             ProtocolMode::Parade => self.rt.small().write_f64(s.small, 0, v),
             ProtocolMode::SdsmOnly => self.with_clock(|c| self.rt.dsm.write(s.region, 0, v, c)),
-        }
-    }
-
-    /// `single nowait` with no data propagation: executed by the earliest
-    /// thread of the master node only (e.g. progress printing).
-    pub fn single_plain(&self, f: impl FnOnce(&ThreadCtx)) {
-        let seq = self.single_seq.replace(self.single_seq.get() + 1);
-        if self.rt.node != 0 {
-            return;
-        }
-        let gen = construct_gen(self.region_no, seq);
-        let slot = (gen as usize) % SLOTS;
-        let mut sl = self.rt.singles[slot].lock();
-        if sl.done_gen < gen {
-            f(self);
-            sl.done_gen = gen;
         }
     }
 

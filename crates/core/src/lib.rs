@@ -43,13 +43,12 @@ pub use ctx::{partition, BoundVec, ScalarPrim, StaticChunks, ThreadCtx};
 pub use report::StatsReport;
 pub use shared::{Pod, SharedScalar, SharedVec};
 pub use tasking::{TaskFn, TaskScope};
-pub use team::{Cluster, ClusterBuilder, FailedRun, MasterCtx, RunReport};
-// Moved into parade-net (the MPI layer's shared-memory combine uses it
-// too); re-exported here so `parade_core::VBarrier` keeps working.
-pub use parade_net::VBarrier;
+pub use team::{Cluster, ClusterBuilder, MasterCtx, RunReport};
 
 // Re-exports so downstream code needs only this crate for common use.
-pub use parade_cluster::{ClusterConfig, ConfigError, ExecConfig, NodePanic, ProtocolMode};
+pub use parade_cluster::{
+    ClusterConfig, ConfigError, ExecConfig, FailedRun, NodePanic, ProtocolMode,
+};
 pub use parade_dsm::{DsmConfig, ProtoSelect};
 pub use parade_mpi::ReduceOp;
 pub use parade_net::{FabricError, NetProfile, NodeTraffic, TimeSource, VTime};

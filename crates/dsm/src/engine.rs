@@ -314,11 +314,6 @@ impl Dsm {
         self.expect_frame(pkt, DsmReply::try_decode(&pkt.payload))
     }
 
-    /// Current barrier sequence number (barriers completed so far).
-    pub fn barrier_count(&self) -> u64 {
-        self.barrier_seq.load(Ordering::Relaxed)
-    }
-
     // ---- allocation ------------------------------------------------------
 
     /// Allocate a shared region, building the page-table entries of the
@@ -666,15 +661,6 @@ impl Dsm {
             meta.cv.notify_all();
         }
         inner
-    }
-
-    /// Fault in every page covering `start .. start+len` for writing.
-    pub fn ensure_writable(&self, start: usize, len: usize, clock: &mut VClock) {
-        for page in crate::page::pages_covering(start, len) {
-            if self.pages[page].fast.load(Ordering::Acquire) != PageState::Dirty as u8 {
-                drop(self.lock_writable(page, clock));
-            }
-        }
     }
 
     // ---- fault handling (§5.2.3 + §5.1) -----------------------------------

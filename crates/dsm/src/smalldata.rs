@@ -46,11 +46,6 @@ impl SmallRegistry {
         self.objs.read().len()
     }
 
-    /// Read the whole object.
-    pub fn read_bytes(&self, h: SmallHandle) -> Vec<u8> {
-        self.objs.read()[h.id as usize].data.lock().clone()
-    }
-
     /// Overwrite the whole object (e.g. with a broadcast/allreduce result).
     pub fn write_bytes(&self, h: SmallHandle, bytes: &[u8]) {
         assert_eq!(bytes.len(), h.len, "small object size mismatch");

@@ -262,10 +262,6 @@ impl LiveVars {
     pub fn live_in(&self, b: BlockId) -> &BitSet {
         &self.result.output[b.index()]
     }
-
-    pub fn live_out(&self, b: BlockId) -> &BitSet {
-        &self.result.input[b.index()]
-    }
 }
 
 struct LvCore<'a> {

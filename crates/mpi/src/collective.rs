@@ -102,26 +102,6 @@ impl Communicator {
         }
     }
 
-    /// Binomial-tree reduction to `root` with a user combiner.
-    ///
-    /// `buf` holds this rank's contribution on entry; on exit at the root it
-    /// holds the combined value, elsewhere it is unspecified. `combine`
-    /// folds a peer's encoded contribution into `buf`.
-    pub fn reduce_with(
-        &self,
-        root: usize,
-        buf: &mut Vec<u8>,
-        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
-        clock: &mut VClock,
-    ) {
-        let mut st = self.coll_guard.lock();
-        let seq = st.seq;
-        st.seq += 1;
-        trace::begin(EventKind::MpiReduce, clock.now());
-        self.tree_reduce(root, buf, combine, seq, clock);
-        trace::end(EventKind::MpiReduce, clock.now());
-    }
-
     /// Allreduce with a user combiner: binomial reduce to rank 0 followed by
     /// binomial broadcast (2⌈log₂ P⌉ rounds). The paper merges multiple
     /// `reduction` clause variables into one structure and reduces them with

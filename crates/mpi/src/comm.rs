@@ -5,8 +5,6 @@ use parade_net::Bytes;
 
 use parade_net::{Endpoint, Match, MsgClass, VClock};
 
-use crate::datatype;
-
 /// A communicator: one MPI-style rank per cluster node.
 ///
 /// Point-to-point operations are fully thread-safe (the paper stresses that
@@ -49,11 +47,6 @@ impl Communicator {
         self.size
     }
 
-    /// Number of collectives completed so far (diagnostics).
-    pub fn collectives_done(&self) -> u64 {
-        self.coll_guard.lock().seq
-    }
-
     // ---- point-to-point -------------------------------------------------
 
     /// Send raw bytes to `dst` with a user tag.
@@ -87,34 +80,6 @@ impl Communicator {
         self.ep
             .try_recv_match(MsgClass::P2p, Match::tagged(tag as u64), clock)
             .map(|pkt| (pkt.src, pkt.payload))
-    }
-
-    /// Send a slice of `f64`s.
-    pub fn send_f64s(&self, dst: usize, tag: u32, xs: &[f64], clock: &mut VClock) {
-        self.send_bytes(dst, tag, datatype::f64s_to_bytes(xs), clock);
-    }
-
-    /// Receive a slice of `f64`s into `out` (length must match exactly).
-    pub fn recv_f64s_into(&self, src: usize, tag: u32, out: &mut [f64], clock: &mut VClock) {
-        let b = self.recv_bytes(src, tag, clock);
-        datatype::read_f64s_into(&b, out);
-    }
-
-    /// Receive a vector of `f64`s of any length.
-    pub fn recv_f64s(&self, src: usize, tag: u32, clock: &mut VClock) -> Vec<f64> {
-        let b = self.recv_bytes(src, tag, clock);
-        datatype::bytes_to_f64s(&b)
-    }
-
-    /// Send a slice of `i64`s.
-    pub fn send_i64s(&self, dst: usize, tag: u32, xs: &[i64], clock: &mut VClock) {
-        self.send_bytes(dst, tag, datatype::i64s_to_bytes(xs), clock);
-    }
-
-    /// Receive a vector of `i64`s.
-    pub fn recv_i64s(&self, src: usize, tag: u32, clock: &mut VClock) -> Vec<i64> {
-        let b = self.recv_bytes(src, tag, clock);
-        datatype::bytes_to_i64s(&b)
     }
 
     // ---- collective plumbing -------------------------------------------
@@ -153,6 +118,7 @@ fn coll_tag(seq: u64, phase: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype;
     use parade_net::{Fabric, NetProfile};
     use std::sync::Arc;
 
@@ -169,10 +135,10 @@ mod tests {
         let c1 = Arc::clone(&comms[1]);
         let t = std::thread::spawn(move || {
             let mut clk = VClock::manual();
-            c1.recv_f64s(0, 5, &mut clk)
+            datatype::bytes_to_f64s(&c1.recv_bytes(0, 5, &mut clk))
         });
         let mut clk = VClock::manual();
-        comms[0].send_f64s(1, 5, &[1.0, 2.0, 3.0], &mut clk);
+        comms[0].send_bytes(1, 5, datatype::f64s_to_bytes(&[1.0, 2.0, 3.0]), &mut clk);
         assert_eq!(t.join().unwrap(), vec![1.0, 2.0, 3.0]);
     }
 
@@ -180,7 +146,8 @@ mod tests {
     fn self_send() {
         let comms = make_comms(1);
         let mut clk = VClock::manual();
-        comms[0].send_i64s(0, 9, &[-4, 7], &mut clk);
-        assert_eq!(comms[0].recv_i64s(0, 9, &mut clk), vec![-4, 7]);
+        comms[0].send_bytes(0, 9, datatype::i64s_to_bytes(&[-4, 7]), &mut clk);
+        let back = comms[0].recv_bytes(0, 9, &mut clk);
+        assert_eq!(datatype::bytes_to_i64s(&back), vec![-4, 7]);
     }
 }

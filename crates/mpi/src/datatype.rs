@@ -62,26 +62,6 @@ pub fn bytes_to_i64s(b: &[u8]) -> Vec<i64> {
         .collect()
 }
 
-/// Encode a slice of `u64` values.
-pub fn u64s_to_bytes(xs: &[u64]) -> Bytes {
-    let mut b = Vec::with_capacity(xs.len() * 8);
-    for x in xs {
-        b.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(b)
-}
-
-/// Decode a byte string into `u64` values.
-pub fn bytes_to_u64s(b: &[u8]) -> Vec<u64> {
-    assert!(
-        b.len().is_multiple_of(8),
-        "payload is not a whole number of u64s"
-    );
-    b.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
-}
-
 /// A little-endian cursor for composing protocol messages.
 #[derive(Default)]
 pub struct Writer {

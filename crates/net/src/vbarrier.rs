@@ -56,10 +56,6 @@ impl VBarrier {
         }
     }
 
-    pub fn parties(&self) -> usize {
-        self.n
-    }
-
     /// Wait for all `n` threads; on return every clock reads the common
     /// release time, `max(arrival clocks) + overhead`.
     pub fn wait(&self, clock: &mut VClock) {

@@ -17,7 +17,7 @@
 //! the back (LIFO — depth-first, cache-friendly); steal victims serve from
 //! the front (FIFO — oldest, largest-grained work first). An idle node
 //! under [`StealStrategy::Random`] sends a steal request to a seeded
-//! random victim and goes passive after `victim_fanout` consecutive empty
+//! random victim and goes passive after [`VICTIM_FANOUT`] consecutive empty
 //! replies; any arriving task or non-empty reply reactivates it.
 //! [`StealStrategy::Flat`] instead ships every spawn round-robin at spawn
 //! time and never steals — the deterministic baseline the benchmarks gate.
@@ -62,14 +62,16 @@ pub enum StealStrategy {
     Random,
 }
 
+/// Consecutive empty steal replies before a thief goes passive.
+const VICTIM_FANOUT: usize = 3;
+
+/// Max tasks handed over per steal reply.
+const GRAIN: usize = 4;
+
 /// Scheduler knobs, configured per cluster (`ClusterConfig::task_scheduler`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
     pub strategy: StealStrategy,
-    /// Consecutive empty steal replies before a thief goes passive.
-    pub victim_fanout: usize,
-    /// Max tasks handed over per steal reply.
-    pub grain: usize,
     /// Seed for victim selection (per-node streams are derived from it).
     pub seed: u64,
 }
@@ -78,8 +80,6 @@ impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             strategy: StealStrategy::Random,
-            victim_fanout: 3,
-            grain: 4,
             seed: 0x5EED_7A5C,
         }
     }
@@ -500,12 +500,12 @@ impl NodeSched {
         }
     }
 
-    /// Victim side of a steal: up to `grain` tasks from the *front* of the
+    /// Victim side of a steal: up to [`GRAIN`] tasks from the *front* of the
     /// deque (oldest first), at most half the stealable entries. Pinned
     /// tasks never move off their device.
     fn steal_batch(&mut self) -> Vec<TaskDesc> {
         let avail = self.deque.iter().filter(|d| d.pinned.is_none()).count();
-        let want = (avail / 2).max(usize::from(avail > 0)).min(self.cfg.grain);
+        let want = (avail / 2).max(usize::from(avail > 0)).min(GRAIN);
         let mut batch = Vec::with_capacity(want);
         let mut i = 0;
         while batch.len() < want && i < self.deque.len() {
@@ -632,7 +632,7 @@ impl NodeSched {
     fn can_steal(&self) -> bool {
         self.cfg.strategy == StealStrategy::Random
             && self.nnodes > 1
-            && self.steal_misses < self.cfg.victim_fanout
+            && self.steal_misses < VICTIM_FANOUT
     }
 
     fn on_token(&mut self, count: i64, black: bool, _clock: &mut VClock) {
@@ -852,11 +852,6 @@ impl NodeSched {
     /// The merged phase result, once [`Step::Finished`].
     pub fn take_merged(&mut self) -> Option<Vec<(u64, Vec<f64>)>> {
         self.merged.take()
-    }
-
-    /// Tasks executed on this node (diagnostics).
-    pub fn executed_here(&self) -> u64 {
-        self.executed
     }
 }
 
@@ -1083,8 +1078,7 @@ mod tests {
         // Empty deque, body done — but victims untried: ACTIVE, not passive.
         assert!(!s.passive(), "a node with steals left must be active");
         // Hand it a token mid-steal: it must hold it, not forward it.
-        let fanout = s.cfg.victim_fanout;
-        for round in 0..fanout {
+        for round in 0..VICTIM_FANOUT {
             assert!(s.idle_actions(&mut clock), "must send a steal request");
             assert!(s.steal_outstanding);
             s.token = Some((0, false));

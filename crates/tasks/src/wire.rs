@@ -53,8 +53,8 @@ pub enum SchedMsg {
     Task(TaskDesc),
     /// An idle node asks a victim for work.
     StealReq,
-    /// The victim's answer: half its stealable deque, up to the grain
-    /// (possibly empty).
+    /// The victim's answer: half its stealable deque, up to `sched::GRAIN`
+    /// tasks (possibly empty).
     StealReply(Vec<TaskDesc>),
     /// A task finished executing; routed to its home.
     Complete {

@@ -48,6 +48,9 @@ else
   echo "(skipped: clippy not installed)"
 fi
 
+echo "== scripts/unused_pub.sh (every pub fn has a caller) =="
+scripts/unused_pub.sh
+
 echo "== paradec check + run + translate over examples/openmp (analyzer, interpreter and emitter smoke) =="
 for f in examples/openmp/*.c; do
   cargo run -q --offline -p parade-check --bin paradec -- check "$f"

@@ -23,10 +23,12 @@
 //! * [`mpi`] — thread-safe mini-MPI (send/recv, barrier, bcast, allreduce…).
 //! * [`dsm`] — the multi-threaded SDSM: pages, twins/diffs, HLRC protocol,
 //!   migratory homes, distributed locks (baseline), small-data objects.
-//! * [`cluster`] — node engine: compute threads, communication thread,
-//!   fork/join plumbing, execution configurations.
+//! * [`cluster`] — node engine: the fabric, one DSM and communication
+//!   thread per node, the SPMD launch of node programs, execution
+//!   configurations.
 //! * [`core`] — the ParADE runtime API (the paper's programming interface):
-//!   `parallel`, work-sharing, `critical`/`atomic`/`single`/reductions.
+//!   the fork/join team and compute-thread pools, `parallel`,
+//!   work-sharing, `critical`/`atomic`/`single`/reductions.
 //! * [`translator`] — the OpenMP translator: mini-C + OpenMP 1.0 frontend,
 //!   directive lowering, translated-source emitter, interpreter.
 //! * [`mir`] — basic-block MIR for the mini-C frontend: CFG lowering,
