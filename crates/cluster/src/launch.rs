@@ -45,10 +45,9 @@ pub struct ClusterReport {
     pub net: Vec<NodeTraffic>,
     /// Per-node reliable-channel counters (all quiet without chaos).
     pub link_health: Vec<LinkHealth>,
-    /// First retry-budget exhaustion, if any link died during the run.
-    pub fabric_error: Option<FabricError>,
-    /// Every retry-budget exhaustion in recording order: when several
-    /// links die in the same interval, each dead link is named here.
+    /// Every retry-budget exhaustion in recording order, empty when no
+    /// link died: when several links die in the same interval, each dead
+    /// link is named here.
     pub fabric_errors: Vec<FabricError>,
 }
 
@@ -235,7 +234,6 @@ where
         traffic: fabric.stats().totals(),
         net: fabric.stats().snapshot(),
         link_health: fabric.stats().link_health(),
-        fabric_error: fabric.stats().fabric_error(),
         fabric_errors: fabric.stats().fabric_errors(),
     };
     // Wake comm threads parked on their mailboxes *before* joining them —
@@ -373,7 +371,7 @@ mod tests {
         };
         let (chaotic, report) = launch(cfg, program);
         assert_eq!(clean, chaotic, "chaos must not change results");
-        assert!(report.fabric_error.is_none());
+        assert!(report.fabric_errors.is_empty());
         let h = report.link_health_totals();
         assert!(h.retransmits + h.dup_drops + h.reseq_holds > 0, "{h:?}");
     }
@@ -432,7 +430,6 @@ mod tests {
             env.node
         });
         let (_, report) = out.expect("send_checked panics nowhere");
-        assert!(report.fabric_error.is_some());
         assert_eq!(report.fabric_errors.len(), 2, "{:?}", report.fabric_errors);
         let mut srcs: Vec<usize> = report.fabric_errors.iter().map(|e| e.src).collect();
         srcs.sort_unstable();

@@ -344,24 +344,16 @@ impl ThreadCtx {
     /// the paper's static-only runtime (its §8 future work): iterations are
     /// split statically across nodes, then claimed chunk-by-chunk from a
     /// node-local queue — remote chunk stealing would cost a network round
-    /// trip per chunk on an SMP cluster. Ends with the implicit barrier.
+    /// trip per chunk on an SMP cluster. Like every work-sharing helper it
+    /// ends without a barrier: the caller adds the loop's implicit one
+    /// unless the loop is `nowait`.
     pub fn for_dynamic(&self, range: Range<usize>, chunk: usize, body: impl FnMut(Range<usize>)) {
-        self.dynamic_loop(range, DynPolicy::Fixed(chunk.max(1)), body);
-        self.barrier();
-    }
-
-    /// `for_dynamic` without the implicit barrier (`nowait`).
-    pub fn for_dynamic_nowait(
-        &self,
-        range: Range<usize>,
-        chunk: usize,
-        body: impl FnMut(Range<usize>),
-    ) {
         self.dynamic_loop(range, DynPolicy::Fixed(chunk.max(1)), body);
     }
 
     /// Guided scheduling (`schedule(guided, min_chunk)`): chunk sizes decay
-    /// with the remaining work. Ends with the implicit barrier.
+    /// with the remaining work. Ends without a barrier, like
+    /// [`ThreadCtx::for_dynamic`].
     pub fn for_guided(
         &self,
         range: Range<usize>,
@@ -369,7 +361,6 @@ impl ThreadCtx {
         body: impl FnMut(Range<usize>),
     ) {
         self.dynamic_loop(range, DynPolicy::Guided(min_chunk.max(1)), body);
-        self.barrier();
     }
 
     fn dynamic_loop(

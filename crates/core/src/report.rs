@@ -5,10 +5,6 @@
 //! the cluster layer, and (when traced) the per-construct virtual-time
 //! breakdown from `parade-trace` — so diagnostics and benches print one
 //! consistent block instead of hand-rolled `println!`s.
-//!
-//! JSON emission follows the `PARADE_BENCH_JSON` convention: set
-//! `PARADE_STATS_JSON` to `1` (current directory) or a directory name and
-//! [`StatsReport::emit_json`] writes `STATS_<label>.json` there.
 
 use std::fmt::Write as _;
 
@@ -21,7 +17,7 @@ use crate::team::RunReport;
 /// Unified statistics for one cluster run.
 #[derive(Debug, Clone)]
 pub struct StatsReport {
-    /// Caller-chosen run label (also names the JSON file).
+    /// Caller-chosen run label.
     pub label: String,
     /// The master's final virtual time.
     pub exec_time: VTime,
@@ -37,10 +33,9 @@ pub struct StatsReport {
     pub net: Vec<NodeTraffic>,
     /// Per-node reliable-channel counters (all quiet on a chaos-free run).
     pub link_health: Vec<LinkHealth>,
-    /// First fatal link error, when a retry budget was exhausted.
-    pub fabric_error: Option<FabricError>,
-    /// Every fatal link error in recording order: when several links die
-    /// in the same interval, each dead link is named here.
+    /// Every fatal link error in recording order: the first is the one
+    /// that fail-stopped the fabric, and when several links die in the
+    /// same interval, each dead link is named here.
     pub fabric_errors: Vec<FabricError>,
     /// Per-construct virtual-time breakdown, when the run was traced.
     pub trace: Option<TraceReport>,
@@ -57,7 +52,6 @@ impl StatsReport {
             dsm: report.cluster.dsm_totals(),
             net: report.cluster.net.clone(),
             link_health: report.cluster.link_health.clone(),
-            fabric_error: report.cluster.fabric_error.clone(),
             fabric_errors: report.cluster.fabric_errors.clone(),
             trace: report.trace.clone(),
         }
@@ -135,13 +129,6 @@ impl StatsReport {
                 .collect();
             let _ = writeln!(s, "net reliability: {}", fields.join(" "));
         }
-        // Name every dead link; hand-built reports may fill only the
-        // legacy single-error field.
-        if self.fabric_errors.is_empty() {
-            if let Some(err) = &self.fabric_error {
-                let _ = writeln!(s, "FABRIC ERROR: {err}");
-            }
-        }
         for err in &self.fabric_errors {
             let _ = writeln!(s, "FABRIC ERROR: {err}");
         }
@@ -208,7 +195,7 @@ impl StatsReport {
             .map(|(k, v)| format!("\"{k}\": {v}"))
             .collect();
         let _ = writeln!(s, "  \"link_health\": {{{}}},", health.join(", "));
-        match &self.fabric_error {
+        match self.fabric_errors.first() {
             Some(err) => {
                 let _ = writeln!(s, "  \"fabric_error\": {},", json_string(&err.to_string()));
             }
@@ -232,41 +219,6 @@ impl StatsReport {
         }
         s.push_str("}\n");
         s
-    }
-
-    /// Write `STATS_<label>.json` when `PARADE_STATS_JSON` is set (`1` or
-    /// empty → current directory, otherwise the named directory). Returns
-    /// the path written.
-    pub fn emit_json(&self) -> Option<String> {
-        let dir = std::env::var("PARADE_STATS_JSON").ok()?;
-        let dir = if dir.is_empty() || dir == "1" {
-            ".".to_string()
-        } else {
-            dir
-        };
-        let _ = std::fs::create_dir_all(&dir);
-        let label: String = self
-            .label
-            .chars()
-            .map(|c| {
-                if c.is_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let path = format!("{dir}/STATS_{label}.json");
-        match std::fs::write(&path, self.json()) {
-            Ok(()) => {
-                println!("wrote {path}");
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("warning: could not write {path}: {e}");
-                None
-            }
-        }
     }
 }
 
@@ -344,7 +296,6 @@ mod tests {
             attempts: 11,
             gave_up_at: VTime::from_micros(500),
         };
-        sr.fabric_error = Some(dead(1));
         // Two links died in the same interval: both must be named.
         sr.fabric_errors = vec![dead(1), FabricError { dst: 2, ..dead(1) }];
         let text = sr.render();

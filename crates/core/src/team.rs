@@ -1009,6 +1009,7 @@ mod tests {
                         tc.set(&hits, i, v + 1);
                     }
                 });
+                tc.barrier();
             });
 
             g.parallel(move |tc| {

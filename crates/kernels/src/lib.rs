@@ -11,7 +11,9 @@
 //! * [`md`] — the openmp.org molecular dynamics sample (Figure 11);
 //! * [`syncbench`] — EPCC-style directive overhead measurements
 //!   (Figures 6 and 7);
-//! * [`nasrng`] — the NPB 46-bit LCG with O(log n) jump-ahead.
+//! * [`nasrng`] — the NPB 46-bit LCG with O(log n) jump-ahead;
+//! * [`figures`] — the §6 figures and the ablations as tables, printed by
+//!   the `figures` binary.
 //!
 //! Two irregular workloads exercise the task scheduler (`parade-tasks`):
 //!
@@ -22,6 +24,7 @@
 
 pub mod cg;
 pub mod ep;
+pub mod figures;
 pub mod helmholtz;
 pub mod md;
 pub mod nasrng;

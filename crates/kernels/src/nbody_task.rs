@@ -210,7 +210,7 @@ mod tests {
             .unwrap();
         let (par, report) = nbody_task_parade(&c, p, 8);
         assert_eq!(bits(&seq), bits(&par), "chaos changed the trajectory");
-        assert!(report.cluster.fabric_error.is_none());
+        assert!(report.cluster.fabric_errors.is_empty());
         let h = report.cluster.link_health_totals();
         assert!(h.retransmits >= 1, "the soak must retransmit: {h:?}");
     }

@@ -815,7 +815,7 @@ mod tests {
         assert_eq!(err.tag, 77);
         assert_eq!(err.attempts, fabric.chaos().retry_budget + 1);
         // Fail-stop: error recorded, fabric down, receivers unblock.
-        assert_eq!(fabric.stats().fabric_error(), Some(err));
+        assert_eq!(fabric.stats().fabric_errors(), vec![err]);
         assert!(fabric.is_shutdown());
         assert_eq!(fabric.stats().link_health_totals().send_failures, 1);
         let b = fabric.endpoint(1);

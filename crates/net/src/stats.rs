@@ -188,8 +188,7 @@ pub struct NetStats {
     /// is the error that fail-stopped the fabric; later entries are other
     /// links dying in the same interval (senders racing the shutdown), and
     /// a failure report must name all of them — a job whose link died
-    /// second would otherwise see `fabric_error: None` next to a garbage
-    /// result.
+    /// second would otherwise see no error next to a garbage result.
     errors: Mutex<Vec<FabricError>>,
 }
 
@@ -225,19 +224,13 @@ impl NetStats {
     }
 
     /// Record a retry-budget exhaustion. Every distinct failure is kept
-    /// (per-link attribution); [`NetStats::fabric_error`] still reports
-    /// the first.
+    /// (per-link attribution).
     pub fn record_send_failure(&self, err: &FabricError) {
         self.nodes[err.src]
             .reliability
             .send_failures
             .fetch_add(1, Ordering::Relaxed);
         self.errors.lock().push(err.clone());
-    }
-
-    /// The first fatal link error, if the run failed.
-    pub fn fabric_error(&self) -> Option<FabricError> {
-        self.errors.lock().first().cloned()
     }
 
     /// Every fatal link error, in recording order: when several links die
@@ -372,12 +365,11 @@ mod tests {
             attempts: 11,
             gave_up_at: VTime::from_micros(100),
         };
-        assert!(s.fabric_error().is_none());
+        assert!(s.fabric_errors().is_empty());
         s.record_send_failure(&err(0));
         s.record_send_failure(&err(1));
-        // The first error sticks; both failures are counted and both
+        // The first error stays first; both failures are counted and both
         // links are named in the full error list.
-        assert_eq!(s.fabric_error().unwrap().src, 0);
         assert_eq!(s.link_health_totals().send_failures, 2);
         let all = s.fabric_errors();
         assert_eq!(all.len(), 2);

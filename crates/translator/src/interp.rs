@@ -1277,7 +1277,7 @@ impl<'c> Env<'c> {
         // enclosing region. Shadow it with a thread-local for the loop.
         let mark = self.undo.len();
         self.bind(cl.var, Local::Scalar(Type::Long, Val::I(lo)));
-        let schedule = |env: &mut Self| -> RtResult<bool> {
+        let schedule = |env: &mut Self| -> RtResult<()> {
             match lp.sched {
                 Sched::Static => {
                     for k in tc.for_static(0..count) {
@@ -1291,9 +1291,9 @@ impl<'c> Env<'c> {
                         }
                     }
                 }
-                Sched::Dynamic(c) => {
+                Sched::Dynamic(c) | Sched::Guided(c) => {
                     let mut err = None;
-                    tc.for_dynamic_nowait(0..count, c, |r| {
+                    let body = |r: std::ops::Range<usize>| {
                         for k in r {
                             if err.is_some() {
                                 return;
@@ -1302,44 +1302,22 @@ impl<'c> Env<'c> {
                                 err = Some(e);
                             }
                         }
-                    });
+                    };
+                    if matches!(lp.sched, Sched::Dynamic(_)) {
+                        tc.for_dynamic(0..count, c, body);
+                    } else {
+                        tc.for_guided(0..count, c, body);
+                    }
                     if let Some(e) = err {
                         return Err(e);
                     }
-                }
-                Sched::Guided(c) => {
-                    let mut err = None;
-                    // for_guided carries its own implicit barrier.
-                    tc.for_guided(0..count, c, |r| {
-                        for k in r {
-                            if err.is_some() {
-                                return;
-                            }
-                            if let Err(e) = run_iter(env, k) {
-                                err = Some(e);
-                            }
-                        }
-                    });
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
-                    return Ok(true);
                 }
             }
-            Ok(false)
+            Ok(())
         };
-        let guided = schedule(self);
+        let scheduled = schedule(self);
         self.pop_scope(mark);
-        if guided? {
-            // The guided scheduler carries its own runtime barrier that
-            // the oracle cannot bracket; add an oracle-visible barrier
-            // so the clock exchange matches the runtime join. Timing
-            // under the oracle differs by one barrier round-trip.
-            if self.oracle.is_some() {
-                self.sync_barrier(tc);
-            }
-            return Ok(());
-        }
+        scheduled?;
         if !lp.nowait {
             self.sync_barrier(tc);
         }

@@ -104,20 +104,10 @@ cargo run -q --offline -p parade-check --bin paradec -- \
   check tests/corpus/clean/task_depend_diamond.c >/dev/null
 rm -rf "$DEADLOCK_TMP"
 
-echo "== traced run and serving soak (figures -- <subcommand>) =="
-# Each verifies its own run in-process — a valid trace with an omp.barrier
-# span; 1000 jobs through a 12-node machine, bit-identical to their
-# references with >=1 re-home — and exits nonzero on any divergence, so the
-# exit status is the whole check. (The chaos, task and protocol-mode
-# bit-identity checks are `cargo test` cases: tests/chaos.rs and
-# crates/kernels/src/nbody_task.rs.) serve-soak is the one run optimized.
-SMOKE_TMP="$(mktemp -d)"
-echo "-- figures -- trace --quick"
-PARADE_TRACE="$SMOKE_TMP/smoke_trace.json" \
-  cargo run -q --offline -p parade-bench --bin figures -- trace --quick > /dev/null
-rm -rf "$SMOKE_TMP"
-echo "-- figures -- serve-soak"
-cargo run -q --offline --release -p parade-bench --bin figures -- serve-soak > /dev/null
+echo "== serving soak, optimized (1000 jobs; ignored in the debug test step) =="
+# tests/serve_soak.rs: every job completes exactly once, bit-identical to
+# its sequential reference, with >=1 re-home and no growth in host threads.
+cargo test -q --release --offline --test serve_soak
 
 echo "== virtual-time golden, optimized (the only place its 256-node rung runs) =="
 # tests/vtime_golden.rs compares release/, coll/, tasks/ and adapt/ with ==

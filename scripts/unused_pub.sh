@@ -8,7 +8,7 @@
 # no line of a file declared `#[cfg(test)] mod name;`) whose name occurs, as
 # a whole word, nowhere in crates/, src/, tests/, examples/ or benchmark/src
 # except on its own definition line. A call from a unit test counts as a
-# call.
+# call; a mention on a comment line (`//`, `///`, `//!`) does not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 SEARCH=(crates src tests examples benchmark/src)
@@ -28,9 +28,13 @@ defs="$(
   done
 )"
 
-# One grep over the tree: how often each defined name occurs as a word.
-counts="$(grep -rhowF -f <(cut -d' ' -f2 <<< "$defs" | sort -u) \
-  --include='*.rs' --exclude-dir=target "${SEARCH[@]}" | sort | uniq -c)"
+# One grep over the tree: how often each defined name occurs as a word on a
+# line that is not a comment.
+names="$(cut -d' ' -f2 <<< "$defs" | sort -u)"
+counts="$(grep -rhwF -f <(printf '%s\n' "$names") \
+  --include='*.rs' --exclude-dir=target "${SEARCH[@]}" \
+  | grep -vE '^[[:space:]]*//' \
+  | grep -owF -f <(printf '%s\n' "$names") | sort | uniq -c)"
 
 # A name is unused when it occurs no more often than it is defined.
 awk 'NR == FNR { uses[$2] = $1; next }

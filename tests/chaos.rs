@@ -284,7 +284,7 @@ fn cg_class_s_is_bit_identical_under_lossy_chaos() {
         );
         assert_eq!(chaotic.zeta.to_bits(), clean.zeta.to_bits());
         assert_eq!(chaotic.rnorm.to_bits(), clean.rnorm.to_bits());
-        assert!(report.cluster.fabric_error.is_none());
+        assert!(report.cluster.fabric_errors.is_empty());
         let h = report.cluster.link_health_totals();
         assert!(
             h.retransmits >= 1,
@@ -333,7 +333,7 @@ fn protocol_modes_are_bit_identical_under_lossy_chaos() {
                 "{proto:?} under chaos diverged from the clean invalidate baseline"
             );
             assert_eq!(chaotic.rnorm.to_bits(), clean.rnorm.to_bits(), "{proto:?}");
-            assert!(report.cluster.fabric_error.is_none());
+            assert!(report.cluster.fabric_errors.is_empty());
             assert!(
                 report.cluster.link_health_totals().retransmits >= 1,
                 "{proto:?}: the lossy schedule must exercise retransmission"
@@ -355,7 +355,7 @@ fn helmholtz_is_bit_identical_under_lossy_chaos() {
             chaotic.solution_error.to_bits(),
             clean.solution_error.to_bits()
         );
-        assert!(report.cluster.fabric_error.is_none());
+        assert!(report.cluster.fabric_errors.is_empty());
         let h = report.cluster.link_health_totals();
         assert!(h.retransmits >= 1, "{h:?}");
     });
@@ -407,7 +407,10 @@ fn dead_link_fails_with_structured_error_within_bounded_virtual_time() {
         assert!(msg.contains("fabric link 0->2 dead"), "{msg}");
         assert!(msg.contains("DSM protocol request"), "{msg}");
         // Fail-stop: the error sticks in the stats and blocked peers wake.
-        assert_eq!(fabric.stats().fabric_error().map(|e| e.dst), Some(2));
+        assert_eq!(
+            fabric.stats().fabric_errors().first().map(|e| e.dst),
+            Some(2)
+        );
         assert!(fabric.stats().link_health_totals().send_failures >= 1);
         assert!(waiter.join().unwrap().is_err(), "shutdown must unblock");
     });
@@ -454,8 +457,8 @@ fn dead_link_error_reaches_the_stats_report() {
         let err = results[0].clone().expect("node 0 must observe the failure");
         assert_eq!((err.src, err.dst, err.tag), (0, 1, 77));
         let err2 = report
-            .fabric_error
-            .clone()
+            .fabric_errors
+            .first()
             .expect("error must reach the report");
         assert_eq!(err2.to_string(), err.to_string());
         // And it must survive all the way into the rendered StatsReport
@@ -469,7 +472,6 @@ fn dead_link_error_reaches_the_stats_report() {
             dsm: report.dsm_totals(),
             net: report.net.clone(),
             link_health: report.link_health.clone(),
-            fabric_error: report.fabric_error.clone(),
             fabric_errors: report.fabric_errors.clone(),
             trace: None,
         };
@@ -539,7 +541,6 @@ fn two_links_dying_in_the_same_interval_are_both_named_in_the_report() {
             dsm: report.dsm_totals(),
             net: report.net.clone(),
             link_health: report.link_health.clone(),
-            fabric_error: report.fabric_error.clone(),
             fabric_errors: report.fabric_errors.clone(),
             trace: None,
         };
