@@ -18,7 +18,7 @@
 //! reports any data races the execution actually exhibited.
 
 use parade_check::{check_program, has_errors, Severity};
-use parade_core::{Cluster, NetProfile, ProtocolMode, TimeSource};
+use parade_core::{Cluster, NetProfile, ProtocolMode};
 use parade_translator::emit::{translate, EmitMode};
 use parade_translator::interp::Interp;
 use parade_translator::parser::parse;
@@ -195,7 +195,6 @@ fn main() {
                 .threads_per_node(threads)
                 .protocol(protocol)
                 .net(NetProfile::clan_via())
-                .time(TimeSource::ThreadCpu { scale: 60.0 })
                 .build()
                 .expect("cluster config");
             let mut interp = Interp::new(prog).with_threshold(threshold);

@@ -101,10 +101,11 @@ pub struct ClusterConfig {
     pub exec: ExecConfig,
     pub protocol: ProtocolMode,
     pub net: NetProfile,
-    /// Compute-time accounting for application threads. The default scale
-    /// maps host CPU time onto the paper's ~550 MHz Pentium III nodes
-    /// (a modern superscalar/SIMD core is roughly 60x one on numeric
-    /// kernels).
+    /// Compute-time accounting for application threads. The default,
+    /// `Counted`, charges what the program counts through
+    /// `ThreadCtx::compute` (the paper kernels price their loop trips for
+    /// the ~550 MHz Pentium III nodes in `parade_kernels::cost`); `Manual`
+    /// makes compute free. Neither reads a host clock.
     pub time: TimeSource,
     /// Fault injection for the fabric. The default honours the
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
@@ -127,7 +128,7 @@ impl Default for ClusterConfig {
             exec: ExecConfig::TwoThreadTwoCpu,
             protocol: ProtocolMode::Parade,
             net: NetProfile::clan_via(),
-            time: TimeSource::ThreadCpu { scale: 60.0 },
+            time: TimeSource::Counted,
             chaos: ChaosProfile::from_env(),
             task_scheduler: SchedConfig::default(),
             dsm: DsmConfig::default(),

@@ -167,13 +167,17 @@ impl ThreadCtx {
 
     /// This thread's current virtual time.
     pub fn now(&self) -> VTime {
-        let mut c = self.clock.borrow_mut();
-        c.sample_compute();
-        c.now()
+        self.clock.borrow().now()
     }
 
-    /// Charge explicit compute cost (used by kernels running under the
-    /// deterministic `Manual` time source).
+    /// Charge `d` of counted compute: the work a kernel did since its last
+    /// charge, priced by its per-unit cost. Free under `TimeSource::Manual`
+    /// (see `VClock::compute`).
+    pub fn compute(&self, d: VTime) {
+        self.clock.borrow_mut().compute(d);
+    }
+
+    /// Charge explicit compute cost, under either time source.
     pub fn charge(&self, d: VTime) {
         self.clock.borrow_mut().charge(d);
     }
@@ -432,15 +436,11 @@ impl ThreadCtx {
         let m = self.rt.critical_mutex(lock_id);
         let mut last_release = m.lock();
         self.with_clock(|c| {
-            c.sample_compute();
             c.sync_to(*last_release);
             self.rt.dsm.lock_acquire(lock_id, c);
         });
         let r = f(self);
-        self.with_clock(|c| {
-            c.sample_compute();
-            self.rt.dsm.lock_release(lock_id, c);
-        });
+        self.with_clock(|c| self.rt.dsm.lock_release(lock_id, c));
         *last_release = self.with_clock(|c| c.now());
         if trace::enabled() {
             trace::end(EventKind::OmpCritical, self.now());
@@ -654,10 +654,7 @@ impl ThreadCtx {
         let out = match self.rt.mode {
             ProtocolMode::Parade => {
                 let mut sl = self.rt.singles[slot].lock();
-                self.with_clock(|c| {
-                    c.sample_compute();
-                    c.sync_to(sl.release_at);
-                });
+                self.with_clock(|c| c.sync_to(sl.release_at));
                 // Generations only grow, so a slot stamped past `gen` means a
                 // node-mate lapped this thread by a multiple of SLOTS: this
                 // generation was broadcast long ago and must not run again.
@@ -691,10 +688,7 @@ impl ThreadCtx {
                 let flags = self.rt.flags;
                 {
                     let mut sl = self.rt.singles[slot].lock();
-                    self.with_clock(|c| {
-                        c.sample_compute();
-                        c.sync_to(sl.release_at);
-                    });
+                    self.with_clock(|c| c.sync_to(sl.release_at));
                     if sl.done_gen < gen {
                         self.with_clock(|c| self.rt.dsm.lock_acquire(lock_id, c));
                         let flag: u64 = self.with_clock(|c| self.rt.dsm.read(flags, slot * 8, c));

@@ -448,12 +448,11 @@ impl MasterCtx {
     }
 
     /// The master's current virtual time.
-    pub fn now(&mut self) -> VTime {
-        self.clock.sample_compute();
+    pub fn now(&self) -> VTime {
         self.clock.now()
     }
 
-    /// Charge explicit compute cost (deterministic `Manual` time source).
+    /// Charge explicit compute cost, under either time source.
     pub fn charge(&mut self, d: VTime) {
         self.clock.charge(d);
     }

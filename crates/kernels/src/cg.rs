@@ -12,6 +12,7 @@
 
 use parade_core::{Cluster, MasterCtx, ReduceOp, RunReport, SharedVec, ThreadCtx};
 
+use crate::cost;
 use crate::nasrng::NasRng;
 
 /// NAS CG problem classes.
@@ -503,6 +504,7 @@ pub fn cg_parade_on(cluster: &Cluster, m: Csr, shift: f64, niter: usize) -> (CgR
                 for _ in 0..CGITMAX {
                     tc.read_into(&p, 0, &mut pfull);
                     spmv(&pfull, &mut lq, &la, &lcol, &rowptr);
+                    tc.compute(cost::CG_NONZERO.of(knnz));
                     let d = tc.reduce_f64_sum(lp.iter().zip(lq.iter()).map(|(a, b)| a * b).sum());
                     let alpha = rho / d;
                     for j in 0..nrows {
@@ -525,6 +527,7 @@ pub fn cg_parade_on(cluster: &Cluster, m: Csr, shift: f64, niter: usize) -> (CgR
                 let mut zfull = vec![0f64; n];
                 tc.read_into(&z, 0, &mut zfull);
                 spmv(&zfull, &mut lq, &la, &lcol, &rowptr);
+                tc.compute(cost::CG_NONZERO.of(knnz));
                 let sum = tc.reduce_f64_sum(
                     lx.iter()
                         .zip(lq.iter())
@@ -587,6 +590,7 @@ pub fn cg_mpi(cfg: parade_cluster::ClusterConfig, class: CgClass) -> (CgResult, 
         let mut clk = env.new_clock();
         let rows = partition(0..n, env.nnodes, env.node);
         let nrows = rows.len();
+        let knnz = (m.rowstr[rows.end] - m.rowstr[rows.start]) as usize;
         let comm = env.comm;
 
         // Allgather helper: exchange each rank's row block of `local`,
@@ -619,6 +623,7 @@ pub fn cg_mpi(cfg: parade_cluster::ClusterConfig, class: CgClass) -> (CgResult, 
             for _ in 0..CGITMAX {
                 allgather_rows(&lp, &mut pfull, &mut clk);
                 m.spmv_rows(&pfull, rows.clone(), &mut lq);
+                clk.compute(cost::CG_NONZERO.of(knnz));
                 let d = comm.allreduce_f64(
                     lp.iter().zip(lq.iter()).map(|(a, b)| a * b).sum(),
                     parade_mpi::ReduceOp::Sum,
@@ -643,6 +648,7 @@ pub fn cg_mpi(cfg: parade_cluster::ClusterConfig, class: CgClass) -> (CgResult, 
             let mut zfull = vec![0f64; n];
             allgather_rows(&lz, &mut zfull, &mut clk);
             m.spmv_rows(&zfull, rows.clone(), &mut lq);
+            clk.compute(cost::CG_NONZERO.of(knnz));
             let sum = comm.allreduce_f64(
                 lx.iter()
                     .zip(lq.iter())

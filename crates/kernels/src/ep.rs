@@ -8,6 +8,7 @@
 
 use parade_core::{Cluster, ReduceOp, RunReport, ThreadCtx};
 
+use crate::cost;
 use crate::nasrng::NasRng;
 
 /// log2 of the batch size (NPB `MK`).
@@ -142,6 +143,7 @@ pub fn ep_parade(cluster: &Cluster, class: EpClass) -> (EpResult, RunReport) {
             let mut q = [0u64; NQ];
             for kk in tc.for_static(0..nn) {
                 let (bx, by, bq, bg) = ep_batch(kk as u64, &mut x);
+                tc.compute(cost::EP_PAIR.of(NK as usize));
                 sx += bx;
                 sy += by;
                 gc += bg;

@@ -5,14 +5,14 @@
 //! rows mirror the plotted series. Absolute values depend on the simulated
 //! cost model; the *shape* (who wins, how gaps scale with node count) is
 //! the reproduction target — see EXPERIMENTS.md. The `figures` binary
-//! prints them; `tests/paper_claims.rs` asserts the claims of those that
-//! run on the manual clock (Figs. 6–7, §5.1 and the fabric ablation).
+//! prints them; `tests/paper_claims.rs` asserts their claims.
 
 use parade_cluster::{ClusterConfig, ExecConfig, ProtocolMode};
 use parade_core::{Cluster, NetProfile, TimeSource};
 use parade_dsm::{DsmConfig, HomePolicy, UpdateStrategy, PAGE_SIZE};
 
 use crate::cg::{cg_mpi, cg_parade, CgClass};
+use crate::cost;
 use crate::ep::{ep_parade, EpClass};
 use crate::helmholtz::{helmholtz_parade, HelmholtzParams};
 use crate::md::{md_parade, MdParams};
@@ -131,7 +131,8 @@ impl FigureOpts {
     }
 
     /// The kernel figures' configuration: the cLAN fabric on the default
-    /// clock (host thread-CPU time × 60, the 550 MHz testbed).
+    /// `Counted` clock, where each kernel charges its loop trips at the
+    /// per-unit costs of [`crate::cost`] (the 550 MHz testbed).
     fn base_cfg(&self, nodes: usize, exec: ExecConfig, mode: ProtocolMode) -> ClusterConfig {
         ClusterConfig {
             nodes,
@@ -425,12 +426,12 @@ pub fn ablation_fabric(opts: &FigureOpts) -> Table {
 /// Ablation: loop scheduling policies (the paper's §8 future work) on an
 /// imbalanced loop.
 ///
-/// Uses real, paced computation (measured thread-CPU time): dynamic
-/// self-scheduling only balances correctly when grabbing a chunk costs the
-/// grabber actual time, which is also true on real hardware. Note the
-/// dynamic/guided queues are node-local (remote chunk stealing would cost
-/// a round trip per chunk), so only *intra-node* imbalance is repaired —
-/// exactly the limitation the paper's §8 leaves as future work.
+/// Iteration `i` charges `i` counted spin steps ([`cost::SPIN_STEP`]).
+/// The dynamic/guided queues are node-local (remote chunk stealing would
+/// cost a round trip per chunk), so only *intra-node* imbalance can be
+/// repaired — the limitation the paper's §8 leaves as future work — and
+/// they hand chunks out in host order, not virtual-clock order (see
+/// EXPERIMENTS.md).
 pub fn ablation_schedules(opts: &FigureOpts) -> Table {
     let n_iters = if opts.quick { 2_000 } else { 20_000 };
     let mut t = Table::new(
@@ -444,21 +445,13 @@ pub fn ablation_schedules(opts: &FigureOpts) -> Table {
                 nodes: n,
                 exec: ExecConfig::TwoThreadTwoCpu,
                 net: NetProfile::clan_via(),
-                time: TimeSource::ThreadCpu { scale: 1.0 },
                 ..ClusterConfig::default()
             };
             let sched = sched.to_string();
             let (_, report) = cluster(cfg).run_with_report(move |g| {
                 g.parallel(move |tc| {
-                    // Triangular work: iteration i costs ~i units of real
-                    // spinning.
-                    let body = |i: usize| {
-                        let mut acc = 0u64;
-                        for k in 0..(i as u64) {
-                            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-                        }
-                        std::hint::black_box(acc);
-                    };
+                    // Triangular work: iteration i costs i spin steps.
+                    let body = |i: usize| tc.compute(cost::SPIN_STEP.of(i));
                     match sched.as_str() {
                         "static" => {
                             for i in tc.for_static(0..n_iters) {

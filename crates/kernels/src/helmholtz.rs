@@ -9,6 +9,8 @@
 
 use parade_core::{Cluster, RunReport, ThreadCtx};
 
+use crate::cost;
+
 /// Problem setup (defaults follow the openmp.org driver: α=0.0543,
 /// ω=0.9, tol=1e-7).
 #[derive(Debug, Clone, Copy)]
@@ -160,6 +162,7 @@ pub fn helmholtz_parade(cluster: &Cluster, p: HelmholtzParams) -> (HelmholtzResu
             // Interior row span owned by this thread.
             let lo = rows.start.max(1);
             let hi = rows.end.min(n - 1);
+            let points = hi.saturating_sub(lo) * (m - 2);
             let mut fl = vec![0.0f64; rows.len() * m];
             tc.read_into(&fv, rows.start * m, &mut fl);
 
@@ -205,6 +208,7 @@ pub fn helmholtz_parade(cluster: &Cluster, p: HelmholtzParams) -> (HelmholtzResu
                     }
                     local_err
                 });
+                tc.compute(cost::HELMHOLTZ_POINT.of(points));
                 // The competitively-updated threshold variable becomes one
                 // reduction collective per iteration (§6.2).
                 error = tc.reduce_f64_sum(local_err).sqrt() / (n * m) as f64;

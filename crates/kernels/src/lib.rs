@@ -12,6 +12,8 @@
 //! * [`syncbench`] — EPCC-style directive overhead measurements
 //!   (Figures 6 and 7);
 //! * [`nasrng`] — the NPB 46-bit LCG with O(log n) jump-ahead;
+//! * [`cost`] — the counted compute model: one per-unit cost per kernel,
+//!   charged for the loop trips each one runs;
 //! * [`figures`] — the §6 figures and the ablations as tables, printed by
 //!   the `figures` binary.
 //!
@@ -23,6 +25,7 @@
 //!   injection, a software pipeline across the cluster.
 
 pub mod cg;
+pub mod cost;
 pub mod ep;
 pub mod figures;
 pub mod helmholtz;

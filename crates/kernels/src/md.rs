@@ -8,6 +8,7 @@
 
 use parade_core::{Cluster, ReduceOp, RunReport, ThreadCtx};
 
+use crate::cost;
 use crate::nasrng::NasRng;
 
 /// Spatial dimensions (the sample uses 3).
@@ -226,6 +227,7 @@ pub fn md_parade(cluster: &Cluster, p: MdParams) -> (MdResult, RunReport) {
                 vel_view[range.start * ND..range.end * ND].copy_from_slice(&lvel);
                 let (lpot, lkin) =
                     compute_range(&p, &posfull, &vel_view, range.clone(), &mut lforce);
+                tc.compute(cost::MD_PAIR.of(nmine * (np - 1)));
                 // reduction(+: pot, kin) merged into one structure.
                 let sums = tc.reduce_f64s(ReduceOp::Sum, &[lpot, lkin]);
                 last = MdEnergies {

@@ -345,7 +345,6 @@ impl Endpoint {
         payload: Bytes,
         clock: &mut VClock,
     ) -> Result<(), FabricError> {
-        clock.sample_compute();
         let r = self.send_at_checked(dst, class, tag, payload, clock.now());
         clock.charge_comm(self.fabric.profile.per_msg_cpu);
         r
@@ -490,7 +489,6 @@ impl Endpoint {
         m: Match,
         clock: &mut VClock,
     ) -> Result<Packet, Disconnected> {
-        clock.sample_compute();
         let pkt = self.recv_raw(class, m)?;
         clock.sync_to(pkt.arrive_at);
         clock.charge_comm(self.fabric.profile.per_msg_cpu);
@@ -536,7 +534,6 @@ impl Endpoint {
         let pkt = q.queue.remove(pos).expect("position just found");
         fabric.stats.record_recv(self.id, class, pkt.payload.len());
         drop(q);
-        clock.sample_compute();
         clock.sync_to(pkt.arrive_at);
         clock.charge_comm(fabric.profile.per_msg_cpu);
         Some(pkt)
@@ -601,7 +598,7 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vtime::VClock;
+    use crate::vtime::{TimeSource, VClock};
 
     fn bts(v: &[u8]) -> Bytes {
         Bytes::copy_from_slice(v)
@@ -665,6 +662,30 @@ mod tests {
         a.send(1, MsgClass::P2p, 9, bts(b"hello"), &mut c);
         let pkt = t.join().unwrap();
         assert_eq!(pkt.tag, 9);
+    }
+
+    #[test]
+    fn time_parked_in_recv_is_not_compute() {
+        let fabric = Fabric::new(2, NetProfile::clan_via());
+        let a = fabric.endpoint(0);
+        let b = fabric.endpoint(1);
+        let t = std::thread::spawn(move || {
+            let mut c = VClock::new(TimeSource::Counted);
+            // Blocks ~50 ms of host time until the message is sent.
+            let pkt = b.recv(MsgClass::P2p, Match::any(), &mut c).unwrap();
+            let after = c.now();
+            b.send(0, MsgClass::P2p, 1, bts(b"reply"), &mut c);
+            (pkt.arrive_at, after)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut c = VClock::new(TimeSource::Counted);
+        a.send(1, MsgClass::P2p, 0, bts(b"late"), &mut c);
+        let (arrive_at, after) = t.join().unwrap();
+        let reply = a.try_recv(MsgClass::P2p).unwrap();
+        // The clock reads the arrival plus the receive overhead, and the
+        // reply leaves at that time: nothing charged the parked interval.
+        let expect = arrive_at + NetProfile::clan_via().per_msg_cpu;
+        assert_eq!((after, reply.sent_at), (expect, expect));
     }
 
     #[test]

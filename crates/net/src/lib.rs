@@ -44,4 +44,4 @@ pub use profile::{LinkCost, NetProfile};
 pub use reliable::FabricError;
 pub use stats::{LinkHealth, NetStats, NodeNetStats, NodeTraffic, Traffic};
 pub use vbarrier::VBarrier;
-pub use vtime::{thread_cpu_ns, TimeSource, VClock, VTime};
+pub use vtime::{TimeSource, VClock, VTime};

@@ -78,7 +78,6 @@ impl VBarrier {
             let guard = self.poison_on_unwind();
             lead(clock);
             drop(guard);
-            clock.sample_compute();
             clock.now() + NODE_BARRIER_OVERHEAD
         })
     }
@@ -112,7 +111,6 @@ impl VBarrier {
         clock: &mut VClock,
         last_arriver: impl FnOnce(&mut VClock, VTime) -> VTime,
     ) -> bool {
-        clock.sample_compute();
         let mut st = self.state.lock();
         self.check(&st);
         st.max_arrival = st.max_arrival.max(clock.now());
@@ -168,7 +166,9 @@ impl Drop for PoisonOnUnwind<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vtime::TimeSource;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn single_thread_barrier_is_trivial() {
@@ -199,6 +199,33 @@ mod tests {
         let times: Vec<VTime> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         let expect = VTime::from_micros(30) + NODE_BARRIER_OVERHEAD;
         assert!(times.iter().all(|&t| t == expect), "{times:?}");
+    }
+
+    #[test]
+    fn parked_host_time_is_not_compute() {
+        // Thread 1 arrives 50 ms of host time late, so thread 0 parks that
+        // long; neither interval is compute on a counted clock.
+        let b = Arc::new(VBarrier::new(2));
+        let handles: Vec<_> = (0..2u64)
+            .map(|i| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || {
+                    let mut c = VClock::new(TimeSource::Counted);
+                    c.compute(VTime::from_micros(10 * (i + 1)));
+                    if i == 1 {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                    b.wait(&mut c);
+                    let first = c.now();
+                    b.wait(&mut c);
+                    (first, c.now())
+                })
+            })
+            .collect();
+        let first = VTime::from_micros(20) + NODE_BARRIER_OVERHEAD;
+        for h in handles {
+            assert_eq!(h.join().unwrap(), (first, first + NODE_BARRIER_OVERHEAD));
+        }
     }
 
     #[test]

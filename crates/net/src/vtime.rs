@@ -4,11 +4,9 @@
 //! many-threaded cluster simulation are meaningless. Instead every simulated
 //! thread carries a [`VClock`]: a virtual timestamp advanced by
 //!
-//! * **compute** — the thread's measured execution time (a monotonic
-//!   timer — see [`thread_cpu_ns`] for the hermetic-build caveat vs. true
-//!   per-thread CPU time), multiplied by a configurable scale factor that
-//!   models the target machine's speed relative to the host; or
-//!   deterministic, manually charged costs; and
+//! * **compute** — counted costs the program charges for the work it did
+//!   (a kernel's loop trips × a per-unit cost, see [`VClock::compute`]),
+//!   or explicit charges; never a host clock reading; and
 //! * **communication/synchronization** — analytic costs from the network
 //!   profile (latency, per-byte time, service penalties), reconciled via
 //!   `max()` when threads interact.
@@ -65,11 +63,6 @@ impl VTime {
     pub fn saturating_sub(self, other: VTime) -> VTime {
         VTime(self.0.saturating_sub(other.0))
     }
-
-    /// Scale by a non-negative factor (used for CPU speed scaling).
-    pub fn scale(self, f: f64) -> VTime {
-        VTime((self.0 as f64 * f).round().max(0.0) as u64)
-    }
 }
 
 impl Add for VTime {
@@ -104,43 +97,20 @@ impl fmt::Display for VTime {
     }
 }
 
-/// Reads a monotonic per-process timestamp in nanoseconds.
-///
-/// Semantic note: this used to read `CLOCK_THREAD_CPUTIME_ID` via `libc`,
-/// i.e. the calling thread's *CPU* time, immune to preemption. The hermetic
-/// (std-only) build uses `std::time::Instant`, which is monotonic *wall*
-/// time: on an oversubscribed host the measured compute of a simulated
-/// thread now includes time it spent descheduled, so `ThreadCpu` timings
-/// are noisier than before. The API and all call sites are unchanged —
-/// callers only ever difference consecutive readings — and fully
-/// deterministic runs should use [`TimeSource::Manual`], which never calls
-/// this function.
-pub fn thread_cpu_ns() -> u64 {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    epoch.elapsed().as_nanos() as u64
-}
-
 /// How a [`VClock`] accounts for compute between communication events.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// No source reads a host clock: virtual time is advanced only by the
+/// program's own charges and the network cost model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeSource {
-    /// Measure the calling thread's CPU time and scale it by the factor.
-    ///
-    /// A factor of around `60.0` roughly maps a modern ~3 GHz superscalar
-    /// host core onto the paper's 550 MHz Pentium III nodes for numeric
-    /// kernels.
-    ThreadCpu { scale: f64 },
-    /// Ignore real CPU time entirely; only explicit [`VClock::charge`] calls
-    /// advance the clock. Fully deterministic — used by tests.
+    /// Compute costs what the program says it did: each
+    /// [`VClock::compute`] call (a kernel's loop trips × its per-unit cost)
+    /// advances the clock.
+    Counted,
+    /// Compute is free: [`VClock::compute`] charges nothing, and only
+    /// explicit [`VClock::charge`] calls and communication advance the
+    /// clock. Used by tests and the benchmark.
     Manual,
-}
-
-impl Default for TimeSource {
-    fn default() -> Self {
-        TimeSource::ThreadCpu { scale: 1.0 }
-    }
 }
 
 /// A per-thread virtual clock.
@@ -148,7 +118,6 @@ impl Default for TimeSource {
 pub struct VClock {
     now: VTime,
     source: TimeSource,
-    last_cpu_ns: u64,
     /// Total virtual time attributed to compute (vs. communication).
     compute: VTime,
     /// Total virtual time attributed to communication/synchronization waits.
@@ -157,14 +126,9 @@ pub struct VClock {
 
 impl VClock {
     pub fn new(source: TimeSource) -> Self {
-        let last = match source {
-            TimeSource::ThreadCpu { .. } => thread_cpu_ns(),
-            TimeSource::Manual => 0,
-        };
         VClock {
             now: VTime::ZERO,
             source,
-            last_cpu_ns: last,
             compute: VTime::ZERO,
             comm: VTime::ZERO,
         }
@@ -178,10 +142,6 @@ impl VClock {
         self.now
     }
 
-    pub fn source(&self) -> TimeSource {
-        self.source
-    }
-
     /// Virtual time attributed to computation so far.
     pub fn compute_time(&self) -> VTime {
         self.compute
@@ -192,32 +152,16 @@ impl VClock {
         self.comm
     }
 
-    /// Fold the CPU time consumed since the last sample into the clock.
-    ///
-    /// Call this at every simulation API boundary so that the compute burst
-    /// preceding the call is accounted before communication costs are added.
-    pub fn sample_compute(&mut self) {
-        if let TimeSource::ThreadCpu { scale } = self.source {
-            let cpu = thread_cpu_ns();
-            let delta = cpu.saturating_sub(self.last_cpu_ns);
-            self.last_cpu_ns = cpu;
-            let d = VTime(delta).scale(scale);
-            self.now += d;
-            self.compute += d;
+    /// Charge `d` of counted application compute: under
+    /// [`TimeSource::Counted`] the clock advances by `d`, under
+    /// [`TimeSource::Manual`] not at all.
+    pub fn compute(&mut self, d: VTime) {
+        if self.source == TimeSource::Counted {
+            self.charge(d);
         }
     }
 
-    /// Reset the CPU sampling baseline without charging the elapsed time.
-    ///
-    /// Used when a thread has been doing bookkeeping that should not count
-    /// as application compute (e.g. waiting loops).
-    pub fn discard_compute(&mut self) {
-        if let TimeSource::ThreadCpu { .. } = self.source {
-            self.last_cpu_ns = thread_cpu_ns();
-        }
-    }
-
-    /// Explicitly charge `d` of compute time.
+    /// Explicitly charge `d` of compute time, under either source.
     pub fn charge(&mut self, d: VTime) {
         self.now += d;
         self.compute += d;
@@ -242,7 +186,6 @@ impl VClock {
     /// the fork time).
     pub fn reset_to(&mut self, t: VTime) {
         self.now = t;
-        self.discard_compute();
     }
 }
 
@@ -267,22 +210,39 @@ mod tests {
         assert_eq!(format!("{}", VTime::from_millis(1_500)), "1.500s");
     }
 
+    /// Burns host CPU without touching any clock.
+    fn busy_loop() {
+        let mut x = 0u64;
+        for i in 0..1_000_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
+        }
+        std::hint::black_box(x);
+    }
+
     #[test]
     fn manual_clock_only_moves_on_charges() {
         let mut c = VClock::manual();
-        // Burn some real CPU; the manual clock must not move.
-        let mut x = 0u64;
-        for i in 0..100_000 {
-            x = x.wrapping_add(i);
-        }
-        std::hint::black_box(x);
-        c.sample_compute();
+        busy_loop();
+        c.compute(VTime::from_micros(3));
         assert_eq!(c.now(), VTime::ZERO);
         c.charge(VTime::from_micros(5));
         c.charge_comm(VTime::from_micros(7));
         assert_eq!(c.now().as_nanos(), 12_000);
         assert_eq!(c.compute_time().as_nanos(), 5_000);
         assert_eq!(c.comm_time().as_nanos(), 7_000);
+    }
+
+    #[test]
+    fn counted_clock_moves_by_compute_and_charge_only() {
+        let mut c = VClock::new(TimeSource::Counted);
+        busy_loop();
+        assert_eq!(c.now(), VTime::ZERO, "host work is not compute");
+        c.compute(VTime::from_micros(3));
+        busy_loop();
+        c.charge(VTime::from_micros(5));
+        assert_eq!(c.now(), VTime::from_micros(8));
+        assert_eq!(c.compute_time(), VTime::from_micros(8));
+        assert_eq!(c.comm_time(), VTime::ZERO);
     }
 
     #[test]
@@ -294,35 +254,5 @@ mod tests {
         c.sync_to(VTime::from_micros(25));
         assert_eq!(c.now(), VTime::from_micros(25));
         assert_eq!(c.comm_time(), VTime::from_micros(15));
-    }
-
-    #[test]
-    fn thread_cpu_clock_advances_with_work() {
-        let mut c = VClock::new(TimeSource::ThreadCpu { scale: 1.0 });
-        let mut acc = 0f64;
-        for i in 0..2_000_000 {
-            acc += (i as f64).sqrt();
-        }
-        std::hint::black_box(acc);
-        c.sample_compute();
-        assert!(c.now() > VTime::ZERO, "cpu clock should have advanced");
-    }
-
-    #[test]
-    fn scale_applies_to_measured_compute() {
-        // Measure the same busy loop with scale 1 vs scale 4; the scaled
-        // clock should read roughly 4x (allow generous slack: the host may
-        // jitter, but 4x vs 1x of the *same* measured quantity is exact
-        // because scaling happens after measurement).
-        let mut c = VClock::new(TimeSource::ThreadCpu { scale: 3.0 });
-        c.discard_compute();
-        let base = thread_cpu_ns();
-        let mut acc = 0u64;
-        while thread_cpu_ns() - base < 2_000_000 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
-        }
-        std::hint::black_box(acc);
-        c.sample_compute();
-        assert!(c.now().as_nanos() >= 3 * 2_000_000);
     }
 }

@@ -227,7 +227,8 @@ pub struct TraceEvent {
     pub arg: u64,
     /// Virtual timestamp from the emitting thread's `VClock`.
     pub vtime: VTime,
-    /// Monotonic wall timestamp (`thread_cpu_ns`), for debugging skew.
+    /// Monotonic host timestamp (ns since the process's first event), for
+    /// debugging skew.
     pub wall_ns: u64,
 }
 

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parade_net::sync::{Mutex, MutexGuard};
-use parade_net::{thread_cpu_ns, VTime};
+use parade_net::VTime;
 
 use crate::event::{EventKind, Identity, Phase, TraceEvent};
 use crate::report::{aggregate, TraceReport};
@@ -211,6 +211,16 @@ pub fn instant(kind: EventKind, arg: u64, vt: VTime) {
     }
 }
 
+/// Host nanoseconds since the first event this process recorded: a
+/// debugging stamp for host-side skew, never a virtual time.
+fn wall_ns() -> u64 {
+    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
+    EPOCH
+        .get_or_init(std::time::Instant::now)
+        .elapsed()
+        .as_nanos() as u64
+}
+
 fn record(kind: EventKind, phase: Phase, arg: u64, vt: VTime) {
     let gen = ACTIVE_GEN.load(Ordering::Acquire);
     if gen == 0 {
@@ -221,7 +231,7 @@ fn record(kind: EventKind, phase: Phase, arg: u64, vt: VTime) {
         phase,
         arg,
         vtime: vt,
-        wall_ns: thread_cpu_ns(),
+        wall_ns: wall_ns(),
     };
     // try_with: a thread whose TLS is being torn down simply drops events.
     let _ = TL.try_with(|tl| {

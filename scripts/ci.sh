@@ -109,6 +109,11 @@ echo "== serving soak, optimized (1000 jobs; ignored in the debug test step) =="
 # its sequential reference, with >=1 re-home and no growth in host threads.
 cargo test -q --release --offline --test serve_soak
 
+echo "== paper claims, optimized (Figs. 8-11 and the home ablation; ignored in the debug test step) =="
+# tests/paper_claims.rs: the kernel figures at class W sizes on counted
+# compute, about 20 s; the manual-clock claims already ran above.
+cargo test -q --release --offline --test paper_claims
+
 echo "== virtual-time golden, optimized (the only place its 256-node rung runs) =="
 # tests/vtime_golden.rs compares release/, coll/, tasks/ and adapt/ with ==
 # against tests/golden/vtime.tsv; the workspace test step above already ran

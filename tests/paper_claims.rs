@@ -1,12 +1,18 @@
-//! The paper's §6 claims, asserted on the figures that run on the manual
-//! clock: Figs. 6 and 7, the §5.1 update strategies and the VIA-vs-TCP
-//! ablation, each at the default sweep of 1, 2, 4 and 8 nodes.
+//! The paper's §6 claims, asserted on its figures at the default sweep of
+//! 1, 2, 4 and 8 nodes: Figs. 6 and 7, the §5.1 update strategies and the
+//! VIA-vs-TCP ablation on the manual clock; Figs. 8–11 and the home
+//! ablation on counted compute.
 //!
 //! These assert the *claims* EXPERIMENTS.md quotes under each figure, not
-//! its digits. Figs. 8–11 and the home ablation charge compute from the
-//! host's thread-CPU clock, so their shapes are not asserted here.
+//! its digits. The kernel figures run class W sizes — about 26 s in a
+//! release build — so they are ignored in debug builds; `scripts/ci.sh`
+//! runs them with `--release`. Claims that do not hold are written up
+//! under EXPERIMENTS.md "Deviations & limitations" instead.
 
-use parade::kernels::figures::{ablation_fabric, fig6, fig7, update_methods, FigureOpts, Table};
+use parade::kernels::figures::{
+    ablation_fabric, ablation_home, fig10, fig11, fig6, fig7, fig8, fig9, update_methods,
+    FigureOpts, Table,
+};
 use parade::net::NetProfile;
 
 /// Column `col` of every row, as a number (`"12.77x"` and `"infx"` parse).
@@ -74,4 +80,84 @@ fn tcp_over_via_lies_between_the_profiles_cpu_and_latency_ratios() {
             t.markdown()
         );
     }
+}
+
+/// Figs. 9–11: two compute threads beat one thread sharing its CPU with
+/// communication at every node count, and every configuration gets faster
+/// with every node step.
+fn assert_hybrid_scales(t: &Table) {
+    assert_eq!(column(t, 0), [1.0, 2.0, 4.0, 8.0]);
+    let (one_cpu, two_threads) = (column(t, 1), column(t, 3));
+    for (two, one) in two_threads.iter().zip(&one_cpu) {
+        assert!(
+            two < one,
+            "2Thread-2CPU must beat 1Thread-1CPU: {}",
+            t.markdown()
+        );
+    }
+    for col in 1..=3 {
+        for w in column(t, col).windows(2) {
+            assert!(
+                w[1] < w[0],
+                "{} must fall: {}",
+                t.headers[col],
+                t.markdown()
+            );
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn fig8_one_cpu_gap_widens_with_the_node_count() {
+    let t = fig8(&FigureOpts::default());
+    assert_eq!(column(&t, 0), [1.0, 2.0, 4.0, 8.0]);
+    let (one_cpu, two_cpu) = (column(&t, 1), column(&t, 2));
+    let gap: Vec<f64> = one_cpu.iter().zip(&two_cpu).map(|(a, b)| a / b).collect();
+    for w in gap.windows(2) {
+        assert!(
+            w[1] > w[0],
+            "1T-1CPU / 1T-2CPU must widen: {}",
+            t.markdown()
+        );
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn fig9_ep_hybrid_beats_one_cpu_and_scales() {
+    assert_hybrid_scales(&fig9(&FigureOpts::default()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn fig10_helmholtz_hybrid_beats_one_cpu_and_scales() {
+    assert_hybrid_scales(&fig10(&FigureOpts::default()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn fig11_md_hybrid_beats_one_cpu_and_scales() {
+    assert_hybrid_scales(&fig11(&FigureOpts::default()));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn migratory_home_beats_fixed_from_four_nodes_with_fewer_fetches() {
+    let t = ablation_home(&FigureOpts::default());
+    assert_eq!(column(&t, 0), [2.0, 4.0, 8.0]);
+    let (migr, fixed) = (column(&t, 1), column(&t, 2));
+    let (migr_fetches, fixed_fetches) = (column(&t, 3), column(&t, 4));
+    for i in 1..migr.len() {
+        assert!(migr[i] < fixed[i], "{}", t.markdown());
+        assert!(migr_fetches[i] < fixed_fetches[i], "{}", t.markdown());
+    }
+}
+
+/// EP moves no pages, and counted compute reads no host clock, so its
+/// figure is a function of the program alone.
+#[test]
+fn a_counted_figure_repeats_to_the_last_digit() {
+    let opts = FigureOpts::quick();
+    assert_eq!(fig9(&opts).markdown(), fig9(&opts).markdown());
 }
