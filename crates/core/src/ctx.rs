@@ -295,11 +295,23 @@ impl ThreadCtx {
     /// home migration) performed by one representative per node — the
     /// last thread to reach the node barrier, from inside it.
     pub fn barrier(&self) {
+        self.barrier_if(|| true);
+    }
+
+    /// [`ThreadCtx::barrier`] whose inter-node half runs only if
+    /// `inter_node()`, asked once, by the node barrier's last arriver.
+    /// Without it the crossing is node-local. Sound only when every node
+    /// gets the same answer and no node has a write notice to advertise.
+    pub(crate) fn barrier_if(&self, inter_node: impl FnOnce() -> bool) {
         self.end_of_interval("barrier()");
         if trace::enabled() {
             trace::begin(EventKind::OmpBarrier, self.now());
         }
-        self.node_combine(|c| self.rt.dsm.barrier(c));
+        self.node_combine(|c| {
+            if inter_node() {
+                self.rt.dsm.barrier(c);
+            }
+        });
         if trace::enabled() {
             trace::end(EventKind::OmpBarrier, self.now());
         }

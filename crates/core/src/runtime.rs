@@ -2,7 +2,7 @@
 //! intra-node barrier, the compute-thread pool, and the slot tables behind
 //! `single`/`reduction` constructs.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::{mpsc, Arc, OnceLock};
 
 use parade_net::sync::Mutex;
@@ -113,6 +113,12 @@ pub(crate) struct NodeRt {
     /// Per-critical-name node mutex carrying the last release time.
     pub criticals: Mutex<std::collections::HashMap<u64, Arc<Mutex<VTime>>>>,
     pub region_counter: AtomicU64,
+    /// Whether any node wrote a shared page during the node's last task
+    /// phase: published by the lead thread before the phase's closing
+    /// node barrier, read by that barrier's last arriver (the barrier's
+    /// mutex orders the two). Per node, not a static: one process runs
+    /// many clusters.
+    pub phase_wrote: AtomicBool,
     /// DSM scratch region for SdsmOnly-mode reductions (SLOTS × 16 B).
     pub scratch: RegionHandle,
     /// DSM flag region for SdsmOnly-mode singles (SLOTS × 8 B).
@@ -155,6 +161,7 @@ impl NodeRt {
             dyn_slots: SlotTable::new(),
             criticals: Mutex::new(std::collections::HashMap::new()),
             region_counter: AtomicU64::new(0),
+            phase_wrote: AtomicBool::new(false),
             scratch,
             flags,
             pool: Mutex::new(Vec::new()),

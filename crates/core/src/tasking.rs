@@ -6,10 +6,13 @@
 //! communicator, task bodies execute with full [`ThreadCtx`] access (DSM
 //! reads/writes fault pages in as usual), and the phase ends when the
 //! distributed termination detector proves every spawned task ran exactly
-//! once. The phase is bracketed by cluster barriers, so data written before
-//! the phase is visible to every task and task-written pages are visible
-//! everywhere after it (write faults record interval notices that the
-//! closing barrier advertises).
+//! once. The phase opens with a cluster barrier, so data written before
+//! the phase is visible to every task. It closes with one too when any
+//! node wrote a shared page during the phase, so task-written pages are
+//! visible everywhere after it (write faults record interval notices that
+//! the closing barrier advertises). When no node wrote — every node learns
+//! that from the phase's one all-to-all result exchange — the closing
+//! barrier would carry no notice, and it stays node-local.
 //!
 //! Dependency edges carry their own consistency: a task's completion
 //! flushes the executing node (an HLRC release) and the flushed page ids
@@ -19,6 +22,7 @@
 //! the pinned task, and `map(from)` onto the completion notices applied
 //! when `target_sync` observes the result — the cluster-as-device mapping.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parade_dsm::PageId;
@@ -36,7 +40,8 @@ pub type TaskFn = Arc<dyn Fn(&ThreadCtx, &TaskDesc, &mut SpawnCtx) -> Vec<f64> +
 
 /// Adapter between the scheduler's executor hooks and the node runtime:
 /// bodies come from the phase's function table, `release` is a DSM flush,
-/// `acquire` invalidates noticed pages.
+/// `acquire` invalidates noticed pages, `wrote` asks the DSM whether this
+/// node holds a write notice for the current interval.
 struct CoreExecutor<'a> {
     tc: &'a ThreadCtx,
     funcs: &'a [TaskFn],
@@ -70,6 +75,10 @@ impl TaskExecutor for CoreExecutor<'_> {
     fn acquire(&mut self, notices: &[u64], clock: &mut VClock) {
         let pages: Vec<PageId> = notices.iter().map(|&n| n as PageId).collect();
         self.tc.rt().dsm.invalidate_pages(&pages, clock);
+    }
+
+    fn wrote(&mut self) -> bool {
+        self.tc.rt().dsm.interval_wrote()
     }
 }
 
@@ -168,6 +177,8 @@ impl ThreadCtx {
     /// Run a task phase: `body` executes on each node's lead thread to
     /// spawn root tasks (other threads of the team skip straight to the
     /// closing barrier), then the distributed scheduler drains the graph.
+    /// The closing barrier is a cluster barrier only if some node wrote a
+    /// shared page during the phase.
     ///
     /// Returns `Some` of the id-sorted `(task id, result)` merge on lead
     /// threads — identical on every node regardless of steal schedule —
@@ -191,12 +202,17 @@ impl ThreadCtx {
             let mut ex = CoreExecutor { tc: self, funcs };
             let merged = run_to_merge(&mut scope.sched, &mut ex, &mut clock);
             self.put_clock(clock);
+            self.rt()
+                .phase_wrote
+                .store(scope.sched.any_node_wrote(), Ordering::Relaxed);
             Some(merged)
         } else {
             None
         };
         // Closing consistency point: task-written pages visible everywhere.
-        self.barrier();
+        // Every node holds the same flag, so all of them take the DSM
+        // barrier or none does.
+        self.barrier_if(|| self.rt().phase_wrote.load(Ordering::Relaxed));
         merged
     }
 }
@@ -205,6 +221,7 @@ impl ThreadCtx {
 mod tests {
     use super::*;
     use crate::team::Cluster;
+    use parade_cluster::ProtocolMode;
     use parade_net::{NetProfile, TimeSource};
     use parade_tasks::{SchedConfig, StealStrategy};
 
@@ -291,6 +308,75 @@ mod tests {
         let task_sum: f64 = merged.iter().map(|(_, r)| r[0]).sum();
         assert_eq!(task_sum, (0..64).sum::<usize>() as f64);
         assert_eq!(total, (0..64).sum::<usize>() as f64 + 64.0);
+    }
+
+    /// One phase on `nodes`×2 in `mode` in which only the last node's task
+    /// writes a shared element every node cached before the phase (the
+    /// task is pinned there by a self-targeted spawn, so it is never
+    /// stolen), or, with `write` false, in which no task writes. Returns
+    /// what every thread reads back after the phase and each node's DSM
+    /// barriers during it.
+    fn one_writer_phase(nodes: usize, mode: ProtocolMode, write: bool) -> Vec<(f64, u64)> {
+        let c = Cluster::builder()
+            .nodes(nodes)
+            .threads_per_node(2)
+            .net(NetProfile::zero())
+            .time(TimeSource::Manual)
+            .protocol(mode)
+            .build()
+            .unwrap();
+        let got = Arc::new(parade_net::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&got);
+        c.run(move |g| {
+            let xs = g.alloc_f64(8);
+            g.set(&xs, 5, 1.0);
+            g.parallel(move |tc| {
+                // Every node caches the page the task will write.
+                assert_eq!(tc.get(&xs, 5), 1.0);
+                let funcs: Vec<TaskFn> = vec![Arc::new(
+                    move |tc: &ThreadCtx, d: &TaskDesc, _s: &mut SpawnCtx| {
+                        assert_eq!(tc.node(), tc.num_nodes() - 1, "pinned task moved");
+                        if d.args[0] == 1 {
+                            tc.set(&xs, 5, 42.0);
+                        }
+                        vec![]
+                    },
+                )];
+                let before = tc.rt().dsm.stats.barriers.load(Ordering::Relaxed);
+                tc.task_phase(&funcs, |scope| {
+                    let last = scope.num_nodes() - 1;
+                    if scope.node() == last {
+                        scope.target(last, 0, vec![write as u64]);
+                    }
+                });
+                let barriers = tc.rt().dsm.stats.barriers.load(Ordering::Relaxed) - before;
+                sink.lock().push((tc.get(&xs, 5), barriers));
+            });
+        });
+        let got = got.lock().clone();
+        got
+    }
+
+    #[test]
+    fn a_page_one_node_writes_in_a_phase_is_fresh_everywhere_after_it() {
+        for nodes in [2, 4] {
+            for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+                let got = one_writer_phase(nodes, mode, true);
+                assert_eq!(got.len(), nodes * 2);
+                for (v, barriers) in got {
+                    assert_eq!(v, 42.0, "{nodes}x2 {mode:?}: a stale copy survived");
+                    assert_eq!(barriers, 2, "{nodes}x2 {mode:?}: open and close");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_phase_no_node_writes_in_closes_without_a_dsm_barrier() {
+        for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+            let got = one_writer_phase(4, mode, false);
+            assert_eq!(got, vec![(1.0, 1); 8], "{mode:?}: only the opening barrier");
+        }
     }
 
     #[test]

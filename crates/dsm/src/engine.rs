@@ -941,6 +941,16 @@ impl Dsm {
 
     // ---- barrier (§5.2.2) --------------------------------------------------
 
+    /// Whether this node wrote a shared page since its last barrier: the
+    /// interval's write notices are non-empty. Read-only; the next
+    /// [`Dsm::barrier`] still advertises and takes them. A barrier at which
+    /// no node wrote would carry no notice, invalidate nothing and move no
+    /// home, which is what lets a caller that knows every node's answer
+    /// skip it.
+    pub fn interval_wrote(&self) -> bool {
+        self.sets.any_notice()
+    }
+
     /// Inter-node barrier with HLRC release semantics: flush, send write
     /// notices piggybacked on the arrival message, apply the departure's
     /// invalidations and home migrations.

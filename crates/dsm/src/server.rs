@@ -65,11 +65,11 @@ impl CommServer {
 struct TreeBarrier {
     /// (node, reply tag) of every member in the subtree seen so far.
     members: Vec<(usize, u64)>,
-    /// Merged write notices as flat `(page, writer node)` pairs:
+    /// The subtree's write notices as flat `(page, writer node)` pairs:
     /// contributions are appended as they come and sorted once, when the
     /// subtree completes.
     writers: Vec<(PageId, usize)>,
-    /// Merged read observations in the same shape (sharer evidence for
+    /// Its read observations in the same shape (sharer evidence for
     /// the root's protocol table).
     readers: Vec<(PageId, usize)>,
     /// Virtual arrival time of each contribution. Service cost is charged

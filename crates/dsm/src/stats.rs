@@ -85,8 +85,8 @@ counters! {
     prefetch_pages,
     /// Always 0; see `prefetch_pages`.
     prefetch_hits,
-    /// Merged pages pushed to sharers under the update protocol (also
-    /// counted in `pushes_sent`).
+    /// Pages whose merged copy the home pushed to sharers under the update
+    /// protocol (also counted in `pushes_sent`).
     update_pushes,
     /// Barrier-time protocol flips decided for pages (invalidate↔update;
     /// counted at the root making the decision).

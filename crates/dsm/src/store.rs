@@ -331,6 +331,11 @@ impl PageBitmap {
         self.words[page / 64].fetch_and(!bit, Ordering::AcqRel) & bit != 0
     }
 
+    /// Whether any bit is set. A plain scan: it takes nothing.
+    fn any(&self) -> bool {
+        self.words.iter().any(|w| w.load(Ordering::Acquire) != 0)
+    }
+
     /// Take every set bit, word by word: ascending page order for free.
     fn drain(&self) -> Vec<PageId> {
         let mut out = Vec::new();
@@ -403,6 +408,12 @@ impl PageSets {
     /// Take the dirty set (ascending — deterministic release order).
     pub fn drain_dirty(&self) -> Vec<PageId> {
         self.dirty.drain()
+    }
+
+    /// Whether the current interval has a write notice (a page written
+    /// since the last barrier), without taking it.
+    pub fn any_notice(&self) -> bool {
+        self.notices.any()
     }
 
     /// Take the interval's write notices (ascending).
@@ -626,6 +637,21 @@ mod tests {
         assert!(s.drain_dirty().is_empty());
         assert!(s.drain_notices().is_empty());
         assert!(s.drain_reads().is_empty());
+    }
+
+    #[test]
+    fn any_notice_looks_without_taking() {
+        let s = PageSets::new(130);
+        assert!(!s.any_notice());
+        s.mark_read(3);
+        assert!(!s.any_notice(), "a fetch is no write notice");
+        s.mark_written(128);
+        assert!(s.any_notice());
+        assert!(s.any_notice(), "asking takes nothing");
+        s.drain_dirty();
+        assert!(s.any_notice(), "a flush leaves the notice for the barrier");
+        assert_eq!(s.drain_notices(), vec![128]);
+        assert!(!s.any_notice());
     }
 
     #[test]

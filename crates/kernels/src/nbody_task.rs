@@ -19,7 +19,9 @@ use std::sync::Arc;
 
 use parade_core::{partition, Cluster, RunReport, TaskFn};
 use parade_net::sync::Mutex;
+use parade_net::VTime;
 
+use crate::cost;
 use crate::md::{compute_range, initialize, update_range, MdEnergies, MdParams, MdResult, ND};
 
 /// Per-node replicated particle state.
@@ -40,6 +42,12 @@ fn block_result(p: &MdParams, sim: &Sim, block: usize, blocks: usize) -> Vec<f64
     out.push(kin);
     out.extend_from_slice(&force);
     out
+}
+
+/// The counted compute of one force block: each of its particles meets
+/// the `np - 1` others.
+fn block_charge(p: &MdParams, block: usize, blocks: usize) -> VTime {
+    cost::MD_PAIR.of(partition(0..p.np, blocks, block).len() * (p.np - 1))
 }
 
 /// Apply one step from the merged block results (identical on every node).
@@ -98,9 +106,11 @@ pub fn nbody_task_parade(cluster: &Cluster, p: MdParams, blocks: usize) -> (MdRe
             let (pos, vel, acc) = initialize(&p);
             let sim = Arc::new(Mutex::new(Sim { pos, vel, acc }));
             let sim_body = Arc::clone(&sim);
-            let funcs: Vec<TaskFn> = vec![Arc::new(move |_tc, d, _s| {
-                let sim = sim_body.lock();
-                block_result(&p, &sim, d.args[0] as usize, d.args[1] as usize)
+            let funcs: Vec<TaskFn> = vec![Arc::new(move |tc, d, _s| {
+                let (block, blocks) = (d.args[0] as usize, d.args[1] as usize);
+                let r = block_result(&p, &sim_body.lock(), block, blocks);
+                tc.compute(block_charge(&p, block, blocks));
+                r
             })];
             let mut first = None;
             let mut last = MdEnergies {
@@ -213,6 +223,31 @@ mod tests {
         assert!(report.cluster.fabric_errors.is_empty());
         let h = report.cluster.link_health_totals();
         assert!(h.retransmits >= 1, "the soak must retransmit: {h:?}");
+    }
+
+    #[test]
+    fn counted_time_adds_exactly_the_block_charges() {
+        // On one node nothing overlaps: the counted run's clock is the
+        // manual run's plus every block's charge, step after step.
+        let (p, blocks) = (MdParams::sized(40, 3), 6);
+        let exec_time = |time| {
+            let c = Cluster::builder()
+                .nodes(1)
+                .threads_per_node(1)
+                .net(NetProfile::zero())
+                .time(time)
+                .build()
+                .unwrap();
+            let (r, report) = nbody_task_parade(&c, p, blocks);
+            (bits(&r), report.exec_time)
+        };
+        let (counted, t_counted) = exec_time(TimeSource::Counted);
+        let (manual, t_manual) = exec_time(TimeSource::Manual);
+        assert_eq!(counted, manual, "the charge changes no result");
+        let per_step: u64 = (0..blocks).map(|b| block_charge(&p, b, blocks).0).sum();
+        let want = VTime(per_step * p.steps as u64);
+        assert!(want > VTime::ZERO);
+        assert_eq!(t_counted - t_manual, want);
     }
 
     #[test]

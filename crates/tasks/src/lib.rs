@@ -12,10 +12,14 @@
 //! Determinism contract: task **ids are schedule-independent** (a pure
 //! function of the spawning node and spawn ordinal), task bodies are pure
 //! functions of their descriptor, and the phase result is the id-sorted
-//! merge of all task results broadcast from the root — so the merged result
-//! is bit-identical across steal schedules, seeds, victim orders, and chaos
-//! fault schedules (the PR 3 reliable channel delivers scheduler messages
-//! exactly once per link).
+//! merge of all task results, which every node builds itself from one
+//! all-to-all exchange of per-node results — so the merged result is
+//! bit-identical on every node and across steal schedules, seeds, victim
+//! orders, and chaos fault schedules (the reliable channel delivers
+//! scheduler messages exactly once per link). The same exchange tells
+//! every node whether any node wrote a shared page during the phase
+//! ([`NodeSched::any_node_wrote`]), which is what lets parade-core close a
+//! phase nobody wrote in without a DSM barrier.
 //!
 //! `target`-style offload rides the same machinery: a *pinned* task is
 //! shipped to its device node, never stolen, and synchronized individually

@@ -36,9 +36,21 @@
 //! forwards it only while passive, adding its balance and its color, and
 //! whitens after forwarding. A white token returning to a white root with
 //! a zero global balance proves quiescence: the root then broadcasts
-//! `Done`, gathers per-node results and spawn/execute counters, audits
-//! exactly-once execution (`sum(spawned) == sum(executed) == results`,
-//! ids unique), and broadcasts the id-sorted merge.
+//! `Done`.
+//!
+//! ## The merge
+//!
+//! One all-to-all exchange: on `Done` (the root: on its own successful
+//! probe) every node sends one `Result` — its locally-homed results, its
+//! spawn/execute counters and whether it wrote a shared page
+//! ([`TaskExecutor::wrote`]) — to every other node. Each node then holds
+//! all `nnodes` contributions, audits exactly-once execution itself
+//! (`sum(spawned) == sum(executed) == results`, ids unique) and sorts the
+//! merge by id, so every node ends with the same bytes and the same OR of
+//! the write flags ([`NodeSched::any_node_wrote`]). A peer's `Result` can
+//! arrive before the node's own `Done`, so it is accepted in any state;
+//! each node consumes exactly `nnodes - 1` of them, and no frame of the
+//! phase outlives it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -139,8 +151,10 @@ pub fn child_id(parent: u64, ord: u64) -> u64 {
 /// `release` runs after each body (a flush at the task's completion — an
 /// HLRC release point) and returns the page notices to propagate;
 /// `acquire` applies notices (invalidations) before a dependent body runs
-/// and when completions reach a waiting home. The default no-op hooks fit
-/// task graphs whose data rides entirely in descriptors and results.
+/// and when completions reach a waiting home; `wrote` answers, once the
+/// phase has terminated, whether this node wrote a shared page since the
+/// phase began. The default hooks fit task graphs whose data rides
+/// entirely in descriptors and results.
 pub trait TaskExecutor {
     fn exec(&mut self, desc: &TaskDesc, tctx: &mut TaskCtx, clock: &mut VClock) -> Vec<f64>;
 
@@ -149,6 +163,10 @@ pub trait TaskExecutor {
     }
 
     fn acquire(&mut self, _notices: &[u64], _clock: &mut VClock) {}
+
+    fn wrote(&mut self) -> bool {
+        false
+    }
 }
 
 impl<F> TaskExecutor for F
@@ -175,15 +193,6 @@ pub enum Step {
 struct Held {
     desc: TaskDesc,
     unmet: usize,
-}
-
-enum Phase {
-    /// Executing the task graph.
-    Working,
-    /// Root only: `Done` broadcast, gathering `Result` messages.
-    Gathering,
-    /// Non-root: `Result` sent, waiting for `Merged`.
-    AwaitMerge,
 }
 
 /// One node's scheduler for one task phase.
@@ -217,12 +226,17 @@ pub struct NodeSched {
     steal_misses: usize,
     steal_outstanding: bool,
     rng: u64,
-    phase: Phase,
+    /// This node has sent its own `Result`: the phase has terminated.
+    contributed: bool,
+    /// Contributions to the merge, this node's own included: (results,
+    /// spawned, executed).
     gathered: Vec<(IdResults, u64, u64)>,
+    /// OR of the contributions' `wrote` flags.
+    any_wrote: bool,
     merged: Option<IdResults>,
 }
 
-/// Id-tagged task results, as gathered per node and merged id-sorted.
+/// Id-tagged task results, as contributed per node and merged id-sorted.
 type IdResults = Vec<(u64, Vec<f64>)>;
 
 impl NodeSched {
@@ -252,8 +266,9 @@ impl NodeSched {
             steal_misses: 0,
             steal_outstanding: false,
             rng: splitmix(cfg.seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            phase: Phase::Working,
+            contributed: false,
             gathered: Vec::new(),
+            any_wrote: false,
             merged: None,
         }
     }
@@ -472,31 +487,20 @@ impl NodeSched {
             SchedMsg::Token { count, black } => self.on_token(count, black, clock),
             SchedMsg::Done => {
                 debug_assert_ne!(self.node, 0);
-                let results = std::mem::take(&mut self.results);
-                self.send_uncounted(
-                    0,
-                    &SchedMsg::Result {
-                        results,
-                        spawned: self.spawned,
-                        executed: self.executed,
-                    },
-                    clock,
-                );
-                self.phase = Phase::AwaitMerge;
+                self.contribute(ex, clock);
             }
             SchedMsg::Result {
                 results,
                 spawned,
                 executed,
+                wrote,
             } => {
-                debug_assert_eq!(self.node, 0);
+                // May come before this node's own `Done`: the sender heard
+                // it first. Quiescence already holds either way.
                 self.gathered.push((results, spawned, executed));
-                // `begin_done` already pushed the root's own contribution.
-                if self.gathered.len() == self.nnodes {
-                    self.finish_merge(clock);
-                }
+                self.any_wrote |= wrote;
+                self.try_merge();
             }
-            SchedMsg::Merged(rs) => self.merged = Some(rs),
         }
     }
 
@@ -655,8 +659,8 @@ impl NodeSched {
     }
 
     /// Idle-time protocol actions; returns true if anything was done.
-    fn idle_actions(&mut self, clock: &mut VClock) -> bool {
-        if !matches!(self.phase, Phase::Working) || !self.body_done || !self.deque.is_empty() {
+    fn idle_actions<E: TaskExecutor>(&mut self, ex: &mut E, clock: &mut VClock) -> bool {
+        if self.contributed || !self.body_done || !self.deque.is_empty() {
             return false;
         }
         // Stealing is an ACTIVE action (see `passive`): it comes first,
@@ -675,14 +679,14 @@ impl NodeSched {
             if let Some((_, _)) = self.token {
                 // Successful probe stored by on_token: terminate.
                 self.token = None;
-                self.begin_done(clock);
+                self.begin_done(ex, clock);
                 return true;
             }
             if !self.probing {
                 self.probing = true;
                 if self.nnodes == 1 {
                     debug_assert_eq!(self.balance, 0);
-                    self.begin_done(clock);
+                    self.begin_done(ex, clock);
                 } else {
                     self.send_uncounted(
                         1,
@@ -721,24 +725,56 @@ impl NodeSched {
         }
     }
 
-    /// Root: quiescence proven. Broadcast `Done`, fold in the root's own
-    /// contribution, then wait for everyone's `Result`.
-    fn begin_done(&mut self, clock: &mut VClock) {
+    /// Root: quiescence proven. Broadcast `Done`, then contribute like
+    /// every other node.
+    fn begin_done<E: TaskExecutor>(&mut self, ex: &mut E, clock: &mut VClock) {
         debug_assert_eq!(self.node, 0);
         for dst in 1..self.nnodes {
             self.send_uncounted(dst, &SchedMsg::Done, clock);
         }
-        let own = std::mem::take(&mut self.results);
-        self.gathered.push((own, self.spawned, self.executed));
-        self.phase = Phase::Gathering;
-        if self.nnodes == 1 {
-            self.finish_merge(clock);
-        }
+        self.contribute(ex, clock);
     }
 
-    /// Root: all `Result`s in. Audit exactly-once execution and broadcast
-    /// the id-sorted merge.
-    fn finish_merge(&mut self, clock: &mut VClock) {
+    /// The phase has terminated: send this node's `Result` to every other
+    /// node (the next node first, so no node is everyone's first
+    /// destination) and keep it as this node's own contribution.
+    fn contribute<E: TaskExecutor>(&mut self, ex: &mut E, clock: &mut VClock) {
+        debug_assert!(!self.contributed, "node {} contributed twice", self.node);
+        self.contributed = true;
+        let own = SchedMsg::Result {
+            results: std::mem::take(&mut self.results),
+            spawned: self.spawned,
+            executed: self.executed,
+            wrote: ex.wrote(),
+        };
+        if self.nnodes > 1 {
+            let frame = own.encode();
+            for k in 1..self.nnodes {
+                let dst = (self.node + k) % self.nnodes;
+                self.comm.send_bytes(dst, TAG_SCHED, frame.clone(), clock);
+            }
+        }
+        let SchedMsg::Result {
+            results,
+            spawned,
+            executed,
+            wrote,
+        } = own
+        else {
+            unreachable!("built as a Result above")
+        };
+        self.gathered.push((results, spawned, executed));
+        self.any_wrote |= wrote;
+        self.try_merge();
+    }
+
+    /// Once this node has contributed and holds every node's `Result`:
+    /// audit exactly-once execution and keep the id-sorted merge.
+    fn try_merge(&mut self) {
+        if !self.contributed || self.gathered.len() < self.nnodes {
+            return;
+        }
+        debug_assert_eq!(self.gathered.len(), self.nnodes, "a Result too many");
         let mut all: Vec<(u64, Vec<f64>)> = Vec::new();
         let mut spawned = 0u64;
         let mut executed = 0u64;
@@ -762,9 +798,6 @@ impl NodeSched {
         all.sort_by_key(|(id, _)| *id);
         for w in all.windows(2) {
             assert_ne!(w[0].0, w[1].0, "task id {} executed twice", w[0].0);
-        }
-        for dst in 1..self.nnodes {
-            self.send_uncounted(dst, &SchedMsg::Merged(all.clone()), clock);
         }
         self.merged = Some(all);
     }
@@ -795,7 +828,7 @@ impl NodeSched {
             self.run_one(desc, ex, clock);
             return Step::Worked;
         }
-        if self.idle_actions(clock) {
+        if self.idle_actions(ex, clock) {
             worked = true;
         }
         if self.merged.is_some() {
@@ -853,21 +886,35 @@ impl NodeSched {
     pub fn take_merged(&mut self) -> Option<Vec<(u64, Vec<f64>)>> {
         self.merged.take()
     }
+
+    /// Whether any node's [`TaskExecutor::wrote`] answered `true` — the
+    /// same answer on every node, once [`Step::Finished`].
+    pub fn any_node_wrote(&self) -> bool {
+        self.any_wrote
+    }
 }
 
 /// Live-mode driver: declare the root body done, then pump (blocking on
 /// the fabric when idle) until the merged result arrives. Every node of
 /// the phase must call this; all nodes return the identical id-sorted
-/// result vector.
+/// result vector. Traced as one `task.phase` span per node.
 pub fn run_to_merge<E: TaskExecutor>(
     sched: &mut NodeSched,
     ex: &mut E,
     clock: &mut VClock,
 ) -> Vec<(u64, Vec<f64>)> {
+    if trace::enabled() {
+        trace::begin(EventKind::TaskPhase, clock.now());
+    }
     sched.body_done();
     loop {
         match sched.step(ex, clock) {
-            Step::Finished => return sched.take_merged().expect("finished implies merged"),
+            Step::Finished => {
+                if trace::enabled() {
+                    trace::end(EventKind::TaskPhase, clock.now());
+                }
+                return sched.take_merged().expect("finished implies merged");
+            }
             Step::Worked => {}
             Step::Idle => {
                 let (src, bytes) = sched.comm.clone().recv_bytes_any(TAG_SCHED, clock);
@@ -1073,17 +1120,21 @@ mod tests {
             .map(|n| Arc::new(Communicator::new(fabric.endpoint(n))))
             .collect();
         let mut clock = VClock::manual();
+        let mut ex = |_: &TaskDesc, _: &mut TaskCtx, _: &mut VClock| Vec::new();
         let mut s = NodeSched::new(Arc::clone(&comms[1]), SchedConfig::default());
         s.body_done();
         // Empty deque, body done — but victims untried: ACTIVE, not passive.
         assert!(!s.passive(), "a node with steals left must be active");
         // Hand it a token mid-steal: it must hold it, not forward it.
         for round in 0..VICTIM_FANOUT {
-            assert!(s.idle_actions(&mut clock), "must send a steal request");
+            assert!(
+                s.idle_actions(&mut ex, &mut clock),
+                "must send a steal request"
+            );
             assert!(s.steal_outstanding);
             s.token = Some((0, false));
             assert!(
-                !s.idle_actions(&mut clock),
+                !s.idle_actions(&mut ex, &mut clock),
                 "token must be held while a steal request is outstanding"
             );
             assert!(s.token.is_some(), "token forwarded mid-steal");
@@ -1093,9 +1144,152 @@ mod tests {
         }
         // Miss budget exhausted: now passive, and the token flows.
         assert!(s.passive(), "exhausted thief must become passive");
-        assert!(s.idle_actions(&mut clock), "held token must be forwarded");
+        assert!(
+            s.idle_actions(&mut ex, &mut clock),
+            "held token must be forwarded"
+        );
         assert!(s.token.is_none());
         fabric.begin_shutdown();
+    }
+
+    /// A hand-driven scheduler for `node` of an `nn`-node fabric under
+    /// flat placement; the peers' endpoints stay raw, so a test can send
+    /// it any frame from any of them.
+    fn hand_driven(nn: usize, node: usize) -> (Arc<Fabric>, Vec<Arc<Communicator>>, NodeSched) {
+        let fabric = Fabric::new(nn, NetProfile::zero());
+        let comms: Vec<Arc<Communicator>> = (0..nn)
+            .map(|n| Arc::new(Communicator::new(fabric.endpoint(n))))
+            .collect();
+        let flat = SchedConfig {
+            strategy: StealStrategy::Flat,
+            ..SchedConfig::default()
+        };
+        let s = NodeSched::new(Arc::clone(&comms[node]), flat);
+        (fabric, comms, s)
+    }
+
+    fn send(comms: &[Arc<Communicator>], src: usize, dst: usize, msg: &SchedMsg) {
+        comms[src].send_bytes(dst, TAG_SCHED, msg.encode(), &mut VClock::manual());
+    }
+
+    fn result(results: IdResults, wrote: bool) -> SchedMsg {
+        let n = results.len() as u64;
+        SchedMsg::Result {
+            results,
+            spawned: n,
+            executed: n,
+            wrote,
+        }
+    }
+
+    #[test]
+    fn a_peers_result_may_arrive_before_done() {
+        // Node 2 of 3 runs its one task; node 1 heard `Done` first and its
+        // `Result` reaches node 2 before the root's `Done` does.
+        let (fabric, comms, mut s) = hand_driven(3, 2);
+        let mut clock = VClock::manual();
+        let mut ex = |d: &TaskDesc, _: &mut TaskCtx, _: &mut VClock| vec![d.id as f64];
+        // Flat placement ships the first spawn to the spawner itself.
+        let id = s.spawn(0, vec![], &mut clock);
+        s.body_done();
+        assert_eq!(s.step(&mut ex, &mut clock), Step::Worked, "runs its task");
+        assert_eq!(s.step(&mut ex, &mut clock), Step::Idle);
+        send(&comms, 1, 2, &result(vec![(1, vec![1.0])], true));
+        assert_eq!(
+            s.step(&mut ex, &mut clock),
+            Step::Worked,
+            "kept, not merged"
+        );
+        assert!(!s.contributed, "a peer's Result is not Done");
+        send(&comms, 0, 2, &SchedMsg::Done);
+        send(&comms, 0, 2, &result(vec![(3, vec![3.0])], false));
+        assert_eq!(s.step(&mut ex, &mut clock), Step::Finished);
+        let merged = s.take_merged().expect("finished");
+        assert_eq!(
+            merged,
+            vec![(1, vec![1.0]), (3, vec![3.0]), (id, vec![id as f64])]
+        );
+        assert!(s.any_node_wrote(), "node 1 wrote");
+        // Node 2's own Result went to each peer exactly once.
+        for peer in [0, 1] {
+            let (src, bytes) = comms[peer]
+                .try_recv_bytes(TAG_SCHED, &mut clock)
+                .expect("one Result for each peer");
+            assert_eq!(src, 2);
+            assert_eq!(
+                SchedMsg::try_decode(&bytes),
+                Ok(result(vec![(id, vec![id as f64])], false))
+            );
+            assert!(comms[peer].try_recv_bytes(TAG_SCHED, &mut clock).is_none());
+        }
+        fabric.begin_shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "task id 5 executed twice")]
+    fn a_duplicate_id_fails_the_audit_on_a_non_root_node() {
+        // Node 1 of 2 runs task 3; the root's fabricated Result claims
+        // task 5 twice. The counters balance (3 spawned, 3 executed,
+        // 3 results), so only the id check can catch it.
+        let (_fabric, comms, mut s) = hand_driven(2, 1);
+        let mut clock = VClock::manual();
+        let mut ex = |d: &TaskDesc, _: &mut TaskCtx, _: &mut VClock| vec![d.id as f64];
+        s.spawn(0, vec![], &mut clock);
+        s.body_done();
+        while s.step(&mut ex, &mut clock) == Step::Worked {}
+        send(&comms, 0, 1, &SchedMsg::Done);
+        send(&comms, 0, 1, &result(vec![(5, vec![]), (5, vec![])], false));
+        s.step(&mut ex, &mut clock);
+    }
+
+    #[test]
+    fn every_node_ors_the_same_write_flags() {
+        // Only node 2's executor reports a write; all four nodes must end
+        // the phase with the flag set, and with it clear when none writes.
+        struct Ex {
+            wrote: bool,
+        }
+        impl TaskExecutor for Ex {
+            fn exec(&mut self, d: &TaskDesc, _: &mut TaskCtx, _: &mut VClock) -> Vec<f64> {
+                vec![d.id as f64]
+            }
+            fn wrote(&mut self) -> bool {
+                self.wrote
+            }
+        }
+        for writer in [Some(2), None] {
+            let nn = 4;
+            let fabric = Fabric::new(nn, NetProfile::clan_via());
+            let mut scheds: Vec<NodeSched> = (0..nn)
+                .map(|n| {
+                    let comm = Arc::new(Communicator::new(fabric.endpoint(n)));
+                    NodeSched::new(comm, SchedConfig::default())
+                })
+                .collect();
+            let mut exs: Vec<Ex> = (0..nn)
+                .map(|n| Ex {
+                    wrote: writer == Some(n),
+                })
+                .collect();
+            let mut clocks: Vec<VClock> = (0..nn).map(|_| VClock::manual()).collect();
+            for n in 0..nn {
+                scheds[n].spawn(0, vec![], &mut clocks[n]);
+                scheds[n].body_done();
+            }
+            let mut done = [false; 4];
+            while done.iter().any(|d| !d) {
+                for n in 0..nn {
+                    if !done[n] && scheds[n].step(&mut exs[n], &mut clocks[n]) == Step::Finished {
+                        done[n] = true;
+                    }
+                }
+            }
+            for s in &scheds {
+                assert_eq!(s.any_node_wrote(), writer.is_some(), "node {}", s.node());
+                assert_eq!(s.merged.as_ref().map(Vec::len), Some(nn));
+            }
+            fabric.begin_shutdown();
+        }
     }
 
     #[test]

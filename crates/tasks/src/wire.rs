@@ -44,9 +44,9 @@ pub struct TaskDesc {
 /// Scheduler protocol messages.
 ///
 /// `Task`, `StealReq`, `StealReply` and `Complete` are *counted* by the
-/// termination detector (they can create or signal work); `Token`, `Done`,
-/// `Result` and `Merged` form the termination/merge protocol itself and are
-/// not counted.
+/// termination detector (they can create or signal work); `Token`, `Done`
+/// and `Result` form the termination/merge protocol itself and are not
+/// counted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedMsg {
     /// Ship a ready task to another node's deque.
@@ -67,15 +67,16 @@ pub enum SchedMsg {
     Token { count: i64, black: bool },
     /// Root → all: the phase terminated; send your results.
     Done,
-    /// Node → root: locally-homed results plus spawn/execute counters for
-    /// the exactly-once audit.
+    /// Node → every other node: locally-homed results, spawn/execute
+    /// counters for the exactly-once audit, and whether the node wrote a
+    /// shared page during the phase. Each node merges the `nnodes`
+    /// contributions itself.
     Result {
         results: Vec<(u64, Vec<f64>)>,
         spawned: u64,
         executed: u64,
+        wrote: bool,
     },
-    /// Root → all: the id-sorted merge of every task's result.
-    Merged(Vec<(u64, Vec<f64>)>),
 }
 
 const K_TASK: u8 = 1;
@@ -85,7 +86,6 @@ const K_COMPLETE: u8 = 4;
 const K_TOKEN: u8 = 5;
 const K_DONE: u8 = 6;
 const K_RESULT: u8 = 7;
-const K_MERGED: u8 = 8;
 
 fn encode_desc(w: &mut Writer, d: &TaskDesc) {
     w.u64(d.id).u64(d.parent).u32(d.home).u32(d.func);
@@ -115,18 +115,6 @@ fn decode_desc(r: &mut Reader<'_>) -> Result<TaskDesc, DecodeError> {
         deps: r.u64s()?,
         notices: r.u64s()?,
     })
-}
-
-fn encode_results(w: &mut Writer, rs: &[(u64, Vec<f64>)]) {
-    w.u32(rs.len() as u32);
-    for (id, vals) in rs {
-        w.u64(*id).f64s(vals);
-    }
-}
-
-fn decode_results(r: &mut Reader<'_>) -> Result<Vec<(u64, Vec<f64>)>, DecodeError> {
-    // At least an id and an empty list each.
-    r.list(8 + 4, |r| Ok((r.u64()?, r.f64s()?)))
 }
 
 /// Encoded size of a [`TaskDesc`] with no pin and three empty lists.
@@ -179,14 +167,13 @@ impl SchedMsg {
                 results,
                 spawned,
                 executed,
+                wrote,
             } => {
-                w.u8(K_RESULT);
-                encode_results(&mut w, results);
-                w.u64(*spawned).u64(*executed);
-            }
-            SchedMsg::Merged(rs) => {
-                w.u8(K_MERGED);
-                encode_results(&mut w, rs);
+                w.u8(K_RESULT).u32(results.len() as u32);
+                for (id, vals) in results {
+                    w.u64(*id).f64s(vals);
+                }
+                w.u64(*spawned).u64(*executed).u8(*wrote as u8);
             }
         }
         w.finish()
@@ -212,11 +199,12 @@ impl SchedMsg {
             },
             K_DONE => SchedMsg::Done,
             K_RESULT => SchedMsg::Result {
-                results: decode_results(&mut r)?,
+                // At least an id and an empty list each.
+                results: r.list(8 + 4, |r| Ok((r.u64()?, r.f64s()?)))?,
                 spawned: r.u64()?,
                 executed: r.u64()?,
+                wrote: r.u8()? == 1,
             },
-            K_MERGED => SchedMsg::Merged(decode_results(&mut r)?),
             k => return Err(DecodeError::BadKind(k)),
         };
         r.finish()?;
@@ -265,8 +253,8 @@ mod tests {
                 results: vec![(1, vec![2.0]), (5, vec![])],
                 spawned: 2,
                 executed: 2,
+                wrote: true,
             },
-            SchedMsg::Merged(vec![(1, vec![0.25])]),
         ]
     }
 
@@ -278,7 +266,7 @@ mod tests {
             Err(DecodeError::BadKind(0xEE))
         );
         // Each count would size a multi-gigabyte allocation if trusted.
-        for kind in [K_STEAL_REPLY, K_RESULT, K_MERGED] {
+        for kind in [K_STEAL_REPLY, K_RESULT] {
             let mut w = Writer::new();
             w.u8(kind).u32(u32::MAX);
             assert_eq!(
@@ -293,7 +281,8 @@ mod tests {
     }
 
     /// Captured at the parent of the commit that introduced the checked
-    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test.
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. Since
+    /// then `Result` has gained its trailing `wrote` byte (here `01`).
     #[test]
     fn wire_bytes_are_pinned() {
         let pinned = [
@@ -314,8 +303,7 @@ mod tests {
             "05fdffffffffffffff01",
             "06",
             "0702000000010000000000000001000000000000000000004005000000000000\
-             000000000002000000000000000200000000000000",
-            "0801000000010000000000000001000000000000000000d03f",
+             00000000000200000000000000020000000000000001",
         ];
         let got: Vec<String> = samples().iter().map(|m| hex(&m.encode())).collect();
         assert_eq!(got, pinned);
@@ -339,6 +327,12 @@ mod tests {
         }
         .counted());
         assert!(!SchedMsg::Done.counted());
-        assert!(!SchedMsg::Merged(vec![]).counted());
+        assert!(!SchedMsg::Result {
+            results: vec![],
+            spawned: 0,
+            executed: 0,
+            wrote: false
+        }
+        .counted());
     }
 }

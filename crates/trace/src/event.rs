@@ -75,6 +75,10 @@ pub enum EventKind {
     TaskSteal,
     /// One task body executing, release included (span; arg = task id).
     TaskExec,
+    /// One node's share of a task phase, from the end of its root body to
+    /// the merged result: execution, stealing, termination and the result
+    /// exchange (span; `task.exec` spans nest inside).
+    TaskPhase,
     // --- Static analyzer (paradec check) ---
     /// One MIR pipeline stage: lowering or a dataflow pass (span; arg =
     /// stage id, see `parade-mir`'s `span_arg`).
@@ -83,7 +87,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in declaration order (stable for reports).
-    pub const ALL: [EventKind; 30] = [
+    pub const ALL: [EventKind; 31] = [
         EventKind::DsmReadFault,
         EventKind::DsmWriteFault,
         EventKind::DsmTwin,
@@ -113,6 +117,7 @@ impl EventKind {
         EventKind::TaskSpawn,
         EventKind::TaskSteal,
         EventKind::TaskExec,
+        EventKind::TaskPhase,
         EventKind::CheckAnalyze,
     ];
 
@@ -148,6 +153,7 @@ impl EventKind {
             EventKind::TaskSpawn => "task.spawn",
             EventKind::TaskSteal => "task.steal",
             EventKind::TaskExec => "task.exec",
+            EventKind::TaskPhase => "task.phase",
             EventKind::CheckAnalyze => "check.analyze",
         }
     }
@@ -181,7 +187,10 @@ impl EventKind {
             | EventKind::OmpForChunk => "omp",
             EventKind::CommService => "comm",
             EventKind::NetRetransmit => "net",
-            EventKind::TaskSpawn | EventKind::TaskSteal | EventKind::TaskExec => "task",
+            EventKind::TaskSpawn
+            | EventKind::TaskSteal
+            | EventKind::TaskExec
+            | EventKind::TaskPhase => "task",
             EventKind::CheckAnalyze => "check",
         }
     }
@@ -205,6 +214,7 @@ impl EventKind {
                 | EventKind::OmpSingle
                 | EventKind::CommService
                 | EventKind::TaskExec
+                | EventKind::TaskPhase
                 | EventKind::CheckAnalyze
         )
     }
@@ -257,7 +267,7 @@ mod tests {
 
     #[test]
     fn taxonomy_is_consistent() {
-        assert_eq!(EventKind::ALL.len(), 30);
+        assert_eq!(EventKind::ALL.len(), 31);
         let mut names = std::collections::HashSet::new();
         for k in EventKind::ALL {
             assert!(names.insert(k.name()), "duplicate name {}", k.name());
@@ -269,8 +279,9 @@ mod tests {
     #[test]
     fn span_vs_instant_split() {
         let spans = EventKind::ALL.iter().filter(|k| k.is_span()).count();
-        assert_eq!(spans, 16);
+        assert_eq!(spans, 17);
         assert!(EventKind::TaskExec.is_span());
+        assert!(EventKind::TaskPhase.is_span());
         assert!(!EventKind::TaskSpawn.is_span());
         assert!(EventKind::OmpBarrier.is_span());
         assert!(!EventKind::DsmDiff.is_span());

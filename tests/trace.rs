@@ -189,8 +189,18 @@ prop!(fn arbitrary_sequences_never_panic(raw in arbitrary_events) {
 
 // ---- golden: traced end-to-end run -----------------------------------------
 
+/// One trace session at a time per process, and no untraced cluster of
+/// this binary running while one is open (its threads would record into
+/// it): every test here that runs a cluster holds this.
+static CLUSTER_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_cluster_test() -> std::sync::MutexGuard<'static, ()> {
+    CLUSTER_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn traced_run_emits_valid_chrome_json_and_report() {
+    let _one = one_cluster_test();
     let cluster = Cluster::builder()
         .nodes(2)
         .threads_per_node(2)
@@ -263,4 +273,69 @@ fn traced_run_emits_valid_chrome_json_and_report() {
     stats.trace = Some(report);
     validate_json(&stats.json()).expect("stats JSON must be well-formed");
     assert!(stats.render().contains("omp.barrier"));
+}
+
+/// A traced n-body task phase on 2×2: the scheduler's own protocol time
+/// lands in `task.phase` self time (nonzero), and every `task.exec` span
+/// opens and closes inside a `task.phase` span of its thread.
+#[test]
+fn a_traced_task_phase_owns_the_schedulers_time() {
+    use parade::kernels::md::MdParams;
+    use parade::kernels::nbody_task::nbody_task_parade;
+
+    let _one = one_cluster_test();
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .threads_per_node(2)
+        .net(NetProfile::clan_via())
+        .time(TimeSource::Counted)
+        .build()
+        .unwrap();
+    let session = parade::trace::start(TraceConfig::default())
+        .expect("no other session active in this test binary");
+    nbody_task_parade(&cluster, MdParams::sized(32, 2), 8);
+    let data = session.finish();
+
+    let report = data.report();
+    assert_eq!(report.dropped, 0);
+    assert_eq!(report.unbalanced, 0, "task spans must nest cleanly");
+    let sum = |kind: EventKind, f: fn(&parade::trace::SpanRow) -> u64| -> u64 {
+        report.spans.iter().filter(|r| r.kind == kind).map(f).sum()
+    };
+    assert_eq!(
+        sum(EventKind::TaskPhase, |r| r.count),
+        2 * 2,
+        "2 steps x 2 nodes"
+    );
+    assert!(
+        sum(EventKind::TaskPhase, |r| r.self_ns) > 0,
+        "protocol time"
+    );
+    assert!(
+        sum(EventKind::TaskExec, |r| r.count) >= 2 * 8,
+        "8 blocks a step"
+    );
+    assert!(
+        sum(EventKind::TaskExec, |r| r.total_ns) > 0,
+        "counted bodies"
+    );
+    assert!(
+        sum(EventKind::TaskPhase, |r| r.total_ns - r.self_ns)
+            >= sum(EventKind::TaskExec, |r| r.total_ns),
+        "task.exec time is inside task.phase"
+    );
+    for t in &data.threads {
+        let mut in_phase = false;
+        for e in &t.events {
+            match (e.kind, e.phase) {
+                (EventKind::TaskPhase, Phase::Begin) => in_phase = true,
+                (EventKind::TaskPhase, Phase::End) => in_phase = false,
+                (EventKind::TaskExec, _) => {
+                    assert!(in_phase, "{:?}: task.exec outside task.phase", t.identity)
+                }
+                _ => {}
+            }
+        }
+        assert!(!in_phase, "{:?}: task.phase left open", t.identity);
+    }
 }
