@@ -1,0 +1,52 @@
+/* translated by paradec — conventional SDSM runtime */
+#include "sdsm_rt.h"
+
+int main(void)
+{
+    int i;
+    int n;
+    double first;
+    double a[64];
+    n = 64;
+    /* parallel region 0: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_0_args __a0;
+        __a0.a = &a;
+        __a0.i = &i;
+        __a0.n = &n;
+        parade_parallel(__parade_region_0, &__a0);
+    }
+    return 0;
+}
+
+
+/* ---- extracted parallel regions ---- */
+struct __parade_region_0_args {
+    double (*a)[64];
+    int (*i);
+    int (*n);
+};
+static void __parade_region_0(void *__arg)
+{
+    struct __parade_region_0_args *__a = (struct __parade_region_0_args *)__arg;
+    double (*a)[64] = __a->a;
+    int (*i) = __a->i;
+    int (*n) = __a->n;
+    double first;  /* private */
+    {
+        {
+            long __lo, __hi;
+            parade_loop_static(0, 64, &__lo, &__hi);  /* static schedule */
+            for (i = __lo; i < __hi; i += 1)
+            {
+                (*a)[(*i)] = (1.0 * (*i));
+            }
+        }
+        sdsm_barrier();
+        if (((*n) > 32))
+        {
+            first = (*a)[0];
+        }
+    }
+}
+

@@ -1,0 +1,68 @@
+/* translated by paradec — ParADE hybrid runtime */
+#include "parade_rt.h"
+#include <pthread.h>
+
+int main(void)
+{
+    int i;
+    double a[64];
+    double b[64];
+    /* parallel region 0: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_0_args __a0;
+        __a0.a = &a;
+        parade_parallel(__parade_region_0, &__a0);
+    }
+    /* parallel region 1: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_1_args __a1;
+        __a1.a = &a;
+        __a1.b = &b;
+        parade_parallel(__parade_region_1, &__a1);
+    }
+    printf("%f\n", b[63]);
+    return 0;
+}
+
+
+/* ---- extracted parallel regions ---- */
+struct __parade_region_0_args {
+    double (*a)[64];
+};
+static void __parade_region_0(void *__arg)
+{
+    struct __parade_region_0_args *__a = (struct __parade_region_0_args *)__arg;
+    double (*a)[64] = __a->a;
+    int i;  /* private */
+    {
+        long __lo, __hi;
+        parade_loop_static(0, 64, &__lo, &__hi);  /* static schedule */
+        for (i = __lo; i < __hi; i += 1)
+        {
+            (*a)[i] = (1.0 * i);
+        }
+    }
+    parade_barrier();  /* implicit barrier of omp for */
+}
+
+struct __parade_region_1_args {
+    double (*a)[64];
+    double (*b)[64];
+};
+static void __parade_region_1(void *__arg)
+{
+    struct __parade_region_1_args *__a = (struct __parade_region_1_args *)__arg;
+    double (*a)[64] = __a->a;
+    double (*b)[64] = __a->b;
+    int i;  /* private */
+    {
+        long __lo, __hi;
+        parade_loop_static(0, 64, &__lo, &__hi);  /* static schedule */
+        for (i = __lo; i < __hi; i += 1)
+        {
+            (*b)[i] = ((*a)[i] * 0.5);
+        }
+    }
+    parade_barrier();  /* implicit barrier of omp for */
+}
+

@@ -1,0 +1,28 @@
+/* translated by paradec — conventional SDSM runtime */
+#include "sdsm_rt.h"
+
+int main(void)
+{
+    /* parallel region 0: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_0_args __a0;
+        parade_parallel(__parade_region_0, &__a0);
+    }
+    return 0;
+}
+
+
+/* ---- extracted parallel regions ---- */
+struct __parade_region_0_args {
+};
+static void __parade_region_0(void *__arg)
+{
+    struct __parade_region_0_args *__a = (struct __parade_region_0_args *)__arg;
+    {
+        if ((omp_get_thread_num() == 0))
+        {
+            sdsm_barrier();
+        }
+    }
+}
+

@@ -1,0 +1,35 @@
+/* translated by paradec — ParADE hybrid runtime */
+#include "parade_rt.h"
+#include <pthread.h>
+
+int main(void)
+{
+    double x;
+    /* parallel region 0: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_0_args __a0;
+        __a0.x = &x;
+        parade_parallel(__parade_region_0, &__a0);
+    }
+    return 0;
+}
+
+
+/* ---- extracted parallel regions ---- */
+struct __parade_region_0_args {
+    double (*x);
+};
+static void __parade_region_0(void *__arg)
+{
+    struct __parade_region_0_args *__a = (struct __parade_region_0_args *)__arg;
+    double (*x) = __a->x;
+    {
+        /* critical: lexically analyzable, small data ->
+           hierarchical pthread lock + collective update (Fig. 2) */
+        pthread_mutex_lock(&__parade_node_mutex);
+        __parade_local_acc_double(&x, PARADE_SUM, 1.0);
+        pthread_mutex_unlock(&__parade_node_mutex);
+        parade_allreduce_double(&x, PARADE_SUM);
+    }
+}
+

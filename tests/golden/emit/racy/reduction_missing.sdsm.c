@@ -1,0 +1,43 @@
+/* translated by paradec — conventional SDSM runtime */
+#include "sdsm_rt.h"
+
+int main(void)
+{
+    int i;
+    double sum;
+    double a[64];
+    sum = 0.0;
+    /* parallel region 0: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_0_args __a0;
+        __a0.a = &a;
+        __a0.sum = &sum;
+        parade_parallel(__parade_region_0, &__a0);
+    }
+    printf("%f\n", sum);
+    return 0;
+}
+
+
+/* ---- extracted parallel regions ---- */
+struct __parade_region_0_args {
+    double (*a)[64];
+    double (*sum);
+};
+static void __parade_region_0(void *__arg)
+{
+    struct __parade_region_0_args *__a = (struct __parade_region_0_args *)__arg;
+    double (*a)[64] = __a->a;
+    double (*sum) = __a->sum;
+    int i;  /* private */
+    {
+        long __lo, __hi;
+        parade_loop_static(0, 64, &__lo, &__hi);  /* static schedule */
+        for (i = __lo; i < __hi; i += 1)
+        {
+            (*sum) += (*a)[i];
+        }
+    }
+    sdsm_barrier();  /* implicit barrier of omp for */
+}
+

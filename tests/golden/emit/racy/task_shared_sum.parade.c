@@ -1,0 +1,36 @@
+/* translated by paradec — ParADE hybrid runtime */
+#include "parade_rt.h"
+#include <pthread.h>
+
+int main(void)
+{
+    double sum;
+    sum = 0.0;
+    /* parallel region 0: fork-join via the ParADE runtime */
+    {
+        struct __parade_region_0_args __a0;
+        __a0.sum = &sum;
+        parade_parallel(__parade_region_0, &__a0);
+    }
+    printf("%f\n", sum);
+    return 0;
+}
+
+
+/* ---- extracted parallel regions ---- */
+struct __parade_region_0_args {
+    double (*sum);
+};
+static void __parade_region_0(void *__arg)
+{
+    struct __parade_region_0_args *__a = (struct __parade_region_0_args *)__arg;
+    double (*sum) = __a->sum;
+    {
+        /* task: serial elision (undeferred execution) */
+        {
+            (*sum) = ((*sum) + 1.0);
+        }
+        /* taskwait: no-op under serial elision */
+    }
+}
+

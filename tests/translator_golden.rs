@@ -116,3 +116,66 @@ fn threshold_controls_the_protocol_split() {
     assert!(out.contains("parade_lock(0);"), "{out}");
     assert!(!out.contains("allreduce"), "{out}");
 }
+
+/// Every corpus program and example, translated in both modes, against its
+/// file under `tests/golden/emit/<dir>/<stem>.<mode>.c` (or `.err`, the
+/// error text, for a program the emitter refuses). A mismatch writes the
+/// fresh text under the test's target tmpdir and names the first line that
+/// differs; copy that file over the golden only for a deliberate change.
+#[test]
+fn every_corpus_translation_matches_its_golden() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let fresh = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_emit");
+    let mut compared = 0;
+    let mut refused = 0;
+    let mut mismatches = Vec::new();
+    for (dir, tag) in [
+        ("tests/corpus/clean", "clean"),
+        ("tests/corpus/racy", "racy"),
+        ("tests/corpus/conform", "conform"),
+        ("examples/openmp", "openmp"),
+    ] {
+        let mut paths: Vec<_> = std::fs::read_dir(format!("{root}/{dir}"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "c"))
+            .collect();
+        paths.sort();
+        for path in paths {
+            let stem = path.file_stem().unwrap().to_str().unwrap();
+            let prog = parse(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            for (mode, mode_tag) in [(EmitMode::Parade, "parade"), (EmitMode::Sdsm, "sdsm")] {
+                let (actual, ext) = match translate_default(&prog, mode) {
+                    Ok(text) => (text, "c"),
+                    Err(e) => {
+                        refused += 1;
+                        (format!("{e}\n"), "err")
+                    }
+                };
+                compared += 1;
+                let name = format!("{tag}/{stem}.{mode_tag}.{ext}");
+                let expected = std::fs::read_to_string(format!("{root}/tests/golden/emit/{name}"))
+                    .unwrap_or_default();
+                if actual == expected {
+                    continue;
+                }
+                let out = fresh.join(&name);
+                std::fs::create_dir_all(out.parent().unwrap()).unwrap();
+                std::fs::write(&out, &actual).unwrap();
+                let line = actual
+                    .lines()
+                    .zip(expected.lines())
+                    .position(|(a, e)| a != e)
+                    .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
+                mismatches.push(format!(
+                    "{name}: first difference at line {}; fresh text in {}",
+                    line + 1,
+                    out.display()
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    assert_eq!((compared, refused), (96, 6), "translations, refusals");
+}
