@@ -30,7 +30,7 @@ pub use diag::{has_errors, sort_diags, Diag, LintId, Severity};
 
 use parade_mir::{lower_program, span_arg, vt_now};
 use parade_trace::EventKind;
-use parade_translator::analysis::Symbols;
+use parade_translator::analysis::{only_main_may_hold_directives, Symbols};
 use parade_translator::ast::*;
 use parade_translator::{parse, ParseError};
 
@@ -49,6 +49,15 @@ pub fn check_program(prog: &Program) -> Vec<Diag> {
     let mut diags = Vec::new();
     for f in &funcs {
         mir_lints::check_func(f, &mut diags);
+    }
+    // The translator subset, in the words the executor and the C printer
+    // refuse it with.
+    for item in &prog.items {
+        let Item::Func(f) = item else { continue };
+        if let (true, Some(span)) = (f.name != "main", f.body.first_directive()) {
+            let why = only_main_may_hold_directives(&f.name);
+            diags.push(Diag::new(LintId::DirectiveStructure, span, why));
+        }
     }
     sort_diags(&mut diags);
     diags
@@ -129,6 +138,56 @@ mod tests {
             .collect();
         c.dedup();
         c
+    }
+
+    /// A directive in a helper function gets one verdict: `check` reports
+    /// PC007 at it, and `translate` and the executor refuse the program in
+    /// the same words.
+    #[test]
+    fn check_translate_and_run_refuse_a_directive_outside_main_alike() {
+        use parade_core::{Cluster, NetProfile, TimeSource};
+        use parade_translator::analysis::only_main_may_hold_directives;
+        use parade_translator::{translate_default, EmitMode, Interp};
+
+        let src = r#"
+void f() {
+    double s = 0.0;
+    #pragma omp parallel
+    {
+        #pragma omp critical
+        { s += 1.0; }
+    }
+}
+int main() {
+    f();
+    return 0;
+}
+"#;
+        let want = only_main_may_hold_directives("f");
+        let diags = check_source(src).unwrap();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(
+            (
+                diags[0].lint.code(),
+                diags[0].span.line,
+                diags[0].message.as_str()
+            ),
+            ("PC007", 4, want.as_str())
+        );
+        let prog = parse(src).unwrap();
+        for mode in [EmitMode::Parade, EmitMode::Sdsm] {
+            let e = translate_default(&prog, mode).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (4, want.as_str()));
+        }
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .threads_per_node(2)
+            .net(NetProfile::zero())
+            .time(TimeSource::Manual)
+            .build()
+            .unwrap();
+        let e = Interp::new(prog).run(&cluster).unwrap_err();
+        assert_eq!(e.message, want);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! small-data threshold) and the conventional SDSM path (distributed lock
 //! and/or barrier).
 //!
-//! The decisions are read from the function's MIR ([`crate::mir`]), the
-//! same IR `parade-check` lints, so the analyzer, the emitter and the
-//! executor cannot disagree on a construct's shape.
+//! The decisions are read from `main`'s MIR ([`crate::mir`]), the same IR
+//! `parade-check` lints, and applied once, by the resolver, to the form
+//! both backends (the executor and the C printer) read.
 
 use std::collections::{HashMap, HashSet};
 
@@ -19,6 +19,15 @@ use crate::mir::{AccessEvent, Eval, Marker, MirFunc, MirStmt, UpdateInfo};
 /// Default small-data threshold in bytes (§5.2.1: 256 B on the paper's
 /// Linux cluster).
 pub const DEFAULT_SMALL_THRESHOLD: usize = 256;
+
+/// The translator subset lets only `main` hold OpenMP directives. The
+/// executor, the C printer and `parade-check` refuse function `func` in
+/// these words.
+pub fn only_main_may_hold_directives(func: &str) -> String {
+    format!(
+        "function {func} contains OpenMP directives; only main may (translator subset restriction)"
+    )
+}
 
 /// Storage class decided by the protocol-classification pre-pass (§3:
 /// "ParADE classifies data structures according to their size and applies
@@ -123,14 +132,6 @@ impl RegionClassification {
             return VarScope::Private;
         }
         self.scopes.get(name).copied().unwrap_or(VarScope::Shared)
-    }
-
-    pub fn shared_vars(&self) -> Vec<String> {
-        self.scopes
-            .iter()
-            .filter(|(_, s)| matches!(s, VarScope::Shared))
-            .map(|(n, _)| n.clone())
-            .collect()
     }
 }
 
@@ -313,7 +314,7 @@ fn operand_independent(name: &str, e: &Expr) -> Option<()> {
 
 /// How a `critical` block is lowered.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CriticalLowering {
+pub(crate) enum CriticalLowering {
     /// Hierarchical pthread lock + collective update (Figure 2 right).
     Collective(Vec<UpdateInfo>),
     /// Conventional distributed lock (Figure 2 left / fallback).
@@ -322,7 +323,7 @@ pub enum CriticalLowering {
 
 /// How a `single` block is lowered.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SingleLowering {
+pub(crate) enum SingleLowering {
     /// Earliest thread executes under the node lock; the written small
     /// scalars are broadcast — no barrier (Figure 3 right).
     Broadcast(Vec<String>),
@@ -332,7 +333,7 @@ pub enum SingleLowering {
 
 /// How an `atomic` is lowered.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AtomicLowering {
+pub(crate) enum AtomicLowering {
     /// One collective update of a small scalar.
     Collective(UpdateInfo),
     /// Distributed lock around the update (its target lives on HLRC).
@@ -365,10 +366,10 @@ impl Site {
 /// collective shape still takes the lock / flag + barrier path when a
 /// target is not on the update protocol: a scalar also written by a plain
 /// store or inside a lock-path construct lives on a DSM page, where a
-/// collective update would never be seen. The emitter and the executor's
-/// resolver both decide through here, looking constructs up by directive.
+/// collective update would never be seen. The resolver is the one reader:
+/// it looks each construct up by directive, once per program.
 #[derive(Debug, Default)]
-pub struct Lowering {
+pub(crate) struct Lowering {
     symbols: Symbols,
     storage: HashMap<String, StorageKind>,
     /// Classification of every `parallel` / `parallel for` with a body.
@@ -477,9 +478,11 @@ impl Lowering {
     }
 
     fn add_shared(&mut self, class: &RegionClassification, syms: &Symbols) {
-        for name in class.shared_vars() {
-            let Some(d) = syms.get(&name) else { continue };
-            let entry = self.storage.entry(name).or_insert(if d.is_array() {
+        for (name, scope) in &class.scopes {
+            let (VarScope::Shared, Some(d)) = (scope, syms.get(name)) else {
+                continue;
+            };
+            let entry = self.storage.entry(name.clone()).or_insert(if d.is_array() {
                 StorageKind::SharedArr
             } else {
                 StorageKind::ScalarUpdate

@@ -293,14 +293,6 @@ pub struct Directive {
 }
 
 impl Directive {
-    /// Source line of the `#pragma` (span shorthand kept for the emitter's
-    /// error messages).
-    pub fn line(&self) -> usize {
-        self.span.line
-    }
-}
-
-impl Directive {
     pub fn clause_vars(&self, pick: impl Fn(&Clause) -> Option<&Vec<String>>) -> Vec<String> {
         self.clauses
             .iter()
@@ -413,6 +405,21 @@ pub enum Stmt {
     /// A directive applied to the following statement (block directives).
     Omp(Directive, Option<Box<Stmt>>),
     Empty,
+}
+
+impl Stmt {
+    /// The span of the first directive in the statement, in source order.
+    pub fn first_directive(&self) -> Option<Span> {
+        match self {
+            Stmt::Omp(dir, _) => Some(dir.span),
+            Stmt::Block(ss) => ss.iter().find_map(Stmt::first_directive),
+            Stmt::If(_, a, b) => a
+                .first_directive()
+                .or_else(|| b.as_ref().and_then(|b| b.first_directive())),
+            Stmt::While(_, b) | Stmt::For { body: b, .. } => b.first_directive(),
+            _ => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]

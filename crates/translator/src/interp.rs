@@ -815,7 +815,7 @@ impl<'c> Env<'c> {
                     _ => Ok(Val::I(0)),
                 }
             }
-            RExpr::Fail(msg) => rte(&**msg),
+            RExpr::Fail(f) => rte(&*f.message),
         }
     }
 
@@ -973,7 +973,7 @@ impl<'c> Env<'c> {
                 });
             }
             ROmp::Atomic(RAtomic::Bad(why)) => return rte(*why),
-            ROmp::Atomic(RAtomic::Collective(u)) => {
+            ROmp::Atomic(RAtomic::Collective(u, _)) => {
                 self.collective_updates(tc, std::slice::from_ref(u))?
             }
             ROmp::Single { broadcast, body } => self.exec_single(tc, broadcast.as_deref(), body)?,
@@ -1468,5 +1468,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<RtResult<Val>>(), 16);
         assert_eq!(std::mem::size_of::<RtResult<Flow>>(), 16);
         assert_eq!(std::mem::size_of::<RtResult<i64>>(), 16);
+    }
+
+    /// The resolved tree the interpreter walks: what only the C printer
+    /// reads lives behind a box (`RDirective`, `RFail`), not in these.
+    #[test]
+    fn resolved_tree_nodes_keep_their_size() {
+        assert_eq!(std::mem::size_of::<RExpr>(), 32);
+        assert_eq!(std::mem::size_of::<RStmt>(), 104);
     }
 }

@@ -14,17 +14,19 @@
 //!    with linearized access events and paired construct markers. The
 //!    plan below and `parade-check`'s lints both read it;
 //! 3. [`analysis`] — variable scope classification (default shared) and the
-//!    hybrid-protocol plan read from the MIR: the storage class of every
-//!    shared variable, and collective vs lock lowering per directive by
-//!    lexical analyzability and the 256-byte small-data threshold (§4.2,
+//!    hybrid-protocol plan read from `main`'s MIR: the storage class of
+//!    every shared variable, and collective vs lock lowering per directive
+//!    by lexical analyzability and the 256-byte small-data threshold (§4.2,
 //!    §5.2.1);
-//! 4. [`emit`] — source-to-source backend producing translated C against
-//!    the ParADE API or against a conventional SDSM API (the two sides of
-//!    Figures 2 and 3);
-//! 5. `resolve` + [`interp`] — the resolver turns the AST and the plan of
-//!    `main` into a symbol-resolved tree once, and the interpreter executes
-//!    it directly on the `parade-core` runtime, so translated OpenMP
-//!    programs run end-to-end on the simulated cluster.
+//! 4. `resolve` — the one lowering: the AST and the plan of `main` become
+//!    a symbol-resolved tree, once. Both backends below read it, so they
+//!    cannot disagree on a directive's lowering;
+//! 5. [`emit`] — the C backend: prints the resolved tree as translated C
+//!    against the ParADE API or against a conventional SDSM API (the two
+//!    sides of Figures 2 and 3);
+//! 6. [`interp`] — the executing backend: runs the resolved tree directly
+//!    on the `parade-core` runtime, so translated OpenMP programs run
+//!    end-to-end on the simulated cluster.
 //!
 //! The `paradec` binary wraps all of this:
 //!

@@ -5,10 +5,11 @@
 //! linearized access events and paired construct markers. Two readers
 //! consume it:
 //!
-//! - [`crate::analysis::Lowering::plan`] decides the storage class of
-//!   every shared variable and the collective-vs-lock lowering of every
-//!   `critical`, `atomic` and `single` from it; the emitter and the
-//!   executor's resolver take those decisions from the plan;
+//! - the translator's `analysis::Lowering::plan` decides, from `main`'s
+//!   MIR, the storage class of every shared variable and the
+//!   collective-vs-lock lowering of every `critical`, `atomic` and
+//!   `single`; the resolver applies those decisions once, to the form
+//!   both backends (the executor and the C printer) read;
 //! - `parade-check` replays its lints over the marker stream and runs
 //!   `parade-mir`'s dataflow analyses over the CFG.
 

@@ -1,5 +1,7 @@
 //! The resolved form of a program: what [`crate::interp::Interp::new`]
-//! lowers the AST to, once, and what the interpreter then executes.
+//! lowers the AST to, once, and what the interpreter then executes. The C
+//! printer ([`crate::emit`]) prints the same form; what only it reads sits
+//! off the interpreter's hot nodes (`RExpr`, `RStmt`), behind boxes.
 //!
 //! Resolved **statically**: every identifier is an interned [`Sym`], string
 //! literals live in a table ([`StrId`]), builtins are enum variants, user
@@ -25,7 +27,8 @@ use std::hash::{Hash, Hasher};
 use parade_core::ReduceOp;
 
 use crate::analysis::{
-    loop_of, AtomicLowering, CriticalLowering, Lowering, SingleLowering, StorageKind, VarScope,
+    loop_of, only_main_may_hold_directives, AtomicLowering, CriticalLowering, Lowering,
+    SingleLowering, StorageKind, VarScope,
 };
 use crate::ast::*;
 use crate::mir::{lower_func, UpdateInfo};
@@ -87,7 +90,14 @@ pub(crate) enum RExpr {
     Omp(OmpFn),
     Printf(StrId, Box<[RExpr]>),
     /// A call that fails before evaluating any argument.
-    Fail(Box<str>),
+    Fail(Box<RFail>),
+}
+
+pub(crate) struct RFail {
+    pub(crate) message: Box<str>,
+    /// The call as written, for the C printer.
+    pub(crate) callee: Box<str>,
+    pub(crate) args: Box<[RExpr]>,
 }
 
 /// Type and extent of a declaration.
@@ -130,6 +140,8 @@ pub(crate) struct RDirective {
     /// Kept for the wording of diagnostics.
     pub(crate) kind: DirKind,
     pub(crate) span: Span,
+    /// As written; the C printer lists `depend` and `map` from them.
+    pub(crate) clauses: Box<[Clause]>,
     pub(crate) op: ROmp,
 }
 
@@ -171,7 +183,8 @@ pub(crate) struct RLock {
 pub(crate) enum RAtomic {
     /// Not a scalar update statement.
     Bad(&'static str),
-    Collective(RUpdate),
+    /// The body is what the SDSM dialect of the C printer locks around.
+    Collective(RUpdate, RStmt),
     /// The target lives on the paged DSM.
     Lock(RLock, RStmt),
 }
@@ -222,6 +235,11 @@ pub(crate) enum RBody {
 }
 
 pub(crate) struct RRegion {
+    pub(crate) span: Span,
+    /// Every declared variable the region reaches through the master's
+    /// storage (any scope but private), by name: the C printer's argument
+    /// struct.
+    pub(crate) captures: Box<[(Sym, Shape, VarScope)]>,
     /// Read on the master at the fork, in clause order.
     pub(crate) firstprivates: Box<[Sym]>,
     pub(crate) reductions: Box<[(ReduceOp, Sym)]>,
@@ -237,6 +255,11 @@ pub(crate) struct RParam {
 }
 
 pub(crate) struct RFunc {
+    pub(crate) name: Box<str>,
+    /// The first directive of a function other than `main`. Such a
+    /// function is not resolved (`body` is empty) and every call to it
+    /// fails.
+    pub(crate) omp: Option<Span>,
     pub(crate) ret: Type,
     pub(crate) params: Box<[RParam]>,
     pub(crate) body: RStmt,
@@ -299,6 +322,7 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
     };
     let mut r = Resolver {
         plan,
+        omp: func_srcs.iter().map(|f| f.body.first_directive()).collect(),
         func_srcs,
         func_ids,
         sym_ids: HashMap::new(),
@@ -322,10 +346,10 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
     for (at, f) in r.func_srcs.clone().into_iter().enumerate() {
         // Only `main` may hold directives; calls to any other function that
         // does are `Fail` nodes, so its body is never needed.
-        let body = if Some(FuncId(at as u32)) == main || !contains_omp(&f.body) {
-            r.stmt(&f.body)
-        } else {
-            RStmt::Empty
+        let omp = r.omp[at].filter(|_| Some(FuncId(at as u32)) != main);
+        let body = match omp {
+            None => r.stmt(&f.body),
+            Some(_) => RStmt::Empty,
         };
         let params = f
             .params
@@ -336,6 +360,8 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
             })
             .collect();
         r.code.funcs.push(RFunc {
+            name: f.name.as_str().into(),
+            omp,
             ret: f.ret.clone(),
             params,
             body,
@@ -360,6 +386,8 @@ pub(crate) fn resolve(prog: &Program, threshold: usize) -> Code {
 struct Resolver<'p> {
     /// Declarations, storage classes and directive lowerings of `main`.
     plan: Lowering,
+    /// The first directive of each function.
+    omp: Vec<Option<Span>>,
     func_srcs: Vec<&'p FuncDef>,
     func_ids: HashMap<&'p str, FuncId>,
     sym_ids: HashMap<String, Sym>,
@@ -442,12 +470,18 @@ impl Resolver<'_> {
     }
 
     fn call(&mut self, name: &str, args: &[Expr]) -> RExpr {
-        let fail = |msg: String| RExpr::Fail(msg.into());
+        let fail = |r: &mut Self, msg: String| {
+            RExpr::Fail(Box::new(RFail {
+                message: msg.into(),
+                callee: name.into(),
+                args: r.exprs(args),
+            }))
+        };
         match name {
             "printf" => {
                 return match args.first() {
                     Some(Expr::Str(fmt)) => RExpr::Printf(self.string(fmt), self.exprs(&args[1..])),
-                    _ => fail("printf needs a literal format string".into()),
+                    _ => fail(self, "printf needs a literal format string".into()),
                 }
             }
             "omp_get_thread_num" => return RExpr::Omp(OmpFn::ThreadNum),
@@ -459,21 +493,15 @@ impl Resolver<'_> {
             return RExpr::Math(f, self.exprs(args));
         }
         let Some(&id) = self.func_ids.get(name) else {
-            return fail(format!("call to undefined function {name}"));
+            return fail(self, format!("call to undefined function {name}"));
         };
-        let f = self.func_srcs[id.idx()];
-        if f.params.len() != args.len() {
-            return fail(format!(
-                "{name} expects {} arguments, got {}",
-                f.params.len(),
-                args.len()
-            ));
+        let params = self.func_srcs[id.idx()].params.len();
+        if params != args.len() {
+            let msg = format!("{name} expects {params} arguments, got {}", args.len());
+            return fail(self, msg);
         }
-        if contains_omp(&f.body) {
-            return fail(format!(
-                "function {name} contains OpenMP directives; only main may \
-                 (translator subset restriction)"
-            ));
+        if self.omp[id.idx()].is_some() {
+            return fail(self, only_main_may_hold_directives(name));
         }
         RExpr::Call(id, self.exprs(args))
     }
@@ -539,7 +567,9 @@ impl Resolver<'_> {
                 }
             }
             DirKind::Atomic => ROmp::Atomic(match self.plan.atomic(dir) {
-                Ok(AtomicLowering::Collective(u)) => RAtomic::Collective(self.update(&u)),
+                Ok(AtomicLowering::Collective(u)) => {
+                    RAtomic::Collective(self.update(&u), self.stmt(need(body)))
+                }
                 Ok(AtomicLowering::Lock(u)) => RAtomic::Lock(
                     lock(format!("atomic:{}", u.target), &u.target),
                     self.stmt(need(body)),
@@ -586,6 +616,7 @@ impl Resolver<'_> {
         RStmt::Omp(Box::new(RDirective {
             kind: dir.kind.clone(),
             span: dir.span,
+            clauses: dir.clauses.as_slice().into(),
             op,
         }))
     }
@@ -619,7 +650,7 @@ impl Resolver<'_> {
         let mut scopes: Vec<(&String, &VarScope)> = class.scopes.iter().collect();
         scopes.sort_by_key(|(name, _)| *name);
         let mut privates = Vec::new();
-        for (name, scope) in scopes {
+        for &(name, scope) in &scopes {
             let how = match scope {
                 VarScope::Shared => continue,
                 VarScope::Private | VarScope::LastPrivate => {
@@ -642,7 +673,9 @@ impl Resolver<'_> {
             };
             privates.push((self.sym(name), how));
         }
-        RRegion {
+        let mut region = RRegion {
+            span: dir.span,
+            captures: Box::default(),
             firstprivates: self.syms(&firstprivates),
             reductions: dir
                 .reductions()
@@ -655,7 +688,19 @@ impl Resolver<'_> {
                 DirKind::ParallelFor => RBody::Loop(self.wloop(dir, body)),
                 _ => RBody::Stmt(self.stmt(body)),
             },
+        };
+        let mut captures = Vec::new();
+        for (name, _) in scopes {
+            let scope = class.scope_of(name);
+            let Some(d) = self.plan.symbols().get(name).cloned() else {
+                continue;
+            };
+            if scope != VarScope::Private {
+                captures.push((self.sym(name), self.shape(&d), scope));
+            }
         }
+        region.captures = captures.into();
+        region
     }
 }
 
@@ -670,23 +715,12 @@ fn lock(key: String, name: &str) -> RLock {
     }
 }
 
-fn red_to_mpi(op: RedOp) -> ReduceOp {
+pub(crate) fn red_to_mpi(op: RedOp) -> ReduceOp {
     match op {
         RedOp::Add => ReduceOp::Sum,
         RedOp::Mul => ReduceOp::Prod,
         RedOp::Min => ReduceOp::Min,
         RedOp::Max => ReduceOp::Max,
-    }
-}
-
-fn contains_omp(s: &Stmt) -> bool {
-    match s {
-        Stmt::Omp(..) => true,
-        Stmt::Block(ss) => ss.iter().any(contains_omp),
-        Stmt::If(_, a, b) => contains_omp(a) || b.as_deref().is_some_and(contains_omp),
-        Stmt::While(_, b) => contains_omp(b),
-        Stmt::For { body, .. } => contains_omp(body),
-        _ => false,
     }
 }
 
@@ -717,7 +751,7 @@ mod tests {
                     n[0] += usize::from(collective.is_some());
                     count_sites(body, n);
                 }
-                ROmp::Atomic(a) => n[1] += usize::from(matches!(a, RAtomic::Collective(_))),
+                ROmp::Atomic(a) => n[1] += usize::from(matches!(a, RAtomic::Collective(..))),
                 ROmp::Single { broadcast, body } => {
                     n[2] += usize::from(broadcast.is_some());
                     count_sites(body, n);

@@ -61,6 +61,11 @@ for f in examples/openmp/*.c; do
       translate "$f" --mode "$mode" > /dev/null
   done
 done
+echo "== examples/*.rs, optimized (exit status only) =="
+for f in examples/*.rs; do
+  cargo run -q --release --offline --example "$(basename "$f" .rs)" > /dev/null
+done
+
 # The analyzer gate must also FAIL closed: a racy program exits non-zero.
 RACY_TMP="$(mktemp -d)"
 cat > "$RACY_TMP/racy.c" <<'EOF'
