@@ -458,6 +458,70 @@ fn a_bad_frame_names_the_receiver_the_sender_and_the_error() {
 }
 
 #[test]
+fn a_barrier_naming_a_page_or_node_out_of_range_is_a_bad_frame() {
+    use crate::msg::DsmMsg;
+    use parade_net::MsgClass;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    // Node `from` hands node 0's comm thread one barrier contribution; what
+    // does node 0 say? Both nodes' tables hold the 16 pages of one region.
+    let said = |from: usize, msg: DsmMsg| {
+        let fabric = Fabric::new(2, NetProfile::zero());
+        let dsms: Vec<Dsm> = (0..2)
+            .map(|i| Dsm::new(fabric.endpoint(i), small_cfg()))
+            .collect();
+        for d in &dsms {
+            alloc_on(d, 16 * PAGE_SIZE);
+        }
+        let mut clock = VClock::manual();
+        dsms[from]
+            .endpoint()
+            .send(0, MsgClass::Dsm, 0, msg.encode(), &mut clock);
+        let pkt = dsms[0].endpoint().try_recv(MsgClass::Dsm).expect("sent");
+        let mut srv = crate::server::CommServer::new(small_cfg().comm);
+        panic_text(catch_unwind(AssertUnwindSafe(|| {
+            dsms[0].handle_packet(pkt, &mut srv)
+        })))
+    };
+    let up = |members: Vec<(usize, u64)>, readers: Vec<(usize, usize)>| DsmMsg::BarrierUp {
+        seq: 0,
+        members,
+        writers: vec![(2, 1)],
+        readers,
+    };
+    // A reader-only page past the extent (the protocol table would grow
+    // to it), a reader node past the cluster (a push target), a member
+    // past the cluster (a departure target), and the root's own arrival.
+    assert_eq!(
+        said(1, up(vec![(1, 9)], vec![(40, 1)])),
+        "node 0: bad dsm frame from node 1 on tag 0x0: \
+         barrier names page 40 past the page table's extent of 16 pages"
+    );
+    assert_eq!(
+        said(1, up(vec![(1, 9)], vec![(2, 7)])),
+        "node 0: bad dsm frame from node 1 on tag 0x0: \
+         barrier names node 7 of a 2-node cluster"
+    );
+    assert_eq!(
+        said(1, up(vec![(5, 9)], vec![])),
+        "node 0: bad dsm frame from node 1 on tag 0x0: \
+         barrier names node 5 of a 2-node cluster"
+    );
+    let arrive = DsmMsg::BarrierArrive {
+        seq: 0,
+        node: 0,
+        reply_tag: 9,
+        notices: vec![16],
+        reads: vec![],
+    };
+    assert_eq!(
+        said(0, arrive),
+        "node 0: bad dsm frame from node 0 on tag 0x0: \
+         barrier names page 16 past the page table's extent of 16 pages"
+    );
+}
+
+#[test]
 fn concurrent_faults_on_one_node_fetch_once() {
     // Two threads of the same node fault the same page simultaneously: the
     // TRANSIENT/BLOCKED machinery must coalesce them into a single fetch.
