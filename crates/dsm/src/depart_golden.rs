@@ -94,6 +94,10 @@ fn run_history() -> (String, Vec<Dsm>) {
     let dsms: Vec<Dsm> = (0..NODES)
         .map(|i| Dsm::new(fabric.endpoint(i), cfg))
         .collect();
+    // Every node's table covers the whole pool, as one region.
+    for d in &dsms {
+        d.alloc_region(PAGES * PAGE_SIZE).unwrap();
+    }
     let mut servers: Vec<CommServer> = (0..NODES).map(|_| CommServer::new(cfg.comm)).collect();
     let mut clock = VClock::manual();
     let mut out = String::new();
