@@ -11,6 +11,14 @@
 //! cheaper to update in place; a migratory page bouncing between writers
 //! is cheaper to invalidate.
 //!
+//! An update page is re-probed now and then: a probation demotes one update
+//! decision to an invalidate so that readers which left stop receiving
+//! pushes. A probation that finds the same readers again was wasted, so
+//! the page's next one waits twice as long (see [`PROBATION`]); a page
+//! whose readers never change, like CG's single-writer vectors, is probed
+//! ever more rarely, and one whose readers move is probed every
+//! `PROBATION` decisions.
+//!
 //! Everything is decided from the aggregated, *sorted* arrival data the
 //! root already holds, so the decision stream is a pure function of the
 //! program's barrier history: runs replay bit-identically regardless of
@@ -20,10 +28,20 @@
 use crate::config::ProtoSelect;
 use crate::page::PageId;
 
-/// Update decisions between probation rounds: every `PROBATION`-th update
-/// decision for a page is demoted to an invalidate that clears the sharer
-/// set, forcing still-interested readers to re-fault (and thereby
-/// re-measure real readership) before the page can flip back.
+/// Update decisions between probation rounds, to begin with: the
+/// `PROBATION`-th update decision in a row for a page is demoted to an
+/// invalidate that clears the sharer set, forcing still-interested readers
+/// to re-fault (and thereby re-measure real readership) before the page
+/// can flip back.
+///
+/// The page's next decision compares the re-measured set with the cleared
+/// one. If it is an update to the same set, the period doubles
+/// (`PROBATION`, 2·`PROBATION`, 4·`PROBATION`, …); a smaller, larger or
+/// other set, or an invalidate, puts it back to `PROBATION`. A reader that
+/// leaves is still dropped at the next probation: it receives at most one
+/// period of wasted pushes, about as many as the useful pushes of the
+/// rounds that grew the period. That bounds `AllUpdate`'s pathology of
+/// pushing to a departed reader forever.
 pub const PROBATION: u32 = 4;
 
 /// Minimum observed sharers (excluding the home) for an update flip.
@@ -43,6 +61,13 @@ struct PageHist {
     update_streak: u32,
     /// Previous decision for this page (for flip counting).
     last_update: bool,
+    /// Update decisions per probation round: `PROBATION`, doubled each
+    /// time a probation re-measures the same sharer set (0 reads as
+    /// `PROBATION`).
+    period: u32,
+    /// The sharer set the last probation cleared, until the page's next
+    /// decision compares the re-measured set with it.
+    probed: Option<Vec<usize>>,
 }
 
 impl PageHist {
@@ -58,6 +83,10 @@ impl PageHist {
                 1
             }
         }
+    }
+
+    fn period(&self) -> u32 {
+        self.period.max(PROBATION)
     }
 
     fn add_sharers(&mut self, readers: &[usize]) {
@@ -199,8 +228,18 @@ impl ProtocolTable {
                     && hist.sharers.iter().filter(|&&n| n != new_home).count() >= MIN_SHARERS
             }
         };
+        // The first decision after a probation settles the next period:
+        // the same readers came back, so the probation was wasted and the
+        // next one waits twice as long; anything else starts over.
+        if let Some(probed) = hist.probed.take() {
+            hist.period = if want_update && probed == hist.sharers {
+                hist.period().saturating_mul(2)
+            } else {
+                PROBATION
+            };
+        }
         let probation =
-            mode == ProtoSelect::Adaptive && want_update && hist.update_streak + 1 >= PROBATION;
+            mode == ProtoSelect::Adaptive && want_update && hist.update_streak + 1 >= hist.period();
         if want_update && !probation {
             hist.update_streak += 1;
             let flipped = !hist.last_update;
@@ -218,11 +257,17 @@ impl ProtocolTable {
         } else {
             // Invalidate: cached copies are dropped, so the sharer history
             // restarts from the refaults that follow. `AllUpdate` keeps its
-            // ever-growing set (its defining pathology); probation and
-            // plain adaptive/legacy invalidates clear it.
+            // ever-growing set (its defining pathology); plain
+            // adaptive/legacy invalidates clear it, and a probation sets it
+            // aside for the next decision to compare with.
             hist.update_streak = 0;
-            if mode != ProtoSelect::AllUpdate {
-                hist.sharers.clear();
+            if probation {
+                hist.probed = Some(std::mem::take(&mut hist.sharers));
+            } else {
+                hist.period = PROBATION;
+                if mode != ProtoSelect::AllUpdate {
+                    hist.sharers.clear();
+                }
             }
             let flipped = hist.last_update;
             hist.last_update = false;
@@ -369,6 +414,82 @@ mod tests {
         u.note_readers(4, &[2]);
         let d = u.decide(ProtoSelect::AllUpdate, 4, &[0], &[], 0, 0);
         assert_eq!(d.sharers, vec![1, 2], "AllUpdate accumulates forever");
+    }
+
+    /// Drive `n` write decisions of page 4 (node 0 writes and is home)
+    /// under `mode`. Pushes keep the readers' copies valid, so they
+    /// re-fault only in the interval after a probation, as `refault(i)`
+    /// (`refault(0)`: the first readers). Returns the probation decisions
+    /// (counted from 1) and every decision's push set.
+    fn drive(
+        mode: ProtoSelect,
+        n: u32,
+        refault: impl Fn(u32) -> Vec<usize>,
+    ) -> (Vec<u32>, Vec<Vec<usize>>) {
+        let mut t = ProtocolTable::new();
+        t.note_readers(4, &refault(0));
+        let (mut probes, mut pushes) = (Vec::new(), Vec::new());
+        for i in 1..=n {
+            let readers = if probes.last() == Some(&(i - 1)) {
+                refault(i)
+            } else {
+                Vec::new()
+            };
+            let d = t.decide(mode, 4, &[0], &readers, 0, 0);
+            if !d.update {
+                probes.push(i);
+            }
+            pushes.push(d.sharers);
+        }
+        (probes, pushes)
+    }
+
+    #[test]
+    fn stable_readers_double_the_probation_period() {
+        let (probes, pushes) = drive(A, 60, |_| vec![1, 2]);
+        assert_eq!(probes, [4, 12, 28, 60]);
+        for (i, p) in pushes.iter().enumerate() {
+            let expect: &[usize] = if probes.contains(&(i as u32 + 1)) {
+                &[]
+            } else {
+                &[1, 2]
+            };
+            assert_eq!(p, expect, "decision {}", i + 1);
+        }
+    }
+
+    #[test]
+    fn a_reader_that_leaves_resets_the_period() {
+        // Reader 3 stops reading at decision 14, in a period of 16.
+        const LEFT: u32 = 14;
+        let (probes, pushes) = drive(A, 40, |i| if i < LEFT { vec![1, 2, 3] } else { vec![1, 2] });
+        assert_eq!(probes, [4, 12, 28, 32, 40], "16 → back to 4 → 8");
+        let wasted = pushes[LEFT as usize - 1..]
+            .iter()
+            .filter(|p| p.contains(&3))
+            .count();
+        assert_eq!(wasted, 14, "decisions 14..=27");
+        assert!(wasted <= 16, "no more than the period it left in");
+        assert!(pushes[28..].iter().all(|p| !p.contains(&3)));
+    }
+
+    #[test]
+    fn a_new_reader_resets_the_period() {
+        // Reader 3 first shows up in the re-measure after decision 28.
+        let (probes, pushes) = drive(A, 40, |i| if i < 14 { vec![1, 2] } else { vec![1, 2, 3] });
+        assert_eq!(probes, [4, 12, 28, 32, 40]);
+        assert_eq!(pushes[28], [1, 2, 3], "decision 29 pushes to it");
+    }
+
+    #[test]
+    fn fixed_modes_decide_as_without_the_backoff() {
+        let moving = |i: u32| if i < 14 { vec![1, 2, 3] } else { vec![1, 2] };
+        let (probes, pushes) = drive(ProtoSelect::AllUpdate, 40, moving);
+        assert!(probes.is_empty());
+        assert!(pushes.iter().all(|p| p == &[1, 2, 3]));
+        let (probes, pushes) = drive(ProtoSelect::AllInvalidate, 40, moving);
+        assert_eq!(probes, (1..=40).collect::<Vec<_>>());
+        assert!(pushes.iter().all(|p| p.is_empty()));
     }
 
     #[test]
