@@ -82,9 +82,12 @@ impl UpdateStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoSelect {
     /// History-driven per-page flipping (the hot-path default): a page
-    /// with a single writer and ≥ 2 observed sharers goes update; every
-    /// 4th update decision is a probation invalidate that re-measures the
-    /// sharer set, so pages whose readership evaporates fall back.
+    /// with a single writer and ≥ 2 observed sharers goes update; the 4th
+    /// update decision in a row is a probation invalidate that re-measures
+    /// the sharer set, so pages whose readership evaporates fall back. A
+    /// probation that finds the same sharers doubles the page's period
+    /// (4, 8, 16, … updates); other sharers or an invalidate reset it to 4
+    /// (`adapt.rs::PROBATION`).
     Adaptive,
     /// Every written page invalidates its cached copies (classic HLRC —
     /// the exact pre-adaptive behaviour, kept as a measurable baseline).

@@ -292,7 +292,11 @@ fn tasks_rows(rows: &mut Rows) {
 ///
 /// * `migratory: false` — write-broadcast: node 0 (the fixed home) writes
 ///   every page, nodes 1 and 2 re-read them each interval. Update pushes
-///   replace both readers' refetch round trips.
+///   replace both readers' refetch round trips. The pair never changes,
+///   so adaptive's first probation re-measures the same sharers and
+///   doubles the period: the second probation that a fixed period of
+///   `PROBATION` decisions held (and its refetches: 344 messages, now
+///   336) falls past the run's end.
 /// * `migratory: true` — producer/consumer pair: after one all-nodes read
 ///   interval poisons the sharer history, only nodes 1 and 2 touch the
 ///   pages (alternating writer/reader). `AllUpdate` keeps pushing to the
