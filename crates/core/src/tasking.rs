@@ -14,18 +14,14 @@
 //! that from the phase's one all-to-all result exchange — the closing
 //! barrier would carry no notice, and it stays node-local.
 //!
-//! Dependency edges carry their own consistency: a task's completion
-//! flushes the executing node (an HLRC release) and the flushed page ids
-//! travel as *notices* along `Complete` messages and into dependent tasks,
-//! which invalidate those pages before running (the acquire). `target`
-//! offload maps `map(to)` onto a pre-offload flush whose notices ship with
-//! the pinned task, and `map(from)` onto the completion notices applied
-//! when `target_sync` observes the result — the cluster-as-device mapping.
+//! That closing barrier is the phase's only release point, OpenMP's rule
+//! for tasks without `depend` or `taskwait`: a task may read what was
+//! written before the phase, and what tasks write is visible after it. A
+//! task's result stays on the node that ran it until the merge.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parade_dsm::PageId;
 use parade_net::VClock;
 use parade_tasks::{run_to_merge, NodeSched, TaskCtx as SpawnCtx, TaskDesc, TaskExecutor};
 
@@ -33,14 +29,13 @@ use crate::ctx::ThreadCtx;
 
 /// A task body: runs on whichever node the scheduler places it, with that
 /// node's thread context (DSM access, virtual-time charging), the task's
-/// descriptor (args, injected dependency results), and a spawn context for
-/// children. Returns the task's result values, merged cluster-wide at the
-/// end of the phase.
+/// descriptor (function index and args), and a spawn context for children.
+/// Returns the task's result values, merged cluster-wide at the end of the
+/// phase.
 pub type TaskFn = Arc<dyn Fn(&ThreadCtx, &TaskDesc, &mut SpawnCtx) -> Vec<f64> + Send + Sync>;
 
-/// Adapter between the scheduler's executor hooks and the node runtime:
-/// bodies come from the phase's function table, `release` is a DSM flush,
-/// `acquire` invalidates noticed pages, `wrote` asks the DSM whether this
+/// Adapter between the scheduler's executor and the node runtime: bodies
+/// come from the phase's function table, `wrote` asks the DSM whether this
 /// node holds a write notice for the current interval.
 struct CoreExecutor<'a> {
     tc: &'a ThreadCtx,
@@ -62,21 +57,6 @@ impl TaskExecutor for CoreExecutor<'_> {
         r
     }
 
-    fn release(&mut self, clock: &mut VClock) -> Vec<u64> {
-        self.tc
-            .rt()
-            .dsm
-            .flush(clock)
-            .into_iter()
-            .map(|p| p as u64)
-            .collect()
-    }
-
-    fn acquire(&mut self, notices: &[u64], clock: &mut VClock) {
-        let pages: Vec<PageId> = notices.iter().map(|&n| n as PageId).collect();
-        self.tc.rt().dsm.invalidate_pages(&pages, clock);
-    }
-
     fn wrote(&mut self) -> bool {
         self.tc.rt().dsm.interval_wrote()
     }
@@ -86,7 +66,6 @@ impl TaskExecutor for CoreExecutor<'_> {
 /// node's lead thread.
 pub struct TaskScope<'a> {
     tc: &'a ThreadCtx,
-    funcs: &'a [TaskFn],
     sched: NodeSched,
 }
 
@@ -106,77 +85,12 @@ impl TaskScope<'_> {
         self.tc.put_clock(clock);
         id
     }
-
-    /// Spawn with `depend`-style edges on previously spawned ids; `inject`
-    /// appends each dependency's result values to the task's args.
-    pub fn spawn_with_deps(
-        &mut self,
-        func: u32,
-        args: Vec<u64>,
-        deps: Vec<u64>,
-        inject: bool,
-    ) -> u64 {
-        let mut clock = self.tc.take_clock();
-        let id = self
-            .sched
-            .spawn_with_deps(func, args, deps, inject, &mut clock);
-        self.tc.put_clock(clock);
-        id
-    }
-
-    /// `#pragma omp target device(n)`: offload a pinned task to `device`.
-    /// The spawning node flushes first (the `map(to)` release) and the
-    /// flush notices ship with the task, so the device invalidates its
-    /// stale copies of mapped pages before the body runs.
-    pub fn target(&mut self, device: usize, func: u32, args: Vec<u64>) -> u64 {
-        let mut clock = self.tc.take_clock();
-        let notices: Vec<u64> = self
-            .tc
-            .rt()
-            .dsm
-            .flush(&mut clock)
-            .into_iter()
-            .map(|p| p as u64)
-            .collect();
-        let id = self
-            .sched
-            .target_with_notices(device, func, args, notices, &mut clock);
-        self.tc.put_clock(clock);
-        id
-    }
-
-    /// Block until target task `id` completes; applies the device's
-    /// completion notices (the `map(from)` acquire), so mapped results are
-    /// fetched fresh on the next read.
-    pub fn target_sync(&mut self, id: u64) {
-        self.tc.end_of_interval("target_sync()");
-        let mut clock = self.tc.take_clock();
-        let mut ex = CoreExecutor {
-            tc: self.tc,
-            funcs: self.funcs,
-        };
-        self.sched.target_sync(id, &mut ex, &mut clock);
-        self.tc.put_clock(clock);
-    }
-
-    /// `#pragma omp taskwait`: block until every root task spawned by this
-    /// node has completed, executing locally queued tasks meanwhile.
-    pub fn taskwait(&mut self) {
-        self.tc.end_of_interval("taskwait()");
-        let mut clock = self.tc.take_clock();
-        let mut ex = CoreExecutor {
-            tc: self.tc,
-            funcs: self.funcs,
-        };
-        self.sched.taskwait(&mut ex, &mut clock);
-        self.tc.put_clock(clock);
-    }
 }
 
 impl ThreadCtx {
     /// Run a task phase: `body` executes on each node's lead thread to
     /// spawn root tasks (other threads of the team skip straight to the
-    /// closing barrier), then the distributed scheduler drains the graph.
+    /// closing barrier), then the distributed scheduler runs every task.
     /// The closing barrier is a cluster barrier only if some node wrote a
     /// shared page during the phase.
     ///
@@ -192,11 +106,7 @@ impl ThreadCtx {
         self.barrier();
         let merged = if self.local_thread() == 0 {
             let sched = NodeSched::new(Arc::clone(&self.rt().comm), self.rt().task_cfg);
-            let mut scope = TaskScope {
-                tc: self,
-                funcs,
-                sched,
-            };
+            let mut scope = TaskScope { tc: self, sched };
             body(&mut scope);
             let mut clock = self.take_clock();
             let mut ex = CoreExecutor { tc: self, funcs };
@@ -310,12 +220,11 @@ mod tests {
         assert_eq!(total, (0..64).sum::<usize>() as f64 + 64.0);
     }
 
-    /// One phase on `nodes`×2 in `mode` in which only the last node's task
-    /// writes a shared element every node cached before the phase (the
-    /// task is pinned there by a self-targeted spawn, so it is never
-    /// stolen), or, with `write` false, in which no task writes. Returns
-    /// what every thread reads back after the phase and each node's DSM
-    /// barriers during it.
+    /// One phase on `nodes`×2 in `mode` in which the one task, spawned by
+    /// the last node, writes a shared element every node cached before the
+    /// phase (whichever node steals it), or, with `write` false, in which
+    /// no task writes. Returns what every thread reads back after the phase
+    /// and each node's DSM barriers during it.
     fn one_writer_phase(nodes: usize, mode: ProtocolMode, write: bool) -> Vec<(f64, u64)> {
         let c = Cluster::builder()
             .nodes(nodes)
@@ -335,7 +244,6 @@ mod tests {
                 assert_eq!(tc.get(&xs, 5), 1.0);
                 let funcs: Vec<TaskFn> = vec![Arc::new(
                     move |tc: &ThreadCtx, d: &TaskDesc, _s: &mut SpawnCtx| {
-                        assert_eq!(tc.node(), tc.num_nodes() - 1, "pinned task moved");
                         if d.args[0] == 1 {
                             tc.set(&xs, 5, 42.0);
                         }
@@ -344,9 +252,8 @@ mod tests {
                 )];
                 let before = tc.rt().dsm.stats.barriers.load(Ordering::Relaxed);
                 tc.task_phase(&funcs, |scope| {
-                    let last = scope.num_nodes() - 1;
-                    if scope.node() == last {
-                        scope.target(last, 0, vec![write as u64]);
+                    if scope.node() == scope.num_nodes() - 1 {
+                        scope.spawn(0, vec![write as u64]);
                     }
                 });
                 let barriers = tc.rt().dsm.stats.barriers.load(Ordering::Relaxed) - before;
@@ -377,76 +284,5 @@ mod tests {
             let got = one_writer_phase(4, mode, false);
             assert_eq!(got, vec![(1.0, 1); 8], "{mode:?}: only the opening barrier");
         }
-    }
-
-    #[test]
-    fn target_offload_roundtrips_through_dsm() {
-        let c = test_cluster(3, 1, SchedConfig::default());
-        let got = c.run(|g| {
-            let xs = g.alloc_f64(8);
-            g.parallel(move |tc| {
-                let funcs: Vec<TaskFn> = vec![Arc::new(
-                    move |tc: &ThreadCtx, _d: &TaskDesc, _s: &mut SpawnCtx| {
-                        // Runs on the device node: read mapped-in values,
-                        // write results back (map(from) via notices).
-                        let mut out = Vec::new();
-                        for i in 0..8 {
-                            let v = tc.get(&xs, i);
-                            tc.set(&xs, i, v * 2.0);
-                            out.push(v);
-                        }
-                        out
-                    },
-                )];
-                tc.task_phase(&funcs, |scope| {
-                    if scope.node() == 0 {
-                        // Written immediately before offload: the map(to)
-                        // flush inside `target` must make these visible.
-                        for i in 0..8 {
-                            scope.tc.set(&xs, i, (i + 1) as f64);
-                        }
-                        let id = scope.target(2, 0, vec![]);
-                        scope.target_sync(id);
-                        // map(from): device writes visible after sync.
-                        let mut sum = 0.0;
-                        for i in 0..8 {
-                            sum += scope.tc.get(&xs, i);
-                        }
-                        assert_eq!(sum, 2.0 * (1..=8).sum::<usize>() as f64);
-                    }
-                })
-            })
-        });
-        let merged = got.expect("lead");
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].1, (1..=8).map(|v| v as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dependency_chain_injects_results() {
-        let c = test_cluster(2, 2, SchedConfig::default());
-        let merged = c.run(|g| {
-            g.parallel(move |tc| {
-                let funcs: Vec<TaskFn> = vec![Arc::new(
-                    |_tc: &ThreadCtx, d: &TaskDesc, _s: &mut SpawnCtx| {
-                        if d.args[0] == 0 {
-                            vec![2.0]
-                        } else {
-                            vec![f64::from_bits(d.args[1]) * 3.0]
-                        }
-                    },
-                )];
-                tc.task_phase(&funcs, |scope| {
-                    if scope.node() == 0 {
-                        let a = scope.spawn(0, vec![0]);
-                        let b = scope.spawn_with_deps(0, vec![1], vec![a], true);
-                        scope.spawn_with_deps(0, vec![1], vec![b], true);
-                    }
-                })
-            })
-            .expect("lead")
-        });
-        let vals: Vec<f64> = merged.iter().map(|(_, r)| r[0]).collect();
-        assert_eq!(vals, vec![2.0, 6.0, 18.0]);
     }
 }

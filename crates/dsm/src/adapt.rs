@@ -1,5 +1,5 @@
 //! Barrier-time per-page protocol selection (invalidate vs. update) and
-//! dominant-writer home placement.
+//! the §5.2.2 migratory home rule.
 //!
 //! The paper fixes the update/invalidate split at a static 256 B size
 //! threshold. This module makes the split dynamic *per page*: the barrier
@@ -47,14 +47,11 @@ pub const PROBATION: u32 = 4;
 /// Minimum observed sharers (excluding the home) for an update flip.
 pub const MIN_SHARERS: usize = 2;
 
-/// Per-page history at the barrier root. Both lists stay sorted by node
-/// and are at most a cluster's worth of entries long — in practice one to
-/// four — so a sorted `Vec` beats any tree.
+/// Per-page history at the barrier root. The sharer list stays sorted by
+/// node and is at most a cluster's worth of entries long — in practice one
+/// to four — so a sorted `Vec` beats any tree.
 #[derive(Debug, Default, Clone)]
 struct PageHist {
-    /// Cumulative barrier intervals in which each node wrote the page, as
-    /// `(node, count)`.
-    writes: Vec<(usize, u64)>,
     /// Nodes observed reading the page since the last invalidate decision.
     sharers: Vec<usize>,
     /// Update decisions since the last probation invalidate.
@@ -71,20 +68,6 @@ struct PageHist {
 }
 
 impl PageHist {
-    /// Count one more written interval for `node`; returns its new total.
-    fn bump_writes(&mut self, node: usize) -> u64 {
-        match self.writes.binary_search_by_key(&node, |&(n, _)| n) {
-            Ok(i) => {
-                self.writes[i].1 += 1;
-                self.writes[i].1
-            }
-            Err(i) => {
-                self.writes.insert(i, (node, 1));
-                1
-            }
-        }
-    }
-
     fn period(&self) -> u32 {
         self.period.max(PROBATION)
     }
@@ -95,6 +78,19 @@ impl PageHist {
                 self.sharers.insert(i, n);
             }
         }
+    }
+}
+
+/// Migratory home placement for a written page (§5.2.2): a single writer
+/// takes the page; several writers leave it with the old home if that is
+/// one of them, else with the smallest writer. `writers` must be the
+/// root's sorted interval writer list.
+pub fn pick_home(writers: &[usize], old_home: usize) -> usize {
+    debug_assert!(writers.windows(2).all(|w| w[0] < w[1]));
+    if writers.len() == 1 || !writers.contains(&old_home) {
+        writers[0]
+    } else {
+        old_home
     }
 }
 
@@ -120,7 +116,7 @@ impl ProtoDecision {
     }
 }
 
-/// Root-side history table driving [`ProtoSelect`] (see module docs):
+/// Root-side sharer history driving [`ProtoSelect`] (see module docs):
 /// indexed by page id and grown to the highest page the barriers have
 /// named so far.
 #[derive(Debug, Default)]
@@ -146,58 +142,6 @@ impl ProtocolTable {
     /// audience when the write decision is made.
     pub fn note_readers(&mut self, page: PageId, readers: &[usize]) {
         self.hist(page).add_sharers(readers);
-    }
-
-    /// Migratory home placement for a written page. `writers` must be the
-    /// root's sorted interval writer list. The legacy §5.2.2 rule (single
-    /// writer takes the page; multi-writer keeps a writing home, else the
-    /// smallest writer) is the tie-breaker; on top of it, a writer whose
-    /// cumulative write count *strictly* dominates every other interval
-    /// writer takes the page even if the legacy rule preferred another —
-    /// that is what re-homes a page to its dominant writer once history
-    /// accumulates. Fresh pages have all-equal counts, so every existing
-    /// migration pin decides exactly as before.
-    pub fn pick_home(&mut self, page: PageId, writers: &[usize], old_home: usize) -> usize {
-        debug_assert!(writers.windows(2).all(|w| w[0] < w[1]));
-        let hist = self.hist(page);
-        let legacy = if writers.len() == 1 {
-            writers[0]
-        } else if writers.contains(&old_home) {
-            old_home
-        } else {
-            writers[0]
-        };
-        let mut best = writers[0];
-        let mut best_count = hist.bump_writes(best);
-        let mut strict = true;
-        for &w in &writers[1..] {
-            let c = hist.bump_writes(w);
-            match c.cmp(&best_count) {
-                std::cmp::Ordering::Greater => {
-                    best = w;
-                    best_count = c;
-                    strict = true;
-                }
-                std::cmp::Ordering::Equal => strict = false,
-                std::cmp::Ordering::Less => {}
-            }
-        }
-        // A single writer is its own (strict) best and its own legacy pick.
-        if strict {
-            best
-        } else {
-            legacy
-        }
-    }
-
-    /// Record interval write counts for a written page under the `Fixed`
-    /// home policy (where [`Self::pick_home`] never runs) so protocol
-    /// decisions still see writer history.
-    pub fn note_writes(&mut self, page: PageId, writers: &[usize]) {
-        let hist = self.hist(page);
-        for &w in writers {
-            hist.bump_writes(w);
-        }
     }
 
     /// Decide the coherence action for one written page. `readers` is the
@@ -284,32 +228,17 @@ mod tests {
 
     #[test]
     fn fresh_multi_writer_tie_keeps_legacy_home_rule() {
-        let mut t = ProtocolTable::new();
         // Multi-writer {1, 3}, old home 5 (not a writer): smallest writer.
-        assert_eq!(t.pick_home(5, &[1, 3], 5), 1);
+        assert_eq!(pick_home(&[1, 3], 5), 1);
         // Multi-writer containing the old home: home keeps the page.
-        assert_eq!(t.pick_home(6, &[0, 2], 2), 2);
+        assert_eq!(pick_home(&[0, 2], 2), 2);
         // Single writer takes the page.
-        assert_eq!(t.pick_home(7, &[2], 0), 2);
-    }
-
-    #[test]
-    fn dominant_writer_eventually_takes_the_page() {
-        let mut t = ProtocolTable::new();
-        // Node 2 writes page 9 alone for three intervals (home follows it
-        // immediately under the single-writer rule).
-        for _ in 0..3 {
-            assert_eq!(t.pick_home(9, &[2], 2), 2);
-        }
-        // Interval where 0 and 2 both write, old home 0 — legacy would
-        // keep home 0 (a writer), but 2's history (4 vs 1) dominates.
-        assert_eq!(t.pick_home(9, &[0, 2], 0), 2);
-        // Once counts even out (0 writes alone three times → 4 vs 4), a
-        // contested interval falls back to legacy again.
-        for _ in 0..3 {
-            t.pick_home(9, &[0], 0);
-        }
-        assert_eq!(t.pick_home(9, &[0, 2], 0), 0, "5 vs 5 tie → legacy");
+        assert_eq!(pick_home(&[2], 0), 2);
+        // Node 0 out-writes home node 1, then nodes {0, 1, 2} write: the
+        // home is one of the writers and keeps the page, whatever the
+        // intervals before it wrote.
+        assert_eq!(pick_home(&[0], 1), 0);
+        assert_eq!(pick_home(&[0, 1, 2], 1), 1);
     }
 
     #[test]

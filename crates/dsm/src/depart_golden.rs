@@ -35,9 +35,9 @@ type Arrival = (&'static [PageId], &'static [PageId]);
 ///   multi-writer *without* it (page 7: nodes 2, 3; home 0), word-boundary
 ///   pages 63/64/65 and the pool's last page, readers-only page 11;
 /// * 2 — page 10 written by its home with three recorded sharers: the
-///   update flip; node 3 starts out-writing node 2 on page 7;
-/// * 3, 4 — the update streak continues; page 7 contested again with a
-///   now-dominant writer;
+///   update flip; node 3 writes page 7 alone and takes it;
+/// * 3, 4 — the update streak continues; page 7 contested again by nodes
+///   2 and 3, and its home, node 3, keeps it;
 /// * 5 — the fourth update decision: probation invalidate, sharers
 ///   re-measured from this interval's readers;
 /// * 6 — nodes 1 and 2 re-fault page 10 after the probation: it flips back

@@ -531,7 +531,7 @@ impl Dsm {
 
     /// Fault in every page covering `start .. start+len` for reading.
     ///
-    /// With a safe update strategy, runs of up to [`MAX_FETCH_RANGE`]
+    /// With a safe update strategy, runs of up to `MAX_FETCH_RANGE` (16)
     /// contiguous INVALID pages sharing a home are claimed together and
     /// fetched in one `ReqPageRange` round trip instead of one per page —
     /// the bulk-access fault storm a Helmholtz/CG sweep would otherwise
@@ -608,7 +608,7 @@ impl Dsm {
     /// re-home push) that can no longer arrive, and must be released to
     /// observe the shutdown.
     ///
-    /// Every waiter parks with its page `BLOCKED` (see [`Dsm::park`]), so
+    /// Every waiter parks with its page `BLOCKED` (see `Dsm::park`), so
     /// only those pages are visited: a notify nobody waits for is free (the
     /// condvar counts its waiters) but must be made under the page lock,
     /// and an allocated pool can have thousands of those. Pages past the
@@ -1207,12 +1207,9 @@ impl Dsm {
         self.invalidate_pages(notices, clock);
     }
 
-    /// Apply write notices outside the lock protocol: invalidate cached
-    /// copies of `pages` so the next access refetches from the home. This
-    /// is the acquire half of any happens-before edge carried by a channel
-    /// other than a lock — the task scheduler routes dependency and
-    /// `target` completion notices through here.
-    pub fn invalidate_pages(&self, pages: &[PageId], clock: &mut VClock) {
+    /// Apply a lock grant's write notices: invalidate cached copies of
+    /// `pages` so the next access refetches from the home.
+    fn invalidate_pages(&self, pages: &[PageId], clock: &mut VClock) {
         let mut by_home: BTreeMap<usize, (Vec<PageId>, Vec<Diff>)> = BTreeMap::new();
         for &page in pages {
             if self.home_of(page) == self.node {

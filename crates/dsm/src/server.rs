@@ -17,7 +17,7 @@ use parade_net::threads::{spawn_named, Joiner};
 use parade_net::{Bytes, MsgClass, Packet, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
-use crate::adapt::ProtocolTable;
+use crate::adapt::{pick_home, ProtocolTable};
 use crate::config::{CommCosts, HomePolicy};
 use crate::engine::Dsm;
 use crate::msg::{DepartEntry, DsmMsg, DsmReply};
@@ -624,13 +624,9 @@ impl Dsm {
             }
             let old_home = self.home_of(page);
             let new_home = if fixed_homes {
-                st.proto.note_writes(page, &w);
                 old_home
             } else {
-                // §5.2.2 priorities, plus dominant-writer re-homing once
-                // one writer's history strictly outweighs the rest (see
-                // `ProtocolTable::pick_home`).
-                st.proto.pick_home(page, &w, old_home)
+                pick_home(&w, old_home)
             };
             let d = st.proto.decide(mode, page, &w, &rd, old_home, new_home);
             flips += d.flipped as u64;

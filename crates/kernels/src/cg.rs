@@ -575,7 +575,7 @@ pub fn cg_parade_on(cluster: &Cluster, m: Csr, shift: f64, niter: usize) -> (CgR
 }
 
 /// Pure message-passing CG (the MPI baseline of the paper's related-work
-/// discussion [8]: SDSM versions achieve about half the MPI performance).
+/// discussion \[8\]: SDSM versions achieve about half the MPI performance).
 /// One rank per node, rows partitioned per rank, `p`/`z` exchanged by
 /// allgather, dot products by allreduce — no shared memory at all.
 pub fn cg_mpi(cfg: parade_cluster::ClusterConfig, class: CgClass) -> (CgResult, parade_net::VTime) {

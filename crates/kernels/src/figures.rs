@@ -85,7 +85,7 @@ pub struct FigureOpts {
     pub nodes: Vec<usize>,
     /// NAS class for CG/EP ('s' | 'w' | 'a').
     pub class: char,
-    /// Include the pure-MPI CG baseline column (related-work context [8]).
+    /// Include the pure-MPI CG baseline column (related-work context \[8\]).
     pub with_mpi: bool,
     /// Shrink workloads for CI-speed runs.
     pub quick: bool,

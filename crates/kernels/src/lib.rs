@@ -17,12 +17,9 @@
 //! * [`figures`] — the §6 figures and the ablations as tables, printed by
 //!   the `figures` binary.
 //!
-//! Two irregular workloads exercise the task scheduler (`parade-tasks`):
-//!
-//! * [`nbody_task`] — the MD force computation as a stolen task graph,
-//!   bit-identical across steal schedules;
-//! * [`pipeline`] — `items × stages` dependency chains with result
-//!   injection, a software pipeline across the cluster.
+//! One irregular workload exercises the task scheduler (`parade-tasks`):
+//! [`nbody_task`], the MD force computation as stolen independent tasks,
+//! bit-identical across steal schedules.
 
 pub mod cg;
 pub mod cost;
@@ -32,5 +29,4 @@ pub mod helmholtz;
 pub mod md;
 pub mod nasrng;
 pub mod nbody_task;
-pub mod pipeline;
 pub mod syncbench;

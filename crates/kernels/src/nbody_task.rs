@@ -1,5 +1,5 @@
-//! Task-based n-body: the [`crate::md`] force computation recast as an
-//! irregular task graph executed by the distributed work-stealing scheduler.
+//! Task-based n-body: the [`crate::md`] force computation recast as a
+//! set of independent tasks run by the distributed work-stealing scheduler.
 //!
 //! Each time step is one task phase: the particle set is cut into `blocks`
 //! force blocks, block `b` is spawned by node `b % nnodes`, and idle nodes

@@ -1,5 +1,5 @@
-//! The per-node task scheduler: deque, work stealing, dependency tables,
-//! and Safra's token termination detection.
+//! The per-node task scheduler: deque, work stealing, Safra's token
+//! termination detection and the result merge.
 //!
 //! One [`NodeSched`] exists per node per task phase, driven by that node's
 //! lead thread. It is a *steppable state machine*: [`NodeSched::step`]
@@ -30,29 +30,28 @@
 //! is empty, nothing is executing, and its stealing is exhausted — no
 //! request outstanding and no victims left to try. The last clause is
 //! load-bearing: Safra's proof assumes passive processes never *initiate*
-//! messages, so a node that still steals is active and holds the token
-//! (tasks held on unmet dependencies do not block passivity — their
-//! release arrives via a counted `Complete`). The root launches a white token when passive; each node
-//! forwards it only while passive, adding its balance and its color, and
-//! whitens after forwarding. A white token returning to a white root with
-//! a zero global balance proves quiescence: the root then broadcasts
-//! `Done`.
+//! messages, so a node that still steals is active and holds the token.
+//! The root launches a white token when passive; each node forwards it
+//! only while passive, adding its balance and its color, and whitens after
+//! forwarding. A white token returning to a white root with a zero global
+//! balance proves quiescence: the root then broadcasts `Done`.
 //!
 //! ## The merge
 //!
-//! One all-to-all exchange: on `Done` (the root: on its own successful
-//! probe) every node sends one `Result` — its locally-homed results, its
-//! spawn/execute counters and whether it wrote a shared page
-//! ([`TaskExecutor::wrote`]) — to every other node. Each node then holds
-//! all `nnodes` contributions, audits exactly-once execution itself
-//! (`sum(spawned) == sum(executed) == results`, ids unique) and sorts the
-//! merge by id, so every node ends with the same bytes and the same OR of
-//! the write flags ([`NodeSched::any_node_wrote`]). A peer's `Result` can
-//! arrive before the node's own `Done`, so it is accepted in any state;
-//! each node consumes exactly `nnodes - 1` of them, and no frame of the
-//! phase outlives it.
+//! A task's result stays on the node that ran it: a stolen task costs its
+//! steal round trip and nothing more. One all-to-all exchange: on `Done`
+//! (the root: on its own successful probe) every node sends one `Result` —
+//! the results of the tasks it executed, its spawn/execute counters and
+//! whether it wrote a shared page ([`TaskExecutor::wrote`]) — to every
+//! other node. Each node then holds all `nnodes` contributions, audits
+//! exactly-once execution itself (`sum(spawned) == sum(executed) ==
+//! results`, ids unique) and sorts the merge by id, so every node ends
+//! with the same bytes and the same OR of the write flags
+//! ([`NodeSched::any_node_wrote`]). A peer's `Result` can arrive before the
+//! node's own `Done`, so it is accepted in any state; each node consumes
+//! exactly `nnodes - 1` of them, and no frame of the phase outlives it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parade_mpi::Communicator;
@@ -98,12 +97,12 @@ impl Default for SchedConfig {
 }
 
 /// Handed to an executing task body; collects child spawns, which the
-/// scheduler processes after the body returns (children are homed on the
+/// scheduler processes after the body returns (children are queued on the
 /// executing node).
 pub struct TaskCtx {
     parent: u64,
     ord: u64,
-    pub(crate) spawned: Vec<TaskDesc>,
+    spawned: Vec<TaskDesc>,
 }
 
 impl TaskCtx {
@@ -111,32 +110,10 @@ impl TaskCtx {
     /// and the spawn ordinal, so they are schedule-independent. At most
     /// 32767 children per task keep ids collision-free.
     pub fn spawn(&mut self, func: u32, args: Vec<u64>) -> u64 {
-        self.spawn_with_deps(func, args, Vec::new(), false)
-    }
-
-    /// Spawn a child with dependencies on sibling ids; `inject` appends
-    /// each dependency's result to `args` at release.
-    pub fn spawn_with_deps(
-        &mut self,
-        func: u32,
-        args: Vec<u64>,
-        deps: Vec<u64>,
-        inject: bool,
-    ) -> u64 {
         assert!(self.ord < 32_767, "too many children for one task");
         let id = child_id(self.parent, self.ord);
         self.ord += 1;
-        self.spawned.push(TaskDesc {
-            id,
-            parent: self.parent,
-            home: 0, // stamped by the scheduler when processed
-            func,
-            pinned: None,
-            inject,
-            args,
-            deps,
-            notices: Vec::new(),
-        });
+        self.spawned.push(TaskDesc { id, func, args });
         id
     }
 }
@@ -146,23 +123,13 @@ pub fn child_id(parent: u64, ord: u64) -> u64 {
     parent.wrapping_mul(65_536).wrapping_add(2 * (ord + 1))
 }
 
-/// Supplies task bodies and the DSM coherence hooks.
+/// Supplies task bodies, and tells the merge whether this node wrote.
 ///
-/// `release` runs after each body (a flush at the task's completion — an
-/// HLRC release point) and returns the page notices to propagate;
-/// `acquire` applies notices (invalidations) before a dependent body runs
-/// and when completions reach a waiting home; `wrote` answers, once the
-/// phase has terminated, whether this node wrote a shared page since the
-/// phase began. The default hooks fit task graphs whose data rides
-/// entirely in descriptors and results.
+/// `wrote` answers, once the phase has terminated, whether this node wrote
+/// a shared page since the phase began; the default fits task bodies whose
+/// data rides entirely in descriptors and results.
 pub trait TaskExecutor {
     fn exec(&mut self, desc: &TaskDesc, tctx: &mut TaskCtx, clock: &mut VClock) -> Vec<f64>;
-
-    fn release(&mut self, _clock: &mut VClock) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn acquire(&mut self, _notices: &[u64], _clock: &mut VClock) {}
 
     fn wrote(&mut self) -> bool {
         false
@@ -189,12 +156,6 @@ pub enum Step {
     Finished,
 }
 
-/// A held task waiting on dependencies.
-struct Held {
-    desc: TaskDesc,
-    unmet: usize,
-}
-
 /// One node's scheduler for one task phase.
 pub struct NodeSched {
     comm: Arc<Communicator>,
@@ -202,19 +163,11 @@ pub struct NodeSched {
     nnodes: usize,
     cfg: SchedConfig,
     deque: VecDeque<TaskDesc>,
-    held: HashMap<u64, Held>,
-    /// dep id -> held task ids waiting on it.
-    dependents: HashMap<u64, Vec<u64>>,
-    /// Locally-homed completed tasks: id -> (result, notices).
-    completed: HashMap<u64, (Vec<f64>, Vec<u64>)>,
-    /// parent id -> incomplete children homed here.
-    outstanding: HashMap<u64, u64>,
-    /// Results of tasks homed here, in completion order.
-    results: Vec<(u64, Vec<f64>)>,
+    /// Results of the tasks this node executed, in execution order.
+    results: IdResults,
     root_ord: u64,
     flat_ord: u64,
     spawned: u64,
-    executed: u64,
     /// Safra: counted messages sent minus received.
     balance: i64,
     black: bool,
@@ -249,15 +202,10 @@ impl NodeSched {
             nnodes,
             cfg,
             deque: VecDeque::new(),
-            held: HashMap::new(),
-            dependents: HashMap::new(),
-            completed: HashMap::new(),
-            outstanding: HashMap::new(),
             results: Vec::new(),
             root_ord: 0,
             flat_ord: 0,
             spawned: 0,
-            executed: 0,
             balance: 0,
             black: false,
             body_done: false,
@@ -277,152 +225,36 @@ impl NodeSched {
         self.node
     }
 
-    /// Root-context parent sentinel for this node (no collision with task
-    /// ids, which stay far below `u64::MAX`).
-    fn root_parent(&self) -> u64 {
-        u64::MAX - self.node as u64
-    }
-
-    // ---- root-context spawning ------------------------------------------
+    // ---- spawning --------------------------------------------------------
 
     /// Spawn a root task on this node. Root ids encode (node, ordinal), so
     /// they are unique and schedule-independent: `2*(ord*nnodes+node)+1`.
     pub fn spawn(&mut self, func: u32, args: Vec<u64>, clock: &mut VClock) -> u64 {
-        self.spawn_full(func, args, Vec::new(), false, None, Vec::new(), clock)
-    }
-
-    /// Spawn a root task with dependencies on previously spawned root task
-    /// ids of this node.
-    pub fn spawn_with_deps(
-        &mut self,
-        func: u32,
-        args: Vec<u64>,
-        deps: Vec<u64>,
-        inject: bool,
-        clock: &mut VClock,
-    ) -> u64 {
-        self.spawn_full(func, args, deps, inject, None, Vec::new(), clock)
-    }
-
-    /// Spawn a `target` task pinned to `device`: shipped there, never
-    /// stolen. Synchronize on it with [`NodeSched::target_sync`].
-    pub fn target(&mut self, device: usize, func: u32, args: Vec<u64>, clock: &mut VClock) -> u64 {
-        self.target_with_notices(device, func, args, Vec::new(), clock)
-    }
-
-    /// `target` with `map(to)` write notices: the requester's pre-offload
-    /// flush produced `notices`, which the device applies (invalidating its
-    /// stale copies) before the body runs.
-    pub fn target_with_notices(
-        &mut self,
-        device: usize,
-        func: u32,
-        args: Vec<u64>,
-        notices: Vec<u64>,
-        clock: &mut VClock,
-    ) -> u64 {
-        assert!(device < self.nnodes, "no such device node: {device}");
-        self.spawn_full(
-            func,
-            args,
-            Vec::new(),
-            false,
-            Some(device as u32),
-            notices,
-            clock,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_full(
-        &mut self,
-        func: u32,
-        args: Vec<u64>,
-        deps: Vec<u64>,
-        inject: bool,
-        pinned: Option<u32>,
-        notices: Vec<u64>,
-        clock: &mut VClock,
-    ) -> u64 {
         let id = 2 * (self.root_ord * self.nnodes as u64 + self.node as u64) + 1;
         self.root_ord += 1;
-        let desc = TaskDesc {
-            id,
-            parent: self.root_parent(),
-            home: self.node as u32,
-            func,
-            pinned,
-            inject,
-            args,
-            deps,
-            notices,
-        };
-        self.process_spawn(desc, clock);
+        self.push_spawn(TaskDesc { id, func, args }, clock);
         id
     }
 
-    /// Register a freshly spawned task homed here: resolve its
-    /// dependencies and either hold it or route it.
-    fn process_spawn(&mut self, mut desc: TaskDesc, clock: &mut VClock) {
-        desc.home = self.node as u32;
+    /// Count a freshly spawned task and place it: on this node's deque, or
+    /// under `Flat` on the next node of its round-robin.
+    fn push_spawn(&mut self, desc: TaskDesc, clock: &mut VClock) {
         self.spawned += 1;
-        *self.outstanding.entry(desc.parent).or_insert(0) += 1;
         if trace::enabled() {
             trace::instant(EventKind::TaskSpawn, desc.id, clock.now());
         }
-        let unmet = desc
-            .deps
-            .iter()
-            .filter(|d| !self.completed.contains_key(d))
-            .count();
-        if unmet > 0 {
-            for &d in desc.deps.iter() {
-                if !self.completed.contains_key(&d) {
-                    self.dependents.entry(d).or_default().push(desc.id);
-                }
-            }
-            self.held.insert(desc.id, Held { desc, unmet });
-        } else {
-            self.make_ready(desc, clock);
-        }
-    }
-
-    /// All dependencies of `desc` are complete: fold in their notices (and
-    /// results, if injecting) and route the task.
-    fn make_ready(&mut self, mut desc: TaskDesc, clock: &mut VClock) {
-        for d in desc.deps.clone() {
-            let (result, notices) = self
-                .completed
-                .get(&d)
-                .expect("make_ready requires completed deps");
-            desc.notices.extend_from_slice(notices);
-            if desc.inject {
-                desc.args.extend(result.iter().map(|v| v.to_bits()));
-            }
-        }
-        self.route(desc, clock);
-    }
-
-    fn route(&mut self, desc: TaskDesc, clock: &mut VClock) {
-        if let Some(p) = desc.pinned {
-            if p as usize != self.node {
-                self.send_counted(p as usize, &SchedMsg::Task(desc), clock);
-                return;
-            }
-            self.deque.push_back(desc);
-            return;
-        }
-        match self.cfg.strategy {
+        let dst = match self.cfg.strategy {
             StealStrategy::Flat => {
                 let dst = (self.node as u64 + self.flat_ord) % self.nnodes as u64;
                 self.flat_ord += 1;
-                if dst as usize == self.node {
-                    self.deque.push_back(desc);
-                } else {
-                    self.send_counted(dst as usize, &SchedMsg::Task(desc), clock);
-                }
+                dst as usize
             }
-            StealStrategy::Random => self.deque.push_back(desc),
+            StealStrategy::Random => self.node,
+        };
+        if dst == self.node {
+            self.deque.push_back(desc);
+        } else {
+            self.send_counted(dst, &SchedMsg::Task(desc), clock);
         }
     }
 
@@ -478,12 +310,6 @@ impl NodeSched {
                     self.deque.extend(tasks);
                 }
             }
-            SchedMsg::Complete {
-                id,
-                parent,
-                result,
-                notices,
-            } => self.on_complete(id, parent, result, notices, ex, clock),
             SchedMsg::Token { count, black } => self.on_token(count, black, clock),
             SchedMsg::Done => {
                 debug_assert_ne!(self.node, 0);
@@ -505,69 +331,18 @@ impl NodeSched {
     }
 
     /// Victim side of a steal: up to [`GRAIN`] tasks from the *front* of the
-    /// deque (oldest first), at most half the stealable entries. Pinned
-    /// tasks never move off their device.
+    /// deque (oldest first), at most half of it.
     fn steal_batch(&mut self) -> Vec<TaskDesc> {
-        let avail = self.deque.iter().filter(|d| d.pinned.is_none()).count();
+        let avail = self.deque.len();
         let want = (avail / 2).max(usize::from(avail > 0)).min(GRAIN);
-        let mut batch = Vec::with_capacity(want);
-        let mut i = 0;
-        while batch.len() < want && i < self.deque.len() {
-            if self.deque[i].pinned.is_none() {
-                batch.push(self.deque.remove(i).expect("index in range"));
-            } else {
-                i += 1;
-            }
-        }
-        batch
-    }
-
-    fn on_complete<E: TaskExecutor>(
-        &mut self,
-        id: u64,
-        parent: u64,
-        result: Vec<f64>,
-        notices: Vec<u64>,
-        ex: &mut E,
-        clock: &mut VClock,
-    ) {
-        // An HLRC acquire at the waiting home: invalidate the completer's
-        // released pages so post-wait reads refetch fresh copies.
-        if !notices.is_empty() {
-            ex.acquire(&notices, clock);
-        }
-        self.results.push((id, result.clone()));
-        self.completed.insert(id, (result, notices));
-        let o = self
-            .outstanding
-            .get_mut(&parent)
-            .expect("completion for unknown parent");
-        *o -= 1;
-        if let Some(waiters) = self.dependents.remove(&id) {
-            for w in waiters {
-                let h = self.held.get_mut(&w).expect("dependent must be held");
-                h.unmet -= 1;
-                if h.unmet == 0 {
-                    let h = self.held.remove(&w).expect("just found");
-                    self.make_ready(h.desc, clock);
-                }
-            }
-        }
+        self.deque.drain(..want).collect()
     }
 
     // ---- execution -------------------------------------------------------
 
-    fn pop_ready(&mut self) -> Option<TaskDesc> {
-        self.deque.pop_back()
-    }
-
     fn run_one<E: TaskExecutor>(&mut self, desc: TaskDesc, ex: &mut E, clock: &mut VClock) {
         if trace::enabled() {
             trace::begin_arg(EventKind::TaskExec, desc.id, clock.now());
-        }
-        // Acquire the dependencies' release notices before the body reads.
-        if !desc.notices.is_empty() {
-            ex.acquire(&desc.notices, clock);
         }
         let mut tctx = TaskCtx {
             parent: desc.id,
@@ -575,38 +350,12 @@ impl NodeSched {
             spawned: Vec::new(),
         };
         let result = ex.exec(&desc, &mut tctx, clock);
-        // Children are homed on the executing node.
-        for child in std::mem::take(&mut tctx.spawned) {
-            self.process_spawn(child, clock);
+        for child in tctx.spawned {
+            self.push_spawn(child, clock);
         }
-        // Completion is a release point: flush, and propagate this task's
-        // notices (its own release plus everything it inherited).
-        let mut notices = ex.release(clock);
-        notices.extend_from_slice(&desc.notices);
-        notices.sort_unstable();
-        notices.dedup();
-        self.executed += 1;
+        self.results.push((desc.id, result));
         if trace::enabled() {
             trace::end(EventKind::TaskExec, clock.now());
-        }
-        let complete = SchedMsg::Complete {
-            id: desc.id,
-            parent: desc.parent,
-            result,
-            notices,
-        };
-        if desc.home as usize == self.node {
-            if let SchedMsg::Complete {
-                id,
-                parent,
-                result,
-                notices,
-            } = complete
-            {
-                self.on_complete(id, parent, result, notices, ex, clock);
-            }
-        } else {
-            self.send_counted(desc.home as usize, &complete, clock);
         }
     }
 
@@ -741,10 +490,11 @@ impl NodeSched {
     fn contribute<E: TaskExecutor>(&mut self, ex: &mut E, clock: &mut VClock) {
         debug_assert!(!self.contributed, "node {} contributed twice", self.node);
         self.contributed = true;
+        let results = std::mem::take(&mut self.results);
         let own = SchedMsg::Result {
-            results: std::mem::take(&mut self.results),
+            executed: results.len() as u64,
+            results,
             spawned: self.spawned,
-            executed: self.executed,
             wrote: ex.wrote(),
         };
         if self.nnodes > 1 {
@@ -824,7 +574,7 @@ impl NodeSched {
         if self.merged.is_some() {
             return Step::Finished;
         }
-        if let Some(desc) = self.pop_ready() {
+        if let Some(desc) = self.deque.pop_back() {
             self.run_one(desc, ex, clock);
             return Step::Worked;
         }
@@ -837,48 +587,6 @@ impl NodeSched {
             Step::Worked
         } else {
             Step::Idle
-        }
-    }
-
-    /// Pump until every child of this node's root context has completed.
-    /// Handles messages and executes locally queued tasks while waiting
-    /// (the waited-on tasks may be sitting in this node's own deque).
-    pub fn taskwait<E: TaskExecutor>(&mut self, ex: &mut E, clock: &mut VClock) {
-        let rid = self.root_parent();
-        self.wait_until(ex, clock, |s| {
-            s.outstanding.get(&rid).copied().unwrap_or(0) == 0
-        });
-    }
-
-    /// Pump until the pinned task `id` (spawned here) has completed —
-    /// the synchronous `target` construct.
-    pub fn target_sync<E: TaskExecutor>(&mut self, id: u64, ex: &mut E, clock: &mut VClock) {
-        self.wait_until(ex, clock, |s| s.completed.contains_key(&id));
-    }
-
-    fn wait_until<E: TaskExecutor>(
-        &mut self,
-        ex: &mut E,
-        clock: &mut VClock,
-        done: impl Fn(&NodeSched) -> bool,
-    ) {
-        loop {
-            if done(self) {
-                return;
-            }
-            while let Some((src, bytes)) = self.comm.try_recv_bytes(TAG_SCHED, clock) {
-                self.handle(src, &bytes, ex, clock);
-            }
-            if done(self) {
-                return;
-            }
-            if let Some(desc) = self.pop_ready() {
-                self.run_one(desc, ex, clock);
-                continue;
-            }
-            // Nothing local: block for the next scheduler message.
-            let (src, bytes) = self.comm.recv_bytes_any(TAG_SCHED, clock);
-            self.handle(src, &bytes, ex, clock);
         }
     }
 
@@ -996,66 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn dep_chains_inject_results_in_order() {
-        // Node 0 spawns a 4-stage chain where each stage doubles its
-        // predecessor's value and adds one; other nodes spawn nothing.
-        let out = run_cluster(
-            2,
-            SchedConfig::default(),
-            |s, c| {
-                if s.node() == 0 {
-                    let mut prev: Option<u64> = None;
-                    for stage in 0..4u64 {
-                        let (deps, inject) = match prev {
-                            Some(p) => (vec![p], true),
-                            None => (vec![], false),
-                        };
-                        prev = Some(s.spawn_with_deps(1, vec![stage], deps, inject, c));
-                    }
-                }
-            },
-            |d: &TaskDesc, _t: &mut TaskCtx| {
-                // args = [stage] or [stage, injected prev result bits]
-                let stage = d.args[0];
-                if stage == 0 {
-                    vec![1.0]
-                } else {
-                    let prev = f64::from_bits(d.args[1]);
-                    vec![prev * 2.0 + 1.0]
-                }
-            },
-        );
-        // Chain values: 1, 3, 7, 15.
-        let vals: Vec<f64> = out[0].iter().map(|(_, r)| r[0]).collect();
-        assert_eq!(vals, vec![1.0, 3.0, 7.0, 15.0]);
-        assert_eq!(out[0], out[1]);
-    }
-
-    #[test]
-    fn taskwait_blocks_until_children_done() {
-        let out = run_cluster(
-            3,
-            SchedConfig {
-                strategy: StealStrategy::Flat,
-                ..SchedConfig::default()
-            },
-            |s, c| {
-                for i in 0..5u64 {
-                    s.spawn(0, vec![i], c);
-                }
-                let mut ex = |d: &TaskDesc, _t: &mut TaskCtx, _c: &mut VClock| sum_func(d, _t);
-                s.taskwait(&mut ex, c);
-                // After taskwait every child of this node has a result at
-                // this home.
-                assert_eq!(s.results.len(), 5);
-                s.spawn(0, vec![99], c);
-            },
-            sum_func,
-        );
-        assert_eq!(out[0].len(), 18); // (5 + 1) x 3 nodes
-    }
-
-    #[test]
     fn child_spawns_execute_and_merge() {
         let out = run_cluster(
             2,
@@ -1083,29 +731,6 @@ mod tests {
             .map(|(_, r)| r[0])
             .collect();
         assert_eq!(child_vals, vec![0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn pinned_target_runs_on_device_and_syncs() {
-        let out = run_cluster(
-            3,
-            SchedConfig::default(),
-            |s, c| {
-                if s.node() == 0 {
-                    let id = s.target(2, 7, vec![40], c);
-                    let mut ex = |d: &TaskDesc, _t: &mut TaskCtx, _c: &mut VClock| {
-                        // Node 0 must never execute the pinned body.
-                        assert_eq!(d.func, u32::MAX, "pinned task stolen by requester");
-                        vec![]
-                    };
-                    s.target_sync(id, &mut ex, c);
-                    assert_eq!(s.completed.get(&id).unwrap().0, vec![42.0]);
-                }
-            },
-            |d: &TaskDesc, _t: &mut TaskCtx| vec![(d.args[0] + 2) as f64],
-        );
-        assert_eq!(out[0].len(), 1);
-        assert_eq!(out[0][0].1, vec![42.0]);
     }
 
     #[test]
@@ -1223,6 +848,82 @@ mod tests {
             assert!(comms[peer].try_recv_bytes(TAG_SCHED, &mut clock).is_none());
         }
         fabric.begin_shutdown();
+    }
+
+    #[test]
+    fn a_stolen_task_sends_nothing_back() {
+        // Node 0 spawns 16 tasks and node 1 steals. The two schedulers sit
+        // on separate fabrics with the test relaying between them, so it
+        // sees every frame node 1 sends node 0.
+        let (near, far) = (
+            Fabric::new(2, NetProfile::zero()),
+            Fabric::new(2, NetProfile::zero()),
+        );
+        let comm = |f: &Arc<Fabric>, n| Arc::new(Communicator::new(f.endpoint(n)));
+        let mut s0 = NodeSched::new(comm(&near, 0), SchedConfig::default());
+        let mut s1 = NodeSched::new(comm(&far, 1), SchedConfig::default());
+        // Node 1's stand-in for node 0, and node 0's stand-in for node 1.
+        let (to_s1, to_s0) = (comm(&far, 0), comm(&near, 1));
+        let mut clocks = [VClock::manual(), VClock::manual()];
+        let mut relay_clock = VClock::manual();
+        for i in 0..16u64 {
+            s0.spawn(0, vec![i], &mut clocks[0]);
+        }
+        // Node 0 holds all the work and its steal budget is spent, so node
+        // 1 is the only thief and every StealReply goes from 0 to 1.
+        s0.steal_misses = VICTIM_FANOUT;
+        s0.body_done();
+        s1.body_done();
+        let mut ex0 = |d: &TaskDesc, _: &mut TaskCtx, _: &mut VClock| vec![d.id as f64];
+        let mut ran_on_1 = Vec::new();
+        let mut ex1 = |d: &TaskDesc, _: &mut TaskCtx, _: &mut VClock| {
+            ran_on_1.push(d.id);
+            vec![d.id as f64]
+        };
+        let mut sent_by_1 = Vec::new();
+        let mut merged = [None, None];
+        while merged.iter().any(Option::is_none) {
+            if merged[0].is_none() && s0.step(&mut ex0, &mut clocks[0]) == Step::Finished {
+                merged[0] = s0.take_merged();
+            }
+            while let Some((_, b)) = to_s0.try_recv_bytes(TAG_SCHED, &mut relay_clock) {
+                to_s1.send_bytes(1, TAG_SCHED, b, &mut relay_clock);
+            }
+            if merged[1].is_none() && s1.step(&mut ex1, &mut clocks[1]) == Step::Finished {
+                merged[1] = s1.take_merged();
+            }
+            while let Some((_, b)) = to_s1.try_recv_bytes(TAG_SCHED, &mut relay_clock) {
+                sent_by_1.push(SchedMsg::try_decode(&b).expect("a scheduler frame"));
+                to_s0.send_bytes(0, TAG_SCHED, b, &mut relay_clock);
+            }
+        }
+        assert!(!ran_on_1.is_empty(), "node 1 stole nothing");
+        for m in &sent_by_1 {
+            assert!(
+                matches!(
+                    m,
+                    SchedMsg::StealReq | SchedMsg::Token { .. } | SchedMsg::Result { .. }
+                ),
+                "node 1 sent node 0 {m:?}"
+            );
+        }
+        let results: Vec<&IdResults> = sent_by_1
+            .iter()
+            .filter_map(|m| match m {
+                SchedMsg::Result { results, .. } => Some(results),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(results.len(), 1, "one Result");
+        let mut ids: Vec<u64> = results[0].iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ran_on_1.sort_unstable();
+        assert_eq!(ids, ran_on_1, "node 1 contributes what it ran");
+        assert_eq!((s0.balance, s1.balance), (0, 0));
+        assert_eq!(merged[0], merged[1]);
+        assert_eq!(merged[0].as_ref().map(Vec::len), Some(16));
+        near.begin_shutdown();
+        far.begin_shutdown();
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! never concurrent with task-phase pumping, so the scheduler can share the
 //! node's communicator. Frames are cut with the workspace's one
 //! `Writer`/`Reader` pair (DESIGN.md "Wire format").
+//!
+//! A task travels as a [`TaskDesc`] of 16 + 8·n bytes (id, function, n
+//! argument words): in a `Task` frame under flat placement, or in a
+//! `StealReply`. Nothing travels back per task — its result joins the
+//! executing node's one `Result` frame at the end of the phase.
 
 use parade_mpi::datatype::{DecodeError, Reader, Writer};
 use parade_net::Bytes;
@@ -17,60 +22,34 @@ pub const TAG_SCHED: u32 = 0x0054_534B; // "TSK"
 pub struct TaskDesc {
     /// Schedule-independent id (see `NodeSched::spawn` / `TaskCtx::spawn`).
     pub id: u64,
-    /// Id of the spawning task context (root contexts use a per-node
-    /// sentinel); completion decrements this parent's outstanding count.
-    pub parent: u64,
-    /// Node holding this task's dependency/outstanding bookkeeping — the
-    /// node it was spawned on. Completions are routed here.
-    pub home: u32,
     /// Kernel- or translator-defined function index.
     pub func: u32,
-    /// Device node for `target` offload: the task is shipped there and is
-    /// never stolen.
-    pub pinned: Option<u32>,
-    /// Append each dependency's result (as f64 bit patterns, in `deps`
-    /// order) to `args` when the task is released — dataflow pipelines.
-    pub inject: bool,
-    /// Opaque argument words (captured scalars, map ranges, ...).
+    /// Opaque argument words (captured scalars, block bounds, ...).
     pub args: Vec<u64>,
-    /// Sibling task ids this task waits on (`depend` clauses, resolved to
-    /// ids by the spawner).
-    pub deps: Vec<u64>,
-    /// DSM release notices (page ids) accumulated from completed
-    /// dependencies; the executor applies them before the body runs.
-    pub notices: Vec<u64>,
 }
 
 /// Scheduler protocol messages.
 ///
-/// `Task`, `StealReq`, `StealReply` and `Complete` are *counted* by the
-/// termination detector (they can create or signal work); `Token`, `Done`
-/// and `Result` form the termination/merge protocol itself and are not
-/// counted.
+/// `Task`, `StealReq` and `StealReply` are *counted* by the termination
+/// detector (they move work or ask for it); `Token`, `Done` and `Result`
+/// form the termination/merge protocol itself and are not counted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedMsg {
-    /// Ship a ready task to another node's deque.
+    /// Ship a spawned task to another node's deque (`Flat` placement).
     Task(TaskDesc),
     /// An idle node asks a victim for work.
     StealReq,
-    /// The victim's answer: half its stealable deque, up to `sched::GRAIN`
-    /// tasks (possibly empty).
+    /// The victim's answer: half its deque, up to `sched::GRAIN` tasks
+    /// (possibly empty).
     StealReply(Vec<TaskDesc>),
-    /// A task finished executing; routed to its home.
-    Complete {
-        id: u64,
-        parent: u64,
-        result: Vec<f64>,
-        notices: Vec<u64>,
-    },
     /// Safra's termination token.
     Token { count: i64, black: bool },
     /// Root → all: the phase terminated; send your results.
     Done,
-    /// Node → every other node: locally-homed results, spawn/execute
-    /// counters for the exactly-once audit, and whether the node wrote a
-    /// shared page during the phase. Each node merges the `nnodes`
-    /// contributions itself.
+    /// Node → every other node: the results of the tasks this node ran,
+    /// spawn/execute counters for the exactly-once audit, and whether the
+    /// node wrote a shared page during the phase. Each node merges the
+    /// `nnodes` contributions itself.
     Result {
         results: Vec<(u64, Vec<f64>)>,
         spawned: u64,
@@ -79,56 +58,35 @@ pub enum SchedMsg {
     },
 }
 
+// Kind bytes are pinned by `wire_bytes_are_pinned`; 4 is retired.
 const K_TASK: u8 = 1;
 const K_STEAL_REQ: u8 = 2;
 const K_STEAL_REPLY: u8 = 3;
-const K_COMPLETE: u8 = 4;
 const K_TOKEN: u8 = 5;
 const K_DONE: u8 = 6;
 const K_RESULT: u8 = 7;
 
 fn encode_desc(w: &mut Writer, d: &TaskDesc) {
-    w.u64(d.id).u64(d.parent).u32(d.home).u32(d.func);
-    match d.pinned {
-        Some(p) => w.u8(1).u32(p),
-        None => w.u8(0),
-    };
-    w.u8(d.inject as u8);
-    w.u64s(&d.args).u64s(&d.deps).u64s(&d.notices);
+    w.u64(d.id).u32(d.func).u64s(&d.args);
 }
 
 fn decode_desc(r: &mut Reader<'_>) -> Result<TaskDesc, DecodeError> {
-    let id = r.u64()?;
-    let parent = r.u64()?;
-    let home = r.u32()?;
-    let func = r.u32()?;
-    let pinned = if r.u8()? == 1 { Some(r.u32()?) } else { None };
-    let inject = r.u8()? == 1;
     Ok(TaskDesc {
-        id,
-        parent,
-        home,
-        func,
-        pinned,
-        inject,
+        id: r.u64()?,
+        func: r.u32()?,
         args: r.u64s()?,
-        deps: r.u64s()?,
-        notices: r.u64s()?,
     })
 }
 
-/// Encoded size of a [`TaskDesc`] with no pin and three empty lists.
-const MIN_DESC_BYTES: usize = 8 + 8 + 4 + 4 + 1 + 1 + 3 * 4;
+/// Encoded size of a [`TaskDesc`] with no args.
+const MIN_DESC_BYTES: usize = 8 + 4 + 4;
 
 impl SchedMsg {
     /// True for messages the termination detector must count.
     pub fn counted(&self) -> bool {
         matches!(
             self,
-            SchedMsg::Task(_)
-                | SchedMsg::StealReq
-                | SchedMsg::StealReply(_)
-                | SchedMsg::Complete { .. }
+            SchedMsg::Task(_) | SchedMsg::StealReq | SchedMsg::StealReply(_)
         )
     }
 
@@ -147,15 +105,6 @@ impl SchedMsg {
                 for d in ds {
                     encode_desc(&mut w, d);
                 }
-            }
-            SchedMsg::Complete {
-                id,
-                parent,
-                result,
-                notices,
-            } => {
-                w.u8(K_COMPLETE).u64(*id).u64(*parent);
-                w.f64s(result).u64s(notices);
             }
             SchedMsg::Token { count, black } => {
                 w.u8(K_TOKEN).u64(*count as u64).u8(*black as u8);
@@ -187,12 +136,6 @@ impl SchedMsg {
             K_TASK => SchedMsg::Task(decode_desc(&mut r)?),
             K_STEAL_REQ => SchedMsg::StealReq,
             K_STEAL_REPLY => SchedMsg::StealReply(r.list(MIN_DESC_BYTES, decode_desc)?),
-            K_COMPLETE => SchedMsg::Complete {
-                id: r.u64()?,
-                parent: r.u64()?,
-                result: r.f64s()?,
-                notices: r.u64s()?,
-            },
             K_TOKEN => SchedMsg::Token {
                 count: r.u64()? as i64,
                 black: r.u8()? == 1,
@@ -220,14 +163,8 @@ mod tests {
     fn desc() -> TaskDesc {
         TaskDesc {
             id: 0x0102_0304_0506_0708,
-            parent: 7,
-            home: 3,
             func: 2,
-            pinned: Some(5),
-            inject: true,
             args: vec![1, u64::MAX, 0],
-            deps: vec![9, 11],
-            notices: vec![42],
         }
     }
 
@@ -238,12 +175,6 @@ mod tests {
             SchedMsg::StealReq,
             SchedMsg::StealReply(vec![desc(), desc()]),
             SchedMsg::StealReply(vec![]),
-            SchedMsg::Complete {
-                id: 3,
-                parent: 1,
-                result: vec![1.5, -0.0, f64::MAX],
-                notices: vec![8, 9],
-            },
             SchedMsg::Token {
                 count: -3,
                 black: true,
@@ -282,24 +213,19 @@ mod tests {
 
     /// Captured at the parent of the commit that introduced the checked
     /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. Since
-    /// then `Result` has gained its trailing `wrote` byte (here `01`).
+    /// then `Result` has gained its trailing `wrote` byte (here `01`), and
+    /// a task descriptor has shrunk to its id, function and args (16 + 8·n
+    /// bytes), which re-cut the `Task` and `StealReply` samples.
     #[test]
     fn wire_bytes_are_pinned() {
         let pinned = [
-            "0108070605040302010700000000000000030000000200000001050000000103\
-             0000000100000000000000ffffffffffffffff00000000000000000200000009\
-             000000000000000b00000000000000010000002a00000000000000",
+            "01080706050403020102000000030000000100000000000000ffffffffffffffff\
+             0000000000000000",
             "02",
-            "0302000000080706050403020107000000000000000300000002000000010500\
-             000001030000000100000000000000ffffffffffffffff000000000000000002\
-             00000009000000000000000b00000000000000010000002a0000000000000008\
-             0706050403020107000000000000000300000002000000010500000001030000\
-             000100000000000000ffffffffffffffff000000000000000002000000090000\
-             00000000000b00000000000000010000002a00000000000000",
+            "0302000000080706050403020102000000030000000100000000000000ffffff\
+             ffffffffff0000000000000000080706050403020102000000030000000100000000\
+             000000ffffffffffffffff0000000000000000",
             "0300000000",
-            "040300000000000000010000000000000003000000000000000000f83f000000\
-             0000000080ffffffffffffef7f02000000080000000000000009000000000000\
-             00",
             "05fdffffffffffffff01",
             "06",
             "0702000000010000000000000001000000000000000000004005000000000000\
@@ -314,13 +240,6 @@ mod tests {
         assert!(SchedMsg::Task(desc()).counted());
         assert!(SchedMsg::StealReq.counted());
         assert!(SchedMsg::StealReply(vec![]).counted());
-        assert!(SchedMsg::Complete {
-            id: 0,
-            parent: 0,
-            result: vec![],
-            notices: vec![]
-        }
-        .counted());
         assert!(!SchedMsg::Token {
             count: 0,
             black: false

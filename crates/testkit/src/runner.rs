@@ -3,7 +3,7 @@
 //! Each property runs `cases` times. Case `i` gets its own RNG seeded from
 //! `base_seed + i·φ` (a single printable `u64`), so any failing case is
 //! reproducible from one number. On failure the input is greedily shrunk
-//! via [`Shrink`](crate::shrink::Shrink) and the runner panics with a
+//! via [`Shrink`] and the runner panics with a
 //! message containing:
 //!
 //! * the case seed, and a `PARADE_PROP_SEED=0x… cargo test <name>` line

@@ -143,12 +143,12 @@ impl TraceData {
         self.threads.iter().map(|t| t.dropped).sum()
     }
 
-    /// Chrome `trace_event` JSON (see [`crate::chrome`]).
+    /// Chrome `trace_event` JSON (see [`crate::chrome_json`]).
     pub fn chrome_json(&self) -> String {
         crate::chrome::chrome_json(self)
     }
 
-    /// Per-construct virtual-time aggregation (see [`crate::report`]).
+    /// Per-construct virtual-time aggregation (see [`crate::aggregate`]).
     pub fn report(&self) -> TraceReport {
         aggregate(&self.threads)
     }

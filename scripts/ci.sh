@@ -48,6 +48,9 @@ else
   echo "(skipped: clippy not installed)"
 fi
 
+echo "== cargo doc --offline --no-deps --workspace, warnings denied (no broken doc link) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== scripts/unused_pub.sh (every pub fn has a caller) =="
 scripts/unused_pub.sh
 

@@ -209,7 +209,7 @@ fn task_phase_vtime_ns(
         .collect();
     let mut clocks: Vec<VClock> = (0..nnodes).map(|_| VClock::manual()).collect();
     // The task bodies carry no virtual cost: the families below measure
-    // pure scheduling overhead (ship/steal/complete/merge protocol).
+    // pure scheduling overhead (ship, steal, termination and merge).
     let mut ex = |d: &TaskDesc, _t: &mut TaskCtx, _c: &mut VClock| vec![d.id as f64];
     for n in 0..nnodes {
         spawn(&mut scheds[n], &mut clocks[n]);
@@ -236,8 +236,9 @@ const NBODY_BLOCKS_PER_NODE: usize = 2;
 
 /// The `tasks/` rows: whole-phase virtual time of
 ///
-/// * `spawn_sync` — a minimal phase (one task, two nodes): spawn, ship,
-///   execute, token termination, result merge;
+/// * `spawn_sync` — a minimal phase (one task, two nodes): spawn, execute,
+///   token termination, result merge (flat placement keeps a node's first
+///   spawn at home, so nothing is shipped);
 /// * `steal` — node 0 spawns 8·N tasks and every other node acquires work
 ///   exclusively by random stealing. Per-task cost must stay flat as the
 ///   cluster doubles — the victim serves steals in batches, so a regression
@@ -246,7 +247,9 @@ const NBODY_BLOCKS_PER_NODE: usize = 2;
 ///   round-robin by their owner nodes under flat placement, merged once per
 ///   step. Per-task cost must stay flat as nodes and blocks double together;
 /// * `nbody_steal` — the same phase under the default scheduler, which
-///   steals: the scheduler the `task_nbody` benchmark workload runs.
+///   steals: the scheduler the `task_nbody` benchmark workload runs. Each
+///   node has run its own two blocks before a thief's request reaches it,
+///   so every steal misses and no task moves.
 fn tasks_rows(rows: &mut Rows) {
     let flat = SchedConfig {
         strategy: StealStrategy::Flat,
