@@ -8,16 +8,21 @@
 //! copies should be invalidated (classic HLRC write notice) or receive a
 //! push of the merged page from its home (update protocol). A page whose
 //! sharer set keeps re-faulting the same data after every barrier is
-//! cheaper to update in place; a migratory page bouncing between writers
-//! is cheaper to invalidate.
+//! cheaper to update in place, so a written page updates once it has at
+//! least [`MIN_SHARERS`] sharers besides its home, however many nodes
+//! wrote it: the home merges every writer's diff before it pushes, so a
+//! page shared by two writers (CG's partition-boundary pages) reaches its
+//! readers the same way as a single-writer one. An interval that moves
+//! the page's home always invalidates; a migratory page bouncing between
+//! writers therefore stays on invalidate.
 //!
 //! An update page is re-probed now and then: a probation demotes one update
 //! decision to an invalidate so that readers which left stop receiving
 //! pushes. A probation that finds the same readers again was wasted, so
 //! the page's next one waits twice as long (see [`PROBATION`]); a page
-//! whose readers never change, like CG's single-writer vectors, is probed
-//! ever more rarely, and one whose readers move is probed every
-//! `PROBATION` decisions.
+//! whose readers never change, like CG's vectors, is probed ever more
+//! rarely, and one whose readers move is probed every `PROBATION`
+//! decisions.
 //!
 //! Everything is decided from the aggregated, *sorted* arrival data the
 //! root already holds, so the decision stream is a pure function of the
@@ -145,14 +150,12 @@ impl ProtocolTable {
     }
 
     /// Decide the coherence action for one written page. `readers` is the
-    /// interval's sorted reader list for the page (often empty); `writers`
-    /// the sorted interval writer list; `new_home` the home the departure
-    /// will install (possibly unchanged).
+    /// interval's sorted reader list for the page (often empty); `new_home`
+    /// the home the departure will install (possibly unchanged).
     pub fn decide(
         &mut self,
         mode: ProtoSelect,
         page: PageId,
-        writers: &[usize],
         readers: &[usize],
         old_home: usize,
         new_home: usize,
@@ -168,8 +171,7 @@ impl ProtocolTable {
             _ if migrated => false,
             ProtoSelect::AllUpdate => true,
             ProtoSelect::Adaptive => {
-                writers.len() == 1
-                    && hist.sharers.iter().filter(|&&n| n != new_home).count() >= MIN_SHARERS
+                hist.sharers.iter().filter(|&&n| n != new_home).count() >= MIN_SHARERS
             }
         };
         // The first decision after a probation settles the next period:
@@ -247,32 +249,41 @@ mod tests {
         // Interval 1: nodes 1, 2, 3 read page 4 (home 0, no writer yet).
         t.note_readers(4, &[1, 2, 3]);
         // Interval 2: node 0 writes; three sharers ≥ MIN_SHARERS → update.
-        let d = t.decide(A, 4, &[0], &[], 0, 0);
+        let d = t.decide(A, 4, &[], 0, 0);
         assert!(d.update);
         assert_eq!(d.sharers, vec![1, 2, 3]);
         assert!(d.flipped, "first update decision is a flip");
         // Steady state: same decision, no new flip.
-        let d2 = t.decide(A, 4, &[0], &[2], 0, 0);
+        let d2 = t.decide(A, 4, &[2], 0, 0);
         assert!(d2.update && !d2.flipped);
     }
 
     #[test]
-    fn too_few_sharers_or_multi_writer_stays_invalidate() {
+    fn too_few_sharers_stays_invalidate() {
         let mut t = ProtocolTable::new();
         t.note_readers(4, &[1]);
-        let d = t.decide(A, 4, &[0], &[], 0, 0);
+        let d = t.decide(A, 4, &[], 0, 0);
         assert!(!d.update, "one sharer is below MIN_SHARERS");
         assert!(!d.flipped);
+    }
+
+    #[test]
+    fn multi_writer_with_sharers_flips_to_update() {
+        // Nodes 0 and 1 both write page 5 (home 0, which keeps it); nodes
+        // 1, 2 and 3 read it. Node 1 is a writer and a sharer: it is
+        // pushed the merged page like the other non-home sharers.
+        let mut t = ProtocolTable::new();
         t.note_readers(5, &[1, 2, 3]);
-        let d = t.decide(A, 5, &[0, 1], &[], 0, 0);
-        assert!(!d.update, "multi-writer page never updates");
+        let d = t.decide(A, 5, &[], 0, pick_home(&[0, 1], 0));
+        assert!(d.update && d.flipped);
+        assert_eq!(d.sharers, vec![1, 2, 3]);
     }
 
     #[test]
     fn home_is_never_in_the_push_set() {
         let mut t = ProtocolTable::new();
         t.note_readers(4, &[0, 1, 2]);
-        let d = t.decide(A, 4, &[1], &[], 1, 1);
+        let d = t.decide(A, 4, &[], 1, 1);
         assert!(d.update);
         assert_eq!(d.sharers, vec![0, 2], "home 1 excluded");
     }
@@ -286,7 +297,7 @@ mod tests {
         for i in 0..PROBATION {
             // Readers keep re-reading each interval, so after each
             // probation clear the set re-fills.
-            let d = t.decide(A, 4, &[0], &[1, 2], 0, 0);
+            let d = t.decide(A, 4, &[1, 2], 0, 0);
             if d.update {
                 updates += 1;
             } else {
@@ -297,7 +308,7 @@ mod tests {
         }
         assert_eq!((updates, invals), (PROBATION - 1, 1));
         // The probation interval's readers refill the set → flips back.
-        let d = t.decide(A, 4, &[0], &[1, 2], 0, 0);
+        let d = t.decide(A, 4, &[1, 2], 0, 0);
         assert!(d.update && d.flipped);
     }
 
@@ -306,12 +317,12 @@ mod tests {
         let mut t = ProtocolTable::new();
         t.note_readers(4, &[1, 2]);
         for _ in 0..PROBATION - 1 {
-            assert!(t.decide(A, 4, &[0], &[], 0, 0).update);
+            assert!(t.decide(A, 4, &[], 0, 0).update);
         }
         // Probation clears sharers; nobody re-reads → invalidate forever.
-        assert!(!t.decide(A, 4, &[0], &[], 0, 0).update);
+        assert!(!t.decide(A, 4, &[], 0, 0).update);
         for _ in 0..3 {
-            let d = t.decide(A, 4, &[0], &[], 0, 0);
+            let d = t.decide(A, 4, &[], 0, 0);
             assert!(!d.update && !d.flipped);
         }
     }
@@ -320,7 +331,7 @@ mod tests {
     fn migration_interval_always_invalidates() {
         let mut t = ProtocolTable::new();
         t.note_readers(4, &[1, 2, 3]);
-        let d = t.decide(A, 4, &[2], &[], 0, 2);
+        let d = t.decide(A, 4, &[], 0, 2);
         assert!(!d.update, "home moved 0 → 2: must invalidate");
         assert!(d.sharers.is_empty());
     }
@@ -329,19 +340,19 @@ mod tests {
     fn static_modes_ignore_history() {
         let mut t = ProtocolTable::new();
         t.note_readers(4, &[1, 2, 3]);
-        let d = t.decide(ProtoSelect::AllInvalidate, 4, &[0], &[], 0, 0);
+        let d = t.decide(ProtoSelect::AllInvalidate, 4, &[], 0, 0);
         assert!(!d.update && d.sharers.is_empty());
         // AllUpdate pushes even to a single sharer, and its sharer set
         // only ever grows (no probation).
         let mut u = ProtocolTable::new();
         u.note_readers(4, &[1]);
         for _ in 0..2 * PROBATION {
-            let d = u.decide(ProtoSelect::AllUpdate, 4, &[0], &[], 0, 0);
+            let d = u.decide(ProtoSelect::AllUpdate, 4, &[], 0, 0);
             assert!(d.update);
             assert_eq!(d.sharers, vec![1]);
         }
         u.note_readers(4, &[2]);
-        let d = u.decide(ProtoSelect::AllUpdate, 4, &[0], &[], 0, 0);
+        let d = u.decide(ProtoSelect::AllUpdate, 4, &[], 0, 0);
         assert_eq!(d.sharers, vec![1, 2], "AllUpdate accumulates forever");
     }
 
@@ -364,7 +375,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let d = t.decide(mode, 4, &[0], &readers, 0, 0);
+            let d = t.decide(mode, 4, &readers, 0, 0);
             if !d.update {
                 probes.push(i);
             }
@@ -433,7 +444,7 @@ mod tests {
                     t.note_readers(100 + i, &[3]);
                 }
                 t.note_readers(4, &[1, 2]);
-                log.push(t.decide(A, 4, &[0], &[1, 2], 0, 0));
+                log.push(t.decide(A, 4, &[1, 2], 0, 0));
                 if !other_first {
                     t.note_readers(100 + i, &[3]);
                 }

@@ -81,8 +81,9 @@ impl UpdateStrategy {
 /// refetch install the same merged bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoSelect {
-    /// History-driven per-page flipping (the hot-path default): a page
-    /// with a single writer and ≥ 2 observed sharers goes update; the 4th
+    /// History-driven per-page flipping (the hot-path default): a written
+    /// page with ≥ 2 observed sharers besides its home goes update, with
+    /// one writer or several, unless the interval moves its home; the 4th
     /// update decision in a row is a probation invalidate that re-measures
     /// the sharer set, so pages whose readership evaporates fall back. A
     /// probation that finds the same sharers doubles the page's period

@@ -7,6 +7,9 @@
 //! went dense (hashed writer/reader maps in the tree barrier, tree maps in
 //! the protocol table), so it pins the wire: whatever the in-memory shape
 //! of the merge, the bytes a barrier puts on the fabric do not move.
+//! Two entries were re-pinned since, when `Adaptive` stopped requiring a
+//! single writer for an update: page 3 in departure 1 and page 7 in
+//! departure 4 now carry the update flag and their two sharers.
 
 use std::fmt::Write as _;
 
@@ -31,13 +34,15 @@ type Arrival = (&'static [PageId], &'static [PageId]);
 /// every node's notices.
 ///
 /// * 0 — single writers (3 → node 1, 5 → node 2), a readers-only page 10;
-/// * 1 — multi-writer *with* the old home (page 3: nodes 1, 2; home 1),
+/// * 1 — multi-writer *with* the old home (page 3: nodes 1, 2; home 1,
+///   which keeps it and pushes it to its readers 0 and 3: an update),
 ///   multi-writer *without* it (page 7: nodes 2, 3; home 0), word-boundary
 ///   pages 63/64/65 and the pool's last page, readers-only page 11;
 /// * 2 — page 10 written by its home with three recorded sharers: the
 ///   update flip; node 3 writes page 7 alone and takes it;
 /// * 3, 4 — the update streak continues; page 7 contested again by nodes
-///   2 and 3, and its home, node 3, keeps it;
+///   2 and 3, and its home, node 3, keeps it; in 4 it has readers 0 and
+///   1 and updates;
 /// * 5 — the fourth update decision: probation invalidate, sharers
 ///   re-measured from this interval's readers;
 /// * 6 — nodes 1 and 2 re-fault page 10 after the probation: it flips back
@@ -184,6 +189,7 @@ fn barrier_up_and_depart_payloads_match_the_frozen_golden() {
     let home = |p: PageId| dsms[0].home_of(p);
     assert_eq!((home(3), home(5), home(7), home(10)), (1, 2, 3, 0));
     assert_eq!((home(63), home(64), home(65), home(127)), (0, 0, 2, 1));
-    // update flip (2), probation demotion (5), flip back (6).
-    assert_eq!(dsms[0].stats.snapshot().proto_flips, 3);
+    // Page 10: update flip (2), probation demotion (5), flip back (6);
+    // the multi-writer updates of page 3 (1) and page 7 (4).
+    assert_eq!(dsms[0].stats.snapshot().proto_flips, 5);
 }

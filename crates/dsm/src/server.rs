@@ -628,7 +628,7 @@ impl Dsm {
             } else {
                 pick_home(&w, old_home)
             };
-            let d = st.proto.decide(mode, page, &w, &rd, old_home, new_home);
+            let d = st.proto.decide(mode, page, &rd, old_home, new_home);
             flips += d.flipped as u64;
             entries.push(DepartEntry {
                 page,

@@ -377,6 +377,8 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
             "fixed (s)",
             "migr fetches",
             "fixed fetches",
+            "migr diffs",
+            "fixed diffs",
         ],
     );
     for &n in opts.nodes.iter().filter(|&&n| n > 1) {
@@ -387,12 +389,15 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
         cfg.dsm.home_policy = HomePolicy::Fixed;
         let (r2, rep2) = cg_parade(&cluster(cfg), class);
         assert!(r2.verify(class));
+        let (d1, d2) = (rep1.cluster.dsm_totals(), rep2.cluster.dsm_totals());
         t.row(vec![
             n.to_string(),
             format!("{:.3}", rep1.exec_time.as_secs_f64()),
             format!("{:.3}", rep2.exec_time.as_secs_f64()),
-            rep1.cluster.dsm_totals().page_fetches.to_string(),
-            rep2.cluster.dsm_totals().page_fetches.to_string(),
+            d1.page_fetches.to_string(),
+            d2.page_fetches.to_string(),
+            d1.diffs_sent.to_string(),
+            d2.diffs_sent.to_string(),
         ]);
     }
     t

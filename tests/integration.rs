@@ -116,15 +116,16 @@ fn cg_bulk_fetch_counters_are_pinned() {
     );
 }
 
-/// CG class S is multi-writer on its shared vectors, so the adaptive
-/// policy must settle on invalidate — spending no more page-protocol
-/// messages (demand fetches + update pushes) than all-invalidate and
-/// strictly fewer than all-update, which pays pushes on top of the fetches
-/// it saves — and every mode must keep coalescing bulk reads.
+/// CG class S writes its partition-boundary pages from two nodes, and
+/// every other node reads them after each barrier. The adaptive policy
+/// pushes them like its single-writer pages, so it must run at the speed
+/// of all-update, well ahead of all-invalidate's refetches, and send fewer
+/// messages than all-invalidate; every mode must keep coalescing bulk
+/// reads.
 #[test]
-fn cg_adaptive_costs_no_more_page_messages_than_either_fixed_policy() {
+fn cg_adaptive_runs_at_update_speed_with_fewer_messages_than_invalidate() {
     use parade::dsm::{DsmConfig, ProtoSelect};
-    let page_msgs = |proto_select| {
+    let run = |proto_select| {
         let cfg = ClusterConfig {
             nodes: 8,
             net: NetProfile::clan_via(),
@@ -137,19 +138,23 @@ fn cg_adaptive_costs_no_more_page_messages_than_either_fixed_policy() {
         };
         let (r, report) = cg_parade(&Cluster::from_config(cfg).expect("cluster"), CgClass::S);
         assert!(r.verify(CgClass::S), "{proto_select:?}: zeta {}", r.zeta);
-        let d = report.cluster.dsm_totals();
         assert!(
-            d.range_fetches > 0,
+            report.cluster.dsm_totals().range_fetches > 0,
             "{proto_select:?}: bulk fetch path dead"
         );
-        d.page_fetches + d.update_pushes
+        (report.exec_secs(), report.cluster.traffic.msgs)
     };
-    let adaptive = page_msgs(ProtoSelect::Adaptive);
-    let invalidate = page_msgs(ProtoSelect::AllInvalidate);
-    let update = page_msgs(ProtoSelect::AllUpdate);
+    let (adaptive, adaptive_msgs) = run(ProtoSelect::Adaptive);
+    let (invalidate, invalidate_msgs) = run(ProtoSelect::AllInvalidate);
+    // All-update runs for the verify and bulk-fetch checks alone.
+    run(ProtoSelect::AllUpdate);
     assert!(
-        adaptive <= invalidate && adaptive < update,
-        "adaptive {adaptive} vs all-invalidate {invalidate} / all-update {update}"
+        adaptive <= 0.6 * invalidate,
+        "adaptive {adaptive:.3} s vs all-invalidate {invalidate:.3} s"
+    );
+    assert!(
+        adaptive_msgs < invalidate_msgs,
+        "adaptive {adaptive_msgs} vs all-invalidate {invalidate_msgs} messages"
     );
 }
 

@@ -143,14 +143,14 @@ fn fig11_md_hybrid_beats_one_cpu_and_scales() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
-fn migratory_home_beats_fixed_from_four_nodes_with_fewer_fetches() {
+fn migratory_home_beats_fixed_from_four_nodes_with_fewer_diffs() {
     let t = ablation_home(&FigureOpts::default());
     assert_eq!(column(&t, 0), [2.0, 4.0, 8.0]);
     let (migr, fixed) = (column(&t, 1), column(&t, 2));
-    let (migr_fetches, fixed_fetches) = (column(&t, 3), column(&t, 4));
+    let (migr_diffs, fixed_diffs) = (column(&t, 5), column(&t, 6));
     for i in 1..migr.len() {
         assert!(migr[i] < fixed[i], "{}", t.markdown());
-        assert!(migr_fetches[i] < fixed_fetches[i], "{}", t.markdown());
+        assert!(migr_diffs[i] < fixed_diffs[i], "{}", t.markdown());
     }
 }
 
