@@ -9,7 +9,7 @@
 //!
 //! `check` runs the static analyzer and prints its diagnostics; any
 //! `error[PCnnn]` makes it exit non-zero. The analyzer lowers to MIR and
-//! runs the dataflow-based lints (PC001–PC010); `--json` prints one JSON
+//! runs the dataflow-based lints (PC001–PC009); `--json` prints one JSON
 //! object per diagnostic on stdout. `translate` prints the translated C
 //! source (Figures 2/3 style) and `run` interprets the program on a
 //! simulated cluster — both run the analyzer first and refuse programs

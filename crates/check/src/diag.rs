@@ -23,7 +23,7 @@ impl fmt::Display for Severity {
 }
 
 /// Stable lint identifiers. Codes are append-only: new lints get new
-/// numbers, retired lints leave holes.
+/// numbers, retired lints leave holes (PC008 and PC010, the task lints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LintId {
     /// PC001 — write to a shared variable inside a parallel region with no
@@ -48,25 +48,16 @@ pub enum LintId {
     /// non-canonical work-shared loops, malformed atomic bodies, unknown
     /// clause variables.
     DirectiveStructure,
-    /// PC008 — shared write inside a `task` body with no `depend` edge on
-    /// the written variable and no enclosing synchronization: tasks run
-    /// concurrently under the work-stealing scheduler, so unordered writes
-    /// race.
-    TaskSharedWrite,
     /// PC009 — barrier (or implicitly-joining work-sharing construct)
     /// placed in a CFG-divergent block: the dataflow divergence analysis
     /// proves threads of the team can disagree on reaching it, even where
     /// the lexical PC004 rules stay silent (e.g. after a thread-dependent
     /// `break`). Flow-sensitive; only the MIR analyzer emits it.
     BarrierDivergence,
-    /// PC010 — `depend` clauses of the tasks in a region form a cycle: the
-    /// scheduler can never release any task on it, deadlocking the
-    /// taskwait. Flow-sensitive; only the MIR analyzer emits it.
-    TaskDependCycle,
 }
 
 impl LintId {
-    pub const ALL: [LintId; 10] = [
+    pub const ALL: [LintId; 8] = [
         LintId::SharedWriteRace,
         LintId::LoopCarriedDependence,
         LintId::ReductionMisuse,
@@ -74,9 +65,7 @@ impl LintId {
         LintId::NowaitUnsyncRead,
         LintId::PrivateUninitRead,
         LintId::DirectiveStructure,
-        LintId::TaskSharedWrite,
         LintId::BarrierDivergence,
-        LintId::TaskDependCycle,
     ];
 
     /// The stable code, e.g. `PC001`.
@@ -89,9 +78,7 @@ impl LintId {
             LintId::NowaitUnsyncRead => "PC005",
             LintId::PrivateUninitRead => "PC006",
             LintId::DirectiveStructure => "PC007",
-            LintId::TaskSharedWrite => "PC008",
             LintId::BarrierDivergence => "PC009",
-            LintId::TaskDependCycle => "PC010",
         }
     }
 
@@ -105,9 +92,7 @@ impl LintId {
             LintId::NowaitUnsyncRead => "nowait-unsynchronized-access",
             LintId::PrivateUninitRead => "private-read-before-write",
             LintId::DirectiveStructure => "directive-structure",
-            LintId::TaskSharedWrite => "task-unordered-shared-write",
             LintId::BarrierDivergence => "barrier-divergence-deadlock",
-            LintId::TaskDependCycle => "task-dependency-cycle",
         }
     }
 
@@ -200,10 +185,7 @@ mod tests {
         let codes: Vec<&str> = LintId::ALL.iter().map(|l| l.code()).collect();
         assert_eq!(
             codes,
-            vec![
-                "PC001", "PC002", "PC003", "PC004", "PC005", "PC006", "PC007", "PC008", "PC009",
-                "PC010"
-            ]
+            vec!["PC001", "PC002", "PC003", "PC004", "PC005", "PC006", "PC007", "PC009"]
         );
     }
 

@@ -9,7 +9,7 @@
 //! loop-carried dependences under `omp for`, misused reductions, divergent
 //! barriers, and structural misuse the runtime would reject.
 //!
-//! Every diagnostic carries a stable lint id (`PC001`–`PC010`), a severity,
+//! Every diagnostic carries a stable lint id (`PC001`–`PC009`), a severity,
 //! and the source span of the offending construct:
 //!
 //! ```text
@@ -40,7 +40,7 @@ pub fn check_source(src: &str) -> Result<Vec<Diag>, ParseError> {
 }
 
 /// The analyzer: lower to MIR and replay the detectors from the marker
-/// stream, plus the flow-sensitive PC009/PC010. Diagnostics come back
+/// stream, plus the flow-sensitive PC009. Diagnostics come back
 /// sorted by source position, duplicates removed.
 pub fn check_program(prog: &Program) -> Vec<Diag> {
     parade_trace::begin_arg(EventKind::CheckAnalyze, span_arg::LOWER, vt_now());
@@ -73,46 +73,28 @@ pub(crate) fn kind_name(k: &DirKind) -> &'static str {
         DirKind::Single => "single",
         DirKind::Master => "master",
         DirKind::Barrier => "barrier",
-        DirKind::Task => "task",
-        DirKind::Taskwait => "taskwait",
-        DirKind::Target => "target",
     }
 }
 
 /// PC007: every variable named in a data-scoping clause must resolve to a
 /// declaration, and reduction variables must be scalars.
 pub(crate) fn check_clause_vars(dir: &Directive, syms: &Symbols, diags: &mut Vec<Diag>) {
-    let flag = |name: &str, clause: &str, diags: &mut Vec<Diag>| {
-        diags.push(Diag::new(
-            LintId::DirectiveStructure,
-            dir.span,
-            format!("unknown variable `{name}` in `{clause}` clause"),
-        ));
-    };
     for c in &dir.clauses {
-        if let Clause::Device(e) = c {
-            let mut vars = Vec::new();
-            e.vars(&mut vars);
-            for name in &vars {
-                if syms.get(name).is_none() {
-                    flag(name, "device", diags);
-                }
-            }
-            continue;
-        }
         let (vars, clause): (&Vec<String>, &str) = match c {
             Clause::Private(v) => (v, "private"),
             Clause::Shared(v) => (v, "shared"),
             Clause::FirstPrivate(v) => (v, "firstprivate"),
             Clause::LastPrivate(v) => (v, "lastprivate"),
             Clause::Reduction(_, v) => (v, "reduction"),
-            Clause::Depend(_, v) => (v, "depend"),
-            Clause::Map(_, v) => (v, "map"),
             _ => continue,
         };
         for name in vars {
             match syms.get(name) {
-                None => flag(name, clause, diags),
+                None => diags.push(Diag::new(
+                    LintId::DirectiveStructure,
+                    dir.span,
+                    format!("unknown variable `{name}` in `{clause}` clause"),
+                )),
                 Some(d) if clause == "reduction" && d.is_array() => {
                     diags.push(Diag::new(
                         LintId::DirectiveStructure,
@@ -479,142 +461,6 @@ int main() {
     }
 
     #[test]
-    fn pc008_task_unordered_shared_write() {
-        let src = r#"
-int main() {
-    double sum;
-    sum = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp task
-        { sum = sum + 1.0; }
-        #pragma omp taskwait
-    }
-    return 0;
-}
-"#;
-        assert_eq!(codes(src), vec!["PC008"]);
-    }
-
-    #[test]
-    fn pc008_cleared_by_depend_edge() {
-        let src = r#"
-int main() {
-    double sum;
-    sum = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp task depend(inout: sum)
-        { sum = sum + 1.0; }
-        #pragma omp taskwait
-    }
-    return 0;
-}
-"#;
-        assert!(codes(src).is_empty(), "{:?}", check_source(src).unwrap());
-    }
-
-    #[test]
-    fn pc008_cleared_by_critical_inside_task() {
-        let src = r#"
-int main() {
-    double sum;
-    sum = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp task
-        {
-            #pragma omp critical
-            { sum = sum + 1.0; }
-        }
-        #pragma omp taskwait
-    }
-    return 0;
-}
-"#;
-        assert!(codes(src).is_empty(), "{:?}", check_source(src).unwrap());
-    }
-
-    #[test]
-    fn pc008_target_map_write_without_depend() {
-        let src = r#"
-int main() {
-    double x;
-    x = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp target map(tofrom: x)
-        { x = x + 1.0; }
-    }
-    return 0;
-}
-"#;
-        assert_eq!(codes(src), vec!["PC008"]);
-    }
-
-    #[test]
-    fn tasking_constructs_are_legal_at_serial_scope() {
-        let src = r#"
-int main() {
-    double x;
-    x = 0.0;
-    #pragma omp task depend(out: x)
-    { x = 1.0; }
-    #pragma omp taskwait
-    #pragma omp target map(tofrom: x) device(0)
-    { x = x * 2.0; }
-    return 0;
-}
-"#;
-        assert!(codes(src).is_empty(), "{:?}", check_source(src).unwrap());
-    }
-
-    #[test]
-    fn pc007_barrier_inside_task_body() {
-        let src = r#"
-int main() {
-    #pragma omp parallel
-    {
-        #pragma omp task
-        {
-            #pragma omp barrier
-        }
-        #pragma omp taskwait
-    }
-    return 0;
-}
-"#;
-        let ds = check_source(src).unwrap();
-        assert!(
-            ds.iter().any(|d| d.lint == LintId::DirectiveStructure
-                && d.message.contains("closely nested inside a `task` region")),
-            "{ds:?}"
-        );
-    }
-
-    #[test]
-    fn pc007_unknown_depend_and_map_vars() {
-        let src = r#"
-int main() {
-    double x;
-    #pragma omp parallel
-    {
-        #pragma omp task depend(out: nosuch)
-        { x = 1.0; }
-        #pragma omp taskwait
-    }
-    return 0;
-}
-"#;
-        let ds = check_source(src).unwrap();
-        assert!(
-            ds.iter().any(|d| d.lint == LintId::DirectiveStructure
-                && d.message.contains("`nosuch` in `depend`")),
-            "{ds:?}"
-        );
-    }
-
-    #[test]
     fn exit_gate_predicate() {
         let ds = check_source(
             r#"
@@ -691,56 +537,6 @@ int main() {
             if (k > 0) { break; }
             #pragma omp barrier
         }
-    }
-    return 0;
-}
-"#;
-        assert!(codes(src).is_empty(), "{:?}", check_source(src).unwrap());
-    }
-
-    #[test]
-    fn pc010_crossed_depends_cycle() {
-        let src = r#"
-int main() {
-    double x; double y;
-    x = 0.0;
-    y = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp task depend(in: y) depend(out: x)
-        { x = y + 1.0; }
-        #pragma omp task depend(in: x) depend(out: y)
-        { y = x + 1.0; }
-        #pragma omp taskwait
-    }
-    return 0;
-}
-"#;
-        let ds = check_source(src).unwrap();
-        assert_eq!(ds.len(), 1, "{ds:?}");
-        assert_eq!(ds[0].lint, LintId::TaskDependCycle);
-        // Anchored at the lexically-first task on the cycle.
-        assert_eq!((ds[0].span.line, ds[0].span.col), (8, 9));
-    }
-
-    #[test]
-    fn pc010_silent_on_chain_and_inout() {
-        // Forward chain plus an inout self-chain: backward resolution
-        // only, no cycle.
-        let src = r#"
-int main() {
-    double x; double y;
-    x = 0.0;
-    y = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp task depend(out: x)
-        { x = 1.0; }
-        #pragma omp task depend(inout: x)
-        { x = x + 1.0; }
-        #pragma omp task depend(in: x) depend(out: y)
-        { y = x; }
-        #pragma omp taskwait
     }
     return 0;
 }

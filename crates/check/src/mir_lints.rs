@@ -1,13 +1,10 @@
-//! The analyzer's driver: runs the lexical PC001–PC008 detectors over
+//! The analyzer's driver: runs the lexical PC001–PC007 detectors over
 //! the marker stream of a lowered [`MirFunc`], then layers the
-//! flow-sensitive lints on top of the CFG dataflow results:
-//!
-//! - **PC009** barrier-divergence-deadlock — a barrier (or a construct
-//!   with an implicit exit barrier) sits in a block the divergence
-//!   analysis proves thread-divergent, even where the lexical PC004
-//!   rules stay silent (e.g. after a thread-dependent `break`);
-//! - **PC010** task-dependency-cycle — the `depend` clauses of a
-//!   region's tasks form a cycle the scheduler can never release.
+//! flow-sensitive **PC009** barrier-divergence-deadlock on top of the CFG
+//! dataflow results: a barrier (or a construct with an implicit exit
+//! barrier) sits in a block the divergence analysis proves
+//! thread-divergent, even where the lexical PC004 rules stay silent (e.g.
+//! after a thread-dependent `break`).
 //!
 //! MIR blocks are created in lexical order and every construct leaves
 //! paired enter/exit markers, so a linear walk over the flattened
@@ -22,7 +19,7 @@ use parade_mir::{
     divergent_blocks, AccessEvent, BlockId, CondInfo, Eval, Marker, MirFunc, MirStmt, SiblingKind,
 };
 use parade_translator::analysis::VarScope;
-use parade_translator::ast::{DepKind, DirKind, Span};
+use parade_translator::ast::{DirKind, Span};
 
 use crate::diag::{Diag, LintId};
 use crate::region::{RegionCx, UpdateVerdict};
@@ -60,12 +57,6 @@ pub(crate) fn check_func(func: &MirFunc, diags: &mut Vec<Diag>) {
                     }
                 }
                 i = end + 1;
-            }
-            // Tasking constructs are legal at serial scope (a team of one
-            // executes them undeferred) — clause check only.
-            Marker::TaskEnter { dir, .. } | Marker::Taskwait { dir } => {
-                crate::check_clause_vars(dir, &func.syms, diags);
-                i += 1;
             }
             // Everything else that carries a directive is orphaned out
             // here; the body still walks (serially) for nested regions.
@@ -114,12 +105,6 @@ fn exit_map(func: &MirFunc, flat: &[Pos]) -> HashMap<u32, usize> {
     map
 }
 
-/// One `task`/`target` spawn inside a region, for the PC010 graph.
-struct TaskNode {
-    span: Span,
-    deps: Vec<(DepKind, String)>,
-}
-
 /// Replay one parallel region from its marker stream (`start` = the flat
 /// index of the `ParallelEnter`, `end` = its `ParallelExit`).
 #[allow(clippy::too_many_arguments)]
@@ -158,7 +143,6 @@ fn check_region(
     // Directive span of the work-shared loop being entered (consumed at
     // the WsBody marker, after the bounds evaluation).
     let mut ws_spans: Vec<Span> = Vec::new();
-    let mut tasks: Vec<TaskNode> = Vec::new();
 
     let mut i = start + 1;
     while i < end {
@@ -185,7 +169,7 @@ fn check_region(
                     cx.cur_span = d.span;
                     if !from_parallel_for {
                         cx.clause_vars(d);
-                        if cx.team_in_task(&d.kind) || cx.check_ws_nesting("work-sharing `for`") {
+                        if cx.check_ws_nesting("work-sharing `for`") {
                             i = exits[pair] + 1;
                             continue;
                         }
@@ -224,10 +208,6 @@ fn check_region(
                 } => {
                     cx.cur_span = d.span;
                     cx.clause_vars(d);
-                    if cx.team_in_task(&d.kind) {
-                        i = exits[pair] + 1;
-                        continue;
-                    }
                     match &d.kind {
                         DirKind::Single => {
                             if cx.check_ws_nesting("`single`") {
@@ -266,26 +246,9 @@ fn check_region(
                 Marker::Barrier { dir: d } => {
                     cx.cur_span = d.span;
                     cx.clause_vars(d);
-                    if !cx.team_in_task(&d.kind) && !cx.barrier_checks() && div[bi] {
+                    if !cx.barrier_checks() && div[bi] {
                         cx.diag_barrier_divergence("barrier");
                     }
-                    i += 1;
-                }
-                Marker::TaskEnter { dir: d, .. } => {
-                    cx.cur_span = d.span;
-                    cx.clause_vars(d);
-                    let deps = d.depends();
-                    cx.task.push(deps.iter().map(|(_, v)| v.clone()).collect());
-                    tasks.push(TaskNode { span: d.span, deps });
-                    i += 1;
-                }
-                Marker::TaskExit { .. } => {
-                    cx.task.pop();
-                    i += 1;
-                }
-                Marker::Taskwait { dir: d } => {
-                    cx.cur_span = d.span;
-                    cx.clause_vars(d);
                     i += 1;
                 }
                 Marker::CondEnter(info) => {
@@ -367,7 +330,6 @@ fn check_region(
             },
         }
     }
-    report_task_cycles(&mut cx, &tasks);
 }
 
 /// Replay one linearized evaluation through the shared state machine.
@@ -403,97 +365,5 @@ fn replay_events(cx: &mut RegionCx, events: &[AccessEvent]) {
             }
             AccessEvent::MarkWritten(n) => cx.mark_written(n),
         }
-    }
-}
-
-/// PC010: build the region's task-dependency graph and flag cycles.
-///
-/// Edge rule (mirrors the runtime scheduler's release order): a task
-/// consuming `v` (`in`/`inout`) depends on the *nearest preceding*
-/// producer of `v` (`out`/`inout`). A pure `in` with no preceding
-/// producer falls forward to the nearest *following* producer — the
-/// consumer then waits on a task spawned after it, which is exactly how
-/// lexically-crossed `depend` pairs deadlock. Inout chains and diamonds
-/// resolve backward only, so they stay clean.
-fn report_task_cycles(cx: &mut RegionCx, tasks: &[TaskNode]) {
-    if tasks.len() < 2 {
-        return;
-    }
-    let produces = |i: usize, v: &str| tasks[i].deps.iter().any(|(k, v2)| k.writes() && v2 == v);
-    let mut edges: Vec<(usize, usize, String)> = Vec::new();
-    for (j, t) in tasks.iter().enumerate() {
-        for (k, v) in &t.deps {
-            if !k.reads() {
-                continue;
-            }
-            let preceding = (0..j).rev().find(|&p| produces(p, v));
-            let src = match preceding {
-                Some(p) => Some(p),
-                None if !produces(j, v) => (j + 1..tasks.len()).find(|&p| produces(p, v)),
-                None => None,
-            };
-            if let Some(s) = src {
-                if s != j {
-                    edges.push((s, j, v.clone()));
-                }
-            }
-        }
-    }
-    // Transitive closure → strongly connected components (task counts per
-    // region are tiny, so O(n³) is fine).
-    let n = tasks.len();
-    let mut reach = vec![vec![false; n]; n];
-    for &(a, b, _) in &edges {
-        reach[a][b] = true;
-    }
-    for k in 0..n {
-        let via = reach[k].clone();
-        for row in reach.iter_mut() {
-            if row[k] {
-                for (dst, &v) in row.iter_mut().zip(&via) {
-                    *dst = *dst || v;
-                }
-            }
-        }
-    }
-    let mut comp = vec![usize::MAX; n];
-    for a in 0..n {
-        if comp[a] != usize::MAX {
-            continue;
-        }
-        comp[a] = a;
-        for b in a + 1..n {
-            if reach[a][b] && reach[b][a] {
-                comp[b] = a;
-            }
-        }
-    }
-    let mut reps: Vec<usize> = comp.to_vec();
-    reps.sort_unstable();
-    reps.dedup();
-    for rep in reps {
-        let members: Vec<usize> = (0..n).filter(|&a| comp[a] == rep).collect();
-        if members.len() < 2 {
-            continue;
-        }
-        let mut vars: Vec<&str> = edges
-            .iter()
-            .filter(|(a, b, _)| comp[*a] == rep && comp[*b] == rep)
-            .map(|(_, _, v)| v.as_str())
-            .collect();
-        vars.sort_unstable();
-        vars.dedup();
-        let vars = vars
-            .iter()
-            .map(|v| format!("`{v}`"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let lines = members
-            .iter()
-            .map(|&a| tasks[a].span.line.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        // `members` is in spawn (lexical) order; diagnose at the first.
-        cx.diag_task_cycle(tasks[members[0]].span, &vars, &lines);
     }
 }

@@ -1,11 +1,10 @@
 //! Per-region detectors: everything that needs a `RegionClassification`.
 //!
 //! [`RegionCx`] is the semantic core — the access-event state machine
-//! (scopes, protection stack, divergence depth, task frames, work-shared
-//! loop frames) plus every diagnostic the detectors emit. The
-//! marker-driven walk in [`crate::mir_lints`] feeds it the events of
-//! `parade_mir`'s lowered form and adds the flow-sensitive PC009/PC010 on
-//! top.
+//! (scopes, protection stack, divergence depth, work-shared loop frames)
+//! plus every diagnostic the detectors emit. The marker-driven walk in
+//! [`crate::mir_lints`] feeds it the events of `parade_mir`'s lowered form
+//! and adds the flow-sensitive PC009 on top.
 //!
 //! The detectors:
 //!
@@ -21,11 +20,7 @@
 //! - **PC006** private-read-before-write — `private` variables read while
 //!   still uninitialized (should likely be `firstprivate`);
 //! - **PC007** directive-structure — bad nesting and malformed constructs
-//!   *inside* the region (orphans are the serial walk's job);
-//! - **PC008** task-unordered-shared-write — shared data written inside a
-//!   `task`/`target` body with no `depend` edge on the variable and no
-//!   enclosing synchronization: the whole team reaches the spawn point, so
-//!   the task instances run concurrently under the work-stealing scheduler.
+//!   *inside* the region (orphans are the serial walk's job).
 
 use std::collections::{HashMap, HashSet};
 
@@ -107,10 +102,6 @@ pub(crate) struct RegionCx<'a> {
     pub(crate) protect: Vec<&'static str>,
     /// Depth of enclosing thread-dependent conditions (PC004).
     pub(crate) divergent: usize,
-    /// Enclosing `task`/`target` bodies: the set of variables each frame
-    /// names in a `depend` clause. Writes to dep-edged variables are
-    /// ordered by the scheduler's dependency graph; others race (PC008).
-    pub(crate) task: Vec<HashSet<String>>,
     ws: Vec<WsFrame>,
     tracked: HashSet<String>,
     written: HashSet<String>,
@@ -142,7 +133,6 @@ impl<'a> RegionCx<'a> {
             cur_span: span,
             protect: Vec::new(),
             divergent: 0,
-            task: Vec::new(),
             ws: Vec::new(),
             tracked,
             written: HashSet::new(),
@@ -175,12 +165,6 @@ impl<'a> RegionCx<'a> {
 
     pub(crate) fn protected(&self) -> bool {
         !self.protect.is_empty()
-    }
-
-    /// Inside a `task`/`target` body, is a write to `n` ordered by a
-    /// `depend` edge on some enclosing task frame?
-    fn task_dep_ordered(&self, n: &str) -> bool {
-        self.task.iter().any(|deps| deps.contains(n))
     }
 
     // ---- variable events --------------------------------------------------
@@ -245,27 +229,13 @@ impl<'a> RegionCx<'a> {
                     op.c_token()
                 ),
             ),
-            VarScope::Shared if !self.protected() && self.syms.get(n).is_some() => {
-                if self.task.is_empty() {
-                    self.diag(
-                        LintId::SharedWriteRace,
-                        format!(
-                            "unsynchronized write to shared variable `{n}` in a parallel region; \
-                             every thread writes it — guard with `critical`/`atomic` or privatize"
-                        ),
-                    );
-                } else if !self.task_dep_ordered(n) {
-                    self.diag(
-                        LintId::TaskSharedWrite,
-                        format!(
-                            "write to shared variable `{n}` inside a task body with no \
-                             `depend` edge on it; task instances run concurrently under the \
-                             work-stealing scheduler — add `depend(out: {n})` or guard with \
-                             `critical`/`atomic`"
-                        ),
-                    );
-                }
-            }
+            VarScope::Shared if !self.protected() && self.syms.get(n).is_some() => self.diag(
+                LintId::SharedWriteRace,
+                format!(
+                    "unsynchronized write to shared variable `{n}` in a parallel region; \
+                     every thread writes it — guard with `critical`/`atomic` or privatize"
+                ),
+            ),
             _ => {}
         }
         self.mark_written(n);
@@ -284,25 +254,14 @@ impl<'a> RegionCx<'a> {
             VarScope::Shared if self.syms.get(n).is_some() => {
                 self.log_access(n, idxs, true);
                 if !self.protected() && !self.disjoint_subscript(idxs) {
-                    if self.task.is_empty() {
-                        self.diag(
-                            LintId::SharedWriteRace,
-                            format!(
-                                "write to shared array `{n}` is not provably distinct across \
-                                 threads: no subscript is injective in the work-shared loop \
-                                 variable or derived from omp_get_thread_num()"
-                            ),
-                        );
-                    } else if !self.task_dep_ordered(n) {
-                        self.diag(
-                            LintId::TaskSharedWrite,
-                            format!(
-                                "write to shared array `{n}` inside a task body with no \
-                                 `depend` edge and no disjoint subscript; task instances run \
-                                 concurrently under the work-stealing scheduler"
-                            ),
-                        );
-                    }
+                    self.diag(
+                        LintId::SharedWriteRace,
+                        format!(
+                            "write to shared array `{n}` is not provably distinct across \
+                             threads: no subscript is injective in the work-shared loop \
+                             variable or derived from omp_get_thread_num()"
+                        ),
+                    );
                 }
             }
             _ => {}
@@ -377,28 +336,6 @@ impl<'a> RegionCx<'a> {
                 loop_span.line
             ),
         );
-    }
-
-    /// PC007 gate: team constructs (`barrier`/`for`/`single`/`master`) are
-    /// illegal inside a task body. True if diagnosed (caller must skip the
-    /// construct).
-    pub(crate) fn team_in_task(&mut self, kind: &DirKind) -> bool {
-        if !self.task.is_empty()
-            && matches!(
-                kind,
-                DirKind::Barrier | DirKind::For | DirKind::Single | DirKind::Master
-            )
-        {
-            self.diag(
-                LintId::DirectiveStructure,
-                format!(
-                    "`{}` may not be closely nested inside a `task` region",
-                    crate::kind_name(kind)
-                ),
-            );
-            return true;
-        }
-        false
     }
 
     pub(crate) fn diag_nested_parallel(&mut self) {
@@ -493,19 +430,6 @@ impl<'a> RegionCx<'a> {
                 "{what} in thread-divergent control flow: the divergence analysis \
                  proves threads of the team can disagree on reaching it; threads \
                  that arrive wait forever"
-            ),
-        );
-    }
-
-    /// PC010: the region's task `depend` clauses form a cycle.
-    pub(crate) fn diag_task_cycle(&mut self, span: Span, vars: &str, lines: &str) {
-        self.diag_at(
-            LintId::TaskDependCycle,
-            span,
-            format!(
-                "task `depend` clauses form a cycle through {vars} (tasks at \
-                 lines {lines}); the scheduler can never release them, \
-                 deadlocking the region at the next `taskwait`"
             ),
         );
     }

@@ -431,10 +431,6 @@ impl MasterCtx {
         self.rt.comm.bcast_bytes(0, &mut b, &mut self.clock);
     }
 
-    pub fn nodes(&self) -> usize {
-        self.rt.nnodes
-    }
-
     pub fn threads_per_node(&self) -> usize {
         self.rt.tpn
     }

@@ -205,51 +205,7 @@ pub enum Sched {
     Guided(usize),
 }
 
-/// Dependence direction of the `depend` clause (tasking).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DepKind {
-    In,
-    Out,
-    InOut,
-}
-
-impl DepKind {
-    pub fn reads(self) -> bool {
-        matches!(self, DepKind::In | DepKind::InOut)
-    }
-
-    pub fn writes(self) -> bool {
-        matches!(self, DepKind::Out | DepKind::InOut)
-    }
-
-    pub fn c_token(self) -> &'static str {
-        match self {
-            DepKind::In => "in",
-            DepKind::Out => "out",
-            DepKind::InOut => "inout",
-        }
-    }
-}
-
-/// Transfer direction of the `map` clause (`target` offload).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MapKind {
-    To,
-    From,
-    ToFrom,
-}
-
-impl MapKind {
-    pub fn c_token(self) -> &'static str {
-        match self {
-            MapKind::To => "to",
-            MapKind::From => "from",
-            MapKind::ToFrom => "tofrom",
-        }
-    }
-}
-
-/// OpenMP clauses (1.0 worksharing plus the tasking/offload subset).
+/// OpenMP 1.0 clauses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Clause {
     Private(Vec<String>),
@@ -260,16 +216,9 @@ pub enum Clause {
     Schedule(Sched),
     NumThreads(Expr),
     NoWait,
-    /// `depend(in|out|inout: vars)` — task ordering edges.
-    Depend(DepKind, Vec<String>),
-    /// `map(to|from|tofrom: vars)` — `target` data movement.
-    Map(MapKind, Vec<String>),
-    /// `device(expr)` — which node a `target` region offloads to.
-    Device(Expr),
 }
 
-/// OpenMP directive kinds supported by the translator (the 1.0 core plus
-/// the tasking/offload subset: `task`, `taskwait`, `target`).
+/// OpenMP 1.0 directive kinds supported by the translator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DirKind {
     Parallel,
@@ -280,9 +229,6 @@ pub enum DirKind {
     Single,
     Master,
     Barrier,
-    Task,
-    Taskwait,
-    Target,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -346,40 +292,6 @@ impl Directive {
 
     pub fn nowait(&self) -> bool {
         self.clauses.iter().any(|c| matches!(c, Clause::NoWait))
-    }
-
-    /// `depend` edges as `(kind, var)` pairs, in clause order.
-    pub fn depends(&self) -> Vec<(DepKind, String)> {
-        let mut out = Vec::new();
-        for c in &self.clauses {
-            if let Clause::Depend(k, vars) = c {
-                for v in vars {
-                    out.push((*k, v.clone()));
-                }
-            }
-        }
-        out
-    }
-
-    /// `map` entries as `(kind, var)` pairs, in clause order.
-    pub fn maps(&self) -> Vec<(MapKind, String)> {
-        let mut out = Vec::new();
-        for c in &self.clauses {
-            if let Clause::Map(k, vars) = c {
-                for v in vars {
-                    out.push((*k, v.clone()));
-                }
-            }
-        }
-        out
-    }
-
-    /// The `device(expr)` clause, if present.
-    pub fn device(&self) -> Option<&Expr> {
-        self.clauses.iter().find_map(|c| match c {
-            Clause::Device(e) => Some(e),
-            _ => None,
-        })
     }
 }
 

@@ -12,10 +12,10 @@
 use parade_core::ReduceOp;
 
 use crate::analysis::{only_main_may_hold_directives, VarScope, DEFAULT_SMALL_THRESHOLD};
-use crate::ast::{BinOp, Clause, DirKind, Item, Program, Sched, Type, UnOp};
+use crate::ast::{BinOp, Item, Program, Sched, Type, UnOp};
 use crate::resolve::{
     red_to_mpi, resolve, Code, OmpFn, RAtomic, RBody, RDecl, RDirective, RExpr, RFunc, RLoop, ROmp,
-    RPrivate, RRegion, RStmt, RTask, RUpdate, RegionId, Shape, Sym,
+    RPrivate, RRegion, RStmt, RUpdate, RegionId, Shape, Sym,
 };
 use crate::token::{ParseError, Span};
 
@@ -233,61 +233,11 @@ impl<'c> Printer<'c> {
             ) => self.critical(collective.as_deref(), body),
             (ROmp::Atomic(a), true) => self.atomic(d.span, a),
             (ROmp::Single { broadcast, body }, true) => self.single(broadcast.as_deref(), body),
-            // Tasking constructs are emitted with serial elision: an
-            // undeferred task executed inline is a legal task schedule, and
-            // program order subsumes every `depend` edge. The distributed
-            // work-stealing schedule lives in the runtime (parade-tasks),
-            // not in the generated C.
-            (ROmp::Task(t), _) => self.task(d, t),
-            (ROmp::Taskwait, _) => {
-                self.line("/* taskwait: no-op under serial elision */");
-                Ok(())
-            }
             (_, false) => refuse(
                 d.span,
                 format!("directive {:?} outside a parallel region", d.kind),
             ),
         }
-    }
-
-    fn task(&mut self, d: &RDirective, t: &RTask) -> Result<(), ParseError> {
-        let target = d.kind == DirKind::Target;
-        // `kind:var, …` of the `map` clauses of a `target`, the `depend`
-        // clauses of a `task`.
-        let list: Vec<String> = (d.clauses.iter())
-            .flat_map(|c| {
-                let (kind, vars) = match c {
-                    Clause::Map(k, vars) if target => (k.c_token(), vars),
-                    Clause::Depend(k, vars) if !target => (k.c_token(), vars),
-                    _ => return Vec::new(),
-                };
-                vars.iter().map(|v| format!("{kind}:{v}")).collect()
-            })
-            .collect();
-        let list = list.join(", ");
-        if target {
-            let dev = t
-                .device
-                .as_ref()
-                .map(|e| format!(" device({})", self.expr(e)))
-                .unwrap_or_default();
-            let maps = if list.is_empty() {
-                String::new()
-            } else {
-                format!(" map({list})")
-            };
-            self.line(format!(
-                "/* target{dev}{maps}: host fallback (the runtime \
-                 offloads via pinned tasks + DSM notices) */"
-            ));
-        } else if list.is_empty() {
-            self.line("/* task: serial elision (undeferred execution) */");
-        } else {
-            self.line(format!(
-                "/* task depend({list}): program order subsumes the edges */"
-            ));
-        }
-        self.stmt(&t.body)
     }
 
     // ---- parallel region extraction (§4.1) --------------------------------
@@ -901,33 +851,6 @@ int main() {
             out.contains("while (parade_loop_next(&__lo, &__hi))"),
             "{out}"
         );
-    }
-
-    #[test]
-    fn tasking_constructs_elide_serially() {
-        let src = r#"
-int main() {
-    double x = 0.0;
-    double buf[8];
-    #pragma omp parallel
-    {
-        #pragma omp task depend(out: x)
-        x = 1.0;
-        #pragma omp taskwait
-    }
-    #pragma omp target device(1) map(tofrom: buf)
-    { buf[0] = 2.0; }
-    return 0;
-}
-"#;
-        let prog = parse(src).unwrap();
-        let out = translate_default(&prog, EmitMode::Parade).unwrap();
-        assert!(out.contains("task depend(out:x)"), "{out}");
-        assert!(
-            out.contains("taskwait: no-op under serial elision"),
-            "{out}"
-        );
-        assert!(out.contains("target device(1) map(tofrom:buf)"), "{out}");
     }
 
     /// `lastprivate(x)`: the body writes a private `x__lp`, and the thread

@@ -27,7 +27,7 @@ use crate::ast::{BinOp, Program, Sched, Span, Type, UnOp};
 use crate::oracle::{Oracle, RaceReport};
 use crate::resolve::{
     resolve, Code, DimsId, OmpFn, RAtomic, RBody, RDecl, RDirective, RExpr, RLock, RLoop, ROmp,
-    RPrivate, RStmt, RTask, RUpdate, RegionId, Shape, StrId, Sym,
+    RPrivate, RStmt, RUpdate, RegionId, Shape, StrId, Sym,
 };
 
 /// Interpreter failure.
@@ -206,13 +206,6 @@ impl Exec<'_> {
         }
     }
 
-    fn num_nodes(&self) -> usize {
-        match self {
-            Exec::Master(g) => g.nodes(),
-            Exec::Thread(tc) => tc.num_nodes(),
-        }
-    }
-
     fn wtime(&mut self) -> f64 {
         match self {
             Exec::Master(g) => g.now().as_secs_f64(),
@@ -271,7 +264,6 @@ impl Interp {
                 single_dummy: None,
                 lp_scratch: None,
                 in_update_body: false,
-                in_task_body: false,
                 cur_span: Span::default(),
                 oracle_enabled,
                 oracle: None,
@@ -369,9 +361,6 @@ struct Env<'c> {
     /// Inside the body of a `single`/analyzable construct: stores to
     /// update-protocol scalars are sanctioned and go to the local copy.
     in_update_body: bool,
-    /// Inside the body of an explicit `task`/`target` region: barriers and
-    /// worksharing may not be closely nested there (conformance).
-    in_task_body: bool,
     /// Source position of the statement currently executing (for oracle
     /// race reports).
     cur_span: Span,
@@ -903,19 +892,10 @@ impl<'c> Env<'c> {
             RStmt::Break => Ok(Flow::Break),
             RStmt::Continue => Ok(Flow::Continue),
             RStmt::Parallel(id) => match exec {
-                // A task body at serial scope is a team of one, not the
-                // master's region-spawning context.
-                Exec::Master(g) if !self.in_task_body => {
+                Exec::Master(g) => {
                     self.run_parallel(g, *id)?;
                     Ok(Flow::Normal)
                 }
-                Exec::Master(_) => rte(format!(
-                    "directive {} outside a parallel region",
-                    match self.code().regions[id.idx()].body {
-                        RBody::Loop(_) => "ParallelFor",
-                        RBody::Stmt(_) => "Parallel",
-                    }
-                )),
                 Exec::Thread(_) => rte("nested parallel regions are not supported"),
             },
             RStmt::Omp(dir) => self.exec_directive(exec, dir),
@@ -926,15 +906,6 @@ impl<'c> Env<'c> {
 
     fn exec_directive(&mut self, exec: &mut Exec<'_>, dir: &RDirective) -> RtResult<Flow> {
         self.cur_span = dir.span;
-        // Tasking constructs are legal both at serial scope (a team of one)
-        // and inside regions; handle them before requiring a thread frame.
-        match &dir.op {
-            ROmp::Task(task) => return self.exec_task(exec, task),
-            // The interpreter executes tasks undeferred (a legal task
-            // schedule), so all children are already complete here.
-            ROmp::Taskwait => return Ok(Flow::Normal),
-            _ => {}
-        }
         let Exec::Thread(tc) = exec else {
             return rte(format!(
                 "directive {:?} outside a parallel region",
@@ -942,19 +913,7 @@ impl<'c> Env<'c> {
             ));
         };
         let tc: &ThreadCtx = tc;
-        if self.in_task_body
-            && matches!(
-                dir.op,
-                ROmp::Barrier | ROmp::For(_) | ROmp::Single { .. } | ROmp::Master(_)
-            )
-        {
-            return rte(format!(
-                "{:?} may not be closely nested inside a task region",
-                dir.kind
-            ));
-        }
         match &dir.op {
-            ROmp::Task(_) | ROmp::Taskwait => unreachable!("handled above"),
             ROmp::Barrier => self.sync_barrier(tc),
             ROmp::Master(body) => {
                 if tc.thread_num() == 0 {
@@ -1052,81 +1011,6 @@ impl<'c> Env<'c> {
         err.map_or(Ok(()), Err)
     }
 
-    /// Execute a `task` or `target` body.
-    ///
-    /// The interpreter runs tasks **undeferred** — a legal task schedule —
-    /// at their generating thread; the distributed work-stealing schedule
-    /// is exercised by the runtime-API kernels instead. `depend` edges are
-    /// modelled for the happens-before oracle as synthetic per-variable
-    /// locks, which is exactly the ordering the scheduler's dependency
-    /// graph guarantees: two tasks naming a common depend variable are
-    /// ordered, everything else runs concurrently. `map` clauses only
-    /// validate that the named variables exist (data movement is the DSM's
-    /// job); `device(n)` evaluates its expression and checks the range.
-    fn exec_task(&mut self, exec: &mut Exec<'_>, task: &RTask) -> RtResult<Flow> {
-        for var in task.unknown_maps.iter() {
-            if self.local(*var).is_none() && self.shared[var.idx()].is_none() {
-                return rte(format!(
-                    "map clause names undefined variable {}",
-                    self.name(*var)
-                ));
-            }
-        }
-        if let Some(e) = &task.device {
-            let dev = self.eval(exec, e)?.as_i64();
-            let nn = exec.num_nodes();
-            if dev < 0 || dev as usize >= nn {
-                return rte(format!("device({dev}) out of range for {nn} nodes"));
-            }
-        }
-        self.task_body_locked(exec, &task.deps, &task.body)
-    }
-
-    /// Execute a task body holding one *real* interpreter lock per `depend`
-    /// variable. The distributed scheduler orders dep-related tasks through
-    /// its dependency graph; the undeferred interpreter gets the equivalent
-    /// mutual exclusion from cluster locks (tasks naming a common variable
-    /// serialize, everything else overlaps), and the oracle sees the
-    /// matching acquire/release happens-before edges. Annotations alone are
-    /// not enough: without the lock, two bodies can physically overlap and
-    /// the oracle would (correctly) report the overlap as a race.
-    fn task_body_locked(
-        &mut self,
-        exec: &mut Exec<'_>,
-        deps: &[RLock],
-        body: &RStmt,
-    ) -> RtResult<Flow> {
-        let Some((dep, rest)) = deps.split_first() else {
-            let was = self.in_task_body;
-            self.in_task_body = true;
-            let mark = self.undo.len();
-            let r = self.exec_stmt(exec, body);
-            self.pop_scope(mark);
-            self.in_task_body = was;
-            r?;
-            return Ok(Flow::Normal);
-        };
-        match exec {
-            Exec::Thread(tc) => {
-                let tc: &ThreadCtx = tc;
-                self.locked(tc, dep, |env, tc2| {
-                    env.task_body_locked(&mut Exec::Thread(tc2), rest, body)
-                })
-            }
-            // Serial scope: a team of one, so the annotation alone is exact.
-            Exec::Master(_) => {
-                if let Some(o) = &self.oracle {
-                    o.lock_acquire(self.oracle_tid, &dep.key);
-                }
-                let r = self.task_body_locked(exec, rest, body);
-                if let Some(o) = &self.oracle {
-                    o.lock_release(self.oracle_tid, &dep.key);
-                }
-                r
-            }
-        }
-    }
-
     // ---- parallel region execution -------------------------------------------
 
     fn run_parallel(&mut self, g: &mut MasterCtx, id: RegionId) -> RtResult<()> {
@@ -1166,7 +1050,6 @@ impl<'c> Env<'c> {
                 single_dummy: Some(single_dummy),
                 lp_scratch,
                 in_update_body: false,
-                in_task_body: false,
                 cur_span: Span::default(),
                 oracle_enabled: oracle_tl.is_some(),
                 oracle: oracle_tl.clone(),

@@ -392,192 +392,3 @@ int main() {
     );
     assert_eq!(out, "3 2 85\n");
 }
-
-// ---- tasking constructs -----------------------------------------------------
-
-#[test]
-fn task_and_taskwait_execute_undeferred() {
-    let (_, out) = run_src(
-        r#"
-int main() {
-    double x = 0.0;
-    #pragma omp parallel
-    {
-        #pragma omp master
-        {
-            #pragma omp task
-            { x = 1.0; }
-            #pragma omp task depend(in: x)
-            { x = x + 2.0; }
-            #pragma omp taskwait
-        }
-    }
-    printf("%.1f\n", x);
-    return 0;
-}
-"#,
-        2,
-        2,
-        ProtocolMode::Parade,
-    );
-    assert_eq!(out, "3.0\n");
-}
-
-#[test]
-fn task_dep_chain_at_serial_scope() {
-    // task/target are legal outside parallel regions (a team of one).
-    let (_, out) = run_src(
-        r#"
-int main() {
-    double v = 1.0;
-    #pragma omp task depend(out: v)
-    v = v * 3.0;
-    #pragma omp task depend(inout: v)
-    v = v + 1.0;
-    #pragma omp taskwait
-    printf("%.1f\n", v);
-    return 0;
-}
-"#,
-        1,
-        1,
-        ProtocolMode::Parade,
-    );
-    assert_eq!(out, "4.0\n");
-}
-
-#[test]
-fn target_with_device_and_map_runs() {
-    let (_, out) = run_src(
-        r#"
-int main() {
-    double buf[8];
-    int i;
-    for (i = 0; i < 8; i++) buf[i] = i;
-    #pragma omp target device(1) map(tofrom: buf)
-    {
-        for (i = 0; i < 8; i++) buf[i] = buf[i] * 2.0;
-    }
-    printf("%.0f %.0f\n", buf[0], buf[7]);
-    return 0;
-}
-"#,
-        2,
-        1,
-        ProtocolMode::Parade,
-    );
-    assert_eq!(out, "0 14\n");
-}
-
-#[test]
-fn target_device_out_of_range_is_an_error() {
-    let prog = parse(
-        r#"
-int main() {
-    double x = 0.0;
-    #pragma omp target device(5)
-    x = 1.0;
-    return 0;
-}
-"#,
-    )
-    .unwrap();
-    let err = Interp::new(prog)
-        .run(&cluster(2, 1, ProtocolMode::Parade))
-        .unwrap_err();
-    assert!(err.message.contains("out of range"), "{err}");
-}
-
-#[test]
-fn barrier_inside_task_body_is_rejected() {
-    let prog = parse(
-        r#"
-int main() {
-    #pragma omp parallel
-    {
-        #pragma omp task
-        {
-            #pragma omp barrier
-        }
-    }
-    return 0;
-}
-"#,
-    )
-    .unwrap();
-    let err = Interp::new(prog)
-        .run(&cluster(1, 2, ProtocolMode::Parade))
-        .unwrap_err();
-    assert!(err.message.contains("closely nested"), "{err}");
-}
-
-#[test]
-fn map_clause_names_must_exist() {
-    let prog = parse(
-        r#"
-int main() {
-    double x = 0.0;
-    #pragma omp target map(to: nosuch)
-    x = 1.0;
-    return 0;
-}
-"#,
-    )
-    .unwrap();
-    let err = Interp::new(prog)
-        .run(&cluster(1, 1, ProtocolMode::Parade))
-        .unwrap_err();
-    assert!(err.message.contains("undefined variable nosuch"), "{err}");
-}
-
-#[test]
-fn oracle_flags_unguarded_task_writes_and_clears_depend() {
-    // Two tasks on different threads writing the same shared scalar: a race
-    // without depend, ordered with it.
-    let racy = r#"
-int main() {
-    double acc = 0.0;
-    double a[64];
-    int i;
-    #pragma omp parallel private(i)
-    {
-        #pragma omp task
-        { acc = acc + 1.0; }
-    }
-    return 0;
-}
-"#;
-    let prog = parse(racy).unwrap();
-    let out = Interp::new(prog)
-        .with_oracle()
-        .run(&cluster(1, 2, ProtocolMode::Parade))
-        .unwrap();
-    assert!(
-        !out.races.is_empty(),
-        "expected a race on the unguarded task write"
-    );
-
-    let clean = r#"
-int main() {
-    double acc = 0.0;
-    double a[64];
-    int i;
-    #pragma omp parallel private(i)
-    {
-        #pragma omp task depend(inout: acc)
-        { acc = acc + 1.0; }
-    }
-    return 0;
-}
-"#;
-    let prog = parse(clean).unwrap();
-    let out = Interp::new(prog)
-        .with_oracle()
-        .run(&cluster(1, 2, ProtocolMode::Parade))
-        .unwrap();
-    assert!(
-        out.races.is_empty(),
-        "depend edges order the writes: {:?}",
-        out.races
-    );
-}

@@ -6,10 +6,10 @@
 //! - **Linear**: blocks are created in lexical order, so iterating blocks
 //!   by id and statements in order visits the source in lexical order. The
 //!   marker stream (`ParallelEnter`, `WsEnter`, `Sibling`, …) carries the
-//!   structure the PC001–PC008 detectors need.
+//!   structure the PC001–PC007 detectors need.
 //! - **CFG**: terminators give explicit branch/loop edges for the
 //!   dataflow analyses (reaching definitions, liveness, postdominators,
-//!   divergence) behind PC009/PC010.
+//!   divergence) behind PC009.
 
 use std::fmt;
 
@@ -181,17 +181,7 @@ pub enum Marker {
     ProtectExit {
         pair: u32,
     },
-    TaskEnter {
-        dir: Directive,
-        pair: u32,
-    },
-    TaskExit {
-        pair: u32,
-    },
     Barrier {
-        dir: Directive,
-    },
-    Taskwait {
         dir: Directive,
     },
     /// Sequential control-flow condition entry (`if`/`while`/`for`).
@@ -209,8 +199,7 @@ impl Marker {
         match self {
             Marker::ParallelExit { pair }
             | Marker::WsExit { pair }
-            | Marker::ProtectExit { pair }
-            | Marker::TaskExit { pair } => Some(*pair),
+            | Marker::ProtectExit { pair } => Some(*pair),
             _ => None,
         }
     }
@@ -311,10 +300,7 @@ impl MirFunc {
                             Marker::WsExit { .. } => "ws.exit".into(),
                             Marker::ProtectEnter { .. } => "protect.enter".into(),
                             Marker::ProtectExit { .. } => "protect.exit".into(),
-                            Marker::TaskEnter { .. } => "task.enter".into(),
-                            Marker::TaskExit { .. } => "task.exit".into(),
                             Marker::Barrier { .. } => "barrier".into(),
-                            Marker::Taskwait { .. } => "taskwait".into(),
                             Marker::CondEnter(_) => "cond.enter".into(),
                             Marker::CondExit => "cond.exit".into(),
                             Marker::BlockStart => "block.start".into(),

@@ -435,18 +435,6 @@ impl Lowerer<'_> {
                 self.marker(Marker::ProtectExit { pair });
             }
             DirKind::Barrier => self.marker(Marker::Barrier { dir: d.clone() }),
-            DirKind::Taskwait => self.marker(Marker::Taskwait { dir: d.clone() }),
-            DirKind::Task | DirKind::Target => {
-                let pair = self.pair();
-                self.marker(Marker::TaskEnter {
-                    dir: d.clone(),
-                    pair,
-                });
-                if let Some(b) = body {
-                    self.stmt(b);
-                }
-                self.marker(Marker::TaskExit { pair });
-            }
         }
     }
 

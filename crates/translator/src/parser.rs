@@ -327,9 +327,6 @@ impl Parser {
             "single" => DirKind::Single,
             "master" => DirKind::Master,
             "barrier" => DirKind::Barrier,
-            "task" => DirKind::Task,
-            "taskwait" => DirKind::Taskwait,
-            "target" => DirKind::Target,
             other => return err(line, format!("unsupported OpenMP directive '{other}'")),
         };
         let mut clauses = Vec::new();
@@ -343,7 +340,7 @@ impl Parser {
             span,
         };
         let body = match kind {
-            DirKind::Barrier | DirKind::Taskwait => None,
+            DirKind::Barrier => None,
             _ => Some(Box::new(self.stmt()?)),
         };
         Ok(Stmt::Omp(dir, body))
@@ -385,48 +382,6 @@ impl Parser {
                 }
                 self.eat(&Tok::RParen)?;
                 Ok(Clause::Reduction(op, vars))
-            }
-            "depend" => {
-                self.eat(&Tok::LParen)?;
-                let which = self.eat_ident()?;
-                let kind = match which.as_str() {
-                    "in" => DepKind::In,
-                    "out" => DepKind::Out,
-                    "inout" => DepKind::InOut,
-                    _ => return err(line, format!("unsupported depend kind '{which}'")),
-                };
-                self.eat(&Tok::Colon)?;
-                let mut vars = vec![self.eat_ident()?];
-                while *self.peek() == Tok::Comma {
-                    self.bump();
-                    vars.push(self.eat_ident()?);
-                }
-                self.eat(&Tok::RParen)?;
-                Ok(Clause::Depend(kind, vars))
-            }
-            "map" => {
-                self.eat(&Tok::LParen)?;
-                let which = self.eat_ident()?;
-                let kind = match which.as_str() {
-                    "to" => MapKind::To,
-                    "from" => MapKind::From,
-                    "tofrom" => MapKind::ToFrom,
-                    _ => return err(line, format!("unsupported map kind '{which}'")),
-                };
-                self.eat(&Tok::Colon)?;
-                let mut vars = vec![self.eat_ident()?];
-                while *self.peek() == Tok::Comma {
-                    self.bump();
-                    vars.push(self.eat_ident()?);
-                }
-                self.eat(&Tok::RParen)?;
-                Ok(Clause::Map(kind, vars))
-            }
-            "device" => {
-                self.eat(&Tok::LParen)?;
-                let e = self.expr()?;
-                self.eat(&Tok::RParen)?;
-                Ok(Clause::Device(e))
             }
             "schedule" => {
                 self.eat(&Tok::LParen)?;

@@ -140,14 +140,11 @@ pub(crate) struct RDirective {
     /// Kept for the wording of diagnostics.
     pub(crate) kind: DirKind,
     pub(crate) span: Span,
-    /// As written; the C printer lists `depend` and `map` from them.
-    pub(crate) clauses: Box<[Clause]>,
     pub(crate) op: ROmp,
 }
 
 pub(crate) enum ROmp {
     Barrier,
-    Taskwait,
     Master(RStmt),
     For(RLoop),
     Critical {
@@ -164,7 +161,6 @@ pub(crate) enum ROmp {
         broadcast: Option<Box<[Sym]>>,
         body: RStmt,
     },
-    Task(RTask),
 }
 
 /// `target ⊕= operand` as one collective.
@@ -187,18 +183,6 @@ pub(crate) enum RAtomic {
     Collective(RUpdate, RStmt),
     /// The target lives on the paged DSM.
     Lock(RLock, RStmt),
-}
-
-pub(crate) struct RTask {
-    /// `map` names no declaration of `main` accounts for; they must be
-    /// bound when the task runs.
-    pub(crate) unknown_maps: Box<[Sym]>,
-    /// `device(expr)` of a `target`.
-    pub(crate) device: Option<RExpr>,
-    /// One lock per `depend` variable, in canonical (sorted, deduplicated)
-    /// order so overlapping sets cannot deadlock.
-    pub(crate) deps: Box<[RLock]>,
-    pub(crate) body: RStmt,
 }
 
 /// A work-shared loop: `for`, or the loop of a `parallel for`.
@@ -549,7 +533,6 @@ impl Resolver<'_> {
                 return RStmt::Parallel(RegionId(self.code.regions.len() as u32 - 1));
             }
             DirKind::Barrier => ROmp::Barrier,
-            DirKind::Taskwait => ROmp::Taskwait,
             DirKind::Master => ROmp::Master(self.stmt(need(body))),
             DirKind::For => ROmp::For(self.wloop(dir, need(body))),
             DirKind::Critical(name) => {
@@ -586,37 +569,10 @@ impl Resolver<'_> {
                     body: self.stmt(need(body)),
                 }
             }
-            DirKind::Task | DirKind::Target => {
-                let unknown: Vec<String> = dir
-                    .maps()
-                    .into_iter()
-                    .map(|(_, var)| var)
-                    .filter(|var| self.plan.symbols().get(var).is_none())
-                    .collect();
-                let mut deps: Vec<String> = dir.depends().into_iter().map(|(_, v)| v).collect();
-                deps.sort();
-                deps.dedup();
-                ROmp::Task(RTask {
-                    unknown_maps: self.syms(&unknown),
-                    device: match (&dir.kind, dir.device()) {
-                        (DirKind::Target, Some(e)) => Some(self.expr(e)),
-                        _ => None,
-                    },
-                    deps: deps
-                        .iter()
-                        .map(|var| {
-                            let key = format!("dep:{var}");
-                            lock(key.clone(), &key)
-                        })
-                        .collect(),
-                    body: self.stmt(need(body)),
-                })
-            }
         };
         RStmt::Omp(Box::new(RDirective {
             kind: dir.kind.clone(),
             span: dir.span,
-            clauses: dir.clauses.as_slice().into(),
             op,
         }))
     }
@@ -756,8 +712,7 @@ mod tests {
                     n[2] += usize::from(broadcast.is_some());
                     count_sites(body, n);
                 }
-                ROmp::Task(t) => count_sites(&t.body, n),
-                ROmp::Barrier | ROmp::Taskwait => {}
+                ROmp::Barrier => {}
             },
             _ => {}
         }
@@ -873,10 +828,10 @@ mod tests {
         assert!(compared >= 30, "only {compared} programs compared");
         // `clean/atomic_block.c` and `clean/atomic_minmax.c` add three
         // collective atomics and three update-protocol scalars to the
-        // [4, 1, 1] and [34, 13, 25] of the corpus without them;
+        // [3, 1, 1] and [29, 12, 13] of the corpus without them;
         // `racy/guided_nowait.c` adds two shared arrays and its loop
         // variable's HLRC scalar.
-        assert_eq!(total, [4, 4, 1], "collective sites");
-        assert_eq!(storage, [36, 16, 26], "storage classes");
+        assert_eq!(total, [3, 4, 1], "collective sites");
+        assert_eq!(storage, [31, 15, 14], "storage classes");
     }
 }

@@ -204,37 +204,6 @@ int main() {
 }
 
 #[test]
-fn depend_task_bodies_scope_their_locals_at_serial_scope_and_in_a_region() {
-    let out = stdout(
-        r#"
-int main() {
-    double v = 1.0;
-    int k = 5;
-    double acc = 0.0;
-    #pragma omp task depend(inout : v)
-    { int k = 7; v = v + k; }
-    #pragma omp task depend(in : v)
-    v = v * 2.0;
-    printf("%.1f %d\n", v, k);
-    #pragma omp parallel
-    {
-        double mine = 1.0;
-        #pragma omp task depend(inout : acc)
-        { double mine = 10.0; acc = acc + mine; }
-        #pragma omp task depend(inout : acc)
-        { acc = acc + mine; }
-    }
-    printf("%.1f\n", acc);
-    return 0;
-}
-"#,
-        2,
-        2,
-    );
-    assert_eq!(out, "16.0 5\n44.0\n");
-}
-
-#[test]
 fn a_call_that_can_only_fail_fails_when_reached_not_when_resolved() {
     let dead = "int main() { if (0) nosuch(1); return 4; }";
     assert_eq!(run_on(dead, 1, 1).unwrap().0, 4);

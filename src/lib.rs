@@ -35,7 +35,7 @@
 //!   worklist-fixpoint dataflow (reaching definitions, liveness,
 //!   postdominators), and thread-divergence analysis.
 //! * [`check`] — static OpenMP race & conformance analyzer (`paradec
-//!   check`): lints PC001–PC010 with spans and stable ids, run
+//!   check`): lints PC001–PC009 with spans and stable ids, run
 //!   flow-sensitively over [`mir`] and cross-checked against the
 //!   interpreter's happens-before race oracle.
 //! * [`kernels`] — NAS CG/EP, Helmholtz, MD, and syncbench workloads.

@@ -123,9 +123,7 @@ fn conform_programs_flagged_statically() {
         ("non_canonical.c", LintId::DirectiveStructure),
         ("bad_atomic.c", LintId::DirectiveStructure),
         ("unknown_clause_var.c", LintId::DirectiveStructure),
-        ("barrier_in_task.c", LintId::DirectiveStructure),
         ("barrier_divergent_break.c", LintId::BarrierDivergence),
-        ("task_depend_cycle.c", LintId::TaskDependCycle),
     ];
     let files = corpus_files("conform");
     assert_eq!(
@@ -156,7 +154,7 @@ fn whole_corpus_diagnostics_match_the_frozen_golden() {
     // buckets and files in sorted order), the exact `paradec check --json`
     // lines — spans, messages and order — frozen at the commit where the
     // MIR analyzer and the since-deleted lexical AST analyzer still agreed
-    // byte-for-byte on PC001-PC008 (PC009/PC010 are MIR's own).
+    // byte-for-byte on PC001-PC007 (PC009 is MIR's own).
     let mut got = String::new();
     for bucket in ["clean", "conform", "racy"] {
         for f in corpus_files(bucket) {

@@ -8,10 +8,7 @@
 //!
 //! - every program under `tests/corpus/{clean,conform,racy}` that
 //!   `paradec check` lets run, and every `examples/openmp/*.c`, on
-//!   1 node × 1 thread; the clean bucket also on 2 × 2, except
-//!   `task_dep_chain.c`, where every thread of the team generates the task
-//!   pair and the printed sum depends on how they interleave (the examples
-//!   are left out of 2 × 2 for the same reason: `nbody_task.c`);
+//!   1 node × 1 thread; the clean bucket and the examples also on 2 × 2;
 //! - three programs carried below that end by printing `omp_get_wtime()`.
 //!   Under the manual clock on 1 × 1 that is a deterministic number made of
 //!   the runtime calls the program issued (allocations, faults, collectives,
@@ -168,7 +165,7 @@ fn corpus_and_example_runs_match_the_frozen_golden() {
                 continue; // `paradec run` refuses it
             }
             got.push_str(&run_line(&name, &src, 1, 1));
-            if dir == "tests/corpus/clean" && !name.ends_with("/task_dep_chain.c") {
+            if matches!(dir, "tests/corpus/clean" | "examples/openmp") {
                 got.push_str(&run_line(&name, &src, 2, 2));
             }
         }
