@@ -1,11 +1,12 @@
 //! Collective operations.
 //!
 //! ParADE only strictly needs `MPI_Bcast` and `MPI_Allreduce` (§5.3), plus
-//! barrier for the runtime; `reduce`, `gather` and `allgather` are provided
-//! for the MPI baseline versions of the benchmarks. Algorithms are the
-//! classic tree/dissemination schemes so message counts grow as
-//! `O(P log P)` — the property that makes collectives cheaper than
-//! lock-based SDSM synchronization as the node count grows.
+//! barrier for the runtime; `gather` and `allgather` are provided for the
+//! MPI baseline versions of the benchmarks. Algorithms are the classic
+//! tree/dissemination/recursive-doubling schemes, ⌈log₂ P⌉ rounds deep, so
+//! message counts grow as `O(P log P)` — the property that makes
+//! collectives cheaper than lock-based SDSM synchronization as the node
+//! count grows.
 
 use parade_net::Bytes;
 
@@ -45,10 +46,8 @@ impl ReduceOp {
 }
 
 // Phase labels inside one collective sequence number.
-const PH_BARRIER_BASE: u8 = 0; // rounds 0..15 (phase = round)
+const PH_BARRIER_BASE: u8 = 0; // rounds 0..15 (phase = round, as in allreduce)
 const PH_BCAST: u8 = 0;
-const PH_REDUCE: u8 = 1;
-const PH_ALLRED_BCAST: u8 = 2;
 const PH_GATHER: u8 = 3;
 
 impl Communicator {
@@ -85,7 +84,27 @@ impl Communicator {
         let seq = st.seq;
         st.seq += 1;
         trace::begin_arg(EventKind::MpiBcast, buf.len() as u64, clock.now());
-        self.tree_bcast(root, buf, seq, PH_BCAST, clock);
+        let size = self.size();
+        let rel = (self.rank() + size - root) % size;
+        let mut mask = 1usize;
+        while mask < size {
+            if rel & mask != 0 {
+                let src = (rel - mask + root) % size;
+                *buf = self.coll_recv(src, seq, PH_BCAST, clock);
+                trace::instant(EventKind::CollRound, mask as u64, clock.now());
+                break;
+            }
+            mask <<= 1;
+        }
+        mask >>= 1;
+        while mask > 0 {
+            if rel + mask < size {
+                let dst = (rel + mask + root) % size;
+                self.coll_send(dst, seq, PH_BCAST, buf.clone(), clock);
+                trace::instant(EventKind::CollRound, mask as u64, clock.now());
+            }
+            mask >>= 1;
+        }
         trace::end(EventKind::MpiBcast, clock.now());
     }
 
@@ -102,10 +121,13 @@ impl Communicator {
         }
     }
 
-    /// Allreduce with a user combiner: binomial reduce to rank 0 followed by
-    /// binomial broadcast (2⌈log₂ P⌉ rounds). The paper merges multiple
-    /// `reduction` clause variables into one structure and reduces them with
-    /// a user-defined operation — this is that hook.
+    /// Allreduce with a user combiner: recursive doubling, ⌈log₂ P⌉ rounds.
+    /// Entering round k (m = 2^k) a rank holds the fold of its aligned block
+    /// `[r & !(m-1), +m) ∩ [0, P)` and swaps it with the sibling block's,
+    /// folding lower block first — so every rank computes, bit for bit, the
+    /// fold a binomial reduce to rank 0 computes, for any combiner. The
+    /// paper merges multiple `reduction` clause variables into one structure
+    /// and reduces them with a user-defined operation — this is that hook.
     pub fn allreduce_with(
         &self,
         buf: &mut Vec<u8>,
@@ -115,73 +137,41 @@ impl Communicator {
         let mut st = self.coll_guard.lock();
         let seq = st.seq;
         st.seq += 1;
-        if self.size() == 1 {
+        let (size, rank) = (self.size(), self.rank());
+        if size == 1 {
             return;
         }
         trace::begin(EventKind::MpiAllreduce, clock.now());
-        self.tree_reduce(0, buf, combine, seq, clock);
-        let mut b = Bytes::copy_from_slice(buf);
-        self.tree_bcast(0, &mut b, seq, PH_ALLRED_BCAST, clock);
-        buf.clear();
-        buf.extend_from_slice(&b);
-        trace::end(EventKind::MpiAllreduce, clock.now());
-    }
-
-    /// Binomial-tree broadcast from `root`.
-    fn tree_bcast(&self, root: usize, buf: &mut Bytes, seq: u64, phase: u8, clock: &mut VClock) {
-        let size = self.size();
-        let rel = (self.rank() + size - root) % size;
-        let mut mask = 1usize;
-        while mask < size {
-            if rel & mask != 0 {
-                let src = (rel - mask + root) % size;
-                *buf = self.coll_recv(src, seq, phase, clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if rel + mask < size {
-                let dst = (rel + mask + root) % size;
-                self.coll_send(dst, seq, phase, buf.clone(), clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-            }
-            mask >>= 1;
-        }
-    }
-
-    /// Binomial-tree reduction to `root`; `combine` folds a peer's encoded
-    /// contribution into `buf`.
-    fn tree_reduce(
-        &self,
-        root: usize,
-        buf: &mut Vec<u8>,
-        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
-        seq: u64,
-        clock: &mut VClock,
-    ) {
-        let size = self.size();
-        let rel = (self.rank() + size - root) % size;
-        let mut mask = 1usize;
-        while mask < size {
-            if rel & mask == 0 {
-                let peer = rel | mask;
-                if peer < size {
-                    let src = (peer + root) % size;
-                    let contrib = self.coll_recv(src, seq, PH_REDUCE, clock);
-                    combine(buf, &contrib);
-                    trace::instant(EventKind::CollRound, mask as u64, clock.now());
+        let (mut m, mut round) = (1usize, 0u8);
+        while m < size {
+            let sibling = (rank & !(m - 1)) ^ m;
+            let partner = rank ^ m;
+            if sibling < size {
+                // A lower-block rank past `size - m` has no partner; the
+                // upper block's first rank sends it the fold instead.
+                let extra = if rank & (2 * m - 1) == m {
+                    size - m..rank
+                } else {
+                    0..0
+                };
+                let fold = Bytes::copy_from_slice(buf);
+                for dst in (partner < size).then_some(partner).into_iter().chain(extra) {
+                    self.coll_send(dst, seq, round, fold.clone(), clock);
                 }
-            } else {
-                let dst = ((rel & !mask) + root) % size;
-                self.coll_send(dst, seq, PH_REDUCE, Bytes::copy_from_slice(buf), clock);
-                trace::instant(EventKind::CollRound, mask as u64, clock.now());
-                break;
+                let src = if partner < size { partner } else { sibling };
+                let other = self.coll_recv(src, seq, round, clock);
+                if rank & m == 0 {
+                    combine(buf, &other);
+                } else {
+                    let upper = std::mem::replace(buf, other.to_vec());
+                    combine(buf, &upper);
+                }
+                trace::instant(EventKind::CollRound, round as u64, clock.now());
             }
-            mask <<= 1;
+            m <<= 1;
+            round += 1;
         }
+        trace::end(EventKind::MpiAllreduce, clock.now());
     }
 
     /// Elementwise allreduce on an `f64` slice.
@@ -317,48 +307,44 @@ mod tests {
     #[test]
     fn collectives_survive_a_lossy_fabric() {
         use parade_net::{ChaosKnobs, ChaosProfile, VTime};
-        let chaos = ChaosProfile {
-            base: ChaosKnobs {
-                drop: 0.10,
-                duplicate: 0.05,
-                reorder: 0.10,
-                delay: 0.20,
-                delay_jitter: VTime::from_micros(30),
-            },
-            ..ChaosProfile::lossy(0x5EED)
-        };
-        let fabric = Fabric::with_chaos(4, NetProfile::clan_via(), chaos);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let comm = Arc::new(Communicator::new(fabric.endpoint(i)));
-                std::thread::spawn(move || {
-                    let mut clk = VClock::manual();
-                    let mut out = Vec::new();
-                    for round in 0..10 {
-                        comm.barrier(&mut clk);
-                        let mut xs = vec![(comm.rank() + round) as f64; 4];
-                        comm.bcast_f64s(round % comm.size(), &mut xs, &mut clk);
-                        let s = comm.allreduce_f64(xs[0], ReduceOp::Sum, &mut clk);
-                        out.push(s);
-                    }
-                    out
-                })
-            })
-            .collect();
-        let results: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        // Every rank agrees, and the values match the chaos-free formula:
-        // rank (round % 4) broadcasts (root + round), summed over 4 ranks.
-        for (rank, r) in results.iter().enumerate() {
-            for (round, v) in r.iter().enumerate() {
-                let expect = 4.0 * ((round % 4) + round) as f64;
-                assert_eq!(*v, expect, "rank {rank} round {round}");
+        // 3 and 6 ranks have partnerless lower-block ranks, which the upper
+        // block's first rank serves with extra allreduce messages.
+        for n in [3, 4, 6] {
+            let chaos = ChaosProfile {
+                base: ChaosKnobs {
+                    drop: 0.10,
+                    duplicate: 0.05,
+                    reorder: 0.10,
+                    delay: 0.20,
+                    delay_jitter: VTime::from_micros(30),
+                },
+                ..ChaosProfile::lossy(0x5EED)
+            };
+            let fabric = Fabric::with_chaos(n, NetProfile::clan_via(), chaos);
+            let results = run_on(Arc::clone(&fabric), |comm, clk| {
+                let mut out = Vec::new();
+                for round in 0..10 {
+                    comm.barrier(clk);
+                    let mut xs = vec![(comm.rank() + round) as f64; 4];
+                    comm.bcast_f64s(round % comm.size(), &mut xs, clk);
+                    out.push(comm.allreduce_f64(xs[0], ReduceOp::Sum, clk));
+                }
+                out
+            });
+            // Every rank agrees, and the values match the chaos-free formula:
+            // rank (round % n) broadcasts (root + round), summed over n ranks.
+            for (rank, r) in results.iter().enumerate() {
+                for (round, v) in r.iter().enumerate() {
+                    let expect = (n * ((round % n) + round)) as f64;
+                    assert_eq!(*v, expect, "n={n} rank {rank} round {round}");
+                }
             }
+            let h = fabric.stats().link_health_totals();
+            assert!(
+                h.retransmits + h.dup_drops + h.reseq_holds > 0,
+                "a 10%-loss fabric must exercise the reliable channel (n={n}): {h:?}"
+            );
         }
-        let h = fabric.stats().link_health_totals();
-        assert!(
-            h.retransmits + h.dup_drops + h.reseq_holds > 0,
-            "a 10%-loss fabric must exercise the reliable channel: {h:?}"
-        );
     }
 
     #[test]
@@ -471,10 +457,80 @@ mod tests {
         (out, msgs)
     }
 
+    /// Messages of one allreduce: in round k (m = 2^k) every rank whose
+    /// sibling block `(r & !(m-1)) ^ m` is non-empty receives exactly one.
+    fn allreduce_msgs(p: usize) -> u64 {
+        let rounds = (0..).map(|k| 1usize << k).take_while(|&m| m < p);
+        rounds
+            .map(|m| (0..p).filter(|r| (r & !(m - 1)) ^ m < p).count() as u64)
+            .sum()
+    }
+
+    #[test]
+    fn allreduce_folds_in_binomial_order() {
+        // Neither commutative nor associative: the string records the tree.
+        let combine = |acc: &mut Vec<u8>, other: &[u8]| {
+            let s = format!(
+                "({},{})",
+                String::from_utf8_lossy(acc),
+                String::from_utf8_lossy(other)
+            );
+            *acc = s.into_bytes();
+        };
+        for p in 1..=17usize {
+            // The binomial reduce to rank 0, run sequentially.
+            let mut vals: Vec<Vec<u8>> = (0..p).map(|r| r.to_string().into_bytes()).collect();
+            let mut mask = 1;
+            while mask < p {
+                for lo in (0..p - mask).step_by(2 * mask) {
+                    let upper = vals[lo + mask].clone();
+                    combine(&mut vals[lo], &upper);
+                }
+                mask <<= 1;
+            }
+            let out = run_all(p, move |c, clk| {
+                let mut buf = c.rank().to_string().into_bytes();
+                c.allreduce_with(&mut buf, &combine, clk);
+                buf
+            });
+            for (rank, got) in out.iter().enumerate() {
+                assert_eq!(
+                    String::from_utf8_lossy(got),
+                    String::from_utf8_lossy(&vals[0]),
+                    "P={p} rank {rank}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn allreduce_is_as_deep_as_the_barrier() {
+        // ⌈log₂P⌉ rounds like the dissemination barrier, not a reduce
+        // followed by a broadcast (twice as deep).
+        for p in 2..=17usize {
+            let slowest = |ts: Vec<parade_net::VTime>| ts.into_iter().max().unwrap();
+            let barrier = slowest(run_all(p, |c, clk| {
+                c.barrier(clk);
+                clk.now()
+            }));
+            let allreduce = slowest(run_all(p, |c, clk| {
+                c.allreduce_f64(1.0, ReduceOp::Sum, clk);
+                clk.now()
+            }));
+            assert!(
+                allreduce.as_nanos() * 100 <= barrier.as_nanos() * 105,
+                "P={p}: allreduce {allreduce:?} vs barrier {barrier:?}"
+            );
+        }
+    }
+
     #[test]
     fn message_counts_and_results_equal_the_closed_forms() {
         // Powers of two and not: the dissemination barrier sends one message
-        // per rank per round, the binomial trees one per non-root rank.
+        // per rank per round, the binomial broadcast one per non-root rank,
+        // the allreduce one to each rank whose sibling block is non-empty.
+        let counts: Vec<u64> = (2..=9).map(allreduce_msgs).collect();
+        assert_eq!(counts, [2, 5, 8, 13, 16, 20, 24, 33]);
         for p in 2..=9usize {
             let rounds = p.next_power_of_two().trailing_zeros() as u64;
             let p64 = p as u64;
@@ -505,7 +561,7 @@ mod tests {
                 c.allreduce_f64(mine(c.rank()), ReduceOp::Sum, clk)
                     .to_bits()
             });
-            assert_eq!(msgs, 2 * (p64 - 1), "allreduce, P={p}");
+            assert_eq!(msgs, allreduce_msgs(p), "allreduce, P={p}");
             let seq = (1..p).fold(mine(0), |acc, r| ReduceOp::Sum.fold_f64(acc, mine(r)));
             assert!(
                 out.iter().all(|&bits| bits == seq.to_bits()),
@@ -519,7 +575,7 @@ mod tests {
                     c.allreduce_i64(r * r, ReduceOp::Max, clk),
                 )
             });
-            assert_eq!(msgs, 4 * (p64 - 1), "two allreduces, P={p}");
+            assert_eq!(msgs, 2 * allreduce_msgs(p), "two allreduces, P={p}");
             let top = p as i64 - 1;
             assert!(
                 out.iter().all(|&mm| mm == (7 - 3 * top, top * top)),

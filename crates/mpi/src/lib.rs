@@ -8,8 +8,9 @@
 //!
 //! * typed point-to-point send/receive with tag matching,
 //! * `barrier` (dissemination), `bcast` (binomial tree),
-//! * `allreduce`/`reduce` (binomial reduce + broadcast) with built-in and
-//!   user-defined combiners, `gather`/`allgather`,
+//! * `allreduce` (recursive doubling, ⌈log₂P⌉ rounds, folding in the
+//!   binomial tree's order) with built-in and user-defined combiners,
+//!   `gather`/`allgather`,
 //! * little-endian wire-format helpers shared with the SDSM protocol.
 
 mod collective;

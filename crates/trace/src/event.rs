@@ -45,7 +45,7 @@ pub enum EventKind {
     MpiBcast,
     /// Binomial-tree reduction to root (span).
     MpiReduce,
-    /// Reduce + broadcast allreduce (span).
+    /// Recursive-doubling allreduce, ⌈log₂P⌉ rounds (span).
     MpiAllreduce,
     /// Gather to root (span; arg = bytes contributed).
     MpiGather,

@@ -158,8 +158,8 @@ fn dsm_barrier_steady_vtime_ns(nodes: usize) -> u64 {
 /// every receive is matched by (source, tag), so arrival order cannot
 /// leak in. Closed forms on `clan_via` (1 500 ns send CPU + 7 500 ns
 /// latency + 9 ns/byte): a barrier is ⌈log₂P⌉ rounds of one empty
-/// message, 9 000 × ⌈log₂P⌉; an 8-byte allreduce is ⌈log₂P⌉ hops up the
-/// tree and as many down, 2 × 9 072 × ⌈log₂P⌉. Successive broadcasts
+/// message, 9 000 × ⌈log₂P⌉; an 8-byte allreduce is ⌈log₂P⌉ rounds of
+/// recursive doubling, 9 072 × ⌈log₂P⌉. Successive broadcasts
 /// overlap (the root does not wait for the leaves), so the `bcast` rows
 /// are an amortised per-operation cost.
 fn mpi_coll_vtime_ns(ranks: usize, op: &'static str) -> u64 {
