@@ -491,21 +491,23 @@ fn a_barrier_naming_a_page_or_node_out_of_range_is_a_bad_frame() {
     };
     // A reader-only page past the extent (the protocol table would grow
     // to it), a reader node past the cluster (a push target), a member
-    // past the cluster (a departure target), and the root's own arrival.
+    // past the cluster (a departure target), and the root's own arrival:
+    // each refused by the decoder, which takes the receiver's extent and
+    // node count.
     assert_eq!(
         said(1, up(vec![(1, 9)], vec![(40, 1)])),
         "node 0: bad dsm frame from node 1 on tag 0x0: \
-         barrier names page 40 past the page table's extent of 16 pages"
+         pages 40..41 reach past the page table's extent of 16 pages"
     );
     assert_eq!(
         said(1, up(vec![(1, 9)], vec![(2, 7)])),
         "node 0: bad dsm frame from node 1 on tag 0x0: \
-         barrier names node 7 of a 2-node cluster"
+         frame names node 7 of a 2-node cluster"
     );
     assert_eq!(
         said(1, up(vec![(5, 9)], vec![])),
         "node 0: bad dsm frame from node 1 on tag 0x0: \
-         barrier names node 5 of a 2-node cluster"
+         frame names node 5 of a 2-node cluster"
     );
     let arrive = DsmMsg::BarrierArrive {
         seq: 0,
@@ -517,7 +519,7 @@ fn a_barrier_naming_a_page_or_node_out_of_range_is_a_bad_frame() {
     assert_eq!(
         said(0, arrive),
         "node 0: bad dsm frame from node 0 on tag 0x0: \
-         barrier names page 16 past the page table's extent of 16 pages"
+         pages 16..17 reach past the page table's extent of 16 pages"
     );
 }
 

@@ -311,7 +311,10 @@ impl Dsm {
     }
 
     fn decode_reply(&self, pkt: &Packet) -> DsmReply {
-        self.expect_frame(pkt, DsmReply::try_decode(&pkt.payload))
+        self.expect_frame(
+            pkt,
+            DsmReply::try_decode(&pkt.payload, self.pages.extent(), self.nnodes),
+        )
     }
 
     // ---- allocation ------------------------------------------------------

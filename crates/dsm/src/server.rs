@@ -156,7 +156,10 @@ impl Dsm {
 
     /// Handle one protocol request (exposed for deterministic tests).
     pub fn handle_packet(&self, pkt: Packet, srv: &mut CommServer) {
-        let msg = self.expect_frame(&pkt, DsmMsg::try_decode(&pkt.payload));
+        let msg = self.expect_frame(
+            &pkt,
+            DsmMsg::try_decode(&pkt.payload, self.pages.extent(), self.nnodes()),
+        );
         if matches!(msg, DsmMsg::Nudge) {
             // Local bookkeeping wake-up, not a serviced request.
             self.retry_deferred(srv);
@@ -167,7 +170,6 @@ impl Dsm {
             // cost is charged in one sorted burst when the subtree
             // completes, so the barrier's virtual time does not depend on
             // the racy real-time order the packets were pulled in.
-            let msg = self.expect_frame(&pkt, self.check_barrier_ids(msg));
             self.tree_barrier_step(msg, pkt.arrive_at, srv);
             return;
         }
@@ -442,46 +444,6 @@ impl Dsm {
         }
     }
 
-    /// A barrier contribution names only pages of this node's table and
-    /// nodes of the cluster. Anything else is a corrupt frame, refused
-    /// before it reaches the protocol table (which grows to the highest
-    /// page it is told of) or a push or departure target list.
-    fn check_barrier_ids(&self, msg: DsmMsg) -> Result<DsmMsg, String> {
-        let (nnodes, extent) = (self.nnodes(), self.pages.extent());
-        match &msg {
-            DsmMsg::BarrierArrive {
-                node,
-                notices,
-                reads,
-                ..
-            } => check_ids(
-                [*node],
-                notices.iter().chain(reads).copied(),
-                nnodes,
-                extent,
-            ),
-            DsmMsg::BarrierUp {
-                members,
-                writers,
-                readers,
-                ..
-            } => {
-                let pairs = || writers.iter().chain(readers);
-                check_ids(
-                    members
-                        .iter()
-                        .map(|&(n, _)| n)
-                        .chain(pairs().map(|&(_, n)| n)),
-                    pairs().map(|&(p, _)| p),
-                    nnodes,
-                    extent,
-                )
-            }
-            _ => unreachable!("not a tree barrier message"),
-        }?;
-        Ok(msg)
-    }
-
     /// One contribution to this node's subtree of the hierarchical barrier:
     /// the local application thread's arrival, or a child communication
     /// thread's aggregated `BarrierUp`. When the subtree completes, either
@@ -693,24 +655,6 @@ pub fn spawn_comm_thread(dsm: Arc<Dsm>) -> Joiner<VTime> {
         }
         srv.clock.now()
     })
-}
-
-/// The first node id `>= nnodes` or page id `>= extent`, as an error.
-fn check_ids(
-    nodes: impl IntoIterator<Item = usize>,
-    pages: impl IntoIterator<Item = PageId>,
-    nnodes: usize,
-    extent: usize,
-) -> Result<(), String> {
-    if let Some(n) = nodes.into_iter().find(|&n| n >= nnodes) {
-        return Err(format!("barrier names node {n} of a {nnodes}-node cluster"));
-    }
-    match pages.into_iter().find(|&p| p >= extent) {
-        Some(p) => Err(format!(
-            "barrier names page {p} past the page table's extent of {extent} pages"
-        )),
-        None => Ok(()),
-    }
 }
 
 fn make_grant(ls: &LockState, last_seen: u64) -> DsmReply {

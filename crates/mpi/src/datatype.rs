@@ -159,6 +159,21 @@ pub enum DecodeError {
     BadKind(u8),
     /// Bytes left over after a complete frame.
     Trailing(usize),
+    /// A run of ids `first..first + len` reaches past the receiver's table
+    /// of `extent` entries (the DSM's page runs, checked against its page
+    /// table before the run is expanded).
+    RunExtent { first: u64, len: u32, extent: usize },
+    /// A run that names nothing: no id, or no node.
+    EmptyRun { first: u64 },
+    /// A run that starts before the previous run's end (overlap or descent).
+    RunOrder { first: u64, prev_end: u64 },
+    /// A run that continues the previous one with the same attributes: a
+    /// canonical frame holds the two as one.
+    RunSplit { first: u64 },
+    /// A node id at or past the receiver's node count.
+    NodeRange { node: u32, nnodes: usize },
+    /// A node list that is not strictly ascending.
+    NodeOrder { node: u32, after: u32 },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -172,6 +187,26 @@ impl std::fmt::Display for DecodeError {
             }
             DecodeError::BadKind(k) => write!(f, "unknown message kind byte {k:#04x}"),
             DecodeError::Trailing(n) => write!(f, "{n} trailing bytes after the frame"),
+            DecodeError::RunExtent { first, len, extent } => write!(
+                f,
+                "pages {first}..{} reach past the page table's extent of {extent} pages",
+                *first as u128 + *len as u128
+            ),
+            DecodeError::EmptyRun { first } => write!(f, "empty run at page {first}"),
+            DecodeError::RunOrder { first, prev_end } => write!(
+                f,
+                "run at page {first} starts before the previous run's end {prev_end}"
+            ),
+            DecodeError::RunSplit { first } => write!(
+                f,
+                "run at page {first} continues the previous run with the same attributes"
+            ),
+            DecodeError::NodeRange { node, nnodes } => {
+                write!(f, "frame names node {node} of a {nnodes}-node cluster")
+            }
+            DecodeError::NodeOrder { node, after } => {
+                write!(f, "node list not strictly ascending: {node} after {after}")
+            }
         }
     }
 }
