@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Which cells of a paper figure does this checkout move against
+# <parent-rev>? The figures half of the perf-claims rule (ROADMAP, "A rule
+# for perf claims"): a `sim_s` claim on a DSM or MPI workload lists the
+# `figures` cells it moves, parent against change.
+#
+#   scripts/figures_pairs.sh <parent-rev> <figure> [figures args...]
+#   scripts/figures_pairs.sh HEAD fig10
+#   scripts/figures_pairs.sh HEAD fig8 --quick
+#
+# The parent is `git archive`d into a temp dir (FIGURES_PAIRS_TMP, default
+# /tmp); the `figures` binary of each side is built once (release), the
+# figure runs once on each, and every table cell prints as one line of a
+# markdown table: table, row, column, parent, change, change in percent
+# (a cell without a number on both sides prints its two texts when they
+# differ, nothing when they agree). Needs python3; not tier-1.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage="usage: scripts/figures_pairs.sh <parent-rev> <figure> [figures args...]"
+rev="${1:?$usage}"
+figure="${2:?$usage}"
+shift 2
+
+tmp="$(mktemp -d "${FIGURES_PAIRS_TMP:-/tmp}/figures_pairs.XXXXXX")"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git archive "$rev" | tar -x -C "$tmp/parent"
+
+for side in "$tmp/parent" "$PWD"; do
+  (cd "$side" && cargo build -q --release --offline -p parade-kernels --bin figures)
+done
+"$tmp/parent/target/release/figures" "$figure" "$@" > "$tmp/parent.md"
+target/release/figures "$figure" "$@" > "$tmp/change.md"
+
+python3 - "$tmp/parent.md" "$tmp/change.md" <<'EOF'
+import re, sys
+
+def tables(path):
+    """Each `### title` table as (title, headers, rows of cells)."""
+    out, title, rows = [], None, []
+    for line in open(path):
+        line = line.rstrip("\n")
+        if line.startswith("### "):
+            title, rows = line[4:], []
+            out.append((title, rows))
+        elif line.startswith("|") and not set(line) <= set("|- "):
+            rows.append([c.strip() for c in line.strip("|").split("|")])
+    return [(t, r[0], r[1:]) for t, r in out if r]
+
+number = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+parent, change = tables(sys.argv[1]), tables(sys.argv[2])
+if [(t, h) for t, h, _ in parent] != [(t, h) for t, h, _ in change]:
+    sys.exit("the two sides print different tables; compare them by hand")
+print("| table | row | column | parent | change | Δ |")
+print("|---|---|---|---|---|---|")
+for (title, headers, prows), (_, _, crows) in zip(parent, change):
+    short = title.split(":")[0]
+    for prow, crow in zip(prows, crows):
+        for col, p, c in list(zip(headers, prow, crow))[1:]:
+            pn, cn = number.search(p), number.search(c)
+            if pn and cn:
+                a, b = float(pn.group()), float(cn.group())
+                delta = f"{(b - a) / a * 100:+.1f} %" if a else "—"
+                print(f"| {short} | {prow[0]} | {col} | {p} | {c} | {delta} |")
+            elif p != c:
+                print(f"| {short} | {prow[0]} | {col} | {p} | {c} | — |")
+EOF
