@@ -2,7 +2,7 @@
 //! the cluster-level knobs, and the embedded per-node DSM configuration,
 //! with one validation point.
 
-use parade_dsm::{CommCosts, DsmConfig, HomePolicy, PAGE_SIZE};
+use parade_dsm::{CommCosts, DsmConfig, HomePolicy, ProtoSelect, PAGE_SIZE};
 use parade_net::{ChaosProfile, NetProfile, TimeSource};
 use parade_tasks::SchedConfig;
 
@@ -69,7 +69,8 @@ pub enum ProtocolMode {
     /// for the rest.
     Parade,
     /// Conventional SDSM (the KDSM-style baseline of §6.1): lock-based
-    /// synchronization, fixed homes, no message-passing shortcut.
+    /// synchronization, the invalidate protocol on fixed homes, no
+    /// message-passing shortcut.
     SdsmOnly,
 }
 
@@ -114,10 +115,11 @@ pub struct ClusterConfig {
     /// Task scheduler knobs (steal strategy, victim-selection seed) for
     /// `parade-tasks` phases.
     pub task_scheduler: SchedConfig,
-    /// Per-node DSM knobs, passed through to every node except for the two
+    /// Per-node DSM knobs, passed through to every node except for those
     /// the cluster level decides (see [`ClusterConfig::dsm_config`]):
-    /// `comm` always comes from `exec`, and `home_policy` is the ParADE
-    /// protocol's policy — `SdsmOnly` is the fixed-home baseline.
+    /// `comm` always comes from `exec`, and `home_policy` and
+    /// `proto_select` are the ParADE protocol's — `SdsmOnly` is the
+    /// fixed-home invalidate baseline.
     pub dsm: DsmConfig,
 }
 
@@ -148,15 +150,20 @@ impl ClusterConfig {
 
     /// The per-node DSM configuration this cluster config implies: `dsm`
     /// with the communication-thread costs of `exec` (§6.2) and, for the
-    /// `SdsmOnly` baseline, fixed homes (§6.1).
+    /// `SdsmOnly` baseline, the paper's invalidate protocol on fixed homes
+    /// (§6.1).
     pub fn dsm_config(&self) -> DsmConfig {
-        DsmConfig {
+        let dsm = DsmConfig {
             comm: self.exec.comm_costs(),
-            home_policy: match self.protocol {
-                ProtocolMode::Parade => self.dsm.home_policy,
-                ProtocolMode::SdsmOnly => HomePolicy::Fixed,
-            },
             ..self.dsm
+        };
+        match self.protocol {
+            ProtocolMode::Parade => dsm,
+            ProtocolMode::SdsmOnly => DsmConfig {
+                home_policy: HomePolicy::Fixed,
+                proto_select: ProtoSelect::Invalidate,
+                ..dsm
+            },
         }
     }
 
@@ -211,18 +218,20 @@ mod tests {
         c.dsm.home_policy = HomePolicy::Fixed;
         assert_eq!(c.dsm_config().home_policy, HomePolicy::Fixed);
         c.dsm.home_policy = HomePolicy::Migratory;
+        assert_eq!(c.dsm_config().proto_select, ProtoSelect::Update);
+        // The SDSM baseline runs the paper's invalidate protocol on fixed
+        // homes, whatever the embedded config asks for.
         c.protocol = ProtocolMode::SdsmOnly;
         assert_eq!(c.dsm_config().home_policy, HomePolicy::Fixed);
+        assert_eq!(c.dsm_config().proto_select, ProtoSelect::Invalidate);
         for exec in ExecConfig::PAPER_CONFIGS {
             c.exec = exec;
             assert_eq!(c.dsm_config().comm, exec.comm_costs());
         }
-        // Everything else passes through untouched.
-        c.dsm.proto_select = parade_dsm::ProtoSelect::AllUpdate;
-        assert_eq!(
-            c.dsm_config().proto_select,
-            parade_dsm::ProtoSelect::AllUpdate
-        );
+        // Under ParADE everything else passes through untouched.
+        c.protocol = ProtocolMode::Parade;
+        c.dsm.proto_select = ProtoSelect::Invalidate;
+        assert_eq!(c.dsm_config().proto_select, ProtoSelect::Invalidate);
     }
 
     #[test]

@@ -71,32 +71,25 @@ impl UpdateStrategy {
 /// departure prescribes for a written page's cached copies.
 ///
 /// The paper fixes the update/invalidate split at a 256 B size threshold
-/// (the translator's `DEFAULT_SMALL_THRESHOLD`). `Adaptive` makes that split dynamic per page: the
-/// barrier root tracks each page's writer/reader history in virtual time
-/// and flips pages between the invalidate protocol (HLRC write notices)
-/// and an update protocol (the home broadcasts the merged page to its
-/// sharer set, which parks on `BLOCKED` instead of refaulting). Decisions
-/// depend only on that history, never on real-time schedules, so results
-/// stay bit-identical across modes — the update push and the invalidate
-/// refetch install the same merged bytes.
+/// (the translator's `DEFAULT_SMALL_THRESHOLD`). `Update` makes that split
+/// dynamic per page: the barrier root tracks each page's reader history in
+/// virtual time and flips pages between the invalidate protocol (HLRC
+/// write notices) and an update protocol (the home broadcasts the merged
+/// page to its sharer set, which parks on `BLOCKED` instead of
+/// refaulting). Decisions depend only on that history, never on real-time
+/// schedules, so results stay bit-identical across modes — the update push
+/// and the invalidate refetch install the same merged bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoSelect {
-    /// History-driven per-page flipping (the hot-path default): a written
-    /// page with ≥ 2 observed sharers besides its home goes update, with
-    /// one writer or several, unless the interval moves its home; the 4th
-    /// update decision in a row is a probation invalidate that re-measures
-    /// the sharer set, so pages whose readership evaporates fall back. A
-    /// probation that finds the same sharers doubles the page's period
-    /// (4, 8, 16, … updates); other sharers or an invalidate reset it to 4
-    /// (`adapt.rs::PROBATION`).
-    Adaptive,
-    /// Every written page invalidates its cached copies (classic HLRC —
-    /// the exact pre-adaptive behaviour, kept as a measurable baseline).
-    AllInvalidate,
-    /// Every written page is pushed to its ever-growing sharer set (pure
-    /// update protocol — degrades on migratory workloads, kept as the
-    /// other measurable baseline).
-    AllUpdate,
+    /// The sharer-threshold rule (the default): a written page with
+    /// ≥ [`MIN_SHARERS`](crate::MIN_SHARERS) observed sharers besides its
+    /// home is pushed to them, with one writer or several. An interval
+    /// that moves the page's home, or a page below the threshold,
+    /// invalidates and clears the sharer set.
+    Update,
+    /// Every written page invalidates its cached copies: the paper's HLRC,
+    /// kept as the measurable baseline and run by the `SdsmOnly` cluster.
+    Invalidate,
 }
 
 /// Cost model of the per-node communication thread.
@@ -172,7 +165,7 @@ impl Default for DsmConfig {
             home_policy: HomePolicy::Migratory,
             update_strategy: UpdateStrategy::MmapFile,
             comm: CommCosts::dedicated_cpu(),
-            proto_select: ProtoSelect::Adaptive,
+            proto_select: ProtoSelect::Update,
         }
     }
 }

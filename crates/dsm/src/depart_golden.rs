@@ -9,10 +9,12 @@
 //! went dense (hashed writer/reader maps in the tree barrier, tree maps in
 //! the protocol table), so it pins the wire: whatever the in-memory shape
 //! of the merge, the decoded payloads do not move, and the bytes move only
-//! with a codec change. Two entries were re-pinned since, when `Adaptive`
-//! stopped requiring a single writer for an update: page 3 in departure 1
-//! and page 7 in departure 4 now carry the update flag and their two
-//! sharers. The hex column moved once, with the decoded column unchanged,
+//! with a codec change. Two entries were re-pinned since, when the update
+//! rule stopped requiring a single writer: page 3 in departure 1 and page
+//! 7 in departure 4 now carry the update flag and their two sharers. Page
+//! 10's entries in departures 5 and 6 were re-pinned when the rule lost
+//! its periodic probation invalidate: both now push to the unchanged
+//! sharers 1, 2 and 3. The hex column moved once, with the decoded column unchanged,
 //! when page lists started to travel as runs of consecutive pages (see the
 //! `msg` module doc): this history's scattered pages make most runs one
 //! page long, so its payloads grew from 1 916 to 2 088 bytes.
@@ -49,10 +51,9 @@ type Arrival = (&'static [PageId], &'static [PageId]);
 /// * 3, 4 — the update streak continues; page 7 contested again by nodes
 ///   2 and 3, and its home, node 3, keeps it; in 4 it has readers 0 and
 ///   1 and updates;
-/// * 5 — the fourth update decision: probation invalidate, sharers
-///   re-measured from this interval's readers;
-/// * 6 — nodes 1 and 2 re-fault page 10 after the probation: it flips back
-///   to update;
+/// * 5, 6 — nodes 1 and 2 read page 10 again: it stays on update, pushed
+///   to all three sharers (node 3 stopped reading, but a pushed reader
+///   never re-faults, so the root cannot tell);
 /// * 7 — an empty barrier.
 const HISTORY: [([usize; NODES], [Arrival; NODES]); 8] = [
     (
@@ -243,7 +244,7 @@ fn barrier_up_and_depart_payloads_match_the_frozen_golden() {
     let home = |p: PageId| dsms[0].home_of(p);
     assert_eq!((home(3), home(5), home(7), home(10)), (1, 2, 3, 0));
     assert_eq!((home(63), home(64), home(65), home(127)), (0, 0, 2, 1));
-    // Page 10: update flip (2), probation demotion (5), flip back (6);
-    // the multi-writer updates of page 3 (1) and page 7 (4).
-    assert_eq!(dsms[0].stats.snapshot().proto_flips, 5);
+    // Page 10's update flip (2); the multi-writer updates of page 3 (1)
+    // and page 7 (4).
+    assert_eq!(dsms[0].stats.snapshot().proto_flips, 3);
 }

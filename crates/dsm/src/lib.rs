@@ -32,7 +32,7 @@ mod smalldata;
 mod stats;
 mod store;
 
-pub use adapt::{ProtoDecision, ProtocolTable, MIN_SHARERS, PROBATION};
+pub use adapt::{ProtoDecision, ProtocolTable, MIN_SHARERS};
 pub use bufpool::PageBuf;
 pub use config::{CommCosts, DsmConfig, HomePolicy, ProtoSelect, UpdateStrategy};
 pub use diff::{Diff, DiffError, DiffRun};

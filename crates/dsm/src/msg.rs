@@ -841,8 +841,7 @@ mod tests {
     }
 
     /// The receiving node's page-table extent and node count the samples
-    /// are decoded against: just room for the long run below, so that a
-    /// mutated length rarely decodes, and never to more than 4 100 pages.
+    /// are decoded against.
     const EXTENT: usize = 4100;
     const NNODES: usize = 4;
 
@@ -894,15 +893,22 @@ mod tests {
         assert_eq!(decode_reply(&[0xEE]), Err(DecodeError::BadKind(0xEE)));
     }
 
-    /// The codec contract over frames that expand to 4 096 pages: every
-    /// mutated length or first page decodes to at most `EXTENT` pages.
+    /// The codec contract over frames that expand to one long run, decoded
+    /// against an extent that ends where the run does: a mutated length or
+    /// first page rarely decodes, and never to more than the run's end.
     /// Apart from the samples above, as each mutated `seq` re-expands the
     /// whole run.
     #[test]
-    fn a_4096_page_run_keeps_the_codec_contract() {
-        let (arrive, up, depart) = one_run(4096);
-        assert_codec(&[arrive, up], DsmMsg::encode, decode_msg);
-        assert_codec(&[depart], DsmReply::encode, decode_reply);
+    fn a_long_run_keeps_the_codec_contract() {
+        const PAGES: usize = 256;
+        let extent = 4 + PAGES;
+        let (arrive, up, depart) = one_run(PAGES);
+        assert_codec(&[arrive, up], DsmMsg::encode, |b| {
+            DsmMsg::try_decode(b, extent, NNODES)
+        });
+        assert_codec(&[depart], DsmReply::encode, |b| {
+            DsmReply::try_decode(b, extent, NNODES)
+        });
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use parade_cluster::{ClusterConfig, ExecConfig, ProtocolMode};
 use parade_core::{Cluster, NetProfile, TimeSource};
-use parade_dsm::{DsmConfig, HomePolicy, UpdateStrategy, PAGE_SIZE};
+use parade_dsm::{DsmConfig, HomePolicy, ProtoSelect, UpdateStrategy, MIN_SHARERS, PAGE_SIZE};
 
 use crate::cg::{cg_mpi, cg_parade, CgClass};
 use crate::cost;
@@ -21,6 +21,28 @@ use crate::syncbench::{measure, Directive};
 /// The figures' configurations are literals: an invalid one is a bug here.
 fn cluster(cfg: ClusterConfig) -> Cluster {
     Cluster::from_config(cfg).expect("figure cluster config")
+}
+
+/// What each named column ran, read off its configuration: the rule for
+/// written pages and the home policy, e.g. `ParADE: update at ≥ 2
+/// sharers, migratory homes`. Every table heading ends with it.
+fn ran(columns: &[(&str, &ClusterConfig)]) -> String {
+    let described: Vec<String> = columns
+        .iter()
+        .map(|(name, cfg)| {
+            let d = cfg.dsm_config();
+            let rule = match d.proto_select {
+                ProtoSelect::Update => format!("update at ≥ {MIN_SHARERS} sharers"),
+                ProtoSelect::Invalidate => "invalidate".to_string(),
+            };
+            let homes = match d.home_policy {
+                HomePolicy::Migratory => "migratory",
+                HomePolicy::Fixed => "fixed",
+            };
+            format!("{name}: {rule}, {homes} homes")
+        })
+        .collect();
+    described.join("; ")
 }
 
 /// A printable result table.
@@ -159,8 +181,14 @@ impl FigureOpts {
 
 fn sync_figure(opts: &FigureOpts, directive: Directive, title: &str) -> Table {
     let reps = if opts.quick { 30 } else { 100 };
+    let protocols = ran(&[
+        ("ParADE", &opts.sync_cfg(1, ProtocolMode::Parade)),
+        ("SDSM", &opts.sync_cfg(1, ProtocolMode::SdsmOnly)),
+    ]);
     let mut t = Table::new(
-        format!("{title} — overhead (µs/op), ParADE vs conventional SDSM (KDSM-style)"),
+        format!(
+            "{title} — overhead (µs/op), ParADE vs conventional SDSM (KDSM-style) — {protocols}"
+        ),
         &["nodes", "ParADE (us)", "SDSM (us)", "SDSM/ParADE"],
     );
     for &n in &opts.nodes {
@@ -199,8 +227,9 @@ where
     for e in ExecConfig::PAPER_CONFIGS {
         headers.push(format!("{} (s)", e.label()));
     }
+    let parade = opts.base_cfg(1, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
     let mut t = Table {
-        title: title.to_string(),
+        title: format!("{title} — {}", ran(&[("ParADE", &parade)])),
         headers,
         rows: Vec::new(),
     };
@@ -313,21 +342,27 @@ pub fn fig11(opts: &FigureOpts) -> Table {
 /// §5.1: the four atomic-page-update strategies on a fetch-heavy workload.
 pub fn update_methods(opts: &FigureOpts) -> Table {
     let pages = if opts.quick { 64 } else { 256 };
+    let base = ClusterConfig {
+        nodes: 2,
+        exec: ExecConfig::OneThreadTwoCpu,
+        net: NetProfile::clan_via(),
+        time: TimeSource::Manual,
+        ..ClusterConfig::default()
+    };
     let mut t = Table::new(
-        "Section 5.1: atomic page update methods (fetch-heavy microworkload)",
+        format!(
+            "Section 5.1: atomic page update methods (fetch-heavy microworkload) — {}",
+            ran(&[("ParADE", &base)])
+        ),
         &["strategy", "exec (ms)", "per-update overhead (us)"],
     );
     for strat in UpdateStrategy::ALL_SAFE {
         let cfg = ClusterConfig {
-            nodes: 2,
-            exec: ExecConfig::OneThreadTwoCpu,
-            net: NetProfile::clan_via(),
-            time: TimeSource::Manual,
             dsm: DsmConfig {
                 update_strategy: strat,
                 ..DsmConfig::default()
             },
-            ..ClusterConfig::default()
+            ..base.clone()
         };
         let cluster = cluster(cfg);
         let (_, report) = cluster.run_with_report(move |g| {
@@ -366,10 +401,19 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
     } else {
         opts.cg_class()
     };
+    let cfg = |n, home_policy| {
+        let mut c = opts.base_cfg(n, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
+        c.dsm.home_policy = home_policy;
+        c
+    };
     let mut t = Table::new(
         format!(
-            "Ablation: migratory vs fixed home, NAS CG class {}",
-            class.label()
+            "Ablation: migratory vs fixed home, NAS CG class {} — {}",
+            class.label(),
+            ran(&[
+                ("migratory", &cfg(1, HomePolicy::Migratory)),
+                ("fixed", &cfg(1, HomePolicy::Fixed)),
+            ])
         ),
         &[
             "nodes",
@@ -382,12 +426,9 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
         ],
     );
     for &n in opts.nodes.iter().filter(|&&n| n > 1) {
-        let mut cfg = opts.base_cfg(n, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
-        cfg.dsm.home_policy = HomePolicy::Migratory;
-        let (r1, rep1) = cg_parade(&cluster(cfg.clone()), class);
+        let (r1, rep1) = cg_parade(&cluster(cfg(n, HomePolicy::Migratory)), class);
         assert!(r1.verify(class));
-        cfg.dsm.home_policy = HomePolicy::Fixed;
-        let (r2, rep2) = cg_parade(&cluster(cfg), class);
+        let (r2, rep2) = cg_parade(&cluster(cfg(n, HomePolicy::Fixed)), class);
         assert!(r2.verify(class));
         let (d1, d2) = (rep1.cluster.dsm_totals(), rep2.cluster.dsm_totals());
         t.row(vec![
@@ -407,7 +448,10 @@ pub fn ablation_home(opts: &FigureOpts) -> Table {
 pub fn ablation_fabric(opts: &FigureOpts) -> Table {
     let reps = if opts.quick { 30 } else { 100 };
     let mut t = Table::new(
-        "Ablation: cLAN VIA vs Fast Ethernet TCP (critical directive, ParADE)",
+        format!(
+            "Ablation: cLAN VIA vs Fast Ethernet TCP (critical directive) — {}",
+            ran(&[("ParADE", &opts.sync_cfg(1, ProtocolMode::Parade))])
+        ),
         &["nodes", "VIA (us)", "TCP (us)"],
     );
     for &n in &opts.nodes {
@@ -439,8 +483,16 @@ pub fn ablation_fabric(opts: &FigureOpts) -> Table {
 /// EXPERIMENTS.md).
 pub fn ablation_schedules(opts: &FigureOpts) -> Table {
     let n_iters = if opts.quick { 2_000 } else { 20_000 };
+    let base = ClusterConfig {
+        exec: ExecConfig::TwoThreadTwoCpu,
+        net: NetProfile::clan_via(),
+        ..ClusterConfig::default()
+    };
     let mut t = Table::new(
-        "Ablation: loop scheduling on an imbalanced loop (virtual ms)",
+        format!(
+            "Ablation: loop scheduling on an imbalanced loop (virtual ms) — {}",
+            ran(&[("ParADE", &base)])
+        ),
         &["nodes", "static (ms)", "dynamic (ms)", "guided (ms)"],
     );
     for &n in &opts.nodes {
@@ -448,9 +500,7 @@ pub fn ablation_schedules(opts: &FigureOpts) -> Table {
         for sched in ["static", "dynamic", "guided"] {
             let cfg = ClusterConfig {
                 nodes: n,
-                exec: ExecConfig::TwoThreadTwoCpu,
-                net: NetProfile::clan_via(),
-                ..ClusterConfig::default()
+                ..base.clone()
             };
             let sched = sched.to_string();
             let (_, report) = cluster(cfg).run_with_report(move |g| {

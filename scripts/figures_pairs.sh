@@ -7,19 +7,23 @@
 #   scripts/figures_pairs.sh <parent-rev> <figure> [figures args...]
 #   scripts/figures_pairs.sh HEAD fig10
 #   scripts/figures_pairs.sh HEAD fig8 --quick
+#   scripts/figures_pairs.sh HEAD "fig7 fig8 fig10 fig11 home"   # one build
 #
 # The parent is `git archive`d into a temp dir (FIGURES_PAIRS_TMP, default
-# /tmp); the `figures` binary of each side is built once (release), the
+# /tmp); the `figures` binary of each side is built once (release), each
 # figure runs once on each, and every table cell prints as one line of a
 # markdown table: table, row, column, parent, change, change in percent
 # (a cell without a number on both sides prints its two texts when they
-# differ, nothing when they agree). Needs python3; not tier-1.
+# differ, nothing when they agree). Tables are matched by the heading's
+# name before its first colon ("Figure 8"), so a reworded heading still
+# compares; a heading whose text differs is printed as a row of its own.
+# Needs python3; not tier-1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/figures_pairs.sh <parent-rev> <figure> [figures args...]"
+usage="usage: scripts/figures_pairs.sh <parent-rev> <figure...> [figures args...]"
 rev="${1:?$usage}"
-figure="${2:?$usage}"
+figures="${2:?$usage}"
 shift 2
 
 tmp="$(mktemp -d "${FIGURES_PAIRS_TMP:-/tmp}/figures_pairs.XXXXXX")"
@@ -30,8 +34,10 @@ git archive "$rev" | tar -x -C "$tmp/parent"
 for side in "$tmp/parent" "$PWD"; do
   (cd "$side" && cargo build -q --release --offline -p parade-kernels --bin figures)
 done
-"$tmp/parent/target/release/figures" "$figure" "$@" > "$tmp/parent.md"
-target/release/figures "$figure" "$@" > "$tmp/change.md"
+for figure in $figures; do
+  "$tmp/parent/target/release/figures" "$figure" "$@" >> "$tmp/parent.md"
+  target/release/figures "$figure" "$@" >> "$tmp/change.md"
+done
 
 python3 - "$tmp/parent.md" "$tmp/change.md" <<'EOF'
 import re, sys
@@ -49,20 +55,22 @@ def tables(path):
     return [(t, r[0], r[1:]) for t, r in out if r]
 
 number = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+short = lambda title: title.split(":")[0]
 parent, change = tables(sys.argv[1]), tables(sys.argv[2])
-if [(t, h) for t, h, _ in parent] != [(t, h) for t, h, _ in change]:
+if [(short(t), h) for t, h, _ in parent] != [(short(t), h) for t, h, _ in change]:
     sys.exit("the two sides print different tables; compare them by hand")
 print("| table | row | column | parent | change | Δ |")
 print("|---|---|---|---|---|---|")
-for (title, headers, prows), (_, _, crows) in zip(parent, change):
-    short = title.split(":")[0]
+for (title, headers, prows), (ctitle, _, crows) in zip(parent, change):
+    if title != ctitle:
+        print(f"| {short(title)} | heading | | {title} | {ctitle} | — |")
     for prow, crow in zip(prows, crows):
         for col, p, c in list(zip(headers, prow, crow))[1:]:
             pn, cn = number.search(p), number.search(c)
             if pn and cn:
                 a, b = float(pn.group()), float(cn.group())
                 delta = f"{(b - a) / a * 100:+.1f} %" if a else "—"
-                print(f"| {short} | {prow[0]} | {col} | {p} | {c} | {delta} |")
+                print(f"| {short(title)} | {prow[0]} | {col} | {p} | {c} | {delta} |")
             elif p != c:
-                print(f"| {short} | {prow[0]} | {col} | {p} | {c} | — |")
+                print(f"| {short(title)} | {prow[0]} | {col} | {p} | {c} | — |")
 EOF

@@ -293,10 +293,9 @@ fn cg_class_s_is_bit_identical_under_lossy_chaos() {
     });
 }
 
-/// The adaptive protocol layer on a lossy fabric: whatever mix of
-/// invalidations, update pushes, and retransmissions each mode ends up
-/// with, CG class S must land on the bits of the clean static-invalidate
-/// baseline. Chaos reorders the sharer history's *timing* but never its
+/// The protocol layer on a lossy fabric: whatever mix of invalidations,
+/// update pushes, and retransmissions the update mode ends up with, CG
+/// class S must land on the bits of the clean invalidate baseline. Chaos reorders the sharer history's *timing* but never its
 /// barrier-interval content, so even the per-page decisions stay aligned.
 #[test]
 fn protocol_modes_are_bit_identical_under_lossy_chaos() {
@@ -321,10 +320,10 @@ fn protocol_modes_are_bit_identical_under_lossy_chaos() {
                 .expect("cluster")
         };
         let (clean, _) = cg_parade(
-            &mk(ProtoSelect::AllInvalidate, ChaosProfile::off()),
+            &mk(ProtoSelect::Invalidate, ChaosProfile::off()),
             CgClass::S,
         );
-        for proto in [ProtoSelect::Adaptive, ProtoSelect::AllUpdate] {
+        for proto in [ProtoSelect::Update, ProtoSelect::Invalidate] {
             let (chaotic, report) =
                 cg_parade(&mk(proto, ChaosProfile::lossy(0x000A_DA97)), CgClass::S);
             assert_eq!(

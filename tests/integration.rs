@@ -117,13 +117,12 @@ fn cg_bulk_fetch_counters_are_pinned() {
 }
 
 /// CG class S writes its partition-boundary pages from two nodes, and
-/// every other node reads them after each barrier. The adaptive policy
-/// pushes them like its single-writer pages, so it must run at the speed
-/// of all-update, well ahead of all-invalidate's refetches, and send fewer
-/// messages than all-invalidate; every mode must keep coalescing bulk
-/// reads.
+/// every other node reads them after each barrier. The update mode pushes
+/// them like its single-writer pages, so it must run well ahead of the
+/// invalidate mode's refetches and send fewer messages; both modes must
+/// keep coalescing bulk reads.
 #[test]
-fn cg_adaptive_runs_at_update_speed_with_fewer_messages_than_invalidate() {
+fn cg_update_runs_ahead_of_invalidate_with_fewer_messages() {
     use parade::dsm::{DsmConfig, ProtoSelect};
     let run = |proto_select| {
         let cfg = ClusterConfig {
@@ -144,17 +143,15 @@ fn cg_adaptive_runs_at_update_speed_with_fewer_messages_than_invalidate() {
         );
         (report.exec_secs(), report.cluster.traffic.msgs)
     };
-    let (adaptive, adaptive_msgs) = run(ProtoSelect::Adaptive);
-    let (invalidate, invalidate_msgs) = run(ProtoSelect::AllInvalidate);
-    // All-update runs for the verify and bulk-fetch checks alone.
-    run(ProtoSelect::AllUpdate);
+    let (update, update_msgs) = run(ProtoSelect::Update);
+    let (invalidate, invalidate_msgs) = run(ProtoSelect::Invalidate);
     assert!(
-        adaptive <= 0.6 * invalidate,
-        "adaptive {adaptive:.3} s vs all-invalidate {invalidate:.3} s"
+        update <= 0.6 * invalidate,
+        "update {update:.3} s vs invalidate {invalidate:.3} s"
     );
     assert!(
-        adaptive_msgs < invalidate_msgs,
-        "adaptive {adaptive_msgs} vs all-invalidate {invalidate_msgs} messages"
+        update_msgs < invalidate_msgs,
+        "update {update_msgs} vs invalidate {invalidate_msgs} messages"
     );
 }
 

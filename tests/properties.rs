@@ -534,7 +534,7 @@ prop!(cases = 6, fn cluster_collectives_match_the_closed_form(
     assert_eq!(total, (per_thread * nodes * tpn) as f64, "shape {nodes}x{tpn}");
 });
 
-// ---- adaptive protocol equivalence --------------------------------------------
+// ---- protocol equivalence ----------------------------------------------------
 //
 // The per-page invalidate-vs-update selection may only change *when* bytes
 // move, never *which* bytes: a push installs the same merged page an
@@ -612,7 +612,7 @@ fn run_page_trace(
                 }
                 tc.barrier();
                 // Broadcast-read on even-hash intervals (every node becomes
-                // a sharer, steering Adaptive toward update pushes); a
+                // a sharer, steering the update mode toward pushes); a
                 // rotating half of the nodes otherwise.
                 let hr = mix(seed ^ 0x5eed ^ ((interval as u64) << 7));
                 if hr.is_multiple_of(2) || tc.node() % 2 == interval % 2 {
@@ -642,19 +642,14 @@ prop!(cases = 6, fn protocol_modes_are_bit_identical_on_random_page_traces(
         return; // shrunk out of the generator's precondition
     }
     let run = |proto| run_page_trace(nodes, tpn, pages, intervals, seed, proto);
-    let adaptive = run(ProtoSelect::Adaptive);
     let shape = format!("({nodes}x{tpn}, {pages}p, {intervals}iv, seed {seed:#x})");
     assert_eq!(
-        adaptive, run(ProtoSelect::AllInvalidate),
-        "adaptive must equal all-invalidate {shape}"
-    );
-    assert_eq!(
-        adaptive, run(ProtoSelect::AllUpdate),
-        "adaptive must equal all-update {shape}"
+        run(ProtoSelect::Update), run(ProtoSelect::Invalidate),
+        "update must equal invalidate {shape}"
     );
 });
 
-/// The real kernels across all three protocol modes: CG's migratory
+/// The real kernels across both protocol modes: CG's migratory
 /// reductions, Helmholtz's halo exchange, and the task-based n-body all
 /// have to land on identical bits whichever protocol moves their pages.
 #[test]
@@ -664,11 +659,7 @@ fn kernels_are_bit_identical_across_protocol_modes() {
     use parade::kernels::md::MdParams;
     use parade::kernels::nbody_task::nbody_task_parade;
 
-    const MODES: [ProtoSelect; 3] = [
-        ProtoSelect::Adaptive,
-        ProtoSelect::AllInvalidate,
-        ProtoSelect::AllUpdate,
-    ];
+    const MODES: [ProtoSelect; 2] = [ProtoSelect::Update, ProtoSelect::Invalidate];
     let fingerprints: Vec<Vec<u64>> = MODES
         .iter()
         .map(|&m| {
@@ -696,11 +687,7 @@ fn kernels_are_bit_identical_across_protocol_modes() {
             ]
         })
         .collect();
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "adaptive vs all-invalidate"
-    );
-    assert_eq!(fingerprints[0], fingerprints[2], "adaptive vs all-update");
+    assert_eq!(fingerprints[0], fingerprints[1], "update vs invalidate");
 }
 
 // ---- runtime reduction laws over cluster shapes -------------------------------

@@ -295,19 +295,14 @@ fn tasks_rows(rows: &mut Rows) {
 ///
 /// * `migratory: false` — write-broadcast: node 0 (the fixed home) writes
 ///   every page, nodes 1 and 2 re-read them each interval. Update pushes
-///   replace both readers' refetch round trips. The pair never changes,
-///   so adaptive's first probation re-measures the same sharers and
-///   doubles the period: the second probation that a fixed period of
-///   `PROBATION` decisions held (and its refetches: 344 messages, now
-///   336) falls past the run's end.
+///   replace both readers' refetch round trips: after the first, no reader
+///   refetches again.
 /// * `migratory: true` — producer/consumer pair: after one all-nodes read
 ///   interval poisons the sharer history, only nodes 1 and 2 touch the
-///   pages (alternating writer/reader). `AllUpdate` keeps pushing to the
-///   stale sharers 3..6 forever (its sharer set never clears); adaptive
-///   re-measures readership at probation and pushes to the live pair only.
-///   `AllInvalidate` is the baseline here, and it sends fewer messages
-///   than adaptive does (352 against 376): nothing asserts that adaptive
-///   wins on this pattern, because it does not.
+///   pages (alternating writer/reader). Homes are fixed, so the update
+///   mode's sharer set never clears and it keeps pushing to the stale
+///   sharers 3..6: the rule's known cost, and the reason invalidate sends
+///   fewer messages on this pattern.
 fn adapt_run_msgs(select: ProtoSelect, migratory: bool, intervals: usize) -> u64 {
     let nodes = if migratory { 6 } else { 4 };
     const PAGES: usize = 4;
@@ -413,15 +408,10 @@ fn fresh_rows() -> Rows {
     }
     tasks_rows(&mut rows);
     for (name, select, migratory) in [
-        ("bcast_msgs_adaptive", ProtoSelect::Adaptive, false),
-        ("bcast_msgs_invalidate", ProtoSelect::AllInvalidate, false),
-        ("migratory_msgs_adaptive", ProtoSelect::Adaptive, true),
-        (
-            "migratory_msgs_invalidate",
-            ProtoSelect::AllInvalidate,
-            true,
-        ),
-        ("migratory_msgs_update", ProtoSelect::AllUpdate, true),
+        ("bcast_msgs_update", ProtoSelect::Update, false),
+        ("bcast_msgs_invalidate", ProtoSelect::Invalidate, false),
+        ("migratory_msgs_invalidate", ProtoSelect::Invalidate, true),
+        ("migratory_msgs_update", ProtoSelect::Update, true),
     ] {
         rows.push((format!("adapt/{name}"), adapt_msgs(select, migratory)));
     }
@@ -505,7 +495,7 @@ fn golden_file_parses_and_rejects_malformed_rows() {
     let rows_of = |family: &str| all.iter().filter(|(n, _)| n.starts_with(family)).count();
     assert_eq!(
         ["release/", "coll/", "tasks/", "adapt/", "kernel/"].map(rows_of),
-        [15, 20, 16, 5, 2],
+        [15, 20, 16, 4, 2],
         "a family lost or gained a row"
     );
     for bad in ["coll/x_16n 5\n", "coll/x_16n\t5.5\n", "a\t1\na\t2\n"] {
@@ -545,7 +535,7 @@ fn shape_rule_separates_linear_from_logarithmic_scaling() {
         split_scaled("coll/bcast_vtime_ns_16n"),
         Some(("coll/bcast_vtime_ns", 16))
     );
-    assert_eq!(split_scaled("adapt/bcast_msgs_adaptive"), None);
+    assert_eq!(split_scaled("adapt/bcast_msgs_update"), None);
     assert_eq!(split_scaled("coll/bcastn"), None);
 }
 
@@ -569,12 +559,8 @@ fn virtual_time_families_equal_the_golden_exactly() {
 
     let value = |name: &str| fresh.iter().find(|(n, _)| n == name).expect(name).1;
     assert!(
-        value("adapt/bcast_msgs_adaptive") < value("adapt/bcast_msgs_invalidate"),
-        "adaptive must beat all-invalidate on the write-broadcast workload"
-    );
-    assert!(
-        value("adapt/migratory_msgs_adaptive") < value("adapt/migratory_msgs_update"),
-        "adaptive must beat all-update on the migratory workload"
+        value("adapt/bcast_msgs_update") < value("adapt/bcast_msgs_invalidate"),
+        "update must beat invalidate on the write-broadcast workload"
     );
     let bad = shape_violations(&shaped(&fresh));
     assert!(
