@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures <fig6|fig7|fig8|fig9|fig10|fig11|update_methods|home|fabric|schedules|all>
-//!         [--class s|w|a] [--nodes 1,2,4,8] [--with-mpi] [--quick]
+//!         [--class s|w|a] [--nodes 1,2,4,8] [--quick]
 //! ```
 //!
 //! Prints markdown tables whose series correspond one-to-one to the
@@ -16,7 +16,7 @@ use parade_kernels::figures::{
 fn usage() -> ! {
     eprintln!(
         "usage: figures <fig6|fig7|fig8|fig9|fig10|fig11|update_methods|home|fabric|schedules|all> \
-         [--class s|w|a] [--nodes 1,2,4,8] [--with-mpi] [--quick]"
+         [--class s|w|a] [--nodes 1,2,4,8] [--quick]"
     );
     std::process::exit(2);
 }
@@ -49,12 +49,10 @@ fn main() {
                     .map(|s| s.parse().expect("bad node count"))
                     .collect();
             }
-            "--with-mpi" => opts.with_mpi = true,
             "--quick" => {
                 let keep_class = opts.class;
                 opts = FigureOpts {
                     nodes: opts.nodes.clone(),
-                    with_mpi: opts.with_mpi,
                     ..FigureOpts::quick()
                 };
                 if keep_class != 'w' {

@@ -107,8 +107,6 @@ pub struct FigureOpts {
     pub nodes: Vec<usize>,
     /// NAS class for CG/EP ('s' | 'w' | 'a').
     pub class: char,
-    /// Include the pure-MPI CG baseline column (related-work context \[8\]).
-    pub with_mpi: bool,
     /// Shrink workloads for CI-speed runs.
     pub quick: bool,
 }
@@ -118,7 +116,6 @@ impl Default for FigureOpts {
         FigureOpts {
             nodes: vec![1, 2, 4, 8],
             class: 'w',
-            with_mpi: false,
             quick: false,
         }
     }
@@ -245,7 +242,8 @@ where
     t
 }
 
-/// Figure 8: NAS CG execution time across the three configurations.
+/// Figure 8: NAS CG execution time across the three configurations, and
+/// the pure-MPI CG baseline (one rank per node; related-work context \[8\]).
 pub fn fig8(opts: &FigureOpts) -> Table {
     let class = opts.cg_class();
     let mut t = exec_grid(
@@ -260,14 +258,12 @@ pub fn fig8(opts: &FigureOpts) -> Table {
             report.exec_time.as_secs_f64()
         },
     );
-    if opts.with_mpi {
-        t.headers.push("pure MPI (s)".into());
-        for (i, &n) in opts.nodes.iter().enumerate() {
-            let cfg = opts.base_cfg(n, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
-            let (res, vt) = cg_mpi(cfg, class);
-            assert!(res.verify(class));
-            t.rows[i].push(format!("{:.3}", vt.as_secs_f64()));
-        }
+    t.headers.push("pure MPI (s)".into());
+    for (i, &n) in opts.nodes.iter().enumerate() {
+        let cfg = opts.base_cfg(n, ExecConfig::OneThreadTwoCpu, ProtocolMode::Parade);
+        let (res, vt) = cg_mpi(cfg, class);
+        assert!(res.verify(class), "pure-MPI CG failed verification");
+        t.rows[i].push(format!("{:.3}", vt.as_secs_f64()));
     }
     t
 }

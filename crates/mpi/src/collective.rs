@@ -1,12 +1,15 @@
 //! Collective operations.
 //!
 //! ParADE only strictly needs `MPI_Bcast` and `MPI_Allreduce` (§5.3), plus
-//! barrier for the runtime; `gather` and `allgather` are provided for the
-//! MPI baseline versions of the benchmarks. Algorithms are the classic
-//! tree/dissemination/recursive-doubling schemes, ⌈log₂ P⌉ rounds deep, so
-//! message counts grow as `O(P log P)` — the property that makes
-//! collectives cheaper than lock-based SDSM synchronization as the node
-//! count grows.
+//! barrier for the runtime; `allgather` serves the MPI baseline version of
+//! CG. Two schedules carry them all, each ⌈log₂ P⌉ rounds deep, so message
+//! counts grow as `O(P log P)` — the property that makes collectives
+//! cheaper than lock-based SDSM synchronization as the node count grows:
+//!
+//! * the broadcast walks a binomial tree from its root;
+//! * every other collective is one recursive-doubling exchange with a
+//!   combiner: the allreduce folds values, the allgather concatenates
+//!   length-prefixed parts, and the barrier swaps empty payloads.
 
 use parade_net::Bytes;
 
@@ -45,36 +48,15 @@ impl ReduceOp {
     }
 }
 
-// Phase labels inside one collective sequence number.
-const PH_BARRIER_BASE: u8 = 0; // rounds 0..15 (phase = round, as in allreduce)
+/// The broadcast's phase label inside its sequence number; the exchange
+/// labels its messages with the round.
 const PH_BCAST: u8 = 0;
-const PH_GATHER: u8 = 3;
 
 impl Communicator {
-    /// Barrier: dissemination over the fabric — ⌈log₂ P⌉ rounds, every rank
-    /// sends and receives one small message per round.
+    /// Barrier: the exchange over empty payloads — ⌈log₂ P⌉ rounds, and no
+    /// rank leaves before every rank has entered.
     pub fn barrier(&self, clock: &mut VClock) {
-        let mut st = self.coll_guard.lock();
-        let seq = st.seq;
-        st.seq += 1;
-        let size = self.size();
-        if size == 1 {
-            return;
-        }
-        let rank = self.rank();
-        trace::begin(EventKind::MpiBarrier, clock.now());
-        let mut round: u8 = 0;
-        let mut dist = 1usize;
-        while dist < size {
-            let dst = (rank + dist) % size;
-            let src = (rank + size - dist) % size;
-            self.coll_send(dst, seq, PH_BARRIER_BASE + round, Bytes::new(), clock);
-            let _ = self.coll_recv(src, seq, PH_BARRIER_BASE + round, clock);
-            trace::instant(EventKind::CollRound, round as u64, clock.now());
-            dist <<= 1;
-            round += 1;
-        }
-        trace::end(EventKind::MpiBarrier, clock.now());
+        self.exchange(EventKind::MpiBarrier, &mut Vec::new(), &|_, _| {}, clock);
     }
 
     /// Broadcast of raw bytes from `root`: binomial tree over the ranks.
@@ -121,15 +103,28 @@ impl Communicator {
         }
     }
 
-    /// Allreduce with a user combiner: recursive doubling, ⌈log₂ P⌉ rounds.
-    /// Entering round k (m = 2^k) a rank holds the fold of its aligned block
-    /// `[r & !(m-1), +m) ∩ [0, P)` and swaps it with the sibling block's,
-    /// folding lower block first — so every rank computes, bit for bit, the
-    /// fold a binomial reduce to rank 0 computes, for any combiner. The
-    /// paper merges multiple `reduction` clause variables into one structure
-    /// and reduces them with a user-defined operation — this is that hook.
+    /// Allreduce with a user combiner: the exchange, ⌈log₂ P⌉ rounds.
+    /// Every rank computes, bit for bit, the fold a binomial reduce to rank
+    /// 0 computes, for any combiner. The paper merges multiple `reduction`
+    /// clause variables into one structure and reduces them with a
+    /// user-defined operation — this is that hook.
     pub fn allreduce_with(
         &self,
+        buf: &mut Vec<u8>,
+        combine: &dyn Fn(&mut Vec<u8>, &[u8]),
+        clock: &mut VClock,
+    ) {
+        self.exchange(EventKind::MpiAllreduce, buf, combine, clock);
+    }
+
+    /// The exchange under every collective but the broadcast: recursive
+    /// doubling, ⌈log₂ P⌉ rounds, traced as one `kind` span. Entering round
+    /// k (m = 2^k) a rank holds the fold of its aligned block
+    /// `[r & !(m-1), +m) ∩ [0, P)` and swaps it with the sibling block's,
+    /// folding lower block first — the binomial reduce's order.
+    fn exchange(
+        &self,
+        kind: EventKind,
         buf: &mut Vec<u8>,
         combine: &dyn Fn(&mut Vec<u8>, &[u8]),
         clock: &mut VClock,
@@ -141,7 +136,7 @@ impl Communicator {
         if size == 1 {
             return;
         }
-        trace::begin(EventKind::MpiAllreduce, clock.now());
+        trace::begin(kind, clock.now());
         let (mut m, mut round) = (1usize, 0u8);
         while m < size {
             let sibling = (rank & !(m - 1)) ^ m;
@@ -171,7 +166,7 @@ impl Communicator {
             m <<= 1;
             round += 1;
         }
-        trace::end(EventKind::MpiAllreduce, clock.now());
+        trace::end(kind, clock.now());
     }
 
     /// Elementwise allreduce on an `f64` slice.
@@ -221,44 +216,17 @@ impl Communicator {
         xs[0]
     }
 
-    /// Gather byte strings at `root` (linear). Returns `Some(parts)` indexed
-    /// by rank at the root, `None` elsewhere.
-    pub fn gather_bytes(&self, root: usize, data: Bytes, clock: &mut VClock) -> Option<Vec<Bytes>> {
-        let mut st = self.coll_guard.lock();
-        let seq = st.seq;
-        st.seq += 1;
-        let size = self.size();
-        let rank = self.rank();
-        trace::begin_arg(EventKind::MpiGather, data.len() as u64, clock.now());
-        let out = if rank == root {
-            let mut parts: Vec<Bytes> = vec![Bytes::new(); size];
-            parts[root] = data;
-            for (r, part) in parts.iter_mut().enumerate() {
-                if r != root {
-                    *part = self.coll_recv(r, seq, PH_GATHER, clock);
-                }
-            }
-            Some(parts)
-        } else {
-            self.coll_send(root, seq, PH_GATHER, data, clock);
-            None
-        };
-        trace::end(EventKind::MpiGather, clock.now());
-        out
-    }
-
-    /// Allgather byte strings: gather at rank 0, then broadcast the
-    /// concatenation (with a tiny length header per rank).
+    /// Allgather byte strings: the exchange over length-prefixed parts with
+    /// concatenation as the combiner. The lower block goes first, so every
+    /// rank ends with the parts in rank order.
     pub fn allgather_bytes(&self, data: Bytes, clock: &mut VClock) -> Vec<Bytes> {
-        let parts = self.gather_bytes(0, data, clock);
-        let mut blob = Bytes::new();
-        if self.rank() == 0 {
-            blob = datatype::encode_parts(&parts.expect("root gathers"));
-        }
-        self.bcast_bytes(0, &mut blob, clock);
-        // Fail-stop: the rank's panic is what the failed run reports.
-        datatype::decode_parts(&blob)
-            .unwrap_or_else(|e| panic!("rank {}: bad allgather blob from rank 0: {e}", self.rank()))
+        let mut blob = datatype::encode_parts(&[data]).to_vec();
+        let concat = |acc: &mut Vec<u8>, other: &[u8]| acc.extend_from_slice(other);
+        self.exchange(EventKind::MpiGather, &mut blob, &concat, clock);
+        // Other ranks' bytes: fail-stop, the rank's panic is what the failed
+        // run reports.
+        datatype::decode_parts(&blob, self.size())
+            .unwrap_or_else(|e| panic!("rank {}: bad allgather blob: {e}", self.rank()))
     }
 }
 
@@ -308,7 +276,7 @@ mod tests {
     fn collectives_survive_a_lossy_fabric() {
         use parade_net::{ChaosKnobs, ChaosProfile, VTime};
         // 3 and 6 ranks have partnerless lower-block ranks, which the upper
-        // block's first rank serves with extra allreduce messages.
+        // block's first rank serves with extra exchange messages.
         for n in [3, 4, 6] {
             let chaos = ChaosProfile {
                 base: ChaosKnobs {
@@ -327,16 +295,23 @@ mod tests {
                     comm.barrier(clk);
                     let mut xs = vec![(comm.rank() + round) as f64; 4];
                     comm.bcast_f64s(round % comm.size(), &mut xs, clk);
-                    out.push(comm.allreduce_f64(xs[0], ReduceOp::Sum, clk));
+                    let sum = comm.allreduce_f64(xs[0], ReduceOp::Sum, clk);
+                    let mine = Bytes::from(vec![comm.rank() as u8; round % 3]);
+                    out.push((sum, comm.allgather_bytes(mine, clk)));
                 }
                 out
             });
             // Every rank agrees, and the values match the chaos-free formula:
-            // rank (round % n) broadcasts (root + round), summed over n ranks.
+            // rank (round % n) broadcasts (root + round), summed over n ranks;
+            // rank r's part is `round % 3` copies of r.
             for (rank, r) in results.iter().enumerate() {
-                for (round, v) in r.iter().enumerate() {
+                for (round, (v, parts)) in r.iter().enumerate() {
                     let expect = (n * ((round % n) + round)) as f64;
                     assert_eq!(*v, expect, "n={n} rank {rank} round {round}");
+                    let want: Vec<Bytes> = (0..n)
+                        .map(|src| Bytes::from(vec![src as u8; round % 3]))
+                        .collect();
+                    assert_eq!(*parts, want, "n={n} rank {rank} round {round}");
                 }
             }
             let h = fabric.stats().link_health_totals();
@@ -397,32 +372,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let out = run_all(4, |c, clk| {
-            c.gather_bytes(1, Bytes::from(vec![c.rank() as u8; 2]), clk)
-        });
-        for (r, parts) in out.into_iter().enumerate() {
-            if r == 1 {
-                let parts = parts.unwrap();
-                for (i, p) in parts.iter().enumerate() {
-                    assert_eq!(&p[..], &[i as u8; 2]);
-                }
-            } else {
-                assert!(parts.is_none());
-            }
-        }
+    /// Rank `r`'s allgather part: `r % 3 * r` bytes, empty at every third.
+    fn part(r: usize) -> Bytes {
+        Bytes::from(vec![r as u8; r % 3 * r])
     }
 
     #[test]
-    fn allgather_everyone_gets_everything() {
-        let out = run_all(3, |c, clk| {
-            c.allgather_bytes(Bytes::from(vec![c.rank() as u8 + 10]), clk)
-        });
-        for parts in out {
-            assert_eq!(parts.len(), 3);
-            for (i, p) in parts.iter().enumerate() {
-                assert_eq!(&p[..], &[i as u8 + 10]);
+    fn allgather_returns_every_part_in_rank_order() {
+        for p in 1..=17usize {
+            let out = run_all(p, |c, clk| c.allgather_bytes(part(c.rank()), clk));
+            let want: Vec<Bytes> = (0..p).map(part).collect();
+            for (rank, parts) in out.iter().enumerate() {
+                assert_eq!(*parts, want, "P={p} rank {rank}");
             }
         }
     }
@@ -505,8 +466,8 @@ mod tests {
 
     #[test]
     fn allreduce_is_as_deep_as_the_barrier() {
-        // ⌈log₂P⌉ rounds like the dissemination barrier, not a reduce
-        // followed by a broadcast (twice as deep).
+        // ⌈log₂P⌉ rounds like the barrier, not a reduce followed by a
+        // broadcast (twice as deep).
         for p in 2..=17usize {
             let slowest = |ts: Vec<parade_net::VTime>| ts.into_iter().max().unwrap();
             let barrier = slowest(run_all(p, |c, clk| {
@@ -525,18 +486,64 @@ mod tests {
     }
 
     #[test]
+    fn allgather_is_as_deep_as_the_barrier_plus_its_wire_time() {
+        // The exchange of empty payloads is the barrier. Each of the
+        // ⌈log₂P⌉ rounds on a rank's critical path carries at most the
+        // whole blob; a gather at one rank and a broadcast would add P - 1
+        // serial receives and the broadcast's own rounds on top.
+        let profile = NetProfile::clan_via();
+        for p in 2..=17usize {
+            let slowest = |ts: Vec<parade_net::VTime>| ts.into_iter().max().unwrap();
+            let barrier = slowest(run_all(p, |c, clk| {
+                c.barrier(clk);
+                clk.now()
+            }));
+            let allgather = slowest(run_all(p, |c, clk| {
+                c.allgather_bytes(part(c.rank()), clk);
+                clk.now()
+            }));
+            let blob: Vec<Bytes> = (0..p).map(part).collect();
+            let blob = datatype::encode_parts(&blob).len();
+            let rounds = p.next_power_of_two().trailing_zeros() as u64;
+            let wire = profile.remote.transfer(blob) - profile.remote.latency;
+            let bound = barrier.as_nanos() + rounds * wire.as_nanos();
+            assert!(
+                allgather.as_nanos() <= bound,
+                "P={p}: allgather {allgather:?} vs barrier {barrier:?} + {rounds} x {wire:?}"
+            );
+        }
+    }
+
+    #[test]
     fn message_counts_and_results_equal_the_closed_forms() {
-        // Powers of two and not: the dissemination barrier sends one message
-        // per rank per round, the binomial broadcast one per non-root rank,
-        // the allreduce one to each rank whose sibling block is non-empty.
+        // Powers of two and not: the binomial broadcast sends one message per
+        // non-root rank; the exchange under the barrier, the allreduce and
+        // the allgather one to each rank whose sibling block is non-empty.
         let counts: Vec<u64> = (2..=9).map(allreduce_msgs).collect();
         assert_eq!(counts, [2, 5, 8, 13, 16, 20, 24, 33]);
         for p in 2..=9usize {
-            let rounds = p.next_power_of_two().trailing_zeros() as u64;
             let p64 = p as u64;
 
-            let (_, msgs) = coll_msgs(p, |c, clk| c.barrier(clk));
-            assert_eq!(msgs, p64 * rounds, "barrier, P={p}");
+            // ⌈log₂P⌉ rounds of one wire latency and one receive on the
+            // slowest rank, at every P (a send leaves before its own charge).
+            let (ts, msgs) = coll_msgs(p, |c, clk| {
+                c.barrier(clk);
+                clk.now()
+            });
+            assert_eq!(msgs, allreduce_msgs(p), "barrier, P={p}");
+            let profile = NetProfile::clan_via();
+            let round = profile.remote.latency + profile.per_msg_cpu;
+            let rounds = p.next_power_of_two().trailing_zeros() as u64;
+            assert_eq!(
+                ts.into_iter().max().unwrap().as_nanos(),
+                rounds * round.as_nanos(),
+                "barrier depth, P={p}"
+            );
+
+            let (out, msgs) = coll_msgs(p, |c, clk| c.allgather_bytes(part(c.rank()), clk));
+            assert_eq!(msgs, allreduce_msgs(p), "allgather, P={p}");
+            let want: Vec<Bytes> = (0..p).map(part).collect();
+            assert!(out.iter().all(|parts| *parts == want), "allgather, P={p}");
 
             let root = 2 % p;
             let (out, msgs) = coll_msgs(p, move |c, clk| {

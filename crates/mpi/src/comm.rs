@@ -54,15 +54,6 @@ impl Communicator {
         self.ep.send(dst, MsgClass::P2p, tag as u64, data, clock);
     }
 
-    /// Blocking receive of a message from `src` with `tag`.
-    pub fn recv_bytes(&self, src: usize, tag: u32, clock: &mut VClock) -> Bytes {
-        let pkt = self
-            .ep
-            .recv(MsgClass::P2p, Match::src_tag(src, tag as u64), clock)
-            .expect("communicator used after shutdown");
-        pkt.payload
-    }
-
     /// Blocking receive of a message with `tag` from *any* source; returns
     /// the sender's rank alongside the payload.
     pub fn recv_bytes_any(&self, tag: u32, clock: &mut VClock) -> (usize, Bytes) {
@@ -135,11 +126,12 @@ mod tests {
         let c1 = Arc::clone(&comms[1]);
         let t = std::thread::spawn(move || {
             let mut clk = VClock::manual();
-            datatype::bytes_to_f64s(&c1.recv_bytes(0, 5, &mut clk))
+            let (src, b) = c1.recv_bytes_any(5, &mut clk);
+            (src, datatype::bytes_to_f64s(&b))
         });
         let mut clk = VClock::manual();
         comms[0].send_bytes(1, 5, datatype::f64s_to_bytes(&[1.0, 2.0, 3.0]), &mut clk);
-        assert_eq!(t.join().unwrap(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(t.join().unwrap(), (0, vec![1.0, 2.0, 3.0]));
     }
 
     #[test]
@@ -147,7 +139,7 @@ mod tests {
         let comms = make_comms(1);
         let mut clk = VClock::manual();
         comms[0].send_bytes(0, 9, datatype::i64s_to_bytes(&[-4, 7]), &mut clk);
-        let back = comms[0].recv_bytes(0, 9, &mut clk);
-        assert_eq!(datatype::bytes_to_i64s(&back), vec![-4, 7]);
+        let (src, back) = comms[0].recv_bytes_any(9, &mut clk);
+        assert_eq!((src, datatype::bytes_to_i64s(&back)), (0, vec![-4, 7]));
     }
 }

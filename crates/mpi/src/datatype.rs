@@ -307,21 +307,23 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The allgather blob: every rank's byte string under one count, each with
-/// its length.
+/// The allgather blob: each rank's byte string with its length, in rank
+/// order. The part count is not on the wire: every rank knows it.
 pub fn encode_parts(parts: &[Bytes]) -> Bytes {
     let mut w = Writer::new();
-    w.u32(parts.len() as u32);
     for p in parts {
         w.lp_bytes(p);
     }
     w.finish()
 }
 
-/// Decode a blob written by [`encode_parts`].
-pub fn decode_parts(blob: &[u8]) -> Result<Vec<Bytes>, DecodeError> {
+/// Decode a blob of exactly `n` parts written by [`encode_parts`]: a
+/// missing part is `Truncated`, an extra one `Trailing`.
+pub fn decode_parts(blob: &[u8], n: usize) -> Result<Vec<Bytes>, DecodeError> {
     let mut r = Reader::new(blob);
-    let parts = r.list(4, |r| r.lp_bytes().map(Bytes::copy_from_slice))?;
+    let parts = (0..n)
+        .map(|_| r.lp_bytes().map(Bytes::copy_from_slice))
+        .collect::<Result<_, _>>()?;
     r.finish()?;
     Ok(parts)
 }
@@ -420,25 +422,32 @@ mod tests {
 
     #[test]
     fn allgather_blob_codec_is_checked() {
-        assert_codec(&parts(), |p| encode_parts(p), decode_parts);
-        let mut w = Writer::new();
-        w.u32(u32::MAX);
+        for sample in parts() {
+            let n = sample.len();
+            assert_codec(&[sample], |p| encode_parts(p), |b| decode_parts(b, n));
+        }
+        // The receiver knows the part count: one part short or one over is
+        // refused.
+        let blob = encode_parts(&parts()[0]);
         assert_eq!(
-            decode_parts(&w.finish()),
-            Err(DecodeError::Count {
-                count: u32::MAX,
+            decode_parts(&blob, 4),
+            Err(DecodeError::Truncated {
+                what: "u32",
+                need: 4,
                 have: 0
             })
         );
+        assert_eq!(decode_parts(&blob, 2), Err(DecodeError::Trailing(7)));
     }
 
     /// Captured at the parent of the commit that introduced the checked
-    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test.
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. The
+    /// blob's leading part count has since gone from the wire.
     #[test]
     fn wire_bytes_are_pinned() {
         assert_eq!(
             hex(&encode_parts(&parts()[0])),
-            "030000000000000002000000616203000000010203"
+            "0000000002000000616203000000010203"
         );
     }
 

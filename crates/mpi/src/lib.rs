@@ -7,10 +7,11 @@
 //! this crate is that subset over the simulated fabric of [`parade_net`]:
 //!
 //! * typed point-to-point send/receive with tag matching,
-//! * `barrier` (dissemination), `bcast` (binomial tree),
-//! * `allreduce` (recursive doubling, ⌈log₂P⌉ rounds, folding in the
-//!   binomial tree's order) with built-in and user-defined combiners,
-//!   `gather`/`allgather`,
+//! * `bcast` (binomial tree),
+//! * one recursive-doubling exchange, ⌈log₂P⌉ rounds, folding in the
+//!   binomial tree's order, under `allreduce` (built-in and user-defined
+//!   combiners), `allgather` (concatenation in rank order) and `barrier`
+//!   (empty payloads),
 //! * little-endian wire-format helpers shared with the SDSM protocol.
 
 mod collective;

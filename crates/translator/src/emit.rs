@@ -327,7 +327,7 @@ impl<'c> Printer<'c> {
                     "{} {}__red = {};  /* reduction({}) local */",
                     ty(shape),
                     self.name(*s),
-                    red_identity_text(red_to_mpi(*op)),
+                    red_identity_text(red_to_mpi(*op), shape.ty.is_float()),
                     op.c_token()
                 ));
             }
@@ -340,14 +340,19 @@ impl<'c> Printer<'c> {
         }
 
         // Reduction epilogue.
-        for (s, _, scope) in r.captures.iter() {
+        for (s, shape, scope) in r.captures.iter() {
             let VarScope::Reduction(op) = scope else {
                 continue;
             };
             let (name, op) = (self.name(*s), red_to_mpi(*op));
             if self.mode == EmitMode::Parade {
+                let kind = if shape.ty.is_float() {
+                    "double"
+                } else {
+                    "long"
+                };
                 self.line(format!(
-                    "parade_atomic_double({name}, PARADE_{}, {name}__red);  /* reduction -> collective */",
+                    "parade_atomic_{kind}({name}, PARADE_{}, {name}__red);  /* reduction -> collective */",
                     red_tag(op)
                 ));
                 continue;
@@ -697,12 +702,16 @@ fn red_combine(op: ReduceOp, a: &str, b: &str) -> String {
     }
 }
 
-fn red_identity_text(op: ReduceOp) -> &'static str {
-    match op {
-        ReduceOp::Sum => "0.0",
-        ReduceOp::Prod => "1.0",
-        ReduceOp::Min => "INFINITY",
-        ReduceOp::Max => "-INFINITY",
+fn red_identity_text(op: ReduceOp, float: bool) -> &'static str {
+    match (op, float) {
+        (ReduceOp::Sum, true) => "0.0",
+        (ReduceOp::Prod, true) => "1.0",
+        (ReduceOp::Min, true) => "INFINITY",
+        (ReduceOp::Max, true) => "-INFINITY",
+        (ReduceOp::Sum, false) => "0",
+        (ReduceOp::Prod, false) => "1",
+        (ReduceOp::Min, false) => "LONG_MAX",
+        (ReduceOp::Max, false) => "LONG_MIN",
     }
 }
 

@@ -1037,7 +1037,7 @@ impl<'c> Env<'c> {
         let oracle_tl = oracle.clone();
         let races = Arc::clone(&self.races);
 
-        let result: RtResult<Vec<f64>> = g.parallel(move |tc| {
+        let result: RtResult<Vec<Val>> = g.parallel(move |tc| {
             let region = &code.regions[id.idx()];
             let mut env = Env {
                 code: &code,
@@ -1083,13 +1083,14 @@ impl<'c> Env<'c> {
             // thread returns the totals (lead's return reaches the master).
             // Lastprivate needs nothing here: the owner of the final
             // iteration stored into the scratch during the loop.
+            // An integer variable reduces as `i64`: exact past 2^53.
             let mut totals = Vec::with_capacity(region.reductions.len());
             for (op, sym) in region.reductions.iter() {
-                let local = match env.local(*sym) {
-                    Some(Local::Scalar(_, v)) => v.as_f64(),
-                    _ => 0.0,
-                };
-                totals.push(tc.reduce_f64(*op, local));
+                totals.push(match env.local(*sym) {
+                    Some(Local::Scalar(_, Val::I(v))) => Val::I(tc.reduce_i64(*op, *v)),
+                    Some(Local::Scalar(_, v)) => Val::D(tc.reduce_f64(*op, v.as_f64())),
+                    _ => Val::D(tc.reduce_f64(*op, 0.0)),
+                });
             }
             Ok(totals)
         });
@@ -1103,8 +1104,12 @@ impl<'c> Env<'c> {
         // Fold reduction totals into the master's variables.
         for ((op, sym), total) in region.reductions.iter().zip(totals) {
             let mut exec = Exec::Master(g);
-            let old = self.read_var(&mut exec, *sym)?.as_f64();
-            self.write_var(&mut exec, *sym, Val::D(op.fold_f64(old, total)))?;
+            let old = self.read_var(&mut exec, *sym)?;
+            let new = match total {
+                Val::I(t) => Val::I(op.fold_i64(old.as_i64(), t)),
+                t => Val::D(op.fold_f64(old.as_f64(), t.as_f64())),
+            };
+            self.write_var(&mut exec, *sym, new)?;
         }
         // Lastprivate writeback.
         if let Some(scratch) = lp_scratch {

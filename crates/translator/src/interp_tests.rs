@@ -90,6 +90,18 @@ int main() {
 }
 
 #[test]
+fn integer_reduction_is_exact_past_2_pow_53() {
+    // 8 x (2^53 + 1) = 2^56 + 8: a double fold rounds it to 2^56.
+    let src = include_str!("../../../tests/corpus/clean/reduction_long.c");
+    for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+        for (nodes, tpn) in [(1, 1), (2, 2), (4, 2)] {
+            let (_, out) = run_src(src, nodes, tpn, mode);
+            assert_eq!(out, "72057594037927944\n", "{nodes}x{tpn} {mode:?}");
+        }
+    }
+}
+
+#[test]
 fn atomic_counts_all_threads() {
     for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
         let (_, out) = run_src(

@@ -17,6 +17,8 @@
 # differ, nothing when they agree). Tables are matched by the heading's
 # name before its first colon ("Figure 8"), so a reworded heading still
 # compares; a heading whose text differs is printed as a row of its own.
+# Columns are matched by header: a column only one side prints shows `—`
+# on the other. The script gives up only when the table names differ.
 # Needs python3; not tier-1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,15 +59,20 @@ def tables(path):
 number = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 short = lambda title: title.split(":")[0]
 parent, change = tables(sys.argv[1]), tables(sys.argv[2])
-if [(short(t), h) for t, h, _ in parent] != [(short(t), h) for t, h, _ in change]:
+if [short(t) for t, _, _ in parent] != [short(t) for t, _, _ in change]:
     sys.exit("the two sides print different tables; compare them by hand")
 print("| table | row | column | parent | change | Δ |")
 print("|---|---|---|---|---|---|")
-for (title, headers, prows), (ctitle, _, crows) in zip(parent, change):
+for (title, pheads, prows), (ctitle, cheads, crows) in zip(parent, change):
     if title != ctitle:
         print(f"| {short(title)} | heading | | {title} | {ctitle} | — |")
+    # Columns are matched by header; one that only one side prints shows
+    # `—` on the other.
+    cols = pheads[1:] + [h for h in cheads[1:] if h not in pheads]
     for prow, crow in zip(prows, crows):
-        for col, p, c in list(zip(headers, prow, crow))[1:]:
+        pcells, ccells = dict(zip(pheads, prow)), dict(zip(cheads, crow))
+        for col in cols:
+            p, c = pcells.get(col, "—"), ccells.get(col, "—")
             pn, cn = number.search(p), number.search(c)
             if pn and cn:
                 a, b = float(pn.group()), float(cn.group())

@@ -121,6 +121,12 @@ fn fig8_one_cpu_gap_widens_with_the_node_count() {
             t.markdown()
         );
     }
+    // `fig8` asserts that the pure-MPI CG verifies; its time falls at every
+    // node step.
+    assert_eq!(t.headers[4], "pure MPI (s)");
+    for w in column(&t, 4).windows(2) {
+        assert!(w[1] < w[0], "pure MPI must fall: {}", t.markdown());
+    }
 }
 
 #[test]
