@@ -35,8 +35,9 @@ pub enum LintId {
     /// PC003 — reduction variable read or written outside its combining
     /// update, or updated with a mismatched operator.
     ReductionMisuse,
-    /// PC004 — barrier placed where threads can diverge: inside
-    /// `single`/`master`/`critical`, or under a thread-dependent condition.
+    /// PC004 — barrier in a structurally wrong place: inside
+    /// `single`/`master`/`critical`/`atomic`, or inside a work-sharing
+    /// loop body.
     BarrierPlacement,
     /// PC005 — `nowait` loop followed by an access to data it wrote,
     /// before any joining barrier.
@@ -50,9 +51,10 @@ pub enum LintId {
     DirectiveStructure,
     /// PC009 — barrier (or implicitly-joining work-sharing construct)
     /// placed in a CFG-divergent block: the dataflow divergence analysis
-    /// proves threads of the team can disagree on reaching it, even where
-    /// the lexical PC004 rules stay silent (e.g. after a thread-dependent
-    /// `break`). Flow-sensitive; only the MIR analyzer emits it.
+    /// proves threads of the team can disagree on reaching it, under a
+    /// thread-dependent `if` or loop bound, or after a thread-dependent
+    /// `break`. The one divergence verdict; silent on a barrier PC004
+    /// already reports.
     BarrierDivergence,
 }
 

@@ -1,10 +1,11 @@
 //! Per-region detectors: everything that needs a `RegionClassification`.
 //!
 //! [`RegionCx`] is the semantic core — the access-event state machine
-//! (scopes, protection stack, divergence depth, work-shared loop frames)
-//! plus every diagnostic the detectors emit. The marker-driven walk in
+//! (scopes, protection stack, work-shared loop frames) plus every
+//! diagnostic the detectors emit. The marker-driven walk in
 //! [`crate::mir_lints`] feeds it the events of `parade_mir`'s lowered form
-//! and adds the flow-sensitive PC009 on top.
+//! and adds the flow-sensitive PC009 on top: whether the team can
+//! disagree on reaching a point is `divergent_blocks`' answer alone.
 //!
 //! The detectors:
 //!
@@ -14,7 +15,8 @@
 //!   work-shared loop (`a[i]` written, `a[i-1]` read);
 //! - **PC003** reduction-misuse — reduction variables touched outside
 //!   their combining update, or combined with the wrong operator;
-//! - **PC004** barrier-placement — barriers where the team can diverge;
+//! - **PC004** barrier-placement — barriers inside a one-thread construct
+//!   or a work-sharing loop body (structural placement only);
 //! - **PC005** nowait-unsynchronized-access — data written by a `nowait`
 //!   loop touched by a block sibling before any joining barrier;
 //! - **PC006** private-read-before-write — `private` variables read while
@@ -100,8 +102,6 @@ pub(crate) struct RegionCx<'a> {
     /// Enclosing one-thread constructs (`single`, `master`, `critical`,
     /// `atomic`): writes under them are synchronized.
     pub(crate) protect: Vec<&'static str>,
-    /// Depth of enclosing thread-dependent conditions (PC004).
-    pub(crate) divergent: usize,
     ws: Vec<WsFrame>,
     tracked: HashSet<String>,
     written: HashSet<String>,
@@ -132,7 +132,6 @@ impl<'a> RegionCx<'a> {
             diags,
             cur_span: span,
             protect: Vec::new(),
-            divergent: 0,
             ws: Vec::new(),
             tracked,
             written: HashSet::new(),
@@ -388,8 +387,9 @@ impl<'a> RegionCx<'a> {
         );
     }
 
-    /// The lexical PC004 cascade for an explicit barrier. True if any rule
-    /// fired (which gates PC009).
+    /// The structural PC004 rules for an explicit barrier: inside a
+    /// one-thread construct, or inside a work-sharing loop body. True if
+    /// either fired (which gates PC009).
     pub(crate) fn barrier_checks(&mut self) -> bool {
         if let Some(ctx) = self.protect.last().copied() {
             self.diag(
@@ -405,14 +405,6 @@ impl<'a> RegionCx<'a> {
                 LintId::BarrierPlacement,
                 "barrier inside a work-sharing loop body: iterations are divided \
                  among threads, so threads hit it a different number of times"
-                    .into(),
-            );
-            true
-        } else if self.divergent > 0 {
-            self.diag(
-                LintId::BarrierPlacement,
-                "barrier under a thread-dependent condition: threads may disagree \
-                 on whether it is reached"
                     .into(),
             );
             true

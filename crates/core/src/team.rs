@@ -747,8 +747,8 @@ mod tests {
     fn a_request_for_a_page_no_region_covers_fails_the_run_naming_the_page() {
         // A well-formed fetch of a page inside the pool but past every
         // allocated region, at node 0, the initial home of every page: its
-        // communication thread must find no page-table entry and fail the
-        // run, not read memory it never built.
+        // communication thread must refuse the frame against its page
+        // table and fail the run, not read memory it never built.
         let failed = parade_testkit::watchdog::run_with_timeout(
             "page-past-extent",
             std::time::Duration::from_secs(60),
@@ -780,7 +780,10 @@ mod tests {
         );
         let text = failed.to_string();
         assert!(
-            text.contains("(node 0: page 9999 is past the page table's extent of "),
+            text.contains(
+                "(node 0: node 0: bad dsm frame from node 0 on tag 0x0: \
+                 pages 9999..10000 reach past the page table's extent of "
+            ),
             "{text}"
         );
     }

@@ -28,7 +28,11 @@
 //! ascending, disjoint, maximal and inside the extent; node lists strictly
 //! ascending and inside the cluster. So a run never expands past `extent`
 //! entries (`extent × nnodes` pairs for `BarrierUp`), and a frame that
-//! decodes re-encodes to itself.
+//! decodes re-encodes to itself. The request frames are held to the same
+//! table and cluster: every page they name lies below the extent, a
+//! `ReqPageRange` is one such run, and every requester or sender is a node
+//! of the cluster, so the server never indexes its page table with a
+//! number straight off the wire.
 
 use parade_net::Bytes;
 
@@ -237,6 +241,20 @@ fn decode_pages(r: &mut Reader<'_>, extent: usize) -> Result<Vec<PageId>, Decode
         out.extend(run.first as PageId..run.end as PageId);
     }
     Ok(out)
+}
+
+/// One page of the receiver's table: a run of one that travels without
+/// its length.
+fn decode_page(r: &mut Reader<'_>, extent: usize) -> Result<PageId, DecodeError> {
+    let page = r.u64()?;
+    if page >= extent as u64 {
+        return Err(DecodeError::RunExtent {
+            first: page,
+            len: 1,
+            extent,
+        });
+    }
+    Ok(page as PageId)
 }
 
 fn decode_node(r: &mut Reader<'_>, nnodes: usize) -> Result<usize, DecodeError> {
@@ -464,33 +482,37 @@ impl DsmMsg {
 
     /// Decode an untrusted payload for a receiver whose page table holds
     /// `extent` pages in a cluster of `nnodes` nodes. Every length, count,
-    /// and run is validated, and a barrier or lock frame must be canonical
-    /// (see the module doc) and name only pages of the table and nodes of
-    /// the cluster; malformed bytes yield a [`DiffError`], never a panic or
-    /// an allocation past what `extent` and `nnodes` bound.
+    /// and run is validated; every frame names only pages of the table and
+    /// nodes of the cluster (a `ReqPageRange` is a non-empty run inside the
+    /// table), and a barrier or lock frame's page lists must be canonical
+    /// (see the module doc). Malformed bytes yield a [`DiffError`], never a
+    /// panic or an allocation past what `extent` and `nnodes` bound.
     pub fn try_decode(b: &[u8], extent: usize, nnodes: usize) -> Result<DsmMsg, DiffError> {
         let mut r = Reader::new(b);
         let msg = match r.u8()? {
             K_REQ_PAGE => DsmMsg::ReqPage {
-                page: r.u64()? as PageId,
-                requester: r.u32()? as usize,
+                page: decode_page(&mut r, extent)?,
+                requester: decode_node(&mut r, nnodes)?,
                 reply_tag: r.u64()?,
             },
-            K_REQ_PAGE_RANGE => DsmMsg::ReqPageRange {
-                first: r.u64()? as PageId,
-                count: r.u32()?,
-                requester: r.u32()? as usize,
-                reply_tag: r.u64()?,
-            },
+            K_REQ_PAGE_RANGE => {
+                let run = RunCheck::new(extent).next(&mut r)?;
+                DsmMsg::ReqPageRange {
+                    first: run.first as PageId,
+                    count: (run.end - run.first) as u32,
+                    requester: decode_node(&mut r, nnodes)?,
+                    reply_tag: r.u64()?,
+                }
+            }
             K_DIFF_BATCH => {
-                let requester = r.u32()? as usize;
+                let requester = decode_node(&mut r, nnodes)?;
                 let reply_tag = r.u64()?;
                 // Each entry is at least a page id plus an empty diff.
                 let n = r.count(12)?;
                 let mut pages = Vec::with_capacity(n);
                 let mut diffs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    pages.push(r.u64()? as PageId);
+                    pages.push(decode_page(&mut r, extent)?);
                     diffs.push(Diff::decode(&mut r)?);
                 }
                 DsmMsg::DiffBatch {
@@ -501,7 +523,7 @@ impl DsmMsg {
                 }
             }
             K_PAGE_PUSH => DsmMsg::PagePush {
-                page: r.u64()? as PageId,
+                page: decode_page(&mut r, extent)?,
                 barrier_seq: r.u64()?,
                 data: Bytes::copy_from_slice(r.lp_bytes()?),
             },
@@ -522,19 +544,19 @@ impl DsmMsg {
             },
             K_LOCK_ACQ => DsmMsg::LockAcq {
                 lock: r.u64()?,
-                node: r.u32()? as usize,
+                node: decode_node(&mut r, nnodes)?,
                 reply_tag: r.u64()?,
                 last_seen: r.u64()?,
             },
             K_LOCK_REL => DsmMsg::LockRel {
                 lock: r.u64()?,
-                node: r.u32()? as usize,
+                node: decode_node(&mut r, nnodes)?,
                 notices: decode_pages(&mut r, extent)?,
             },
             K_PUSH_REQ => DsmMsg::PushReq {
-                page: r.u64()? as PageId,
+                page: decode_page(&mut r, extent)?,
                 barrier_seq: r.u64()?,
-                requester: r.u32()? as usize,
+                requester: decode_node(&mut r, nnodes)?,
             },
             K_NUDGE => DsmMsg::Nudge,
             k => return Err(DecodeError::BadKind(k).into()),
@@ -1113,6 +1135,91 @@ mod tests {
             depart(&[(4, 0, 0, 1, 0, &[])]),
             Err(DecodeError::EmptyRun { first: 4 })
         );
+    }
+
+    /// Every page a request names lies in the receiver's table, and every
+    /// node in the cluster: the last page and node keep the codec
+    /// contract, one past either is refused by name.
+    #[test]
+    fn requests_are_held_to_the_table_and_the_cluster() {
+        let (page, node) = (EXTENT - 1, NNODES - 1);
+        let tag = REPLY_TAG_BASE;
+        let req = |page, requester| DsmMsg::ReqPage {
+            page,
+            requester,
+            reply_tag: tag,
+        };
+        let range = |first, count, requester| DsmMsg::ReqPageRange {
+            first,
+            count,
+            requester,
+            reply_tag: tag,
+        };
+        let batch = |page, requester| DsmMsg::DiffBatch {
+            requester,
+            reply_tag: tag,
+            pages: vec![3, page],
+            diffs: vec![page_diff(&[8]), page_diff(&[0])],
+        };
+        let push = |page| DsmMsg::PagePush {
+            page,
+            barrier_seq: 2,
+            data: Bytes::from(vec![1u8; 4]),
+        };
+        let push_req = |page, requester| DsmMsg::PushReq {
+            page,
+            barrier_seq: 2,
+            requester,
+        };
+        let acq = |node| DsmMsg::LockAcq {
+            lock: 1,
+            node,
+            reply_tag: tag,
+            last_seen: 0,
+        };
+        let rel = |node| DsmMsg::LockRel {
+            lock: 1,
+            node,
+            notices: vec![page],
+        };
+        let edge = [
+            req(page, node),
+            range(EXTENT - 6, 6, node),
+            batch(page, node),
+            push(page),
+            push_req(page, node),
+            acq(node),
+            rel(node),
+        ];
+        assert_codec(&edge, DsmMsg::encode, decode_msg);
+
+        let extent = |first, len| DecodeError::RunExtent {
+            first,
+            len,
+            extent: EXTENT,
+        };
+        let node_range = DecodeError::NodeRange {
+            node: NNODES as u32,
+            nnodes: NNODES,
+        };
+        let past = EXTENT as u64;
+        for (msg, want) in [
+            (req(EXTENT, 0), extent(past, 1)),
+            (req(0, NNODES), node_range.clone()),
+            (range(EXTENT - 5, 6, 0), extent(past - 5, 6)),
+            (range(usize::MAX, 2, 0), extent(u64::MAX, 2)),
+            (range(7, 0, 0), DecodeError::EmptyRun { first: 7 }),
+            (range(0, 2, NNODES), node_range.clone()),
+            (batch(EXTENT, 0), extent(past, 1)),
+            (batch(0, NNODES), node_range.clone()),
+            (push(EXTENT), extent(past, 1)),
+            (push_req(EXTENT, 0), extent(past, 1)),
+            (push_req(0, NNODES), node_range.clone()),
+            (acq(NNODES), node_range.clone()),
+            (rel(NNODES), node_range),
+        ] {
+            assert_eq!(decode_msg(&msg.encode()), Err(want.into()), "{msg:?}");
+        }
     }
 
     /// Captured at the parent of the commit that introduced the checked

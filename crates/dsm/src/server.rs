@@ -14,7 +14,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parade_net::threads::{spawn_named, Joiner};
-use parade_net::{Bytes, MsgClass, Packet, VClock, VTime};
+use parade_net::{Bytes, Match, MsgClass, Packet, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
 use crate::adapt::{pick_home, ProtocolTable};
@@ -143,7 +143,7 @@ pub struct ServerState {
 impl Dsm {
     /// Run the communication-thread service loop until fabric shutdown.
     pub fn serve_loop(self: &Arc<Self>, srv: &mut CommServer) {
-        while let Ok(pkt) = self.ep.recv_any_raw(MsgClass::Dsm) {
+        while let Ok(pkt) = self.ep.recv_raw(MsgClass::Dsm, Match::any()) {
             self.handle_packet(pkt, srv);
         }
         // Fail-stop teardown: compute threads parked on page condvars

@@ -551,29 +551,6 @@ impl Endpoint {
         Some(pkt)
     }
 
-    /// Blocking receive of the earliest-arriving packet in `class`, without
-    /// clock handling. Returns `Err(Disconnected)` once the fabric shuts
-    /// down and the queue is drained.
-    pub fn recv_any_raw(&self, class: MsgClass) -> Result<Packet, Disconnected> {
-        let fabric = &self.fabric;
-        let mb = &fabric.ports[self.id].boxes[class.index()];
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(pos) = q.earliest_match(Match::any()) {
-                let p = q.queue.remove(pos).expect("position just found");
-                fabric.stats.record_recv(self.id, class, p.payload.len());
-                return Ok(p);
-            }
-            if self.flush_limbo_record(&mut q) > 0 {
-                continue;
-            }
-            if fabric.is_shutdown() {
-                return Err(Disconnected);
-            }
-            mb.cv.wait(&mut q);
-        }
-    }
-
     fn flush_limbo_record(&self, q: &mut MailboxQ) -> u32 {
         let eff = q.flush_limbo();
         if eff.dup_drops > 0 || eff.holds > 0 {
@@ -770,7 +747,7 @@ mod tests {
         }
         let mut prev_arrive = VTime::ZERO;
         for i in 0..N {
-            let p = b.recv_any_raw(MsgClass::P2p).unwrap();
+            let p = b.recv_raw(MsgClass::P2p, Match::any()).unwrap();
             assert_eq!(p.tag, i, "link order must be preserved");
             assert_eq!(&p.payload[..], &i.to_le_bytes());
             assert!(
@@ -872,7 +849,7 @@ mod tests {
         // The five pre-death messages were all delivered.
         let b = fabric.endpoint(1);
         for i in 0..5u64 {
-            assert_eq!(b.recv_any_raw(MsgClass::P2p).unwrap().tag, i);
+            assert_eq!(b.recv_raw(MsgClass::P2p, Match::any()).unwrap().tag, i);
         }
     }
 
@@ -894,7 +871,7 @@ mod tests {
         // Pre-death lossy traffic still delivered exactly once, in order.
         let b = fabric.endpoint(1);
         for i in 0..sent {
-            assert_eq!(b.recv_any_raw(MsgClass::Dsm).unwrap().tag, i);
+            assert_eq!(b.recv_raw(MsgClass::Dsm, Match::any()).unwrap().tag, i);
         }
     }
 

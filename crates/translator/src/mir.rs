@@ -17,7 +17,7 @@ pub mod body;
 pub mod lower;
 
 pub use body::{
-    AccessEvent, Block, BlockId, CondInfo, Eval, Marker, MirFunc, MirStmt, SiblingInfo,
-    SiblingKind, Terminator, UpdateInfo, WsInfo,
+    AccessEvent, Block, BlockId, Eval, Marker, MirFunc, MirStmt, SiblingInfo, SiblingKind,
+    Terminator, UpdateInfo, WsInfo,
 };
 pub use lower::{lower_func, lower_program};

@@ -80,7 +80,7 @@ prop!(cases = 24, fn chaos_delivery_is_exactly_once_in_order(
         }
         let mut prev = VTime::ZERO;
         for (i, len) in sizes.iter().enumerate() {
-            let p = rx.recv_any_raw(MsgClass::P2p).unwrap();
+            let p = rx.recv_raw(MsgClass::P2p, Match::any()).unwrap();
             assert_eq!(p.tag, i as u64, "per-link order must survive chaos");
             assert_eq!(
                 &p.payload[..],
@@ -380,7 +380,7 @@ fn dead_link_fails_with_structured_error_within_bounded_virtual_time() {
         // release it rather than leave it blocked forever.
         let waiter = {
             let ep = fabric.endpoint(1);
-            std::thread::spawn(move || ep.recv_any_raw(MsgClass::P2p))
+            std::thread::spawn(move || ep.recv_raw(MsgClass::P2p, Match::any()))
         };
         let mut clk = VClock::manual();
         let err = fabric

@@ -113,7 +113,7 @@ fn conform_programs_flagged_statically() {
     // file -> the lint that must appear (other lints may ride along).
     let expect: &[(&str, LintId)] = &[
         ("barrier_in_single.c", LintId::BarrierPlacement),
-        ("barrier_thread_dep.c", LintId::BarrierPlacement),
+        ("barrier_thread_dep.c", LintId::BarrierDivergence),
         ("barrier_in_for.c", LintId::BarrierPlacement),
         ("reduction_wrong_op.c", LintId::ReductionMisuse),
         ("reduction_read_outside.c", LintId::ReductionMisuse),

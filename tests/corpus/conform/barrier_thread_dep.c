@@ -1,5 +1,5 @@
 /* Only thread 0 takes the branch holding the barrier.
- * Expected: PC004 (never run: deadlocks). */
+ * Expected: PC009 (never run: deadlocks). */
 int main() {
     #pragma omp parallel
     {
