@@ -570,7 +570,16 @@ fn evals<'a>(body: &'a [(usize, &'a MirStmt)]) -> impl Iterator<Item = &'a Eval>
 /// The evaluations of a lexically analyzable construct body (§4.2):
 /// straight-line statements, no nested construct or condition, and no
 /// call but to math builtins. `None` otherwise.
+///
+/// Straight-line means the body adds no block: a `critical` body shares
+/// its markers' block, and a `single` body is the one block between the
+/// one-thread branch and its rejoin.
 fn analyzable<'a>(body: &'a [(usize, &'a MirStmt)]) -> Option<Vec<&'a Eval>> {
+    let one_sided = matches!(
+        body[0].1,
+        MirStmt::Marker(Marker::ProtectEnter { dir, .. })
+            if matches!(dir.kind, DirKind::Single)
+    );
     let (first, last) = (body[0].0, body[body.len() - 1].0);
     let plain = body[1..body.len() - 1].iter().all(|(_, s)| {
         matches!(
@@ -583,7 +592,7 @@ fn analyzable<'a>(body: &'a [(usize, &'a MirStmt)]) -> Option<Vec<&'a Eval>> {
     let calls_only_math = evals
         .iter()
         .all(|e| e.calls.iter().all(|c| is_math_builtin(c)));
-    (first == last && plain && calls_only_math).then_some(evals)
+    (last - first == 2 * one_sided as usize && plain && calls_only_math).then_some(evals)
 }
 
 /// `critical` (§4.2 + §5.2.1 + §7): every statement a scalar accumulation
