@@ -438,16 +438,22 @@ mod tests {
 
     #[test]
     fn report_aggregates_counters() {
-        let (_, report) = launch(tiny(2), |env| {
+        let (out, report) = launch(tiny(2), |env| {
             let mut clk = env.new_clock();
             let r = env.dsm.alloc_region(64).unwrap();
+            // Node 0's write notice invalidates node 1's copy, so node 1's
+            // write fetches the page.
+            if env.node == 0 {
+                env.dsm.write::<i64>(r, 0, 1, &mut clk);
+            }
             env.dsm.barrier(&mut clk);
             if env.node == 1 {
-                env.dsm.write::<i64>(r, 0, 1, &mut clk);
+                env.dsm.write::<i64>(r, 0, 2, &mut clk);
             }
             env.dsm.barrier(&mut clk);
             env.dsm.read::<i64>(r, 0, &mut clk)
         });
+        assert_eq!(out, vec![2, 2]);
         let t = report.dsm_totals();
         assert_eq!(t.barriers, 4);
         assert!(t.page_fetches >= 1);

@@ -337,7 +337,12 @@ fn repeated_owner_writes_after_migration_do_not_fetch() {
     // no page traffic at all (locality exploitation, §5.2.2).
     let out = run_nodes(2, small_cfg(), NetProfile::zero(), |d, clk| {
         let r = alloc_on(&d, 64);
+        // The home's write notice invalidates node 1's copy.
+        if d.node() == 0 {
+            d.write::<i64>(r, 0, 1, clk);
+        }
         d.barrier(clk);
+        assert_eq!(d.page_state(r.first_page()).readable(), d.node() == 0);
         for round in 0..5 {
             if d.node() == 1 {
                 d.write::<i64>(r, 0, round + 100, clk);
@@ -439,20 +444,35 @@ fn a_bad_frame_names_the_receiver_the_sender_and_the_error() {
          truncated frame: u64 needs 8 bytes, 1 left"
     );
 
-    // A reply the faulting thread cannot parse, waiting under the tag node
-    // 1's first fetch will listen on.
-    let tag = crate::msg::REPLY_TAG_BASE;
-    dsms[0]
-        .endpoint()
-        .send(1, MsgClass::Ctl, tag, Bytes::from(vec![0xEEu8]), &mut clock);
+    // Node 1 takes a lock whose grant, from node 0 (its manager), names
+    // the region's page: the write notice invalidates node 1's copy.
     let r = alloc_on(&dsms[0], 64);
     assert_eq!(alloc_on(&dsms[1], 64), r);
+    let tag = crate::msg::REPLY_TAG_BASE;
+    let grant = crate::msg::DsmReply::LockGrant {
+        cur_seq: 1,
+        notices: vec![r.first_page()],
+    };
+    dsms[0]
+        .endpoint()
+        .send(1, MsgClass::Ctl, tag, grant.encode(), &mut clock);
+    dsms[1].lock_acquire(0, &mut clock);
+    assert_eq!(dsms[1].page_state(r.first_page()), PageState::Invalid);
+    // A reply the faulting thread cannot parse, waiting under the tag node
+    // 1's fetch will listen on.
+    dsms[0].endpoint().send(
+        1,
+        MsgClass::Ctl,
+        tag + 1,
+        Bytes::from(vec![0xEEu8]),
+        &mut clock,
+    );
     let said = panic_text(catch_unwind(AssertUnwindSafe(|| {
         dsms[1].read::<i64>(r, 0, &mut clock);
     })));
     assert_eq!(
         said,
-        "node 1: bad dsm frame from node 0 on tag 0x100000000: \
+        "node 1: bad dsm frame from node 0 on tag 0x100000001: \
          unknown message kind byte 0xee"
     );
 }
@@ -1043,11 +1063,17 @@ fn teardown_releases_a_thread_parked_on_a_blocked_page() {
                 .iter()
                 .map(|d| spawn_comm_thread(Arc::clone(d)))
                 .collect();
-            // Node 0 is the initial home of every page; node 1 holds none.
+            // Node 0 is the initial home of every page. Its write, released
+            // under a lock node 1 then takes, invalidates node 1's copy.
             let region = alloc_on(&dsms[0], 40 * PAGE_SIZE);
             let d = Arc::clone(&dsms[1]);
             assert_eq!(alloc_on(&d, 40 * PAGE_SIZE), region);
             let page = region.last_page();
+            let mut clock = VClock::manual();
+            dsms[0].lock_acquire(1, &mut clock);
+            dsms[0].write::<f64>(region, region.len - 8, 1.0, &mut clock);
+            dsms[0].lock_release(1, &mut clock);
+            d.lock_acquire(1, &mut clock);
             assert_eq!(d.page_state(page), PageState::Invalid);
             // A fetch that will never complete holds the page TRANSIENT.
             let meta = &d.pages[page];
@@ -1141,4 +1167,125 @@ fn the_page_table_extent_is_the_allocated_pages_on_every_node() {
     for extents in out {
         assert_eq!(extents, vec![1, 2, 4, 4, 7]);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Every copy starts valid: a page no write notice has named is zero on every
+// node, so nobody fetches it
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_never_written_region_reads_zero_everywhere_without_a_fetch() {
+    let out = run_nodes(3, small_cfg(), NetProfile::zero(), |d, clk| {
+        let r = alloc_on(&d, 5 * PAGE_SIZE);
+        let states: Vec<PageState> = (r.first_page()..=r.last_page())
+            .map(|p| d.page_state(p))
+            .collect();
+        assert_eq!(states, vec![PageState::ReadOnly; 5]);
+        d.barrier(clk);
+        let sum: u64 = (0..r.len / 8).map(|i| d.read::<u64>(r, i * 8, clk)).sum();
+        d.barrier(clk);
+        (sum, d.stats.snapshot())
+    });
+    for (node, (sum, s)) in out.iter().enumerate() {
+        assert_eq!(*sum, 0, "node {node}");
+        assert_eq!((s.page_fetches, s.read_faults), (0, 0), "node {node}");
+    }
+}
+
+#[test]
+fn a_master_write_before_the_fork_reaches_every_node() {
+    // The master's serial phase writes the middle page of three; the
+    // barrier that forks the team carries the write notice.
+    let out = run_nodes(3, small_cfg(), NetProfile::zero(), |d, clk| {
+        let r = alloc_on(&d, 3 * PAGE_SIZE);
+        if d.node() == 0 {
+            d.write::<f64>(r, PAGE_SIZE + 16, 2.5, clk);
+        }
+        d.barrier(clk);
+        let read: Vec<f64> = [16, PAGE_SIZE + 16, 2 * PAGE_SIZE + 16]
+            .iter()
+            .map(|&at| d.read::<f64>(r, at, clk))
+            .collect();
+        (read, d.stats.snapshot().page_fetches)
+    });
+    for (node, (read, fetches)) in out.iter().enumerate() {
+        assert_eq!(read, &[0.0, 2.5, 0.0], "node {node}");
+        // Only the written page travels, and only to the nodes it is not
+        // homed on.
+        assert_eq!(*fetches, (node != 0) as u64, "node {node}");
+    }
+}
+
+#[test]
+fn a_write_ordered_only_by_a_lock_grant_reaches_the_next_acquirer() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // Node 0 writes under lock 2 (managed by node 2) and releases; only
+    // then does node 1 acquire. No barrier lies between the write and the
+    // read, so the grant's write notice alone must invalidate node 1's
+    // valid zero copy.
+    let released = Arc::new(AtomicBool::new(false));
+    let out = run_nodes(3, small_cfg(), NetProfile::zero(), move |d, clk| {
+        let r = alloc_on(&d, 64);
+        // Every table holds the region before a frame names its page.
+        d.barrier(clk);
+        let seen = match d.node() {
+            0 => {
+                d.lock_acquire(2, clk);
+                d.write::<i64>(r, 8, 42, clk);
+                d.lock_release(2, clk);
+                released.store(true, Ordering::Release);
+                None
+            }
+            1 => {
+                while !released.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                d.lock_acquire(2, clk);
+                let v = d.read::<i64>(r, 8, clk);
+                d.lock_release(2, clk);
+                Some((v, d.stats.snapshot().page_fetches))
+            }
+            _ => None,
+        };
+        d.barrier(clk);
+        seen
+    });
+    assert_eq!(out[1], Some((42, 1)));
+}
+
+#[test]
+fn a_region_allocated_after_writes_starts_valid_and_zero() {
+    let out = run_nodes(3, small_cfg(), NetProfile::zero(), |d, clk| {
+        let a = alloc_on(&d, 2 * PAGE_SIZE);
+        d.barrier(clk);
+        d.write::<u64>(a, d.node() * PAGE_SIZE / 2, u64::MAX, clk);
+        d.barrier(clk);
+        let before = d.stats.snapshot().page_fetches;
+        let b = alloc_on(&d, 2 * PAGE_SIZE);
+        let valid = (b.first_page()..=b.last_page()).all(|p| d.page_state(p).readable());
+        let sum: u64 = (0..b.len / 8).map(|i| d.read::<u64>(b, i * 8, clk)).sum();
+        d.barrier(clk);
+        (valid, sum, d.stats.snapshot().page_fetches - before)
+    });
+    assert_eq!(out, vec![(true, 0, 0); 3]);
+}
+
+/// A page frame is held to whole pages: a short `PagePush` fails the
+/// comm thread by name, before anything is copied into the pool.
+#[test]
+fn a_short_page_push_is_a_bad_frame() {
+    use crate::msg::DsmMsg;
+
+    let push = DsmMsg::PagePush {
+        page: 2,
+        barrier_seq: 0,
+        data: parade_net::Bytes::from(vec![0u8; 16]),
+    };
+    assert_eq!(
+        node0_says(1, push),
+        "node 0: bad dsm frame from node 1 on tag 0x0: \
+         page data of 16 bytes is not one 4096-byte page"
+    );
 }

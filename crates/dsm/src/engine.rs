@@ -96,8 +96,6 @@ pub(crate) struct PageTable {
     /// Entries constructed so far. Stored with `Release` once they are, and
     /// loaded with `Acquire` before one is handed out.
     extent: AtomicUsize,
-    /// This node's initial state of every page.
-    init: PageState,
 }
 
 // SAFETY: entries below `extent` are only ever shared (`&PageMeta`, which is
@@ -108,7 +106,7 @@ pub(crate) struct PageTable {
 unsafe impl Sync for PageTable {}
 
 impl PageTable {
-    fn new(pages: usize, init: PageState) -> PageTable {
+    fn new(pages: usize) -> PageTable {
         let raw = Box::into_raw(Box::<[PageMeta]>::new_uninit_slice(pages));
         // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
         // slice has the same layout either way; ownership moves exactly once.
@@ -116,7 +114,6 @@ impl PageTable {
         PageTable {
             slots,
             extent: AtomicUsize::new(0),
-            init,
         }
     }
 
@@ -136,7 +133,7 @@ impl PageTable {
         for slot in &self.slots[from..to] {
             // SAFETY: `slot` is at or past the extent, so no reader can
             // reach it, and the caller is the only writer.
-            unsafe { (*slot.get()).write(PageMeta::new(self.init)) };
+            unsafe { (*slot.get()).write(PageMeta::new(PageState::ReadOnly)) };
         }
         self.extent.store(to, Ordering::Release);
     }
@@ -228,18 +225,15 @@ impl Drop for Dsm {
 }
 
 impl Dsm {
-    /// Create the DSM instance for `ep`'s node. Initially the master
-    /// (node 0) is home of every page with `READ_ONLY` state; all other
-    /// nodes start `INVALID` (§5.2.3).
+    /// Create the DSM instance for `ep`'s node. The master (node 0) is the
+    /// initial home of every page, and every node's copy starts valid,
+    /// `READ_ONLY` (§5.2.3 starts the others `INVALID`): pools are zero when
+    /// allocated from ([`RawPool::new`]) and regions are never reused, so an
+    /// unwritten page is zero everywhere (DESIGN.md, "Every copy starts valid").
     pub fn new(ep: Endpoint, cfg: DsmConfig) -> Self {
         let node = ep.id();
         let nnodes = ep.nodes();
         let npages = cfg.pool_bytes / PAGE_SIZE;
-        let init_state = if node == 0 {
-            PageState::ReadOnly
-        } else {
-            PageState::Invalid
-        };
         let homes = Box::into_raw(vec![0u32; npages].into_boxed_slice());
         // SAFETY: `AtomicU32` has the size, alignment and bit validity of
         // `u32`; ownership moves exactly once.
@@ -249,7 +243,7 @@ impl Dsm {
             nnodes,
             cfg,
             pool: RawPool::new(npages * PAGE_SIZE),
-            pages: PageTable::new(npages, init_state),
+            pages: PageTable::new(npages),
             homes,
             alloc: Mutex::new(RegionAllocator::new()),
             ep,
@@ -1016,12 +1010,7 @@ impl Dsm {
                 // independent of how accurate the sharer set was.
                 debug_assert_eq!(e.new_home, e.old_home, "update entry migrated");
                 if self.node == e.new_home {
-                    let mut buf = vec![0u8; PAGE_SIZE];
-                    let _inner = meta.inner.lock();
-                    // SAFETY: we are home; the page is valid here.
-                    unsafe { self.pool.copy_page_out(e.page, &mut buf) };
-                    drop(_inner);
-                    let data = parade_net::Bytes::from(buf);
+                    let data = self.page_bytes(e.page);
                     for &s in &e.sharers {
                         debug_assert_ne!(s, self.node, "home listed as its own sharer");
                         let msg = DsmMsg::PagePush {
@@ -1059,14 +1048,8 @@ impl Dsm {
                         inner.awaiting_seq = seq;
                         meta.set_state(&mut inner, PageState::Blocked);
                     }
-                } else if meta.fast.load(Ordering::Acquire) != PageState::Invalid as u8 {
-                    let mut inner = meta.inner.lock();
-                    if inner.state.readable() {
-                        inner.twin = None;
-                        meta.set_state(&mut inner, PageState::Invalid);
-                        self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                        trace::instant(EventKind::DsmInvalidate, e.page as u64, clock.now());
-                    }
+                } else {
+                    self.drop_stale_copy(e.page, clock);
                 }
                 continue;
             }
@@ -1118,15 +1101,10 @@ impl Dsm {
                 // The old home holds the fully merged copy — still valid.
                 if e.multi_writer && e.new_home != e.old_home {
                     // Push the merged page to the new home.
-                    let mut buf = vec![0u8; PAGE_SIZE];
-                    let _inner = meta.inner.lock();
-                    // SAFETY: we are (old) home; the page is valid here.
-                    unsafe { self.pool.copy_page_out(e.page, &mut buf) };
-                    drop(_inner);
                     let msg = DsmMsg::PagePush {
                         page: e.page,
                         barrier_seq: seq,
-                        data: parade_net::Bytes::from(buf),
+                        data: self.page_bytes(e.page),
                     };
                     self.ep
                         .send(e.new_home, MsgClass::Dsm, 0, msg.encode(), clock);
@@ -1135,20 +1113,8 @@ impl Dsm {
                 }
             } else {
                 // Someone else wrote the page and we are not its (old or
-                // new) home: our copy, if any, is stale. The common case —
-                // we never cached the page — takes no lock (one atomic
-                // load), which keeps departure application cheap on large
-                // write sets (real HLRC likewise only mprotects resident
-                // stale copies).
-                if meta.fast.load(Ordering::Acquire) != PageState::Invalid as u8 {
-                    let mut inner = meta.inner.lock();
-                    if inner.state.readable() {
-                        inner.twin = None;
-                        meta.set_state(&mut inner, PageState::Invalid);
-                        self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                        trace::instant(EventKind::DsmInvalidate, e.page as u64, clock.now());
-                    }
-                }
+                // new) home.
+                self.drop_stale_copy(e.page, clock);
             }
         }
         if migrated_any {
@@ -1210,6 +1176,39 @@ impl Dsm {
         self.invalidate_pages(notices, clock);
     }
 
+    /// This node's copy of `page`, taken under the page lock. The caller
+    /// knows the copy is valid: it is, or was through the last barrier, the
+    /// page's home, and old homes never drop their merged bytes.
+    pub(crate) fn page_bytes(&self, page: PageId) -> parade_net::Bytes {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        let _inner = self.pages[page].inner.lock();
+        // SAFETY: valid, as above, and we hold the page lock.
+        unsafe { self.pool.copy_page_out(page, &mut buf) };
+        parade_net::Bytes::from(buf)
+    }
+
+    /// A write notice named `page`, written elsewhere: a valid copy here is
+    /// stale. One already invalid takes no lock (one atomic load), which
+    /// keeps departure application cheap on large write sets (real HLRC
+    /// likewise only mprotects resident stale copies).
+    fn drop_stale_copy(&self, page: PageId, clock: &VClock) {
+        let meta = &self.pages[page];
+        if meta.fast.load(Ordering::Acquire) != PageState::Invalid as u8 {
+            let mut inner = meta.inner.lock();
+            if inner.state.readable() {
+                self.invalidate(meta, &mut inner, page, clock);
+            }
+        }
+    }
+
+    /// Drop this node's copy of `page`: the next access fetches it.
+    fn invalidate(&self, meta: &PageMeta, inner: &mut PageInner, page: PageId, clock: &VClock) {
+        inner.twin = None;
+        meta.set_state(inner, PageState::Invalid);
+        self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+        trace::instant(EventKind::DsmInvalidate, page as u64, clock.now());
+    }
+
     /// Apply a lock grant's write notices: invalidate cached copies of
     /// `pages` so the next access refetches from the home.
     fn invalidate_pages(&self, pages: &[PageId], clock: &mut VClock) {
@@ -1221,12 +1220,7 @@ impl Dsm {
             let meta = &self.pages[page];
             let mut inner = meta.inner.lock();
             match inner.state {
-                PageState::ReadOnly => {
-                    inner.twin = None;
-                    meta.set_state(&mut inner, PageState::Invalid);
-                    self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmInvalidate, page as u64, clock.now());
-                }
+                PageState::ReadOnly => self.invalidate(meta, &mut inner, page, clock),
                 PageState::Dirty => {
                     // We hold un-released local writes on a page another
                     // node modified (page-granularity false sharing on a
@@ -1242,9 +1236,7 @@ impl Dsm {
                     unsafe { self.pool.copy_page_out(page, &mut cur) };
                     let diff = Diff::create(&twin, &cur);
                     self.sets.unmark_dirty(page);
-                    meta.set_state(&mut inner, PageState::Invalid);
-                    self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                    trace::instant(EventKind::DsmInvalidate, page as u64, clock.now());
+                    self.invalidate(meta, &mut inner, page, clock);
                     drop(inner);
                     if !diff.is_empty() {
                         let (pages, diffs) = by_home.entry(self.home_of(page)).or_default();

@@ -32,14 +32,15 @@
 //! table and cluster: every page they name lies below the extent, a
 //! `ReqPageRange` is one such run, and every requester or sender is a node
 //! of the cluster, so the server never indexes its page table with a
-//! number straight off the wire.
+//! number straight off the wire. A `PagePush` or `PageData` carries one
+//! whole page of the table, a `PageRangeData` a non-empty run of them.
 
 use parade_net::Bytes;
 
 use parade_mpi::datatype::{DecodeError, Reader, Writer};
 
 use crate::diff::{Diff, DiffError};
-use crate::page::PageId;
+use crate::page::{PageId, PAGE_SIZE};
 
 /// Reply tags live above this base; cluster control uses tags below it.
 pub const REPLY_TAG_BASE: u64 = 1 << 32;
@@ -187,14 +188,7 @@ impl RunCheck {
         if len == 0 {
             return Err(DecodeError::EmptyRun { first });
         }
-        let end = first
-            .checked_add(len as u64)
-            .filter(|&end| end <= self.extent as u64)
-            .ok_or(DecodeError::RunExtent {
-                first,
-                len,
-                extent: self.extent,
-            })?;
+        let end = run_end(first, len, self.extent)?;
         let adjacent = match self.prev_end {
             Some(prev_end) if first < prev_end => {
                 return Err(DecodeError::RunOrder { first, prev_end })
@@ -247,14 +241,28 @@ fn decode_pages(r: &mut Reader<'_>, extent: usize) -> Result<Vec<PageId>, Decode
 /// its length.
 fn decode_page(r: &mut Reader<'_>, extent: usize) -> Result<PageId, DecodeError> {
     let page = r.u64()?;
-    if page >= extent as u64 {
-        return Err(DecodeError::RunExtent {
-            first: page,
-            len: 1,
-            extent,
-        });
-    }
+    run_end(page, 1, extent)?;
     Ok(page as PageId)
+}
+
+/// The end of the run `first..first + len`, if it lies inside the table.
+fn run_end(first: u64, len: u32, extent: usize) -> Result<u64, DecodeError> {
+    (first.checked_add(len as u64))
+        .filter(|&end| end <= extent as u64)
+        .ok_or(DecodeError::RunExtent { first, len, extent })
+}
+
+/// Page data: exactly one whole page (`one`), or a non-empty run of them.
+fn decode_page_data(r: &mut Reader<'_>, one: bool) -> Result<Bytes, DecodeError> {
+    let data = r.lp_bytes()?;
+    let (len, page_size) = (data.len(), PAGE_SIZE);
+    if one && len != page_size {
+        return Err(DecodeError::NotAPage { len, page_size });
+    }
+    if len == 0 || !len.is_multiple_of(page_size) {
+        return Err(DecodeError::NotWholePages { len, page_size });
+    }
+    Ok(Bytes::copy_from_slice(data))
 }
 
 fn decode_node(r: &mut Reader<'_>, nnodes: usize) -> Result<usize, DecodeError> {
@@ -525,7 +533,7 @@ impl DsmMsg {
             K_PAGE_PUSH => DsmMsg::PagePush {
                 page: decode_page(&mut r, extent)?,
                 barrier_seq: r.u64()?,
-                data: Bytes::copy_from_slice(r.lp_bytes()?),
+                data: decode_page_data(&mut r, true)?,
             },
             K_BARRIER_ARRIVE => DsmMsg::BarrierArrive {
                 seq: r.u64()?,
@@ -725,13 +733,19 @@ impl DsmReply {
         let mut r = Reader::new(b);
         let reply = match r.u8()? {
             R_PAGE_DATA => DsmReply::PageData {
-                page: r.u64()? as PageId,
-                data: Bytes::copy_from_slice(r.lp_bytes()?),
+                page: decode_page(&mut r, extent)?,
+                data: decode_page_data(&mut r, true)?,
             },
-            R_PAGE_RANGE_DATA => DsmReply::PageRangeData {
-                first: r.u64()? as PageId,
-                data: Bytes::copy_from_slice(r.lp_bytes()?),
-            },
+            R_PAGE_RANGE_DATA => {
+                let first = r.u64()?;
+                let data = decode_page_data(&mut r, false)?;
+                // At most `u32::MAX` bytes, so the page count fits a `u32`.
+                run_end(first, (data.len() / PAGE_SIZE) as u32, extent)?;
+                DsmReply::PageRangeData {
+                    first: first as PageId,
+                    data,
+                }
+            }
             R_DIFF_BATCH_ACK => DsmReply::DiffBatchAck { pages: r.u32()? },
             R_BARRIER_DEPART => DsmReply::BarrierDepart {
                 seq: r.u64()?,
@@ -751,7 +765,6 @@ impl DsmReply {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
     use parade_testkit::wire::{assert_codec, hex};
 
     fn page_diff(touch: &[usize]) -> Diff {
@@ -787,7 +800,7 @@ mod tests {
             DsmMsg::PagePush {
                 page: 5,
                 barrier_seq: 12,
-                data: Bytes::from(vec![7u8; 16]),
+                data: Bytes::from(vec![7u8; PAGE_SIZE]),
             },
             DsmMsg::PushReq {
                 page: 5,
@@ -833,11 +846,11 @@ mod tests {
         vec![
             DsmReply::PageData {
                 page: 1,
-                data: Bytes::from(vec![1u8, 2, 3]),
+                data: Bytes::from(vec![1u8; PAGE_SIZE]),
             },
             DsmReply::PageRangeData {
                 first: 12,
-                data: Bytes::from(vec![9u8; 16]),
+                data: Bytes::from(vec![9u8; PAGE_SIZE]),
             },
             DsmReply::DiffBatchAck { pages: 17 },
             DsmReply::BarrierDepart {
@@ -905,7 +918,7 @@ mod tests {
     fn request_and_reply_codecs_are_checked() {
         assert_codec(&sample_msgs(), DsmMsg::encode, decode_msg);
         assert_codec(&sample_replies(), DsmReply::encode, decode_reply);
-        // Whole pages travel too (the samples above stay short for the pins).
+        // A range of more than one page.
         let page = DsmReply::PageRangeData {
             first: 12,
             data: Bytes::from(vec![9u8; 2 * PAGE_SIZE]),
@@ -1164,7 +1177,7 @@ mod tests {
         let push = |page| DsmMsg::PagePush {
             page,
             barrier_seq: 2,
-            data: Bytes::from(vec![1u8; 4]),
+            data: Bytes::from(vec![1u8; PAGE_SIZE]),
         };
         let push_req = |page, requester| DsmMsg::PushReq {
             page,
@@ -1222,20 +1235,81 @@ mod tests {
         }
     }
 
+    /// A page-carrying frame carries whole pages of the table: at the last
+    /// page it keeps the codec contract; one byte short, or one page past
+    /// the extent, it is refused by name.
+    #[test]
+    fn page_frames_carry_whole_pages_inside_the_table() {
+        let last = EXTENT - 1;
+        let pages = |n: usize, short: usize| Bytes::from(vec![5u8; n * PAGE_SIZE - short]);
+        let push = |page, data| DsmMsg::PagePush {
+            page,
+            barrier_seq: 2,
+            data,
+        };
+        let one = |page, data| DsmReply::PageData { page, data };
+        let range = |first, data| DsmReply::PageRangeData { first, data };
+        // The last-page `PagePush` is `requests_are_held_to_the_table_and_the_cluster`'s.
+        assert_codec(
+            &[one(last, pages(1, 0)), range(last, pages(1, 0))],
+            DsmReply::encode,
+            decode_reply,
+        );
+
+        let not_a_page = DecodeError::NotAPage {
+            len: PAGE_SIZE - 1,
+            page_size: PAGE_SIZE,
+        };
+        let not_whole = |len| DecodeError::NotWholePages {
+            len,
+            page_size: PAGE_SIZE,
+        };
+        let extent = |first, len| DecodeError::RunExtent {
+            first,
+            len,
+            extent: EXTENT,
+        };
+        assert_eq!(
+            decode_msg(&push(last, pages(1, 1)).encode()),
+            Err(not_a_page.clone().into())
+        );
+        assert_eq!(
+            decode_msg(&push(EXTENT, pages(1, 0)).encode()),
+            Err(extent(EXTENT as u64, 1).into())
+        );
+        for (reply, want) in [
+            (one(last, pages(1, 1)), not_a_page),
+            (one(EXTENT, pages(1, 0)), extent(EXTENT as u64, 1)),
+            (range(last - 1, pages(2, 1)), not_whole(2 * PAGE_SIZE - 1)),
+            (range(last, pages(0, 0)), not_whole(0)),
+            (range(last, pages(2, 0)), extent(last as u64, 2)),
+            (range(usize::MAX, pages(1, 0)), extent(u64::MAX, 1)),
+        ] {
+            assert_eq!(decode_reply(&reply.encode()), Err(want), "{reply:?}");
+        }
+    }
+
     /// Captured at the parent of the commit that introduced the checked
-    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. The one
-    /// exception is `LockAcq`, one byte shorter than at the parent: the
-    /// trailing `polling` flag (`00`) went with `LockKind::Polling`.
+    /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. The
+    /// exceptions: `LockAcq`, one byte shorter than at the parent (the
+    /// trailing `polling` flag `00` went with `LockKind::Polling`), and the
+    /// `PagePush`, `PageData` and `PageRangeData` samples, which carry one
+    /// whole page since the decoders refuse anything else (the header bytes
+    /// but the length are as they were).
     #[test]
     fn wire_bytes_are_pinned() {
+        // The page-carrying frames: a header, then one page of one byte.
+        let page = |header: &str, byte: &str| header.to_string() + &byte.repeat(PAGE_SIZE);
+        let push = page("0305000000000000000c0000000000000000100000", "07");
+        let page_data = page("01010000000000000000100000", "01");
+        let range_data = page("070c0000000000000000100000", "09");
         let msgs = [
             "012a00000000000000030000000700000001000000",
             "09280000000000000006000000020000000900000001000000",
             "0802000000030000000100000002000000040000000000000001000000080000\
              0008000000030000000000000009000000000000000200000000000000080000\
              000300000000000000f80f0000080000000300000000000000",
-            "0305000000000000000c00000000000000100000000707070707070707070707\
-             0707070707",
+            &push,
             "0b05000000000000000c0000000000000001000000",
             "0404000000000000000200000001000000010000000200000001000000000000\
              00020000001e0000000000000001000000010000000500000000000000020000\
@@ -1251,8 +1325,8 @@ mod tests {
             "07",
         ];
         let replies = [
-            "01010000000000000003000000010203",
-            "070c000000000000001000000009090909090909090909090909090909",
+            &page_data,
+            &range_data,
             "0611000000",
             "030300000000000000030000000a000000000000000100000000000000020000\
              0000000000000b0000000000000001000000010000000100000001000000000c\

@@ -6,7 +6,7 @@ pub const PAGE_SIZE: usize = 4096;
 /// Index of a page within the shared pool.
 pub type PageId = usize;
 
-/// Page state (paper §5.2.3, Figure 5).
+/// Page state (paper §5.2.3, Figure 5); copies start `READ_ONLY` ([`crate::Dsm::new`]).
 ///
 /// `TRANSIENT` and `BLOCKED` exist because ParADE is *multi-threaded*: they
 /// solve the atomic page update problem (§5.1) by making threads that touch
@@ -15,7 +15,7 @@ pub type PageId = usize;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PageState {
-    /// Not present in local memory; access faults and fetches from home.
+    /// Stale (a write notice named the page); access faults and fetches.
     Invalid = 0,
     /// A thread is fetching/updating this page; the update is not complete.
     Transient = 1,

@@ -295,18 +295,12 @@ impl Dsm {
                 // push lands, because the new home defers all fetches while
                 // parked. Note `try_serve_pages` would refuse: we are no
                 // longer `home_of(page)`.
-                let mut buf = vec![0u8; PAGE_SIZE];
-                {
-                    let _inner = self.pages[page].inner.lock();
-                    // SAFETY: we were the page's home through `barrier_seq`;
-                    // old homes never drop their merged bytes.
-                    unsafe { self.pool.copy_page_out(page, &mut buf) };
-                }
+                let data = self.page_bytes(page);
                 srv.charge_copy(PAGE_SIZE);
                 let push = DsmMsg::PagePush {
                     page,
                     barrier_seq,
-                    data: Bytes::from(buf),
+                    data,
                 };
                 self.ep
                     .send_at(requester, MsgClass::Dsm, 0, push.encode(), srv.clock.now());

@@ -174,6 +174,11 @@ pub enum DecodeError {
     NodeRange { node: u32, nnodes: usize },
     /// A node list that is not strictly ascending.
     NodeOrder { node: u32, after: u32 },
+    /// A one-page frame whose data is not one `page_size`-byte page.
+    NotAPage { len: usize, page_size: usize },
+    /// A page-range frame whose data is not a non-empty whole number of
+    /// `page_size`-byte pages.
+    NotWholePages { len: usize, page_size: usize },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -207,6 +212,17 @@ impl std::fmt::Display for DecodeError {
             DecodeError::NodeOrder { node, after } => {
                 write!(f, "node list not strictly ascending: {node} after {after}")
             }
+            DecodeError::NotAPage { len, page_size } => {
+                write!(
+                    f,
+                    "page data of {len} bytes is not one {page_size}-byte page"
+                )
+            }
+            DecodeError::NotWholePages { len, page_size } => write!(
+                f,
+                "page range data of {len} bytes is not a non-empty whole number \
+                 of {page_size}-byte pages"
+            ),
         }
     }
 }

@@ -48,19 +48,10 @@ pub struct AttemptOutcome {
     pub report: RunReport,
 }
 
-/// Run one attempt of `spec` at `width` nodes, resuming from `cell`.
-///
-/// On success the checkpoint cell holds the final interval; on a node
-/// death it still holds the last *completed* interval, and the returned
-/// [`FailedRun`] names the dead link so the scheduler can re-home.
-pub fn run_attempt(
-    spec: &JobSpec,
-    width: usize,
-    chaos: ChaosProfile,
-    cell: &CkptCell,
-) -> Result<AttemptOutcome, Box<FailedRun>> {
-    let kind = spec.kind;
-    let cluster = Cluster::builder()
+/// The private sub-fabric of one attempt: `width` nodes of one compute
+/// thread each and a 64-page pool per node.
+fn attempt_cluster(width: usize, chaos: ChaosProfile) -> Cluster {
+    Cluster::builder()
         .config(ClusterConfig {
             dsm: DsmConfig {
                 pool_bytes: 64 * parade_dsm::PAGE_SIZE,
@@ -74,7 +65,22 @@ pub fn run_attempt(
         .time(TimeSource::Manual)
         .chaos(chaos)
         .build()
-        .expect("serve cluster config");
+        .expect("serve cluster config")
+}
+
+/// Run one attempt of `spec` at `width` nodes, resuming from `cell`.
+///
+/// On success the checkpoint cell holds the final interval; on a node
+/// death it still holds the last *completed* interval, and the returned
+/// [`FailedRun`] names the dead link so the scheduler can re-home.
+pub fn run_attempt(
+    spec: &JobSpec,
+    width: usize,
+    chaos: ChaosProfile,
+    cell: &CkptCell,
+) -> Result<AttemptOutcome, Box<FailedRun>> {
+    let kind = spec.kind;
+    let cluster = attempt_cluster(width, chaos);
     let cell2 = Arc::clone(cell);
     cluster
         .try_run_with_report(move |g| {
@@ -183,5 +189,35 @@ mod tests {
             .expect("resume run")
             .digest;
         assert_eq!(resumed, full, "resume must not change a single bit");
+    }
+
+    /// Two jobs back to back from one thread: the second job's node pools
+    /// are the first one's, recycled, and its first region lies at the
+    /// offsets the first job filled. Every node's copy of it must still
+    /// read zero, with no page fetched: the pools were cleared as far as
+    /// the first job allocated.
+    #[test]
+    fn a_job_after_a_job_reads_zero_pages_without_a_fetch() {
+        let words = 4 * parade_dsm::PAGE_SIZE / 8;
+        let job = |fill: f64| {
+            attempt_cluster(3, ChaosProfile::off()).run_with_report(move |g| {
+                let xs = g.alloc_f64(words);
+                g.parallel(move |tc| {
+                    let mine = tc.for_static(0..words);
+                    let mut seen = vec![1.0; mine.len()];
+                    tc.read_into(&xs, mine.start, &mut seen);
+                    assert!(
+                        seen.iter().all(|&x| x == 0.0),
+                        "node {} read a fresh region that is not zero",
+                        tc.node()
+                    );
+                    tc.write_from(&xs, mine.start, &vec![fill; mine.len()]);
+                });
+            })
+        };
+        for fill in [7.0, 9.0] {
+            let (_, report) = job(fill);
+            assert_eq!(report.cluster.dsm_totals().page_fetches, 0, "fill {fill}");
+        }
     }
 }

@@ -334,6 +334,15 @@ impl Parser {
             clauses.push(self.clause()?);
         }
         self.eat(&Tok::PragmaEnd)?;
+        if kind == DirKind::For && clauses.iter().any(|c| matches!(c, Clause::Reduction(..))) {
+            // The loop's own reduction is not lowered: each thread's update
+            // would run as a plain shared write.
+            return err(
+                line,
+                "unsupported clause 'reduction' on '#pragma omp for'; \
+                 use '#pragma omp parallel for reduction(...)'",
+            );
+        }
         let dir = Directive {
             kind: kind.clone(),
             clauses,
@@ -784,6 +793,27 @@ mod tests {
         let e = parse("int main() {\n  int x = ;\n}").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(parse("#pragma omp sections\nint main(){}").is_err());
+    }
+
+    /// A work-sharing loop's own `reduction` is refused, and the message
+    /// points at the combined directive, whose clause is honoured.
+    #[test]
+    fn a_loop_reduction_inside_a_region_is_refused_by_name() {
+        let src = "int main() {\n  int i; double s; double a[8];\n  s = 0.0;\n  \
+                   #pragma omp parallel\n  {\n    #pragma omp for reduction(+:s)\n    \
+                   for (i = 0; i < 8; i++) s += a[i];\n  }\n  return 0;\n}";
+        let e = parse(src).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (
+                6,
+                "unsupported clause 'reduction' on '#pragma omp for'; \
+                 use '#pragma omp parallel for reduction(...)'"
+            )
+        );
+        let combined = src.replace("parallel\n  {\n    #pragma omp for", "parallel for");
+        let combined = combined.replace("s += a[i];\n  }", "s += a[i];");
+        assert!(parse(&combined).is_ok(), "{combined}");
     }
 
     #[test]

@@ -174,6 +174,42 @@ for cmd in check translate run; do
 done
 rm -rf "$TASK_TMP"
 
+# ...and a work-sharing loop's own reduction clause, even past the analyzer
+# gate: the clause is not lowered, and the loop would run its updates as
+# plain shared writes (a wrong sum at every shape but 1x1).
+RED_TMP="$(mktemp -d)"
+cat > "$RED_TMP/loop_reduction.c" <<'EOF'
+#include <stdio.h>
+int main() {
+    int i; int it; double err; double a[64];
+    for (i = 0; i < 64; i++) {
+        a[i] = 0.01;
+    }
+    #pragma omp parallel private(it)
+    {
+        for (it = 0; it < 2; it++) {
+            #pragma omp single
+            {
+                err = 0.0;
+            }
+            #pragma omp for reduction(+:err)
+            for (i = 0; i < 64; i++) {
+                err += a[i];
+            }
+        }
+    }
+    printf("%f\n", err);
+    return 0;
+}
+EOF
+if cargo run -q --offline -p parade-check --bin paradec -- run "$RED_TMP/loop_reduction.c" \
+    --no-check --nodes 2 --threads 2 >/dev/null 2>"$RED_TMP/err"; then
+  echo "paradec run --no-check accepted a work-sharing loop's reduction clause" >&2
+  exit 1
+fi
+grep -q "unsupported clause 'reduction' on '#pragma omp for'" "$RED_TMP/err"
+rm -rf "$RED_TMP"
+
 echo "== serving soak, optimized (1000 jobs; ignored in the debug test step) =="
 # tests/serve_soak.rs: every job completes exactly once, bit-identical to
 # its sequential reference, with >=1 re-home and no growth in host threads.
