@@ -40,12 +40,18 @@ pub struct Decl {
 }
 
 impl Decl {
+    /// Saturates at `usize::MAX`: an array that large cannot be
+    /// allocated, and saying so is the interpreter's job.
     pub fn total_elems(&self) -> usize {
-        self.dims.iter().product::<usize>().max(1)
+        self.dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .unwrap_or(usize::MAX)
+            .max(1)
     }
 
     pub fn byte_size(&self) -> usize {
-        self.total_elems() * self.ty.size()
+        self.total_elems().saturating_mul(self.ty.size())
     }
 
     pub fn is_array(&self) -> bool {

@@ -59,6 +59,22 @@ fn rte<T>(msg: impl Into<String>) -> RtResult<T> {
 /// builds an error (`error_abi_stays_in_registers` pins the sizes).
 type RtResult<T> = Result<T, Box<RuntimeError>>;
 
+/// The stack a program's user-function calls may take on one thread,
+/// measured from where the thread started interpreting. It sits safely
+/// below the 2 MiB every node and pool thread gets, so a runaway recursion
+/// is a named error instead of a stack overflow that aborts the process.
+/// The limit is on bytes, not on a call count: one call level costs 2 to
+/// 12 KB of stack in an optimised build and several times that in a debug
+/// one, growing with how deeply the function's body nests.
+const CALL_STACK_LIMIT: usize = 1 << 20;
+
+/// Where this thread's stack is now: the address of a local.
+#[inline(always)]
+fn stack_addr() -> usize {
+    let here = 0u8;
+    std::hint::black_box(&here) as *const u8 as usize
+}
+
 /// Runtime value. A string is only ever a `printf` argument; its text
 /// stays in the resolved program's table.
 #[derive(Debug, Clone, Copy)]
@@ -247,6 +263,7 @@ impl Interp {
     /// Run `main` on the given cluster; returns the exit code and captured
     /// `printf` output.
     pub fn run(&self, cluster: &Cluster) -> Result<RunOutput, RuntimeError> {
+        check_pool(&self.code, cluster.config().dsm_config().pool_bytes)?;
         let code = Arc::clone(&self.code);
         let oracle_enabled = self.oracle;
         let result: RtResult<(i64, String, Vec<RaceReport>)> = cluster.run(move |g| {
@@ -261,6 +278,7 @@ impl Interp {
                 undo: Vec::new(),
                 args: Vec::new(),
                 frame: 0,
+                stack_base: stack_addr(),
                 single_dummy: None,
                 lp_scratch: None,
                 in_update_body: false,
@@ -291,6 +309,30 @@ impl Interp {
             races,
         })
     }
+}
+
+/// Refuse a program with a shared variable larger than the shared pool of
+/// `pool` bytes before any node allocates: its allocation would panic the
+/// master mid-broadcast.
+fn check_pool(code: &Code, pool: usize) -> Result<(), RuntimeError> {
+    for s in &code.storage {
+        // Every shared element is an 8-byte `f64` or `i64`.
+        let bytes = s.shape.elems.checked_mul(8);
+        if bytes.is_some_and(|b| b <= pool) {
+            continue;
+        }
+        let asked = bytes.map_or_else(
+            || format!("more than {} bytes", usize::MAX),
+            |b| format!("{b} bytes"),
+        );
+        return Err(RuntimeError {
+            message: format!(
+                "shared variable `{}` needs {asked}, more than the {pool}-byte shared pool",
+                code.name(s.sym)
+            ),
+        });
+    }
+    Ok(())
 }
 
 fn alloc_shared(g: &mut MasterCtx, code: &Code) -> Arc<[Option<Shared>]> {
@@ -354,6 +396,9 @@ struct Env<'c> {
     /// Depth of user-function calls. A callee sees the shared variables but
     /// none of its caller's locals: those carry the caller's depth.
     frame: u32,
+    /// [`stack_addr`] where this environment was made: calls may take
+    /// [`CALL_STACK_LIMIT`] bytes past it.
+    stack_base: usize,
     /// Coordination scalar for execute-once singles (thread frames only).
     single_dummy: Option<SharedScalar<f64>>,
     /// Scratch vector receiving lastprivate values (thread frames only).
@@ -782,6 +827,7 @@ impl<'c> Env<'c> {
             }
             RExpr::Call(id, args) => {
                 let f = &self.code().funcs[id.idx()];
+                self.check_stack(&f.name)?;
                 // The arguments run in the caller's frame, all of them
                 // before the first parameter is bound.
                 let base = self.args.len();
@@ -806,6 +852,20 @@ impl<'c> Env<'c> {
             }
             RExpr::Fail(f) => rte(&*f.message),
         }
+    }
+
+    /// A call to `name` may not take the thread past [`CALL_STACK_LIMIT`].
+    /// Out of line, so `eval` carries neither the probe nor the message.
+    #[inline(never)]
+    fn check_stack(&self, name: &str) -> RtResult<()> {
+        if stack_addr().abs_diff(self.stack_base) <= CALL_STACK_LIMIT {
+            return Ok(());
+        }
+        rte(format!(
+            "call to {name}() at call depth {} passes the {} KiB call stack limit",
+            self.frame + 1,
+            CALL_STACK_LIMIT >> 10
+        ))
     }
 
     // ---- statements -----------------------------------------------------------
@@ -1047,6 +1107,7 @@ impl<'c> Env<'c> {
                 undo: Vec::new(),
                 args: Vec::new(),
                 frame: 0,
+                stack_base: stack_addr(),
                 single_dummy: Some(single_dummy),
                 lp_scratch,
                 in_update_body: false,

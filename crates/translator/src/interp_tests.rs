@@ -404,3 +404,78 @@ int main() {
     );
     assert_eq!(out, "3 2 85\n");
 }
+
+/// The run's error for `src` on `nodes` × `tpn`, under a watchdog.
+fn run_err(name: &str, src: &str, nodes: usize, tpn: usize) -> String {
+    let prog = parse(src).unwrap_or_else(|e| panic!("parse error: {e}"));
+    let timeout = std::time::Duration::from_secs(60);
+    parade_testkit::prelude::run_with_timeout(name, timeout, move || {
+        Interp::new(prog)
+            .run(&cluster(nodes, tpn, ProtocolMode::Parade))
+            .expect_err("the run must fail")
+            .to_string()
+    })
+}
+
+/// Unbounded recursion is a named runtime error, not a stack overflow
+/// that aborts the process: in serial code, and on the master thread of a
+/// parallel region. (An error on any other thread is not yet reported.)
+#[test]
+fn unbounded_recursion_is_a_named_runtime_error() {
+    const DOWN: &str = "int down(int n) { if (n < 0) { return 0; } return down(n + 1) + 1; }";
+    let serial = format!("{DOWN}\nint main() {{ printf(\"%d\\n\", down(0)); return 0; }}");
+    let master = format!(
+        "{DOWN}
+int main() {{
+    int k;
+    #pragma omp parallel private(k)
+    {{
+        k = 0;
+        if (omp_get_thread_num() == 0) {{
+            k = down(0);
+        }}
+    }}
+    return 0;
+}}"
+    );
+    for (name, src, nodes, tpn) in [
+        ("serial", &serial, 1, 1),
+        ("master thread", &master, 1, 1),
+        ("master thread of 2x2", &master, 2, 2),
+    ] {
+        let err = run_err(name, src, nodes, tpn);
+        assert!(
+            err.starts_with("runtime error: call to down() at call depth ")
+                && err.ends_with(" passes the 1024 KiB call stack limit"),
+            "{name}: {err}"
+        );
+    }
+}
+
+/// A shared array past the pool is refused by name before any node
+/// allocates, with the bytes it asks for and the pool's size.
+#[test]
+fn a_shared_array_past_the_pool_is_a_named_runtime_error() {
+    let src = r#"
+int main() {
+    int i;
+    double a[2000000000];
+    #pragma omp parallel for
+    for (i = 0; i < 4; i++) {
+        a[i] = 1.0;
+    }
+    return 0;
+}
+"#;
+    let pool = cluster(1, 1, ProtocolMode::Parade)
+        .config()
+        .dsm_config()
+        .pool_bytes;
+    assert_eq!(
+        run_err("pool", src, 2, 2),
+        format!(
+            "runtime error: shared variable `a` needs 16000000000 bytes, \
+             more than the {pool}-byte shared pool"
+        )
+    );
+}

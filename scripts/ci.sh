@@ -210,6 +210,41 @@ fi
 grep -q "unsupported clause 'reduction' on '#pragma omp for'" "$RED_TMP/err"
 rm -rf "$RED_TMP"
 
+# A program error fails the run by name: unbounded recursion and a shared
+# array past the pool exit non-zero, but neither aborts the process (134,
+# a stack overflow) nor panics it (101), and stderr names the error.
+ERR_TMP="$(mktemp -d)"
+cat > "$ERR_TMP/recursive_main.c" <<'EOF'
+int main() {
+    return main() + 1;
+}
+EOF
+cat > "$ERR_TMP/huge_shared.c" <<'EOF'
+int main() {
+    int i;
+    double a[2000000000];
+    #pragma omp parallel for
+    for (i = 0; i < 4; i++) {
+        a[i] = 1.0;
+    }
+    return 0;
+}
+EOF
+for name in recursive_main huge_shared; do
+  status=0
+  cargo run -q --offline -p parade-check --bin paradec -- run "$ERR_TMP/$name.c" \
+    --nodes 2 --threads 2 >/dev/null 2>"$ERR_TMP/$name.err" || status=$?
+  if [[ "$status" == 0 || "$status" == 134 || "$status" == 101 ]]; then
+    echo "paradec run $name.c exited $status" >&2
+    cat "$ERR_TMP/$name.err" >&2
+    exit 1
+  fi
+done
+grep -q "call to main() at call depth [0-9]* passes the 1024 KiB call stack limit" \
+  "$ERR_TMP/recursive_main.err"
+grep -q "shared variable \`a\` needs 16000000000 bytes" "$ERR_TMP/huge_shared.err"
+rm -rf "$ERR_TMP"
+
 echo "== serving soak, optimized (1000 jobs; ignored in the debug test step) =="
 # tests/serve_soak.rs: every job completes exactly once, bit-identical to
 # its sequential reference, with >=1 re-home and no growth in host threads.
