@@ -651,7 +651,9 @@ impl ThreadCtx {
     /// Generalized `single` over several small shared scalars: the
     /// executing thread's `f` returns the new values in order; they are
     /// propagated per the active mode (broadcast / DSM flag + barrier).
-    /// Every thread returns the propagated values.
+    /// Every thread returns the propagated values. With no scalars it is
+    /// the execute-once half of a `single` whose targets live on HLRC: no
+    /// broadcast, and the caller's barrier publishes what `f` wrote.
     pub fn single_update(
         &self,
         scalars: &[SharedScalar<f64>],
@@ -680,7 +682,11 @@ impl ThreadCtx {
                         }
                         buf.copy_from_slice(&vals);
                     }
-                    self.with_clock(|c| self.rt.comm.bcast_f64s(0, &mut buf, c));
+                    // Nothing to propagate: the caller's barrier, if any,
+                    // is all the other nodes wait for.
+                    if !scalars.is_empty() {
+                        self.with_clock(|c| self.rt.comm.bcast_f64s(0, &mut buf, c));
+                    }
                     if self.rt.node != 0 {
                         for (s, v) in scalars.iter().zip(&buf) {
                             self.rt.small().write_f64(s.small, 0, *v);

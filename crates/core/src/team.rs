@@ -17,6 +17,7 @@ use parade_cluster::{
     launch_result, ClusterConfig, ClusterReport, ConfigError, ExecConfig, FailedRun, NodeEnv,
     ProtocolMode,
 };
+use parade_dsm::AllocError;
 use parade_mpi::datatype::{DecodeError, Reader, Writer};
 use parade_net::{NetProfile, TimeSource, VClock, VTime};
 use parade_trace::{self as trace, TraceReport};
@@ -83,24 +84,30 @@ impl Cmd {
     }
 }
 
-/// Cross-node shared state (in-process): the region-closure registry.
-/// Closures cannot travel over the simulated wire; the *timing* of fork
+/// Cross-node shared state (in-process): the region being run. Closures
+/// cannot travel over the simulated wire; the *timing* of fork
 /// distribution comes from the broadcast command message, while the
-/// closure itself is picked up from this registry by index.
+/// closure itself is picked up here by index. Only the last region forked
+/// is held: every node picks it up before it arrives at the region's fork
+/// barrier, and the master forks the next one only after that barrier.
 #[derive(Default)]
 struct Registry {
-    regions: Mutex<Vec<Arc<RegionFn>>>,
+    /// Regions forked so far, and the last of them.
+    current: Mutex<(usize, Option<Arc<RegionFn>>)>,
 }
 
 impl Registry {
+    /// Make `f` the region being run; returns its index.
     fn push(&self, f: Arc<RegionFn>) -> usize {
-        let mut v = self.regions.lock();
-        v.push(f);
-        v.len() - 1
+        let mut cur = self.current.lock();
+        *cur = (cur.0 + 1, Some(f));
+        cur.0 - 1
     }
 
     fn get(&self, idx: usize) -> Arc<RegionFn> {
-        Arc::clone(&self.regions.lock()[idx])
+        let cur = self.current.lock();
+        assert_eq!(idx + 1, cur.0, "region {idx} is not the one being run");
+        Arc::clone(cur.1.as_ref().expect("a forked region"))
     }
 }
 
@@ -456,11 +463,24 @@ impl MasterCtx {
     // ---- allocation (master-driven, broadcast to all nodes) ---------------
 
     /// Allocate a shared vector of `n` elements in the paged DSM.
+    ///
+    /// # Panics
+    /// If the pool cannot hold it ([`MasterCtx::try_alloc_vec`] says so
+    /// instead).
     pub fn alloc_vec<T: Pod>(&mut self, n: usize) -> SharedVec<T> {
-        let len = n * std::mem::size_of::<T>();
+        self.try_alloc_vec(n).expect("allocation failed")
+    }
+
+    /// Allocate a shared vector of `n` elements, or say why the pool cannot
+    /// hold it. The master's allocator decides: the allocation is broadcast
+    /// to the other nodes only once it succeeded, so a refusal sends
+    /// nothing and leaves every node's pool as it was.
+    pub fn try_alloc_vec<T: Pod>(&mut self, n: usize) -> Result<SharedVec<T>, AllocError> {
+        // A length past `usize` is past any pool, and refused as such.
+        let len = n.saturating_mul(std::mem::size_of::<T>());
+        let h = self.rt.dsm.alloc_region(len)?;
         self.bcast_cmd(&Cmd::AllocRegion { len });
-        let h = self.rt.dsm.alloc_region(len).expect("allocation failed");
-        SharedVec::new(h, n)
+        Ok(SharedVec::new(h, n))
     }
 
     pub fn alloc_f64(&mut self, n: usize) -> SharedVec<f64> {
@@ -474,11 +494,17 @@ impl MasterCtx {
     /// Allocate a small shared scalar (dual representation: update-protocol
     /// object + DSM page for the baseline mode).
     pub fn alloc_scalar<T: Pod>(&mut self) -> SharedScalar<T> {
+        self.try_alloc_scalar().expect("allocation failed")
+    }
+
+    /// [`MasterCtx::alloc_scalar`], refused as [`MasterCtx::try_alloc_vec`]
+    /// refuses a vector when the pool has no page left for it.
+    pub fn try_alloc_scalar<T: Pod>(&mut self) -> Result<SharedScalar<T>, AllocError> {
         let len = std::mem::size_of::<T>().max(8);
-        self.bcast_cmd(&Cmd::AllocScalar { len });
+        let region = self.rt.dsm.alloc_region(len)?;
         let small = self.rt.dsm.alloc_small(len);
-        let region = self.rt.dsm.alloc_region(len).expect("allocation failed");
-        SharedScalar::new(small, region)
+        self.bcast_cmd(&Cmd::AllocScalar { len });
+        Ok(SharedScalar::new(small, region))
     }
 
     pub fn alloc_scalar_f64(&mut self) -> SharedScalar<f64> {
@@ -678,12 +704,15 @@ mod tests {
         let failed = test_cluster(2, 1)
             .try_run_with_report(|g| {
                 let xs = g.alloc_f64(8);
-                // Garbage under the tag node 1's first DSM request will
-                // listen on, in its mailbox before the region starts.
+                // The master's write invalidates node 1's copy at the fork
+                // barrier, whose departure takes node 1's first reply tag;
+                // the fetch that follows listens on the second. Garbage
+                // waits there, in node 1's mailbox before the region starts.
+                g.set(&xs, 0, 1.0);
                 g.rt.dsm.endpoint().send(
                     1,
                     parade_net::MsgClass::Ctl,
-                    parade_dsm::REPLY_TAG_BASE,
+                    parade_dsm::REPLY_TAG_BASE + 1,
                     Bytes::from(vec![1u8, 2, 3]),
                     &mut g.clock,
                 );
@@ -699,11 +728,13 @@ mod tests {
             .iter()
             .find(|p| p.node == 1)
             .expect("node 1 reported");
+        // Kind byte 1 is the one-page fetch reply, cut short.
         assert_eq!(
             worker.message,
-            "node 1: bad dsm frame from node 0 on tag 0x100000000: \
+            "node 1: bad dsm frame from node 0 on tag 0x100000001: \
              truncated frame: u64 needs 8 bytes, 2 left"
         );
+        assert_eq!(failed.cluster.dsm[1].read_faults, 1, "node 1 faulted once");
     }
 
     #[test]
@@ -757,11 +788,12 @@ mod tests {
                     .try_run_with_report(|g| {
                         let xs = g.alloc_f64(8);
                         g.parallel(move |tc| tc.barrier());
-                        let req = parade_dsm::DsmMsg::ReqPage {
-                            page: 9_999,
+                        let req = parade_dsm::DsmMsg::ReqPages(parade_dsm::PageReq {
+                            first: 9_999,
+                            count: 1,
                             requester: 1,
                             reply_tag: parade_dsm::REPLY_TAG_BASE,
-                        };
+                        });
                         g.rt.dsm.endpoint().send(
                             0,
                             parade_net::MsgClass::Dsm,

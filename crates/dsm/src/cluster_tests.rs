@@ -429,7 +429,7 @@ fn a_bad_frame_names_the_receiver_the_sender_and_the_error() {
         .collect();
     let mut clock = VClock::manual();
 
-    // A request the comm thread cannot parse: a `ReqPage` cut short.
+    // A request the comm thread cannot parse: a one-page fetch cut short.
     dsms[1]
         .endpoint()
         .send(0, MsgClass::Dsm, 0, Bytes::from(vec![1u8, 42]), &mut clock);
@@ -551,14 +551,14 @@ fn a_barrier_naming_a_page_or_node_out_of_range_is_a_bad_frame() {
 /// refusals are `msg.rs`'s `requests_are_held_to_the_table_and_the_cluster`.)
 #[test]
 fn a_fetch_past_the_extent_is_a_bad_frame() {
-    use crate::msg::{DsmMsg, REPLY_TAG_BASE};
+    use crate::msg::{DsmMsg, PageReq, REPLY_TAG_BASE};
 
-    let past = DsmMsg::ReqPageRange {
+    let past = DsmMsg::ReqPages(PageReq {
         first: 10,
         count: 10,
         requester: 1,
         reply_tag: REPLY_TAG_BASE,
-    };
+    });
     assert_eq!(
         node0_says(1, past),
         "node 0: bad dsm frame from node 1 on tag 0x0: \

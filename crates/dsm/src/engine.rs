@@ -17,14 +17,14 @@ use parade_trace::{self as trace, EventKind};
 use crate::bufpool::PageBuf;
 use crate::config::DsmConfig;
 use crate::diff::Diff;
-use crate::msg::{DsmMsg, DsmReply, REPLY_TAG_BASE};
+use crate::msg::{DsmMsg, DsmReply, PageReq, REPLY_TAG_BASE};
 use crate::page::{PageId, PageState, PAGE_SIZE};
 use crate::smalldata::SmallRegistry;
 use crate::stats::DsmStats;
 use crate::store::{AllocError, PageSets, RawPool, RegionAllocator, RegionHandle};
 
-/// Upper bound on pages coalesced into one `ReqPageRange` fetch when a bulk
-/// access faults a run of contiguous pages with a common home.
+/// Upper bound on pages coalesced into one fetch when a bulk access faults a
+/// run of contiguous pages with a common home.
 const MAX_FETCH_RANGE: usize = 16;
 
 pub(crate) struct PageMeta {
@@ -530,19 +530,16 @@ impl Dsm {
     ///
     /// With a safe update strategy, runs of up to `MAX_FETCH_RANGE` (16)
     /// contiguous INVALID pages sharing a home are claimed together and
-    /// fetched in one `ReqPageRange` round trip instead of one per page —
-    /// the bulk-access fault storm a Helmholtz/CG sweep would otherwise
-    /// pay per page.
+    /// fetched in one round trip instead of one per page — the bulk-access
+    /// fault storm a Helmholtz/CG sweep would otherwise pay per page. The
+    /// torn-page model of `NaiveUnsafe` installs strictly per page, so it
+    /// claims runs of one.
     pub fn ensure_readable(&self, start: usize, len: usize, clock: &mut VClock) {
-        if !self.cfg.update_strategy.is_safe() {
-            // The torn-page model of `NaiveUnsafe` is strictly per page.
-            for page in crate::page::pages_covering(start, len) {
-                if self.pages[page].fast.load(Ordering::Acquire) < PageState::ReadOnly as u8 {
-                    self.read_fault(page, clock);
-                }
-            }
-            return;
-        }
+        let max_run = if self.cfg.update_strategy.is_safe() {
+            MAX_FETCH_RANGE
+        } else {
+            1
+        };
         let pages = crate::page::pages_covering(start, len);
         let (mut page, last) = (*pages.start(), *pages.end());
         while page <= last {
@@ -563,7 +560,7 @@ impl Dsm {
             // Claiming marks each TRANSIENT (we own its update); a page
             // that is not INVALID at lock time ends the run.
             let mut claimed = 0usize;
-            while page <= last && claimed < MAX_FETCH_RANGE {
+            while page <= last && claimed < max_run {
                 if self.home_of(page) != home {
                     break;
                 }
@@ -666,29 +663,7 @@ impl Dsm {
     fn read_fault(&self, page: PageId, clock: &mut VClock) {
         self.stats.read_faults.fetch_add(1, Ordering::Relaxed);
         trace::instant(EventKind::DsmReadFault, page as u64, clock.now());
-        let meta = &self.pages[page];
-        let mut inner = meta.inner.lock();
-        loop {
-            match inner.state {
-                PageState::ReadOnly | PageState::Dirty => return,
-                PageState::Transient => {
-                    // Another thread is updating: mark that it has waiters
-                    // and sleep — the §5.1 atomic-page-update machinery.
-                    meta.set_state(&mut inner, PageState::Blocked);
-                    self.park(meta, &mut inner);
-                }
-                PageState::Blocked => {
-                    self.park(meta, &mut inner);
-                }
-                PageState::Invalid => {
-                    meta.set_state(&mut inner, PageState::Transient);
-                    drop(inner);
-                    self.fetch_pages(page, 1, clock);
-                    drop(self.complete_update(page));
-                    return;
-                }
-            }
-        }
+        drop(self.fault_in(page, self.pages[page].inner.lock(), clock));
     }
 
     /// The write-fault path: ensures a valid page, makes a twin (unless we
@@ -700,43 +675,53 @@ impl Dsm {
     fn write_fault<'a>(
         &'a self,
         page: PageId,
-        mut inner: MutexGuard<'a, PageInner>,
+        inner: MutexGuard<'a, PageInner>,
         clock: &mut VClock,
     ) -> MutexGuard<'a, PageInner> {
         self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
         trace::instant(EventKind::DsmWriteFault, page as u64, clock.now());
+        let mut inner = self.fault_in(page, inner, clock);
+        if inner.state == PageState::ReadOnly {
+            if self.home_of(page) != self.node {
+                let mut twin = PageBuf::take();
+                // SAFETY: page is valid (ReadOnly) and we hold the page
+                // lock; concurrent word writes by the application would be
+                // its own race either way.
+                unsafe { self.pool.copy_page_out(page, &mut twin) };
+                inner.twin = Some(twin);
+                self.stats.twins_created.fetch_add(1, Ordering::Relaxed);
+                trace::instant(EventKind::DsmTwin, page as u64, clock.now());
+            }
+            self.pages[page].set_state(&mut inner, PageState::Dirty);
+            self.sets.mark_written(page);
+        }
+        inner
+    }
+
+    /// Make `page` readable, starting from and handing back the caller's
+    /// hold on its entry: wait out a sibling's update, or claim the page
+    /// (TRANSIENT) and fetch it from its home.
+    fn fault_in<'a>(
+        &'a self,
+        page: PageId,
+        mut inner: MutexGuard<'a, PageInner>,
+        clock: &mut VClock,
+    ) -> MutexGuard<'a, PageInner> {
         let meta = &self.pages[page];
         loop {
             match inner.state {
-                PageState::Dirty => return inner,
-                PageState::ReadOnly => {
-                    if self.home_of(page) != self.node {
-                        let mut twin = PageBuf::take();
-                        // SAFETY: page is valid (ReadOnly) and we hold the
-                        // page lock; concurrent word writes by the
-                        // application would be its own race either way.
-                        unsafe { self.pool.copy_page_out(page, &mut twin) };
-                        inner.twin = Some(twin);
-                        self.stats.twins_created.fetch_add(1, Ordering::Relaxed);
-                        trace::instant(EventKind::DsmTwin, page as u64, clock.now());
-                    }
-                    meta.set_state(&mut inner, PageState::Dirty);
-                    self.sets.mark_written(page);
-                    return inner;
-                }
-                PageState::Transient => {
+                PageState::ReadOnly | PageState::Dirty => return inner,
+                PageState::Transient | PageState::Blocked => {
+                    // Another thread is updating: mark that it has waiters
+                    // and sleep — the §5.1 atomic-page-update machinery.
                     meta.set_state(&mut inner, PageState::Blocked);
-                    self.park(meta, &mut inner);
-                }
-                PageState::Blocked => {
                     self.park(meta, &mut inner);
                 }
                 PageState::Invalid => {
                     meta.set_state(&mut inner, PageState::Transient);
                     drop(inner);
                     self.fetch_pages(page, 1, clock);
-                    inner = self.complete_update(page);
-                    // Loop continues: the ReadOnly arm upgrades to Dirty.
+                    return self.complete_update(page);
                 }
             }
         }
@@ -745,8 +730,7 @@ impl Dsm {
     /// Fetch `count` contiguous pages homed on one node in a single round
     /// trip and install them through the "system path" while application
     /// threads are held off by the TRANSIENT state. Caller owns the
-    /// TRANSIENT transition of every page in the range. One page travels
-    /// as `ReqPage`/`PageData`, more as `ReqPageRange`/`PageRangeData`.
+    /// TRANSIENT transition of every page in the range.
     fn fetch_pages(&self, first: PageId, count: usize, clock: &mut VClock) {
         trace::begin_arg(EventKind::DsmFetch, first as u64, clock.now());
         // Concurrent faulters may have piled on (BLOCKED) but cannot
@@ -765,30 +749,26 @@ impl Dsm {
             self.node
         );
         let tag = self.next_reply_tag();
-        let req = if count == 1 {
-            DsmMsg::ReqPage {
-                page: first,
-                requester: self.node,
-                reply_tag: tag,
-            }
-        } else {
+        if count > 1 {
             trace::instant(EventKind::DsmRangeFetch, count as u64, clock.now());
-            DsmMsg::ReqPageRange {
-                first,
-                count: count as u32,
-                requester: self.node,
-                reply_tag: tag,
-            }
-        };
+        }
+        let req = DsmMsg::ReqPages(PageReq {
+            first,
+            count: count as u32,
+            requester: self.node,
+            reply_tag: tag,
+        });
         self.ep.send(home, MsgClass::Dsm, 0, req.encode(), clock);
         let pkt = self
             .ep
             .recv(MsgClass::Ctl, Match::tagged(tag), clock)
             .expect("fetch reply after shutdown");
-        let (replied, data) = match self.decode_reply(&pkt) {
-            DsmReply::PageData { page, data } if count == 1 => (page, data),
-            DsmReply::PageRangeData { first, data } if count > 1 => (first, data),
-            _ => unreachable!("unexpected reply to page request"),
+        let DsmReply::Pages {
+            first: replied,
+            data,
+        } = self.decode_reply(&pkt)
+        else {
+            unreachable!("unexpected reply to page request");
         };
         assert_eq!(replied, first);
         assert_eq!(data.len(), count * PAGE_SIZE, "short page reply");

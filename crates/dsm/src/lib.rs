@@ -37,7 +37,7 @@ pub use bufpool::PageBuf;
 pub use config::{CommCosts, DsmConfig, HomePolicy, ProtoSelect, UpdateStrategy};
 pub use diff::{Diff, DiffError, DiffRun};
 pub use engine::Dsm;
-pub use msg::{DepartEntry, DsmMsg, DsmReply, REPLY_TAG_BASE};
+pub use msg::{DepartEntry, DsmMsg, DsmReply, PageReq, REPLY_TAG_BASE};
 pub use page::{page_of, page_start, pages_covering, PageId, PageState, PAGE_SIZE};
 pub use server::{spawn_comm_thread, CommServer, ServerState};
 pub use smalldata::{SmallHandle, SmallRegistry};

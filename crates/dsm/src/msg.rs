@@ -8,8 +8,12 @@
 //! Release-path traffic is batched: a flush groups the diffs of all dirty
 //! pages homed on one node into a single [`DsmMsg::DiffBatch`] answered by
 //! one [`DsmReply::DiffBatchAck`] — the HLRC amortization argument (§5.2)
-//! applied to the wire. [`DsmMsg::ReqPageRange`] likewise coalesces fetches
-//! of contiguous pages with a common home into one round trip.
+//! applied to the wire. A page fetch is one [`DsmMsg::ReqPages`] answered
+//! by one [`DsmReply::Pages`], whether it names one page or a run of
+//! contiguous pages with a common home. Only this module tells the two
+//! apart: a lone page travels in the short frames (kind 1 each way, no
+//! length), a run of two or more in the long ones (request kind 9, reply
+//! kind 7), and a long frame holding one page is refused.
 //!
 //! Every page list of the barrier and lock frames travels as maximal runs
 //! of consecutive pages that share their attributes, ascending:
@@ -29,11 +33,11 @@
 //! ascending and inside the cluster. So a run never expands past `extent`
 //! entries (`extent × nnodes` pairs for `BarrierUp`), and a frame that
 //! decodes re-encodes to itself. The request frames are held to the same
-//! table and cluster: every page they name lies below the extent, a
-//! `ReqPageRange` is one such run, and every requester or sender is a node
-//! of the cluster, so the server never indexes its page table with a
-//! number straight off the wire. A `PagePush` or `PageData` carries one
-//! whole page of the table, a `PageRangeData` a non-empty run of them.
+//! table and cluster: every page they name lies below the extent, a fetch
+//! is one such run, and every requester or sender is a node of the
+//! cluster, so the server never indexes its page table with a number
+//! straight off the wire. A `PagePush` carries one whole page of the table,
+//! a `Pages` reply its fetch's run of them.
 
 use parade_net::Bytes;
 
@@ -56,23 +60,22 @@ const K_REQ_PAGE_RANGE: u8 = 9;
 const K_BARRIER_UP: u8 = 10;
 const K_PUSH_REQ: u8 = 11;
 
+/// A page fetch: `count` contiguous pages from `first`, all homed on the
+/// destination. A fault asks for one page; a bulk read coalesces a run of
+/// misses into one round trip.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PageReq {
+    pub first: PageId,
+    pub count: u32,
+    pub requester: usize,
+    pub reply_tag: u64,
+}
+
 /// A request handled by a communication thread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DsmMsg {
-    /// Fetch the up-to-date copy of `page` from its home.
-    ReqPage {
-        page: PageId,
-        requester: usize,
-        reply_tag: u64,
-    },
-    /// Fetch `count` contiguous pages starting at `first`, all homed on the
-    /// destination (fault-storm coalescing; one round trip per run).
-    ReqPageRange {
-        first: PageId,
-        count: u32,
-        requester: usize,
-        reply_tag: u64,
-    },
+    /// Fetch the up-to-date copies of a run of pages from their home.
+    ReqPages(PageReq),
     /// Merge diffs for several pages homed here, acknowledged as one unit
     /// (`pages[i]` pairs with `diffs[i]`; one ack per batch, not per page).
     DiffBatch {
@@ -252,6 +255,18 @@ fn run_end(first: u64, len: u32, extent: usize) -> Result<u64, DecodeError> {
         .ok_or(DecodeError::RunExtent { first, len, extent })
 }
 
+/// The run a fetch frame names: one page in a short frame (`one`), two or
+/// more in a long one, inside the table.
+fn fetch_run(first: u64, count: u32, one: bool, extent: usize) -> Result<PageId, DecodeError> {
+    match count {
+        0 => return Err(DecodeError::EmptyRun { first }),
+        1 if !one => return Err(DecodeError::LoneRun { first }),
+        _ => {}
+    }
+    run_end(first, count, extent)?;
+    Ok(first as PageId)
+}
+
 /// Page data: exactly one whole page (`one`), or a non-empty run of them.
 fn decode_page_data(r: &mut Reader<'_>, one: bool) -> Result<Bytes, DecodeError> {
     let data = r.lp_bytes()?;
@@ -376,27 +391,14 @@ impl DsmMsg {
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
         match self {
-            DsmMsg::ReqPage {
-                page,
-                requester,
-                reply_tag,
-            } => {
-                w.u8(K_REQ_PAGE)
-                    .u64(*page as u64)
-                    .u32(*requester as u32)
-                    .u64(*reply_tag);
-            }
-            DsmMsg::ReqPageRange {
-                first,
-                count,
-                requester,
-                reply_tag,
-            } => {
-                w.u8(K_REQ_PAGE_RANGE)
-                    .u64(*first as u64)
-                    .u32(*count)
-                    .u32(*requester as u32)
-                    .u64(*reply_tag);
+            DsmMsg::ReqPages(req) => {
+                // A lone page travels without its count.
+                if req.count == 1 {
+                    w.u8(K_REQ_PAGE).u64(req.first as u64);
+                } else {
+                    w.u8(K_REQ_PAGE_RANGE).u64(req.first as u64).u32(req.count);
+                }
+                w.u32(req.requester as u32).u64(req.reply_tag);
             }
             DsmMsg::DiffBatch {
                 requester,
@@ -491,26 +493,22 @@ impl DsmMsg {
     /// Decode an untrusted payload for a receiver whose page table holds
     /// `extent` pages in a cluster of `nnodes` nodes. Every length, count,
     /// and run is validated; every frame names only pages of the table and
-    /// nodes of the cluster (a `ReqPageRange` is a non-empty run inside the
-    /// table), and a barrier or lock frame's page lists must be canonical
-    /// (see the module doc). Malformed bytes yield a [`DiffError`], never a
+    /// nodes of the cluster (a fetch is a run inside the table, of one page
+    /// in the short frame and more in the long one), and a barrier or lock
+    /// frame's page lists must be canonical (see the module doc). Malformed bytes yield a [`DiffError`], never a
     /// panic or an allocation past what `extent` and `nnodes` bound.
     pub fn try_decode(b: &[u8], extent: usize, nnodes: usize) -> Result<DsmMsg, DiffError> {
         let mut r = Reader::new(b);
         let msg = match r.u8()? {
-            K_REQ_PAGE => DsmMsg::ReqPage {
-                page: decode_page(&mut r, extent)?,
-                requester: decode_node(&mut r, nnodes)?,
-                reply_tag: r.u64()?,
-            },
-            K_REQ_PAGE_RANGE => {
-                let run = RunCheck::new(extent).next(&mut r)?;
-                DsmMsg::ReqPageRange {
-                    first: run.first as PageId,
-                    count: (run.end - run.first) as u32,
+            k @ (K_REQ_PAGE | K_REQ_PAGE_RANGE) => {
+                let (first, one) = (r.u64()?, k == K_REQ_PAGE);
+                let count = if one { 1 } else { r.u32()? };
+                DsmMsg::ReqPages(PageReq {
+                    first: fetch_run(first, count, one, extent)?,
+                    count,
                     requester: decode_node(&mut r, nnodes)?,
                     reply_tag: r.u64()?,
-                }
+                })
             }
             K_DIFF_BATCH => {
                 let requester = decode_node(&mut r, nnodes)?;
@@ -666,12 +664,9 @@ fn decode_depart_entries(
 /// A reply sent back to a waiting application thread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DsmReply {
-    PageData {
-        page: PageId,
-        data: Bytes,
-    },
-    /// `count` contiguous pages starting at `first`, concatenated.
-    PageRangeData {
+    /// The answer to a [`DsmMsg::ReqPages`]: its pages from `first`,
+    /// concatenated.
+    Pages {
         first: PageId,
         data: Bytes,
     },
@@ -696,11 +691,13 @@ impl DsmReply {
     pub fn encode(&self) -> Bytes {
         let mut w = Writer::new();
         match self {
-            DsmReply::PageData { page, data } => {
-                w.u8(R_PAGE_DATA).u64(*page as u64).lp_bytes(data);
-            }
-            DsmReply::PageRangeData { first, data } => {
-                w.u8(R_PAGE_RANGE_DATA).u64(*first as u64).lp_bytes(data);
+            DsmReply::Pages { first, data } => {
+                let kind = if data.len() == PAGE_SIZE {
+                    R_PAGE_DATA
+                } else {
+                    R_PAGE_RANGE_DATA
+                };
+                w.u8(kind).u64(*first as u64).lp_bytes(data);
             }
             DsmReply::DiffBatchAck { pages } => {
                 w.u8(R_DIFF_BATCH_ACK).u32(*pages);
@@ -732,17 +729,13 @@ impl DsmReply {
     pub fn try_decode(b: &[u8], extent: usize, nnodes: usize) -> Result<DsmReply, DecodeError> {
         let mut r = Reader::new(b);
         let reply = match r.u8()? {
-            R_PAGE_DATA => DsmReply::PageData {
-                page: decode_page(&mut r, extent)?,
-                data: decode_page_data(&mut r, true)?,
-            },
-            R_PAGE_RANGE_DATA => {
-                let first = r.u64()?;
-                let data = decode_page_data(&mut r, false)?;
+            k @ (R_PAGE_DATA | R_PAGE_RANGE_DATA) => {
+                let (first, one) = (r.u64()?, k == R_PAGE_DATA);
+                let data = decode_page_data(&mut r, one)?;
                 // At most `u32::MAX` bytes, so the page count fits a `u32`.
-                run_end(first, (data.len() / PAGE_SIZE) as u32, extent)?;
-                DsmReply::PageRangeData {
-                    first: first as PageId,
+                let count = (data.len() / PAGE_SIZE) as u32;
+                DsmReply::Pages {
+                    first: fetch_run(first, count, one, extent)?,
                     data,
                 }
             }
@@ -780,17 +773,18 @@ mod tests {
     /// empty lists).
     fn sample_msgs() -> Vec<DsmMsg> {
         vec![
-            DsmMsg::ReqPage {
-                page: 42,
+            DsmMsg::ReqPages(PageReq {
+                first: 42,
+                count: 1,
                 requester: 3,
                 reply_tag: REPLY_TAG_BASE + 7,
-            },
-            DsmMsg::ReqPageRange {
+            }),
+            DsmMsg::ReqPages(PageReq {
                 first: 40,
                 count: 6,
                 requester: 2,
                 reply_tag: REPLY_TAG_BASE + 9,
-            },
+            }),
             DsmMsg::DiffBatch {
                 requester: 2,
                 reply_tag: REPLY_TAG_BASE + 3,
@@ -841,16 +835,16 @@ mod tests {
         ]
     }
 
-    /// One reply of every kind.
+    /// One reply of every kind (two `Pages`: one page, and a run).
     fn sample_replies() -> Vec<DsmReply> {
         vec![
-            DsmReply::PageData {
-                page: 1,
+            DsmReply::Pages {
+                first: 1,
                 data: Bytes::from(vec![1u8; PAGE_SIZE]),
             },
-            DsmReply::PageRangeData {
+            DsmReply::Pages {
                 first: 12,
-                data: Bytes::from(vec![9u8; PAGE_SIZE]),
+                data: Bytes::from(vec![9u8; 2 * PAGE_SIZE]),
             },
             DsmReply::DiffBatchAck { pages: 17 },
             DsmReply::BarrierDepart {
@@ -918,12 +912,6 @@ mod tests {
     fn request_and_reply_codecs_are_checked() {
         assert_codec(&sample_msgs(), DsmMsg::encode, decode_msg);
         assert_codec(&sample_replies(), DsmReply::encode, decode_reply);
-        // A range of more than one page.
-        let page = DsmReply::PageRangeData {
-            first: 12,
-            data: Bytes::from(vec![9u8; 2 * PAGE_SIZE]),
-        };
-        assert_eq!(decode_reply(&page.encode()), Ok(page));
         assert_eq!(decode_msg(&[0xEE]), Err(DecodeError::BadKind(0xEE).into()));
         assert_eq!(decode_reply(&[0xEE]), Err(DecodeError::BadKind(0xEE)));
     }
@@ -1157,17 +1145,15 @@ mod tests {
     fn requests_are_held_to_the_table_and_the_cluster() {
         let (page, node) = (EXTENT - 1, NNODES - 1);
         let tag = REPLY_TAG_BASE;
-        let req = |page, requester| DsmMsg::ReqPage {
-            page,
-            requester,
-            reply_tag: tag,
+        let range = |first, count, requester| {
+            DsmMsg::ReqPages(PageReq {
+                first,
+                count,
+                requester,
+                reply_tag: tag,
+            })
         };
-        let range = |first, count, requester| DsmMsg::ReqPageRange {
-            first,
-            count,
-            requester,
-            reply_tag: tag,
-        };
+        let req = |page, requester| range(page, 1, requester);
         let batch = |page, requester| DsmMsg::DiffBatch {
             requester,
             reply_tag: tag,
@@ -1233,11 +1219,18 @@ mod tests {
         ] {
             assert_eq!(decode_msg(&msg.encode()), Err(want.into()), "{msg:?}");
         }
+        // A lone page in the range frame: no encoder writes it.
+        let mut w = Writer::new();
+        w.u8(K_REQ_PAGE_RANGE).u64(7).u32(1).u32(0).u64(tag);
+        assert_eq!(
+            decode_msg(&w.finish()),
+            Err(DecodeError::LoneRun { first: 7 }.into())
+        );
     }
 
     /// A page-carrying frame carries whole pages of the table: at the last
-    /// page it keeps the codec contract; one byte short, or one page past
-    /// the extent, it is refused by name.
+    /// page it keeps the codec contract; one byte short, one page past the
+    /// extent, or a lone page in the range frame, it is refused by name.
     #[test]
     fn page_frames_carry_whole_pages_inside_the_table() {
         let last = EXTENT - 1;
@@ -1247,14 +1240,15 @@ mod tests {
             barrier_seq: 2,
             data,
         };
-        let one = |page, data| DsmReply::PageData { page, data };
-        let range = |first, data| DsmReply::PageRangeData { first, data };
+        let reply = |first, data| DsmReply::Pages { first, data };
         // The last-page `PagePush` is `requests_are_held_to_the_table_and_the_cluster`'s.
         assert_codec(
-            &[one(last, pages(1, 0)), range(last, pages(1, 0))],
+            &[reply(last - 1, pages(2, 0))],
             DsmReply::encode,
             decode_reply,
         );
+        let one = reply(last, pages(1, 0));
+        assert_eq!(decode_reply(&one.encode()), Ok(one));
 
         let not_a_page = DecodeError::NotAPage {
             len: PAGE_SIZE - 1,
@@ -1277,32 +1271,56 @@ mod tests {
             decode_msg(&push(EXTENT, pages(1, 0)).encode()),
             Err(extent(EXTENT as u64, 1).into())
         );
-        for (reply, want) in [
-            (one(last, pages(1, 1)), not_a_page),
-            (one(EXTENT, pages(1, 0)), extent(EXTENT as u64, 1)),
-            (range(last - 1, pages(2, 1)), not_whole(2 * PAGE_SIZE - 1)),
-            (range(last, pages(0, 0)), not_whole(0)),
-            (range(last, pages(2, 0)), extent(last as u64, 2)),
-            (range(usize::MAX, pages(1, 0)), extent(u64::MAX, 1)),
+        // A reply frame of either kind, whatever its data.
+        let frame = |kind, first: usize, data: Bytes| {
+            let mut w = Writer::new();
+            w.u8(kind).u64(first as u64).lp_bytes(&data);
+            w.finish()
+        };
+        for (bytes, want) in [
+            (frame(R_PAGE_DATA, last, pages(1, 1)), not_a_page),
+            (
+                frame(R_PAGE_DATA, EXTENT, pages(1, 0)),
+                extent(EXTENT as u64, 1),
+            ),
+            (
+                frame(R_PAGE_RANGE_DATA, last - 1, pages(2, 1)),
+                not_whole(2 * PAGE_SIZE - 1),
+            ),
+            (frame(R_PAGE_RANGE_DATA, last, pages(0, 0)), not_whole(0)),
+            (
+                frame(R_PAGE_RANGE_DATA, last, pages(1, 0)),
+                DecodeError::LoneRun { first: last as u64 },
+            ),
+            (
+                frame(R_PAGE_RANGE_DATA, last, pages(2, 0)),
+                extent(last as u64, 2),
+            ),
+            (
+                frame(R_PAGE_RANGE_DATA, usize::MAX, pages(2, 0)),
+                extent(u64::MAX, 2),
+            ),
         ] {
-            assert_eq!(decode_reply(&reply.encode()), Err(want), "{reply:?}");
+            assert_eq!(decode_reply(&bytes), Err(want));
         }
     }
 
     /// Captured at the parent of the commit that introduced the checked
     /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. The
     /// exceptions: `LockAcq`, one byte shorter than at the parent (the
-    /// trailing `polling` flag `00` went with `LockKind::Polling`), and the
-    /// `PagePush`, `PageData` and `PageRangeData` samples, which carry one
-    /// whole page since the decoders refuse anything else (the header bytes
-    /// but the length are as they were).
+    /// trailing `polling` flag `00` went with `LockKind::Polling`), the
+    /// `PagePush` and one-page `Pages` samples, which carry one whole page
+    /// since the decoders refuse anything else (the header bytes but the
+    /// length are as they were), and the range-frame `Pages` sample, which
+    /// carries two: a lone page has its own frame, and the range frame
+    /// refuses one.
     #[test]
     fn wire_bytes_are_pinned() {
-        // The page-carrying frames: a header, then one page of one byte.
+        // The page-carrying frames: a header, then pages of one byte.
         let page = |header: &str, byte: &str| header.to_string() + &byte.repeat(PAGE_SIZE);
         let push = page("0305000000000000000c0000000000000000100000", "07");
         let page_data = page("01010000000000000000100000", "01");
-        let range_data = page("070c0000000000000000100000", "09");
+        let range_data = page("070c0000000000000000200000", "0909");
         let msgs = [
             "012a00000000000000030000000700000001000000",
             "09280000000000000006000000020000000900000001000000",

@@ -20,7 +20,7 @@ use parade_trace::{self as trace, EventKind};
 use crate::adapt::{pick_home, ProtocolTable};
 use crate::config::{CommCosts, HomePolicy};
 use crate::engine::Dsm;
-use crate::msg::{DepartEntry, DsmMsg, DsmReply};
+use crate::msg::{DepartEntry, DsmMsg, DsmReply, PageReq};
 use crate::page::{PageId, PageState, PAGE_SIZE};
 
 /// The communication thread's context: its virtual service clock and cost
@@ -119,20 +119,13 @@ struct Waiter {
     last_seen: u64,
 }
 
-/// A page request (single page or a contiguous range); deferred while it
-/// waits for this node to become home / the copy to become readable.
-struct FetchReq {
-    first: PageId,
-    count: u32,
-    requester: usize,
-    reply_tag: u64,
-}
-
 /// Mutable state owned by the communication thread (behind the `Dsm`'s
 /// server mutex so tests can drive handling manually).
 #[derive(Default)]
 pub struct ServerState {
-    deferred: Vec<FetchReq>,
+    /// Page fetches waiting for this node to become their home, or for
+    /// their copies to become readable.
+    deferred: Vec<PageReq>,
     tree: HashMap<u64, TreeBarrier>,
     locks: HashMap<u64, LockState>,
     /// Per-page protocol-selection history (only consulted at the barrier
@@ -185,33 +178,7 @@ impl Dsm {
         trace::begin_arg(EventKind::CommService, queued_ns, srv.clock.now());
         self.stats.serviced_requests.fetch_add(1, Ordering::Relaxed);
         match msg {
-            DsmMsg::ReqPage {
-                page,
-                requester,
-                reply_tag,
-            } => self.serve_or_defer(
-                FetchReq {
-                    first: page,
-                    count: 1,
-                    requester,
-                    reply_tag,
-                },
-                srv,
-            ),
-            DsmMsg::ReqPageRange {
-                first,
-                count,
-                requester,
-                reply_tag,
-            } => self.serve_or_defer(
-                FetchReq {
-                    first,
-                    count,
-                    requester,
-                    reply_tag,
-                },
-                srv,
-            ),
+            DsmMsg::ReqPages(req) => self.serve_or_defer(req, srv),
             DsmMsg::DiffBatch {
                 requester,
                 reply_tag,
@@ -397,9 +364,8 @@ impl Dsm {
     /// Serve a page request if every page of it is homed here and readable;
     /// returns false when it must be deferred (we are not yet home, or a
     /// page awaits a migration push — homes only move in lockstep at
-    /// barriers, so a mixed range means a push is still in flight). One
-    /// page is answered with `PageData`, more with `PageRangeData`.
-    fn try_serve_pages(&self, req: &FetchReq, srv: &mut CommServer) -> bool {
+    /// barriers, so a mixed range means a push is still in flight).
+    fn try_serve_pages(&self, req: &PageReq, srv: &mut CommServer) -> bool {
         let (first, count) = (req.first, req.count as usize);
         for page in first..first + count {
             if self.home_of(page) != self.node() || !self.page_state(page).readable() {
@@ -415,16 +381,16 @@ impl Dsm {
         }
         srv.charge_copy(count * PAGE_SIZE);
         let data = Bytes::from(buf);
-        let reply = if count == 1 {
-            DsmReply::PageData { page: first, data }
-        } else {
-            DsmReply::PageRangeData { first, data }
-        };
-        self.reply(req.requester, req.reply_tag, reply, srv);
+        self.reply(
+            req.requester,
+            req.reply_tag,
+            DsmReply::Pages { first, data },
+            srv,
+        );
         true
     }
 
-    fn serve_or_defer(&self, req: FetchReq, srv: &mut CommServer) {
+    fn serve_or_defer(&self, req: PageReq, srv: &mut CommServer) {
         if !self.try_serve_pages(&req, srv) {
             self.server.lock().deferred.push(req);
         }

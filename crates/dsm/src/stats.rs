@@ -60,9 +60,10 @@ counters! {
     diff_payload_bytes,
     /// DiffBatch messages sent (one per destination home per release).
     diff_batches,
-    /// ReqPageRange round trips (coalesced contiguous-page fetches).
+    /// Fetches of two or more contiguous pages (coalesced bulk-read
+    /// misses); a one-page fetch is a plain read or write fault.
     range_fetches,
-    /// Pages fetched via ReqPageRange (also counted in `page_fetches`).
+    /// Pages those fetches carried (also counted in `page_fetches`).
     range_fetch_pages,
     /// Pages invalidated by write notices.
     invalidations,

@@ -277,13 +277,17 @@ impl RegionAllocator {
 
     pub fn alloc(&mut self, len: usize, pool_len: usize) -> Result<RegionHandle, AllocError> {
         let offset = self.next_offset;
-        let padded = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        if offset + padded > pool_len {
+        let available = pool_len - offset;
+        let padded = len
+            .div_ceil(PAGE_SIZE)
+            .checked_mul(PAGE_SIZE)
+            .filter(|&padded| padded <= available);
+        let Some(padded) = padded else {
             return Err(AllocError {
                 requested: len,
-                available: pool_len - offset,
+                available,
             });
-        }
+        };
         let h = RegionHandle {
             id: self.regions.len() as u32,
             offset,

@@ -179,6 +179,9 @@ pub enum DecodeError {
     /// A page-range frame whose data is not a non-empty whole number of
     /// `page_size`-byte pages.
     NotWholePages { len: usize, page_size: usize },
+    /// A range frame that names one page: a lone page has a frame of its
+    /// own (the DSM's page fetches).
+    LoneRun { first: u64 },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -222,6 +225,10 @@ impl std::fmt::Display for DecodeError {
                 f,
                 "page range data of {len} bytes is not a non-empty whole number \
                  of {page_size}-byte pages"
+            ),
+            DecodeError::LoneRun { first } => write!(
+                f,
+                "range frame names page {first} alone (a lone page has a frame of its own)"
             ),
         }
     }

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use parade_net::sync::Mutex;
 
 use parade_core::{Cluster, MasterCtx, SharedScalar, SharedVec, ThreadCtx};
+use parade_dsm::AllocError;
 
 use crate::analysis::{StorageKind, DEFAULT_SMALL_THRESHOLD};
 use crate::ast::{BinOp, Program, Sched, Span, Type, UnOp};
@@ -263,7 +264,7 @@ impl Interp {
     /// Run `main` on the given cluster; returns the exit code and captured
     /// `printf` output.
     pub fn run(&self, cluster: &Cluster) -> Result<RunOutput, RuntimeError> {
-        check_pool(&self.code, cluster.config().dsm_config().pool_bytes)?;
+        let pool = cluster.config().dsm_config().pool_bytes;
         let code = Arc::clone(&self.code);
         let oracle_enabled = self.oracle;
         let result: RtResult<(i64, String, Vec<RaceReport>)> = cluster.run(move |g| {
@@ -272,14 +273,13 @@ impl Interp {
             };
             let mut env = Env {
                 code: &code,
-                shared: alloc_shared(g, &code),
+                shared: alloc_shared(g, &code, pool)?,
                 io: Arc::new(Mutex::new(String::new())),
                 locals: unbound(&code),
                 undo: Vec::new(),
                 args: Vec::new(),
                 frame: 0,
                 stack_base: stack_addr(),
-                single_dummy: None,
                 lp_scratch: None,
                 in_update_body: false,
                 cur_span: Span::default(),
@@ -311,44 +311,51 @@ impl Interp {
     }
 }
 
-/// Refuse a program with a shared variable larger than the shared pool of
-/// `pool` bytes before any node allocates: its allocation would panic the
-/// master mid-broadcast.
-fn check_pool(code: &Code, pool: usize) -> Result<(), RuntimeError> {
-    for s in &code.storage {
-        // Every shared element is an 8-byte `f64` or `i64`.
-        let bytes = s.shape.elems.checked_mul(8);
-        if bytes.is_some_and(|b| b <= pool) {
-            continue;
-        }
-        let asked = bytes.map_or_else(
-            || format!("more than {} bytes", usize::MAX),
-            |b| format!("{b} bytes"),
-        );
-        return Err(RuntimeError {
-            message: format!(
-                "shared variable `{}` needs {asked}, more than the {pool}-byte shared pool",
-                code.name(s.sym)
-            ),
-        });
-    }
-    Ok(())
-}
-
-fn alloc_shared(g: &mut MasterCtx, code: &Code) -> Arc<[Option<Shared>]> {
+/// Allocate every shared variable, in declaration order. The allocator
+/// decides what fits: a variable it refuses is a runtime error naming it,
+/// before any node allocates it. A variable larger than the whole pool of
+/// `pool` bytes says so; one that fits it but not what the variables before
+/// it left says how much is left.
+fn alloc_shared(g: &mut MasterCtx, code: &Code, pool: usize) -> RtResult<Arc<[Option<Shared>]>> {
     let mut out: Vec<Option<Shared>> = (0..code.nsyms()).map(|_| None).collect();
     for s in &code.storage {
         let shape = &s.shape;
-        out[s.sym.idx()] = Some(match s.kind {
-            StorageKind::SharedArr if shape.ty.is_float() => {
-                Shared::ArrF(g.alloc_f64(shape.elems), shape.dims)
-            }
-            StorageKind::SharedArr => Shared::ArrI(g.alloc_vec::<i64>(shape.elems), shape.dims),
-            StorageKind::ScalarUpdate => Shared::ScalarUpd(g.alloc_scalar_f64(), shape.ty.clone()),
-            StorageKind::ScalarHlrc => Shared::ScalarHlrc(g.alloc_f64(1), shape.ty.clone()),
-        });
+        let shared = match s.kind {
+            StorageKind::SharedArr if shape.ty.is_float() => g
+                .try_alloc_vec(shape.elems)
+                .map(|v| Shared::ArrF(v, shape.dims)),
+            StorageKind::SharedArr => g
+                .try_alloc_vec::<i64>(shape.elems)
+                .map(|v| Shared::ArrI(v, shape.dims)),
+            StorageKind::ScalarUpdate => g
+                .try_alloc_scalar()
+                .map(|v| Shared::ScalarUpd(v, shape.ty.clone())),
+            StorageKind::ScalarHlrc => g
+                .try_alloc_vec(1)
+                .map(|v| Shared::ScalarHlrc(v, shape.ty.clone())),
+        };
+        let refused = |e: AllocError| {
+            // Every shared element is an 8-byte `f64` or `i64`.
+            let asked = shape.elems.checked_mul(8).map_or_else(
+                || format!("more than {} bytes", usize::MAX),
+                |b| format!("{b} bytes"),
+            );
+            let name = code.name(s.sym);
+            Box::new(RuntimeError {
+                message: if e.requested > pool {
+                    format!("shared variable `{name}` needs {asked}, more than the {pool}-byte shared pool")
+                } else {
+                    format!(
+                        "shared variable `{name}` needs {asked}, but {} bytes of the \
+                         {pool}-byte shared pool are left",
+                        e.available
+                    )
+                },
+            })
+        };
+        out[s.sym.idx()] = Some(shared.map_err(refused)?);
     }
-    out.into()
+    Ok(out.into())
 }
 
 /// A frame with no local bound.
@@ -399,8 +406,6 @@ struct Env<'c> {
     /// [`stack_addr`] where this environment was made: calls may take
     /// [`CALL_STACK_LIMIT`] bytes past it.
     stack_base: usize,
-    /// Coordination scalar for execute-once singles (thread frames only).
-    single_dummy: Option<SharedScalar<f64>>,
     /// Scratch vector receiving lastprivate values (thread frames only).
     lp_scratch: Option<SharedVec<f64>>,
     /// Inside the body of a `single`/analyzable construct: stores to
@@ -1055,12 +1060,9 @@ impl<'c> Env<'c> {
             }
             None => {
                 // Execute-once + barrier (targets live on HLRC).
-                let Some(dummy) = self.single_dummy else {
-                    return rte("runtime scratch missing");
-                };
-                tc.single_f64(&dummy, |tc2| {
+                tc.single_update(&[], |tc2| {
                     run_body(self, tc2);
-                    0.0
+                    Vec::new()
                 });
                 if let Some(o) = &self.oracle {
                     o.single_join(self.oracle_tid);
@@ -1086,7 +1088,6 @@ impl<'c> Env<'c> {
         } else {
             Some(g.alloc_f64(region.lastprivates.len()))
         };
-        let single_dummy = g.alloc_scalar_f64();
 
         let code = Arc::clone(self.code);
         let shared = Arc::clone(&self.shared);
@@ -1108,7 +1109,6 @@ impl<'c> Env<'c> {
                 args: Vec::new(),
                 frame: 0,
                 stack_base: stack_addr(),
-                single_dummy: Some(single_dummy),
                 lp_scratch,
                 in_update_body: false,
                 cur_span: Span::default(),

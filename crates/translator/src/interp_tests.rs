@@ -453,29 +453,105 @@ int main() {{
 }
 
 /// A shared array past the pool is refused by name before any node
-/// allocates, with the bytes it asks for and the pool's size.
+/// allocates, with the bytes it asks for and the pool's size, also when
+/// its byte count does not fit a `usize`.
 #[test]
 fn a_shared_array_past_the_pool_is_a_named_runtime_error() {
-    let src = r#"
-int main() {
-    int i;
-    double a[2000000000];
-    #pragma omp parallel for
-    for (i = 0; i < 4; i++) {
-        a[i] = 1.0;
-    }
-    return 0;
-}
-"#;
     let pool = cluster(1, 1, ProtocolMode::Parade)
         .config()
         .dsm_config()
         .pool_bytes;
+    for (elems, asked) in [
+        ("2000000000", "16000000000 bytes".to_string()),
+        (
+            "4000000000000000000",
+            format!("more than {} bytes", usize::MAX),
+        ),
+    ] {
+        let src = format!(
+            "int main() {{
+    int i;
+    double a[{elems}];
+    #pragma omp parallel for
+    for (i = 0; i < 4; i++) {{
+        a[i] = 1.0;
+    }}
+    return 0;
+}}"
+        );
+        assert_eq!(
+            run_err("pool", &src, 2, 2),
+            format!(
+                "runtime error: shared variable `a` needs {asked}, \
+                 more than the {pool}-byte shared pool"
+            )
+        );
+    }
+}
+
+/// A 2 × 2 cluster whose shared pool holds 64 pages, 24 of them the
+/// runtime's own scratch.
+fn small_pool_cluster() -> Cluster {
+    let mut cfg = cluster(2, 2, ProtocolMode::Parade).config().clone();
+    cfg.dsm.pool_bytes = 64 * parade_dsm::PAGE_SIZE;
+    Cluster::from_config(cfg).unwrap()
+}
+
+/// A parallel region takes nothing from the shared pool: 300 regions with
+/// an execute-once `single` each run on a 64-page pool.
+#[test]
+fn parallel_regions_take_nothing_from_the_pool() {
+    let src = r#"
+int main() {
+    int r;
+    double n[1];
+    n[0] = 0.0;
+    for (r = 0; r < 300; r++) {
+        #pragma omp parallel
+        {
+            #pragma omp single
+            {
+                n[0] = n[0] + 1.0;
+            }
+        }
+    }
+    printf("%f\n", n[0]);
+    return 0;
+}
+"#;
+    let prog = parse(src).unwrap_or_else(|e| panic!("parse error: {e}"));
+    let out = Interp::new(prog)
+        .run(&small_pool_cluster())
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(out.stdout, "300.000000\n");
+}
+
+/// Variables that each fit the pool but together overflow it: the one the
+/// allocator refuses is a runtime error naming it, its bytes and the bytes
+/// left, and no node allocates it.
+#[test]
+fn shared_variables_past_what_the_pool_has_left_are_a_named_runtime_error() {
+    let src = r#"
+int main() {
+    int i;
+    double a[12288];
+    double b[12288];
+    #pragma omp parallel for
+    for (i = 0; i < 4; i++) {
+        a[i] = 1.0;
+        b[i] = 1.0;
+    }
+    return 0;
+}
+"#;
+    let prog = parse(src).unwrap_or_else(|e| panic!("parse error: {e}"));
+    let err = Interp::new(prog)
+        .run(&small_pool_cluster())
+        .expect_err("`b` does not fit")
+        .to_string();
     assert_eq!(
-        run_err("pool", src, 2, 2),
-        format!(
-            "runtime error: shared variable `a` needs 16000000000 bytes, \
-             more than the {pool}-byte shared pool"
-        )
+        err,
+        "runtime error: shared variable `b` needs 98304 bytes, \
+         but 65536 bytes of the 262144-byte shared pool are left"
     );
 }

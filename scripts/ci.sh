@@ -210,9 +210,10 @@ fi
 grep -q "unsupported clause 'reduction' on '#pragma omp for'" "$RED_TMP/err"
 rm -rf "$RED_TMP"
 
-# A program error fails the run by name: unbounded recursion and a shared
-# array past the pool exit non-zero, but neither aborts the process (134,
-# a stack overflow) nor panics it (101), and stderr names the error.
+# A program error fails the run by name: unbounded recursion, a shared
+# array past the pool and one past what the pool has left exit non-zero,
+# but none aborts the process (134, a stack overflow) or panics it (101),
+# and stderr names the error.
 ERR_TMP="$(mktemp -d)"
 cat > "$ERR_TMP/recursive_main.c" <<'EOF'
 int main() {
@@ -243,6 +244,54 @@ done
 grep -q "call to main() at call depth [0-9]* passes the 1024 KiB call stack limit" \
   "$ERR_TMP/recursive_main.err"
 grep -q "shared variable \`a\` needs 16000000000 bytes" "$ERR_TMP/huge_shared.err"
+
+# The shared pool at 2x2, with the optimized paradec: 20 000 parallel
+# regions take nothing from it, and of two arrays that each fit it but not
+# together, the second fails the run by name instead of panicking it.
+cat > "$ERR_TMP/many_regions.c" <<'EOF'
+#include <stdio.h>
+int main() {
+    int r;
+    double n[1];
+    n[0] = 0.0;
+    for (r = 0; r < 20000; r++) {
+        #pragma omp parallel
+        {
+            #pragma omp single
+            {
+                n[0] = n[0] + 1.0;
+            }
+        }
+    }
+    printf("%f\n", n[0]);
+    return 0;
+}
+EOF
+cat > "$ERR_TMP/two_arrays.c" <<'EOF'
+int main() {
+    int i;
+    double a[5000000];
+    double b[5000000];
+    #pragma omp parallel for
+    for (i = 0; i < 4; i++) {
+        a[i] = 1.0;
+        b[i] = 1.0;
+    }
+    return 0;
+}
+EOF
+cargo run -q --release --offline -p parade-check --bin paradec -- run \
+  "$ERR_TMP/many_regions.c" --nodes 2 --threads 2 > "$ERR_TMP/many_regions.out"
+grep -qx "20000.000000" "$ERR_TMP/many_regions.out"
+status=0
+cargo run -q --release --offline -p parade-check --bin paradec -- run \
+  "$ERR_TMP/two_arrays.c" --nodes 2 --threads 2 >/dev/null 2>"$ERR_TMP/two_arrays.err" || status=$?
+if [[ "$status" == 0 || "$status" == 134 || "$status" == 101 ]]; then
+  echo "paradec run two_arrays.c exited $status" >&2
+  cat "$ERR_TMP/two_arrays.err" >&2
+  exit 1
+fi
+grep -q "shared variable \`b\` needs 40000000 bytes" "$ERR_TMP/two_arrays.err"
 rm -rf "$ERR_TMP"
 
 echo "== serving soak, optimized (1000 jobs; ignored in the debug test step) =="
