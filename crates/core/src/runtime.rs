@@ -246,10 +246,14 @@ pub(crate) fn spawn_pool(rt: &Arc<NodeRt>) -> Vec<Joiner<()>> {
 ///
 /// The caller's clock is threaded through: the implied fork consistency
 /// barrier, the region body, and the join barrier all advance it.
+/// `publish` is the master's word on whether the fork has anything to
+/// publish ([`crate::MasterCtx::parallel`]); every node gets the same word
+/// with the fork command.
 pub(crate) fn run_region<R>(
     rt: &Arc<NodeRt>,
     f: &Arc<RegionFn>,
     clock: &mut VClock,
+    publish: bool,
     lead: impl FnOnce(&ThreadCtx) -> R,
 ) -> R {
     let region_no = rt
@@ -258,7 +262,17 @@ pub(crate) fn run_region<R>(
         + 1;
     // Fork consistency point: master's serial writes become visible, stale
     // copies are invalidated (the release/acquire implied by the fork).
-    rt.dsm.barrier(clock);
+    // Since the last join only the master ran user code, so when it has
+    // nothing to publish no node has, and no node takes the DSM barrier.
+    if publish {
+        rt.dsm.barrier(clock);
+    } else {
+        debug_assert!(
+            !rt.dsm.interval_wrote(),
+            "node {} holds a write notice at a fork with nothing to publish",
+            rt.node
+        );
+    }
     let start = clock.now();
     rt.dispatch(f, start, region_no);
     let tc = ThreadCtx::new(Arc::clone(rt), 0, region_no, take_clock(clock));

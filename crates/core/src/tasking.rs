@@ -6,13 +6,19 @@
 //! communicator, task bodies execute with full [`ThreadCtx`] access (DSM
 //! reads/writes fault pages in as usual), and the phase ends when the
 //! distributed termination detector proves every spawned task ran exactly
-//! once. The phase opens with a cluster barrier, so data written before
-//! the phase is visible to every task. It closes with one too when any
-//! node wrote a shared page during the phase, so task-written pages are
-//! visible everywhere after it (write faults record interval notices that
-//! the closing barrier advertises). When no node wrote — every node learns
-//! that from the phase's one all-to-all result exchange — the closing
-//! barrier would carry no notice, and it stays node-local.
+//! once. Both ends of the phase ask one question — does any node hold a
+//! write notice? — and take the cluster (DSM) barrier only when the answer
+//! is yes, because a barrier no node brings a notice to publishes nothing.
+//! The phase opens with one `allreduce` (Max) of every node's
+//! [`Dsm::interval_wrote`](parade_dsm::Dsm::interval_wrote) flag, run by
+//! each node's last arriver at the node barrier; every node gets the same
+//! answer, and no node leaves the allreduce before every node entered it,
+//! so phases never overlap. When some node wrote before the phase, the DSM
+//! barrier follows and what it wrote is visible to every task. The phase
+//! closes the same way, so task-written pages are visible everywhere after
+//! it (write faults record interval notices that the closing barrier
+//! advertises); that answer costs no collective, because every node learns
+//! whether any node wrote from the phase's one all-to-all result exchange.
 //!
 //! That closing barrier is the phase's only release point, OpenMP's rule
 //! for tasks without `depend` or `taskwait`: a task may read what was
@@ -22,6 +28,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parade_mpi::ReduceOp;
 use parade_net::VClock;
 use parade_tasks::{run_to_merge, NodeSched, TaskCtx as SpawnCtx, TaskDesc, TaskExecutor};
 
@@ -91,8 +98,9 @@ impl ThreadCtx {
     /// Run a task phase: `body` executes on each node's lead thread to
     /// spawn root tasks (other threads of the team skip straight to the
     /// closing barrier), then the distributed scheduler runs every task.
-    /// The closing barrier is a cluster barrier only if some node wrote a
-    /// shared page during the phase.
+    /// The opening barrier is a cluster barrier only if some node wrote a
+    /// shared page before the phase, the closing one only if some node
+    /// wrote during it.
     ///
     /// Returns `Some` of the id-sorted `(task id, result)` merge on lead
     /// threads — identical on every node regardless of steal schedule —
@@ -103,7 +111,12 @@ impl ThreadCtx {
         body: impl FnOnce(&mut TaskScope),
     ) -> Option<Vec<(u64, Vec<f64>)>> {
         // Opening consistency point: pre-phase writes visible everywhere.
-        self.barrier();
+        // One allreduce of the nodes' flags decides, identically on every
+        // node, whether there is anything to publish.
+        self.barrier_if(|c| {
+            let wrote = self.rt().dsm.interval_wrote() as i64;
+            self.rt().comm.allreduce_i64(wrote, ReduceOp::Max, c) != 0
+        });
         let merged = if self.local_thread() == 0 {
             let sched = NodeSched::new(Arc::clone(&self.rt().comm), self.rt().task_cfg);
             let mut scope = TaskScope { tc: self, sched };
@@ -122,7 +135,7 @@ impl ThreadCtx {
         // Closing consistency point: task-written pages visible everywhere.
         // Every node holds the same flag, so all of them take the DSM
         // barrier or none does.
-        self.barrier_if(|| self.rt().phase_wrote.load(Ordering::Relaxed));
+        self.barrier_if(|_| self.rt().phase_wrote.load(Ordering::Relaxed));
         merged
     }
 }
@@ -272,17 +285,78 @@ mod tests {
                 assert_eq!(got.len(), nodes * 2);
                 for (v, barriers) in got {
                     assert_eq!(v, 42.0, "{nodes}x2 {mode:?}: a stale copy survived");
-                    assert_eq!(barriers, 2, "{nodes}x2 {mode:?}: open and close");
+                    // Nothing was written between the fork and the phase.
+                    assert_eq!(barriers, 1, "{nodes}x2 {mode:?}: only the close");
                 }
             }
         }
     }
 
     #[test]
-    fn a_phase_no_node_writes_in_closes_without_a_dsm_barrier() {
+    fn a_phase_no_node_writes_in_or_before_takes_no_dsm_barrier() {
         for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
             let got = one_writer_phase(4, mode, false);
-            assert_eq!(got, vec![(1.0, 1); 8], "{mode:?}: only the opening barrier");
+            assert_eq!(got, vec![(1.0, 0); 8], "{mode:?}: neither end publishes");
+        }
+    }
+
+    /// One phase on `nodes`×2 in `mode`, opened right after node 1 — not
+    /// the master — overwrote an element every node holds a copy of. Every
+    /// node spawns four tasks that read it; returns what the tasks read and
+    /// node 0's DSM barriers during the phase.
+    fn non_master_write_before_phase(nodes: usize, mode: ProtocolMode) -> (Vec<f64>, u64) {
+        let c = Cluster::builder()
+            .nodes(nodes)
+            .threads_per_node(2)
+            .net(NetProfile::zero())
+            .time(TimeSource::Manual)
+            .protocol(mode)
+            .build()
+            .unwrap();
+        c.run(move |g| {
+            let xs = g.alloc_f64(8);
+            g.parallel(move |tc| {
+                assert_eq!(tc.get(&xs, 5), 0.0, "every copy starts valid");
+                tc.barrier();
+                if tc.node() == 1 && tc.local_thread() == 0 {
+                    tc.set(&xs, 5, 42.0);
+                }
+                let funcs: Vec<TaskFn> = vec![Arc::new(
+                    move |tc: &ThreadCtx, _d: &TaskDesc, _s: &mut SpawnCtx| vec![tc.get(&xs, 5)],
+                )];
+                let before = tc.rt().dsm.stats.barriers.load(Ordering::Relaxed);
+                let merged = tc.task_phase(&funcs, |scope| {
+                    for _ in 0..4 {
+                        scope.spawn(0, vec![]);
+                    }
+                });
+                let barriers = tc.rt().dsm.stats.barriers.load(Ordering::Relaxed) - before;
+                merged.map(|m| (m.into_iter().map(|(_, r)| r[0]).collect(), barriers))
+            })
+            .expect("master thread is node 0's lead")
+        })
+    }
+
+    /// The opening decision is the cluster's, not the node's: node 1's
+    /// write must open the phase with a DSM barrier on every node, or the
+    /// tasks other nodes run read their stale copies (and a node that
+    /// decided alone would wait in a barrier no other node enters).
+    #[test]
+    fn a_write_a_non_master_node_makes_before_a_phase_reaches_every_task() {
+        for nodes in [2, 4] {
+            for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+                let (read, barriers) = parade_testkit::watchdog::run_with_timeout(
+                    "non-master-write-before-phase",
+                    std::time::Duration::from_secs(60),
+                    move || non_master_write_before_phase(nodes, mode),
+                );
+                assert_eq!(
+                    read,
+                    vec![42.0; 4 * nodes],
+                    "{nodes}x2 {mode:?}: a stale read"
+                );
+                assert_eq!(barriers, 1, "{nodes}x2 {mode:?}: only the opening");
+            }
         }
     }
 }

@@ -29,10 +29,22 @@ use crate::shared::{Pod, SharedScalar, SharedVec};
 /// Commands broadcast from the master to the worker command loops.
 #[derive(Debug, Clone, PartialEq)]
 enum Cmd {
-    AllocRegion { len: usize },
-    AllocScalar { len: usize },
-    ScalarSet { small_id: u32, bytes: Vec<u8> },
-    Fork { region_idx: usize },
+    AllocRegion {
+        len: usize,
+    },
+    AllocScalar {
+        len: usize,
+    },
+    ScalarSet {
+        small_id: u32,
+        bytes: Vec<u8>,
+    },
+    /// `publish`: whether the fork's consistency point takes the DSM
+    /// barrier (see [`MasterCtx::parallel`]).
+    Fork {
+        region_idx: usize,
+        publish: bool,
+    },
     Shutdown,
 }
 
@@ -49,8 +61,14 @@ impl Cmd {
             Cmd::ScalarSet { small_id, bytes } => {
                 w.u8(3).u32(*small_id).lp_bytes(bytes);
             }
-            Cmd::Fork { region_idx } => {
-                w.u8(4).u64(*region_idx as u64);
+            Cmd::Fork {
+                region_idx,
+                publish,
+            } => {
+                // A fork with nothing to publish is a kind of its own, so
+                // the publishing fork's bytes are those of every earlier
+                // fork.
+                w.u8(if *publish { 4 } else { 6 }).u64(*region_idx as u64);
             }
             Cmd::Shutdown => {
                 w.u8(5);
@@ -73,8 +91,9 @@ impl Cmd {
                 small_id: r.u32()?,
                 bytes: r.lp_bytes()?.to_vec(),
             },
-            4 => Cmd::Fork {
+            k @ (4 | 6) => Cmd::Fork {
                 region_idx: r.u64()? as usize,
+                publish: k == 4,
             },
             5 => Cmd::Shutdown,
             k => return Err(DecodeError::BadKind(k)),
@@ -88,8 +107,9 @@ impl Cmd {
 /// cannot travel over the simulated wire; the *timing* of fork
 /// distribution comes from the broadcast command message, while the
 /// closure itself is picked up here by index. Only the last region forked
-/// is held: every node picks it up before it arrives at the region's fork
-/// barrier, and the master forks the next one only after that barrier.
+/// is held: every node picks it up when the fork command reaches it, before
+/// it arrives at the region's join barrier, and the master forks the next
+/// one only after that barrier.
 #[derive(Default)]
 struct Registry {
     /// Regions forked so far, and the last of them.
@@ -242,6 +262,7 @@ impl Cluster {
                     rt: Arc::clone(&rt),
                     clock: VClock::new(env.cfg.time),
                     registry: Arc::clone(&reg2),
+                    allocated: false,
                 };
                 let r = f(&mut mc);
                 mc.bcast_cmd(&Cmd::Shutdown);
@@ -414,10 +435,13 @@ fn worker_loop(rt: &Arc<NodeRt>, registry: &Registry, clock: &mut VClock) {
                 };
                 rt.small().write_bytes(h, &bytes);
             }
-            Cmd::Fork { region_idx } => {
+            Cmd::Fork {
+                region_idx,
+                publish,
+            } => {
                 let f = registry.get(region_idx);
                 let f2 = Arc::clone(&f);
-                run_region(rt, &f, clock, move |tc| f2(tc));
+                run_region(rt, &f, clock, publish, move |tc| f2(tc));
             }
             Cmd::Shutdown => break,
         }
@@ -430,6 +454,9 @@ pub struct MasterCtx {
     rt: Arc<NodeRt>,
     clock: VClock,
     registry: Arc<Registry>,
+    /// Whether the master allocated since its last DSM barrier. Every
+    /// region ends in one (the join), so this is "since the last fork".
+    allocated: bool,
 }
 
 impl MasterCtx {
@@ -480,6 +507,7 @@ impl MasterCtx {
         let len = n.saturating_mul(std::mem::size_of::<T>());
         let h = self.rt.dsm.alloc_region(len)?;
         self.bcast_cmd(&Cmd::AllocRegion { len });
+        self.allocated = true;
         Ok(SharedVec::new(h, n))
     }
 
@@ -504,6 +532,7 @@ impl MasterCtx {
         let region = self.rt.dsm.alloc_region(len)?;
         let small = self.rt.dsm.alloc_small(len);
         self.bcast_cmd(&Cmd::AllocScalar { len });
+        self.allocated = true;
         Ok(SharedScalar::new(small, region))
     }
 
@@ -594,6 +623,15 @@ impl MasterCtx {
 
     /// Fork a parallel region across every computational thread of the
     /// cluster; returns the master thread's result after the join barrier.
+    ///
+    /// The fork is a consistency point, and it takes the DSM barrier only
+    /// when there is something to publish. Between the last join barrier
+    /// and this fork only the master ran user code, so only the master can
+    /// hold a write notice, and it decides alone: it publishes if it wrote
+    /// a shared page or allocated a region since then. The allocation
+    /// counts although it writes nothing, because the barrier is also what
+    /// keeps a peer from naming the new pages to a node whose application
+    /// thread has not allocated them yet.
     pub fn parallel<R, F>(&mut self, f: F) -> R
     where
         F: Fn(&ThreadCtx) -> R + Send + Sync + 'static,
@@ -604,17 +642,23 @@ impl MasterCtx {
             f_pool(tc);
         });
         let idx = self.registry.push(erased);
-        self.bcast_cmd(&Cmd::Fork { region_idx: idx });
+        let publish = self.allocated || self.rt.dsm.interval_wrote();
+        self.allocated = false;
+        self.bcast_cmd(&Cmd::Fork {
+            region_idx: idx,
+            publish,
+        });
         let f_lead = Arc::clone(&f);
         let rt = Arc::clone(&self.rt);
         let reg = self.registry.get(idx);
-        run_region(&rt, &reg, &mut self.clock, move |tc| f_lead(tc))
+        run_region(&rt, &reg, &mut self.clock, publish, move |tc| f_lead(tc))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn test_cluster(nodes: usize, tpn: usize) -> Cluster {
         Cluster::builder()
@@ -635,8 +679,15 @@ mod tests {
                 small_id: 7,
                 bytes: vec![1, 2, 3, 4, 5, 6, 7, 8],
             },
-            Cmd::Fork { region_idx: 3 },
+            Cmd::Fork {
+                region_idx: 3,
+                publish: true,
+            },
             Cmd::Shutdown,
+            Cmd::Fork {
+                region_idx: 3,
+                publish: false,
+            },
         ]
     }
 
@@ -655,6 +706,7 @@ mod tests {
             "0307000000080000000102030405060708",
             "040300000000000000",
             "05",
+            "060300000000000000",
         ];
         let got: Vec<String> = samples()
             .iter()
@@ -904,6 +956,102 @@ mod tests {
             sum
         });
         assert_eq!(out, 2 * (0..100).sum::<i64>());
+    }
+
+    fn mode_cluster(nodes: usize, tpn: usize, mode: ProtocolMode) -> Cluster {
+        Cluster::builder()
+            .nodes(nodes)
+            .threads_per_node(tpn)
+            .net(NetProfile::zero())
+            .time(TimeSource::Manual)
+            .protocol(mode)
+            .build()
+            .unwrap()
+    }
+
+    /// A master's serial write with no allocation since the last join is
+    /// the fork's only reason to publish, and it must: every thread of
+    /// every node reads the new value, not its own valid-looking copy.
+    #[test]
+    fn a_serial_write_before_a_fork_reaches_every_thread() {
+        for (nodes, tpn) in [(1, 2), (2, 2), (4, 2)] {
+            for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                let sink = Arc::clone(&seen);
+                mode_cluster(nodes, tpn, mode).run(move |g| {
+                    let xs = g.alloc_f64(8);
+                    g.parallel(move |tc| assert_eq!(tc.get(&xs, 3), 0.0));
+                    g.set(&xs, 3, 7.0);
+                    g.parallel(move |tc| sink.lock().push(tc.get(&xs, 3)));
+                });
+                let seen = seen.lock().clone();
+                assert_eq!(seen, vec![7.0; nodes * tpn], "{nodes}x{tpn} {mode:?}");
+            }
+        }
+    }
+
+    /// The fork takes the DSM barrier after an allocation or a serial
+    /// write, and only then: a region forked with neither since the last
+    /// join adds its join barrier alone.
+    #[test]
+    fn a_fork_with_nothing_to_publish_takes_no_dsm_barrier() {
+        /// The master's DSM barriers over `f` and one empty region.
+        fn barriers_of(g: &mut MasterCtx, f: impl FnOnce(&mut MasterCtx)) -> u64 {
+            let before = g.rt.dsm.stats.barriers.load(Ordering::Relaxed);
+            f(g);
+            g.parallel(|_| {});
+            g.rt.dsm.stats.barriers.load(Ordering::Relaxed) - before
+        }
+        for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+            let forks = mode_cluster(4, 2, mode).run(|g| {
+                let xs = g.alloc_f64(8);
+                let after_alloc = barriers_of(g, |_| {});
+                let quiet = barriers_of(g, |_| {});
+                let after_write = barriers_of(g, move |g| g.set(&xs, 0, 1.0));
+                let after_scalar = barriers_of(g, |g| {
+                    g.alloc_scalar_f64();
+                });
+                [after_alloc, quiet, after_write, after_scalar]
+            });
+            assert_eq!(
+                forks,
+                [2, 1, 2, 2],
+                "{mode:?}: fork + join, or the join alone"
+            );
+        }
+    }
+
+    /// Launches whose first region writes a freshly allocated region under
+    /// a DSM lock before any barrier: the fork must still be a DSM barrier.
+    /// Without it a node's lock release can name the new pages to the lock
+    /// manager before that node's application thread has allocated them
+    /// (or even built its runtime), and the manager's communication thread
+    /// refuses the frame as "past the page table's extent".
+    #[test]
+    fn allocate_then_fork_launches_never_outrun_a_peers_page_table() {
+        for nodes in [8, 16] {
+            for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+                let c = mode_cluster(nodes, 1, mode);
+                for launch in 0..200 {
+                    let run = c.try_run_with_report(move |g| {
+                        let xs = g.alloc_f64(nodes);
+                        g.parallel(move |tc| {
+                            // Each launch puts the lock's manager elsewhere.
+                            tc.critical(launch as u64, |tc| {
+                                tc.set(&xs, tc.node(), (launch + tc.node()) as f64)
+                            });
+                            tc.barrier();
+                        });
+                        (0..nodes).map(|i| g.get(&xs, i)).sum::<f64>()
+                    });
+                    let got = run
+                        .unwrap_or_else(|f| panic!("{nodes} nodes {mode:?} launch {launch}: {f}"))
+                        .0;
+                    let want = (0..nodes).map(|i| (launch + i) as f64).sum::<f64>();
+                    assert_eq!(got, want, "{nodes} nodes {mode:?} launch {launch}");
+                }
+            }
+        }
     }
 
     #[test]

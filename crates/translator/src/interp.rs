@@ -406,7 +406,9 @@ struct Env<'c> {
     /// [`stack_addr`] where this environment was made: calls may take
     /// [`CALL_STACK_LIMIT`] bytes past it.
     stack_base: usize,
-    /// Scratch vector receiving lastprivate values (thread frames only).
+    /// Scratch vector receiving lastprivate values. The master frame holds
+    /// the run's one scratch ([`Env::lastprivate_scratch`]); a thread frame holds it
+    /// when its region has lastprivates.
     lp_scratch: Option<SharedVec<f64>>,
     /// Inside the body of a `single`/analyzable construct: stores to
     /// update-protocol scalars are sanctioned and go to the local copy.
@@ -1082,11 +1084,10 @@ impl<'c> Env<'c> {
         for sym in region.firstprivates.iter() {
             fp.push(self.read_var(&mut Exec::Master(g), *sym)?);
         }
-        // Lastprivate scratch.
         let lp_scratch = if region.lastprivates.is_empty() {
             None
         } else {
-            Some(g.alloc_f64(region.lastprivates.len()))
+            Some(self.lastprivate_scratch(g, region.lastprivates.len())?)
         };
 
         let code = Arc::clone(self.code);
@@ -1180,6 +1181,28 @@ impl<'c> Env<'c> {
             }
         }
         Ok(())
+    }
+
+    /// The run's lastprivate scratch, with room for `slots` values: the
+    /// first region with lastprivates allocates it and later ones reuse it,
+    /// so a loop of such regions takes nothing more from the pool. It is
+    /// allocated anew only when a region needs more slots than it has. A
+    /// refusal is a runtime error, as for a shared variable.
+    fn lastprivate_scratch(&mut self, g: &mut MasterCtx, slots: usize) -> RtResult<SharedVec<f64>> {
+        if let Some(s) = self.lp_scratch.filter(|s| s.len() >= slots) {
+            return Ok(s);
+        }
+        let s = g.try_alloc_vec(slots).map_err(|e: AllocError| {
+            Box::new(RuntimeError {
+                message: format!(
+                    "the lastprivate scratch needs {} bytes, but {} bytes of the \
+                     shared pool are left",
+                    e.requested, e.available
+                ),
+            })
+        })?;
+        self.lp_scratch = Some(s);
+        Ok(s)
     }
 
     /// Execute a work-shared canonical loop on this thread.

@@ -526,6 +526,35 @@ int main() {
     assert_eq!(out.stdout, "300.000000\n");
 }
 
+/// A `lastprivate` region reuses the run's one scratch: 300 of them run on
+/// a 64-page pool, and each hands its last iteration's value back.
+#[test]
+fn lastprivate_regions_take_nothing_from_the_pool() {
+    let src = r#"
+int main() {
+    int r;
+    int i;
+    double last = 0.0;
+    double total = 0.0;
+    for (r = 0; r < 300; r++) {
+        #pragma omp parallel for lastprivate(last)
+        for (i = 0; i < 8; i++) {
+            last = r + i;
+        }
+        total = total + last;
+    }
+    printf("%f %f\n", last, total);
+    return 0;
+}
+"#;
+    let prog = parse(src).unwrap_or_else(|e| panic!("parse error: {e}"));
+    let out = Interp::new(prog)
+        .run(&small_pool_cluster())
+        .unwrap_or_else(|e| panic!("{e}"));
+    // `last` is 299 + 7; `total` is the sum over r of r + 7.
+    assert_eq!(out.stdout, "306.000000 46950.000000\n");
+}
+
 /// Variables that each fit the pool but together overflow it: the one the
 /// allocator refuses is a runtime error naming it, its bytes and the bytes
 /// left, and no node allocates it.

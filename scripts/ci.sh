@@ -246,8 +246,9 @@ grep -q "call to main() at call depth [0-9]* passes the 1024 KiB call stack limi
 grep -q "shared variable \`a\` needs 16000000000 bytes" "$ERR_TMP/huge_shared.err"
 
 # The shared pool at 2x2, with the optimized paradec: 20 000 parallel
-# regions take nothing from it, and of two arrays that each fit it but not
-# together, the second fails the run by name instead of panicking it.
+# regions take nothing from it, 20 000 `lastprivate` loops nothing past
+# their one scratch, and of two arrays that each fit it but not together,
+# the second fails the run by name instead of panicking it.
 cat > "$ERR_TMP/many_regions.c" <<'EOF'
 #include <stdio.h>
 int main() {
@@ -267,6 +268,22 @@ int main() {
     return 0;
 }
 EOF
+cat > "$ERR_TMP/many_lastprivates.c" <<'EOF'
+#include <stdio.h>
+int main() {
+    int r;
+    int i;
+    double last = 0.0;
+    for (r = 0; r < 20000; r++) {
+        #pragma omp parallel for lastprivate(last)
+        for (i = 0; i < 8; i++) {
+            last = r + i;
+        }
+    }
+    printf("%f\n", last);
+    return 0;
+}
+EOF
 cat > "$ERR_TMP/two_arrays.c" <<'EOF'
 int main() {
     int i;
@@ -283,6 +300,9 @@ EOF
 cargo run -q --release --offline -p parade-check --bin paradec -- run \
   "$ERR_TMP/many_regions.c" --nodes 2 --threads 2 > "$ERR_TMP/many_regions.out"
 grep -qx "20000.000000" "$ERR_TMP/many_regions.out"
+cargo run -q --release --offline -p parade-check --bin paradec -- run \
+  "$ERR_TMP/many_lastprivates.c" --nodes 2 --threads 2 > "$ERR_TMP/many_lastprivates.out"
+grep -qx "20006.000000" "$ERR_TMP/many_lastprivates.out"
 status=0
 cargo run -q --release --offline -p parade-check --bin paradec -- run \
   "$ERR_TMP/two_arrays.c" --nodes 2 --threads 2 >/dev/null 2>"$ERR_TMP/two_arrays.err" || status=$?
