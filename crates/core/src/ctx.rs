@@ -16,6 +16,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parade_cluster::ProtocolMode;
@@ -294,25 +295,45 @@ impl ThreadCtx {
     /// inter-node HLRC barrier (flush + write notices + invalidations +
     /// home migration) performed by one representative per node — the
     /// last thread to reach the node barrier, from inside it.
+    ///
+    /// The inter-node half is the DSM barrier only when it may have
+    /// something to publish. After a barrier that published nothing (the
+    /// node's `quiet` flag) the representative first asks, with one
+    /// `allreduce` of the nodes' write flags, whether any node wrote since,
+    /// and takes the DSM barrier only if one did; otherwise the allreduce
+    /// alone is the crossing, and it still holds every node until every
+    /// node has arrived. After a barrier that published, the question would
+    /// only add the allreduce, so the DSM barrier is taken directly.
     pub fn barrier(&self) {
-        self.barrier_if(|_| true);
+        let rt = &self.rt;
+        self.crossing(|c| {
+            if !rt.quiet.load(Ordering::Relaxed) || rt.any_node_wrote(c) {
+                rt.quiet.store(!rt.dsm.barrier(c), Ordering::Relaxed);
+            }
+        });
     }
 
-    /// [`ThreadCtx::barrier`] whose inter-node half runs only if
+    /// [`ThreadCtx::barrier`] whose inter-node half is the DSM barrier if
     /// `inter_node(clock)`, asked once, by the node barrier's last arriver,
-    /// on the node-combine clock (the question may cost a collective).
-    /// Without it the crossing is node-local. Sound only when every node
-    /// gets the same answer and no node has a write notice to advertise.
+    /// on the node-combine clock (the question may cost a collective), and
+    /// nothing otherwise. Task phases cross with it: they neither read nor
+    /// write the `quiet` flag. Sound only when every node gets the same
+    /// answer and no node has a write notice to advertise when it is no.
     pub(crate) fn barrier_if(&self, inter_node: impl FnOnce(&mut VClock) -> bool) {
-        self.end_of_interval("barrier()");
-        if trace::enabled() {
-            trace::begin(EventKind::OmpBarrier, self.now());
-        }
-        self.node_combine(|c| {
+        self.crossing(|c| {
             if inter_node(c) {
                 self.rt.dsm.barrier(c);
             }
         });
+    }
+
+    /// A barrier's node-local half around `lead`, its inter-node half.
+    fn crossing(&self, lead: impl FnOnce(&mut VClock)) {
+        self.end_of_interval("barrier()");
+        if trace::enabled() {
+            trace::begin(EventKind::OmpBarrier, self.now());
+        }
+        self.node_combine(lead);
         if trace::enabled() {
             trace::end(EventKind::OmpBarrier, self.now());
         }

@@ -2,7 +2,7 @@
 //! intra-node barrier, the compute-thread pool, and the slot tables behind
 //! `single`/`reduction` constructs.
 
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 
 use parade_net::sync::Mutex;
@@ -10,7 +10,7 @@ use parade_net::threads::{spawn_named, Joiner};
 
 use parade_cluster::ProtocolMode;
 use parade_dsm::{Dsm, RegionHandle};
-use parade_mpi::Communicator;
+use parade_mpi::{Communicator, ReduceOp};
 use parade_net::{TimeSource, VClock, VTime};
 use parade_tasks::SchedConfig;
 use parade_trace as trace;
@@ -119,6 +119,15 @@ pub(crate) struct NodeRt {
     /// mutex orders the two). Per node, not a static: one process runs
     /// many clusters.
     pub phase_wrote: AtomicBool,
+    /// Whether the team's last barrier published nothing: it took no DSM
+    /// barrier, or its departure carried no entry. Read and written by the
+    /// node barrier's last arriver ([`ThreadCtx::barrier`]) and cleared by
+    /// a fork that takes the DSM barrier ([`run_region`]); every node
+    /// holds the same value, because every input to it is the cluster's.
+    /// Relaxed suffices: the node barrier's mutex orders one leader's
+    /// store before the next leader's load, and a fork's store happens
+    /// while the pool threads wait for its dispatch.
+    pub quiet: AtomicBool,
     /// DSM scratch region for SdsmOnly-mode reductions (SLOTS × 16 B).
     pub scratch: RegionHandle,
     /// DSM flag region for SdsmOnly-mode singles (SLOTS × 8 B).
@@ -162,6 +171,7 @@ impl NodeRt {
             criticals: Mutex::new(std::collections::HashMap::new()),
             region_counter: AtomicU64::new(0),
             phase_wrote: AtomicBool::new(false),
+            quiet: AtomicBool::new(false),
             scratch,
             flags,
             pool: Mutex::new(Vec::new()),
@@ -189,6 +199,16 @@ impl NodeRt {
                 .entry(id)
                 .or_insert_with(|| Arc::new(Mutex::new(VTime::ZERO))),
         )
+    }
+
+    /// Whether any node wrote a shared page since its last DSM barrier:
+    /// one `allreduce` (Max) of every node's
+    /// [`Dsm::interval_wrote`](parade_dsm::Dsm::interval_wrote) flag, run
+    /// by one thread per node. Every node gets the same answer, and no node
+    /// leaves before every node has entered.
+    pub fn any_node_wrote(&self, clock: &mut VClock) -> bool {
+        let wrote = self.dsm.interval_wrote() as i64;
+        self.comm.allreduce_i64(wrote, ReduceOp::Max, clock) != 0
     }
 
     /// Dispatch a region to the pool threads (local tids 1..tpn).
@@ -256,16 +276,17 @@ pub(crate) fn run_region<R>(
     publish: bool,
     lead: impl FnOnce(&ThreadCtx) -> R,
 ) -> R {
-    let region_no = rt
-        .region_counter
-        .fetch_add(1, std::sync::atomic::Ordering::SeqCst)
-        + 1;
+    let region_no = rt.region_counter.fetch_add(1, Ordering::SeqCst) + 1;
     // Fork consistency point: master's serial writes become visible, stale
     // copies are invalidated (the release/acquire implied by the fork).
     // Since the last join only the master ran user code, so when it has
     // nothing to publish no node has, and no node takes the DSM barrier.
+    // A fork that publishes sends the region's first barrier straight to
+    // the DSM barrier (DESIGN.md §4, "The fork and barrier consistency
+    // points").
     if publish {
         rt.dsm.barrier(clock);
+        rt.quiet.store(false, Ordering::Relaxed);
     } else {
         debug_assert!(
             !rt.dsm.interval_wrote(),

@@ -28,7 +28,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parade_mpi::ReduceOp;
 use parade_net::VClock;
 use parade_tasks::{run_to_merge, NodeSched, TaskCtx as SpawnCtx, TaskDesc, TaskExecutor};
 
@@ -113,10 +112,7 @@ impl ThreadCtx {
         // Opening consistency point: pre-phase writes visible everywhere.
         // One allreduce of the nodes' flags decides, identically on every
         // node, whether there is anything to publish.
-        self.barrier_if(|c| {
-            let wrote = self.rt().dsm.interval_wrote() as i64;
-            self.rt().comm.allreduce_i64(wrote, ReduceOp::Max, c) != 0
-        });
+        self.barrier_if(|c| self.rt().any_node_wrote(c));
         let merged = if self.local_thread() == 0 {
             let sched = NodeSched::new(Arc::clone(&self.rt().comm), self.rt().task_cfg);
             let mut scope = TaskScope { tc: self, sched };

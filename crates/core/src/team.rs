@@ -991,8 +991,10 @@ mod tests {
     }
 
     /// The fork takes the DSM barrier after an allocation or a serial
-    /// write, and only then: a region forked with neither since the last
-    /// join adds its join barrier alone.
+    /// write, and only then. A publishing fork sends the join straight to
+    /// the DSM barrier; a region forked with neither since a join that
+    /// published nothing takes none at all, because its join asks first
+    /// and no node wrote.
     #[test]
     fn a_fork_with_nothing_to_publish_takes_no_dsm_barrier() {
         /// The master's DSM barriers over `f` and one empty region.
@@ -1013,10 +1015,175 @@ mod tests {
                 });
                 [after_alloc, quiet, after_write, after_scalar]
             });
+            assert_eq!(forks, [2, 0, 2, 2], "{mode:?}: fork + join, or neither");
+        }
+    }
+
+    /// The shapes and modes of the quiet-barrier tests below.
+    fn quiet_shapes() -> impl Iterator<Item = (usize, usize, ProtocolMode)> {
+        [(1, 4), (2, 2), (4, 2)]
+            .into_iter()
+            .flat_map(|(nodes, tpn)| {
+                [ProtocolMode::Parade, ProtocolMode::SdsmOnly].map(move |mode| (nodes, tpn, mode))
+            })
+    }
+
+    /// `f` on a `nodes`×`tpn` cluster in `mode`, under a watchdog: a node
+    /// that decided alone to ask where a peer took the DSM barrier would
+    /// hang rather than fail.
+    fn watched<R: Send + 'static>(
+        nodes: usize,
+        tpn: usize,
+        mode: ProtocolMode,
+        f: impl FnOnce(&mut MasterCtx) -> R + Send + 'static,
+    ) -> R {
+        parade_testkit::watchdog::run_with_timeout(
+            &format!("quiet-barrier-{nodes}x{tpn}-{mode:?}"),
+            std::time::Duration::from_secs(60),
+            move || mode_cluster(nodes, tpn, mode).run(f),
+        )
+    }
+
+    /// This node's DSM barriers so far.
+    fn dsm_barriers(tc: &ThreadCtx) -> u64 {
+        tc.rt().dsm.stats.barriers.load(Ordering::Relaxed)
+    }
+
+    /// Barriers with nothing written take one DSM barrier per node, the
+    /// first; every later one asks the nodes' write flags and finds none.
+    #[test]
+    fn quiet_barriers_take_one_dsm_barrier_then_ask() {
+        const K: usize = 6;
+        for (nodes, tpn, mode) in quiet_shapes() {
+            let per_node = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&per_node);
+            watched(nodes, tpn, mode, move |g| {
+                g.parallel(move |tc| {
+                    let before = dsm_barriers(tc);
+                    for _ in 0..K {
+                        tc.barrier();
+                    }
+                    if tc.local_thread() == 0 {
+                        sink.lock().push(dsm_barriers(tc) - before);
+                    }
+                })
+            });
+            let got = per_node.lock().clone();
+            assert_eq!(got, vec![1; nodes], "{nodes}x{tpn} {mode:?}");
+        }
+    }
+
+    /// Who writes the shared value between two quiet barriers.
+    #[derive(Clone, Copy, Debug)]
+    enum QuietWriter {
+        /// A plain store by a non-lead thread on the last node.
+        LastNodeWorker,
+        /// A generic `critical` (DSM lock): its notices wait in the
+        /// interval until the next DSM barrier drains them.
+        Critical,
+        /// An `atomic`; in SdsmOnly mode a DSM lock around a page write.
+        Atomic,
+    }
+
+    /// Two quiet barriers, a write by `who`, one more barrier: returns
+    /// what every thread read after it (in no particular order) and each
+    /// node's DSM barriers over the three.
+    fn write_between_quiet_barriers(
+        nodes: usize,
+        tpn: usize,
+        mode: ProtocolMode,
+        who: QuietWriter,
+    ) -> (Vec<f64>, Vec<u64>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let per_node = Arc::new(Mutex::new(Vec::new()));
+        let (sink, node_sink) = (Arc::clone(&seen), Arc::clone(&per_node));
+        watched(nodes, tpn, mode, move |g| {
+            let xs = g.alloc_f64(8);
+            let s = g.alloc_scalar_f64();
+            g.parallel(move |tc| {
+                let before = dsm_barriers(tc);
+                tc.barrier();
+                tc.barrier();
+                let last = tc.node() == nodes - 1 && tc.local_thread() == tpn - 1;
+                match who {
+                    QuietWriter::LastNodeWorker if last => tc.set(&xs, 5, 42.0),
+                    QuietWriter::Critical if last => tc.critical(3, |tc| tc.set(&xs, 5, 42.0)),
+                    QuietWriter::Atomic if last => {
+                        tc.atomic_add_f64(&s, 42.0);
+                    }
+                    _ => {}
+                }
+                tc.barrier();
+                let v = match who {
+                    QuietWriter::Atomic => tc.scalar_get(&s),
+                    _ => tc.get(&xs, 5),
+                };
+                sink.lock().push(v);
+                if tc.local_thread() == 0 {
+                    node_sink.lock().push(dsm_barriers(tc) - before);
+                }
+            })
+        });
+        let seen = seen.lock().clone();
+        let per_node = per_node.lock().clone();
+        (seen, per_node)
+    }
+
+    /// A write made between two quiet barriers reaches every thread of
+    /// every node after the next barrier, which asks, learns that a node
+    /// wrote and takes the DSM barrier: one for the first barrier, none
+    /// for the second, one for the third.
+    #[test]
+    fn a_write_between_quiet_barriers_reaches_every_thread() {
+        for (nodes, tpn, mode) in quiet_shapes() {
+            let mut writers = vec![QuietWriter::LastNodeWorker, QuietWriter::Critical];
+            if mode == ProtocolMode::SdsmOnly {
+                // In Parade mode an atomic is a collective every thread
+                // reaches, and writes no page.
+                writers.push(QuietWriter::Atomic);
+            }
+            for who in writers {
+                let (seen, per_node) = write_between_quiet_barriers(nodes, tpn, mode, who);
+                let shape = format!("{nodes}x{tpn} {mode:?} {who:?}");
+                assert_eq!(seen, vec![42.0; nodes * tpn], "{shape}: a stale read");
+                assert_eq!(per_node, vec![2; nodes], "{shape}");
+            }
+        }
+    }
+
+    /// A fork that takes the DSM barrier (here, after an allocation)
+    /// clears the flag, so the region's first barrier goes straight to the
+    /// DSM barrier; a fork with nothing to publish leaves the flag as the
+    /// last join set it. Per region: the flag at the region's start, and
+    /// the master's DSM barriers over the fork, one barrier and the join.
+    #[test]
+    fn a_publishing_fork_clears_the_quiet_flag_and_a_quiet_fork_keeps_it() {
+        for (nodes, tpn, mode) in quiet_shapes() {
+            let got = watched(nodes, tpn, mode, |g| {
+                let one_barrier = |g: &mut MasterCtx| {
+                    let before = g.rt.dsm.stats.barriers.load(Ordering::Relaxed);
+                    let quiet = g.parallel(|tc| {
+                        let quiet = tc.rt().quiet.load(Ordering::Relaxed);
+                        tc.barrier();
+                        quiet
+                    });
+                    // The join adds none: it follows a barrier with
+                    // nothing to publish, asks, and nobody wrote.
+                    (
+                        quiet,
+                        g.rt.dsm.stats.barriers.load(Ordering::Relaxed) - before,
+                    )
+                };
+                let first = one_barrier(g);
+                let quiet_fork = one_barrier(g);
+                g.alloc_f64(8);
+                let after_alloc = one_barrier(g);
+                [first, quiet_fork, after_alloc]
+            });
             assert_eq!(
-                forks,
-                [2, 1, 2, 2],
-                "{mode:?}: fork + join, or the join alone"
+                got,
+                [(false, 1), (true, 0), (false, 2)],
+                "{nodes}x{tpn} {mode:?}"
             );
         }
     }

@@ -935,7 +935,11 @@ impl Dsm {
     /// Exactly one thread per node may call this at a time (the cluster
     /// layer funnels through the node's elected representative: whichever
     /// thread reaches the node barrier last calls it from inside it).
-    pub fn barrier(&self, clock: &mut VClock) {
+    ///
+    /// Returns whether the departure carried any entry, that is whether
+    /// some node wrote a shared page since the last barrier. Every member
+    /// receives the same departure, so every node gets the same answer.
+    pub fn barrier(&self, clock: &mut VClock) -> bool {
         trace::begin(EventKind::DsmBarrier, clock.now());
         let seq = self.barrier_seq.fetch_add(1, Ordering::SeqCst);
         self.flush(clock);
@@ -964,6 +968,7 @@ impl Dsm {
         self.apply_depart(seq, &entries, clock);
         self.stats.barriers.fetch_add(1, Ordering::Relaxed);
         trace::end(EventKind::DsmBarrier, clock.now());
+        !entries.is_empty()
     }
 
     /// Apply a barrier departure: update the home table, invalidate copies

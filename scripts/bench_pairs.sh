@@ -20,7 +20,9 @@
 # per side on the first seed, and every per-layer metric whose value
 # differs between them: name, parent, change, change in percent (the
 # counters say which layer a gain came from; host-time probes differ on
-# every run). Ten pairs, on seeds not used while the change was written,
+# every run). Last, each side's `failed` / `attempted` ops summed over its
+# runs, with the verdict "worse" when the change's failed share is the
+# larger one, "ok" otherwise. Ten pairs, on seeds not used while the change was written,
 # are what a claim needs. The parent is
 # `git archive`d into a temp dir (BENCH_PAIRS_TMP, default /tmp) and both
 # sides are built once, before the first run. Needs python3; not tier-1.
@@ -73,11 +75,13 @@ import json, statistics, sys
 tmp, pairs, workload, rev, seed = sys.argv[1], int(sys.argv[2]), *sys.argv[3:6]
 end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
 
-def metrics(path):
-    return {k: m["value"] for k, m in json.load(open(path))["metrics"].items()}
+def metrics(run):
+    return {k: m["value"] for k, m in run["metrics"].items()}
 
-parent = [metrics(f"{tmp}/parent.{i}.json") for i in range(pairs)]
-change = [metrics(f"{tmp}/change.{i}.json") for i in range(pairs)]
+runs = {side: [json.load(open(f"{tmp}/{side}.{i}.json")) for i in range(pairs)]
+        for side in ("parent", "change")}
+parent = [metrics(r) for r in runs["parent"]]
+change = [metrics(r) for r in runs["change"]]
 
 def middle(xs):
     if len(xs) < 2:
@@ -116,12 +120,20 @@ for metric in end_to_end:
           f"  {delta}, lower in {wins}/{pairs}")
     print(f"  verdict: {verdict(p, c, metric['better'] == 'lower')}")
 
-p, c = metrics(f"{tmp}/parent.trace.json"), metrics(f"{tmp}/change.trace.json")
+p, c = (metrics(json.load(open(f"{tmp}/{side}.trace.json"))) for side in ("parent", "change"))
 moved = [name for name in p if p[name] != c.get(name)]
 print(f"\nper-layer metrics that differ (--trace 1, seed {seed}): {len(moved)}")
 for name in moved:
     pv, cv = p[name], c.get(name)
     delta = f"{(cv - pv) / pv * 100:+.1f} %" if pv and cv is not None else "n/a"
     print(f"  {name:32} {pv!s:>14} {cv!s:>14}  {delta}")
+
+share = {}
+print("\nfailed ops (summed over the timed runs)")
+for side, rs in runs.items():
+    failed, attempted = sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs)
+    share[side] = failed / attempted if attempted else 0.0
+    print(f"  {side} {failed} / {attempted}")
+print(f"  verdict: {'worse' if share['change'] > share['parent'] else 'ok'}")
 EOF
 done

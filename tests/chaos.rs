@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use parade::cluster::{launch, ClusterConfig, NodeEnv};
-use parade::core::{Cluster, StatsReport};
+use parade::core::{Cluster, RunReport, StatsReport, ThreadCtx};
 use parade::kernels::cg::{cg_parade, CgClass};
 use parade::kernels::helmholtz::{helmholtz_parade, HelmholtzParams};
 use parade::mpi::{Communicator, ReduceOp};
@@ -353,6 +353,81 @@ fn helmholtz_is_bit_identical_under_lossy_chaos() {
         assert_eq!(
             chaotic.solution_error.to_bits(),
             clean.solution_error.to_bits()
+        );
+        assert!(report.cluster.fabric_errors.is_empty());
+        let h = report.cluster.link_health_totals();
+        assert!(h.retransmits >= 1, "{h:?}");
+    });
+}
+
+/// Barriers that publish nothing ask every node's write flag with one
+/// allreduce before they take the DSM barrier. On a lossy fabric the
+/// answers, the DSM barriers they pick and every value read must match the
+/// clean run: alternating quiet and writing barriers, then a stretch of
+/// quiet barriers ended by writes under a generic `critical`.
+fn quiet_barrier_mix(chaos: ChaosProfile) -> (Vec<u64>, RunReport) {
+    const ROUNDS: usize = 12;
+    let cluster = soak_cluster(chaos);
+    let (out, report) = cluster.run_with_report(|g| {
+        let threads = g.num_threads();
+        // Two buffers, written in turn by the even rounds, so a write never
+        // meets a read of the previous round that has not passed a barrier.
+        let xs = g.alloc_f64(2 * threads);
+        let total = g.alloc_f64(1);
+        let sums = g.alloc_f64(threads);
+        g.parallel(move |tc| {
+            let me = tc.thread_num();
+            let mut acc = 0.0f64;
+            let mut fold = |tc: &ThreadCtx, buf: usize| {
+                for i in 0..threads {
+                    acc = acc * 1.000_001 + tc.get(&xs, buf * threads + i);
+                }
+            };
+            let buf_of = |round: usize| (round / 2) % 2;
+            for round in 0..ROUNDS {
+                // Even rounds write before the barrier, odd ones do not.
+                if round % 2 == 0 {
+                    let v = (round * threads + me) as f64 + 0.25;
+                    tc.set(&xs, buf_of(round) * threads + me, v);
+                }
+                tc.barrier();
+                fold(tc, buf_of(round));
+            }
+            for _ in 0..5 {
+                tc.barrier();
+                fold(tc, buf_of(ROUNDS - 1));
+            }
+            // Integer-valued sums land on the same bits in any lock order.
+            tc.critical(9, |tc| {
+                let v = tc.get(&total, 0);
+                tc.set(&total, 0, v + (me + 1) as f64);
+            });
+            tc.barrier();
+            let sum = tc.get(&total, 0);
+            tc.set(&sums, me, acc + sum);
+        });
+        (0..threads).map(|i| g.get(&sums, i).to_bits()).collect()
+    });
+    (out, report)
+}
+
+#[test]
+fn quiet_and_writing_barriers_are_bit_identical_under_lossy_chaos() {
+    run_with_timeout("quiet-barrier-chaos", SOAK, || {
+        let (clean, clean_report) = quiet_barrier_mix(ChaosProfile::off());
+        let (chaotic, report) = quiet_barrier_mix(ChaosProfile::lossy(0x0041_E7B4));
+        assert_eq!(chaotic, clean);
+        // Per node: the fork (it allocated), the 12 rounds (round 0 follows
+        // the fork and every odd round a publishing barrier, so they go
+        // straight to the DSM barrier, the odd ones publishing nothing;
+        // every later even round asks and finds a write), the critical's
+        // barrier (asks, finds the notices) and the join. The 5 quiet
+        // barriers after the last odd round ask and take none.
+        assert_eq!(clean_report.cluster.dsm_totals().barriers, 4 * 15);
+        assert_eq!(
+            report.cluster.dsm_totals().barriers,
+            clean_report.cluster.dsm_totals().barriers,
+            "every barrier took the DSM barrier, or asked, as in the clean run"
         );
         assert!(report.cluster.fabric_errors.is_empty());
         let h = report.cluster.link_health_totals();

@@ -321,8 +321,10 @@ fn run_report_virtual_times_are_consistent() {
 // ---------------------------------------------------------------------------
 
 /// Total fabric messages for a fixed collective-only workload: 8 team
-/// barriers plus one reduction, no shared-page traffic.
-fn collective_message_count(nodes: usize, tpn: usize) -> u64 {
+/// barriers plus one reduction. With `write`, the master allocates one
+/// shared word and global thread 0 writes it before each barrier, so every
+/// barrier has something to publish; without, no shared page is touched.
+fn collective_message_count(nodes: usize, tpn: usize, write: bool) -> u64 {
     let c = Cluster::builder()
         .nodes(nodes)
         .threads_per_node(tpn)
@@ -330,9 +332,13 @@ fn collective_message_count(nodes: usize, tpn: usize) -> u64 {
         .time(TimeSource::Manual)
         .build()
         .unwrap();
-    let (_, report) = c.run_with_report(|g| {
-        g.parallel(|tc| {
-            for _ in 0..8 {
+    let (_, report) = c.run_with_report(move |g| {
+        let word = write.then(|| g.alloc_f64(1));
+        g.parallel(move |tc| {
+            for i in 0..8 {
+                if let Some(word) = word.filter(|_| tc.thread_num() == 0) {
+                    tc.set(&word, 0, i as f64);
+                }
                 tc.barrier();
             }
             tc.reduce_f64_sum(1.0)
@@ -346,22 +352,46 @@ fn collective_message_count(nodes: usize, tpn: usize) -> u64 {
 /// fail CI, not drift silently.
 #[test]
 fn collective_message_counts_are_pinned() {
-    // Per barrier round at N nodes the tree costs 3N-1 messages (N local
-    // arrivals handed to each node's own communication thread, N-1
-    // aggregated BarrierUps, N departures); the workload executes 9
-    // rounds in total (8 explicit barriers plus the join barrier; the fork
-    // takes none, because the master allocated and wrote nothing before
-    // it, so it has nothing to publish). On top come the master's two
-    // command broadcasts (N-1 messages each) and the reduction's one
-    // recursive-doubling allreduce, N·log₂N messages at a power of two N
-    // (8 at 4 nodes, 24 at 8).
-    let c44 = collective_message_count(4, 4);
-    assert_eq!(c44, 113, "4 nodes x 4 threads");
-    assert_eq!(collective_message_count(8, 2), 245, "8 nodes x 2 threads");
+    // Per DSM barrier round at N nodes the tree costs 3N-1 messages (N
+    // local arrivals handed to each node's own communication thread, N-1
+    // aggregated BarrierUps, N departures). The writing workload takes 10
+    // rounds: the fork (the master allocated), the 8 explicit barriers
+    // (each follows a write) and the join (it follows a barrier that
+    // published, so it does not ask). Global thread 0 writes on node 0,
+    // the word's home, so no diff or page crosses the fabric. On top come
+    // the master's three command broadcasts (allocation, fork, shutdown;
+    // N-1 messages each) and the reduction's one recursive-doubling
+    // allreduce, N·log₂N messages at a power of two N (8 at 4 nodes, 24
+    // at 8).
+    let w44 = collective_message_count(4, 4, true);
+    // 10·11 + 3·3 + 8 and 10·23 + 3·7 + 24.
+    assert_eq!(w44, 127, "writing, 4 nodes x 4 threads");
     assert_eq!(
-        collective_message_count(4, 1),
-        c44,
-        "compute threads funnel through the node barrier: fabric traffic \
-         must not depend on threads-per-node"
+        collective_message_count(8, 2, true),
+        275,
+        "writing, 8 nodes x 2 threads"
     );
+    // The quiet workload takes one round, the first barrier. Its fork has
+    // nothing to publish, and the first barrier publishes nothing, so the
+    // 7 barriers after it and the join each ask with one write-flag
+    // allreduce (N·log₂N messages) and find that no node wrote. Two
+    // command broadcasts (fork, shutdown) and the reduction's allreduce
+    // complete it: 11 + 8·8 + 2·3 + 8 and 23 + 8·24 + 2·7 + 24. An asked
+    // barrier costs 8 messages against the tree's 11 at 4 nodes, and 24
+    // against 23 at 8.
+    let q44 = collective_message_count(4, 4, false);
+    assert_eq!(q44, 89, "quiet, 4 nodes x 4 threads");
+    assert_eq!(
+        collective_message_count(8, 2, false),
+        253,
+        "quiet, 8 nodes x 2 threads"
+    );
+    for (write, c44) in [(true, w44), (false, q44)] {
+        assert_eq!(
+            collective_message_count(4, 1, write),
+            c44,
+            "compute threads funnel through the node barrier: fabric traffic \
+             must not depend on threads-per-node"
+        );
+    }
 }
