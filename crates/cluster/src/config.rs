@@ -4,7 +4,6 @@
 
 use parade_dsm::{CommCosts, DsmConfig, HomePolicy, ProtoSelect, PAGE_SIZE};
 use parade_net::{ChaosProfile, NetProfile, TimeSource};
-use parade_tasks::SchedConfig;
 
 /// The three measurement configurations of the paper's §6.2.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,9 +111,6 @@ pub struct ClusterConfig {
     /// `PARADE_CHAOS` environment variable (off when unset), so any run
     /// can be soaked under chaos without code changes.
     pub chaos: ChaosProfile,
-    /// Task scheduler knobs (steal strategy, victim-selection seed) for
-    /// `parade-tasks` phases.
-    pub task_scheduler: SchedConfig,
     /// Per-node DSM knobs, passed through to every node except for those
     /// the cluster level decides (see [`ClusterConfig::dsm_config`]):
     /// `comm` always comes from `exec`, and `home_policy` and
@@ -132,7 +128,6 @@ impl Default for ClusterConfig {
             net: NetProfile::clan_via(),
             time: TimeSource::Counted,
             chaos: ChaosProfile::from_env(),
-            task_scheduler: SchedConfig::default(),
             dsm: DsmConfig::default(),
         }
     }

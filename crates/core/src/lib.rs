@@ -52,5 +52,5 @@ pub use parade_cluster::{
 pub use parade_dsm::{DsmConfig, ProtoSelect};
 pub use parade_mpi::ReduceOp;
 pub use parade_net::{FabricError, NetProfile, NodeTraffic, TimeSource, VTime};
-pub use parade_tasks::{SchedConfig, StealStrategy, TaskCtx, TaskDesc};
+pub use parade_tasks::{TaskCtx, TaskDesc};
 pub use parade_trace::TraceReport;

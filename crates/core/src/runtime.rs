@@ -12,7 +12,6 @@ use parade_cluster::ProtocolMode;
 use parade_dsm::{Dsm, RegionHandle};
 use parade_mpi::{Communicator, ReduceOp};
 use parade_net::{TimeSource, VClock, VTime};
-use parade_tasks::SchedConfig;
 use parade_trace as trace;
 
 use crate::ctx::ThreadCtx;
@@ -105,7 +104,6 @@ pub(crate) struct NodeRt {
     pub tpn: usize,
     pub mode: ProtocolMode,
     pub time: TimeSource,
-    pub task_cfg: SchedConfig,
     pub barrier: VBarrier,
     pub singles: SlotTable<SingleSlot>,
     pub reduce: Mutex<ReduceState>,
@@ -136,7 +134,6 @@ pub(crate) struct NodeRt {
 }
 
 impl NodeRt {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         dsm: Arc<Dsm>,
         comm: Arc<Communicator>,
@@ -145,7 +142,6 @@ impl NodeRt {
         tpn: usize,
         mode: ProtocolMode,
         time: TimeSource,
-        task_cfg: SchedConfig,
     ) -> Arc<NodeRt> {
         // Reserved allocations, identical on every node (performed before
         // any user allocation, so ids/offsets line up cluster-wide).
@@ -163,7 +159,6 @@ impl NodeRt {
             tpn,
             mode,
             time,
-            task_cfg,
             barrier: VBarrier::named(tpn, format!("node {node}")),
             singles: SlotTable::new(),
             reduce: Mutex::new(ReduceState::default()),

@@ -102,8 +102,8 @@ impl ThreadCtx {
     /// wrote during it.
     ///
     /// Returns `Some` of the id-sorted `(task id, result)` merge on lead
-    /// threads — identical on every node regardless of steal schedule —
-    /// and `None` on non-lead threads.
+    /// threads — identical on every node and on every run — and `None` on
+    /// non-lead threads.
     pub fn task_phase(
         &self,
         funcs: &[TaskFn],
@@ -114,7 +114,7 @@ impl ThreadCtx {
         // node, whether there is anything to publish.
         self.barrier_if(|c| self.rt().any_node_wrote(c));
         let merged = if self.local_thread() == 0 {
-            let sched = NodeSched::new(Arc::clone(&self.rt().comm), self.rt().task_cfg);
+            let sched = NodeSched::new(Arc::clone(&self.rt().comm));
             let mut scope = TaskScope { tc: self, sched };
             body(&mut scope);
             let mut clock = self.take_clock();
@@ -141,32 +141,54 @@ mod tests {
     use super::*;
     use crate::team::Cluster;
     use parade_cluster::ProtocolMode;
-    use parade_net::{NetProfile, TimeSource};
-    use parade_tasks::{SchedConfig, StealStrategy};
+    use parade_net::{ChaosProfile, NetProfile, TimeSource};
+    use std::sync::atomic::AtomicU64;
 
-    fn test_cluster(nodes: usize, tpn: usize, sched: SchedConfig) -> Cluster {
+    fn test_cluster(nodes: usize, tpn: usize) -> Cluster {
         Cluster::builder()
             .nodes(nodes)
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .task_scheduler(sched)
             .build()
             .unwrap()
     }
 
-    fn run_square_phase(sched: SchedConfig) -> Vec<(u64, Vec<f64>)> {
-        let c = test_cluster(2, 2, sched);
+    /// Root tasks per node and children per root of [`placement_phase`].
+    const ROOTS: u64 = 3;
+    const CHILDREN: u64 = 2;
+
+    /// One 4×2 phase in which every node spawns [`ROOTS`] roots and every
+    /// root spawns [`CHILDREN`] children. Each task returns the node that
+    /// ran it and its place in that node's execution order.
+    fn placement_phase(chaos: ChaosProfile) -> Vec<(u64, Vec<f64>)> {
+        let c = Cluster::builder()
+            .nodes(4)
+            .threads_per_node(2)
+            .net(NetProfile::clan_via())
+            .time(TimeSource::Manual)
+            .chaos(chaos)
+            .build()
+            .unwrap();
         c.run(|g| {
             g.parallel(move |tc| {
+                // Only the lead thread runs tasks, so this counts per node.
+                let seq = Arc::new(AtomicU64::new(0));
                 let funcs: Vec<TaskFn> = vec![Arc::new(
-                    |_tc: &ThreadCtx, d: &TaskDesc, _s: &mut SpawnCtx| {
-                        vec![(d.args[0] * d.args[0]) as f64]
+                    move |tc: &ThreadCtx, d: &TaskDesc, s: &mut SpawnCtx| {
+                        // Roots carry no argument, children their ordinal.
+                        if d.args.is_empty() {
+                            for j in 0..CHILDREN {
+                                s.spawn(0, vec![j]);
+                            }
+                        }
+                        let k = seq.fetch_add(1, Ordering::Relaxed);
+                        vec![tc.node() as f64, k as f64]
                     },
                 )];
                 tc.task_phase(&funcs, |scope| {
-                    for i in 0..6u64 {
-                        scope.spawn(0, vec![i + 10 * scope.node() as u64]);
+                    for _ in 0..ROOTS {
+                        scope.spawn(0, vec![]);
                     }
                 })
             })
@@ -174,20 +196,52 @@ mod tests {
         })
     }
 
+    /// Every task ran on `(spawner + spawn ordinal) mod N`, where a node's
+    /// ordinals count its roots first (its body spawns them before any
+    /// task runs) and then, [`CHILDREN`] at a time, the children of the
+    /// roots it ran, in the order it ran them.
+    fn assert_placed_round_robin(merged: &[(u64, Vec<f64>)], what: &str) {
+        let n = 4u64;
+        assert_eq!(merged.len() as u64, n * ROOTS * (1 + CHILDREN), "{what}");
+        let ran = |id: u64| {
+            let r = &merged.iter().find(|(i, _)| *i == id).expect("merged").1;
+            (r[0] as u64, r[1] as u64)
+        };
+        for (id, r) in merged {
+            let node = r[0] as u64;
+            let want = if id % 2 == 1 {
+                // Root: id = 2·(ordinal·N + spawner) + 1.
+                let (ord, spawner) = ((id / 2) / n, (id / 2) % n);
+                (spawner + ord) % n
+            } else {
+                // Child j of its parent: id = parent·65 536 + 2·(j + 1).
+                let (parent, j) = (id >> 16, (id & 0xFFFF) / 2 - 1);
+                let (spawner, parent_seq) = ran(parent);
+                let earlier_roots = merged
+                    .iter()
+                    .filter(|(i, r)| {
+                        i % 2 == 1 && r[0] as u64 == spawner && (r[1] as u64) < parent_seq
+                    })
+                    .count() as u64;
+                (spawner + ROOTS + earlier_roots * CHILDREN + j) % n
+            };
+            assert_eq!(node, want, "{what}: task {id} ran on the wrong node");
+        }
+    }
+
     #[test]
-    fn task_phase_merges_identically_across_strategies() {
-        let flat = run_square_phase(SchedConfig {
-            strategy: StealStrategy::Flat,
-            ..SchedConfig::default()
-        });
-        let random = run_square_phase(SchedConfig::default());
-        assert_eq!(flat.len(), 12, "6 root spawns per node on 2 nodes");
-        assert_eq!(flat, random);
+    fn every_task_runs_where_its_spawner_placed_it() {
+        for run in 0..3 {
+            let merged = placement_phase(ChaosProfile::off());
+            assert_placed_round_robin(&merged, &format!("run {run}"));
+        }
+        let merged = placement_phase(ChaosProfile::lossy(0x5EED_7A5C));
+        assert_placed_round_robin(&merged, "lossy chaos");
     }
 
     #[test]
     fn task_bodies_read_and_write_dsm() {
-        let c = test_cluster(2, 2, SchedConfig::default());
+        let c = test_cluster(2, 2);
         let out = c.run(|g| {
             let xs = g.alloc_f64(64);
             for i in 0..64 {
@@ -231,9 +285,9 @@ mod tests {
 
     /// One phase on `nodes`×2 in `mode` in which the one task, spawned by
     /// the last node, writes a shared element every node cached before the
-    /// phase (whichever node steals it), or, with `write` false, in which
-    /// no task writes. Returns what every thread reads back after the phase
-    /// and each node's DSM barriers during it.
+    /// phase, or, with `write` false, in which no task writes. Returns what
+    /// every thread reads back after the phase and each node's DSM barriers
+    /// during it.
     fn one_writer_phase(nodes: usize, mode: ProtocolMode, write: bool) -> Vec<(f64, u64)> {
         let c = Cluster::builder()
             .nodes(nodes)

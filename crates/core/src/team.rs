@@ -245,7 +245,6 @@ impl Cluster {
                 env.cfg.threads_per_node(),
                 env.cfg.protocol,
                 env.cfg.time,
-                env.cfg.task_scheduler,
             );
             let mut threads = NodeThreads {
                 rt: &rt,
@@ -359,12 +358,6 @@ impl ClusterBuilder {
     /// Inject faults into the fabric (see `parade_net::ChaosProfile`).
     pub fn chaos(mut self, c: parade_net::ChaosProfile) -> Self {
         self.cfg.chaos = c;
-        self
-    }
-
-    /// Task-scheduler knobs (steal strategy, victim-selection seed).
-    pub fn task_scheduler(mut self, s: parade_tasks::SchedConfig) -> Self {
-        self.cfg.task_scheduler = s;
         self
     }
 

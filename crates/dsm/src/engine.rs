@@ -409,8 +409,8 @@ impl Dsm {
     /// then the pool's own bytes are handed out — no copy.
     ///
     /// A view is good for one interval. The pages under it stay readable
-    /// until this node next applies write notices (a barrier departure, a
-    /// lock grant, a task-dependency notice), which may invalidate them and
+    /// until this node next applies write notices (a barrier departure or a
+    /// lock grant), which may invalidate them and
     /// let a later fetch overwrite the bytes: nothing here checks that, the
     /// caller must let go of the slice first (`parade-core`'s `view`
     /// closures turn a barrier or lock inside one into a panic). Nor may

@@ -18,8 +18,8 @@
 //!   the `figures` binary.
 //!
 //! One irregular workload exercises the task scheduler (`parade-tasks`):
-//! [`nbody_task`], the MD force computation as stolen independent tasks,
-//! bit-identical across steal schedules.
+//! [`nbody_task`], the MD force computation as independent tasks placed
+//! round-robin at spawn, bit-identical to its sequential reference.
 
 pub mod cg;
 pub mod cost;

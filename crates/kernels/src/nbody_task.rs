@@ -1,18 +1,18 @@
 //! Task-based n-body: the [`crate::md`] force computation recast as a
-//! set of independent tasks run by the distributed work-stealing scheduler.
+//! set of independent tasks run by the distributed task scheduler.
 //!
 //! Each time step is one task phase: the particle set is cut into `blocks`
-//! force blocks, block `b` is spawned by node `b % nnodes`, and idle nodes
-//! steal blocks from busy ones. A block task returns `[pot, kin,
-//! f_x0, f_y0, f_z0, ...]` for its particles; the id-sorted merge puts the
-//! blocks back in order on every node, which then applies an identical
-//! velocity-Verlet update to its replicated state.
+//! force blocks, block `b` is spawned by node `b % nnodes`, and each node
+//! places its spawns round-robin, starting with itself. A block task
+//! returns `[pot, kin, f_x0, f_y0, f_z0, ...]` for its particles; the
+//! id-sorted merge puts the blocks back in order on every node, which then
+//! applies an identical velocity-Verlet update to its replicated state.
 //!
 //! Determinism: particle state is replicated per node from the seed and
 //! advanced only from the merged (id-ordered) block results, and block ids
 //! are a pure function of the block index — so the trajectory is
-//! **bit-identical** for any steal schedule, seed, victim order, or chaos
-//! fault pattern, and equal to [`nbody_task_sequential`], which sums block
+//! **bit-identical** at any cluster shape and under any chaos fault
+//! pattern, and equal to [`nbody_task_sequential`], which sums block
 //! partials in the same order.
 
 use std::sync::Arc;
@@ -99,7 +99,7 @@ pub fn nbody_task_sequential(p: MdParams, blocks: usize) -> MdResult {
 
 /// Distributed task version: one task phase per step, block `b` spawned by
 /// node `b % nnodes` (so root task ids come out as `2b + 1` and the merge
-/// is in block order), stolen freely under the configured strategy.
+/// is in block order) and run where that node's round-robin places it.
 pub fn nbody_task_parade(cluster: &Cluster, p: MdParams, blocks: usize) -> (MdResult, RunReport) {
     cluster.run_with_report(move |g| {
         g.parallel(move |tc| {
@@ -141,15 +141,14 @@ pub fn nbody_task_parade(cluster: &Cluster, p: MdParams, blocks: usize) -> (MdRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parade_core::{NetProfile, SchedConfig, StealStrategy, TimeSource};
+    use parade_core::{NetProfile, TimeSource};
 
-    fn cluster(nodes: usize, tpn: usize, sched: SchedConfig) -> Cluster {
+    fn cluster(nodes: usize, tpn: usize) -> Cluster {
         Cluster::builder()
             .nodes(nodes)
             .threads_per_node(tpn)
             .net(NetProfile::zero())
             .time(TimeSource::Manual)
-            .task_scheduler(sched)
             .build()
             .unwrap()
     }
@@ -165,49 +164,20 @@ mod tests {
 
     #[test]
     fn task_nbody_matches_blockwise_sequential_bitwise() {
+        // Every shape ships tasks between nodes; on 4 nodes the 6 blocks
+        // do not divide evenly among the spawners.
         let p = MdParams::sized(48, 4);
-        let seq = nbody_task_sequential(p, 6);
-        let c = cluster(3, 1, SchedConfig::default());
-        let (par, _) = nbody_task_parade(&c, p, 6);
-        assert_eq!(bits(&seq), bits(&par));
-    }
-
-    #[test]
-    fn task_nbody_is_bit_identical_across_steal_seeds_and_strategies() {
-        let p = MdParams::sized(32, 3);
-        let mut all = Vec::new();
-        for seed in [1u64, 0xDEAD_BEEF, 42] {
-            let c = cluster(
-                2,
-                2,
-                SchedConfig {
-                    seed,
-                    ..SchedConfig::default()
-                },
-            );
-            let (r, _) = nbody_task_parade(&c, p, 8);
-            all.push(bits(&r));
-        }
-        let c = cluster(
-            2,
-            2,
-            SchedConfig {
-                strategy: StealStrategy::Flat,
-                ..SchedConfig::default()
-            },
-        );
-        let (flat, _) = nbody_task_parade(&c, p, 8);
-        all.push(bits(&flat));
-        all.push(bits(&nbody_task_sequential(p, 8)));
-        for w in all.windows(2) {
-            assert_eq!(w[0], w[1], "steal schedule changed the trajectory");
+        let seq = bits(&nbody_task_sequential(p, 6));
+        for (nodes, tpn) in [(3, 1), (2, 2), (4, 2)] {
+            let (par, _) = nbody_task_parade(&cluster(nodes, tpn), p, 6);
+            assert_eq!(bits(&par), seq, "{nodes}x{tpn} changed the trajectory");
         }
     }
 
     #[test]
     fn task_nbody_survives_chaos() {
-        // Four nodes and the real link profile: enough steal traffic that
-        // the 2 % drop rate always bites, whoever ends up stealing what.
+        // Four nodes and the real link profile: enough shipped tasks that
+        // the 2 % drop rate always bites.
         let p = MdParams::sized(48, 2);
         let seq = nbody_task_sequential(p, 8);
         let c = Cluster::builder()

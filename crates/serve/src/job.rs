@@ -10,8 +10,8 @@
 //! pure functions of the checkpointed state, and all floating-point
 //! reductions are folded serially by the master in fixed block order. One
 //! sequential reference run therefore predicts the exact bits of every
-//! parallel execution, at any width, on any steal schedule, under any
-//! chaos — the serving soak's exactly-once check leans on this.
+//! parallel execution, at any width and under any chaos — the serving
+//! soak's exactly-once check leans on this.
 
 use std::sync::Arc;
 
@@ -200,9 +200,9 @@ impl JobKind {
                         },
                     )];
                     // Exactly-once task ids: node 0 spawns blocks in order,
-                    // so the id-sorted merge *is* block order, identical on
-                    // every width and steal schedule — and identical again
-                    // when a re-homed attempt re-runs the interval.
+                    // so the id-sorted merge *is* block order, identical at
+                    // every width, wherever the tasks run — and identical
+                    // again when a re-homed attempt re-runs the interval.
                     let merged = tc.task_phase(&funcs, |scope| {
                         if scope.node() == 0 {
                             for b in 0..BLOCKS.min(np) as u64 {

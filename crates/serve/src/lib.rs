@@ -13,7 +13,7 @@
 //!
 //! * **Width-independent arithmetic** (see [`job`]) — every kernel's
 //!   result is a pure function of its checkpointed state, at any gang
-//!   width, under any chaos, on any steal schedule. One sequential
+//!   width and under any chaos. One sequential
 //!   reference predicts the exact bits of every parallel execution.
 //! * **Exactly-once completion** — a job is admitted once, completes
 //!   once (asserted), and interval re-execution after a re-home replays

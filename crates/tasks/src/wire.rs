@@ -7,9 +7,10 @@
 //! `Writer`/`Reader` pair (DESIGN.md "Wire format").
 //!
 //! A task travels as a [`TaskDesc`] of 16 + 8·n bytes (id, function, n
-//! argument words): in a `Task` frame under flat placement, or in a
-//! `StealReply`. Nothing travels back per task — its result joins the
-//! executing node's one `Result` frame at the end of the phase.
+//! argument words) in a `Task` frame, once, from the node that spawned it
+//! to the node its placement names. Nothing travels back per task — its
+//! result joins the executing node's one `Result` frame at the end of the
+//! phase.
 
 use parade_mpi::datatype::{DecodeError, Reader, Writer};
 use parade_net::Bytes;
@@ -30,18 +31,13 @@ pub struct TaskDesc {
 
 /// Scheduler protocol messages.
 ///
-/// `Task`, `StealReq` and `StealReply` are *counted* by the termination
-/// detector (they move work or ask for it); `Token`, `Done` and `Result`
-/// form the termination/merge protocol itself and are not counted.
+/// `Task` is *counted* by the termination detector (it moves work);
+/// `Token`, `Done` and `Result` form the termination/merge protocol itself
+/// and are not counted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedMsg {
-    /// Ship a spawned task to another node's deque (`Flat` placement).
+    /// Ship a spawned task to the node its placement names.
     Task(TaskDesc),
-    /// An idle node asks a victim for work.
-    StealReq,
-    /// The victim's answer: half its deque, up to `sched::GRAIN` tasks
-    /// (possibly empty).
-    StealReply(Vec<TaskDesc>),
     /// Safra's termination token.
     Token { count: i64, black: bool },
     /// Root → all: the phase terminated; send your results.
@@ -58,10 +54,8 @@ pub enum SchedMsg {
     },
 }
 
-// Kind bytes are pinned by `wire_bytes_are_pinned`; 4 is retired.
+// Kind bytes are pinned by `wire_bytes_are_pinned`; 2, 3 and 4 are retired.
 const K_TASK: u8 = 1;
-const K_STEAL_REQ: u8 = 2;
-const K_STEAL_REPLY: u8 = 3;
 const K_TOKEN: u8 = 5;
 const K_DONE: u8 = 6;
 const K_RESULT: u8 = 7;
@@ -78,16 +72,10 @@ fn decode_desc(r: &mut Reader<'_>) -> Result<TaskDesc, DecodeError> {
     })
 }
 
-/// Encoded size of a [`TaskDesc`] with no args.
-const MIN_DESC_BYTES: usize = 8 + 4 + 4;
-
 impl SchedMsg {
     /// True for messages the termination detector must count.
     pub fn counted(&self) -> bool {
-        matches!(
-            self,
-            SchedMsg::Task(_) | SchedMsg::StealReq | SchedMsg::StealReply(_)
-        )
+        matches!(self, SchedMsg::Task(_))
     }
 
     pub fn encode(&self) -> Bytes {
@@ -96,15 +84,6 @@ impl SchedMsg {
             SchedMsg::Task(d) => {
                 w.u8(K_TASK);
                 encode_desc(&mut w, d);
-            }
-            SchedMsg::StealReq => {
-                w.u8(K_STEAL_REQ);
-            }
-            SchedMsg::StealReply(ds) => {
-                w.u8(K_STEAL_REPLY).u32(ds.len() as u32);
-                for d in ds {
-                    encode_desc(&mut w, d);
-                }
             }
             SchedMsg::Token { count, black } => {
                 w.u8(K_TOKEN).u64(*count as u64).u8(*black as u8);
@@ -134,8 +113,6 @@ impl SchedMsg {
         let mut r = Reader::new(b);
         let msg = match r.u8()? {
             K_TASK => SchedMsg::Task(decode_desc(&mut r)?),
-            K_STEAL_REQ => SchedMsg::StealReq,
-            K_STEAL_REPLY => SchedMsg::StealReply(r.list(MIN_DESC_BYTES, decode_desc)?),
             K_TOKEN => SchedMsg::Token {
                 count: r.u64()? as i64,
                 black: r.u8()? == 1,
@@ -168,13 +145,10 @@ mod tests {
         }
     }
 
-    /// One message of every kind (two `StealReply`s: full and empty).
+    /// One message of every kind.
     fn samples() -> Vec<SchedMsg> {
         vec![
             SchedMsg::Task(desc()),
-            SchedMsg::StealReq,
-            SchedMsg::StealReply(vec![desc(), desc()]),
-            SchedMsg::StealReply(vec![]),
             SchedMsg::Token {
                 count: -3,
                 black: true,
@@ -192,40 +166,37 @@ mod tests {
     #[test]
     fn codec_is_checked() {
         assert_codec(&samples(), SchedMsg::encode, SchedMsg::try_decode);
-        assert_eq!(
-            SchedMsg::try_decode(&[0xEE]),
-            Err(DecodeError::BadKind(0xEE))
-        );
-        // Each count would size a multi-gigabyte allocation if trusted.
-        for kind in [K_STEAL_REPLY, K_RESULT] {
-            let mut w = Writer::new();
-            w.u8(kind).u32(u32::MAX);
+        // The retired kinds (the steal request and reply among them) are
+        // no frame at all.
+        for kind in [0xEE, 2, 3, 4] {
             assert_eq!(
-                SchedMsg::try_decode(&w.finish()),
-                Err(DecodeError::Count {
-                    count: u32::MAX,
-                    have: 0
-                }),
-                "kind {kind}"
+                SchedMsg::try_decode(&[kind]),
+                Err(DecodeError::BadKind(kind))
             );
         }
+        // The count would size a multi-gigabyte allocation if trusted.
+        let mut w = Writer::new();
+        w.u8(K_RESULT).u32(u32::MAX);
+        assert_eq!(
+            SchedMsg::try_decode(&w.finish()),
+            Err(DecodeError::Count {
+                count: u32::MAX,
+                have: 0
+            })
+        );
     }
 
     /// Captured at the parent of the commit that introduced the checked
     /// `Reader` (0c3e7fa), before any edit: "same bytes" as a test. Since
-    /// then `Result` has gained its trailing `wrote` byte (here `01`), and
-    /// a task descriptor has shrunk to its id, function and args (16 + 8·n
-    /// bytes), which re-cut the `Task` and `StealReply` samples.
+    /// then `Result` has gained its trailing `wrote` byte (here `01`), a
+    /// task descriptor has shrunk to its id, function and args (16 + 8·n
+    /// bytes), which re-cut the `Task` sample, and the steal request and
+    /// reply (kinds 2 and 3) have been retired with their samples.
     #[test]
     fn wire_bytes_are_pinned() {
         let pinned = [
             "01080706050403020102000000030000000100000000000000ffffffffffffffff\
              0000000000000000",
-            "02",
-            "0302000000080706050403020102000000030000000100000000000000ffffff\
-             ffffffffff0000000000000000080706050403020102000000030000000100000000\
-             000000ffffffffffffffff0000000000000000",
-            "0300000000",
             "05fdffffffffffffff01",
             "06",
             "0702000000010000000000000001000000000000000000004005000000000000\
@@ -238,8 +209,6 @@ mod tests {
     #[test]
     fn counted_split_matches_termination_protocol() {
         assert!(SchedMsg::Task(desc()).counted());
-        assert!(SchedMsg::StealReq.counted());
-        assert!(SchedMsg::StealReply(vec![]).counted());
         assert!(!SchedMsg::Token {
             count: 0,
             black: false

@@ -43,8 +43,6 @@ pub enum EventKind {
     MpiBarrier,
     /// Binomial-tree broadcast (span; arg = bytes).
     MpiBcast,
-    /// Binomial-tree reduction to root (span).
-    MpiReduce,
     /// Recursive-doubling allreduce, ⌈log₂P⌉ rounds (span).
     MpiAllreduce,
     /// Gather to root (span; arg = bytes contributed).
@@ -71,13 +69,11 @@ pub enum EventKind {
     // --- Task scheduler (parade-tasks) ---
     /// Task created and enqueued or shipped (instant; arg = task id).
     TaskSpawn,
-    /// Tasks obtained from a steal reply (instant; arg = tasks stolen).
-    TaskSteal,
     /// One task body executing, release included (span; arg = task id).
     TaskExec,
     /// One node's share of a task phase, from the end of its root body to
-    /// the merged result: execution, stealing, termination and the result
-    /// exchange (span; `task.exec` spans nest inside).
+    /// the merged result: execution, termination and the result exchange
+    /// (span; `task.exec` spans nest inside).
     TaskPhase,
     // --- Static analyzer (paradec check) ---
     /// One MIR pipeline stage: lowering or a dataflow pass (span; arg =
@@ -87,7 +83,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// All kinds, in declaration order (stable for reports).
-    pub const ALL: [EventKind; 31] = [
+    pub const ALL: [EventKind; 29] = [
         EventKind::DsmReadFault,
         EventKind::DsmWriteFault,
         EventKind::DsmTwin,
@@ -103,7 +99,6 @@ impl EventKind {
         EventKind::DsmLock,
         EventKind::MpiBarrier,
         EventKind::MpiBcast,
-        EventKind::MpiReduce,
         EventKind::MpiAllreduce,
         EventKind::MpiGather,
         EventKind::CollRound,
@@ -115,7 +110,6 @@ impl EventKind {
         EventKind::CommService,
         EventKind::NetRetransmit,
         EventKind::TaskSpawn,
-        EventKind::TaskSteal,
         EventKind::TaskExec,
         EventKind::TaskPhase,
         EventKind::CheckAnalyze,
@@ -139,7 +133,6 @@ impl EventKind {
             EventKind::DsmLock => "dsm.lock",
             EventKind::MpiBarrier => "mpi.barrier",
             EventKind::MpiBcast => "mpi.bcast",
-            EventKind::MpiReduce => "mpi.reduce",
             EventKind::MpiAllreduce => "mpi.allreduce",
             EventKind::MpiGather => "mpi.gather",
             EventKind::CollRound => "mpi.coll_round",
@@ -151,7 +144,6 @@ impl EventKind {
             EventKind::CommService => "comm.service",
             EventKind::NetRetransmit => "net.retransmit",
             EventKind::TaskSpawn => "task.spawn",
-            EventKind::TaskSteal => "task.steal",
             EventKind::TaskExec => "task.exec",
             EventKind::TaskPhase => "task.phase",
             EventKind::CheckAnalyze => "check.analyze",
@@ -176,7 +168,6 @@ impl EventKind {
             | EventKind::DsmLock => "dsm",
             EventKind::MpiBarrier
             | EventKind::MpiBcast
-            | EventKind::MpiReduce
             | EventKind::MpiAllreduce
             | EventKind::MpiGather
             | EventKind::CollRound => "mpi",
@@ -187,10 +178,7 @@ impl EventKind {
             | EventKind::OmpForChunk => "omp",
             EventKind::CommService => "comm",
             EventKind::NetRetransmit => "net",
-            EventKind::TaskSpawn
-            | EventKind::TaskSteal
-            | EventKind::TaskExec
-            | EventKind::TaskPhase => "task",
+            EventKind::TaskSpawn | EventKind::TaskExec | EventKind::TaskPhase => "task",
             EventKind::CheckAnalyze => "check",
         }
     }
@@ -205,7 +193,6 @@ impl EventKind {
                 | EventKind::DsmLock
                 | EventKind::MpiBarrier
                 | EventKind::MpiBcast
-                | EventKind::MpiReduce
                 | EventKind::MpiAllreduce
                 | EventKind::MpiGather
                 | EventKind::OmpBarrier
@@ -267,7 +254,7 @@ mod tests {
 
     #[test]
     fn taxonomy_is_consistent() {
-        assert_eq!(EventKind::ALL.len(), 31);
+        assert_eq!(EventKind::ALL.len(), 29);
         let mut names = std::collections::HashSet::new();
         for k in EventKind::ALL {
             assert!(names.insert(k.name()), "duplicate name {}", k.name());
@@ -279,7 +266,7 @@ mod tests {
     #[test]
     fn span_vs_instant_split() {
         let spans = EventKind::ALL.iter().filter(|k| k.is_span()).count();
-        assert_eq!(spans, 17);
+        assert_eq!(spans, 16);
         assert!(EventKind::TaskExec.is_span());
         assert!(EventKind::TaskPhase.is_span());
         assert!(!EventKind::TaskSpawn.is_span());

@@ -120,11 +120,12 @@ fn coerce(ty: &Type, v: Val) -> Val {
 }
 
 /// Shared storage of a variable, allocated from the resolver's storage plan.
+/// A scalar on HLRC is a one-element `ArrF`/`ArrI` with no dimensions, so an
+/// integer one keeps all 64 bits; update-protocol scalars are `f64`.
 enum Shared {
     ArrF(SharedVec<f64>, DimsId),
     ArrI(SharedVec<i64>, DimsId),
     ScalarUpd(SharedScalar<f64>, Type),
-    ScalarHlrc(SharedVec<f64>, Type),
 }
 
 /// Private storage (master frame or a thread's frame).
@@ -321,18 +322,15 @@ fn alloc_shared(g: &mut MasterCtx, code: &Code, pool: usize) -> RtResult<Arc<[Op
     for s in &code.storage {
         let shape = &s.shape;
         let shared = match s.kind {
-            StorageKind::SharedArr if shape.ty.is_float() => g
+            StorageKind::SharedArr | StorageKind::ScalarHlrc if shape.ty.is_float() => g
                 .try_alloc_vec(shape.elems)
                 .map(|v| Shared::ArrF(v, shape.dims)),
-            StorageKind::SharedArr => g
+            StorageKind::SharedArr | StorageKind::ScalarHlrc => g
                 .try_alloc_vec::<i64>(shape.elems)
                 .map(|v| Shared::ArrI(v, shape.dims)),
             StorageKind::ScalarUpdate => g
                 .try_alloc_scalar()
                 .map(|v| Shared::ScalarUpd(v, shape.ty.clone())),
-            StorageKind::ScalarHlrc => g
-                .try_alloc_vec(1)
-                .map(|v| Shared::ScalarHlrc(v, shape.ty.clone())),
         };
         let refused = |e: AllocError| {
             // Every shared element is an 8-byte `f64` or `i64`.
@@ -560,9 +558,13 @@ impl<'c> Env<'c> {
                 self.oracle_read(sym, 0, true);
                 Ok(coerce(ty, Val::D(exec.scalar_get(s))))
             }
-            Some(Shared::ScalarHlrc(vec, ty)) => {
+            Some(Shared::ArrF(vec, dims)) if self.code().dims(*dims).is_empty() => {
                 self.oracle_read(sym, 0, true);
-                Ok(coerce(ty, Val::D(exec.vec_get_f(vec, 0))))
+                Ok(Val::D(exec.vec_get_f(vec, 0)))
+            }
+            Some(Shared::ArrI(vec, dims)) if self.code().dims(*dims).is_empty() => {
+                self.oracle_read(sym, 0, true);
+                Ok(Val::I(exec.vec_get_i(vec, 0)))
             }
             Some(_) => rte(format!("array {} used as a scalar", self.name(sym))),
             None => rte(format!("undefined variable {}", self.name(sym))),
@@ -601,11 +603,17 @@ impl<'c> Env<'c> {
                     ))
                 }
             }
-            (Some(Shared::ScalarHlrc(vec, ty)), exec) => {
-                let v = coerce(ty, v);
+            (Some(Shared::ArrF(vec, dims)), exec) if self.code().dims(*dims).is_empty() => {
+                let x = v.as_f64();
                 self.oracle_write(sym, 0, true);
-                exec.vec_set_f(vec, 0, v.as_f64());
-                Ok(v)
+                exec.vec_set_f(vec, 0, x);
+                Ok(Val::D(x))
+            }
+            (Some(Shared::ArrI(vec, dims)), exec) if self.code().dims(*dims).is_empty() => {
+                let x = v.as_i64();
+                self.oracle_write(sym, 0, true);
+                exec.vec_set_i(vec, 0, x);
+                Ok(Val::I(x))
             }
             (Some(_), _) => rte(format!("array {} used as a scalar", self.name(sym))),
             (None, _) => rte(format!("undefined variable {}", self.name(sym))),
@@ -684,12 +692,12 @@ impl<'c> Env<'c> {
             };
         }
         match &self.shared[sym.idx()] {
-            Some(Shared::ArrF(v, dims)) => {
+            Some(Shared::ArrF(v, dims)) if !code.dims(*dims).is_empty() => {
                 let i = Self::flat_index(code.dims(*dims), idx)?;
                 self.oracle_read(sym, i, false);
                 Ok(Val::D(exec.vec_get_f(v, i)))
             }
-            Some(Shared::ArrI(v, dims)) => {
+            Some(Shared::ArrI(v, dims)) if !code.dims(*dims).is_empty() => {
                 let i = Self::flat_index(code.dims(*dims), idx)?;
                 self.oracle_read(sym, i, false);
                 Ok(Val::I(exec.vec_get_i(v, i)))
@@ -718,14 +726,14 @@ impl<'c> Env<'c> {
             };
         }
         match &self.shared[sym.idx()] {
-            Some(Shared::ArrF(vec, dims)) => {
+            Some(Shared::ArrF(vec, dims)) if !code.dims(*dims).is_empty() => {
                 let i = Self::flat_index(code.dims(*dims), idx)?;
                 let x = v.as_f64();
                 self.oracle_write(sym, i, false);
                 exec.vec_set_f(vec, i, x);
                 Ok(Val::D(x))
             }
-            Some(Shared::ArrI(vec, dims)) => {
+            Some(Shared::ArrI(vec, dims)) if !code.dims(*dims).is_empty() => {
                 let i = Self::flat_index(code.dims(*dims), idx)?;
                 let x = v.as_i64();
                 self.oracle_write(sym, i, false);

@@ -102,6 +102,42 @@ fn integer_reduction_is_exact_past_2_pow_53() {
 }
 
 #[test]
+fn shared_integer_scalars_on_hlrc_are_exact_past_2_pow_53() {
+    // 2^53 + 1 + 2 = 2^53 + 3: a double store rounds it to 2^53 + 2 (or
+    // 2^53 + 4) on its way through the shared page.
+    let global = r#"
+long t = 9007199254740993;
+int main() {
+    t = t + 2;
+    printf("%ld\n", t);
+    return 0;
+}
+"#;
+    let master = r#"
+int main() {
+    long t = 9007199254740993;
+    #pragma omp parallel
+    {
+        #pragma omp master
+        {
+            t = t + 2;
+        }
+    }
+    printf("%ld\n", t);
+    return 0;
+}
+"#;
+    for (name, src) in [("global", global), ("master", master)] {
+        for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
+            for (nodes, tpn) in [(1, 1), (2, 2)] {
+                let (_, out) = run_src(src, nodes, tpn, mode);
+                assert_eq!(out, "9007199254740995\n", "{name} {nodes}x{tpn} {mode:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn atomic_counts_all_threads() {
     for mode in [ProtocolMode::Parade, ProtocolMode::SdsmOnly] {
         let (_, out) = run_src(

@@ -21,7 +21,7 @@ use parade::dsm::{spawn_comm_thread, Dsm, DsmConfig, HomePolicy, ProtoSelect, PA
 use parade::kernels::helmholtz::{helmholtz_parade, HelmholtzParams};
 use parade::mpi::{Communicator, ReduceOp};
 use parade::net::{Fabric, NetProfile, TimeSource, VClock};
-use parade_tasks::{NodeSched, SchedConfig, StealStrategy, Step, TaskCtx, TaskDesc};
+use parade_tasks::{NodeSched, Step, TaskCtx, TaskDesc};
 
 const GOLDEN: &str = include_str!("golden/vtime.tsv");
 
@@ -195,21 +195,20 @@ fn mpi_coll_vtime_ns(ranks: usize, op: &'static str) -> u64 {
 /// Drive `nnodes` task schedulers round-robin from this thread until every
 /// node holds the merged phase result, which must hold `ntasks` tasks. One
 /// deterministic schedule: message delivery order is fixed by the polling
-/// order and the seeded victim choice, so the virtual clocks replay
-/// identically on every host. Returns the slowest node's virtual time in ns.
+/// order, so the virtual clocks replay identically on every host. Returns
+/// the slowest node's virtual time in ns.
 fn task_phase_vtime_ns(
     nnodes: usize,
-    cfg: SchedConfig,
     ntasks: usize,
     spawn: impl Fn(&mut NodeSched, &mut VClock),
 ) -> u64 {
     let fabric = Fabric::new(nnodes, NetProfile::clan_via());
     let mut scheds: Vec<NodeSched> = (0..nnodes)
-        .map(|n| NodeSched::new(Arc::new(Communicator::new(fabric.endpoint(n))), cfg))
+        .map(|n| NodeSched::new(Arc::new(Communicator::new(fabric.endpoint(n)))))
         .collect();
     let mut clocks: Vec<VClock> = (0..nnodes).map(|_| VClock::manual()).collect();
     // The task bodies carry no virtual cost: the families below measure
-    // pure scheduling overhead (ship, steal, termination and merge).
+    // pure scheduling overhead (ship, termination and merge).
     let mut ex = |d: &TaskDesc, _t: &mut TaskCtx, _c: &mut VClock| vec![d.id as f64];
     for n in 0..nnodes {
         spawn(&mut scheds[n], &mut clocks[n]);
@@ -230,61 +229,51 @@ fn task_phase_vtime_ns(
     vtime
 }
 
-/// Tasks per node of the steal-only phase and of the n-body phase.
-const STEAL_TASKS_PER_NODE: usize = 8;
+/// Tasks per node of the one-spawner phase and of the n-body phase.
+const ONE_SPAWNER_TASKS_PER_NODE: usize = 8;
 const NBODY_BLOCKS_PER_NODE: usize = 2;
 
 /// The `tasks/` rows: whole-phase virtual time of
 ///
 /// * `spawn_sync` — a minimal phase (one task, two nodes): spawn, execute,
-///   token termination, result merge (flat placement keeps a node's first
-///   spawn at home, so nothing is shipped);
-/// * `steal` — node 0 spawns 8·N tasks and every other node acquires work
-///   exclusively by random stealing. Per-task cost must stay flat as the
-///   cluster doubles — the victim serves steals in batches, so a regression
-///   to one-task-per-round-trip shipping breaks the shape bound;
-/// * `nbody` — the n-body kernel's phase shape: 2·N force blocks spawned
-///   round-robin by their owner nodes under flat placement, merged once per
-///   step. Per-task cost must stay flat as nodes and blocks double together;
-/// * `nbody_steal` — the same phase under the default scheduler, which
-///   steals: the scheduler the `task_nbody` benchmark workload runs. Each
-///   node has run its own two blocks before a thief's request reaches it,
-///   so every steal misses and no task moves.
+///   token termination, result merge (a node's first spawn stays at home,
+///   so nothing is shipped);
+/// * `one_spawner` — node 0 spawns 8·N tasks and ships every one it does
+///   not keep, one `Task` frame each, round-robin over the cluster. Per-task
+///   cost must stay flat as the cluster doubles;
+/// * `nbody` — the n-body kernel's phase shape, what the `task_nbody`
+///   benchmark workload runs: 2·N force blocks spawned by their owner
+///   nodes, placed round-robin, merged once per step. Per-task cost must
+///   stay flat as nodes and blocks double together.
 fn tasks_rows(rows: &mut Rows) {
-    let flat = SchedConfig {
-        strategy: StealStrategy::Flat,
-        ..SchedConfig::default()
-    };
-    let vt = task_phase_vtime_ns(2, flat, 1, |s, c| {
+    let vt = task_phase_vtime_ns(2, 1, |s, c| {
         if s.node() == 0 {
             s.spawn(0, vec![1], c);
         }
     });
     rows.push(("tasks/spawn_sync_vtime_ns_2n".into(), vt));
     for &n in TASK_SIZES {
-        let total = STEAL_TASKS_PER_NODE * n;
-        let vt = task_phase_vtime_ns(n, SchedConfig::default(), total, move |s, c| {
+        let total = ONE_SPAWNER_TASKS_PER_NODE * n;
+        let vt = task_phase_vtime_ns(n, total, move |s, c| {
             if s.node() == 0 {
                 for i in 0..total as u64 {
                     s.spawn(0, vec![i], c);
                 }
             }
         });
-        rows.push((format!("tasks/steal_vtime_ns_{n}n"), vt));
+        rows.push((format!("tasks/one_spawner_vtime_ns_{n}n"), vt));
     }
-    for (family, cfg) in [("nbody", flat), ("nbody_steal", SchedConfig::default())] {
-        for &n in TASK_SIZES {
-            let blocks = NBODY_BLOCKS_PER_NODE * n;
-            let vt = task_phase_vtime_ns(n, cfg, blocks, move |s, c| {
-                let nn = s.node();
-                for blk in 0..blocks as u64 {
-                    if blk as usize % n == nn {
-                        s.spawn(0, vec![blk, blocks as u64], c);
-                    }
+    for &n in TASK_SIZES {
+        let blocks = NBODY_BLOCKS_PER_NODE * n;
+        let vt = task_phase_vtime_ns(n, blocks, move |s, c| {
+            let nn = s.node();
+            for blk in 0..blocks as u64 {
+                if blk as usize % n == nn {
+                    s.spawn(0, vec![blk, blocks as u64], c);
                 }
-            });
-            rows.push((format!("tasks/{family}_vtime_ns_{n}n"), vt));
-        }
+            }
+        });
+        rows.push((format!("tasks/nbody_vtime_ns_{n}n"), vt));
     }
 }
 
@@ -497,10 +486,8 @@ fn shaped(rows: &Rows) -> Vec<(String, f64)> {
         .filter_map(|(name, v)| {
             let (stem, n) = split_scaled(name)?;
             let per = match stem {
-                "tasks/steal_vtime_ns" => STEAL_TASKS_PER_NODE * n as usize,
-                "tasks/nbody_vtime_ns" | "tasks/nbody_steal_vtime_ns" => {
-                    NBODY_BLOCKS_PER_NODE * n as usize
-                }
+                "tasks/one_spawner_vtime_ns" => ONE_SPAWNER_TASKS_PER_NODE * n as usize,
+                "tasks/nbody_vtime_ns" => NBODY_BLOCKS_PER_NODE * n as usize,
                 _ if stem.starts_with("coll/") => 1,
                 _ => return None,
             };
@@ -516,7 +503,7 @@ fn golden_file_parses_and_rejects_malformed_rows() {
     let rows_of = |family: &str| all.iter().filter(|(n, _)| n.starts_with(family)).count();
     assert_eq!(
         ["release/", "coll/", "tasks/", "adapt/", "kernel/"].map(rows_of),
-        [15, 20, 16, 4, 4],
+        [15, 20, 11, 4, 4],
         "a family lost or gained a row"
     );
     for bad in ["coll/x_16n 5\n", "coll/x_16n\t5.5\n", "a\t1\na\t2\n"] {
@@ -540,14 +527,14 @@ fn shape_rule_separates_linear_from_logarithmic_scaling() {
     let linear = shape_violations(&family(2.0));
     assert_eq!(linear.len(), 4, "{linear:?}");
     assert!(linear[0].starts_with("coll/x_vtime_ns: 16n -> 32n"));
-    // Per-task normalisation: a steal phase whose total doubles with the
-    // task count is flat, not linear.
+    // Per-task normalisation: a one-spawner phase whose total doubles with
+    // the task count is flat, not linear.
     let rows: Rows = TASK_SIZES
         .iter()
         .map(|&n| {
             (
-                format!("tasks/steal_vtime_ns_{n}n"),
-                5_000 * (STEAL_TASKS_PER_NODE * n) as u64,
+                format!("tasks/one_spawner_vtime_ns_{n}n"),
+                5_000 * (ONE_SPAWNER_TASKS_PER_NODE * n) as u64,
             )
         })
         .collect();
