@@ -362,9 +362,14 @@ fn repeated_owner_writes_after_migration_do_not_fetch() {
 fn invalidation_counts_reflect_write_notices() {
     // Node 1 writes; node 2 (neither old nor new home) must invalidate its
     // cached copy, while node 0 — the old home with the merged diff — keeps
-    // its copy valid and up to date.
+    // its copy valid and up to date. Node 0 writes the page first, so a
+    // departure has named it: a fresh page's diff would not reach node 0.
     let out = run_nodes(3, small_cfg(), NetProfile::zero(), |d, clk| {
         let r = alloc_on(&d, 64);
+        d.barrier(clk);
+        if d.node() == 0 {
+            d.write::<i64>(r, 8, 1, clk);
+        }
         d.barrier(clk);
         // Everyone caches the page.
         let _ = d.read::<i64>(r, 0, clk);

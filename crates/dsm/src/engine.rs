@@ -15,7 +15,7 @@ use parade_net::{Endpoint, Match, MsgClass, Packet, VClock, VTime};
 use parade_trace::{self as trace, EventKind};
 
 use crate::bufpool::PageBuf;
-use crate::config::DsmConfig;
+use crate::config::{DsmConfig, HomePolicy};
 use crate::diff::Diff;
 use crate::msg::{DsmMsg, DsmReply, PageReq, REPLY_TAG_BASE};
 use crate::page::{PageId, PageState, PAGE_SIZE};
@@ -827,11 +827,27 @@ impl Dsm {
     /// per batch, downgrade to READ_ONLY. Returns the list of flushed
     /// pages (the release's write notices).
     pub fn flush(&self, clock: &mut VClock) -> Vec<PageId> {
+        let (dirty, held) = self.flush_holding(false, clock);
+        debug_assert!(held.is_empty());
+        dirty
+    }
+
+    /// [`Dsm::flush`], except that with `hold_fresh` the diff of a fresh
+    /// page (one no departure has named, so still homed on node 0) is
+    /// handed back instead of shipped: the departure decides whether it
+    /// goes anywhere (see [`Dsm::settle_fresh`]). Held diffs come back
+    /// ascending by page.
+    fn flush_holding(
+        &self,
+        hold_fresh: bool,
+        clock: &mut VClock,
+    ) -> (Vec<PageId>, Vec<(PageId, Diff)>) {
         trace::begin(EventKind::DsmFlush, clock.now());
         // The drain returns pages ascending, so diff batch layout and
         // fabric-level send order are deterministic.
         let dirty: Vec<PageId> = self.sets.drain_dirty();
         let mut by_home: BTreeMap<usize, (Vec<PageId>, Vec<Diff>)> = BTreeMap::new();
+        let mut held = Vec::new();
         for &page in &dirty {
             let meta = &self.pages[page];
             let mut inner = meta.inner.lock();
@@ -849,9 +865,13 @@ impl Dsm {
                 meta.set_state(&mut inner, PageState::ReadOnly);
                 drop(inner);
                 if !diff.is_empty() {
-                    let (pages, diffs) = by_home.entry(home).or_default();
-                    pages.push(page);
-                    diffs.push(diff);
+                    if hold_fresh && !self.sets.is_named(page) {
+                        held.push((page, diff));
+                    } else {
+                        let (pages, diffs) = by_home.entry(home).or_default();
+                        pages.push(page);
+                        diffs.push(diff);
+                    }
                 }
             } else {
                 // Home copy already contains our writes.
@@ -863,7 +883,7 @@ impl Dsm {
         let pending_acks = self.ship_diffs(by_home, clock);
         self.await_diff_acks(&pending_acks, clock);
         trace::end(EventKind::DsmFlush, clock.now());
-        dirty
+        (dirty, held)
     }
 
     /// Ship grouped diffs: one `DiffBatch` message (answered by one ack)
@@ -941,10 +961,32 @@ impl Dsm {
     /// receives the same departure, so every node gets the same answer.
     pub fn barrier(&self, clock: &mut VClock) -> bool {
         trace::begin(EventKind::DsmBarrier, clock.now());
-        let seq = self.barrier_seq.fetch_add(1, Ordering::SeqCst);
-        self.flush(clock);
+        let (_, held) = self.flush_holding(self.holds_fresh_diffs(), clock);
         let notices = self.sets.drain_notices();
         let reads = self.sets.drain_reads();
+        let (seq, entries) = self.tree_round(notices, reads, clock);
+        self.apply_depart(seq, &entries, held, clock);
+        self.stats.barriers.fetch_add(1, Ordering::Relaxed);
+        trace::end(EventKind::DsmBarrier, clock.now());
+        !entries.is_empty()
+    }
+
+    /// Whether a barrier holds the diffs of fresh pages: with migratory
+    /// homes. Under fixed homes (the SDSM baseline) node 0 keeps every
+    /// page, so every diff ships to it at once, as at any release.
+    fn holds_fresh_diffs(&self) -> bool {
+        self.cfg.home_policy != HomePolicy::Fixed
+    }
+
+    /// One round of the hierarchical barrier: arrive with `notices` and
+    /// `reads`, wait for the departure. Returns its sequence and entries.
+    fn tree_round(
+        &self,
+        notices: Vec<PageId>,
+        reads: Vec<PageId>,
+        clock: &mut VClock,
+    ) -> (u64, Vec<crate::msg::DepartEntry>) {
+        let seq = self.barrier_seq.fetch_add(1, Ordering::SeqCst);
         let tag = self.next_reply_tag();
         let arrive = DsmMsg::BarrierArrive {
             seq,
@@ -965,18 +1007,72 @@ impl Dsm {
             unreachable!("unexpected reply to barrier arrive");
         };
         assert_eq!(dseq, seq, "barrier sequence mismatch");
-        self.apply_depart(seq, &entries, clock);
-        self.stats.barriers.fetch_add(1, Ordering::Relaxed);
-        trace::end(EventKind::DsmBarrier, clock.now());
-        !entries.is_empty()
+        (seq, entries)
     }
 
-    /// Apply a barrier departure: update the home table, invalidate copies
-    /// made stale by other nodes' writes, park pages awaiting a migration
-    /// push, and push merged pages we no longer host.
-    fn apply_depart(&self, seq: u64, entries: &[crate::msg::DepartEntry], clock: &mut VClock) {
-        let mut migrated_any = false;
+    /// The fresh-page half of a departure, run before anything else in it.
+    /// Marks every page the departure names as named, and returns which of
+    /// them were fresh (one flag per entry).
+    ///
+    /// A fresh page is homed on node 0 and every node's copy started zero,
+    /// so a single writer's copy *is* the merged copy: when the departure
+    /// hands the page to it (a non-update entry naming one writer), its held
+    /// diff is dropped and nothing ships. Any other entry on a fresh page
+    /// (several writers, or an update entry, whose home stays put) needs the
+    /// old home's merged copy, so this node ships its held diffs for those
+    /// pages there and waits for the acks; then every node takes one more
+    /// tree round, so no node pushes a page or serves a `PushReq` until the
+    /// old home has merged every held diff (DESIGN.md §3e). Every node
+    /// decides alike from the same departure.
+    fn settle_fresh(
+        &self,
+        entries: &[crate::msg::DepartEntry],
+        held: Vec<(PageId, Diff)>,
+        clock: &mut VClock,
+    ) -> Vec<bool> {
+        let holds = self.holds_fresh_diffs();
+        let mut held = held.into_iter().peekable();
+        let mut by_home: BTreeMap<usize, (Vec<PageId>, Vec<Diff>)> = BTreeMap::new();
+        let mut merge_first = false;
+        let mut fresh = Vec::with_capacity(entries.len());
         for e in entries {
+            let is_fresh = self.sets.mark_named(e.page);
+            fresh.push(is_fresh);
+            let ship = holds && is_fresh && (e.multi_writer || e.update);
+            merge_first |= ship;
+            // Held pages are notices of this node, so the departure names
+            // each of them; both lists are ascending.
+            if let Some((_, diff)) = held.next_if(|&(page, _)| page == e.page) {
+                if ship {
+                    let (pages, diffs) = by_home.entry(e.old_home).or_default();
+                    pages.push(e.page);
+                    diffs.push(diff);
+                }
+            }
+        }
+        debug_assert!(held.next().is_none(), "held diff for an unnamed page");
+        if merge_first {
+            let pending_acks = self.ship_diffs(by_home, clock);
+            self.await_diff_acks(&pending_acks, clock);
+            self.tree_round(Vec::new(), Vec::new(), clock);
+        }
+        fresh
+    }
+
+    /// Apply a barrier departure: settle held diffs of fresh pages, update
+    /// the home table, invalidate copies made stale by other nodes' writes,
+    /// park pages awaiting a migration push, and push merged pages we no
+    /// longer host.
+    fn apply_depart(
+        &self,
+        seq: u64,
+        entries: &[crate::msg::DepartEntry],
+        held: Vec<(PageId, Diff)>,
+        clock: &mut VClock,
+    ) {
+        let fresh = self.settle_fresh(entries, held, clock);
+        let mut migrated_any = false;
+        for (e, fresh) in entries.iter().zip(fresh) {
             self.homes[e.page].store(e.new_home as u32, Ordering::Release);
             if e.new_home != e.old_home {
                 migrated_any = true;
@@ -1083,9 +1179,16 @@ impl Dsm {
                 // readable copy, or the push already arrived) — nothing
                 // to do.
             } else if self.node == e.old_home {
-                // The old home holds the fully merged copy — still valid.
-                if e.multi_writer && e.new_home != e.old_home {
-                    // Push the merged page to the new home.
+                if fresh && !e.multi_writer {
+                    // A fresh page handed to its single writer: no diff
+                    // came here, so this copy is the zero placeholder (and
+                    // any lock-release diffs), not the merged copy. The
+                    // bytes stay until the new home has its own copy, for
+                    // a `PushReq`.
+                    self.drop_stale_copy(e.page, clock);
+                } else if e.multi_writer && e.new_home != e.old_home {
+                    // The old home holds the fully merged copy — still
+                    // valid. Push it to the new home.
                     let msg = DsmMsg::PagePush {
                         page: e.page,
                         barrier_seq: seq,
@@ -1162,8 +1265,12 @@ impl Dsm {
     }
 
     /// This node's copy of `page`, taken under the page lock. The caller
-    /// knows the copy is valid: it is, or was through the last barrier, the
-    /// page's home, and old homes never drop their merged bytes.
+    /// knows the bytes are the merged ones: this node is, or was through
+    /// the last barrier, the page's home, and an old home never drops its
+    /// merged copy. The one old home that invalidates its copy, node 0 on
+    /// handing a fresh page to its single writer, keeps the bytes: nothing
+    /// refills an invalid copy but a fetch from the new home, which
+    /// defers it until the new home holds the page.
     pub(crate) fn page_bytes(&self, page: PageId) -> parade_net::Bytes {
         let mut buf = vec![0u8; PAGE_SIZE];
         let _inner = self.pages[page].inner.lock();

@@ -258,10 +258,14 @@ impl Dsm {
                 // but found its own copy invalid (a lock-grant write notice
                 // can invalidate even the single writer's copy under false
                 // sharing). We are the old home and still hold the merged
-                // interval bytes — no node can write the page until this
-                // push lands, because the new home defers all fetches while
-                // parked. Note `try_serve_pages` would refuse: we are no
-                // longer `home_of(page)`.
+                // interval bytes: every diff of the single writer came here
+                // eagerly (its lock release, or the grant that invalidated
+                // its dirty copy), and node 0 keeps them even in a fresh
+                // page's invalidated copy (see `Dsm::page_bytes`). No node
+                // can write the page until this push lands, because the new
+                // home defers all fetches while parked. Note
+                // `try_serve_pages` would refuse: we are no longer
+                // `home_of(page)`.
                 let data = self.page_bytes(page);
                 srv.charge_copy(PAGE_SIZE);
                 let push = DsmMsg::PagePush {

@@ -323,9 +323,15 @@ impl PageBitmap {
         }
     }
 
+    /// Set `page`'s bit; returns whether it was clear.
     #[inline]
-    fn set(&self, page: PageId) {
-        self.words[page / 64].fetch_or(1 << (page % 64), Ordering::AcqRel);
+    fn set(&self, page: PageId) -> bool {
+        let bit = 1u64 << (page % 64);
+        self.words[page / 64].fetch_or(bit, Ordering::AcqRel) & bit == 0
+    }
+
+    fn contains(&self, page: PageId) -> bool {
+        self.words[page / 64].load(Ordering::Acquire) & (1 << (page % 64)) != 0
     }
 
     /// Clear `page`'s bit; returns whether it was set.
@@ -359,9 +365,9 @@ impl PageBitmap {
     }
 }
 
-/// Dense per-page interval bookkeeping: the node's dirty set and the
-/// current interval's write/read notice sets, one bitmap each, sized by
-/// the pool's page count.
+/// Dense per-page interval bookkeeping: the node's dirty set, the
+/// current interval's write/read notice sets and the pages departures have
+/// named, one bitmap each, sized by the pool's page count.
 ///
 /// A write fault marks with two `fetch_or`s and no lock, so concurrent
 /// faults on different pages never serialize (and faults on pages sharing
@@ -380,6 +386,11 @@ pub struct PageSets {
     /// Pages fetched during the current interval (barrier read notices —
     /// the sharer evidence behind adaptive protocol selection).
     reads: PageBitmap,
+    /// Pages some barrier departure has named. Every node applies every
+    /// departure, so the set is the same on every node; a page outside it
+    /// is *fresh*: still homed on node 0 and, there, never diffed at a
+    /// barrier (DESIGN.md §3b).
+    named: PageBitmap,
 }
 
 impl PageSets {
@@ -388,6 +399,7 @@ impl PageSets {
             dirty: PageBitmap::new(pages),
             notices: PageBitmap::new(pages),
             reads: PageBitmap::new(pages),
+            named: PageBitmap::new(pages),
         }
     }
 
@@ -428,6 +440,16 @@ impl PageSets {
     /// Take the interval's read notices (ascending).
     pub fn drain_reads(&self) -> Vec<PageId> {
         self.reads.drain()
+    }
+
+    /// Whether a departure has named `page`.
+    pub fn is_named(&self, page: PageId) -> bool {
+        self.named.contains(page)
+    }
+
+    /// Note that a departure named `page`; returns whether it was fresh.
+    pub fn mark_named(&self, page: PageId) -> bool {
+        self.named.set(page)
     }
 }
 

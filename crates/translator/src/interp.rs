@@ -1420,10 +1420,7 @@ fn format_c(code: &Code, fmt: &str, args: &[Val]) -> RtResult<String> {
                 let p = prec.unwrap_or(6);
                 out.push_str(&format!("{:.*}", p, arg.as_f64()));
             }
-            'e' | 'E' => {
-                let p = prec.unwrap_or(6);
-                out.push_str(&format!("{:.*e}", p, arg.as_f64()));
-            }
+            'e' | 'E' => out.push_str(&c_exp(arg.as_f64(), prec.unwrap_or(6), conv == 'E')),
             'g' | 'G' => {
                 out.push_str(&format!("{}", arg.as_f64()));
             }
@@ -1437,9 +1434,39 @@ fn format_c(code: &Code, fmt: &str, args: &[Val]) -> RtResult<String> {
     Ok(out)
 }
 
+/// `%e` as C prints it: the exponent carries a sign and at least two
+/// digits (`5.669773e-02`, where Rust's `{:e}` gives `5.669773e-2`), and
+/// `%E` is upper case throughout.
+fn c_exp(v: f64, prec: usize, upper: bool) -> String {
+    let rust = format!("{v:.prec$e}");
+    let s = match rust.split_once('e') {
+        Some((mantissa, exp)) => {
+            let exp: i32 = exp.parse().expect("Rust's exponent is an integer");
+            let sign = if exp < 0 { '-' } else { '+' };
+            format!("{mantissa}e{sign}{:02}", exp.unsigned_abs())
+        }
+        None => rust, // inf, NaN
+    };
+    if upper {
+        s.to_uppercase()
+    } else {
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percent_e_prints_the_c_exponent() {
+        // `%e`, and `%.3E` (precision 3, upper case).
+        assert_eq!(c_exp(0.0, 6, false), "0.000000e+00");
+        assert_eq!(c_exp(-0.05669773, 6, false), "-5.669773e-02");
+        assert_eq!(c_exp(1e-10, 6, false), "1.000000e-10");
+        assert_eq!(c_exp(1.5e100, 6, false), "1.500000e+100");
+        assert_eq!(c_exp(12345.678, 3, true), "1.235E+04");
+    }
 
     /// `eval` and `exec_stmt` return these on every step: two registers,
     /// not a stack slot. An error type that grows them fails here.

@@ -64,6 +64,33 @@ for f in examples/openmp/*.c; do
       translate "$f" --mode "$mode" > /dev/null
   done
 done
+echo "== examples/openmp against libgomp: cc -fopenmp at 1 and 4 threads vs paradec run at 1x1 and 2x2 =="
+# The host's OpenMP compiler is the reference implementation: each example
+# built with `cc -fopenmp` must print what the release paradec prints, and
+# exit with the same status, at the same team size. No compiler fails the
+# step; it is not skipped.
+if ! command -v cc >/dev/null 2>&1; then
+  echo "libgomp reference step: no 'cc' on PATH (it needs a C compiler with -fopenmp)" >&2
+  exit 1
+fi
+CC_TMP="$(mktemp -d)"
+for f in examples/openmp/*.c; do
+  name="$(basename "$f" .c)"
+  cc -fopenmp -O1 -o "$CC_TMP/$name" "$f" -lm
+  for shape in "1 1 1" "4 2 2"; do
+    read -r omp nodes threads <<<"$shape"
+    want=0
+    OMP_NUM_THREADS="$omp" "$CC_TMP/$name" > "$CC_TMP/want" || want=$?
+    got=0
+    cargo run -q --release --offline -p parade-check --bin paradec -- \
+      run "$f" --nodes "$nodes" --threads "$threads" > "$CC_TMP/got" 2>/dev/null || got=$?
+    if [[ "$want" != "$got" ]] || ! diff -u "$CC_TMP/want" "$CC_TMP/got"; then
+      echo "$f: paradec at ${nodes}x${threads} (exit $got) differs from cc -fopenmp at OMP_NUM_THREADS=$omp (exit $want)" >&2
+      exit 1
+    fi
+  done
+done
+rm -rf "$CC_TMP"
 echo "== examples/*.rs, optimized (exit status only) =="
 for f in examples/*.rs; do
   cargo run -q --release --offline --example "$(basename "$f" .rs)" > /dev/null

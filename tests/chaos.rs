@@ -29,6 +29,8 @@ use parade::net::{
 };
 use parade_testkit::prelude::*;
 
+mod fresh;
+
 /// Soak-wide watchdog budget. Generous in real time — these workloads
 /// finish in seconds; the bound only exists to convert a protocol hang
 /// (virtual time stuck) into a diagnosable failure.
@@ -357,6 +359,59 @@ fn helmholtz_is_bit_identical_under_lossy_chaos() {
         assert!(report.cluster.fabric_errors.is_empty());
         let h = report.cluster.link_health_totals();
         assert!(h.retransmits >= 1, "{h:?}");
+    });
+}
+
+/// The fresh-page programs of `tests/fresh_pages.rs` on a lossy wire, in
+/// both protocol selections: one writer a page (no diff at all), two
+/// writers a page (held diffs shipped after the departure, then the extra
+/// round), a lock-release diff meeting a held one, and the `PushReq`
+/// repair. Every read must land on the bits of the clean run, which reads
+/// every value written.
+#[test]
+fn fresh_page_programs_are_bit_identical_under_lossy_chaos() {
+    use parade::dsm::ProtoSelect;
+    use parade::prelude::ProtocolMode;
+
+    type Program = fn(&Cluster) -> (Vec<Vec<u64>>, RunReport);
+    run_with_timeout("fresh-page-chaos", SOAK, || {
+        let programs: [(Program, usize); 4] = [
+            (fresh::one_writer_per_page, 8 * 2 * fresh::PAGE_F64),
+            (fresh::two_writers_per_page, fresh::PAGES * fresh::PAGE_F64),
+            (fresh::lock_and_plain_writer, fresh::PAGES * fresh::PAGE_F64),
+            (
+                fresh::lock_writer_invalidated_by_its_grant,
+                fresh::PAGES * fresh::PAGE_F64,
+            ),
+        ];
+        let mut retransmits = 0;
+        for (k, (program, len)) in programs.into_iter().enumerate() {
+            for proto in [ProtoSelect::Update, ProtoSelect::Invalidate] {
+                let mk = |chaos| fresh::cluster(4, 2, ProtocolMode::Parade, proto, chaos);
+                let (clean, _) = program(&mk(ChaosProfile::off()));
+                assert!(
+                    clean.iter().all(|t| *t == fresh::every_value(len)),
+                    "program {k} {proto:?}: a clean read missed a written value"
+                );
+                let (chaotic, report) = program(&mk(ChaosProfile::lossy(0xF2E5_0000 + k as u64)));
+                assert!(
+                    chaotic == clean,
+                    "program {k} {proto:?} diverged under chaos"
+                );
+                assert!(report.cluster.fabric_errors.is_empty());
+                retransmits += report.cluster.link_health_totals().retransmits;
+                // Two writers a page: held diffs shipped to node 0 on a
+                // lossy wire, once each (nodes 1 and 2).
+                if k == 1 {
+                    let shippers = fresh::half_writers(4).iter().filter(|&&w| w != 0).count();
+                    assert_eq!(
+                        report.cluster.dsm_totals().diffs_sent,
+                        (fresh::PAGES * shippers) as u64
+                    );
+                }
+            }
+        }
+        assert!(retransmits >= 1, "the lossy schedules must retransmit");
     });
 }
 

@@ -333,19 +333,38 @@ fn tree_barrier_departure_is_independent_of_aggregation_order() {
     // In a 4-node binomial tree, root 0's children are nodes 1 (subtree
     // {1}) and 2 (subtree {2, 3}). Page 5 is multi-written by {1, 3} with
     // old home 0, so the migratory rule picks the smallest writer; page 9
-    // has the single writer 2.
-    let up_from_1 = DsmMsg::BarrierUp {
-        seq: 0,
-        members: vec![(1, 70)],
-        writers: vec![(5, 1)],
-        readers: vec![],
-    };
-    let up_from_2 = DsmMsg::BarrierUp {
-        seq: 0,
-        members: vec![(2, 71), (3, 72)],
-        writers: vec![(9, 2), (5, 3)],
-        readers: vec![],
-    };
+    // has the single writer 2. Page 5 is fresh (no departure named it
+    // before), so its writers ship their held diffs to node 0 after the
+    // departure and every node then takes one more, empty, round (seq 1):
+    // the members' half of it is scripted here too, with its own tags.
+    let up_from_1 = [
+        DsmMsg::BarrierUp {
+            seq: 0,
+            members: vec![(1, 70)],
+            writers: vec![(5, 1)],
+            readers: vec![],
+        },
+        DsmMsg::BarrierUp {
+            seq: 1,
+            members: vec![(1, 80)],
+            writers: vec![],
+            readers: vec![],
+        },
+    ];
+    let up_from_2 = [
+        DsmMsg::BarrierUp {
+            seq: 0,
+            members: vec![(2, 71), (3, 72)],
+            writers: vec![(9, 2), (5, 3)],
+            readers: vec![],
+        },
+        DsmMsg::BarrierUp {
+            seq: 1,
+            members: vec![(2, 81), (3, 82)],
+            writers: vec![],
+            readers: vec![],
+        },
+    ];
 
     let run = |ups_before_arrive: bool| {
         let fabric = Fabric::new(4, NetProfile::clan_via());
@@ -363,9 +382,13 @@ fn tree_barrier_departure_is_independent_of_aggregation_order() {
         let send_ups = move || {
             // The virtual send instants are pinned; only the *real-time*
             // order in which the root services the burst varies.
-            e2.send_at(0, MsgClass::Dsm, 0, up_from_2.encode(), up_at);
+            for up in &up_from_2 {
+                e2.send_at(0, MsgClass::Dsm, 0, up.encode(), up_at);
+            }
             std::thread::sleep(Duration::from_millis(15));
-            e1.send_at(0, MsgClass::Dsm, 0, up_from_1.encode(), up_at);
+            for up in &up_from_1 {
+                e1.send_at(0, MsgClass::Dsm, 0, up.encode(), up_at);
+            }
         };
         let feeder = if ups_before_arrive {
             send_ups();
@@ -383,19 +406,22 @@ fn tree_barrier_departure_is_independent_of_aggregation_order() {
             h.join().unwrap();
         }
         // Master-last: by the time the root's own caller is past the
-        // barrier, every remote member's departure must already be queued.
+        // barrier, every remote member's departures (of both rounds) must
+        // already be queued.
         let remotes: Vec<_> = [(1usize, 70u64), (2, 71), (3, 72)]
             .into_iter()
             .map(|(node, tag)| {
                 let ep = fabric.endpoint(node);
                 assert_eq!(
                     ep.queued(MsgClass::Ctl),
-                    1,
-                    "node {node}'s departure must be queued before the \
+                    2,
+                    "node {node}'s departures must be queued before the \
                      master's caller resumes"
                 );
-                let pkt = ep.recv_raw(MsgClass::Ctl, Match::tagged(tag)).unwrap();
-                (pkt.arrive_at, pkt.payload.to_vec())
+                [tag, tag + 10].map(|tag| {
+                    let pkt = ep.recv_raw(MsgClass::Ctl, Match::tagged(tag)).unwrap();
+                    (pkt.arrive_at, pkt.payload.to_vec())
+                })
             })
             .collect();
         let outcome = (clk.now(), remotes, dsm.home_of(5), dsm.home_of(9));
